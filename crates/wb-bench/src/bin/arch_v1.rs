@@ -1,50 +1,32 @@
 //! Experiment F2 — characterize the v1 push architecture (Fig. 2):
-//! throughput scaling with worker count, load spread, and the
-//! health-check eviction path under a crash.
-//!
-//! Emits `BENCH_arch_v1.json` in the shared `wb-bench/v1` schema; the
-//! fault-path counts are deterministic and gate exactly.
-
-use std::process::ExitCode;
-use std::time::Instant;
+//! load spread as the pool grows, and the health-check eviction path
+//! under a crash. The fault-path counts are deterministic and asserted
+//! exactly.
 
 use wb_bench::reference_job;
-use wb_bench::report::{obj, BenchReport, Gate, Json};
 use wb_labs::LabScale;
 use wb_worker::JobAction;
 use webgpu::ClusterBuilder;
 
-fn main() -> ExitCode {
+fn main() {
     println!("v1 architecture (web server pushes jobs to a worker pool)\n");
 
-    // Throughput scaling: the same 60-job batch over growing pools.
-    println!(
-        "{:>8} {:>10} {:>14} {:>16}",
-        "workers", "jobs", "wall (ms)", "jobs/worker max"
-    );
-    let mut scaling_rows = Vec::new();
+    // Load spread: the same 60-job batch over growing pools.
+    println!("{:>8} {:>10} {:>16}", "workers", "jobs", "jobs/worker max");
     for workers in [1usize, 2, 4, 8] {
         let cluster = ClusterBuilder::new(minicuda::DeviceConfig::default())
             .fleet(workers)
             .build_v1();
-        let t0 = Instant::now();
         let jobs = 60;
         for j in 0..jobs {
             let req = reference_job("vecadd", j, LabScale::Small, JobAction::RunDataset(0));
             cluster.submit(&req, 0).expect("job runs");
         }
-        let wall = t0.elapsed().as_millis();
         let max_share = (0..workers)
             .map(|i| cluster.worker(i).unwrap().jobs_done())
             .max()
             .unwrap();
-        println!("{workers:>8} {jobs:>10} {wall:>14} {max_share:>16}");
-        scaling_rows.push(obj([
-            ("workers", Json::from(workers)),
-            ("jobs", Json::from(jobs)),
-            ("wall_ms", Json::from(wall as u64)),
-            ("max_jobs_per_worker", Json::from(max_share)),
-        ]));
+        println!("{workers:>8} {jobs:>10} {max_share:>16}");
     }
     println!("(round-robin keeps the per-worker share flat as the pool grows)\n");
 
@@ -80,18 +62,11 @@ fn main() -> ExitCode {
         cluster.pool_size()
     );
 
-    BenchReport::new("arch_v1")
-        .metric("fault_jobs_completed", completed as u64)
-        .metric("dispatch_failures", cluster.dispatch_failures())
-        .metric("evicted_workers", evicted.len())
-        .metric("pool_after_sweep", cluster.pool_size())
-        .table("throughput_scaling", scaling_rows)
-        .gate(Gate::exactly("fault_jobs_completed", completed as u64, 20))
-        .gate(Gate::exactly("evicted_workers", evicted.len() as u64, 1))
-        .gate(Gate::exactly(
-            "pool_after_sweep",
-            cluster.pool_size() as u64,
-            3,
-        ))
-        .finish()
+    assert_eq!(completed, 20, "dispatch retries must absorb the crash");
+    assert_eq!(
+        evicted.len(),
+        1,
+        "the sweep evicts exactly the crashed node"
+    );
+    assert_eq!(cluster.pool_size(), 3);
 }

@@ -3,21 +3,16 @@
 //! The paper cites Špaček et al. (ref. 18): Docker adds no measurable
 //! overhead to GPU code, *provided a container is ready*. The real
 //! cost is the boot; the pool hides it. This binary measures the
-//! per-job container wait under three worker setups.
-
-//! Emits `BENCH_container_overhead.json` in the shared `wb-bench/v1`
-//! schema; waits are virtual milliseconds, so every number is
-//! deterministic and the pooled-beats-cold ordering gates.
-
-use std::process::ExitCode;
+//! per-job container wait under three worker setups. Waits are virtual
+//! milliseconds, so every number is deterministic and the
+//! pooled-beats-cold ordering is asserted.
 
 use wb_bench::reference_job;
-use wb_bench::report::{BenchReport, Gate};
 use wb_labs::LabScale;
 use wb_sandbox::{ContainerPool, Image};
 use wb_worker::JobAction;
 
-fn main() -> ExitCode {
+fn main() {
     let jobs = 50;
 
     println!("container acquisition wait per job (virtual ms)\n");
@@ -85,29 +80,8 @@ fn main() -> ExitCode {
         a.datasets[0].elapsed_cycles, b.datasets[0].elapsed_cycles
     );
     assert_eq!(a.datasets[0].elapsed_cycles, b.datasets[0].elapsed_cycles);
-
-    BenchReport::new("container_overhead")
-        .config("jobs", jobs as u64)
-        .metric("pooled_mean_wait_ms", pooled_mean)
-        .metric("cold_mean_wait_ms", cold_mean)
-        .metric("full_image_cold_wait_ms", wait)
-        .metric("warm_hits", s.warm_hits)
-        .metric("cold_boots", s.cold_boots)
-        .metric("background_boot_ms", s.boot_ms_total)
-        .metric(
-            "pooled_vs_cold_wait_ratio",
-            pooled_mean / cold_mean.max(1.0),
-        )
-        .metric("container_independent_cycles", a.datasets[0].elapsed_cycles)
-        .gate(Gate::at_most(
-            "pooled_vs_cold_wait_ratio",
-            pooled_mean / cold_mean.max(1.0),
-            0.5,
-        ))
-        .gate(Gate::exactly(
-            "container_independent_cycles",
-            a.datasets[0].elapsed_cycles,
-            b.datasets[0].elapsed_cycles,
-        ))
-        .finish()
+    assert!(
+        pooled_mean <= 0.5 * cold_mean.max(1.0),
+        "the pool must hide at least half the cold-start wait"
+    );
 }

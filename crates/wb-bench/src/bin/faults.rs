@@ -3,19 +3,15 @@
 //!
 //! Both architectures are driven through the [`webgpu::FleetControl`]
 //! surface — the same API the chaos harness and the autoscaler use —
-//! rather than poking worker handles directly. Emits
-//! `BENCH_faults.json` in the shared `wb-bench/v1` schema; every
-//! count below is deterministic, so the exactly-once accounting gates.
-
-use std::process::ExitCode;
+//! rather than poking worker handles directly. Every count below is
+//! deterministic, so the exactly-once accounting is asserted.
 
 use wb_bench::reference_job;
-use wb_bench::report::{BenchReport, Gate};
 use wb_labs::LabScale;
 use wb_worker::JobAction;
 use webgpu::{AutoscalePolicy, ClusterBuilder, FleetControl, Zone};
 
-fn main() -> ExitCode {
+fn main() {
     println!("fault injection: 30 jobs, kill 2 of 4 workers after job 10\n");
 
     // ---- v1 ----
@@ -90,7 +86,7 @@ fn main() -> ExitCode {
     }
     if zone_cut && !zone_healed {
         // The partition outlived the load; heal for a clean exit.
-        zone_healed = v2.heal_zone(Zone::Primary);
+        v2.heal_zone(Zone::Primary);
     }
     println!(
         "v2 pull: {}/30 jobs completed through 2 worker kills AND a zone\n         partition + heal, in {rounds} pump rounds",
@@ -98,16 +94,7 @@ fn main() -> ExitCode {
     );
     println!("\nNo job was lost in either architecture; v2 additionally needed no\ndispatcher retries — stranded deliveries were reclaimed by the broker's\nvisibility timeout and re-polled from the surviving zone.");
 
-    BenchReport::new("faults")
-        .metric("v1_jobs_completed", ok as u64)
-        .metric("v1_dispatch_retries", v1.dispatch_failures())
-        .metric("v1_evicted_workers", evicted.len())
-        .metric("v1_pool_after_sweep", v1.pool_size())
-        .metric("v2_jobs_completed", v2.completed())
-        .metric("v2_pump_rounds", rounds)
-        .metric("v2_zone_healed", zone_healed)
-        .gate(Gate::exactly("v1_jobs_completed", ok as u64, 30))
-        .gate(Gate::exactly("v1_evicted_workers", evicted.len() as u64, 2))
-        .gate(Gate::exactly("v2_jobs_completed", v2.completed(), 30))
-        .finish()
+    assert_eq!(ok, 30, "v1 lost a job");
+    assert_eq!(evicted.len(), 2, "the sweep evicts exactly the killed pair");
+    assert_eq!(v2.completed(), 30, "v2 lost a job");
 }

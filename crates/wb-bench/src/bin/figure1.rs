@@ -1,18 +1,13 @@
 //! Experiment F1 — regenerate Figure 1: the number of active students
 //! per hour from February 8th to April 15th 2015, with the weekly
 //! Wednesday spikes before the Thursday lab deadlines.
-//!
-//! Emits `BENCH_figure1.json` in the shared `wb-bench/v1` schema.
 
-use std::process::ExitCode;
-
-use wb_bench::report::{obj, BenchReport, Gate, Json};
 use wb_bench::sparkline;
 use webgpu::sim::population::{load_stats, LoadModel};
 
 const DOW: [&str; 7] = ["Sun", "Mon", "Tue", "Wed", "Thu", "Fri", "Sat"];
 
-fn main() -> ExitCode {
+fn main() {
     let model = LoadModel::default();
     let series = model.hourly_series(2015);
     let stats = load_stats(&model, &series);
@@ -69,31 +64,12 @@ fn main() -> ExitCode {
 
     // Wednesday is day-of-week 3; the spike histogram's mode landing
     // there is the figure's defining feature, and it is deterministic
-    // under the fixed seed — so it gates.
+    // under the fixed seed.
     let spike_mode = stats
         .spike_dow_histogram
         .iter()
         .enumerate()
         .max_by_key(|(_, &c)| c)
-        .map_or(0, |(d, _)| d as u64);
-    BenchReport::new("figure1")
-        .config("seed", 2015u64)
-        .config("days", stats.daily_peaks.len())
-        .metric("peak_active", peak)
-        .metric("peak_day", peak_day)
-        .metric("min_daily_peak", min_peak)
-        .metric("min_daily_peak_day", min_day)
-        .metric("mobile_pct", 100.0 * mobile as f64 / logins as f64)
-        .table(
-            "daily_peaks",
-            stats
-                .daily_peaks
-                .iter()
-                .enumerate()
-                .map(|(day, &p)| obj([("day", Json::from(day)), ("peak", Json::from(p))]))
-                .collect(),
-        )
-        .metric("spike_dow_mode_is_wednesday", spike_mode)
-        .gate(Gate::exactly("spike_dow_mode_is_wednesday", spike_mode, 3))
-        .finish()
+        .map_or(0, |(d, _)| d);
+    assert_eq!(spike_mode, 3, "weekly spikes must land on Wednesday");
 }

@@ -1,12 +1,7 @@
 //! Experiment T1 — regenerate Table I: registered users, completions,
 //! completion rates, and certificates for the three Coursera
 //! offerings, from the cohort survival model.
-//!
-//! Emits `BENCH_table1.json` in the shared `wb-bench/v1` schema.
 
-use std::process::ExitCode;
-
-use wb_bench::report::{obj, BenchReport, Gate, Json};
 use webgpu::sim::population::{simulate_cohort, CohortParams};
 
 // The 2014 completion rate happens to be 3.14% — the paper's number,
@@ -21,7 +16,7 @@ struct PaperRow {
 }
 
 #[allow(clippy::approx_constant)]
-fn main() -> ExitCode {
+fn main() {
     let paper = [
         PaperRow {
             year: 2013,
@@ -57,25 +52,10 @@ fn main() -> ExitCode {
         "{:<6} {:>19} {:>17} {:>17} {:>15}",
         "Year", "Registered", "Completions", "Rate", "Certificates"
     );
-    let mut cohort_rows = Vec::new();
     let mut sim_rates = Vec::new();
     for (row, p) in paper.iter().zip(&params) {
         let s = simulate_cohort(p, row.year as u64);
         sim_rates.push(100.0 * s.completion_rate());
-        cohort_rows.push(obj([
-            ("year", Json::from(row.year)),
-            ("paper_registered", Json::from(row.registered)),
-            ("sim_registered", Json::from(s.registered)),
-            ("paper_completions", Json::from(row.completions)),
-            ("sim_completions", Json::from(s.completions)),
-            ("paper_rate_pct", Json::from(row.rate_pct)),
-            ("sim_rate_pct", Json::from(100.0 * s.completion_rate())),
-            (
-                "paper_certificates",
-                Json::from(u64::from(row.certificates.unwrap_or(0))),
-            ),
-            ("sim_certificates", Json::from(s.certificates)),
-        ]));
         println!(
             "{:<6} {:>9} / {:>7} {:>7} / {:>7} {:>7.2}% / {:>5.2}% {:>6} / {:>6}",
             row.year,
@@ -106,31 +86,12 @@ the 2014 policy change (certificates, harder pace) halves the rate, \
 matching the 7.4% → 3.1% drop."
     );
 
-    // The cohort model is seeded per year, so both the table and the
-    // shape gate below are deterministic: the 2014 policy change must
-    // cut the completion rate to well under 70% of the 2013 rate.
-    BenchReport::new("table1")
-        .config(
-            "years",
-            Json::Arr(vec![2013u64.into(), 2014u64.into(), 2015u64.into()]),
-        )
-        .metric("sim_rate_pct_2013", sim_rates[0])
-        .metric("sim_rate_pct_2014", sim_rates[1])
-        .metric("sim_rate_pct_2015", sim_rates[2])
-        .table("cohorts", cohort_rows)
-        .table(
-            "weekly_survivors_2015",
-            s.weekly_active
-                .iter()
-                .enumerate()
-                .map(|(w, &n)| obj([("week", Json::from(w + 1)), ("active", Json::from(n))]))
-                .collect(),
-        )
-        .metric("policy_change_rate_ratio", sim_rates[1] / sim_rates[0])
-        .gate(Gate::at_most(
-            "policy_change_rate_ratio",
-            sim_rates[1] / sim_rates[0],
-            0.7,
-        ))
-        .finish()
+    // The cohort model is seeded per year, so the table and this shape
+    // check are deterministic: the 2014 policy change must cut the
+    // completion rate to well under 70% of the 2013 rate.
+    let ratio = sim_rates[1] / sim_rates[0];
+    assert!(
+        ratio <= 0.7,
+        "2014/2013 completion-rate ratio {ratio:.2} must be at most 0.7"
+    );
 }

@@ -2,20 +2,14 @@
 //! Every `x` cell is *earned*: the lab's reference solution is
 //! compiled, executed, and graded on a worker configured for that
 //! course before the cell is printed.
-//!
-//! Emits `BENCH_table2.json` in the shared `wb-bench/v1` schema; the
-//! gate insists every offered cell grades its reference solution to
-//! 100%.
-
-use std::process::ExitCode;
+//! The run fails unless every offered cell grades to 100%.
 
 use minicuda::DeviceConfig;
 use wb_bench::reference_job;
-use wb_bench::report::{obj, BenchReport, Gate, Json};
 use wb_labs::{catalog, LabScale};
 use wb_worker::{execute_job, JobAction};
 
-fn main() -> ExitCode {
+fn main() {
     let courses = catalog::courses();
     println!("Table II — WebGPU-hosted labs and the courses they are used for");
     println!("(each x = reference solution graded to 100% on a simulated worker)\n");
@@ -26,9 +20,7 @@ fn main() -> ExitCode {
 
     let device = DeviceConfig::test_small();
     let mut job_id = 0;
-    let mut earned = 0u64;
     let mut failed = 0u64;
-    let mut matrix_rows = Vec::new();
     for entry in catalog::table() {
         let mut cells = Vec::new();
         for course in &courses {
@@ -40,9 +32,7 @@ fn main() -> ExitCode {
             let req = reference_job(entry.id, job_id, LabScale::Small, JobAction::FullGrade);
             let out = execute_job(&req, &device, 0, 0);
             let ok = out.compiled() && out.passed_count() == out.datasets.len();
-            if ok {
-                earned += 1;
-            } else {
+            if !ok {
                 failed += 1;
             }
             cells.push(if ok {
@@ -55,17 +45,9 @@ fn main() -> ExitCode {
             "{:<28} {:<52} {:>4} {:>4} {:>4} {:>6}",
             entry.name, entry.teaches, cells[0], cells[1], cells[2], cells[3]
         );
-        matrix_rows.push(obj([
-            ("lab", Json::from(entry.id)),
-            ("hpp", Json::from(cells[0].as_str())),
-            ("ece408", Json::from(cells[1].as_str())),
-            ("ece598", Json::from(cells[2].as_str())),
-            ("pumps", Json::from(cells[3].as_str())),
-        ]));
     }
 
     println!("\ncourse offerings:");
-    let mut course_rows = Vec::new();
     for c in courses {
         println!(
             "  {:<7} {} — {} labs, {} weeks{}",
@@ -75,19 +57,7 @@ fn main() -> ExitCode {
             c.weeks,
             if c.peer_review { ", peer review" } else { "" }
         );
-        course_rows.push(obj([
-            ("course", Json::from(c.id)),
-            ("labs", Json::from(catalog::labs_for_course(c.id).len())),
-            ("weeks", Json::from(c.weeks)),
-            ("peer_review", Json::from(c.peer_review)),
-        ]));
     }
 
-    BenchReport::new("table2")
-        .metric("cells_earned", earned)
-        .metric("cells_failed", failed)
-        .table("matrix", matrix_rows)
-        .table("courses", course_rows)
-        .gate(Gate::exactly("cells_failed", failed, 0))
-        .finish()
+    assert_eq!(failed, 0, "every offered cell must grade to 100%");
 }

@@ -1,11 +1,10 @@
-//! `wb-bench` — experiment harness regenerating every table and figure
-//! of the paper (see DESIGN.md's experiment index).
+//! `wb-bench` — the nine paper-figure printers plus the semester
+//! replay library (see DESIGN.md's experiment index).
 //!
-//! Every binary emits a `BENCH_<name>.json` artifact in the shared
-//! [`report`] schema (`wb-bench/v1`), so one parser — `bench_schema`,
-//! also the CI lint — reads the whole trajectory PR-over-PR.
-//!
-//! Binaries (one per artifact):
+//! Each binary prints its table and then `assert!`s the deterministic
+//! invariant the artifact stands on, so its exit code is the gate.
+//! Nothing here times anything: `wb-ledger` is the repo's one timing
+//! instrument.
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
@@ -15,23 +14,15 @@
 //! | `arch_v1` | Fig. 2 — v1 push architecture characterization |
 //! | `arch_v2` | Fig. 6 — v1 vs v2 under heterogeneous tagged jobs |
 //! | `container_overhead` | Fig. 7 / ref. 18 — container pool overhead |
-//! | `provisioning` | §II-C — static vs reactive vs scheduled fleets |
+//! | `provisioning` | §II-C — static vs reactive vs scheduled vs spot-aware fleets |
 //! | `peer_review` | §IV-D — review starvation vs dropout |
 //! | `faults` | §III — fault injection and recovery |
-//! | `cache_rush` | submission cache under a Zipf(1.1) deadline rush |
-//! | `semester` | Figure 1 at 100–1000× through the full stack ([`semester`]) |
-//! | `analyze` | static verifier catch rate / false positives / overhead ([`analyze`]) |
-//! | `churn` | chaos campaign — exactly-once under worker churn, zone partition, and spot pricing ([`webgpu::chaos`]) |
-//! | `bench_schema` | validates every `BENCH_*.json` against `wb-bench/v1` |
 //!
-//! Criterion benches cover the substrates (`population`, `labs`,
-//! `sandbox`, `container`, `queue`, `db`, `device`, `cluster`).
+//! [`semester`] replays Figure 1 at a multiple of the 2012 load through
+//! the full stack; `tests/semester_replay.rs` holds its contracts.
 
-pub mod analyze;
-pub mod report;
 pub mod semester;
 
-use rand::Rng;
 use wb_labs::LabScale;
 use wb_worker::{JobAction, JobRequest};
 
@@ -47,42 +38,6 @@ pub fn reference_job(lab_id: &str, job_id: u64, scale: LabScale, action: JobActi
         spec: lab.spec,
         datasets: lab.datasets,
         action,
-    }
-}
-
-/// Zipf-distributed rank sampler over `0..n`.
-///
-/// Deadline-rush submission streams are heavily repetitive — most
-/// students iterate on a handful of near-identical sources — and a
-/// Zipf law with exponent just above 1 is the standard model for that
-/// popularity skew. Ranks are sampled by inverting a precomputed CDF,
-/// so any `rand::Rng` drives it without extra distribution crates.
-pub struct Zipf {
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    /// Build a sampler over `n` ranks with exponent `s` (weights
-    /// `1 / (k+1)^s` for rank `k`).
-    pub fn new(n: usize, s: f64) -> Zipf {
-        assert!(n > 0, "Zipf needs at least one rank");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for c in &mut cdf {
-            *c /= total;
-        }
-        Zipf { cdf }
-    }
-
-    /// Draw one rank in `0..n`; rank 0 is the most popular.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen_range(0.0..1.0);
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
 }
 
@@ -113,24 +68,6 @@ mod tests {
         let j = reference_job("vecadd", 7, LabScale::Small, JobAction::FullGrade);
         assert_eq!(j.job_id, 7);
         assert!(!j.datasets.is_empty());
-    }
-
-    #[test]
-    fn zipf_favors_low_ranks() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let zipf = Zipf::new(100, 1.1);
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut counts = [0usize; 100];
-        for _ in 0..5000 {
-            let r = zipf.sample(&mut rng);
-            assert!(r < 100);
-            counts[r] += 1;
-        }
-        // Rank 0 carries ~1/H_{100,1.1} ≈ 20% of the mass; the tail
-        // rank is two orders of magnitude rarer.
-        assert!(counts[0] > counts[50] * 10);
-        assert!(counts[0] > 500);
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! through the **full production stack** — `WebGpuServer` auth /
 //! rate-limit / revisions → `ShardedScheduler` admission →
 //! `ShardedBroker` lanes → the worker fleet → `wb-cache` — at a
-//! configurable multiple of the 2012 load (`--scale 100` ≈ a
+//! configurable multiple of the 2012 load (`scale: 100.0` ≈ a
 //! million-student semester by offered-job volume), under a virtual
 //! clock where one pump round is a scheduling tick and one hour is
 //! `3_600_000` virtual ms.
 //!
-//! Three properties make it a *benchmark* rather than a demo:
+//! Three properties make it a *test* rather than a demo:
 //!
 //! 1. **Seeded determinism.** Every stochastic choice — Poisson
 //!    arrivals, course/student/lab selection, Zipf source variants —
@@ -33,7 +33,6 @@
 //!    reactive autoscaler — the same machinery §V argues for.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -81,22 +80,7 @@ pub struct SemesterParams {
 }
 
 impl SemesterParams {
-    /// The full 67-day replay at a given trace multiple.
-    pub fn full(scale: f64) -> SemesterParams {
-        SemesterParams {
-            scale,
-            days: 67,
-            seed: 0x5e3e57e4,
-            submit_prob: 0.05,
-            fleet_max: 8,
-            pumps_per_hour: 48,
-            labs_per_course: 4,
-            variants_per_lab: 40,
-            backlog_budget: 512,
-        }
-    }
-
-    /// The CI-sized replay: one week at 3× the 2012 trace, a 2-worker
+    /// A small replay: one week at 3× the 2012 trace, a 2-worker
     /// ceiling, and a tight backlog budget so the shed path still runs.
     pub fn smoke() -> SemesterParams {
         SemesterParams {
@@ -113,7 +97,7 @@ impl SemesterParams {
     }
 }
 
-/// One week of the persisted perf trajectory.
+/// One week of the replay.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WeekRow {
     /// Week index (0-based).
@@ -172,10 +156,6 @@ pub struct SemesterOutcome {
     pub analysis_denied: u64,
     /// Extra rounds the final drain needed after the last hour.
     pub drain_rounds: u64,
-    /// Wall-clock seconds the replay took.
-    pub wall_secs: f64,
-    /// Completed jobs per wall-clock second.
-    pub jobs_per_sec: f64,
     /// Queue wait in pump rounds (p50/p95/p99), from the recorder.
     pub queue_wait: HistogramSnapshot,
     /// Per-tier cache counters.
@@ -221,8 +201,8 @@ impl SemesterOutcome {
 
     /// A string of every replay quantity that must be identical
     /// between two runs with the same [`SemesterParams`]. Excludes
-    /// wall-clock timings and the cache's hit/coalesced split (racy by
-    /// design); includes everything else, so a determinism regression
+    /// the cache's hit/coalesced split (racy by design); includes
+    /// everything else, so a determinism regression
     /// anywhere in the stack shows up as a digest mismatch.
     pub fn deterministic_digest(&self) -> String {
         let (misses, reused, evictions) = match &self.cache {
@@ -355,7 +335,6 @@ fn sample_cdf(cdf: &[f64], rng: &mut StdRng) -> usize {
 /// Replay one semester. Builds the stack, deploys the catalog, drives
 /// the trace hour by hour, drains, and reconciles the books.
 pub fn run_semester(p: &SemesterParams) -> SemesterOutcome {
-    let started = Instant::now();
     let obs = Arc::new(Recorder::traced_with_capacity(4096));
     let cluster = Arc::new(
         ClusterBuilder::new(minicuda::DeviceConfig::test_small())
@@ -572,7 +551,6 @@ pub fn run_semester(p: &SemesterParams) -> SemesterOutcome {
     );
 
     let snapshot = cluster.metrics_snapshot();
-    let wall_secs = started.elapsed().as_secs_f64();
     SemesterOutcome {
         hours,
         offered,
@@ -590,12 +568,6 @@ pub fn run_semester(p: &SemesterParams) -> SemesterOutcome {
         analysis_flagged: snapshot.counter("analysis_flagged"),
         analysis_denied: snapshot.counter("analysis_denied"),
         drain_rounds,
-        wall_secs,
-        jobs_per_sec: if wall_secs > 0.0 {
-            completed as f64 / wall_secs
-        } else {
-            0.0
-        },
         queue_wait: snapshot.queue_wait_rounds,
         cache: cluster.cache_metrics(),
         cost: cost.finish(),

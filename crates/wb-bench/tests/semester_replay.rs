@@ -1,15 +1,12 @@
 //! The semester replay's two contracts, end to end: a seeded run is
 //! bit-for-bit reproducible across executions, and its recorder books
-//! reconcile exactly-once. Plus the schema round-trip the CI lint
-//! depends on: a report built from a real replay validates, and
-//! corrupted artifacts are rejected.
+//! reconcile exactly-once.
 
-use wb_bench::report::{validate_report, BenchReport, Gate};
 use wb_bench::semester::{run_semester, SemesterParams};
 
-/// Smaller than `--smoke` (this runs in the debug-profile test suite)
-/// but the same shape: multiple courses, both cache tiers exercised,
-/// enough load that at least something queues.
+/// Smaller than `SemesterParams::smoke` (this runs in the debug-profile
+/// test suite) but the same shape: multiple courses, both cache tiers
+/// exercised, enough load that at least something queues.
 fn test_params() -> SemesterParams {
     let mut p = SemesterParams::smoke();
     p.days = 3;
@@ -49,8 +46,11 @@ fn different_seeds_diverge() {
 
 #[test]
 fn replay_books_reconcile_exactly_once() {
-    let o = run_semester(&test_params());
+    // The week-long shape: its deadline rush outruns the 2-worker
+    // fleet, so the shed path's books are on the line too.
+    let o = run_semester(&SemesterParams::smoke());
     assert!(o.books_balance(), "books must balance: {o:?}");
+    assert!(o.shed > 0, "the rush must trip admission control: {o:?}");
     assert_eq!(o.offered, o.admitted + o.shed + o.rate_limited);
     assert_eq!(o.completed, o.admitted, "every admitted job reaped once");
     assert_eq!(o.infra_errors, 0);
@@ -64,35 +64,6 @@ fn replay_books_reconcile_exactly_once() {
     // subset of completions, never more.
     assert!(o.graded + o.compile_failed + o.runtime_failed <= o.completed);
     assert!(o.graded > 0, "some full-grade jobs must land: {o:?}");
-}
-
-#[test]
-fn replay_report_round_trips_through_the_schema_lint() {
-    let o = run_semester(&test_params());
-    let report = BenchReport::new("semester")
-        .smoke(true)
-        .config("days", u64::from(test_params().days))
-        .metric("offered", o.offered)
-        .metric("completed", o.completed)
-        .metric("cache_reuse_rate", o.cache_reuse_rate())
-        .metric("reaped_equals_admitted", o.completed)
-        .metric("infra_errors", o.infra_errors)
-        .gate(Gate::exactly(
-            "reaped_equals_admitted",
-            o.completed,
-            o.admitted,
-        ))
-        .gate(Gate::exactly("infra_errors", o.infra_errors, 0));
-    let text = report.render();
-    let summary = validate_report(&text).expect("replay report must validate");
-    assert_eq!(summary.bench, "semester");
-    assert!(summary.smoke);
-    assert!(summary.passed);
-    assert_eq!(summary.gates, 2);
-
-    // The lint must actually reject damage, not just accept everything.
-    let truncated = &text[..text.len() / 2];
-    assert!(validate_report(truncated).is_err());
-    let wrong_schema = text.replace("wb-bench/v1", "wb-bench/v0");
-    assert!(validate_report(&wrong_schema).is_err());
+    // A resubmission-heavy population must mostly be served from cache.
+    assert!(o.cache_reuse_rate() >= 0.30, "reuse collapsed: {o:?}");
 }

@@ -6,8 +6,7 @@
 //! replaced the zoo: pick the axes you care about, then `build_v1()`
 //! or `build_v2()`. The deprecated shims rode along for one release
 //! and have since been deleted; only `ClusterV1::new` /
-//! `ClusterV1::with_config` / `ClusterV2::new` survive as plain
-//! defaults-only conveniences.
+//! `ClusterV2::new` survive as plain defaults-only conveniences.
 //!
 //! ```
 //! use webgpu::{AutoscalePolicy, ClusterBuilder, SchedConfig};

@@ -23,7 +23,6 @@
 
 use crate::fleet::{FleetControl, ReliabilityClass, Zone};
 use crate::platform::Platform;
-use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use wb_obs::{Annotation, JobPhase, Recorder};
 use wb_worker::JobRequest;
@@ -54,7 +53,7 @@ impl Rng {
 
 /// A campaign schedule. Rounds are 0-based; event rounds compare
 /// against the loop counter before that round's pump.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChaosConfig {
     /// Seed for the probabilistic kill stream.
     pub seed: u64,
@@ -120,43 +119,8 @@ impl Default for ChaosConfig {
     }
 }
 
-impl ChaosConfig {
-    /// The CI smoke campaign: short, single forced kill plus spot
-    /// preemption pressure, quick revives.
-    pub fn smoke() -> Self {
-        ChaosConfig {
-            rounds: 30,
-            arrivals_per_round: 2,
-            tagged_every: 5,
-            mttf_rounds_spot: 8,
-            revive_after_rounds: 5,
-            forced_kills: vec![(8, Zone::Primary), (16, Zone::Standby)],
-            ..ChaosConfig::default()
-        }
-    }
-
-    /// The full campaign skeleton: sustained load, kills in both
-    /// zones, and a partition/heal cycle mid-load. Callers extend
-    /// `forced_kills` to cover ≥20% of their fleet.
-    pub fn full() -> Self {
-        ChaosConfig {
-            rounds: 60,
-            arrivals_per_round: 3,
-            tagged_every: 4,
-            mttf_rounds_on_demand: 40,
-            mttf_rounds_spot: 10,
-            revive_after_rounds: 6,
-            partition_at: Some((20, Zone::Standby)),
-            heal_at: Some(35),
-            forced_kills: vec![(10, Zone::Primary), (14, Zone::Standby)],
-            ..ChaosConfig::default()
-        }
-    }
-}
-
-/// What a campaign did and what the audit found. Serializable so the
-/// churn bench can embed it in `BENCH_churn.json`.
-#[derive(Debug, Clone, Serialize)]
+/// What a campaign did and what the audit found.
+#[derive(Debug, Clone)]
 pub struct CampaignReport {
     /// Jobs admission control accepted.
     pub admitted: u64,
@@ -225,27 +189,6 @@ impl CampaignReport {
             self.violations.join("\n  ")
         );
     }
-
-    /// p99 of [`recovery_ms`](Self::recovery_ms) (0 when no job
-    /// retried).
-    pub fn recovery_p99_ms(&self) -> u64 {
-        percentile(&self.recovery_ms, 99)
-    }
-
-    /// p50 of [`recovery_ms`](Self::recovery_ms).
-    pub fn recovery_p50_ms(&self) -> u64 {
-        percentile(&self.recovery_ms, 50)
-    }
-}
-
-fn percentile(samples: &[u64], p: u64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = (sorted.len() as u64 * p).div_ceil(100);
-    sorted[(rank.max(1) as usize - 1).min(sorted.len() - 1)]
 }
 
 /// Run one campaign. `make_job(id, tagged)` builds each arrival — it
@@ -687,15 +630,5 @@ mod tests {
             "got: {:?}",
             report.violations
         );
-    }
-
-    #[test]
-    fn percentile_math_is_stable() {
-        assert_eq!(percentile(&[], 99), 0);
-        assert_eq!(percentile(&[7], 99), 7);
-        assert_eq!(percentile(&[1, 2, 3, 4], 50), 2);
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&v, 99), 99);
-        assert_eq!(percentile(&v, 50), 50);
     }
 }

@@ -16,14 +16,6 @@ use wb_worker::{
     WorkerConfig, WorkerNode,
 };
 
-/// Marker for scheduler entries submitted through the generic
-/// [`crate::Platform`] path (their results land in the results map,
-/// not a batch slot).
-const PLATFORM_SLOT: usize = usize::MAX;
-
-/// One executed wave entry: the batch slot it fills and its result.
-type WaveResult = (usize, Result<JobOutcome, WbError>);
-
 fn grade_class(req: &JobRequest) -> GradeClass {
     if req.action == JobAction::FullGrade {
         GradeClass::Full
@@ -66,10 +58,10 @@ pub struct ClusterV1 {
     cached: bool,
     /// Fair-share scheduler, one lane per control-plane shard:
     /// admission control for every submission path, and dequeue order
-    /// for batched/pumped work. Waves rotate their anchor shard and
+    /// for pumped work. Waves rotate their anchor shard and
     /// steal from loaded siblings, so a single hot course never
     /// serializes the whole pool behind one lane's lock.
-    sched: ShardedScheduler<(usize, JobRequest)>,
+    sched: ShardedScheduler<JobRequest>,
     /// Control-plane lane count.
     shards: usize,
     /// Cluster-wide recorder shared with every worker (noop unless the
@@ -91,20 +83,6 @@ impl ClusterV1 {
             n,
             device,
             Self::full_image_config(),
-            Some(CacheConfig::default()),
-            Arc::new(Recorder::noop()),
-            SchedConfig::default(),
-            wb_worker::default_shards(),
-        )
-    }
-
-    /// Boot with an explicit worker configuration (e.g. a CUDA-only
-    /// image, to demonstrate why v1 could not afford thin nodes).
-    pub fn with_config(n: usize, device: DeviceConfig, config: WorkerConfig) -> Self {
-        Self::new_inner(
-            n,
-            device,
-            config,
             Some(CacheConfig::default()),
             Arc::new(Recorder::noop()),
             SchedConfig::default(),
@@ -349,60 +327,6 @@ impl ClusterV1 {
         Err(WbError::infra("every worker in the pool is unreachable"))
     }
 
-    /// Push a batch of independent submissions concurrently. Every
-    /// request passes admission control (shed slots come back as
-    /// [`WbError::Overloaded`] without ever touching a worker, and
-    /// brown-out downgrades full grades to compile-only); admitted jobs
-    /// drain from the fair-share scheduler in deficit-round-robin
-    /// course order, one pool-sized wave at a time, each wave executed
-    /// over parallel lanes (crossbeam scoped threads) so wall-clock
-    /// time for a rush scales with the pool. Results come back in
-    /// request order.
-    pub fn submit_batch(
-        &self,
-        reqs: &[JobRequest],
-        now_ms: u64,
-    ) -> Vec<Result<JobOutcome, WbError>> {
-        if reqs.is_empty() {
-            return Vec::new();
-        }
-        let mut slots: Vec<Option<Result<JobOutcome, WbError>>> = Vec::new();
-        slots.resize_with(reqs.len(), || None);
-        for (i, req) in reqs.iter().enumerate() {
-            let class = grade_class(req);
-            let admission = self.sched.offer(
-                &req.spec.course,
-                req.job_id,
-                (i, req.clone()),
-                class,
-                now_ms,
-                |(_, r)| r.action = JobAction::CompileOnly,
-            );
-            match admission {
-                Admission::Admitted { .. } => {
-                    self.obs.phase(req.job_id, JobPhase::Queued, now_ms);
-                }
-                Admission::Shed { retry_after_s } => {
-                    self.obs.phase(req.job_id, JobPhase::Failed, now_ms);
-                    slots[i] = Some(Err(WbError::Overloaded { retry_after_s }));
-                }
-            }
-        }
-        loop {
-            let (executed, batch) = self.drain_wave(now_ms);
-            if executed == 0 {
-                break;
-            }
-            for (slot, res) in batch {
-                slots[slot] = Some(res);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|r| r.expect("every admitted slot is filled by its wave"))
-            .collect()
-    }
-
     /// Queue a job for asynchronous execution through admission
     /// control: the fair-share scheduler holds it until the next
     /// [`pump`](Self::pump), and its outcome lands in the results map
@@ -411,16 +335,9 @@ impl ClusterV1 {
         let job_id = req.job_id;
         let course = req.spec.course.clone();
         let class = grade_class(&req);
-        let admission = self.sched.offer(
-            &course,
-            job_id,
-            (PLATFORM_SLOT, req),
-            class,
-            now_ms,
-            |(_, r)| {
-                r.action = JobAction::CompileOnly;
-            },
-        );
+        let admission = self.sched.offer(&course, job_id, req, class, now_ms, |r| {
+            r.action = JobAction::CompileOnly;
+        });
         match admission {
             Admission::Admitted { .. } => {
                 self.obs.phase(job_id, JobPhase::Queued, now_ms);
@@ -436,7 +353,7 @@ impl ClusterV1 {
     /// Execute one fair-share wave of queued jobs. Returns how many
     /// jobs ran this round (successes land in the results map).
     pub fn pump(&self, now_ms: u64) -> usize {
-        self.drain_wave(now_ms).0
+        self.drain_wave(now_ms)
     }
 
     /// Take a completed job's outcome off the cluster (pumped path).
@@ -460,40 +377,34 @@ impl ClusterV1 {
     }
 
     /// Release one fair-share wave (at most one job per pool worker)
-    /// from the scheduler and execute it over parallel lanes. Outcomes
-    /// for platform-queued jobs are routed to the results map; batch
-    /// entries are returned with their request slot. The count of jobs
-    /// executed comes back either way.
-    fn drain_wave(&self, now_ms: u64) -> (usize, Vec<WaveResult>) {
+    /// from the scheduler, execute it over parallel lanes, and file the
+    /// outcomes in the results map. Returns the count of jobs executed.
+    fn drain_wave(&self, now_ms: u64) -> usize {
         let width = self.pool_size().max(1);
         let wave = self.sched.drain_rotating(width, now_ms);
         if wave.is_empty() {
-            return (0, Vec::new());
+            return 0;
         }
-        let mut cells: Vec<Option<(u64, WaveResult)>> = Vec::new();
+        let mut cells: Vec<Option<Result<JobOutcome, WbError>>> = Vec::new();
         cells.resize_with(wave.len(), || None);
         crossbeam::thread::scope(|s| {
-            for ((_, (slot, req)), cell) in wave.iter().zip(cells.iter_mut()) {
+            for ((_, req), cell) in wave.iter().zip(cells.iter_mut()) {
                 s.spawn(move |_| {
-                    *cell = Some((req.job_id, (*slot, self.execute(req, now_ms))));
+                    *cell = Some(self.execute(req, now_ms));
                 });
             }
         })
         .expect("submission lane panicked");
         let executed = cells.len();
-        let mut batch = Vec::new();
-        for (job_id, (slot, res)) in cells.into_iter().map(|c| c.expect("lane fills its cell")) {
-            if slot == PLATFORM_SLOT {
-                let mut g = self.state.lock();
-                if let Ok(out) = res {
-                    g.results.insert(job_id, out);
-                    g.completed += 1;
-                }
-            } else {
-                batch.push((slot, res));
-            }
+        for out in cells
+            .into_iter()
+            .filter_map(|c| c.expect("lane fills its cell").ok())
+        {
+            let mut g = self.state.lock();
+            g.results.insert(out.job_id, out);
+            g.completed += 1;
         }
-        (executed, batch)
+        executed
     }
 
     /// Current metrics snapshot from the cluster's recorder.
@@ -678,37 +589,6 @@ mod tests {
         }
         assert!(c.dispatch_failures() > 0, "the dead node was tried");
         assert_eq!(c.worker(1).unwrap().jobs_done(), 4);
-    }
-
-    #[test]
-    fn batch_submission_completes_everything_in_order() {
-        let c = cluster(4);
-        let reqs: Vec<JobRequest> = (0..12).map(echo).collect();
-        let results = c.submit_batch(&reqs, 0);
-        assert_eq!(results.len(), 12);
-        for (j, r) in results.iter().enumerate() {
-            let out = r.as_ref().expect("pool alive");
-            assert_eq!(out.job_id, j as u64, "results in request order");
-            assert!(out.compiled());
-        }
-        let total: u64 = (0..4).map(|i| c.worker(i).unwrap().jobs_done()).sum();
-        assert_eq!(total, 12, "every job ran exactly once");
-    }
-
-    #[test]
-    fn batch_submission_survives_a_dead_worker() {
-        let c = cluster(3);
-        c.worker(1).unwrap().crash();
-        let reqs: Vec<JobRequest> = (0..9).map(echo).collect();
-        let results = c.submit_batch(&reqs, 0);
-        assert!(results.iter().all(|r| r.is_ok()));
-        assert_eq!(c.worker(1).unwrap().jobs_done(), 0);
-    }
-
-    #[test]
-    fn empty_batch_is_a_no_op() {
-        let c = cluster(1);
-        assert!(c.submit_batch(&[], 0).is_empty());
     }
 
     #[test]

@@ -344,18 +344,6 @@ impl ClusterV2 {
     /// after every thread has joined. Fleet throughput therefore scales
     /// with fleet size up to the host's core count.
     pub fn pump(&self, now_ms: u64) -> usize {
-        self.pump_inner(now_ms, true)
-    }
-
-    /// The pre-concurrency pump: identical bookkeeping, but workers
-    /// run one after another on the calling thread. Kept as the
-    /// baseline for the `pump_scaling` experiment (and for callers
-    /// that want deterministic single-threaded rounds).
-    pub fn pump_serial(&self, now_ms: u64) -> usize {
-        self.pump_inner(now_ms, false)
-    }
-
-    fn pump_inner(&self, now_ms: u64, concurrent: bool) -> usize {
         self.clock.fetch_max(now_ms, Ordering::Relaxed);
         // Workers in a partitioned zone are unreachable: they drop out
         // of the round (no config sync, no health beat, no poll) but
@@ -391,7 +379,9 @@ impl ClusterV2 {
                 self.broker.enqueue_to(lane, req, tags, now_ms);
             }
         }
-        let outcomes: Vec<JobOutcome> = if !concurrent || workers.len() <= 1 {
+        // A fleet of one is walked inline: there is nothing to overlap,
+        // so the round spawns no thread.
+        let outcomes: Vec<JobOutcome> = if workers.len() <= 1 {
             workers
                 .iter()
                 .filter_map(|(i, w)| self.pump_worker(*i, w, now_ms))

@@ -1,9 +1,10 @@
-//! Chaos campaigns end to end: a partition of the *active* broker
-//! zone mid-campaign forces a failover under live load, and spot/mpi
-//! worker churn must never strand capability-tagged jobs. Both
-//! scenarios run the full [`webgpu::chaos`] audit — exactly-once
-//! completion, span integrity, broker-book reconciliation — through
-//! the same [`webgpu::FleetControl`] surface the benches use.
+//! Chaos campaigns end to end: kills in both zones followed by a
+//! partition of the *active* broker zone mid-campaign force a failover
+//! under live load, and spot/mpi worker churn must never strand
+//! capability-tagged jobs. Both scenarios run the full
+//! [`webgpu::chaos`] audit — exactly-once completion, span integrity,
+//! broker-book reconciliation — through the same
+//! [`webgpu::FleetControl`] surface the autoscaler uses.
 
 use std::sync::Arc;
 
@@ -30,23 +31,36 @@ fn campaign_job(job_id: u64, tagged: bool) -> JobRequest {
     req
 }
 
+/// The only `mpi`-capable nodes: one spot worker per zone.
+fn spawn_spot_mpi_pair(cluster: &webgpu::ClusterV2) {
+    let mpi_caps: wb_queue::CapabilitySet = ["cuda", "mpi"].into();
+    for zone in Zone::ALL {
+        cluster.spawn_worker(WorkerDesc::spot(zone).with_capabilities(mpi_caps.clone()));
+    }
+}
+
 #[test]
 fn partition_of_active_zone_mid_campaign_forces_failover() {
-    // Two workers against a heavy arrival rate: a backlog is pending
-    // when the active (primary) zone is cut, so the failover has jobs
-    // to carry over — and to mark with `Failover` annotations.
+    // The full churn shape on a small fleet: a forced kill in each
+    // zone (2 of 4 workers, well past 20 %) leaves two workers against
+    // a heavy arrival rate, so a backlog is pending when the active
+    // (primary) zone is cut and the failover has jobs to carry over —
+    // and to mark with `Failover` annotations.
     let obs = Arc::new(Recorder::traced());
     let cluster = ClusterBuilder::new(minicuda::DeviceConfig::test_small())
         .fleet(2)
-        .policy(AutoscalePolicy::Static(2))
+        .policy(AutoscalePolicy::Static(4))
         .shards(1)
         .traced(Arc::clone(&obs))
         .broker_tuning(5, 50)
         .build_v2();
+    spawn_spot_mpi_pair(&cluster);
     let cfg = ChaosConfig {
         rounds: 16,
         ms_per_round: 50,
         arrivals_per_round: 4,
+        tagged_every: 4,
+        forced_kills: vec![(2, Zone::Primary), (3, Zone::Standby)],
         partition_at: Some((5, Zone::Primary)),
         heal_at: Some(11),
         drain_rounds: 200,
@@ -54,6 +68,9 @@ fn partition_of_active_zone_mid_campaign_forces_failover() {
     };
     let report = run_campaign(&cluster, &obs, &cfg, campaign_job);
     report.assert_clean();
+    assert_eq!((report.kills_primary, report.kills_standby), (1, 1));
+    assert!(report.tagged_jobs > 0);
+    assert_eq!(report.stranded_tagged, 0);
     assert_eq!(report.partitions, 1);
     assert_eq!(report.heals, 1);
     assert!(
@@ -88,10 +105,7 @@ fn spot_mpi_churn_does_not_strand_tagged_jobs() {
         .traced(Arc::clone(&obs))
         .broker_tuning(5, 50)
         .build_v2();
-    let mpi_caps: wb_queue::CapabilitySet = ["cuda", "mpi"].into();
-    for zone in Zone::ALL {
-        cluster.spawn_worker(WorkerDesc::spot(zone).with_capabilities(mpi_caps.clone()));
-    }
+    spawn_spot_mpi_pair(&cluster);
     assert_eq!(cluster.describe_fleet().total(), 4);
 
     let cfg = ChaosConfig {

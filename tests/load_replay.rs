@@ -95,3 +95,43 @@ fn dashboard_detects_a_quiet_crash() {
     assert_eq!(down.len(), 1);
     assert!(snap.render().contains("DOWN"));
 }
+
+#[test]
+fn zipf_rush_is_mostly_served_from_the_cache() {
+    // Submissions per source variant for a deadline-night stream under
+    // Zipf(1.1) over 16 ranks (80 · k^-1.1 / H₁₆, rounded): most
+    // students resubmit one of a handful of near-identical sources.
+    const PER_RANK: [u64; 16] = [26, 12, 8, 6, 4, 4, 3, 3, 2, 2, 2, 2, 2, 1, 1, 1];
+    let cluster = ClusterBuilder::new(minicuda::DeviceConfig::test_small())
+        .fleet(4)
+        .policy(AutoscalePolicy::Static(4))
+        .build_v2();
+    let mut jobs = 0u64;
+    // Pass-major order spreads each variant's repeats over the stream.
+    for pass in 0..PER_RANK[0] {
+        for (rank, _) in PER_RANK.iter().enumerate().filter(|(_, &n)| pass < n) {
+            let mut req = job(jobs);
+            req.source = format!("// deadline-rush variant {rank}\n{}", req.source);
+            req.action = JobAction::FullGrade;
+            cluster.enqueue(req, 0);
+            jobs += 1;
+        }
+    }
+    let mut round = 0;
+    while cluster.completed() < jobs && round < 10_000 {
+        cluster.pump(round);
+        round += 1;
+    }
+    assert_eq!(cluster.completed(), jobs, "every submission graded");
+
+    let cache = cluster.cache_metrics().expect("default builds are cached");
+    assert!(
+        cache.total().hit_rate() >= 0.5,
+        "a Zipf rush must mostly hit: {cache:?}"
+    );
+    assert_eq!(
+        cache.compile.misses,
+        PER_RANK.len() as u64,
+        "one compile per distinct source"
+    );
+}

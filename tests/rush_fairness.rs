@@ -3,13 +3,14 @@
 //! must complete exactly once with a complete, ordered span; overflow
 //! must brown out (full-grade downgraded to compile-only, annotated)
 //! and then shed (`WbError::Overloaded` with a finite retry hint,
-//! annotated) — and the recorder's books must agree with what the
-//! harness saw at the submission boundary.
+//! annotated) — the recorder's books must agree with what the
+//! harness saw at the submission boundary, and no course's worst rush
+//! wait may exceed 5× its fleet-idle wait. Runs on both architectures.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use wb_obs::{Annotation, Recorder};
+use wb_obs::{Annotation, Recorder, SpanView};
 use wb_server::WbError;
 use webgpu::{ClusterBuilder, Platform, RushScenario, SchedConfig};
 
@@ -17,22 +18,62 @@ const FLEET: usize = 2;
 const ROUNDS: usize = 4;
 const SURGE: usize = 8;
 const BUDGET: usize = 4;
+/// The fleet gets this many scheduling ticks per arrival round.
+const PUMPS_PER_ROUND: u64 = 2;
+const MAX_WAIT_RATIO: u64 = 5;
 
-fn rush_cluster(obs: Arc<Recorder>) -> impl Platform {
-    ClusterBuilder::new(minicuda::DeviceConfig::test_small())
+fn rush_cluster(arch: &str, obs: Arc<Recorder>) -> Box<dyn Platform> {
+    let builder = ClusterBuilder::new(minicuda::DeviceConfig::test_small())
         .fleet(FLEET)
         .scheduler(SchedConfig {
             backlog_budget: BUDGET,
             ..SchedConfig::default()
         })
-        .traced(obs)
-        .build_v2()
+        .traced(obs);
+    match arch {
+        "v1" => Box::new(builder.build_v1()),
+        _ => Box::new(builder.build_v2()),
+    }
+}
+
+/// Pump ticks from admission to the terminal phase, read off the span
+/// (virtual time, so exact and host-independent).
+fn wait_ticks(span: &SpanView) -> u64 {
+    span.phases.last().unwrap().1 - span.phases[0].1
+}
+
+/// Each course's wait on an otherwise empty fleet of the same shape.
+fn idle_waits(arch: &str) -> BTreeMap<String, u64> {
+    let obs = Arc::new(Recorder::traced());
+    let c = rush_cluster(arch, Arc::clone(&obs));
+    let mut tick = 0u64;
+    let mut waits = BTreeMap::new();
+    for req in RushScenario::wednesday(1, 1).arrivals(0) {
+        let course = req.spec.course.clone();
+        let id = c.submit_job(req, tick).expect("idle fleet admits");
+        while c.take_result(id).is_none() {
+            tick += 1;
+            c.pump(tick);
+            assert!(tick < 100, "idle fleet must complete promptly");
+        }
+        waits.insert(course, wait_ticks(&obs.span(id).expect("traced")));
+    }
+    waits
 }
 
 #[test]
-fn every_admitted_rush_job_completes_exactly_once_with_an_annotated_span() {
+fn v1_rush_completes_exactly_once_annotated_and_fair() {
+    rush_completes_exactly_once_annotated_and_fair("v1");
+}
+
+#[test]
+fn v2_rush_completes_exactly_once_annotated_and_fair() {
+    rush_completes_exactly_once_annotated_and_fair("v2");
+}
+
+fn rush_completes_exactly_once_annotated_and_fair(arch: &str) {
     let obs = Arc::new(Recorder::traced());
-    let c = rush_cluster(Arc::clone(&obs));
+    let c = rush_cluster(arch, Arc::clone(&obs));
     let scenario = RushScenario::wednesday(ROUNDS, SURGE);
 
     // admitted job id -> course; shed job ids with their retry hints.
@@ -57,8 +98,10 @@ fn every_admitted_rush_job_completes_exactly_once_with_an_annotated_span() {
                 Err(e) => panic!("job {id}: unexpected submit error {e}"),
             }
         }
-        tick += 1;
-        c.pump(tick);
+        for _ in 0..PUMPS_PER_ROUND {
+            tick += 1;
+            c.pump(tick);
+        }
     }
     while c.completed() < admitted.len() as u64 {
         tick += 1;
@@ -79,6 +122,7 @@ fn every_admitted_rush_job_completes_exactly_once_with_an_annotated_span() {
 
     // Exactly-once completion, with a complete ordered span per job.
     let mut brown_spans = 0u64;
+    let mut worst_wait: BTreeMap<&str, u64> = BTreeMap::new();
     for (&id, course) in &admitted {
         let out = c
             .take_result(id)
@@ -102,6 +146,8 @@ fn every_admitted_rush_job_completes_exactly_once_with_an_annotated_span() {
             brown_spans += 1;
         }
         assert!(!span.has(Annotation::Shed), "admitted job {id} marked shed");
+        let worst = worst_wait.entry(course.as_str()).or_insert(0);
+        *worst = (*worst).max(wait_ticks(&span));
     }
     assert_eq!(c.completed(), admitted.len() as u64);
 
@@ -125,6 +171,16 @@ fn every_admitted_rush_job_completes_exactly_once_with_an_annotated_span() {
     assert_eq!(snap.counter("sched_shed"), shed.len() as u64);
     assert_eq!(snap.counter("sched_brown_outs"), brown_spans);
     assert_eq!(snap.counter("sched_dequeues"), admitted.len() as u64);
+
+    // The surge did not starve anyone: every course's worst wait stays
+    // within a small multiple of what it sees on an idle fleet.
+    for (course, idle) in idle_waits(arch) {
+        let worst = worst_wait[course.as_str()];
+        assert!(
+            worst <= MAX_WAIT_RATIO * idle.max(1),
+            "course {course}: rush wait {worst} ticks vs {idle} idle"
+        );
+    }
 
     // Fair share reached every course: each one's scoped dequeue tally
     // covers everything it got admitted.
