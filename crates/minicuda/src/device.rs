@@ -2,6 +2,7 @@
 //! SMs, and wall-clock cycle estimation.
 
 use crate::ast::FuncDef;
+use crate::batch::BatchExec;
 use crate::cost::{CostModel, CostSummary};
 use crate::diag::{Diag, Phase, Pos};
 use crate::memory::{ConstMem, MemPool};
@@ -171,58 +172,45 @@ pub fn launch(
     // tree-walk interpreter.
     let batched = program
         .ir()
-        .and_then(|ir| ir.funcs.get(&kernel.name))
-        .map(|f| (f, program.ir().unwrap()));
-    let exec_one = |bi: [i64; 3]| -> Result<CostSummary, Diag> {
-        match batched {
-            Some((f, ir)) => crate::batch::run_block_ir(&env, bi, f, ir, args),
-            None => run_block(&env, bi, kernel, args),
+        .and_then(|ir| ir.funcs.get(&kernel.name).map(|f| (f, ir)));
+    // Run a worker's share of the blocks in launch order, stopping at
+    // the first failure (its own, or another worker's via `stop`). The
+    // batched executor's arena and tables are built once per worker
+    // and reused by every block it runs.
+    let run_blocks = |ids: &[[i64; 3]],
+                      costs: &mut [Option<CostSummary>],
+                      stop: &dyn Fn() -> bool|
+     -> Result<(), Diag> {
+        let mut batch = batched.map(|(f, ir)| (f, BatchExec::new(&env, ir)));
+        for (slot, &bi) in costs.iter_mut().zip(ids) {
+            if stop() {
+                break;
+            }
+            *slot = Some(match &mut batch {
+                Some((f, exec)) => exec.run_block(bi, f, args)?,
+                None => run_block(&env, bi, kernel, args)?,
+            });
         }
+        Ok(())
     };
 
     let num_blocks = block_ids.len();
     let mut block_costs: Vec<Option<CostSummary>> = vec![None; num_blocks];
 
     if config.deterministic || config.num_sms <= 1 || num_blocks <= 1 {
-        let mut first_err = None;
-        for (slot, idx) in block_costs.iter_mut().zip(&block_ids) {
-            match exec_one(*idx) {
-                Ok(c) => *slot = Some(c),
-                Err(e) => {
-                    first_err = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
+        run_blocks(&block_ids, &mut block_costs, &|| false)?;
     } else {
         // Parallel block execution: chunk blocks over SM worker threads.
         let error: Mutex<Option<Diag>> = Mutex::new(None);
         let workers = config.num_sms.min(num_blocks);
         let chunk = num_blocks.div_ceil(workers);
         let error_ref = &error;
-        let ids_ref = &block_ids;
-        let exec_ref = &exec_one;
+        let run_ref = &run_blocks;
         crossbeam::thread::scope(|s| {
-            for (w, costs_chunk) in block_costs.chunks_mut(chunk).enumerate() {
+            for (ids, costs) in block_ids.chunks(chunk).zip(block_costs.chunks_mut(chunk)) {
                 s.spawn(move |_| {
-                    for (k, slot) in costs_chunk.iter_mut().enumerate() {
-                        if error_ref.lock().is_some() {
-                            return;
-                        }
-                        let bi = ids_ref[w * chunk + k];
-                        match exec_ref(bi) {
-                            Ok(c) => *slot = Some(c),
-                            Err(e) => {
-                                let mut g = error_ref.lock();
-                                if g.is_none() {
-                                    *g = Some(e);
-                                }
-                                return;
-                            }
-                        }
+                    if let Err(e) = run_ref(ids, costs, &|| error_ref.lock().is_some()) {
+                        error_ref.lock().get_or_insert(e);
                     }
                 });
             }

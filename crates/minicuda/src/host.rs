@@ -240,11 +240,11 @@ struct HostExec<'a> {
 
 impl<'a> HostExec<'a> {
     fn run_main(&mut self) -> Result<i64, Diag> {
-        let main = self
-            .program
+        // Borrowed for `'a`, not from `self`: the AST outlives the run.
+        let program = self.program;
+        let main = program
             .func("main")
-            .ok_or_else(|| Diag::nowhere(Phase::Sema, "program has no main function"))?
-            .clone();
+            .ok_or_else(|| Diag::nowhere(Phase::Sema, "program has no main function"))?;
         match self.exec_block(&main.body)? {
             Flow::Return(v) => Ok(v.as_int().unwrap_or(0)),
             _ => Ok(0),
@@ -530,16 +530,12 @@ impl<'a> HostExec<'a> {
         for a in args {
             argv.push(self.eval(a)?);
         }
-        let f = self
-            .program
-            .func(kernel)
-            .expect("sema verified kernel")
-            .clone();
+        let f = self.program.func(kernel).expect("sema verified kernel");
         let result = device::launch(
             &self.opts.device,
             &self.opts.model,
             self.program,
-            &f,
+            f,
             g,
             b,
             &argv,
@@ -1427,13 +1423,10 @@ impl<'a> HostExec<'a> {
 
             // ---- user host function ----
             _ => {
-                let f = self
-                    .program
-                    .func(name)
-                    .ok_or_else(|| {
-                        Diag::new(Phase::Runtime, pos, format!("unknown function `{name}`"))
-                    })?
-                    .clone();
+                let program = self.program;
+                let f = program.func(name).ok_or_else(|| {
+                    Diag::new(Phase::Runtime, pos, format!("unknown function `{name}`"))
+                })?;
                 if self.call_depth >= 48 {
                     return Err(Diag::new(
                         Phase::Runtime,

@@ -45,6 +45,12 @@ impl Alloc {
         self.words.is_empty()
     }
 
+    /// The raw words, for executors that resolve the allocation once
+    /// per instruction and bounds-check each lane with [`bounds`].
+    pub(crate) fn words(&self) -> &[AtomicU32] {
+        &self.words
+    }
+
     /// Load through `ptr` against this allocation (bounds-checked).
     ///
     /// Same checks and messages as [`MemPool::load`], minus the
@@ -342,24 +348,34 @@ impl MemPool {
     }
 }
 
-fn bounds(ptr: Ptr, len: usize) -> Result<usize, MemError> {
-    if ptr.is_null() {
-        return Err(MemError("null pointer dereference".to_string()));
+/// The element index `ptr` addresses in an allocation of `len`
+/// elements, or the student-facing access error.
+#[inline]
+pub(crate) fn bounds(ptr: Ptr, len: usize) -> Result<usize, MemError> {
+    // One unsigned compare admits exactly the in-range, non-negative
+    // offsets; the diagnosis of everything else is off the hot path.
+    if !ptr.is_null() && (ptr.offset as u64) < len as u64 {
+        return Ok(ptr.offset as usize);
     }
-    let idx = usize::try_from(ptr.offset).map_err(|_| {
-        MemError(format!(
+    Err(bounds_error(ptr, len))
+}
+
+#[cold]
+fn bounds_error(ptr: Ptr, len: usize) -> MemError {
+    if ptr.is_null() {
+        return MemError("null pointer dereference".to_string());
+    }
+    match usize::try_from(ptr.offset) {
+        Err(_) => MemError(format!(
             "negative index {} on {} pointer",
             ptr.offset,
             ptr.space.label()
-        ))
-    })?;
-    if idx >= len {
-        return Err(MemError(format!(
+        )),
+        Ok(idx) => MemError(format!(
             "index {idx} out of bounds for {} allocation of {len} elements",
             ptr.space.label()
-        )));
+        )),
     }
-    Ok(idx)
 }
 
 /// Per-block shared memory: named fixed-shape arrays.
@@ -375,7 +391,29 @@ pub struct SharedArray {
     pub dims: Vec<usize>,
     /// Element interpretation.
     pub elem: ElemType,
+    /// `strides[l]` is the element distance one step of the index at
+    /// nesting level `l` covers: the product of `dims[l + 1..]`.
+    strides: Vec<usize>,
     data: Vec<u32>,
+}
+
+impl SharedArray {
+    /// Element stride of an index applied at `level`, when that index
+    /// still yields a row (a deeper level exists); `None` when it
+    /// reaches an element.
+    pub(crate) fn row_stride(&self, level: usize) -> Option<usize> {
+        (level + 1 < self.dims.len()).then(|| self.strides[level])
+    }
+
+    /// The raw words, for executors that bounds-check lanes themselves.
+    pub(crate) fn words(&self) -> &[u32] {
+        &self.data
+    }
+
+    /// Mutable counterpart of [`Self::words`].
+    pub(crate) fn words_mut(&mut self) -> &mut [u32] {
+        &mut self.data
+    }
 }
 
 impl SharedMem {
@@ -388,9 +426,13 @@ impl SharedMem {
     /// the interpreter declares each `__shared__` statement once.
     pub fn declare(&mut self, dims: Vec<usize>, elem: ElemType) -> u32 {
         let len: usize = dims.iter().product();
+        let strides = (0..dims.len())
+            .map(|l| dims[l + 1..].iter().product())
+            .collect();
         self.arrays.push(SharedArray {
             dims,
             elem,
+            strides,
             data: vec![0u32; len],
         });
         (self.arrays.len() - 1) as u32
@@ -404,6 +446,11 @@ impl SharedMem {
     /// The array with id `id`.
     pub fn array(&self, id: u32) -> Option<&SharedArray> {
         self.arrays.get(id as usize)
+    }
+
+    /// Mutable counterpart of [`Self::array`].
+    pub(crate) fn array_mut(&mut self, id: u32) -> Option<&mut SharedArray> {
+        self.arrays.get_mut(id as usize)
     }
 
     /// Load an element.
@@ -465,6 +512,11 @@ impl ConstMem {
     /// Number of elements in a bank.
     pub fn len_of(&self, id: u32) -> Option<usize> {
         self.banks.get(id as usize).map(|(_, d)| d.len())
+    }
+
+    /// A bank's element interpretation and raw words.
+    pub(crate) fn bank(&self, id: u32) -> Option<(ElemType, &[u32])> {
+        self.banks.get(id as usize).map(|(e, d)| (*e, d.as_slice()))
     }
 
     /// Fill a bank from a host allocation (cudaMemcpyToSymbol).

@@ -750,3 +750,231 @@ fn optimized_kernels_issue_fewer_warp_instructions() {
     assert_eq!(o1.cost.divergent_branches, o2.cost.divergent_branches);
     assert_eq!(o1.cost.barriers, o2.cost.barriers);
 }
+
+// ---- lane representations vs the tree-walk oracle -------------------------
+//
+// The batched executor stores a register as uniform, typed or generic
+// lanes and picks a loop by representation. These kernels sit on the
+// edges between representations; each must be indistinguishable from
+// the tree-walk (`O0`) at `O1` and `O2`: solution, diagnostic (message,
+// position, block and lane) and memory counters.
+
+/// Run `kernel` over one block of `n` threads writing `out[n]`, at
+/// every opt level, and return the (identical) outcome.
+fn same_at_all_levels(kernel: &str, n: usize) -> minicuda::RunOutcome {
+    let src = format!(
+        r#"{kernel}
+        int main() {{
+            float* d; float* a; float* b;
+            cudaMalloc(&d, {n} * sizeof(float));
+            cudaMalloc(&a, {n} * sizeof(float));
+            cudaMalloc(&b, {n} * sizeof(float));
+            float* h = (float*) malloc({n} * sizeof(float));
+            for (int i = 0; i < {n}; i++) {{ h[i] = i + 100; }}
+            cudaMemcpy(a, h, {n} * sizeof(float), cudaMemcpyHostToDevice);
+            for (int i = 0; i < {n}; i++) {{ h[i] = i + 200; }}
+            cudaMemcpy(b, h, {n} * sizeof(float), cudaMemcpyHostToDevice);
+            k<<<1, {n}>>>(d, a, b);
+            cudaMemcpy(h, d, {n} * sizeof(float), cudaMemcpyDeviceToHost);
+            wbSolution(h, {n});
+            return 0;
+        }}"#
+    );
+    let run_at = |opt: OptLevel| {
+        let program = compile_with(&src, Dialect::Cuda, opt).unwrap_or_else(|d| panic!("{d}"));
+        let opts = RunOptions {
+            device: DeviceConfig::test_small(),
+            ..Default::default()
+        };
+        minicuda::run(&program, &[] as &[Dataset], &opts)
+    };
+    let oracle = run_at(OptLevel::O0);
+    for opt in [OptLevel::O1, OptLevel::O2] {
+        let out = run_at(opt);
+        assert_eq!(out.error, oracle.error, "{opt}: diagnostic");
+        assert_eq!(out.solution, oracle.solution, "{opt}: solution");
+        let (c, o) = (&out.cost, &oracle.cost);
+        assert_eq!(
+            (c.global_transactions, c.global_accesses),
+            (o.global_transactions, o.global_accesses),
+            "{opt}: global memory counters"
+        );
+        assert_eq!(
+            (c.shared_accesses, c.shared_conflicts),
+            (o.shared_accesses, o.shared_conflicts),
+            "{opt}: shared memory counters"
+        );
+        assert_eq!(
+            (c.atomics, c.barriers, c.divergent_branches),
+            (o.atomics, o.barriers, o.divergent_branches),
+            "{opt}: atomics, barriers, divergence"
+        );
+    }
+    oracle
+}
+
+fn solution_vec(out: &minicuda::RunOutcome) -> &[f32] {
+    assert!(out.ok(), "{:?}", out.error);
+    match &out.solution {
+        Some(Dataset::Vector(v)) => v,
+        other => panic!("expected vector, got {other:?}"),
+    }
+}
+
+#[test]
+fn int_and_float_lanes_mix_through_arithmetic_and_comparison() {
+    let out = same_at_all_levels(
+        r#"__global__ void k(float* out, float* a, float* b) {
+            int t = threadIdx.x;
+            float f = t * 0.5;
+            float sum = t + f;
+            float diff = f - t;
+            float prod = t * f;
+            int below = t < f + 2;
+            int above = 2.5 < t;
+            out[t] = sum + diff * 100 + prod * 10000 + below * 7 + above * 3 + (a[t] - t);
+        }"#,
+        8,
+    );
+    let v = solution_vec(&out);
+    for (t, &x) in v.iter().enumerate() {
+        let (ti, f) = (t as f32, t as f32 * 0.5);
+        let below = (ti < f + 2.0) as i32 as f32;
+        let above = (2.5 < ti) as i32 as f32;
+        let want = (ti + f) + (f - ti) * 100.0 + (ti * f) * 10000.0 + below * 7.0 + above * 3.0;
+        assert_eq!(x, want + 100.0, "lane {t}");
+    }
+}
+
+#[test]
+fn ternary_between_two_arrays_then_indexed() {
+    // Pointer lanes that cannot share one allocation header.
+    let out = same_at_all_levels(
+        r#"__global__ void k(float* out, float* a, float* b) {
+            int t = threadIdx.x;
+            float* p = (t % 2 == 0) ? a : b;
+            out[t] = p[t];
+            p[t] = p[t] + 1000;
+            out[t] += p[t];
+        }"#,
+        8,
+    );
+    let v = solution_vec(&out);
+    for (t, &x) in v.iter().enumerate() {
+        let base = if t % 2 == 0 { 100.0 } else { 200.0 } + t as f32;
+        assert_eq!(x, base + base + 1000.0, "lane {t}");
+    }
+}
+
+#[test]
+fn partial_mask_assignment_demotes_a_uniform_variable() {
+    // Inactive lanes keep the uniform's old value; active lanes convert
+    // the source to the variable's declared kind.
+    let out = same_at_all_levels(
+        r#"__global__ void k(float* out, float* a, float* b) {
+            int t = threadIdx.x;
+            int x = 7;
+            float y = t * 1.5;
+            float z = 0.25;
+            bool flag = 0;
+            if (t % 3 == 0) { x = y; z = t; flag = y; }
+            out[t] = x * 100 + z + flag * 10000;
+        }"#,
+        8,
+    );
+    let v = solution_vec(&out);
+    for (t, &x) in v.iter().enumerate() {
+        let want = if t % 3 == 0 {
+            let y = t as f32 * 1.5;
+            (y as i32 * 100) as f32 + t as f32 + if y != 0.0 { 10000.0 } else { 0.0 }
+        } else {
+            700.25
+        };
+        assert_eq!(x, want, "lane {t}");
+    }
+}
+
+#[test]
+fn division_by_zero_in_one_lane_is_attributed_to_it() {
+    let out = same_at_all_levels(
+        r#"__global__ void k(float* out, float* a, float* b) {
+            int t = threadIdx.x;
+            int q = 1;
+            if (t > 2) { q = 100 / (t - 5); }
+            out[t] = q % (t - 6);
+        }"#,
+        8,
+    );
+    let err = out.error.expect("lane 5 divides by zero");
+    assert_eq!(err.message, "integer division by zero");
+    assert_eq!(err.thread, Some((0, 5)));
+}
+
+#[test]
+fn shared_2d_index_out_of_bounds_in_one_lane_is_attributed_to_it() {
+    let out = same_at_all_levels(
+        r#"__global__ void k(float* out, float* a, float* b) {
+            __shared__ float tile[4][4];
+            int t = threadIdx.x;
+            int col = t % 4;
+            if (t == 9) { col = col + 20; }
+            tile[t / 4][col] = t;
+            __syncthreads();
+            out[t] = tile[t / 4][col];
+        }"#,
+        16,
+    );
+    let err = out.error.expect("lane 9 indexes past the tile");
+    assert!(err.message.contains("out of bounds"), "{}", err.message);
+    assert_eq!(err.thread, Some((0, 9)));
+}
+
+#[test]
+fn bool_and_int_assignments_round_trip() {
+    let out = same_at_all_levels(
+        r#"__global__ void k(float* out, float* a, float* b) {
+            int t = threadIdx.x;
+            bool big = t > 3;
+            int i = big;
+            i = i + big;
+            big = i - 1;
+            float f = big;
+            if (t % 2 == 1) { big = t - 1; i = big; }
+            out[t] = i * 10 + big + f * 100;
+        }"#,
+        8,
+    );
+    let v = solution_vec(&out);
+    for (t, &x) in v.iter().enumerate() {
+        let mut big = t > 3;
+        let mut i = big as i32 * 2;
+        big = i - 1 != 0;
+        let f = big as i32 as f32;
+        if t % 2 == 1 {
+            big = t - 1 != 0;
+            i = big as i32;
+        }
+        assert_eq!(x, (i * 10 + big as i32) as f32 + f * 100.0, "lane {t}");
+    }
+}
+
+#[test]
+fn device_function_returns_per_lane_floats_from_divergent_returns() {
+    let out = same_at_all_levels(
+        r#"__device__ float pick(float x, int t) {
+            if (t % 2 == 0) { return x * 2.0; }
+            return x + 0.5;
+        }
+        __global__ void k(float* out, float* a, float* b) {
+            int t = threadIdx.x;
+            out[t] = pick(b[t], t) + 1;
+        }"#,
+        8,
+    );
+    let v = solution_vec(&out);
+    for (t, &x) in v.iter().enumerate() {
+        let b = 200.0 + t as f32;
+        let want = if t % 2 == 0 { b * 2.0 } else { b + 0.5 };
+        assert_eq!(x, want + 1.0, "lane {t}");
+    }
+}

@@ -15,7 +15,11 @@ use wb_labs::{definition, lab_ids, solution, LabScale};
 use wb_worker::{execute_job, JobAction, JobOutcome, JobRequest};
 
 fn graded(lab_id: &str, source: &str, opt: OptLevel) -> JobOutcome {
-    let lab = definition(lab_id, LabScale::Small).unwrap();
+    graded_at(lab_id, source, opt, LabScale::Small)
+}
+
+fn graded_at(lab_id: &str, source: &str, opt: OptLevel, scale: LabScale) -> JobOutcome {
+    let lab = definition(lab_id, scale).unwrap();
     let mut spec = lab.spec;
     spec.opt_level = opt;
     let req = JobRequest {
@@ -96,6 +100,27 @@ fn every_lab_reference_grades_identically_at_all_levels() {
             let out = graded(id, src, lvl);
             assert_same_grading(id, lvl, &o0, &out);
         }
+    }
+}
+
+/// The differential suite grades at `LabScale::Small`; the performance
+/// ledger's `kernel_full` workload grades at `LabScale::Full`, where
+/// blocks are 256 threads wide, grids have interior *and* edge blocks,
+/// and the last warp of a block can be partial. Same oracle, the scale
+/// the ledger runs (~13 s unoptimized, nearly all of it the tree-walk).
+#[test]
+fn every_lab_reference_grades_identically_at_full_scale() {
+    for id in lab_ids() {
+        let src = solution(id).unwrap();
+        let o0 = graded_at(id, src, OptLevel::O0, LabScale::Full);
+        assert!(o0.compiled(), "{id}: {:?}", o0.compile_error);
+        assert_eq!(
+            o0.passed_count(),
+            o0.datasets.len(),
+            "{id}: reference solution must pass at O0"
+        );
+        let o2 = graded_at(id, src, OptLevel::O2, LabScale::Full);
+        assert_same_grading(id, OptLevel::O2, &o0, &o2);
     }
 }
 
