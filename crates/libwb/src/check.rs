@@ -6,14 +6,13 @@
 //! the computed and the expected values, the student is informed."*
 
 use crate::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// Tolerance policy for float comparison.
 ///
 /// GPU floating-point labs (reduction, scan, SGEMM) cannot demand exact
 /// equality — warp-level reassociation changes rounding — so the grader
 /// accepts values within `abs_tol + rel_tol * |expected|`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckPolicy {
     /// Absolute tolerance floor.
     pub abs_tol: f32,
@@ -58,7 +57,7 @@ impl CheckPolicy {
 }
 
 /// One differing element, reported to the student.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mismatch {
     /// Flat element index of the difference.
     pub index: usize,
@@ -69,7 +68,7 @@ pub struct Mismatch {
 }
 
 /// Outcome of comparing a result against an expected dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckReport {
     /// Total number of elements compared.
     pub total: usize,

@@ -7,14 +7,13 @@
 //! sparse matrices (a small multi-section variant), and graphs.
 
 use crate::{graph::CsrGraph, image::Image, sparse::CsrMatrix, Result, WbError};
-use serde::{Deserialize, Serialize};
 
 /// A value a lab consumes or produces.
 ///
 /// Every lab in the catalog reads zero or more `Dataset`s as inputs and
 /// produces exactly one as its result, which the grader compares
 /// against the instructor's expected `Dataset`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Dataset {
     /// 1-D vector of `f32`.
     Vector(Vec<f32>),

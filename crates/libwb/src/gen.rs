@@ -5,28 +5,27 @@
 //! same seed always produces the same dataset, which lets graders and
 //! tests regenerate instructor data on demand instead of shipping files.
 
+use crate::rng::SplitMix64;
 use crate::{graph::CsrGraph, image::Image, sparse::CsrMatrix};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Uniform random vector in `[-1, 1)`.
 pub fn random_vector(n: usize, seed: u64) -> Vec<f32> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()
+    let mut rng = SplitMix64::new(seed);
+    (0..n).map(|_| rng.range(-1.0..1.0)).collect()
 }
 
 /// Uniform random non-negative vector in `[0, 1)` (for scan/reduction
 /// labs where sign cancellation would mask accumulation bugs).
 pub fn random_positive_vector(n: usize, seed: u64) -> Vec<f32> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.gen_range(0.0..1.0)).collect()
+    let mut rng = SplitMix64::new(seed);
+    (0..n).map(|_| rng.range(0.0..1.0)).collect()
 }
 
 /// Random integer vector with values in `[0, max_value)`.
 pub fn random_int_vector(n: usize, max_value: i32, seed: u64) -> Vec<i32> {
     assert!(max_value > 0, "max_value must be positive");
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.gen_range(0..max_value)).collect()
+    let mut rng = SplitMix64::new(seed);
+    (0..n).map(|_| rng.range(0..max_value)).collect()
 }
 
 /// Row-major random matrix in `[-1, 1)`.
@@ -36,9 +35,9 @@ pub fn random_matrix(rows: usize, cols: usize, seed: u64) -> Vec<f32> {
 
 /// Random image with samples in `[0, 1)`.
 pub fn random_image(width: usize, height: usize, channels: usize, seed: u64) -> Image {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let data = (0..width * height * channels)
-        .map(|_| rng.gen_range(0.0..1.0))
+        .map(|_| rng.range(0.0..1.0))
         .collect();
     Image::from_data(width, height, channels, data).expect("generated dims consistent")
 }
@@ -47,16 +46,16 @@ pub fn random_image(width: usize, height: usize, channels: usize, seed: u64) -> 
 /// `density`; values are in `[-1, 1)`.
 pub fn random_sparse(rows: usize, cols: usize, density: f64, seed: u64) -> CsrMatrix {
     assert!((0.0..=1.0).contains(&density), "density must be in [0,1]");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut row_ptr = Vec::with_capacity(rows + 1);
     let mut col_idx = Vec::new();
     let mut values = Vec::new();
     row_ptr.push(0);
     for _ in 0..rows {
         for c in 0..cols {
-            if rng.gen_bool(density) {
+            if rng.bool(density) {
                 col_idx.push(c);
-                values.push(rng.gen_range(-1.0..1.0));
+                values.push(rng.range(-1.0..1.0));
             }
         }
         row_ptr.push(values.len());
@@ -71,13 +70,13 @@ pub fn random_graph(num_nodes: usize, edge_prob: f64, seed: u64) -> CsrGraph {
         (0.0..=1.0).contains(&edge_prob),
         "edge_prob must be in [0,1]"
     );
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut row_ptr = Vec::with_capacity(num_nodes + 1);
     let mut neighbors = Vec::new();
     row_ptr.push(0);
     for u in 0..num_nodes {
         for v in 0..num_nodes {
-            if u != v && rng.gen_bool(edge_prob) {
+            if u != v && rng.bool(edge_prob) {
                 neighbors.push(v);
             }
         }
@@ -91,17 +90,17 @@ pub fn random_graph(num_nodes: usize, edge_prob: f64, seed: u64) -> CsrGraph {
 /// finite level and the expected output exercises the whole frontier.
 pub fn random_connected_graph(num_nodes: usize, extra_edge_prob: f64, seed: u64) -> CsrGraph {
     assert!(num_nodes > 0, "graph needs at least one node");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); num_nodes];
     // Random spanning tree rooted at 0: each node attaches to a random
     // earlier node, guaranteeing reachability from 0.
     for v in 1..num_nodes {
-        let parent = rng.gen_range(0..v);
+        let parent = rng.range(0..v);
         adj[parent].push(v);
     }
     for (u, list) in adj.iter_mut().enumerate() {
         for v in 0..num_nodes {
-            if u != v && !list.contains(&v) && rng.gen_bool(extra_edge_prob) {
+            if u != v && !list.contains(&v) && rng.bool(extra_edge_prob) {
                 list.push(v);
             }
         }

@@ -1,11 +1,10 @@
 //! CSR adjacency graph used by the BFS queuing lab.
 
 use crate::{Result, WbError};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A directed graph in compressed-sparse-row adjacency form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrGraph {
     num_nodes: usize,
     row_ptr: Vec<usize>,

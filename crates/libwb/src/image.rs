@@ -1,13 +1,12 @@
 //! Image container used by the convolution and histogram-equalization labs.
 
 use crate::{Result, WbError};
-use serde::{Deserialize, Serialize};
 
 /// An image with `channels` interleaved float samples per pixel.
 ///
 /// Values are conventionally in `[0, 1]`; the equalization lab converts
 /// to `u8` levels internally, as the CUDA original does.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Image {
     width: usize,
     height: usize,

@@ -33,6 +33,7 @@ pub mod gen;
 pub mod graph;
 pub mod image;
 pub mod log;
+pub mod rng;
 pub mod sparse;
 pub mod timer;
 

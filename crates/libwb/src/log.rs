@@ -4,10 +4,8 @@
 //! echoed back in the attempt view. The logger is a plain buffer: the
 //! sandbox caps its size so a runaway loop cannot exhaust worker memory.
 
-use serde::{Deserialize, Serialize};
-
 /// Severity levels, mirroring `wbLogLevel`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LogLevel {
     /// Finest-grained diagnostics.
     Trace,
@@ -47,7 +45,7 @@ impl LogLevel {
 }
 
 /// One captured log line.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogLine {
     /// Severity.
     pub level: LogLevel,
@@ -56,7 +54,7 @@ pub struct LogLine {
 }
 
 /// Size-capped log buffer for one program run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Logger {
     lines: Vec<LogLine>,
     bytes: usize,

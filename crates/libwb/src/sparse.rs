@@ -1,7 +1,6 @@
 //! Compressed-sparse-row matrix used by the SpMV lab.
 
 use crate::{Result, WbError};
-use serde::{Deserialize, Serialize};
 
 /// A CSR sparse matrix.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// - `row_ptr.len() == rows + 1`, `row_ptr[0] == 0`, non-decreasing;
 /// - `row_ptr[rows] == col_idx.len() == values.len()`;
 /// - every column index `< cols`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,

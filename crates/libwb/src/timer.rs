@@ -7,10 +7,8 @@
 //! so the timer accepts externally supplied tick counts rather than
 //! reading a wall clock.
 
-use serde::{Deserialize, Serialize};
-
 /// Category of a timed span, mirroring `wbTimeType`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TimerKind {
     /// Anything not covered below.
     Generic,
@@ -35,7 +33,7 @@ impl TimerKind {
 }
 
 /// A completed timed span.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     /// Span category.
     pub kind: TimerKind,
@@ -55,7 +53,7 @@ impl Span {
 }
 
 /// Collects `wbTime` spans for one program run.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct Timer {
     open: Vec<(TimerKind, String, u64)>,
     spans: Vec<Span>,

@@ -42,11 +42,10 @@ use crate::ir::{BlockId, Inst, IrFunc, IrProgram, OclFn, Reg};
 use crate::lower;
 use crate::sema::Program;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Per-lab policy for the analysis phase.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum AnalysisPolicy {
     /// Skip the analyzer entirely.
     Off,
@@ -66,7 +65,7 @@ impl AnalysisPolicy {
 }
 
 /// Which checker produced a finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckKind {
     /// A barrier lexically nested under a non-uniform condition.
     BarrierDivergence,
@@ -101,7 +100,7 @@ impl CheckKind {
 
 /// One verifier finding: a checker tag plus a rendered diagnostic with
 /// position and (where a witness exists) thread attribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Finding {
     /// Producing checker.
     pub kind: CheckKind,

@@ -2786,23 +2786,6 @@ mod tests {
         }
     }
 
-    /// SplitMix64: the seeded stream behind the random warps.
-    struct SplitMix(u64);
-
-    impl SplitMix {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
-
     /// Run `f` on an executor for one block of `n` threads.
     fn with_exec(n: usize, f: impl FnOnce(&mut BatchExec<'_>)) {
         let program = crate::compile("int main() { return 0; }", crate::Dialect::Cuda).unwrap();
@@ -2878,7 +2861,7 @@ mod tests {
         // 80 lanes: two full warps and a last warp of 16.
         let n = 80;
         with_exec(n, |ex| {
-            let mut rng = SplitMix(0x5eed_2016);
+            let mut rng = libwb::rng::SplitMix64::new(0x5eed_2016);
             let lanes = |f: &dyn Fn(usize) -> i64, space: Space| -> Vec<Option<Ptr>> {
                 (0..n).map(|i| Some(ptr(space, 3, f(i)))).collect()
             };
@@ -2900,12 +2883,12 @@ mod tests {
                 for round in 0..40 {
                     let span = [8, 64, 4096][round % 3];
                     let mut p: Vec<Option<Ptr>> = (0..n)
-                        .map(|_| Some(ptr(space, 3, rng.below(span) as i64 - span as i64 / 4)))
+                        .map(|_| Some(ptr(space, 3, rng.range(0..span) as i64 - span as i64 / 4)))
                         .collect();
                     assert_same_charge(ex, &p, &tag(&format!("random {round}")));
                     // Partial masks, down to whole warps switched off.
                     for slot in p.iter_mut() {
-                        if rng.below(3) == 0 {
+                        if rng.range(0..3u64) == 0 {
                             *slot = None;
                         }
                     }
@@ -2924,10 +2907,10 @@ mod tests {
                 let mixed: Vec<Option<Ptr>> = (0..n)
                     .map(|_| {
                         let space = [Space::Shared, Space::Global, Space::Constant, Space::Host]
-                            [rng.below(4) as usize];
-                        let alloc = rng.below(3) as u32;
-                        let offset = rng.below(256) as i64 - 64;
-                        (rng.below(5) > 0).then(|| ptr(space, alloc, offset))
+                            [rng.range(0..4u64) as usize];
+                        let alloc = rng.range(0..3u64) as u32;
+                        let offset = rng.range(0..256u64) as i64 - 64;
+                        (rng.range(0..5u64) > 0).then(|| ptr(space, alloc, offset))
                     })
                     .collect();
                 assert_same_charge(ex, &mixed, &format!("mixed spaces {round}"));

@@ -27,10 +27,8 @@
 //! expression/statement node, which is why cycle totals — but nothing
 //! else — differ between levels.
 
-use serde::{Deserialize, Serialize};
-
 /// Tunable cycle charges.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Issue cost per warp-instruction.
     pub issue: u64,
@@ -81,7 +79,7 @@ impl Default for CostModel {
 }
 
 /// Counters accumulated over a run (per block, then merged).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostSummary {
     /// Warp-instructions issued.
     pub warp_instructions: u64,

@@ -10,8 +10,7 @@ use crate::sema::Program;
 use crate::simt::{run_block, KernelEnv};
 use crate::value::Value;
 use std::sync::atomic::AtomicI64;
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Static description of the simulated device.
 ///
@@ -125,7 +124,7 @@ pub fn validate_launch(
 }
 
 /// Execute a full kernel launch: every block of the grid, scheduled
-/// over `num_sms` simulated SMs (real threads via crossbeam scope).
+/// over `num_sms` simulated SMs (real threads via `std::thread::scope`).
 #[allow(clippy::too_many_arguments)]
 pub fn launch(
     config: &DeviceConfig,
@@ -204,19 +203,20 @@ pub fn launch(
         let error: Mutex<Option<Diag>> = Mutex::new(None);
         let workers = config.num_sms.min(num_blocks);
         let chunk = num_blocks.div_ceil(workers);
-        let error_ref = &error;
+        // A panicking SM worker propagates out of the scope, so a
+        // poisoned slot is never read; recovering it keeps `lock` total.
+        let first_error = || error.lock().unwrap_or_else(PoisonError::into_inner);
         let run_ref = &run_blocks;
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for (ids, costs) in block_ids.chunks(chunk).zip(block_costs.chunks_mut(chunk)) {
-                s.spawn(move |_| {
-                    if let Err(e) = run_ref(ids, costs, &|| error_ref.lock().is_some()) {
-                        error_ref.lock().get_or_insert(e);
+                s.spawn(move || {
+                    if let Err(e) = run_ref(ids, costs, &|| first_error().is_some()) {
+                        first_error().get_or_insert(e);
                     }
                 });
             }
-        })
-        .expect("SM worker panicked");
-        if let Some(e) = error.into_inner() {
+        });
+        if let Some(e) = error.into_inner().unwrap_or_else(PoisonError::into_inner) {
             return Err(e);
         }
     }

@@ -1,10 +1,9 @@
 //! Diagnostics: the compile/runtime errors students see in the code view.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which stage of the toolchain produced the diagnostic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Preprocessor (comments, `#define`).
     Preprocess,
@@ -41,7 +40,7 @@ impl Phase {
 }
 
 /// Source position (1-based line and column; 0 when unknown).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Pos {
     /// 1-based line.
     pub line: u32,
@@ -72,7 +71,7 @@ impl fmt::Display for Pos {
 }
 
 /// A single diagnostic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Diag {
     /// Producing stage.
     pub phase: Phase,

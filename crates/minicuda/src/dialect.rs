@@ -16,10 +16,8 @@
 //! leaves string literals alone, so diagnostics still show the student's
 //! own spelling of everything except the rewritten keyword itself.
 
-use serde::{Deserialize, Serialize};
-
 /// Which language surface a lab is written in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dialect {
     /// NVIDIA CUDA surface (the default for most labs).
     Cuda,

@@ -101,33 +101,29 @@ pub fn run_with_policy(
     policy: &dyn HostcallPolicy,
 ) -> RunOutcome {
     if opts.world_size <= 1 {
-        let mut outcome = None;
-        crossbeam::thread::scope(|s| {
-            let handle = s
-                .builder()
+        return std::thread::scope(|s| {
+            std::thread::Builder::new()
                 .stack_size(INTERP_STACK)
-                .spawn(|_| run_rank(program, inputs, opts, policy, None))
-                .expect("spawn interpreter thread");
-            outcome = Some(handle.join().expect("interpreter thread panicked"));
-        })
-        .expect("interpreter scope");
-        return outcome.expect("outcome set");
+                .spawn_scoped(s, || run_rank(program, inputs, opts, policy, None))
+                .expect("spawn interpreter thread")
+                .join()
+                .expect("interpreter thread panicked")
+        });
     }
     // MPI mode: one interpreter thread per rank, each with its own
     // device; outcomes are merged with rank 0 as primary.
     let comms = CommWorld::new(opts.world_size).into_rank_comms();
     let mut outcomes: Vec<Option<RunOutcome>> = (0..opts.world_size).map(|_| None).collect();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for (slot, comm) in outcomes.iter_mut().zip(comms) {
-            s.builder()
+            std::thread::Builder::new()
                 .stack_size(INTERP_STACK)
-                .spawn(move |_| {
+                .spawn_scoped(s, move || {
                     *slot = Some(run_rank(program, inputs, opts, policy, Some(comm)));
                 })
                 .expect("spawn rank thread");
         }
-    })
-    .expect("rank thread panicked");
+    });
 
     let mut merged: Option<RunOutcome> = None;
     for (rank, o) in outcomes.into_iter().enumerate() {

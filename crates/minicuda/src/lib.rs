@@ -99,7 +99,7 @@ pub use sema::Program;
 /// The level is part of a program's execution contract — `wb-cache`
 /// folds [`OptLevel::fingerprint`] into the compile key so a grade
 /// produced at one level is never served for another.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum OptLevel {
     /// No IR: kernels run on the tree-walking interpreter.
     O0,

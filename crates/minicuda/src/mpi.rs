@@ -3,10 +3,10 @@
 //! The paper's final lab ("Multi-GPU Stencil with MPI") runs one host
 //! process per GPU and exchanges halos over MPI. Here each rank is a
 //! host-interpreter thread with its own simulated device; ranks
-//! exchange `f32` messages over crossbeam channels and synchronize on a
+//! exchange `f32` messages over `std::sync::mpsc` channels and synchronize on a
 //! barrier.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier};
 
 /// A communicator for a fixed-size world. Clone one handle per rank
@@ -31,7 +31,7 @@ impl CommWorld {
             .collect();
         for (src, sender_row) in senders.iter_mut().enumerate() {
             for rx_row in rx_grid.iter_mut() {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 sender_row.push(tx);
                 rx_row[src] = Some(rx);
             }
@@ -140,17 +140,16 @@ mod tests {
         let mut it = comms.into_iter();
         let c0 = it.next().unwrap();
         let c1 = it.next().unwrap();
-        crossbeam::thread::scope(|s| {
-            s.spawn(|_| {
+        std::thread::scope(|s| {
+            s.spawn(move || {
                 c0.send(1, vec![1.0, 2.0]).unwrap();
                 assert_eq!(c0.recv(1).unwrap(), vec![3.0]);
             });
-            s.spawn(|_| {
+            s.spawn(move || {
                 assert_eq!(c1.recv(0).unwrap(), vec![1.0, 2.0]);
                 c1.send(0, vec![3.0]).unwrap();
             });
-        })
-        .unwrap();
+        });
     }
 
     #[test]
@@ -167,17 +166,19 @@ mod tests {
     fn barrier_synchronizes() {
         let comms = CommWorld::new(3).into_rank_comms();
         let counter = std::sync::atomic::AtomicUsize::new(0);
-        crossbeam::thread::scope(|s| {
-            for c in &comms {
-                s.spawn(|_| {
+        let counter = &counter;
+        std::thread::scope(|s| {
+            // Each rank owns its communicator (an mpsc receiver is not
+            // `Sync`), as each interpreter thread does.
+            for c in comms {
+                s.spawn(move || {
                     counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                     c.barrier();
                     // After the barrier everyone must have incremented.
                     assert_eq!(counter.load(std::sync::atomic::Ordering::SeqCst), 3);
                 });
             }
-        })
-        .unwrap();
+        });
     }
 
     #[test]

@@ -44,9 +44,7 @@ fn main() {
     );
 
     // The §II-B in-text statistic rides along with the load model.
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    let mut rng = StdRng::seed_from_u64(2015);
+    let mut rng = libwb::rng::SplitMix64::new(2015);
     let logins = 50_000;
     let mobile = (0..logins)
         .filter(|_| {

@@ -15,7 +15,7 @@
 //!
 //! 1. **Seeded determinism.** Every stochastic choice — Poisson
 //!    arrivals, course/student/lab selection, Zipf source variants —
-//!    comes from one `StdRng`. Two runs with the same
+//!    comes from one `SplitMix64`. Two runs with the same
 //!    [`SemesterParams`] produce the same
 //!    [`SemesterOutcome::deterministic_digest`]. (The cache's
 //!    hit-vs-coalesced split is the one counter the concurrent pump is
@@ -34,8 +34,7 @@
 
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use libwb::rng::SplitMix64;
 use wb_cache::CacheMetrics;
 use wb_labs::LabScale;
 use wb_obs::{HistogramSnapshot, Recorder};
@@ -294,7 +293,7 @@ fn variant_source(course: &str, lab: &str, rank: usize, solution: &str) -> Strin
 
 /// Knuth for small λ, normal approximation above — same shape the
 /// trace generator uses internally.
-fn poisson(rng: &mut StdRng, lambda: f64) -> u64 {
+fn poisson(rng: &mut SplitMix64, lambda: f64) -> u64 {
     if lambda <= 0.0 {
         return 0;
     }
@@ -303,14 +302,14 @@ fn poisson(rng: &mut StdRng, lambda: f64) -> u64 {
         let mut k = 0u64;
         let mut p = 1.0;
         loop {
-            p *= rng.gen::<f64>();
+            p *= rng.f64();
             if p <= limit {
                 return k;
             }
             k += 1;
         }
     }
-    let (u1, u2) = (rng.gen::<f64>().max(1e-12), rng.gen::<f64>());
+    let (u1, u2) = (rng.f64().max(1e-12), rng.f64());
     let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
     (lambda + lambda.sqrt() * z).round().max(0.0) as u64
 }
@@ -326,9 +325,9 @@ fn zipf_cdf(n: usize) -> Vec<f64> {
         .collect()
 }
 
-fn sample_cdf(cdf: &[f64], rng: &mut StdRng) -> usize {
+fn sample_cdf(cdf: &[f64], rng: &mut SplitMix64) -> usize {
     let total = *cdf.last().unwrap_or(&1.0);
-    let u = rng.gen::<f64>() * total;
+    let u = rng.f64() * total;
     cdf.iter().position(|&c| u < c).unwrap_or(cdf.len() - 1)
 }
 
@@ -424,7 +423,7 @@ pub fn run_semester(p: &SemesterParams) -> SemesterOutcome {
     };
     let variant_cdf = zipf_cdf(p.variants_per_lab.max(1));
 
-    let mut rng = StdRng::seed_from_u64(p.seed);
+    let mut rng = SplitMix64::new(p.seed);
     let model = LoadModel::default();
     let mut cost = CostMeter::new(CostModel::default());
     let hours = p.days * 24;
@@ -480,15 +479,15 @@ pub fn run_semester(p: &SemesterParams) -> SemesterOutcome {
             // Students work the lab of the current week, sometimes
             // revisiting an earlier one.
             let mut li = (week_idx as usize).min(course.labs.len() - 1);
-            if li > 0 && rng.gen::<f64>() < 0.3 {
-                li = rng.gen_range(0..=li);
+            if li > 0 && rng.f64() < 0.3 {
+                li = rng.range(0..=li);
             }
             let lab = &course.labs[li];
-            let token = course.tokens[rng.gen_range(0..course.tokens.len())];
+            let token = course.tokens[rng.range(0..course.tokens.len())];
             let source = lab.variants[sample_cdf(&variant_cdf, &mut rng)].clone();
-            let action: f64 = rng.gen();
+            let action = rng.f64();
             let req = if action < 0.60 {
-                SubmitRequest::run_dataset(token, &lab.lab_id, rng.gen_range(0..lab.datasets))
+                SubmitRequest::run_dataset(token, &lab.lab_id, rng.range(0..lab.datasets))
             } else if action < 0.85 {
                 SubmitRequest::compile_only(token, &lab.lab_id)
             } else {

@@ -13,7 +13,6 @@ use crate::flight::{FlightRole, SingleFlight};
 use crate::key::{CompileKey, GradeKey};
 use crate::store::LruStore;
 use minicuda::Program;
-use serde::{Deserialize, Serialize};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -133,7 +132,7 @@ impl LookupOutcome {
 }
 
 /// Counter snapshot for one cache tier.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MapMetrics {
     /// Lookups served straight from the resident store.
     pub hits: u64,
@@ -183,7 +182,7 @@ impl MapMetrics {
 }
 
 /// Counter snapshot for a whole [`SubmissionCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CacheMetrics {
     /// Compile-tier counters.
     pub compile: MapMetrics,
@@ -199,7 +198,7 @@ impl CacheMetrics {
 }
 
 /// Byte budgets and shard count for a [`SubmissionCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Budget for compiled programs / compile diagnostics.
     pub compile_budget_bytes: usize,

@@ -7,12 +7,14 @@
 //! **leader** and computes, while the other N−1 block on a condvar and
 //! reuse the leader's result. The value is handed to waiters through
 //! the flight slot itself, so correctness does not depend on the entry
-//! surviving in the LRU until the waiters wake.
+//! surviving in the LRU until the waiters wake. A leader that unwinds
+//! out of its computation abandons the flight: its waiters wake, re-enter
+//! and one of them leads afresh.
 
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
+use wb_obs::sync::Mutex;
 
 /// Default lock shards for the flight map. One mutex in front of the
 /// store index serialized every cache lookup cluster-wide once the
@@ -20,17 +22,48 @@ use std::sync::Arc;
 /// dedup path parallel.
 const FLIGHT_SHARDS: usize = 8;
 
+enum Slot<V> {
+    Pending,
+    Done(V),
+    /// The leader unwound before producing a value.
+    Abandoned,
+}
+
 struct Flight<V> {
-    slot: Mutex<Option<V>>,
+    slot: Mutex<Slot<V>>,
     done: Condvar,
 }
 
 impl<V> Flight<V> {
     fn new() -> Self {
         Flight {
-            slot: Mutex::new(None),
+            slot: Mutex::new(Slot::Pending),
             done: Condvar::new(),
         }
+    }
+}
+
+/// Held by the leader while it computes. Dropping it — on return or on
+/// unwind — takes the flight off the map and wakes every waiter; a slot
+/// still pending at that point is marked abandoned.
+struct Lead<'a, K: Hash + Eq + Clone, V: Clone> {
+    group: &'a SingleFlight<K, V>,
+    key: &'a K,
+    flight: &'a Flight<V>,
+}
+
+impl<K: Hash + Eq + Clone, V: Clone> Drop for Lead<'_, K, V> {
+    fn drop(&mut self) {
+        // Off the map first: a waiter woken from an abandoned flight
+        // re-enters `run` and must not meet this flight again. On the
+        // success path the store is populated and the slot filled by
+        // now, so a new arrival that misses the flight hits the store.
+        self.group.shard(self.key).lock().remove(self.key);
+        let mut slot = self.flight.slot.lock();
+        if matches!(*slot, Slot::Pending) {
+            *slot = Slot::Abandoned;
+        }
+        self.flight.done.notify_all();
     }
 }
 
@@ -97,42 +130,42 @@ impl<K: Hash + Eq + Clone, V: Clone> SingleFlight<K, V> {
         compute: impl FnOnce() -> V,
         on_leader_result: impl FnOnce(&V),
     ) -> (V, FlightRole) {
-        let (flight, role) = {
-            let mut g = self.shard(key).lock();
-            match g.get(key) {
-                Some(f) => (Arc::clone(f), FlightRole::Coalesced),
-                None => {
-                    let f = Arc::new(Flight::new());
-                    g.insert(key.clone(), Arc::clone(&f));
-                    (f, FlightRole::Leader)
+        loop {
+            let (flight, role) = {
+                let mut g = self.shard(key).lock();
+                match g.get(key) {
+                    Some(f) => (Arc::clone(f), FlightRole::Coalesced),
+                    None => {
+                        let f = Arc::new(Flight::new());
+                        g.insert(key.clone(), Arc::clone(&f));
+                        (f, FlightRole::Leader)
+                    }
                 }
-            }
-        };
-        match role {
-            FlightRole::Leader => {
+            };
+            if role == FlightRole::Leader {
+                let lead = Lead {
+                    group: self,
+                    key,
+                    flight: &flight,
+                };
                 let value = compute();
                 on_leader_result(&value);
-                {
-                    let mut slot = flight.slot.lock();
-                    *slot = Some(value.clone());
-                    flight.done.notify_all();
-                }
-                // Remove the flight only after the store was populated
-                // and the slot filled: a new arrival either joins this
-                // flight (slot already full → wakes immediately) or
-                // misses it and hits the store.
-                self.shard(key).lock().remove(key);
-                (value, FlightRole::Leader)
+                *flight.slot.lock() = Slot::Done(value.clone());
+                drop(lead);
+                return (value, FlightRole::Leader);
             }
-            FlightRole::Coalesced => {
-                let mut slot = flight.slot.lock();
-                while slot.is_none() {
-                    flight.done.wait(&mut slot);
+            let mut slot = flight.slot.lock();
+            loop {
+                match &*slot {
+                    Slot::Done(value) => return (value.clone(), FlightRole::Coalesced),
+                    Slot::Abandoned => break,
+                    Slot::Pending => {
+                        slot = flight
+                            .done
+                            .wait(slot)
+                            .unwrap_or_else(PoisonError::into_inner)
+                    }
                 }
-                (
-                    slot.clone().expect("slot filled before wake"),
-                    FlightRole::Coalesced,
-                )
             }
         }
     }
@@ -264,5 +297,47 @@ mod tests {
         assert_eq!(va, 5);
         assert_eq!(vb, 5);
         assert!(ra == FlightRole::Leader || rb == FlightRole::Leader);
+    }
+
+    #[test]
+    fn panicking_leader_releases_its_followers() {
+        let sf: Arc<SingleFlight<u32, u32>> = Arc::new(SingleFlight::new());
+        let leader = {
+            let sf = Arc::clone(&sf);
+            std::thread::spawn(move || {
+                let inner = Arc::clone(&sf);
+                sf.run(
+                    &1,
+                    move || {
+                        // Map + leader + two followers hold the flight:
+                        // both followers have joined it and can only
+                        // get out through the abandoned path.
+                        while inner.shard(&1).lock().get(&1).map(Arc::strong_count) != Some(4) {
+                            std::thread::yield_now();
+                        }
+                        panic!("leader dies inside compute");
+                    },
+                    |_| {},
+                )
+            })
+        };
+        let followers: Vec<_> = (0..2)
+            .map(|_| {
+                let sf = Arc::clone(&sf);
+                std::thread::spawn(move || {
+                    // Join only once the doomed flight is on the map.
+                    while sf.in_flight() == 0 {
+                        std::thread::yield_now();
+                    }
+                    sf.run(&1, || 99, |_| {})
+                })
+            })
+            .collect();
+        assert!(leader.join().is_err(), "the leader's panic is its own");
+        for f in followers {
+            assert_eq!(f.join().expect("follower returns").0, 99);
+        }
+        assert_eq!(sf.in_flight(), 0, "the abandoned flight is gone");
+        assert_eq!(sf.run(&1, || 5, |_| {}), (5, FlightRole::Leader));
     }
 }

@@ -7,10 +7,10 @@
 //! deadline rush — a worker touching shard 3 never waits on a worker
 //! touching shard 7.
 
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use wb_obs::sync::Mutex;
 
 /// Running counters, shared by all shards of one store. Hit/miss
 /// accounting lives a layer up in [`crate::cache::CachedMap`], which

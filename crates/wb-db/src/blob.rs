@@ -6,9 +6,9 @@
 //! key) and verified by a content hash (ETag-style), so a worker can
 //! detect a corrupted or swapped dataset before grading against it.
 
-use bytes::Bytes;
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::sync::Arc;
+use wb_obs::sync::RwLock;
 
 /// A stored object's metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,7 +25,7 @@ pub struct BlobMeta {
 /// key prefix, content hashes, and conditional get.
 #[derive(Debug, Default)]
 pub struct BlobStore {
-    objects: RwLock<BTreeMap<String, Bytes>>,
+    objects: RwLock<BTreeMap<String, Arc<[u8]>>>,
 }
 
 impl BlobStore {
@@ -35,7 +35,7 @@ impl BlobStore {
     }
 
     /// Store an object; returns its metadata.
-    pub fn put(&self, key: impl Into<String>, data: impl Into<Bytes>) -> BlobMeta {
+    pub fn put(&self, key: impl Into<String>, data: impl Into<Arc<[u8]>>) -> BlobMeta {
         let key = key.into();
         let data = data.into();
         let meta = BlobMeta {
@@ -47,13 +47,13 @@ impl BlobStore {
         meta
     }
 
-    /// Fetch an object (cheap clone — `Bytes` is refcounted).
-    pub fn get(&self, key: &str) -> Option<Bytes> {
+    /// Fetch an object (cheap clone — the payload is refcounted).
+    pub fn get(&self, key: &str) -> Option<Arc<[u8]>> {
         self.objects.read().get(key).cloned()
     }
 
     /// Fetch only when the content hash matches (integrity check).
-    pub fn get_verified(&self, key: &str, etag: u64) -> Result<Bytes, String> {
+    pub fn get_verified(&self, key: &str, etag: u64) -> Result<Arc<[u8]>, String> {
         let data = self
             .get(key)
             .ok_or_else(|| format!("no object with key {key:?}"))?;
@@ -102,7 +102,7 @@ impl BlobStore {
 
     /// Total bytes stored.
     pub fn total_bytes(&self) -> usize {
-        self.objects.read().values().map(Bytes::len).sum()
+        self.objects.read().values().map(|d| d.len()).sum()
     }
 }
 
@@ -125,8 +125,8 @@ mod tests {
         let meta = s.put("labs/vecadd/input0.raw", &b"vector 3\n1 2 3\n"[..]);
         assert_eq!(meta.size, 15);
         assert_eq!(
-            s.get("labs/vecadd/input0.raw").unwrap(),
-            Bytes::from_static(b"vector 3\n1 2 3\n")
+            &*s.get("labs/vecadd/input0.raw").unwrap(),
+            b"vector 3\n1 2 3\n"
         );
         assert!(s.get("missing").is_none());
     }

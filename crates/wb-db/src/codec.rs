@@ -1,33 +1,47 @@
-//! A compact, self-contained binary codec over `serde`.
+//! The row codec: a compact, non-self-describing binary format.
 //!
-//! The offline dependency set includes `serde` but no serializer crate,
-//! so the database implements its own non-self-describing format (in
-//! the spirit of bincode): fixed-width little-endian scalars,
-//! length-prefixed strings/sequences/maps, and `u32` enum variant tags.
-//! It is used for WAL records, replication frames, and blob contents.
+//! Every stored type implements [`Encode`] — both directions in one
+//! trait, because every stored type needs both. The layout is
+//! positional: integers widen to eight little-endian bytes (`i*` sign-
+//! extended), `f32`/`f64` are their IEEE bits, `bool` and the `Option`
+//! tag are one byte, strings, sequences and maps carry a `u64` length
+//! prefix, a struct is its fields in declaration order, and an enum is
+//! its `u32` variant index (widened like any integer) followed by the
+//! variant's fields. There is no version tag: nothing encoded here
+//! outlives the process. Tables, WAL records and replication frames
+//! are all written in it.
+//!
+//! Decoding trusts nothing: every length prefix is checked against the
+//! bytes that remain before anything is sliced or reserved, so a
+//! hostile or torn input ends in a [`CodecError`], never a panic or an
+//! allocation sized by the attacker.
 
-use serde::de::{self, DeserializeOwned, IntoDeserializer};
-use serde::ser::{self, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
 
-/// Encode any serializable value to bytes.
-pub fn encode<T: Serialize>(value: &T) -> Result<Vec<u8>, CodecError> {
+/// A type with a byte form: written by `encode`, read back by `decode`.
+pub trait Encode: Sized {
+    /// Append this value's bytes to `out`.
+    fn encode(&self, out: &mut Vec<u8>);
+    /// Read one value from the front of `input`.
+    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError>;
+}
+
+/// Encode a value to bytes.
+pub fn encode<T: Encode>(value: &T) -> Result<Vec<u8>, CodecError> {
     let mut out = Vec::new();
-    value.serialize(&mut Encoder { out: &mut out })?;
+    value.encode(&mut out);
     Ok(out)
 }
 
-/// Decode a value produced by [`encode`].
-pub fn decode<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, CodecError> {
-    let mut d = Decoder {
-        input: bytes,
-        at: 0,
-    };
-    let v = T::deserialize(&mut d)?;
-    if d.at != bytes.len() {
+/// Decode a value produced by [`encode`]; the whole input must be used.
+pub fn decode<T: Encode>(bytes: &[u8]) -> Result<T, CodecError> {
+    let mut input = Decoder { input: bytes };
+    let v = T::decode(&mut input)?;
+    if !input.input.is_empty() {
         return Err(CodecError(format!(
             "{} trailing bytes after value",
-            bytes.len() - d.at
+            input.input.len()
         )));
     }
     Ok(v)
@@ -45,586 +59,199 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-impl ser::Error for CodecError {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        CodecError(msg.to_string())
-    }
+/// The unread remainder of an input.
+pub struct Decoder<'a> {
+    input: &'a [u8],
 }
 
-impl de::Error for CodecError {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        CodecError(msg.to_string())
-    }
-}
-
-// ---- serializer -----------------------------------------------------------
-
-struct Encoder<'a> {
-    out: &'a mut Vec<u8>,
-}
-
-impl Encoder<'_> {
-    fn put_u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_len(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-}
-
-impl<'a, 'b> ser::Serializer for &'a mut Encoder<'b> {
-    type Ok = ();
-    type Error = CodecError;
-    type SerializeSeq = Self;
-    type SerializeTuple = Self;
-    type SerializeTupleStruct = Self;
-    type SerializeTupleVariant = Self;
-    type SerializeMap = Self;
-    type SerializeStruct = Self;
-    type SerializeStructVariant = Self;
-
-    fn serialize_bool(self, v: bool) -> Result<(), CodecError> {
-        self.out.push(v as u8);
-        Ok(())
-    }
-
-    fn serialize_i8(self, v: i8) -> Result<(), CodecError> {
-        self.serialize_i64(v as i64)
-    }
-
-    fn serialize_i16(self, v: i16) -> Result<(), CodecError> {
-        self.serialize_i64(v as i64)
-    }
-
-    fn serialize_i32(self, v: i32) -> Result<(), CodecError> {
-        self.serialize_i64(v as i64)
-    }
-
-    fn serialize_i64(self, v: i64) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    fn serialize_u8(self, v: u8) -> Result<(), CodecError> {
-        self.serialize_u64(v as u64)
-    }
-
-    fn serialize_u16(self, v: u16) -> Result<(), CodecError> {
-        self.serialize_u64(v as u64)
-    }
-
-    fn serialize_u32(self, v: u32) -> Result<(), CodecError> {
-        self.serialize_u64(v as u64)
-    }
-
-    fn serialize_u64(self, v: u64) -> Result<(), CodecError> {
-        self.put_u64(v);
-        Ok(())
-    }
-
-    fn serialize_f32(self, v: f32) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_bits().to_le_bytes());
-        Ok(())
-    }
-
-    fn serialize_f64(self, v: f64) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_bits().to_le_bytes());
-        Ok(())
-    }
-
-    fn serialize_char(self, v: char) -> Result<(), CodecError> {
-        self.serialize_u64(v as u64)
-    }
-
-    fn serialize_str(self, v: &str) -> Result<(), CodecError> {
-        self.put_len(v.len());
-        self.out.extend_from_slice(v.as_bytes());
-        Ok(())
-    }
-
-    fn serialize_bytes(self, v: &[u8]) -> Result<(), CodecError> {
-        self.put_len(v.len());
-        self.out.extend_from_slice(v);
-        Ok(())
-    }
-
-    fn serialize_none(self) -> Result<(), CodecError> {
-        self.out.push(0);
-        Ok(())
-    }
-
-    fn serialize_some<T: ?Sized + Serialize>(self, value: &T) -> Result<(), CodecError> {
-        self.out.push(1);
-        value.serialize(self)
-    }
-
-    fn serialize_unit(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-
-    fn serialize_unit_struct(self, _name: &'static str) -> Result<(), CodecError> {
-        Ok(())
-    }
-
-    fn serialize_unit_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-    ) -> Result<(), CodecError> {
-        self.serialize_u32(variant_index)
-    }
-
-    fn serialize_newtype_struct<T: ?Sized + Serialize>(
-        self,
-        _name: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        value.serialize(self)
-    }
-
-    fn serialize_newtype_variant<T: ?Sized + Serialize>(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        self.serialize_u32(variant_index)?;
-        value.serialize(self)
-    }
-
-    fn serialize_seq(self, len: Option<usize>) -> Result<Self, CodecError> {
-        let len = len.ok_or_else(|| CodecError("sequences need a known length".into()))?;
-        self.put_len(len);
-        Ok(self)
-    }
-
-    fn serialize_tuple(self, _len: usize) -> Result<Self, CodecError> {
-        Ok(self)
-    }
-
-    fn serialize_tuple_struct(self, _name: &'static str, _len: usize) -> Result<Self, CodecError> {
-        Ok(self)
-    }
-
-    fn serialize_tuple_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Self, CodecError> {
-        self.serialize_u32(variant_index)?;
-        Ok(self)
-    }
-
-    fn serialize_map(self, len: Option<usize>) -> Result<Self, CodecError> {
-        let len = len.ok_or_else(|| CodecError("maps need a known length".into()))?;
-        self.put_len(len);
-        Ok(self)
-    }
-
-    fn serialize_struct(self, _name: &'static str, _len: usize) -> Result<Self, CodecError> {
-        Ok(self)
-    }
-
-    fn serialize_struct_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Self, CodecError> {
-        self.serialize_u32(variant_index)?;
-        Ok(self)
-    }
-}
-
-macro_rules! forward_compound {
-    ($trait:path, $method:ident) => {
-        impl<'a, 'b> $trait for &'a mut Encoder<'b> {
-            type Ok = ();
-            type Error = CodecError;
-
-            fn $method<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), CodecError> {
-                value.serialize(&mut **self)
-            }
-
-            fn end(self) -> Result<(), CodecError> {
-                Ok(())
-            }
-        }
-    };
-}
-
-forward_compound!(ser::SerializeSeq, serialize_element);
-forward_compound!(ser::SerializeTuple, serialize_element);
-forward_compound!(ser::SerializeTupleStruct, serialize_field);
-forward_compound!(ser::SerializeTupleVariant, serialize_field);
-
-impl<'a, 'b> ser::SerializeMap for &'a mut Encoder<'b> {
-    type Ok = ();
-    type Error = CodecError;
-
-    fn serialize_key<T: ?Sized + Serialize>(&mut self, key: &T) -> Result<(), CodecError> {
-        key.serialize(&mut **self)
-    }
-
-    fn serialize_value<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), CodecError> {
-        value.serialize(&mut **self)
-    }
-
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-}
-
-impl<'a, 'b> ser::SerializeStruct for &'a mut Encoder<'b> {
-    type Ok = ();
-    type Error = CodecError;
-
-    fn serialize_field<T: ?Sized + Serialize>(
-        &mut self,
-        _key: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        value.serialize(&mut **self)
-    }
-
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-}
-
-impl<'a, 'b> ser::SerializeStructVariant for &'a mut Encoder<'b> {
-    type Ok = ();
-    type Error = CodecError;
-
-    fn serialize_field<T: ?Sized + Serialize>(
-        &mut self,
-        _key: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        value.serialize(&mut **self)
-    }
-
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-}
-
-// ---- deserializer ----------------------------------------------------------
-
-struct Decoder<'de> {
-    input: &'de [u8],
-    at: usize,
-}
-
-impl<'de> Decoder<'de> {
-    fn take(&mut self, n: usize) -> Result<&'de [u8], CodecError> {
-        if self.at + n > self.input.len() {
+impl<'a> Decoder<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        if n > self.input.len() {
             return Err(CodecError("unexpected end of input".into()));
         }
-        let s = &self.input[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
+        let (head, rest) = self.input.split_at(n);
+        self.input = rest;
+        Ok(head)
     }
 
-    fn get_u64(&mut self) -> Result<u64, CodecError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
     }
 
-    fn get_i64(&mut self) -> Result<i64, CodecError> {
-        let b = self.take(8)?;
-        Ok(i64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn get_len(&mut self) -> Result<usize, CodecError> {
-        let v = self.get_u64()?;
-        usize::try_from(v).map_err(|_| CodecError("length overflows usize".into()))
-    }
-}
-
-macro_rules! de_int {
-    ($method:ident, $visit:ident, $ty:ty, $get:ident) => {
-        fn $method<V: de::Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-            let v = self.$get()?;
-            visitor.$visit(v as $ty)
+    /// A length prefix, rejected unless at least that many bytes remain.
+    /// Every element encodes to at least one byte, so an accepted length
+    /// bounds both the decode loop and anything reserved for it.
+    fn length_prefix(&mut self) -> Result<usize, CodecError> {
+        let len = u64::decode(self)?;
+        match usize::try_from(len) {
+            Ok(n) if n <= self.input.len() => Ok(n),
+            _ => Err(CodecError(format!(
+                "length prefix {len} exceeds the {} bytes that remain",
+                self.input.len()
+            ))),
         }
-    };
+    }
+
+    /// An enum's variant index.
+    pub fn variant(&mut self) -> Result<u32, CodecError> {
+        u32::decode(self)
+    }
 }
 
-impl<'de> de::Deserializer<'de> for &mut Decoder<'de> {
-    type Error = CodecError;
+/// The fixed-width scalars: their own little-endian bytes.
+macro_rules! encode_le {
+    ($($t:ty),*) => {$(
+        impl Encode for $t {
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
+                Ok(<$t>::from_le_bytes(input.array()?))
+            }
+        }
+    )*};
+}
+encode_le!(u64, i64, f32, f64);
 
-    fn deserialize_any<V: de::Visitor<'de>>(self, _visitor: V) -> Result<V::Value, CodecError> {
-        Err(CodecError(
-            "this format is not self-describing (deserialize_any)".into(),
-        ))
+/// Narrower integers travel widened to eight bytes; a decoded value that
+/// does not fit the type it is read into is corrupt, not truncated.
+macro_rules! encode_narrow_int {
+    ($($t:ty => $wide:ty),*) => {$(
+        impl Encode for $t {
+            fn encode(&self, out: &mut Vec<u8>) {
+                (*self as $wide).encode(out);
+            }
+            fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
+                <$t>::try_from(<$wide>::decode(input)?).map_err(|_| {
+                    CodecError(concat!("integer out of range for ", stringify!($t)).into())
+                })
+            }
+        }
+    )*};
+}
+encode_narrow_int!(u8 => u64, u32 => u64, usize => u64, i32 => i64);
+
+impl Encode for bool {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
     }
-
-    fn deserialize_bool<V: de::Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let b = self.take(1)?[0];
-        visitor.visit_bool(b != 0)
+    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        Ok(input.take(1)?[0] != 0)
     }
+}
 
-    de_int!(deserialize_i8, visit_i8, i8, get_i64);
-    de_int!(deserialize_i16, visit_i16, i16, get_i64);
-    de_int!(deserialize_i32, visit_i32, i32, get_i64);
-    de_int!(deserialize_i64, visit_i64, i64, get_i64);
-    de_int!(deserialize_u8, visit_u8, u8, get_u64);
-    de_int!(deserialize_u16, visit_u16, u16, get_u64);
-    de_int!(deserialize_u32, visit_u32, u32, get_u64);
-    de_int!(deserialize_u64, visit_u64, u64, get_u64);
-
-    fn deserialize_f32<V: de::Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let b = self.take(4)?;
-        visitor.visit_f32(f32::from_bits(u32::from_le_bytes(b.try_into().expect("4"))))
+impl Encode for String {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.len().encode(out);
+        out.extend_from_slice(self.as_bytes());
     }
-
-    fn deserialize_f64<V: de::Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let b = self.take(8)?;
-        visitor.visit_f64(f64::from_bits(u64::from_le_bytes(b.try_into().expect("8"))))
+    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let len = input.length_prefix()?;
+        let s = std::str::from_utf8(input.take(len)?);
+        Ok(s.map_err(|_| CodecError("invalid utf-8".into()))?
+            .to_owned())
     }
+}
 
-    fn deserialize_char<V: de::Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let v = self.get_u64()?;
-        let c = char::from_u32(v as u32).ok_or_else(|| CodecError("invalid char".into()))?;
-        visitor.visit_char(c)
+impl<T: Encode> Encode for Option<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            None => out.push(0),
+            Some(v) => {
+                out.push(1);
+                v.encode(out);
+            }
+        }
     }
-
-    fn deserialize_str<V: de::Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let len = self.get_len()?;
-        let bytes = self.take(len)?;
-        let s = std::str::from_utf8(bytes).map_err(|_| CodecError("invalid utf-8".into()))?;
-        visitor.visit_borrowed_str(s)
-    }
-
-    fn deserialize_string<V: de::Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        self.deserialize_str(visitor)
-    }
-
-    fn deserialize_bytes<V: de::Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let len = self.get_len()?;
-        visitor.visit_borrowed_bytes(self.take(len)?)
-    }
-
-    fn deserialize_byte_buf<V: de::Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        self.deserialize_bytes(visitor)
-    }
-
-    fn deserialize_option<V: de::Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        match self.take(1)?[0] {
-            0 => visitor.visit_none(),
-            1 => visitor.visit_some(self),
+    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        match input.take(1)?[0] {
+            0 => Ok(None),
+            1 => Ok(Some(T::decode(input)?)),
             other => Err(CodecError(format!("invalid option tag {other}"))),
         }
     }
+}
 
-    fn deserialize_unit<V: de::Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        visitor.visit_unit()
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.len().encode(out);
+        self.iter().for_each(|v| v.encode(out));
     }
-
-    fn deserialize_unit_struct<V: de::Visitor<'de>>(
-        self,
-        _name: &'static str,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_unit()
-    }
-
-    fn deserialize_newtype_struct<V: de::Visitor<'de>>(
-        self,
-        _name: &'static str,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_newtype_struct(self)
-    }
-
-    fn deserialize_seq<V: de::Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let len = self.get_len()?;
-        visitor.visit_seq(Counted {
-            de: self,
-            left: len,
-        })
-    }
-
-    fn deserialize_tuple<V: de::Visitor<'de>>(
-        self,
-        len: usize,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_seq(Counted {
-            de: self,
-            left: len,
-        })
-    }
-
-    fn deserialize_tuple_struct<V: de::Visitor<'de>>(
-        self,
-        _name: &'static str,
-        len: usize,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        self.deserialize_tuple(len, visitor)
-    }
-
-    fn deserialize_map<V: de::Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let len = self.get_len()?;
-        visitor.visit_map(Counted {
-            de: self,
-            left: len,
-        })
-    }
-
-    fn deserialize_struct<V: de::Visitor<'de>>(
-        self,
-        _name: &'static str,
-        fields: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        self.deserialize_tuple(fields.len(), visitor)
-    }
-
-    fn deserialize_enum<V: de::Visitor<'de>>(
-        self,
-        _name: &'static str,
-        _variants: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_enum(EnumDecoder { de: self })
-    }
-
-    fn deserialize_identifier<V: de::Visitor<'de>>(
-        self,
-        _visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        Err(CodecError("identifiers are not encoded".into()))
-    }
-
-    fn deserialize_ignored_any<V: de::Visitor<'de>>(
-        self,
-        _visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        Err(CodecError("cannot skip values in this format".into()))
+    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let len = input.length_prefix()?;
+        (0..len).map(|_| T::decode(input)).collect()
     }
 }
 
-struct Counted<'a, 'de> {
-    de: &'a mut Decoder<'de>,
-    left: usize,
-}
-
-impl<'a, 'de> de::SeqAccess<'de> for Counted<'a, 'de> {
-    type Error = CodecError;
-
-    fn next_element_seed<T: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: T,
-    ) -> Result<Option<T::Value>, CodecError> {
-        if self.left == 0 {
-            return Ok(None);
+impl<K: Encode + Ord, V: Encode> Encode for BTreeMap<K, V> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.len().encode(out);
+        for (k, v) in self {
+            k.encode(out);
+            v.encode(out);
         }
-        self.left -= 1;
-        seed.deserialize(&mut *self.de).map(Some)
     }
-
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.left)
+    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let len = input.length_prefix()?;
+        (0..len).map(|_| <(K, V)>::decode(input)).collect()
     }
 }
 
-impl<'a, 'de> de::MapAccess<'de> for Counted<'a, 'de> {
-    type Error = CodecError;
+impl<A: Encode, B: Encode> Encode for (A, B) {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+        self.1.encode(out);
+    }
+    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        Ok((A::decode(input)?, B::decode(input)?))
+    }
+}
 
-    fn next_key_seed<K: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: K,
-    ) -> Result<Option<K::Value>, CodecError> {
-        if self.left == 0 {
-            return Ok(None);
+/// Implement [`Encode`] for a struct, field by field in the order
+/// given (which must be declaration order to keep the byte layout), or
+/// for a fieldless enum as its variant index in the order given.
+#[macro_export]
+macro_rules! impl_encode {
+    (struct $t:ty { $($field:ident),+ $(,)? }) => {
+        impl $crate::codec::Encode for $t {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $($crate::codec::Encode::encode(&self.$field, out);)+
+            }
+            fn decode(input: &mut $crate::codec::Decoder<'_>) -> Result<Self, $crate::CodecError> {
+                Ok(Self { $($field: $crate::codec::Encode::decode(input)?),+ })
+            }
         }
-        self.left -= 1;
-        seed.deserialize(&mut *self.de).map(Some)
-    }
-
-    fn next_value_seed<V: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: V,
-    ) -> Result<V::Value, CodecError> {
-        seed.deserialize(&mut *self.de)
-    }
-
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.left)
-    }
-}
-
-struct EnumDecoder<'a, 'de> {
-    de: &'a mut Decoder<'de>,
-}
-
-impl<'a, 'de> de::EnumAccess<'de> for EnumDecoder<'a, 'de> {
-    type Error = CodecError;
-    type Variant = &'a mut Decoder<'de>;
-
-    fn variant_seed<V: de::DeserializeSeed<'de>>(
-        self,
-        seed: V,
-    ) -> Result<(V::Value, Self::Variant), CodecError> {
-        let idx = self.de.get_u64()? as u32;
-        let val = seed.deserialize(IntoDeserializer::<CodecError>::into_deserializer(idx))?;
-        Ok((val, self.de))
-    }
-}
-
-impl<'de> de::VariantAccess<'de> for &mut Decoder<'de> {
-    type Error = CodecError;
-
-    fn unit_variant(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-
-    fn newtype_variant_seed<T: de::DeserializeSeed<'de>>(
-        self,
-        seed: T,
-    ) -> Result<T::Value, CodecError> {
-        seed.deserialize(self)
-    }
-
-    fn tuple_variant<V: de::Visitor<'de>>(
-        self,
-        len: usize,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        de::Deserializer::deserialize_tuple(self, len, visitor)
-    }
-
-    fn struct_variant<V: de::Visitor<'de>>(
-        self,
-        fields: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        de::Deserializer::deserialize_tuple(self, fields.len(), visitor)
-    }
+    };
+    (enum $t:ty { $($variant:ident),+ $(,)? }) => {
+        impl $crate::codec::Encode for $t {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $crate::codec::Encode::encode(&(*self as u32), out);
+            }
+            fn decode(input: &mut $crate::codec::Decoder<'_>) -> Result<Self, $crate::CodecError> {
+                let tag = input.variant()?;
+                $(if tag == <$t>::$variant as u32 {
+                    return Ok(<$t>::$variant);
+                })+
+                Err($crate::CodecError(format!(
+                    concat!("invalid ", stringify!($t), " variant {}"),
+                    tag
+                )))
+            }
+        }
+    };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::{Deserialize, Serialize};
-    use std::collections::BTreeMap;
 
-    fn roundtrip<T: Serialize + DeserializeOwned + PartialEq + std::fmt::Debug>(v: &T) {
+    fn roundtrip<T: Encode + PartialEq + std::fmt::Debug>(v: &T) {
         let bytes = encode(v).expect("encode");
         let back: T = decode(&bytes).expect("decode");
         assert_eq!(&back, v);
     }
 
-    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, PartialEq)]
     struct Record {
         id: u64,
         name: String,
@@ -633,13 +260,19 @@ mod tests {
         parent: Option<u64>,
         flags: (bool, i32),
     }
+    impl_encode!(struct Record { id, name, score, tags, parent, flags });
 
-    #[derive(Debug, PartialEq, Serialize, Deserialize)]
-    enum Event {
-        Ping,
-        Submit { user: u64, code: String },
-        Grade(u64, f32),
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Level {
+        Low,
+        High,
     }
+    impl_encode!(
+        enum Level {
+            Low,
+            High,
+        }
+    );
 
     #[test]
     fn scalars_roundtrip() {
@@ -648,12 +281,11 @@ mod tests {
         roundtrip(&-17i32);
         roundtrip(&3.5f32);
         roundtrip(&2.25f64);
-        roundtrip(&'λ');
-        roundtrip(&"hello".to_string());
+        roundtrip(&"hello λ".to_string());
     }
 
     #[test]
-    fn struct_roundtrip() {
+    fn struct_and_enum_roundtrip() {
         roundtrip(&Record {
             id: 9,
             name: "alice".into(),
@@ -662,17 +294,9 @@ mod tests {
             parent: Some(3),
             flags: (true, -1),
         });
-    }
-
-    #[test]
-    fn enum_variants_roundtrip() {
-        roundtrip(&Event::Ping);
-        roundtrip(&Event::Submit {
-            user: 1,
-            code: "int main(){}".into(),
-        });
-        roundtrip(&Event::Grade(7, 88.0));
-        roundtrip(&vec![Event::Ping, Event::Grade(1, 2.0)]);
+        roundtrip(&vec![Level::Low, Level::High]);
+        assert_eq!(encode(&Level::High).unwrap(), 1u64.to_le_bytes());
+        assert!(decode::<Level>(&2u64.to_le_bytes()).is_err());
     }
 
     #[test]
@@ -687,41 +311,39 @@ mod tests {
     }
 
     #[test]
-    fn truncated_input_fails() {
+    fn truncated_and_trailing_input_fail() {
         let bytes = encode(&12345u64).unwrap();
-        let r: Result<u64, _> = decode(&bytes[..4]);
-        assert!(r.is_err());
-    }
-
-    #[test]
-    fn trailing_bytes_fail() {
+        assert!(decode::<u64>(&bytes[..4]).is_err());
         let mut bytes = encode(&1u64).unwrap();
         bytes.push(0);
-        let r: Result<u64, _> = decode(&bytes);
-        assert!(r.unwrap_err().0.contains("trailing"));
+        assert!(decode::<u64>(&bytes).unwrap_err().0.contains("trailing"));
     }
 
     #[test]
-    fn invalid_utf8_fails() {
+    fn invalid_utf8_option_tag_and_narrow_int_fail() {
         let mut bytes = encode(&"ab".to_string()).unwrap();
-        let n = bytes.len();
-        bytes[n - 1] = 0xFF;
-        let r: Result<String, _> = decode(&bytes);
-        assert!(r.is_err());
+        *bytes.last_mut().unwrap() = 0xFF;
+        assert!(decode::<String>(&bytes).is_err());
+        assert!(decode::<Option<u64>>(&[7]).is_err());
+        assert!(decode::<u8>(&256u64.to_le_bytes()).is_err());
     }
 
     #[test]
-    fn invalid_option_tag_fails() {
-        let r: Result<Option<u64>, _> = decode(&[7]);
-        assert!(r.is_err());
+    fn hostile_length_prefix_is_an_error() {
+        // 7u64 ‖ u64::MAX: a prefix no input can satisfy.
+        let mut bytes = 7u64.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert!(decode::<(u64, String)>(&bytes).is_err());
+        assert!(decode::<(u64, Vec<u64>)>(&bytes).is_err());
+        assert!(decode::<Vec<String>>(&(1u64 << 40).to_le_bytes()).is_err());
+        assert!(decode::<BTreeMap<u64, u64>>(&u64::MAX.to_le_bytes()).is_err());
     }
 
     #[test]
     fn special_floats_roundtrip() {
         roundtrip(&f32::INFINITY);
         roundtrip(&f32::MIN_POSITIVE);
-        let bytes = encode(&f32::NAN).unwrap();
-        let back: f32 = decode(&bytes).unwrap();
+        let back: f32 = decode(&encode(&f32::NAN).unwrap()).unwrap();
         assert!(back.is_nan());
     }
 }

@@ -6,11 +6,11 @@
 //! the database across availability zones (§VI-A). This crate rebuilds
 //! exactly the slice of database behaviour the platform depends on:
 //!
-//! * typed **tables** over `serde`-encodable records with u64 primary
-//!   keys and **secondary indexes** ([`table`]);
-//! * a compact self-contained **binary codec** so records can be
-//!   persisted and replicated without external serializer crates
-//!   ([`codec`]);
+//! * typed **tables** over [`Encode`] records with u64 primary keys and
+//!   **secondary indexes** ([`table`]);
+//! * a compact **binary codec** — one `Encode` trait, a macro for
+//!   structs and fieldless enums — in which rows, WAL records and
+//!   replication frames are written ([`codec`]);
 //! * a **write-ahead log + snapshot** story for durability ([`wal`]);
 //! * a **connection pool** with checkout accounting ([`pool`]);
 //! * **primary → replica replication** with measurable lag ([`replica`]);
@@ -25,7 +25,7 @@ pub mod table;
 pub mod wal;
 
 pub use blob::BlobStore;
-pub use codec::{decode, encode, CodecError};
+pub use codec::{decode, encode, CodecError, Decoder, Encode};
 pub use pool::{ConnectionPool, PoolGuard};
 pub use replica::ReplicatedTable;
 pub use table::{Table, TableError};

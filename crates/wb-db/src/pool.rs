@@ -6,8 +6,8 @@
 //! reports wait statistics so the web-server benches can show
 //! saturation behaviour.
 
-use parking_lot::{Condvar, Mutex};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
+use wb_obs::sync::Mutex;
 
 /// Pool statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -59,7 +59,7 @@ impl ConnectionPool {
         if g.counters.in_use >= g.capacity {
             g.counters.waits += 1;
             while g.counters.in_use >= g.capacity {
-                cv.wait(&mut g);
+                g = cv.wait(g).unwrap_or_else(PoisonError::into_inner);
             }
         }
         g.counters.in_use += 1;

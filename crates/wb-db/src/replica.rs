@@ -8,15 +8,13 @@
 //! dashboard and tests can observe, and a replica can be promoted on
 //! primary failure.
 
-use crate::codec::CodecError;
+use crate::codec::{CodecError, Decoder, Encode};
 use crate::table::Table;
 use crate::wal::{Wal, WalRecord};
-use parking_lot::Mutex;
-use serde::de::DeserializeOwned;
-use serde::{Deserialize, Serialize};
+use wb_obs::sync::Mutex;
 
 /// The logged operations for a replicated table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TableOp<T> {
     /// Insert with a pre-assigned id (primary chose it).
     Insert(u64, T),
@@ -24,6 +22,32 @@ pub enum TableOp<T> {
     Update(u64, T),
     /// Row deletion.
     Delete(u64),
+}
+
+/// The replication frame: variant index, row id, then the row for the
+/// two variants that carry one.
+impl<T: Encode> Encode for TableOp<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        let (tag, id, row) = match self {
+            TableOp::Insert(id, row) => (0u32, id, Some(row)),
+            TableOp::Update(id, row) => (1, id, Some(row)),
+            TableOp::Delete(id) => (2, id, None),
+        };
+        tag.encode(out);
+        id.encode(out);
+        if let Some(row) = row {
+            row.encode(out);
+        }
+    }
+    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let (tag, id) = (input.variant()?, u64::decode(input)?);
+        match tag {
+            0 => Ok(TableOp::Insert(id, T::decode(input)?)),
+            1 => Ok(TableOp::Update(id, T::decode(input)?)),
+            2 => Ok(TableOp::Delete(id)),
+            other => Err(CodecError(format!("invalid TableOp variant {other}"))),
+        }
+    }
 }
 
 /// A table that logs every mutation and can feed replicas.
@@ -38,13 +62,13 @@ pub struct Replica<T> {
     applied_seq: u64,
 }
 
-impl<T: Serialize + DeserializeOwned + Clone> Default for ReplicatedTable<T> {
+impl<T: Encode + Clone> Default for ReplicatedTable<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Serialize + DeserializeOwned + Clone> ReplicatedTable<T> {
+impl<T: Encode + Clone> ReplicatedTable<T> {
     /// Empty primary.
     pub fn new() -> Self {
         ReplicatedTable {
@@ -101,13 +125,13 @@ impl<T: Serialize + DeserializeOwned + Clone> ReplicatedTable<T> {
     }
 }
 
-impl<T: Serialize + DeserializeOwned + Clone> Default for Replica<T> {
+impl<T: Encode + Clone> Default for Replica<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Serialize + DeserializeOwned + Clone> Replica<T> {
+impl<T: Encode + Clone> Replica<T> {
     /// Fresh, empty replica.
     pub fn new() -> Self {
         Replica {

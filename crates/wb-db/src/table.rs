@@ -1,17 +1,15 @@
 //! Typed tables with primary keys and secondary indexes.
 //!
 //! The web server stores user profiles, code submissions, attempts, and
-//! grades (§III-B, §IV). Records are any `serde` type; the table
+//! grades (§III-B, §IV). Records are any [`Encode`] type; the table
 //! assigns `u64` primary keys and maintains instructor-defined
 //! secondary indexes (e.g. submissions by `(user, lab)`), which is what
 //! the roster and history views query.
 
-use crate::codec::{decode, encode};
-use parking_lot::RwLock;
-use serde::de::DeserializeOwned;
-use serde::Serialize;
+use crate::codec::{decode, encode, Encode};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use wb_obs::sync::RwLock;
 
 /// Table errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,13 +62,13 @@ pub struct Table<T> {
     inner: RwLock<Inner<T>>,
 }
 
-impl<T: Serialize + DeserializeOwned> Default for Table<T> {
+impl<T: Encode> Default for Table<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Serialize + DeserializeOwned> Table<T> {
+impl<T: Encode> Table<T> {
     /// Create an empty table.
     pub fn new() -> Self {
         Table {
@@ -272,14 +270,14 @@ impl<T: Serialize + DeserializeOwned> Table<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::{Deserialize, Serialize};
 
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq)]
     struct Submission {
         user: String,
         lab: String,
         score: f32,
     }
+    crate::impl_encode!(struct Submission { user, lab, score });
 
     fn sub(user: &str, lab: &str, score: f32) -> Submission {
         Submission {
@@ -399,25 +397,19 @@ mod tests {
 
     #[test]
     fn concurrent_inserts_are_safe() {
-        let t = std::sync::Arc::new(Table::new());
+        let t = Table::new();
         t.create_index("by_user", |s: &Submission| s.user.clone());
-        crossbeam_scope(&t);
+        std::thread::scope(|s| {
+            for w in 0..8 {
+                let t = &t;
+                s.spawn(move || {
+                    for i in 0..50 {
+                        t.insert(&sub(&format!("u{w}"), &format!("l{i}"), 0.0))
+                            .unwrap();
+                    }
+                });
+            }
+        });
         assert_eq!(t.len(), 8 * 50);
-    }
-
-    fn crossbeam_scope(t: &std::sync::Arc<Table<Submission>>) {
-        let mut handles = Vec::new();
-        for w in 0..8 {
-            let t = std::sync::Arc::clone(t);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..50 {
-                    t.insert(&sub(&format!("u{w}"), &format!("l{i}"), 0.0))
-                        .unwrap();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
     }
 }

@@ -6,17 +6,28 @@
 //! (length-prefixed entries with a sequence number and checksum), so
 //! recovery and truncation-corruption behaviour are testable.
 
-use crate::codec::{decode, encode, CodecError};
-use serde::de::DeserializeOwned;
-use serde::{Deserialize, Serialize};
+use crate::codec::{decode, CodecError, Decoder, Encode};
 
 /// One framed WAL entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WalRecord<T> {
     /// Monotonic sequence number.
     pub seq: u64,
     /// The logged operation.
     pub op: T,
+}
+
+impl<T: Encode> Encode for WalRecord<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.seq.encode(out);
+        self.op.encode(out);
+    }
+    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        Ok(WalRecord {
+            seq: u64::decode(input)?,
+            op: T::decode(input)?,
+        })
+    }
 }
 
 /// An append-only log of encoded operations.
@@ -36,31 +47,23 @@ impl Wal {
     }
 
     /// Append an operation; returns its sequence number.
-    pub fn append<T: Serialize>(&mut self, op: &T) -> Result<u64, CodecError> {
+    pub fn append<T: Encode>(&mut self, op: &T) -> Result<u64, CodecError> {
         let seq = self.next_seq;
-        let rec = WalRecord { seq, op };
-        // Serialize with a tiny borrowed wrapper to avoid cloning op.
-        #[derive(Serialize)]
-        struct Borrowed<'a, T> {
-            seq: u64,
-            op: &'a T,
-        }
-        let bytes = encode(&Borrowed { seq, op: rec.op })?;
-        let framed = frame(&bytes);
-        self.frames.push(framed);
+        // A `WalRecord`'s bytes, written without cloning `op` into one.
+        let mut bytes = Vec::new();
+        seq.encode(&mut bytes);
+        op.encode(&mut bytes);
+        self.frames.push(frame(&bytes));
         self.next_seq += 1;
         Ok(seq)
     }
 
     /// Replay every entry at or after `from_seq`.
-    pub fn replay<T: DeserializeOwned>(
-        &self,
-        from_seq: u64,
-    ) -> Result<Vec<WalRecord<T>>, CodecError> {
+    pub fn replay<T: Encode>(&self, from_seq: u64) -> Result<Vec<WalRecord<T>>, CodecError> {
         let mut out = Vec::new();
         for f in &self.frames {
             let bytes = unframe(f)?;
-            let rec: WalRecord<T> = decode(&bytes)?;
+            let rec: WalRecord<T> = decode(bytes)?;
             if rec.seq >= from_seq {
                 out.push(rec);
             }
@@ -80,11 +83,11 @@ impl Wal {
 
     /// Compact: drop entries before `through_seq` (they are captured by
     /// a snapshot taken by the caller).
-    pub fn compact<T: DeserializeOwned>(&mut self, through_seq: u64) -> Result<(), CodecError> {
+    pub fn compact<T: Encode>(&mut self, through_seq: u64) -> Result<(), CodecError> {
         let mut kept = Vec::new();
         for f in &self.frames {
             let bytes = unframe(f)?;
-            let rec: WalRecord<T> = decode(&bytes)?;
+            let rec: WalRecord<T> = decode(bytes)?;
             if rec.seq >= through_seq {
                 kept.push(f.clone());
             }
@@ -111,29 +114,25 @@ impl Wal {
 
     /// Recover from raw bytes, stopping cleanly at the first corrupt or
     /// truncated frame (standard WAL recovery semantics).
-    pub fn recover<T: DeserializeOwned>(bytes: &[u8]) -> (Wal, Vec<WalRecord<T>>) {
+    pub fn recover<T: Encode>(bytes: &[u8]) -> (Wal, Vec<WalRecord<T>>) {
         let mut frames = Vec::new();
         let mut records = Vec::new();
-        let mut at = 0usize;
+        let mut rest = bytes;
         let mut next_seq = 0u64;
-        while at + 12 <= bytes.len() {
-            let len = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8")) as usize;
-            if at + 12 + len > bytes.len() {
-                break; // truncated tail
-            }
-            let frame_bytes = &bytes[at..at + 12 + len];
-            match unframe(frame_bytes) {
-                Ok(payload) => match decode::<WalRecord<T>>(&payload) {
-                    Ok(rec) => {
-                        next_seq = rec.seq + 1;
-                        records.push(rec);
-                        frames.push(frame_bytes.to_vec());
-                        at += 12 + len;
-                    }
-                    Err(_) => break,
-                },
-                Err(_) => break, // checksum mismatch
-            }
+        // Ends at a truncated tail, a checksum mismatch, or a payload
+        // that does not decode (a sequence number with no successor
+        // included).
+        while let Some(frame_bytes) = next_frame(rest) {
+            let Ok(rec) = unframe(frame_bytes).and_then(decode::<WalRecord<T>>) else {
+                break;
+            };
+            let Some(after) = rec.seq.checked_add(1) else {
+                break;
+            };
+            next_seq = after;
+            records.push(rec);
+            frames.push(frame_bytes.to_vec());
+            rest = &rest[frame_bytes.len()..];
         }
         (
             Wal {
@@ -146,29 +145,38 @@ impl Wal {
     }
 }
 
+/// Bytes ahead of a frame's payload: `len: u64 | crc: u32`.
+const FRAME_HEADER: usize = 12;
+
 /// Frame: `len: u64 | crc: u32 | payload`.
 fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 12);
+    let mut out = Vec::with_capacity(payload.len() + FRAME_HEADER);
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&checksum(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
 
-fn unframe(frame: &[u8]) -> Result<Vec<u8>, CodecError> {
-    if frame.len() < 12 {
-        return Err(CodecError("frame too short".into()));
-    }
-    let len = u64::from_le_bytes(frame[..8].try_into().expect("8")) as usize;
-    let crc = u32::from_le_bytes(frame[8..12].try_into().expect("4"));
-    if frame.len() != 12 + len {
+/// The frame at the front of `bytes`, when its header is whole and the
+/// payload length it declares fits in what follows. The length is
+/// outside input: nothing is added to it or sliced by it unchecked.
+fn next_frame(bytes: &[u8]) -> Option<&[u8]> {
+    let len = u64::from_le_bytes(bytes.get(..8)?.try_into().expect("8 bytes"));
+    let end = usize::try_from(len).ok()?.checked_add(FRAME_HEADER)?;
+    bytes.get(..end)
+}
+
+/// The payload of exactly one frame, checksum verified.
+fn unframe(frame: &[u8]) -> Result<&[u8], CodecError> {
+    if next_frame(frame).map(<[u8]>::len) != Some(frame.len()) {
         return Err(CodecError("frame length mismatch".into()));
     }
-    let payload = &frame[12..];
+    let crc = u32::from_le_bytes(frame[8..FRAME_HEADER].try_into().expect("4 bytes"));
+    let payload = &frame[FRAME_HEADER..];
     if checksum(payload) != crc {
         return Err(CodecError("frame checksum mismatch".into()));
     }
-    Ok(payload.to_vec())
+    Ok(payload)
 }
 
 /// FNV-1a, plenty for corruption detection in the simulation.
@@ -185,10 +193,33 @@ fn checksum(data: &[u8]) -> u32 {
 mod tests {
     use super::*;
 
-    #[derive(Debug, Clone, PartialEq, Serialize, serde::Deserialize)]
+    #[derive(Debug, Clone, PartialEq)]
     enum Op {
         Put(u64, String),
         Delete(u64),
+    }
+
+    impl Encode for Op {
+        fn encode(&self, out: &mut Vec<u8>) {
+            match self {
+                Op::Put(id, v) => {
+                    0u32.encode(out);
+                    id.encode(out);
+                    v.encode(out);
+                }
+                Op::Delete(id) => {
+                    1u32.encode(out);
+                    id.encode(out);
+                }
+            }
+        }
+        fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
+            match input.variant()? {
+                0 => Ok(Op::Put(u64::decode(input)?, String::decode(input)?)),
+                1 => Ok(Op::Delete(u64::decode(input)?)),
+                other => Err(CodecError(format!("invalid Op variant {other}"))),
+            }
+        }
     }
 
     #[test]
@@ -268,6 +299,36 @@ mod tests {
         let (wal, recs) = Wal::recover::<Op>(&[]);
         assert!(recs.is_empty());
         assert!(wal.is_empty());
+        assert_eq!(wal.next_seq(), 0);
+    }
+
+    #[test]
+    fn recovery_stops_at_a_hostile_frame_header() {
+        let mut wal = Wal::new();
+        wal.append(&Op::Put(1, "x".into())).unwrap();
+        let second = wal.raw_bytes().len();
+        wal.append(&Op::Put(2, "y".into())).unwrap();
+        wal.append(&Op::Delete(1)).unwrap();
+        for hostile in [u64::MAX, 1 << 40, u64::MAX - 11] {
+            let mut bytes = wal.raw_bytes();
+            bytes[second..second + 8].copy_from_slice(&hostile.to_le_bytes());
+            let (recovered, recs) = Wal::recover::<Op>(&bytes);
+            assert_eq!(recs.len(), 1, "the frame ahead of the bad header survives");
+            assert_eq!(recs[0].op, Op::Put(1, "x".into()));
+            assert_eq!(recovered.next_seq(), 1);
+        }
+    }
+
+    #[test]
+    fn recovery_rejects_a_sequence_number_with_no_successor() {
+        let mut payload = Vec::new();
+        WalRecord {
+            seq: u64::MAX,
+            op: Op::Delete(1),
+        }
+        .encode(&mut payload);
+        let (wal, recs) = Wal::recover::<Op>(&frame(&payload));
+        assert!(recs.is_empty());
         assert_eq!(wal.next_seq(), 0);
     }
 }

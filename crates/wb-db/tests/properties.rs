@@ -2,11 +2,10 @@
 //! recovery under arbitrary truncation.
 
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
-use wb_db::{decode, encode, Table, Wal};
+use wb_db::{decode, encode, CodecError, Decoder, Encode, Table, Wal};
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, proptest_derive::Arbitrary)]
+#[derive(Debug, Clone, PartialEq, proptest_derive::Arbitrary)]
 struct Rec {
     id: u64,
     name: String,
@@ -16,11 +15,42 @@ struct Rec {
     kind: Kind,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, proptest_derive::Arbitrary)]
+#[derive(Debug, Clone, PartialEq, proptest_derive::Arbitrary)]
 enum Kind {
     Student,
     Instructor { courses: Vec<String> },
     Bot(u8, bool),
+}
+
+wb_db::impl_encode!(struct Rec { id, name, score, tags, parent, kind });
+
+/// Hand-written: the one place a `u32` variant tag is followed by a
+/// payload (the product's own enums are fieldless).
+impl Encode for Kind {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Kind::Student => 0u32.encode(out),
+            Kind::Instructor { courses } => {
+                1u32.encode(out);
+                courses.encode(out);
+            }
+            Kind::Bot(id, on) => {
+                2u32.encode(out);
+                id.encode(out);
+                on.encode(out);
+            }
+        }
+    }
+    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        match input.variant()? {
+            0 => Ok(Kind::Student),
+            1 => Ok(Kind::Instructor {
+                courses: Vec::decode(input)?,
+            }),
+            2 => Ok(Kind::Bot(u8::decode(input)?, bool::decode(input)?)),
+            other => Err(CodecError(format!("invalid Kind variant {other}"))),
+        }
+    }
 }
 
 proptest! {

@@ -4,10 +4,8 @@
 //! Heterogeneous Parallel Programming (Coursera MOOC), ECE 408 and
 //! ECE 598HK at UIUC, and the PUMPS summer school at UPC Barcelona.
 
-use serde::{Deserialize, Serialize};
-
 /// A row of Table II.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LabEntry {
     /// Catalog id.
     pub id: &'static str,
@@ -20,7 +18,7 @@ pub struct LabEntry {
 }
 
 /// One course offering.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Course {
     /// Short id (`hpp`, `ece408`, `ece598`, `pumps`).
     pub id: &'static str,

@@ -8,9 +8,8 @@
 //! levels.
 
 use crate::common::{case, make_lab, skeleton_banner, LabScale};
+use libwb::rng::SplitMix64;
 use libwb::{CheckPolicy, Dataset, Image};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use wb_server::{LabDefinition, Rubric};
 use wb_worker::{DatasetCase, LabSpec};
 
@@ -110,11 +109,11 @@ pub fn golden(img: &Image) -> Image {
 /// Quantized random image with a biased level distribution (so
 /// equalization actually changes it).
 pub fn quantized_image(w: usize, h: usize, seed: u64) -> Image {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let data = (0..w * h)
         .map(|_| {
             // Squash toward dark levels.
-            let x: f64 = rng.gen_range(0.0..1.0);
+            let x: f64 = rng.range(0.0..1.0);
             ((x * x * 255.0).floor() as f32).min(255.0)
         })
         .collect();

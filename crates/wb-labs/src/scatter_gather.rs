@@ -7,10 +7,8 @@
 //! conflict-free writes.
 
 use crate::common::{case, float_check, make_lab, skeleton_banner, LabScale};
+use libwb::rng::SplitMix64;
 use libwb::{gen, Dataset};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use wb_server::{LabDefinition, Rubric};
 use wb_worker::{DatasetCase, LabSpec};
 
@@ -52,7 +50,7 @@ pub fn golden(input: &[f32], map: &[i32]) -> Vec<f32> {
 /// A random permutation map.
 pub fn permutation(n: usize, seed: u64) -> Vec<i32> {
     let mut map: Vec<i32> = (0..n as i32).collect();
-    map.shuffle(&mut StdRng::seed_from_u64(seed));
+    SplitMix64::new(seed).shuffle(&mut map);
     map
 }
 

@@ -1,14 +1,12 @@
 //! Span phases, annotations, and the sequence-numbered event record.
 
-use serde::{Deserialize, Serialize};
-
 /// A job-lifecycle phase boundary.
 ///
 /// The canonical chain is `Queued → Dispatched → Compiled → Graded`
 /// (or `Failed` as the terminal when the compile or the dispatch gives
 /// up). `Dispatched` may repeat when a delivery times out and the
 /// broker redelivers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobPhase {
     /// Accepted into the queue / assigned to a worker pool.
     Queued,
@@ -43,7 +41,7 @@ impl JobPhase {
 }
 
 /// A non-phase fact attached to a span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Annotation {
     /// A cache tier served the result without executing.
     CacheHit,
@@ -64,7 +62,7 @@ pub enum Annotation {
 }
 
 /// What an [`Event`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// A span phase boundary.
     Phase(JobPhase),
@@ -84,7 +82,7 @@ pub enum EventKind {
 }
 
 /// One entry in the bounded event log.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
     /// Global, strictly increasing sequence number.
     pub seq: u64,

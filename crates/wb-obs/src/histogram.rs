@@ -7,7 +7,6 @@
 //! `fetch_max` — no locks, no allocation, safe to hit from every pump
 //! thread at once.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bits of linear subdivision per octave (4 sub-buckets).
@@ -118,7 +117,7 @@ impl Histogram {
 }
 
 /// Point-in-time percentile summary of a [`Histogram`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HistogramSnapshot {
     /// Observations recorded.
     pub count: u64,

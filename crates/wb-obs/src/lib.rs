@@ -30,6 +30,7 @@ pub mod histogram;
 pub mod recorder;
 pub mod snapshot;
 pub mod span;
+pub mod sync;
 
 pub use event::{Annotation, Event, EventKind, JobPhase};
 pub use histogram::{Histogram, HistogramSnapshot};

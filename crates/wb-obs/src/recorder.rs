@@ -4,7 +4,7 @@ use crate::event::{Annotation, Event, EventKind, JobPhase};
 use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::snapshot::{MetricsSnapshot, NamedCount};
 use crate::span::SpanView;
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -2,10 +2,9 @@
 
 use crate::event::Event;
 use crate::histogram::HistogramSnapshot;
-use serde::{Deserialize, Serialize};
 
 /// A named counter value (flat shape keeps the wire format simple).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NamedCount {
     /// Counter name (`jobs_queued`, `attempts/vecadd`, …).
     pub name: String,
@@ -13,9 +12,9 @@ pub struct NamedCount {
     pub value: u64,
 }
 
-/// Point-in-time aggregate view of a [`crate::Recorder`], serializable
-/// for the dashboard and external clients.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Point-in-time aggregate view of a [`crate::Recorder`] for the
+/// dashboard and external clients.
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     /// False when taken from a no-op recorder.
     pub enabled: bool,

@@ -1,14 +1,13 @@
 //! The core broker: tagged jobs, visibility timeouts, retries.
 
 use crate::capability::CapabilitySet;
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use wb_obs::sync::Mutex;
 use wb_obs::{Counter, Recorder};
 
 /// Metadata carried by every job.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobMeta {
     /// Broker-assigned id.
     pub id: u64,
@@ -30,7 +29,7 @@ pub struct Delivery<T> {
 }
 
 /// Counters for the operations dashboard.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BrokerMetrics {
     /// Jobs enqueued.
     pub enqueued: u64,

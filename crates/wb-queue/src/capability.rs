@@ -8,27 +8,22 @@
 //! `Copy`-able id; [`CapabilitySet`] is the typed replacement for the
 //! capability side of the poll seam.
 //!
-//! Wire behavior is unchanged: job tags inside [`crate::JobMeta`]
-//! stay plain strings, a `CapabilitySet` serializes as the same
-//! sorted string array a `BTreeSet<String>` did, and matching still
-//! compares tag names. Only the in-process representation is typed.
+//! Job tags inside [`crate::JobMeta`] stay plain strings and matching
+//! still compares tag names. Only the in-process representation is
+//! typed.
 
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::convert::Infallible;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::{Mutex, OnceLock};
+use wb_obs::sync::Mutex;
 
 /// Process-global intern table. Capability vocabularies are tiny (a
 /// handful of tags per deployment), so a linear probe under a mutex
 /// beats carrying a hash map's footprint for the lifetime of the
 /// process.
-fn table() -> &'static Mutex<Vec<&'static str>> {
-    static TABLE: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(Vec::new()))
-}
+static TABLE: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
 
 /// An interned capability tag such as `cuda`, `mpi`, or `multi-gpu`.
 ///
@@ -42,7 +37,7 @@ pub struct Capability(u32);
 impl Capability {
     /// Intern `name`, returning its id (stable for the process).
     pub fn new(name: &str) -> Capability {
-        let mut t = table().lock().expect("capability table");
+        let mut t = TABLE.lock();
         if let Some(i) = t.iter().position(|&n| n == name) {
             return Capability(i as u32);
         }
@@ -54,7 +49,7 @@ impl Capability {
     /// nobody ever interned cannot be in any `CapabilitySet`, which
     /// lets [`CapabilitySet::contains`] answer without allocating.
     pub fn lookup(name: &str) -> Option<Capability> {
-        let t = table().lock().expect("capability table");
+        let t = TABLE.lock();
         t.iter()
             .position(|&n| n == name)
             .map(|i| Capability(i as u32))
@@ -62,7 +57,7 @@ impl Capability {
 
     /// The interned tag name.
     pub fn name(&self) -> &'static str {
-        table().lock().expect("capability table")[self.0 as usize]
+        TABLE.lock()[self.0 as usize]
     }
 }
 
@@ -114,24 +109,9 @@ impl From<String> for Capability {
     }
 }
 
-impl Serialize for Capability {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_str(self.name())
-    }
-}
-
-impl<'de> Deserialize<'de> for Capability {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Capability, D::Error> {
-        let name = String::deserialize(d)?;
-        Ok(Capability::new(&name))
-    }
-}
-
 /// A sorted set of [`Capability`] tags — the typed side of the poll
-/// seam. Serializes transparently as a sorted string array, so
-/// configs written against `BTreeSet<String>` parse unchanged.
-#[derive(Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(transparent)]
+/// seam.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct CapabilitySet(BTreeSet<Capability>);
 
 impl CapabilitySet {

@@ -8,9 +8,9 @@
 
 use crate::broker::{Broker, BrokerMetrics, Delivery};
 use crate::capability::CapabilitySet;
-use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use wb_obs::sync::Mutex;
 use wb_obs::Recorder;
 
 /// Which zone is currently serving traffic.

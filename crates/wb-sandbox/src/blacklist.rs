@@ -13,10 +13,8 @@
 //! production behaviour (comments included), [`ScanMode::Preprocessed`]
 //! strips comments first.
 
-use serde::{Deserialize, Serialize};
-
 /// How the scanner treats the source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanMode {
     /// Scan the raw, unparsed text — the paper's production mode.
     /// Matches inside comments cause (documented) false positives.
@@ -27,7 +25,7 @@ pub enum ScanMode {
 }
 
 /// One blacklist hit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// The blacklisted pattern that matched.
     pub pattern: String,
@@ -38,7 +36,7 @@ pub struct Violation {
 }
 
 /// A set of forbidden substrings, matched on identifier boundaries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Blacklist {
     patterns: Vec<String>,
     mode: ScanMode,

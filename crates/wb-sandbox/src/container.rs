@@ -13,13 +13,12 @@
 //! pool-vs-cold-start ablation (`container_overhead` in wb-bench) has a
 //! measurable axis.
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
+use wb_obs::sync::Mutex;
 
 /// A container image: a named set of installed toolchains.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Image {
     /// Image name, e.g. `webgpu/cuda:8.0`.
     pub name: String,
@@ -67,7 +66,7 @@ pub struct Container {
 }
 
 /// Pool statistics for the dashboard / benches.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Containers handed out.
     pub checkouts: u64,

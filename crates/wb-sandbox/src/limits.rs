@@ -7,10 +7,9 @@
 //! rate limit lives in the web server (`wb-server::ratelimit`).
 
 use minicuda::{DeviceConfig, RunOptions};
-use serde::{Deserialize, Serialize};
 
 /// Adjustable per-lab budgets.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResourceLimits {
     /// Maximum source size accepted by the compiler, bytes.
     pub max_source_bytes: usize,

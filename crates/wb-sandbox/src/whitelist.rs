@@ -7,11 +7,10 @@
 //! `SECCOMP_RET_KILL`.
 
 use minicuda::HostcallPolicy;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// An instructor-provided whitelist of allowed hostcalls.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyscallWhitelist {
     name: String,
     allowed: BTreeSet<String>,

@@ -29,10 +29,9 @@
 //! per-course dequeue tally as scoped counters, and brown-outs/sheds
 //! as span annotations on the affected job.
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
+use wb_obs::sync::Mutex;
 use wb_obs::{Annotation, Counter, Recorder};
 
 /// Per-course scheduling parameters.
@@ -161,7 +160,7 @@ impl Admission {
 }
 
 /// One course's backlog row in a [`SchedSnapshot`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CourseBacklog {
     /// Course id.
     pub course: String,
@@ -171,8 +170,8 @@ pub struct CourseBacklog {
     pub deficit: u64,
 }
 
-/// Serializable view of the scheduler's queues, for dashboards.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+/// Plain-data view of the scheduler's queues, for dashboards.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SchedSnapshot {
     /// Total jobs held across all courses.
     pub total_backlog: usize,
@@ -441,7 +440,7 @@ impl<T> FairScheduler<T> {
             .unwrap_or(0)
     }
 
-    /// Serializable per-course view for dashboards.
+    /// Plain-data per-course view for dashboards.
     pub fn snapshot(&self) -> SchedSnapshot {
         let st = self.state.lock();
         SchedSnapshot {

@@ -10,10 +10,10 @@
 
 use crate::api::WbError;
 use crate::server::JobDispatcher;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use wb_db::BlobStore;
+use wb_obs::sync::Mutex;
 use wb_queue::Broker;
 use wb_worker::{JobOutcome, JobRequest};
 

@@ -8,12 +8,11 @@
 //! the MOOC's policy.
 
 use crate::state::ServerState;
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use wb_obs::sync::Mutex;
 
 /// One posted grade.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GradePost {
     /// Student login.
     pub user: String,

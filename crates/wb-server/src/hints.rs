@@ -8,11 +8,10 @@
 //! §II-A carried one step further.
 
 use minicuda::{CostSummary, Diag, Phase};
-use serde::{Deserialize, Serialize};
 use wb_worker::JobOutcome;
 
 /// A piece of automated feedback.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hint {
     /// Stable identifier (used to avoid repeating hints to a student).
     pub code: &'static str,

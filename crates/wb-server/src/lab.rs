@@ -6,11 +6,10 @@
 //! among datasets, short-answer questions, presence of keywords, and
 //! successful compilation."*
 
-use serde::{Deserialize, Serialize};
 use wb_worker::{DatasetCase, JobOutcome, LabSpec};
 
 /// How points are awarded (§IV-E item 5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rubric {
     /// Points for a successful compilation.
     pub compile_points: f64,
@@ -67,7 +66,7 @@ impl Rubric {
 }
 
 /// A deployed lab (§IV-E).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LabDefinition {
     /// Catalog id (`vecadd`, `tiled-matmul`, …).
     pub id: String,

@@ -10,9 +10,7 @@
 //! `peer_review` experiment sweeps over dropout rates.
 
 use crate::state::{PeerReviewRec, ServerState};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use libwb::rng::SplitMix64;
 
 /// Assign each student `k` random peers to review (never themselves,
 /// never the same peer twice). Deterministic given the seed.
@@ -33,9 +31,9 @@ pub fn assign_reviews(
         "cannot assign {k} reviews among {} students",
         students.len()
     );
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut order: Vec<&String> = students.iter().collect();
-    order.shuffle(&mut rng);
+    rng.shuffle(&mut order);
     let n = order.len();
     let mut ids = Vec::new();
     for offset in 1..=k {

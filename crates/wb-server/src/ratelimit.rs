@@ -5,8 +5,8 @@
 //! configured per lab.
 
 use crate::api::WbError;
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use wb_obs::sync::Mutex;
 
 /// Token-bucket configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]

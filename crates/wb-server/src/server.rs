@@ -16,10 +16,10 @@ use crate::session::Sessions;
 use crate::state::{
     AnswerRec, AttemptRec, DeviceKind, RevisionRec, Role, ServerState, SubmissionRec,
 };
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use wb_obs::sync::{Mutex, RwLock};
 use wb_obs::{Counter, MetricsSnapshot, Recorder};
 use wb_worker::{JobAction, JobOutcome, JobRequest};
 
@@ -93,7 +93,7 @@ pub struct LocalDispatcher {
     /// submit time, so "queued" work is already done and merely waits
     /// to be polled — which is exactly what server-level tests of the
     /// queued path need.
-    done: parking_lot::Mutex<HashMap<u64, JobOutcome>>,
+    done: Mutex<HashMap<u64, JobOutcome>>,
 }
 
 impl Default for LocalDispatcher {
@@ -111,7 +111,7 @@ impl LocalDispatcher {
                 minicuda::DeviceConfig::test_small(),
                 &wb_worker::WorkerConfig::default(),
             ),
-            done: parking_lot::Mutex::new(HashMap::new()),
+            done: Mutex::new(HashMap::new()),
         }
     }
 
@@ -125,7 +125,7 @@ impl LocalDispatcher {
                     ..wb_worker::NodeConfig::new(minicuda::DeviceConfig::test_small())
                 },
             ),
-            done: parking_lot::Mutex::new(HashMap::new()),
+            done: Mutex::new(HashMap::new()),
         }
     }
 }
@@ -182,7 +182,7 @@ pub struct WebGpuServer {
     next_share: AtomicU64,
     /// Submissions queued on the dispatcher whose outcomes have not
     /// been reaped yet, keyed by job id.
-    pending: parking_lot::Mutex<HashMap<u64, PendingSubmission>>,
+    pending: Mutex<HashMap<u64, PendingSubmission>>,
 }
 
 /// Everything [`WebGpuServer::reap_queued`] needs to finish a
@@ -218,7 +218,7 @@ impl WebGpuServer {
             obs,
             next_job: AtomicU64::new(1),
             next_share: AtomicU64::new(1),
-            pending: parking_lot::Mutex::new(HashMap::new()),
+            pending: Mutex::new(HashMap::new()),
         }
     }
 

@@ -6,8 +6,8 @@
 //! swapping it would be a one-line change.
 
 use crate::state::{DeviceKind, LoginRec, Role, ServerState, UserRec};
-use parking_lot::RwLock;
 use std::collections::HashMap;
+use wb_obs::sync::RwLock;
 
 /// An authenticated session.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -4,12 +4,11 @@
 //! their compilation and execution status, and previous attempts so
 //! that a user can backtrack to earlier versions of their code."*
 
-use serde::{Deserialize, Serialize};
-use wb_db::Table;
+use wb_db::{impl_encode, Table};
 
 /// How a login reached the site (the paper reports ~2% of logins come
 /// from tablets and smartphones, §II-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceKind {
     /// Desktop/laptop browser.
     Desktop,
@@ -20,7 +19,7 @@ pub enum DeviceKind {
 }
 
 /// User roles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// Enrolled student.
     Student,
@@ -29,7 +28,7 @@ pub enum Role {
 }
 
 /// A registered user.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserRec {
     /// Unique login name.
     pub name: String,
@@ -42,7 +41,7 @@ pub struct UserRec {
 }
 
 /// One saved code revision (§IV-A action 1: the editor autosaves).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RevisionRec {
     /// Owner.
     pub user: String,
@@ -56,7 +55,7 @@ pub struct RevisionRec {
 
 /// One run against a test dataset (§IV-B: "each attempt is stored under
 /// the Attempts view").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttemptRec {
     /// Owner.
     pub user: String,
@@ -79,7 +78,7 @@ pub struct AttemptRec {
 }
 
 /// A graded submission (§IV-A action 5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubmissionRec {
     /// Owner.
     pub user: String,
@@ -109,7 +108,7 @@ impl SubmissionRec {
 }
 
 /// Short-answer responses (§IV-B component 3). Not auto-graded.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnswerRec {
     /// Owner.
     pub user: String,
@@ -124,7 +123,7 @@ pub struct AnswerRec {
 }
 
 /// A peer-review assignment (§IV-D).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PeerReviewRec {
     /// Lab id.
     pub lab: String,
@@ -137,7 +136,7 @@ pub struct PeerReviewRec {
 }
 
 /// A login event (feeds the device-mix statistic).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoginRec {
     /// User.
     pub user: String,
@@ -146,6 +145,33 @@ pub struct LoginRec {
     /// Virtual ms.
     pub at_ms: u64,
 }
+
+// Byte layout of the stored rows: fields in declaration order, enums by
+// variant index. Reordering either changes the bytes (`wb_db::codec`).
+impl_encode!(
+    enum DeviceKind {
+        Desktop,
+        Tablet,
+        Phone,
+    }
+);
+impl_encode!(
+    enum Role {
+        Student,
+        Instructor,
+    }
+);
+impl_encode!(struct UserRec { name, pass_hash, role, email });
+impl_encode!(struct RevisionRec { user, lab, at_ms, source });
+impl_encode!(struct AttemptRec {
+    user, lab, dataset, at_ms, compiled, passed, summary, source, share_token
+});
+impl_encode!(struct SubmissionRec {
+    user, lab, at_ms, passed, total, compiled, score, override_score, source
+});
+impl_encode!(struct AnswerRec { user, lab, answers, question_score, comment });
+impl_encode!(struct PeerReviewRec { lab, reviewer, reviewee, review });
+impl_encode!(struct LoginRec { user, device, at_ms });
 
 /// All server tables, with the indexes the views query.
 pub struct ServerState {

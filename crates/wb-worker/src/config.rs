@@ -5,12 +5,11 @@
 //! uniformly. A change in the remote configuration triggers the worker
 //! node to restart the main driver."*
 
-use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
+use wb_obs::sync::RwLock;
 use wb_queue::CapabilitySet;
 
 /// The configuration pushed to every worker.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerConfig {
     /// Monotonic version; bumped on every change.
     pub version: u64,

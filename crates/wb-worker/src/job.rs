@@ -3,13 +3,12 @@
 
 use libwb::{CheckPolicy, CheckReport, Dataset};
 use minicuda::{AnalysisPolicy, CostSummary, Diag, Dialect, Finding};
-use serde::{Deserialize, Serialize};
 use wb_queue::CapabilitySet;
 use wb_sandbox::{Blacklist, ResourceLimits, SyscallWhitelist};
 
 /// One test dataset: the inputs handed to the program and the expected
 /// output the worker evaluates against.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetCase {
     /// Human-visible name ("dataset 3").
     pub name: String,
@@ -21,7 +20,7 @@ pub struct DatasetCase {
 
 /// Everything the instructor configured that the worker needs: the
 /// "configurations specified by the lab" of §III-C.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LabSpec {
     /// Lab identifier (catalog key).
     pub lab_id: String,
@@ -44,13 +43,11 @@ pub struct LabSpec {
     pub toolchain: String,
     /// Middle-end level kernels compile at. Part of the compile cache
     /// key: a grade produced at one level is never served for another.
-    #[serde(default)]
     pub opt_level: minicuda::OptLevel,
     /// Static-verifier policy for this lab: `Off` skips the verifier,
     /// `Warn` (the default) attaches findings without touching the
     /// grade, `Deny` rejects flagged submissions before any dataset
     /// runs.
-    #[serde(default)]
     pub analysis: AnalysisPolicy,
 }
 
@@ -74,7 +71,7 @@ impl LabSpec {
 }
 
 /// What the student asked for (§IV-A actions 2, 3, and 5).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobAction {
     /// Action 2: compile only, report errors.
     CompileOnly,
@@ -85,7 +82,7 @@ pub enum JobAction {
 }
 
 /// A job as dispatched to a worker.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobRequest {
     /// Platform-wide job id.
     pub job_id: u64,
@@ -106,7 +103,7 @@ pub struct JobRequest {
 /// `PartialEq` is part of the cache's contract: the hit ≡ fresh
 /// property test asserts a cached outcome is indistinguishable from a
 /// recomputed one, field by field.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetOutcome {
     /// Dataset name.
     pub name: String,
@@ -133,7 +130,7 @@ impl DatasetOutcome {
 }
 
 /// The worker's reply for a whole job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobOutcome {
     /// Echoed job id.
     pub job_id: u64,
@@ -147,7 +144,6 @@ pub struct JobOutcome {
     /// Static-verifier findings. Under `Warn` they ride alongside an
     /// otherwise untouched grade; under `Deny` they explain the
     /// `compile_error`. Always empty when the lab's policy is `Off`.
-    #[serde(default)]
     pub analysis: Vec<Finding>,
     /// Virtual milliseconds spent waiting for a container.
     pub container_wait_ms: u64,

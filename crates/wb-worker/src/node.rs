@@ -6,8 +6,8 @@ use crate::config::{ConfigServer, WorkerConfig};
 use crate::job::{JobOutcome, JobRequest};
 use crate::pipeline::{execute_job_cached_traced, execute_job_traced};
 use minicuda::DeviceConfig;
-use parking_lot::Mutex;
 use std::sync::Arc;
+use wb_obs::sync::Mutex;
 use wb_obs::{Annotation, JobPhase, Recorder};
 use wb_queue::{BrokerHandle, CapabilitySet};
 use wb_sandbox::{ContainerPool, Image};

@@ -16,8 +16,6 @@
 //!   on-demand so a mass preemption can never take the fleet to zero,
 //!   and everything above it rides the spot market.
 
-use serde::{Deserialize, Serialize};
-
 /// Instantaneous fleet observations the policy decides from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetMetrics {
@@ -48,7 +46,7 @@ impl FleetMetrics {
 }
 
 /// A scaling policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AutoscalePolicy {
     /// Fixed fleet.
     Static(usize),
@@ -94,7 +92,7 @@ pub enum AutoscalePolicy {
 
 /// A fleet-size decision split by reliability class — what
 /// [`Autoscaler::desired_mix`] returns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetTarget {
     /// Full-price workers.
     pub on_demand: usize,

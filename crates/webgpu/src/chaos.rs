@@ -15,41 +15,18 @@
 //! ordered, and terminates in `Graded` with `Retry`/`Failover`
 //! annotations where the schedule implies them.
 //!
-//! Determinism: the kill schedule derives from a private SplitMix64
-//! stream seeded by [`ChaosConfig::seed`] — no external RNG crate —
+//! Determinism: the kill schedule derives from a
+//! [`libwb::rng::SplitMix64`] stream seeded by [`ChaosConfig::seed`],
 //! so a campaign replays byte-identically everywhere, and `forced_kills`
 //! pins the structurally-required events (e.g. "a Standby worker dies
 //! at round 5") independent of the probabilistic MTTF stream.
 
 use crate::fleet::{FleetControl, ReliabilityClass, Zone};
 use crate::platform::Platform;
+use libwb::rng::SplitMix64;
 use std::collections::{BTreeMap, BTreeSet};
 use wb_obs::{Annotation, JobPhase, Recorder};
 use wb_worker::JobRequest;
-
-/// SplitMix64: tiny, seedable, and identical on every platform. The
-/// campaign's only randomness source — deliberately *not* `rand`, so
-/// shadow builds, CI, and laptops replay the same schedule.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// One-in-`denom` chance; `denom == 0` means never.
-    fn one_in(&mut self, denom: u64) -> bool {
-        denom != 0 && self.next().is_multiple_of(denom)
-    }
-}
 
 /// A campaign schedule. Rounds are 0-based; event rounds compare
 /// against the loop counter before that round's pump.
@@ -209,7 +186,7 @@ where
 {
     let baseline_done = cluster.completed();
     let snap0 = obs.snapshot();
-    let mut rng = Rng::new(cfg.seed);
+    let mut rng = SplitMix64::new(cfg.seed);
 
     let mut admitted: Vec<u64> = Vec::new();
     let mut tagged_ids: BTreeSet<u64> = BTreeSet::new();
@@ -329,7 +306,8 @@ where
                 ReliabilityClass::OnDemand => cfg.mttf_rounds_on_demand,
                 ReliabilityClass::Spot => cfg.mttf_rounds_spot,
             };
-            if rng.one_in(mttf) && cluster.kill_worker(w.id) {
+            // One-in-`mttf` chance per round; 0 means never.
+            if mttf != 0 && rng.range(0..mttf) == 0 && cluster.kill_worker(w.id) {
                 killed_at.insert(w.id, round);
                 count_kill(&mut r, w.zone);
                 alive -= 1;

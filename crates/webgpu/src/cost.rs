@@ -5,16 +5,13 @@
 //! deliberately round numbers — only the *ratios* between policies
 //! matter for the provisioning experiment.
 
-use serde::{Deserialize, Serialize};
-
 /// Hourly prices (USD) per node class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// GPU worker node per hour (g2.2xlarge-era pricing).
     pub gpu_worker_hour: f64,
     /// Preemptible (spot) GPU worker node per hour — the historical
     /// ~70% discount off on-demand, bought with eviction risk.
-    #[serde(default = "default_spot_rate")]
     pub spot_worker_hour: f64,
     /// Web server node per hour.
     pub web_server_hour: f64,
@@ -22,15 +19,11 @@ pub struct CostModel {
     pub database_hour: f64,
 }
 
-fn default_spot_rate() -> f64 {
-    0.195
-}
-
 impl Default for CostModel {
     fn default() -> Self {
         CostModel {
             gpu_worker_hour: 0.65,
-            spot_worker_hour: default_spot_rate(),
+            spot_worker_hour: 0.195,
             web_server_hour: 0.10,
             database_hour: 0.20,
         }
@@ -38,13 +31,12 @@ impl Default for CostModel {
 }
 
 /// Accumulated cost over a simulated course.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CostReport {
     /// GPU-hours consumed.
     pub gpu_hours: f64,
     /// The subset of [`gpu_hours`](Self::gpu_hours) billed at the
     /// spot rate.
-    #[serde(default)]
     pub spot_gpu_hours: f64,
     /// GPU-hours during which the worker actually ran jobs.
     pub busy_gpu_hours: f64,

@@ -7,9 +7,7 @@
 //! run datasets, answer questions, and submit. The report aggregates
 //! what the instructor roster would show.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use libwb::rng::SplitMix64;
 use std::sync::Arc;
 use wb_labs::{catalog, LabScale};
 use wb_server::{DeviceKind, JobDispatcher, SubmitRequest, WbError, WebGpuServer};
@@ -17,7 +15,7 @@ use wb_server::{DeviceKind, JobDispatcher, SubmitRequest, WbError, WebGpuServer}
 use crate::sim::population::sample_device;
 
 /// Configuration for a simulated course offering.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CourseRun {
     /// Catalog course id (`hpp`, `ece408`, `ece598`, `pumps`).
     pub course_id: String,
@@ -45,7 +43,7 @@ impl CourseRun {
 }
 
 /// Per-lab aggregate of a course run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabReport {
     /// Lab id.
     pub lab_id: String,
@@ -58,7 +56,7 @@ pub struct LabReport {
 }
 
 /// The whole course's outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CourseReport {
     /// Course id.
     pub course_id: String,
@@ -76,7 +74,7 @@ pub struct CourseReport {
 
 /// Run a course against any dispatcher-backed cluster.
 pub fn run_course(cfg: &CourseRun, dispatcher: Box<dyn JobDispatcher>) -> CourseReport {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = SplitMix64::new(cfg.seed);
     let srv = WebGpuServer::new(dispatcher);
     srv.register_instructor("staff", "pw")
         .expect("fresh server");
@@ -122,7 +120,7 @@ pub fn run_course(cfg: &CourseRun, dispatcher: Box<dyn JobDispatcher>) -> Course
         // Dropout between weeks.
         if week > 0 {
             for a in active.iter_mut() {
-                if *a && !rng.gen_bool(cfg.weekly_continue) {
+                if *a && !rng.bool(cfg.weekly_continue) {
                     *a = false;
                 }
             }
@@ -137,7 +135,7 @@ pub fn run_course(cfg: &CourseRun, dispatcher: Box<dyn JobDispatcher>) -> Course
                 continue;
             }
             let now = week as u64 * week_ms + (i as u64 + 1) * 60_000;
-            let buggy = rng.gen_bool(cfg.buggy_fraction);
+            let buggy = rng.bool(cfg.buggy_fraction);
             let source = if buggy {
                 // A plausible bug: drop the final character block of
                 // the kernel's body guard by mangling a comparison.

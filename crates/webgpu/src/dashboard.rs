@@ -9,14 +9,13 @@
 //! would read.
 
 use crate::v2::ClusterV2;
-use serde::{Deserialize, Serialize};
 use wb_cache::CacheMetrics;
 use wb_obs::{EventKind, HistogramSnapshot, MetricsSnapshot};
 use wb_queue::BrokerMetrics;
 use wb_sched::SchedSnapshot;
 
 /// One worker's row on the dashboard.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerRow {
     /// Worker id.
     pub id: u64,
@@ -31,7 +30,7 @@ pub struct WorkerRow {
 }
 
 /// A full system snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Virtual time of the snapshot.
     pub at_ms: u64,

@@ -15,13 +15,12 @@
 //! jobs — it changes what the worker *costs* (see [`crate::cost`]) and
 //! how often chaos campaigns preempt it (spot instances die young).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use wb_queue::{ActiveZone, CapabilitySet};
 
 /// An availability zone a worker (and one side of the mirrored
 /// broker) lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Zone {
     /// The zone the broker starts out serving from.
     Primary,
@@ -79,7 +78,7 @@ impl fmt::Display for Zone {
 }
 
 /// How durable (and how priced) a worker's underlying instance is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReliabilityClass {
     /// Full-price capacity that stays up until the platform takes it
     /// down.
@@ -99,7 +98,7 @@ impl fmt::Display for ReliabilityClass {
 }
 
 /// Everything [`FleetControl::spawn_worker`] needs to place a worker.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkerDesc {
     /// Availability zone the worker lands in.
     pub zone: Zone,
@@ -144,7 +143,7 @@ impl WorkerDesc {
 }
 
 /// One worker's row in [`FleetView`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkerInfo {
     /// Platform-wide worker id.
     pub id: u64,
@@ -161,7 +160,7 @@ pub struct WorkerInfo {
 }
 
 /// A point-in-time description of the fleet.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetView {
     /// Every worker the platform knows about, dead or alive.
     pub workers: Vec<WorkerInfo>,

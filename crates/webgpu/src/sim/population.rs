@@ -13,16 +13,14 @@
 //!   a diurnal cycle, and Poisson noise. Regenerates Figure 1's shape:
 //!   peak ≈112 in week 2, troughs ≈8 late in the course.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use libwb::rng::SplitMix64;
 use wb_server::DeviceKind;
 
 /// Hours per week.
 pub const WEEK_HOURS: usize = 7 * 24;
 
 /// Parameters of one year's cohort.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CohortParams {
     /// Offering year (labeling only).
     pub year: u32,
@@ -86,7 +84,7 @@ impl CohortParams {
 }
 
 /// Outcome of simulating one cohort.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CohortSummary {
     /// Offering year.
     pub year: u32,
@@ -111,19 +109,19 @@ impl CohortSummary {
 
 /// Run the per-student survival simulation.
 pub fn simulate_cohort(params: &CohortParams, seed: u64) -> CohortSummary {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut weekly_active = vec![0u32; params.weeks as usize];
     let mut started = 0u32;
     let mut completions = 0u32;
     let mut certificates = 0u32;
     for _ in 0..params.registered {
-        if !rng.gen_bool(params.start_fraction) {
+        if !rng.bool(params.start_fraction) {
             continue;
         }
         started += 1;
         let mut alive = true;
         for (w, slot) in weekly_active.iter_mut().enumerate() {
-            if w > 0 && !rng.gen_bool(params.weekly_continue) {
+            if w > 0 && !rng.bool(params.weekly_continue) {
                 alive = false;
                 break;
             }
@@ -131,7 +129,7 @@ pub fn simulate_cohort(params: &CohortParams, seed: u64) -> CohortSummary {
         }
         if alive {
             completions += 1;
-            if params.certificate_fraction > 0.0 && rng.gen_bool(params.certificate_fraction) {
+            if params.certificate_fraction > 0.0 && rng.bool(params.certificate_fraction) {
                 certificates += 1;
             }
         }
@@ -147,7 +145,7 @@ pub fn simulate_cohort(params: &CohortParams, seed: u64) -> CohortSummary {
 }
 
 /// Hourly active-student load over a course (Figure 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadModel {
     /// Course length in days (Feb 8 – Apr 15 2015 is 67).
     pub days: usize,
@@ -212,7 +210,7 @@ impl LoadModel {
 
     /// The full hourly series with Poisson noise.
     pub fn hourly_series(&self, seed: u64) -> Vec<u32> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         (0..self.days * 24)
             .map(|h| poisson(&mut rng, self.expected_active(h)))
             .collect()
@@ -226,7 +224,7 @@ impl LoadModel {
 
 /// Summary statistics of an hourly series, matching the figure's
 /// annotations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadStats {
     /// Maximum hourly count and its hour offset.
     pub peak: (u32, usize),
@@ -281,8 +279,8 @@ pub fn load_stats(model: &LoadModel, series: &[u32]) -> LoadStats {
 
 /// Sample how a login reaches the site — §II-B: "around 2% of student
 /// logins to WebGPU are from tablets and smartphones".
-pub fn sample_device(rng: &mut StdRng) -> DeviceKind {
-    let x: f64 = rng.gen();
+pub fn sample_device(rng: &mut SplitMix64) -> DeviceKind {
+    let x = rng.f64();
     if x < 0.013 {
         DeviceKind::Tablet
     } else if x < 0.02 {
@@ -293,7 +291,7 @@ pub fn sample_device(rng: &mut StdRng) -> DeviceKind {
 }
 
 /// Poisson sampler (Knuth for small λ, normal approximation above).
-fn poisson(rng: &mut StdRng, lambda: f64) -> u32 {
+fn poisson(rng: &mut SplitMix64, lambda: f64) -> u32 {
     if lambda <= 0.0 {
         return 0;
     }
@@ -305,7 +303,7 @@ fn poisson(rng: &mut StdRng, lambda: f64) -> u32 {
     let mut k = 0u32;
     let mut p = 1.0;
     loop {
-        p *= rng.gen::<f64>();
+        p *= rng.f64();
         if p <= l {
             return k;
         }
@@ -314,9 +312,9 @@ fn poisson(rng: &mut StdRng, lambda: f64) -> u32 {
 }
 
 /// Standard normal via Box–Muller.
-fn normal(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen();
+fn normal(rng: &mut SplitMix64) -> f64 {
+    let u1: f64 = rng.range(f64::MIN_POSITIVE..1.0);
+    let u2 = rng.f64();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
@@ -433,7 +431,7 @@ mod tests {
 
     #[test]
     fn device_mix_is_about_two_percent_mobile() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = SplitMix64::new(5);
         let n = 100_000;
         let mobile = (0..n)
             .filter(|_| !matches!(sample_device(&mut rng), DeviceKind::Desktop))
@@ -444,7 +442,7 @@ mod tests {
 
     #[test]
     fn poisson_mean_is_lambda() {
-        let mut rng = StdRng::seed_from_u64(6);
+        let mut rng = SplitMix64::new(6);
         for lambda in [0.5, 4.0, 80.0] {
             let n = 20_000;
             let sum: u64 = (0..n).map(|_| poisson(&mut rng, lambda) as u64).sum();

@@ -4,10 +4,10 @@
 
 use crate::fleet::{FleetControl, FleetView, ReliabilityClass, WorkerDesc, WorkerInfo, Zone};
 use minicuda::DeviceConfig;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use wb_cache::{CacheConfig, CacheMetrics};
+use wb_obs::sync::Mutex;
 use wb_obs::{Annotation, Counter, JobPhase, Recorder};
 use wb_sched::{Admission, GradeClass, SchedConfig, SchedSnapshot, ShardedScheduler};
 use wb_server::{JobDispatcher, WbError};
@@ -387,14 +387,13 @@ impl ClusterV1 {
         }
         let mut cells: Vec<Option<Result<JobOutcome, WbError>>> = Vec::new();
         cells.resize_with(wave.len(), || None);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for ((_, req), cell) in wave.iter().zip(cells.iter_mut()) {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     *cell = Some(self.execute(req, now_ms));
                 });
             }
-        })
-        .expect("submission lane panicked");
+        });
         let executed = cells.len();
         for out in cells
             .into_iter()

@@ -7,12 +7,12 @@ use crate::autoscaler::{AutoscalePolicy, Autoscaler, FleetMetrics, FleetTarget};
 use crate::builder::BrokerTuning;
 use crate::fleet::{FleetControl, FleetView, ReliabilityClass, WorkerDesc, WorkerInfo, Zone};
 use minicuda::DeviceConfig;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wb_cache::{CacheConfig, CacheMetrics};
 use wb_db::BlobStore;
+use wb_obs::sync::Mutex;
 use wb_obs::{Annotation, Counter, JobPhase, Recorder, Timer};
 use wb_queue::ShardedBroker;
 use wb_sched::{Admission, GradeClass, SchedConfig, SchedSnapshot, ShardedScheduler};
@@ -26,7 +26,7 @@ use wb_worker::{
 /// *"Each worker node constantly monitors the system, performing
 /// necessary health checks … This information is stored in a
 /// replicated database."*).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HealthRecord {
     /// Reporting worker.
     pub worker_id: u64,
@@ -37,6 +37,7 @@ pub struct HealthRecord {
     /// Driver restarts at that time.
     pub restarts: u64,
 }
+wb_db::impl_encode!(struct HealthRecord { worker_id, at_ms, jobs_done, restarts });
 
 /// The v2 pull cluster.
 pub struct ClusterV2 {
@@ -387,20 +388,20 @@ impl ClusterV2 {
                 .filter_map(|(i, w)| self.pump_worker(*i, w, now_ms))
                 .collect()
         } else {
-            // One scoped thread per live worker, exactly as
-            // `minicuda::simt` runs blocks over SM threads. Each thread
+            // One `std::thread::scope` thread per live worker, exactly
+            // as `minicuda::device::launch` runs blocks over SM threads
+            // (a panicking worker propagates at scope exit). Each thread
             // writes into its own pre-sized slot, so no lock guards the
             // results and no thread ever blocks on a sibling.
             let mut slots: Vec<Option<JobOutcome>> = Vec::new();
             slots.resize_with(workers.len(), || None);
-            crossbeam::thread::scope(|s| {
+            std::thread::scope(|s| {
                 for ((i, w), slot) in workers.iter().zip(slots.iter_mut()) {
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         *slot = self.pump_worker(*i, w, now_ms);
                     });
                 }
-            })
-            .expect("pump worker thread panicked");
+            });
             slots.into_iter().flatten().collect()
         };
         let done = outcomes.len();
@@ -948,10 +949,10 @@ mod tests {
         for j in 0..64 {
             c.enqueue(echo(j), 0);
         }
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..4u64 {
                 let c = &c;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for r in 0..30 {
                         c.pump(t * 1_000 + r);
                         let fleet = c.fleet_size();
@@ -959,8 +960,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .expect("pump thread panicked");
+        });
         // Sequential idle rounds finish any stragglers a final
         // concurrent release left in the broker, then let the cooldown
         // elapse so the fleet settles back at the floor.
