@@ -1,4 +1,4 @@
-//! `wb-queue` — the WebGPU 2.0 message broker (§VI-A).
+//! `wb-queue` — the WebGPU 2.0 job broker (§VI-A), held in memory.
 //!
 //! In the revised architecture, *"OpenEdx communicates with a queue
 //! message broker server that can be replicated across Amazon
@@ -6,26 +6,28 @@
 //! job if the node meets the job requirements"* — jobs are tagged
 //! (Multi-GPU, MPI) and only capable workers take them.
 //!
-//! The broker provides:
+//! [`ShardedBroker`] is the broker. It provides:
 //!
-//! * tagged jobs with capability matching ([`Broker::poll`]);
+//! * tagged jobs with capability matching
+//!   ([`ShardedBroker::poll_from`]);
 //! * at-least-once delivery with **visibility timeouts**: an accepted
 //!   job that is not acknowledged in time becomes visible again;
 //! * bounded retries with a **dead-letter queue**;
-//! * a mirrored standby and failover ([`MirroredBroker`]);
-//! * metrics for depth/redelivery dashboards.
+//! * two mirrored [`Zone`]s with failover, partition and heal;
+//! * per-course **lanes** ([`shard_for_course`]) with work-stealing
+//!   polls;
+//! * [`BrokerMetrics`] for depth/redelivery dashboards.
 //!
-//! Time is virtual (`now_ms` parameters) so the discrete-event course
+//! Nothing is durable: the queues live in process memory. Time is
+//! virtual (`now_ms` parameters) so the discrete-event course
 //! simulation drives the broker deterministically.
 
-pub mod broker;
-pub mod capability;
-pub mod handle;
-pub mod mirror;
-pub mod shard;
+mod broker;
+mod capability;
+mod mirror;
+mod shard;
 
-pub use broker::{Broker, BrokerMetrics, Delivery, JobMeta};
+pub use broker::{BrokerMetrics, Delivery, JobMeta};
 pub use capability::{Capability, CapabilitySet};
-pub use handle::BrokerHandle;
-pub use mirror::{MirroredBroker, Zone};
-pub use shard::{shard_for_course, ShardLane, ShardedBroker};
+pub use mirror::Zone;
+pub use shard::{shard_for_course, ShardedBroker};

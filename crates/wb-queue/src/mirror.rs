@@ -1,18 +1,17 @@
-//! Mirrored broker with failover across availability zones.
+//! Zones and the mirrored lane.
 //!
 //! §VI-A: the broker *"can be replicated across Amazon availability
-//! zones — offering resiliency against faults"*. The mirrored broker
-//! duplicates every enqueue to a standby; acknowledgements propagate
-//! too. On failover the standby already holds every unacked job, so
-//! nothing is lost (at-least-once: in-flight jobs are redelivered).
+//! zones — offering resiliency against faults"*. A lane holds both
+//! zones' queues under one lock: every enqueue is mirrored to the
+//! standby and every ack fans out to it, so on failover the standby
+//! already holds every unacked job and nothing is lost (at-least-once:
+//! in-flight jobs are redelivered).
 
-use crate::broker::{Broker, BrokerMetrics, Delivery};
-use crate::capability::CapabilitySet;
+use crate::broker::{BrokerMetrics, Delivery, JobMeta, Queue};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
-use wb_obs::sync::Mutex;
-use wb_obs::Recorder;
+use wb_obs::{Counter, Recorder};
 
 /// An availability zone: one side of the mirrored broker, and where a
 /// worker lives.
@@ -46,292 +45,160 @@ impl fmt::Display for Zone {
     }
 }
 
-/// A primary broker with a hot standby.
-pub struct MirroredBroker<T> {
-    primary: Broker<T>,
-    standby: Broker<T>,
-    active: Mutex<Zone>,
-    /// A zone cut off by a network partition. At most one zone can be
-    /// partitioned, and it is always the passive one —
-    /// [`MirroredBroker::partition`] fails over first when the cut
-    /// zone was serving traffic. While set, enqueues are not mirrored
-    /// to and acks are not fanned to that zone; [`MirroredBroker::heal`]
-    /// rebuilds it from the active zone.
-    partitioned: Mutex<Option<Zone>>,
+/// Which zone serves, and which one a network partition has cut off
+/// (never the serving one). A cut zone misses mirrored enqueues and
+/// fanned-out acks until heal rebuilds it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Zones {
+    pub(crate) active: Zone,
+    pub(crate) partitioned: Option<Zone>,
 }
 
-impl<T: Clone> MirroredBroker<T> {
-    /// Build a mirrored pair with identical configuration.
-    pub fn new(visibility_timeout_ms: u64, max_attempts: u32) -> Self {
-        MirroredBroker::with_recorder(
-            visibility_timeout_ms,
-            max_attempts,
-            Arc::new(Recorder::noop()),
-        )
-    }
+/// The settings every lane operation needs, held once per broker.
+pub(crate) struct Tuning {
+    pub(crate) visibility_timeout_ms: u64,
+    pub(crate) max_attempts: u32,
+    /// Distance between consecutive ids a lane issues: the lane count,
+    /// so ids name their lane by residue and never collide.
+    pub(crate) stride: u64,
+    pub(crate) obs: Arc<Recorder>,
+}
 
-    /// Mirrored pair reporting to a shared recorder. Both zones share
-    /// it; passive-zone bookkeeping stays silent so fanned-out acks and
-    /// mirrored enqueues are counted exactly once.
-    pub fn with_recorder(
-        visibility_timeout_ms: u64,
-        max_attempts: u32,
-        obs: Arc<Recorder>,
-    ) -> Self {
-        MirroredBroker::with_id_stride(visibility_timeout_ms, max_attempts, obs, 1, 1)
-    }
+/// One lane: both zones' queues and the lane's id sequence.
+pub(crate) struct Lane<T> {
+    /// Indexed by [`Zone`]: primary, standby.
+    zones: [Queue<T>; 2],
+    next_id: u64,
+    /// Dead letters handed out while the other zone was cut off. That
+    /// zone may still hold them; heal must not hand them out again.
+    drained_while_cut: BTreeSet<u64>,
+}
 
-    /// Mirrored pair whose zones both issue ids from the progression
-    /// `first_id, first_id + stride, …` — one lane of a
-    /// [`ShardedBroker`](crate::ShardedBroker). Both zones share the
-    /// residue class, so the standby continues the primary's id
-    /// sequence after failover.
-    pub fn with_id_stride(
-        visibility_timeout_ms: u64,
-        max_attempts: u32,
-        obs: Arc<Recorder>,
-        first_id: u64,
-        stride: u64,
-    ) -> Self {
-        MirroredBroker {
-            primary: Broker::with_id_stride(
-                visibility_timeout_ms,
-                max_attempts,
-                Arc::clone(&obs),
-                first_id,
-                stride,
-            ),
-            standby: Broker::with_id_stride(
-                visibility_timeout_ms,
-                max_attempts,
-                obs,
-                first_id,
-                stride,
-            ),
-            active: Mutex::new(Zone::Primary),
-            partitioned: Mutex::new(None),
+impl<T: Clone> Lane<T> {
+    pub(crate) fn new(first_id: u64) -> Self {
+        Lane {
+            zones: [Queue::default(), Queue::default()],
+            next_id: first_id,
+            drained_while_cut: BTreeSet::new(),
         }
     }
 
-    /// Currently active zone.
-    pub fn active_zone(&self) -> Zone {
-        *self.active.lock()
+    /// The serving zone's queue, and the other zone's when it is
+    /// reachable.
+    fn sides(&mut self, z: Zones) -> (&mut Queue<T>, Option<&mut Queue<T>>) {
+        let [primary, standby] = &mut self.zones;
+        let (active, passive) = match z.active {
+            Zone::Primary => (primary, standby),
+            Zone::Standby => (standby, primary),
+        };
+        (active, z.partitioned.is_none().then_some(passive))
     }
 
-    /// Borrow the currently active zone's broker for inspection
-    /// (metrics, dead letters). Consumers must NOT poll/ack through
-    /// this handle: an ack that only reaches the active zone leaves the
-    /// standby holding the job, and a failover would redeliver — and
-    /// re-execute — completed work. Poll and ack through the
-    /// [`BrokerHandle`](crate::BrokerHandle) impl on the mirror itself.
-    pub fn active_broker(&self) -> &Broker<T> {
-        self.active()
-    }
-
-    fn active(&self) -> &Broker<T> {
-        match *self.active.lock() {
-            Zone::Primary => &self.primary,
-            Zone::Standby => &self.standby,
+    /// Enqueue to the serving zone and mirror to the other.
+    pub(crate) fn enqueue(
+        &mut self,
+        z: Zones,
+        t: &Tuning,
+        payload: T,
+        tags: BTreeSet<String>,
+        now_ms: u64,
+    ) -> u64 {
+        let id = self.next_id;
+        self.next_id += t.stride;
+        let meta = JobMeta {
+            id,
+            tags,
+            enqueued_at: now_ms,
+            attempts: 0,
+        };
+        let (active, passive) = self.sides(z);
+        if let Some(p) = passive {
+            p.push(meta.clone(), payload.clone());
         }
-    }
-
-    fn passive(&self) -> &Broker<T> {
-        match *self.active.lock() {
-            Zone::Primary => &self.standby,
-            Zone::Standby => &self.primary,
-        }
-    }
-
-    /// True when the passive zone is reachable for mirroring.
-    fn passive_reachable(&self) -> bool {
-        self.partitioned.lock().is_none()
-    }
-
-    /// Drop the passive zone's live copy of every job the active zone
-    /// has dead-lettered. Without this, the standby keeps a
-    /// never-delivered copy (mirrored at enqueue, dead-letters are not
-    /// acked), and a later failover would re-run a poisoned job from
-    /// scratch — and dead-letter it a second time, double-counting it
-    /// in the books. Called on every active-zone observation; the dead
-    /// queue is almost always empty, so the scan is effectively free.
-    fn reconcile_dead(&self) {
-        if !self.passive_reachable() {
-            return;
-        }
-        for id in self.active().dead_ids() {
-            self.passive().ack_untracked(id);
-        }
-    }
-
-    /// Enqueue to the active zone and mirror to the standby.
-    pub fn enqueue(&self, payload: T, tags: BTreeSet<String>, now_ms: u64) -> u64 {
-        let id = self.active().enqueue(payload.clone(), tags.clone(), now_ms);
-        // Mirror under the same id semantics: the standby assigns its
-        // own ids, so we mirror payload+tags and reconcile on ack by
-        // payload identity — to keep it simple and exact we instead
-        // mirror via state restore with the primary's id. A partitioned
-        // standby misses the mirror; `heal` rebuilds it wholesale.
-        if self.passive_reachable() {
-            self.passive().restore_state(vec![(
-                crate::broker::JobMeta {
-                    id,
-                    tags,
-                    enqueued_at: now_ms,
-                    attempts: 0,
-                },
-                payload,
-            )]);
-        }
+        active.push(meta, payload);
+        t.obs.bump(Counter::QueueEnqueued);
         id
     }
 
-    /// Poll the active zone.
-    pub fn poll(&self, capabilities: &CapabilitySet, now_ms: u64) -> Option<Delivery<T>> {
-        let d = self.active().poll(capabilities, now_ms);
-        self.reconcile_dead();
-        d
+    /// Sweep the serving zone, then drop the other zone's live copy of
+    /// every job it has dead-lettered, and hand back the serving zone.
+    /// The standby's copy of a job is never acked when the job
+    /// dead-letters, so without this a failover would re-run a poisoned
+    /// job from scratch and dead-letter it a second time. Every
+    /// observation (`poll`, `depth`, `in_flight`) comes through here.
+    pub(crate) fn observe(&mut self, z: Zones, t: &Tuning, now_ms: u64) -> &mut Queue<T> {
+        let (active, passive) = self.sides(z);
+        active.sweep(now_ms, t.max_attempts, &t.obs);
+        if let Some(p) = passive {
+            for d in &active.dead {
+                p.remove(d.meta.id);
+            }
+        }
+        active
     }
 
-    /// Ack on both zones so the standby drops completed jobs.
-    pub fn ack(&self, job_id: u64) -> bool {
-        let ok = self.active().ack(job_id);
-        if self.passive_reachable() {
-            self.passive().ack_untracked(job_id);
+    /// Ack on both zones so the standby drops completed jobs; the
+    /// recorder counts it once.
+    pub(crate) fn ack(&mut self, z: Zones, t: &Tuning, job_id: u64) -> bool {
+        let (active, passive) = self.sides(z);
+        if let Some(p) = passive {
+            p.remove(job_id);
+        }
+        let ok = active.remove(job_id);
+        if ok {
+            t.obs.bump(Counter::QueueAcked);
         }
         ok
     }
 
-    /// Negative-ack on the active zone.
-    pub fn nack(&self, job_id: u64) -> bool {
-        self.active().nack(job_id)
+    pub(crate) fn nack(&mut self, z: Zones, t: &Tuning, job_id: u64) -> bool {
+        self.sides(z).0.nack(job_id, &t.obs)
     }
 
-    /// Visible depth in the active zone.
-    pub fn depth(&self, now_ms: u64) -> usize {
-        let d = self.active().depth(now_ms);
-        self.reconcile_dead();
-        d
+    /// The serving zone's counters.
+    pub(crate) fn metrics(&self, z: Zones) -> BrokerMetrics {
+        self.zones[z.active as usize].metrics
     }
 
-    /// Jobs in flight in the active zone.
-    pub fn in_flight(&self, now_ms: u64) -> usize {
-        self.active().in_flight(now_ms)
-    }
-
-    /// Metrics of the active zone.
-    pub fn metrics(&self) -> BrokerMetrics {
-        self.active().metrics()
-    }
-
-    /// Fail over to the standby. Unacked jobs survive; in-flight jobs
-    /// on the failed zone are redelivered by the standby (they were
-    /// mirrored at enqueue and never acked). Failing over *into* a
-    /// partitioned zone would serve from a broker that missed every
-    /// mirror since the cut, so the swap is refused (no-op) until the
-    /// zone heals.
-    pub fn failover(&self) {
-        let mut g = self.active.lock();
-        let target = g.other();
-        if *self.partitioned.lock() == Some(target) {
-            return;
-        }
-        *g = target;
-    }
-
-    /// Cut a zone off. If the cut zone was serving traffic, the mirror
-    /// fails over first — the surviving zone already holds every
-    /// unacked job. Returns false (and changes nothing) when a zone is
-    /// already partitioned: with both zones cut there would be nobody
-    /// left to serve, so the first partition must heal before another
-    /// can start.
-    pub fn partition(&self, zone: Zone) -> bool {
-        let mut part = self.partitioned.lock();
-        if part.is_some() {
-            return false;
-        }
-        {
-            let mut g = self.active.lock();
-            if *g == zone {
-                *g = zone.other();
-            }
-        }
-        *part = Some(zone);
-        true
-    }
-
-    /// The currently partitioned zone, if any.
-    pub fn partitioned_zone(&self) -> Option<Zone> {
-        *self.partitioned.lock()
-    }
-
-    /// Heal a partitioned zone: reconnect it and rebuild its state
-    /// from the active zone (which saw every enqueue and ack during
-    /// the cut). Returns false when `zone` was not partitioned.
-    pub fn heal(&self, zone: Zone) -> bool {
-        {
-            let mut part = self.partitioned.lock();
-            if *part != Some(zone) {
-                return false;
-            }
-            *part = None;
-        }
-        self.rebuild_passive();
-        true
-    }
-
-    /// Drain dead letters from every reachable zone, deduplicated by
-    /// job id — a job that dead-lettered on both zones (once per
-    /// active stint) is handed out once and removed from both.
-    pub fn drain_dead_letters(&self) -> Vec<Delivery<T>> {
-        let mut out = self.active().take_dead_letters();
-        if self.passive_reachable() {
-            let known: BTreeSet<u64> = out.iter().map(|d| d.meta.id).collect();
-            for d in self.passive().take_dead_letters() {
-                if !known.contains(&d.meta.id) {
-                    out.push(d);
-                }
-            }
+    /// Hand out every dead letter once: the serving zone's, plus those
+    /// only the other zone holds when it is reachable.
+    pub(crate) fn drain_dead_letters(&mut self, z: Zones) -> Vec<Delivery<T>> {
+        let (active, passive) = self.sides(z);
+        let mut out = std::mem::take(&mut active.dead);
+        match passive {
+            Some(p) => merge(&mut out, std::mem::take(&mut p.dead)),
+            None => self.drained_while_cut.extend(out.iter().map(|d| d.meta.id)),
         }
         out
     }
 
-    /// Re-mirror the active zone's pending jobs into a fresh standby
-    /// (recovery after the failed zone returns).
-    pub fn resync_standby(&self) {
-        self.rebuild_passive();
+    /// Rebuild the just-healed passive zone from the serving one, which
+    /// saw every enqueue and ack during the cut. Pending jobs are
+    /// replaced wholesale. Dead letters are merged: a letter held only
+    /// by the returning zone (it dead-lettered there before the cut) is
+    /// adopted, so it stays drainable; one already handed out is not.
+    pub(crate) fn rebuild_passive(&mut self, z: Zones) {
+        let handed_out = std::mem::take(&mut self.drained_while_cut);
+        let (active, Some(passive)) = self.sides(z) else {
+            unreachable!("a healed zone is reachable");
+        };
+        passive.copy_jobs(active);
+        passive.dead.retain(|d| !handed_out.contains(&d.meta.id));
+        merge(&mut active.dead, std::mem::take(&mut passive.dead));
+        passive.dead = active.dead.clone();
     }
+}
 
-    /// Rebuild the passive zone from the active one: pending jobs are
-    /// replaced wholesale, and dead letters are merged — a letter held
-    /// only by the returning zone (it dead-lettered there before the
-    /// cut) is adopted by the active zone rather than wiped, so it
-    /// stays drainable; a letter already drained from the active zone
-    /// cannot resurface because both queues end up identical.
-    fn rebuild_passive(&self) {
-        // The passive broker may hold stale copies; rebuilding from the
-        // active state keeps the pair consistent. (A fresh broker would
-        // be used in production; restore into the existing one after
-        // acking everything it knows is equivalent here because ids
-        // are unique and monotonically increasing.)
-        for (meta, _) in self.passive().drain_state() {
-            self.passive().ack_untracked(meta.id);
-        }
-        self.passive().restore_state(self.active().drain_state());
-        let mut dead = self.active().dead_letters();
-        let known: BTreeSet<u64> = dead.iter().map(|d| d.meta.id).collect();
-        for d in self.passive().take_dead_letters() {
-            if !known.contains(&d.meta.id) {
-                dead.push(d);
-            }
-        }
-        self.active().replace_dead(dead.clone());
-        self.passive().replace_dead(dead);
-    }
+/// Append the letters of `more` whose ids `out` lacks.
+fn merge<T>(out: &mut Vec<Delivery<T>>, more: Vec<Delivery<T>>) {
+    let known: BTreeSet<u64> = out.iter().map(|d| d.meta.id).collect();
+    out.extend(more.into_iter().filter(|d| !known.contains(&d.meta.id)));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CapabilitySet, ShardedBroker};
 
     fn tags(list: &[&str]) -> BTreeSet<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -339,6 +206,19 @@ mod tests {
 
     fn caps(list: &[&str]) -> CapabilitySet {
         list.iter().copied().collect()
+    }
+
+    /// A one-lane broker: one mirrored pair.
+    fn mirror(visibility_timeout_ms: u64, max_attempts: u32) -> ShardedBroker<&'static str> {
+        ShardedBroker::new(1, visibility_timeout_ms, max_attempts)
+    }
+
+    fn enqueue(m: &ShardedBroker<&'static str>, payload: &'static str, now_ms: u64) -> u64 {
+        m.enqueue_to(0, payload, tags(&[]), now_ms)
+    }
+
+    fn poll(m: &ShardedBroker<&'static str>, now_ms: u64) -> Option<Delivery<&'static str>> {
+        m.poll_from(0, &caps(&["cuda"]), now_ms)
     }
 
     #[test]
@@ -353,9 +233,9 @@ mod tests {
 
     #[test]
     fn mirror_receives_enqueues() {
-        let m: MirroredBroker<&str> = MirroredBroker::new(1000, 3);
-        m.enqueue("a", tags(&[]), 0);
-        m.enqueue("b", tags(&[]), 0);
+        let m = mirror(1000, 3);
+        enqueue(&m, "a", 0);
+        enqueue(&m, "b", 0);
         assert_eq!(m.depth(0), 2);
         m.failover();
         assert_eq!(m.active_zone(), Zone::Standby);
@@ -365,61 +245,88 @@ mod tests {
 
     #[test]
     fn acked_jobs_do_not_reappear_after_failover() {
-        let m: MirroredBroker<&str> = MirroredBroker::new(1000, 3);
-        m.enqueue("done", tags(&[]), 0);
-        m.enqueue("pending", tags(&[]), 0);
-        let caps = caps(&["cuda"]);
-        let d = m.poll(&caps, 0).unwrap();
+        let m = mirror(1000, 3);
+        enqueue(&m, "done", 0);
+        enqueue(&m, "pending", 0);
+        let d = poll(&m, 0).unwrap();
         assert_eq!(d.payload, "done");
         m.ack(d.meta.id);
         m.failover();
-        let d2 = m.poll(&caps, 1).unwrap();
+        let d2 = poll(&m, 1).unwrap();
         assert_eq!(d2.payload, "pending", "only the unacked job remains");
         m.ack(d2.meta.id);
-        assert!(m.poll(&caps, 2).is_none());
+        assert!(poll(&m, 2).is_none());
+    }
+
+    #[test]
+    fn mirrored_acks_reach_the_standby() {
+        let m = mirror(1000, 3);
+        enqueue(&m, "x", 0);
+        let d = poll(&m, 0).unwrap();
+        assert!(m.ack(d.meta.id));
+        // The ack went through the mirror: after failover the standby
+        // has nothing left to deliver.
+        m.failover();
+        assert!(poll(&m, 1).is_none());
     }
 
     #[test]
     fn in_flight_jobs_redelivered_after_failover() {
-        let m: MirroredBroker<&str> = MirroredBroker::new(60_000, 3);
-        m.enqueue("crash victim", tags(&[]), 0);
-        let caps = caps(&["cuda"]);
-        let _d = m.poll(&caps, 0).unwrap();
+        let m = mirror(60_000, 3);
+        enqueue(&m, "crash victim", 0);
+        let _d = poll(&m, 0).unwrap();
         // Primary zone dies before the worker acks.
         m.failover();
-        let d2 = m.poll(&caps, 1).expect("standby redelivers");
+        let d2 = poll(&m, 1).expect("standby redelivers");
         assert_eq!(d2.payload, "crash victim");
     }
 
     #[test]
     fn ids_stay_consistent_across_zones() {
-        let m: MirroredBroker<&str> = MirroredBroker::new(1000, 3);
-        let id1 = m.enqueue("a", tags(&[]), 0);
+        let m = mirror(1000, 3);
+        let id1 = enqueue(&m, "a", 0);
         m.failover();
-        let id2 = m.enqueue("b", tags(&[]), 0);
+        let id2 = enqueue(&m, "b", 0);
         assert_ne!(id1, id2, "standby continues the id sequence");
     }
 
     #[test]
+    fn ids_stay_unique_across_partition_heal_and_failover() {
+        // Regression: each zone kept its own id counter, and heal only
+        // advanced the rebuilt zone's past the ids still pending. A job
+        // issued and acked during the cut was forgotten, so after a
+        // failover the healed zone issued its id a second time.
+        let m = mirror(1000, 3);
+        assert!(m.partition(Zone::Standby));
+        let first = enqueue(&m, "during the cut", 0);
+        let d = poll(&m, 1).unwrap();
+        assert!(m.ack(d.meta.id));
+        assert!(m.heal(Zone::Standby));
+        m.failover();
+        let second = enqueue(&m, "after failover", 2);
+        assert_ne!(first, second, "an id is never issued twice");
+    }
+
+    #[test]
     fn resync_after_recovery() {
-        let m: MirroredBroker<&str> = MirroredBroker::new(1000, 3);
-        m.enqueue("x", tags(&[]), 0);
-        m.failover(); // standby now active
-        m.enqueue("y", tags(&[]), 0);
-        m.resync_standby(); // old primary rebuilt from standby
+        let m = mirror(1000, 3);
+        enqueue(&m, "x", 0);
+        m.partition(Zone::Primary); // standby now active
+        enqueue(&m, "y", 0);
+        m.heal(Zone::Primary); // old primary rebuilt from standby
         m.failover(); // back to primary
         assert_eq!(m.depth(0), 2);
     }
 
     #[test]
     fn partition_of_active_zone_fails_over_first() {
-        let m: MirroredBroker<&str> = MirroredBroker::new(1000, 3);
-        m.enqueue("survivor", tags(&[]), 0);
+        let m = mirror(1000, 3);
+        enqueue(&m, "survivor", 0);
         assert!(m.partition(Zone::Primary));
         assert_eq!(m.active_zone(), Zone::Standby);
         assert_eq!(m.partitioned_zone(), Some(Zone::Primary));
         // The job was mirrored before the cut and survives on standby.
-        let d = m.poll(&caps(&[]), 1).unwrap();
+        let d = m.poll_from(0, &caps(&[]), 1).unwrap();
         assert_eq!(d.payload, "survivor");
         // A second partition is refused; failing back into the cut
         // zone is a no-op.
@@ -430,13 +337,13 @@ mod tests {
 
     #[test]
     fn heal_rebuilds_the_cut_zone() {
-        let m: MirroredBroker<&str> = MirroredBroker::new(1000, 3);
-        m.enqueue("before", tags(&[]), 0);
+        let m = mirror(1000, 3);
+        enqueue(&m, "before", 0);
         m.partition(Zone::Standby);
         // Enqueued during the cut: only the active zone has it.
-        m.enqueue("during", tags(&[]), 1);
+        enqueue(&m, "during", 1);
         // Completed during the cut: the ack cannot fan to standby.
-        let d = m.poll(&caps(&[]), 2).unwrap();
+        let d = m.poll_from(0, &caps(&[]), 2).unwrap();
         assert_eq!(d.payload, "before");
         m.ack(d.meta.id);
         assert!(m.heal(Zone::Standby));
@@ -444,10 +351,10 @@ mod tests {
         m.failover();
         // The healed zone serves exactly the surviving job — the cut
         // enqueue is present, the cut ack did not resurrect "before".
-        let d2 = m.poll(&caps(&[]), 3).unwrap();
+        let d2 = m.poll_from(0, &caps(&[]), 3).unwrap();
         assert_eq!(d2.payload, "during");
         m.ack(d2.meta.id);
-        assert!(m.poll(&caps(&[]), 4).is_none());
+        assert!(m.poll_from(0, &caps(&[]), 4).is_none());
     }
 
     #[test]
@@ -457,15 +364,15 @@ mod tests {
         // failover used to redeliver a poisoned job from scratch and
         // dead-letter it a second time. Reconciliation on observation
         // must drop the standby copy.
-        let m: MirroredBroker<&str> = MirroredBroker::new(10, 1);
-        m.enqueue("poison", tags(&[]), 0);
-        let _d = m.poll(&caps(&[]), 0).unwrap();
+        let m = mirror(10, 1);
+        enqueue(&m, "poison", 0);
+        let _d = m.poll_from(0, &caps(&[]), 0).unwrap();
         // Visibility lapses; the observation dead-letters on primary
         // and reconciles the standby.
         assert_eq!(m.depth(10), 0);
         m.failover();
         assert!(
-            m.poll(&caps(&[]), 11).is_none(),
+            m.poll_from(0, &caps(&[]), 11).is_none(),
             "standby must not re-run a dead-lettered job"
         );
         let drained = m.drain_dead_letters();
@@ -475,14 +382,30 @@ mod tests {
     }
 
     #[test]
+    fn in_flight_read_does_not_let_the_standby_rerun_a_dead_letter() {
+        // Regression: `in_flight` swept the active zone, which can
+        // dead-letter an exhausted delivery, but never reconciled the
+        // standby, so a failover re-ran the poisoned job.
+        let m = mirror(10, 1);
+        enqueue(&m, "poison", 0);
+        let _d = m.poll_from(0, &caps(&[]), 0).unwrap();
+        assert_eq!(m.in_flight(10), 0);
+        m.failover();
+        assert!(
+            m.poll_from(0, &caps(&[]), 11).is_none(),
+            "standby must not re-run a dead-lettered job"
+        );
+    }
+
+    #[test]
     fn dead_letter_on_partitioned_zone_is_drainable_after_heal() {
         // A job dead-letters on the active zone, which is then
         // partitioned before anyone drains the letter. While cut off,
         // the letter is unreachable; heal must carry it back into the
         // serving side instead of wiping the returning zone's queue.
-        let m: MirroredBroker<&str> = MirroredBroker::new(10, 1);
-        m.enqueue("poison", tags(&[]), 0);
-        let _d = m.poll(&caps(&[]), 0).unwrap();
+        let m = mirror(10, 1);
+        enqueue(&m, "poison", 0);
+        let _d = m.poll_from(0, &caps(&[]), 0).unwrap();
         assert_eq!(m.depth(10), 0); // dead-letters on primary
         m.partition(Zone::Primary); // letter now unreachable
         assert!(m.drain_dead_letters().is_empty());
@@ -491,5 +414,48 @@ mod tests {
         assert_eq!(drained.len(), 1, "healed letter drains exactly once");
         assert_eq!(drained[0].payload, "poison");
         assert!(m.drain_dead_letters().is_empty(), "no duplicate remains");
+    }
+
+    #[test]
+    fn letter_drained_during_a_cut_does_not_resurface_after_heal() {
+        // Regression: after a heal both zones hold the same letters. A
+        // drain while the standby is cut off empties only the serving
+        // zone, and the next heal used to adopt the standby's copy as
+        // a letter only it held, handing the same job out twice.
+        let m = mirror(10, 1);
+        enqueue(&m, "poison", 0);
+        let _d = m.poll_from(0, &caps(&[]), 0).unwrap();
+        assert_eq!(m.depth(10), 0); // dead-letters on primary
+        m.partition(Zone::Standby);
+        assert!(m.heal(Zone::Standby)); // standby adopts the letter
+        m.partition(Zone::Standby);
+        assert_eq!(m.drain_dead_letters().len(), 1);
+        assert!(m.heal(Zone::Standby));
+        assert!(
+            m.drain_dead_letters().is_empty(),
+            "a drained letter is handed out once"
+        );
+    }
+
+    #[test]
+    fn a_zone_counts_the_jobs_mirrored_into_it() {
+        // Regression, shrunk by `metrics_are_consistent`: mirrored
+        // copies entered the standby uncounted, so after a failover its
+        // metrics showed acks, deliveries and dead letters of jobs it
+        // had never taken in.
+        let m = mirror(10, 1);
+        enqueue(&m, "done", 0);
+        enqueue(&m, "poison", 0);
+        let d = poll(&m, 0).unwrap();
+        assert!(m.ack(d.meta.id));
+        m.failover();
+        assert_eq!(poll(&m, 1).unwrap().payload, "poison");
+        assert_eq!(m.depth(11), 0); // dead-letters on standby
+        let s = m.metrics();
+        assert_eq!(
+            (s.enqueued, s.delivered, s.acked, s.dead_lettered),
+            (2, 1, 1, 1),
+            "the standby's books balance"
+        );
     }
 }

@@ -1,39 +1,35 @@
-//! [`ShardedBroker`] — N mirrored broker lanes behind one id space.
+//! [`ShardedBroker`] — `N` mirrored course lanes behind one id space
+//! and one zone state.
 //!
-//! A single broker serializes every enqueue, poll, and ack on one
-//! mutex; at MOOC scale the control plane must spread that contention
-//! across cores. The sharded broker splits traffic into `N`
-//! independent [`MirroredBroker`] lanes:
+//! One mutex per lane spreads enqueue/poll/ack contention across cores:
 //!
-//! * **Lane selection** is by course: FNV-1a of the course id mod `N`
-//!   ([`shard_for_course`]), so one course's jobs stay FIFO within a
-//!   lane. Callers that already routed (the sharded scheduler) enqueue
-//!   to an explicit lane with [`ShardedBroker::enqueue_to`].
-//! * **Id striping**: lane `i` issues ids `i+1, i+1+N, i+1+2N, …` —
-//!   every id names its lane by residue (`(id-1) % N`), so acks and
-//!   nacks route without a shared id→lane map, and ids never collide
-//!   across lanes.
+//! * **Lane selection** is by course ([`shard_for_course`]), so one
+//!   course's jobs stay FIFO within a lane.
+//! * **Id striping**: lane `i` issues ids `i+1, i+1+N, …`, so an id
+//!   names its lane by residue and acks route without a shared map.
 //! * **Work stealing on poll**: a worker polls its home lane first and
-//!   then sweeps the other lanes ([`ShardLane`] implements
-//!   [`BrokerHandle`]), so an idle lane's worker drains a loaded
-//!   sibling instead of starving.
+//!   then the others, so an idle lane's worker drains a loaded sibling.
+//! * **One zone state**, held once: lanes fail over, partition, and
+//!   heal together, and every lane operation runs under one reading of
+//!   it — an enqueue and its mirror write, or an ack and its fan-out,
+//!   never straddle a zone change.
 //!
-//! Depth, in-flight, and metrics aggregate across lanes so the
-//! autoscaler and the reconciliation invariants (`enqueued == acked +
-//! dead_lettered`) see one logical queue.
+//! Depth, in-flight, and metrics aggregate across lanes, so the
+//! autoscaler and the books see one logical queue.
 
 use crate::broker::{BrokerMetrics, Delivery};
 use crate::capability::CapabilitySet;
-use crate::handle::BrokerHandle;
-use crate::mirror::{MirroredBroker, Zone};
+use crate::mirror::{Lane, Tuning, Zone, Zones};
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use wb_obs::sync::{Mutex, RwLock};
 use wb_obs::Recorder;
 
 /// Stable lane for a course: FNV-1a over the course id, mod `shards`.
 /// The hash is fixed (not `DefaultHasher`) so lane placement is
 /// reproducible across runs and processes — replayed traces land on
-/// the same lanes.
+/// the same lanes, and the scheduler's shard for a course is its
+/// broker lane.
 pub fn shard_for_course(course: &str, shards: usize) -> usize {
     debug_assert!(shards > 0, "at least one shard");
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -46,7 +42,10 @@ pub fn shard_for_course(course: &str, shards: usize) -> usize {
 
 /// `N` mirrored broker lanes sharing one striped id space.
 pub struct ShardedBroker<T> {
-    lanes: Vec<MirroredBroker<T>>,
+    lanes: Vec<Mutex<Lane<T>>>,
+    /// Lock order: `zones` before any lane.
+    zones: RwLock<Zones>,
+    tuning: Tuning,
 }
 
 impl<T: Clone> ShardedBroker<T> {
@@ -60,55 +59,62 @@ impl<T: Clone> ShardedBroker<T> {
         )
     }
 
-    /// Sharded broker whose lanes all report to one recorder.
+    /// Sharded broker reporting queue traffic to a shared recorder. The
+    /// serving zone reports; mirrored enqueues and fanned-out acks are
+    /// counted once.
     pub fn with_recorder(
         shards: usize,
         visibility_timeout_ms: u64,
         max_attempts: u32,
         obs: Arc<Recorder>,
     ) -> Self {
+        assert!(max_attempts >= 1, "at least one attempt");
         let n = shards.max(1);
-        let lanes = (0..n)
-            .map(|i| {
-                MirroredBroker::with_id_stride(
-                    visibility_timeout_ms,
-                    max_attempts,
-                    Arc::clone(&obs),
-                    i as u64 + 1,
-                    n as u64,
-                )
-            })
-            .collect();
-        ShardedBroker { lanes }
-    }
-
-    /// Number of lanes.
-    pub fn shards(&self) -> usize {
-        self.lanes.len()
+        ShardedBroker {
+            lanes: (0..n)
+                .map(|i| Mutex::new(Lane::new(i as u64 + 1)))
+                .collect(),
+            zones: RwLock::new(Zones {
+                active: Zone::Primary,
+                partitioned: None,
+            }),
+            tuning: Tuning {
+                visibility_timeout_ms,
+                max_attempts,
+                stride: n as u64,
+                obs,
+            },
+        }
     }
 
     /// Lane that issued `job_id` (ids start at 1 and stripe by lane).
-    pub fn lane_of(&self, job_id: u64) -> usize {
+    fn lane_of(&self, job_id: u64) -> usize {
         debug_assert!(job_id >= 1, "broker ids start at 1");
         ((job_id - 1) % self.lanes.len() as u64) as usize
     }
 
-    /// Home lane for a course.
-    pub fn shard_for(&self, course: &str) -> usize {
-        shard_for_course(course, self.lanes.len())
+    /// Run `op` on one lane under one reading of the zone state.
+    fn on_lane<R>(&self, lane: usize, op: impl FnOnce(&mut Lane<T>, Zones, &Tuning) -> R) -> R {
+        let z = self.zones.read();
+        op(&mut self.lanes[lane].lock(), *z, &self.tuning)
+    }
+
+    /// Run `op` on every lane in turn under one reading of the zone
+    /// state.
+    fn each_lane<R>(&self, mut op: impl FnMut(&mut Lane<T>, Zones, &Tuning) -> R) -> Vec<R> {
+        let z = self.zones.read();
+        let lanes = self.lanes.iter();
+        lanes.map(|l| op(&mut l.lock(), *z, &self.tuning)).collect()
     }
 
     /// Enqueue into an explicit lane; returns the striped job id.
     pub fn enqueue_to(&self, lane: usize, payload: T, tags: BTreeSet<String>, now_ms: u64) -> u64 {
-        self.lanes[lane % self.lanes.len()].enqueue(payload, tags, now_ms)
+        let lane = lane % self.lanes.len();
+        self.on_lane(lane, |l, z, t| l.enqueue(z, t, payload, tags, now_ms))
     }
 
-    /// Enqueue routed by course hash.
-    pub fn enqueue(&self, course: &str, payload: T, tags: BTreeSet<String>, now_ms: u64) -> u64 {
-        self.enqueue_to(self.shard_for(course), payload, tags, now_ms)
-    }
-
-    /// Poll starting at `home`, stealing from the other lanes in ring
+    /// Poll starting at `home`: the oldest visible job whose tags are
+    /// all within `capabilities`, stealing from the other lanes in ring
     /// order if the home lane has nothing deliverable.
     pub fn poll_from(
         &self,
@@ -116,37 +122,46 @@ impl<T: Clone> ShardedBroker<T> {
         capabilities: &CapabilitySet,
         now_ms: u64,
     ) -> Option<Delivery<T>> {
-        let n = self.lanes.len();
-        let home = home % n;
-        (0..n).find_map(|k| self.lanes[(home + k) % n].poll(capabilities, now_ms))
+        let (z, t, n) = (self.zones.read(), &self.tuning, self.lanes.len());
+        (0..n).find_map(|k| {
+            let mut lane = self.lanes[(home + k) % n].lock();
+            let queue = lane.observe(*z, t, now_ms);
+            queue.deliver(capabilities, now_ms, t.visibility_timeout_ms, &t.obs)
+        })
     }
 
-    /// Ack, routed to the issuing lane by id residue.
+    /// Acknowledge successful completion on both zones of the issuing
+    /// lane; the job is removed and never redelivered.
     pub fn ack(&self, job_id: u64) -> bool {
-        self.lanes[self.lane_of(job_id)].ack(job_id)
+        self.on_lane(self.lane_of(job_id), |l, z, t| l.ack(z, t, job_id))
     }
 
-    /// Nack, routed to the issuing lane by id residue.
+    /// Negative acknowledgement: the job becomes visible again
+    /// immediately.
     pub fn nack(&self, job_id: u64) -> bool {
-        self.lanes[self.lane_of(job_id)].nack(job_id)
+        self.on_lane(self.lane_of(job_id), |l, z, t| l.nack(z, t, job_id))
     }
 
-    /// Visible depth summed over all lanes.
+    /// Jobs visible to an all-capable worker, over all lanes. Sweeps
+    /// first: expired deliveries count again, but exhausted jobs are
+    /// dead-lettered, so a poisoned job never drives scale-out.
     pub fn depth(&self, now_ms: u64) -> usize {
-        self.lanes.iter().map(|l| l.depth(now_ms)).sum()
+        let depths = self.each_lane(|l, z, t| l.observe(z, t, now_ms).visible());
+        depths.iter().sum()
     }
 
-    /// In-flight jobs summed over all lanes.
+    /// Jobs in flight (delivered, not yet acked or expired), over all
+    /// lanes. Sweeps first, like [`depth`](Self::depth).
     pub fn in_flight(&self, now_ms: u64) -> usize {
-        self.lanes.iter().map(|l| l.in_flight(now_ms)).sum()
+        let counts = self.each_lane(|l, z, t| l.observe(z, t, now_ms).in_flight());
+        counts.iter().sum()
     }
 
-    /// Metrics aggregated field-wise over all lanes, so the books
-    /// reconcile cluster-wide exactly as they do for a single broker.
+    /// The serving zone's metrics, summed field-wise over all lanes, so
+    /// the books reconcile cluster-wide exactly as they do for one lane.
     pub fn metrics(&self) -> BrokerMetrics {
         let mut total = BrokerMetrics::default();
-        for l in &self.lanes {
-            let m = l.metrics();
+        for m in self.each_lane(|l, z, _| l.metrics(z)) {
             total.enqueued += m.enqueued;
             total.delivered += m.delivered;
             total.acked += m.acked;
@@ -157,73 +172,68 @@ impl<T: Clone> ShardedBroker<T> {
         total
     }
 
-    /// Fail every lane over to its standby zone.
+    /// Fail every lane over to the other zone. Unacked jobs survive, and
+    /// in-flight ones are redelivered. Failing over *into* a partitioned
+    /// zone would serve from queues that missed every mirror since the
+    /// cut, so the swap is refused (no-op) until the zone heals.
     pub fn failover(&self) {
-        for l in &self.lanes {
-            l.failover();
+        let mut z = self.zones.write();
+        let target = z.active.other();
+        if z.partitioned != Some(target) {
+            z.active = target;
         }
     }
 
-    /// Cut `zone` off on every lane (failing lanes over first when
-    /// the cut zone was serving). True when every lane accepted the
-    /// partition — lanes move in lockstep, so a refusal (some zone
-    /// already cut) leaves nothing half-done.
+    /// Cut `zone` off on every lane, failing over first if it was
+    /// serving — the surviving zone already holds every unacked job.
+    /// False (and nothing changes) when a zone is already cut: the first
+    /// partition must heal before another can start.
     pub fn partition(&self, zone: Zone) -> bool {
-        self.lanes.iter().all(|l| l.partition(zone))
+        let mut z = self.zones.write();
+        if z.partitioned.is_some() {
+            return false;
+        }
+        if z.active == zone {
+            z.active = zone.other();
+        }
+        z.partitioned = Some(zone);
+        true
     }
 
-    /// Heal `zone` on every lane, rebuilding it from each lane's
-    /// active zone. True when the zone was partitioned.
+    /// Heal a partitioned zone: reconnect it and rebuild every lane's
+    /// copy from the serving zone (which saw every enqueue and ack
+    /// during the cut). Returns false when `zone` was not partitioned.
     pub fn heal(&self, zone: Zone) -> bool {
-        self.lanes.iter().all(|l| l.heal(zone))
+        let mut z = self.zones.write();
+        if z.partitioned != Some(zone) {
+            return false;
+        }
+        z.partitioned = None;
+        for l in &self.lanes {
+            l.lock().rebuild_passive(*z);
+        }
+        true
     }
 
-    /// The partitioned zone, if any — lanes transition in lockstep,
-    /// so lane 0 speaks for all.
+    /// The partitioned zone, if any.
     pub fn partitioned_zone(&self) -> Option<Zone> {
-        self.lanes[0].partitioned_zone()
+        self.zones.read().partitioned
     }
 
-    /// The serving zone — lanes transition in lockstep, so lane 0
-    /// speaks for all.
+    /// The serving zone.
     pub fn active_zone(&self) -> Zone {
-        self.lanes[0].active_zone()
+        self.zones.read().active
     }
 
-    /// Drain dead letters from every lane (ids are unique across
-    /// lanes, and each lane deduplicates across its zones).
+    /// Drain the dead-letter queue, handing the letters to the caller
+    /// (e.g. an operator re-driving poisoned jobs after a fix). Ids are
+    /// unique across lanes, and each lane hands a letter out once
+    /// across its zones.
     pub fn drain_dead_letters(&self) -> Vec<Delivery<T>> {
-        self.lanes
-            .iter()
-            .flat_map(|l| l.drain_dead_letters())
+        self.each_lane(|l, z, _| l.drain_dead_letters(z))
+            .into_iter()
+            .flatten()
             .collect()
-    }
-
-    /// A [`BrokerHandle`] view anchored at `home` — what a worker
-    /// pinned to lane `home` polls through.
-    pub fn lane(&self, home: usize) -> ShardLane<'_, T> {
-        ShardLane { broker: self, home }
-    }
-}
-
-/// A worker's view of the sharded broker: polls prefer the `home`
-/// lane and steal from siblings; receipts route by id residue.
-pub struct ShardLane<'a, T> {
-    broker: &'a ShardedBroker<T>,
-    home: usize,
-}
-
-impl<T: Clone> BrokerHandle<T> for ShardLane<'_, T> {
-    fn poll(&self, capabilities: &CapabilitySet, now_ms: u64) -> Option<Delivery<T>> {
-        self.broker.poll_from(self.home, capabilities, now_ms)
-    }
-
-    fn ack(&self, job_id: u64) -> bool {
-        self.broker.ack(job_id)
-    }
-
-    fn nack(&self, job_id: u64) -> bool {
-        self.broker.nack(job_id)
     }
 }
 
@@ -270,17 +280,15 @@ mod tests {
         for lane in 0..3 {
             ids.push(b.enqueue_to(lane, "job", tags(&[]), 0));
         }
-        // Deliver everything through one worker's stealing view, then
-        // ack through the same handle: each receipt must reach the
-        // lane that issued it.
-        let view = b.lane(1);
+        // Deliver everything through one worker's stealing polls, then
+        // ack: each receipt must reach the lane that issued it.
         let mut delivered = Vec::new();
-        while let Some(d) = view.poll(&caps(), 0) {
+        while let Some(d) = b.poll_from(1, &caps(), 0) {
             delivered.push(d.meta.id);
         }
         assert_eq!(delivered.len(), 3);
         for id in delivered {
-            assert!(view.ack(id), "ack {id} routed to its lane");
+            assert!(b.ack(id), "ack {id} routed to its lane");
         }
         assert_eq!(b.depth(1), 0);
         assert_eq!(b.in_flight(1), 0);
@@ -294,10 +302,9 @@ mod tests {
         let b: ShardedBroker<&str> = ShardedBroker::new(2, 1000, 3);
         b.enqueue_to(0, "other lane", tags(&[]), 0);
         b.enqueue_to(1, "home lane", tags(&[]), 0);
-        let view = b.lane(1);
-        let first = view.poll(&caps(), 0).unwrap();
+        let first = b.poll_from(1, &caps(), 0).unwrap();
         assert_eq!(first.payload, "home lane");
-        let second = view.poll(&caps(), 0).unwrap();
+        let second = b.poll_from(1, &caps(), 0).unwrap();
         assert_eq!(second.payload, "other lane", "idle home steals");
     }
 
@@ -305,22 +312,22 @@ mod tests {
     fn stealing_respects_capability_tags() {
         let b: ShardedBroker<&str> = ShardedBroker::new(2, 1000, 3);
         b.enqueue_to(0, "mpi job", tags(&["mpi"]), 0);
-        let plain = b.lane(1);
-        assert!(plain.poll(&caps(), 0).is_none(), "steal can't ignore tags");
-        let capable = b.lane(1);
-        let d = capable.poll(&["cuda", "mpi"].into(), 1).unwrap();
+        assert!(
+            b.poll_from(1, &caps(), 0).is_none(),
+            "steal can't ignore tags"
+        );
+        let d = b.poll_from(1, &["cuda", "mpi"].into(), 1).unwrap();
         assert_eq!(d.payload, "mpi job");
     }
 
     #[test]
     fn failover_fans_to_every_lane() {
         let b: ShardedBroker<&str> = ShardedBroker::new(4, 60_000, 3);
-        let mut pending = Vec::new();
         for lane in 0..4 {
-            pending.push(b.enqueue_to(lane, "survives", tags(&[]), 0));
+            b.enqueue_to(lane, "survives", tags(&[]), 0);
         }
         // One delivery in flight on lane 0; zones die everywhere.
-        let d = b.lane(0).poll(&caps(), 0).unwrap();
+        let d = b.poll_from(0, &caps(), 0).unwrap();
         b.failover();
         // The in-flight job is redelivered by its standby; nothing lost.
         assert_eq!(b.depth(1), 4);
@@ -330,25 +337,24 @@ mod tests {
     #[test]
     fn course_routed_enqueue_keeps_a_course_on_one_lane() {
         let b: ShardedBroker<u64> = ShardedBroker::new(4, 1000, 3);
-        let lane = b.shard_for("cs100");
+        let lane = shard_for_course("cs100", 4);
         for j in 0..6 {
-            let id = b.enqueue("cs100", j, tags(&[]), 0);
+            let id = b.enqueue_to(lane, j, tags(&[]), 0);
             assert_eq!(b.lane_of(id), lane, "course stays on its lane");
         }
         // FIFO within the course: the lane preserves offer order.
-        let view = b.lane(lane);
         for expect in 0..6 {
-            let d = view.poll(&caps(), 1).unwrap();
+            let d = b.poll_from(lane, &caps(), 1).unwrap();
             assert_eq!(d.payload, expect);
-            view.ack(d.meta.id);
+            b.ack(d.meta.id);
         }
     }
 
     #[test]
     fn single_lane_degenerates_to_the_plain_mirror() {
         let b: ShardedBroker<&str> = ShardedBroker::new(1, 1000, 3);
-        let id1 = b.enqueue("any", "a", tags(&[]), 0);
-        let id2 = b.enqueue("other", "b", tags(&[]), 0);
+        let id1 = b.enqueue_to(shard_for_course("any", 1), "a", tags(&[]), 0);
+        let id2 = b.enqueue_to(shard_for_course("other", 1), "b", tags(&[]), 0);
         assert_eq!((id1, id2), (1, 2), "stride 1: dense ids");
         assert_eq!(b.depth(0), 2);
     }

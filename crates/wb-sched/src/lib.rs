@@ -29,10 +29,13 @@
 //! per-course dequeue tally as scoped counters, and brown-outs/sheds
 //! as span annotations on the affected job.
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use wb_obs::sync::Mutex;
 use wb_obs::{Annotation, Counter, Recorder};
+use wb_queue::shard_for_course;
 
 /// Per-course scheduling parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,6 +126,34 @@ impl SchedConfig {
             .unwrap_or(self.backlog_budget)
             .max(1)
     }
+
+    /// A course's current weight: its configured share, multiplied by
+    /// the boost when its deadline is inside the proximity window.
+    pub fn effective_weight(&self, course: &str, now_ms: u64) -> u64 {
+        let cc = self.courses.get(course);
+        let base = cc.map(|c| c.weight).unwrap_or(1).max(1);
+        if let Some(deadline) = cc.and_then(|c| c.deadline_ms) {
+            if now_ms <= deadline && deadline - now_ms <= self.deadline_boost_window_ms {
+                return base.saturating_mul(self.deadline_boost.max(1));
+            }
+        }
+        base
+    }
+
+    /// The band an offer of `class` lands in when its course already
+    /// holds `backlog` jobs: shed past the budget, browned out (full
+    /// grades only) from the brown-out start, admitted whole below it.
+    fn judge(&self, course: &str, backlog: usize, class: GradeClass) -> Admission {
+        let budget = self.budget_for(course);
+        if backlog >= budget {
+            let retry_after_s = self.shed_retry_after_s * (1.0 + backlog as f64 / budget as f64);
+            return Admission::Shed { retry_after_s };
+        }
+        let brownout_at = ((budget as f64) * self.brownout_start).ceil() as usize;
+        Admission::Admitted {
+            browned_out: class == GradeClass::Full && backlog >= brownout_at,
+        }
+    }
 }
 
 /// How expensive the offered job is if admitted whole — full grading
@@ -200,6 +231,8 @@ impl<T> Default for CourseQueue<T> {
     }
 }
 
+/// One scheduler lane: the backlogs of the courses that hash to it,
+/// with its own rotation ring and aging clock.
 struct SchedState<T> {
     courses: BTreeMap<String, CourseQueue<T>>,
     /// Courses in first-offer order — the persistent rotation ring.
@@ -215,40 +248,158 @@ struct SchedState<T> {
     round: u64,
 }
 
-/// The fair-share scheduler. `T` is the queued payload (the clusters
-/// use `JobRequest`); the scheduler only needs the platform job id to
-/// annotate spans.
-pub struct FairScheduler<T> {
-    config: SchedConfig,
-    obs: Arc<Recorder>,
-    state: Mutex<SchedState<T>>,
+impl<T> SchedState<T> {
+    /// A course's queue; a course joins the ring when first offered.
+    fn course(&mut self, course: &str) -> &mut CourseQueue<T> {
+        if !self.courses.contains_key(course) {
+            self.ring.push(course.to_string());
+        }
+        self.courses.entry(course.to_string()).or_default()
+    }
+
+    fn backlog(&self, course: &str) -> usize {
+        self.courses.get(course).map_or(0, |cq| cq.q.len())
+    }
+
+    fn total_backlog(&self) -> usize {
+        self.courses.values().map(|cq| cq.q.len()).sum()
+    }
+
+    /// Release up to `max` jobs in fair-share order: aged head-of-line
+    /// jobs first (course rotation), then deficit-round-robin over the
+    /// remaining backlogs. Also returns the number of aged promotions.
+    fn drain(&mut self, cfg: &SchedConfig, max: usize, now_ms: u64) -> (Vec<(String, T)>, u64) {
+        let mut out = Vec::new();
+        let mut aged_promotions = 0u64;
+        self.round += 1;
+        let round = self.round;
+        let len = self.ring.len();
+        let start = if len == 0 { 0 } else { self.cursor % len };
+
+        // Aging pass: any course whose head has waited past the
+        // promotion threshold releases one job, in rotation over the
+        // persistent ring (key-stable: an emptied course is skipped in
+        // place, it never shifts the others' turns).
+        for i in 0..len {
+            if out.len() >= max {
+                break;
+            }
+            let name = self.ring[(start + i) % len].clone();
+            let Some(cq) = self.courses.get_mut(&name) else {
+                continue;
+            };
+            let aged =
+                cq.q.front()
+                    .is_some_and(|e| round - e.offered_round >= cfg.age_promote_rounds);
+            if !aged {
+                continue;
+            }
+            let e = cq.q.pop_front().unwrap();
+            if cq.q.is_empty() {
+                cq.deficit = 0;
+            }
+            aged_promotions += 1;
+            out.push((name, e.payload));
+        }
+
+        // Deficit-round-robin: cycle over the ring until capacity fills
+        // or every backlog empties. Each visit earns a non-empty course
+        // its weight; a dequeue spends `quantum`. Contended capacity
+        // therefore divides by weight, while spare capacity still
+        // drains every backlog (work conserving).
+        'drr: while out.len() < max {
+            let mut all_empty = true;
+            for i in 0..len {
+                if out.len() >= max {
+                    break 'drr;
+                }
+                let name = self.ring[(start + i) % len].clone();
+                let w = cfg.effective_weight(&name, now_ms);
+                let Some(cq) = self.courses.get_mut(&name) else {
+                    continue;
+                };
+                if cq.q.is_empty() {
+                    continue;
+                }
+                all_empty = false;
+                cq.deficit += w;
+                while cq.deficit >= cfg.quantum && !cq.q.is_empty() && out.len() < max {
+                    cq.deficit -= cfg.quantum;
+                    let e = cq.q.pop_front().unwrap();
+                    out.push((name.clone(), e.payload));
+                }
+                // An emptied course keeps no credit, and one that capacity
+                // cut off only its sub-quantum remainder: credit it could
+                // not spend would be spent next drain ahead of courses
+                // still owed a turn.
+                let left = if cq.q.is_empty() { 0 } else { cq.deficit };
+                cq.deficit = left.min(cfg.quantum.saturating_sub(1));
+            }
+            if all_empty {
+                break;
+            }
+        }
+        self.cursor = self.cursor.wrapping_add(1);
+        (out, aged_promotions)
+    }
 }
 
-impl<T> FairScheduler<T> {
-    /// A scheduler recording onto `obs` (pass [`Recorder::noop`] when
-    /// tracing is off).
-    pub fn new(config: SchedConfig, obs: Arc<Recorder>) -> Self {
-        FairScheduler {
-            config,
-            obs,
-            state: Mutex::new(SchedState {
+/// The fair-share scheduler: `N` lanes with course-hashed routing and
+/// a work-stealing drain. `T` is the queued payload (the clusters use
+/// `JobRequest`); the scheduler only needs the platform job id to
+/// annotate spans.
+///
+/// Each course lives wholly on one lane, the same one its jobs take in
+/// the broker ([`wb_queue::shard_for_course`]), so per-course FIFO
+/// order, backlog budgets, brown-out bands, and the deficit accounting
+/// do not depend on the lane count. What lanes buy is lock spread:
+/// offers and drains for different courses contend on different
+/// mutexes.
+///
+/// The drain steals: a lane asked for `max` jobs serves its own
+/// backlog first, then pulls the remainder from the most-loaded
+/// sibling lanes. Stolen jobs are released through the victim's own
+/// fair-share drain, so course order and fairness survive migration.
+pub struct ShardedScheduler<T> {
+    lanes: Vec<Mutex<SchedState<T>>>,
+    config: SchedConfig,
+    obs: Arc<Recorder>,
+    /// Rotating home for callers without a natural lane (the v1 wave
+    /// drain), so successive waves start at successive lanes.
+    next_home: AtomicUsize,
+}
+
+impl<T> ShardedScheduler<T> {
+    /// A scheduler with `shards` lanes (clamped to at least 1),
+    /// recording onto `obs` (pass [`Recorder::noop`] when tracing is
+    /// off).
+    pub fn new(shards: usize, config: SchedConfig, obs: Arc<Recorder>) -> Self {
+        let lane = || {
+            Mutex::new(SchedState {
                 courses: BTreeMap::new(),
                 ring: Vec::new(),
                 cursor: 0,
                 round: 0,
-            }),
+            })
+        };
+        ShardedScheduler {
+            lanes: (0..shards.max(1)).map(|_| lane()).collect(),
+            config,
+            obs,
+            next_home: AtomicUsize::new(0),
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &SchedConfig {
-        &self.config
+    /// The lane a course's jobs are routed to.
+    fn shard_for(&self, course: &str) -> usize {
+        shard_for_course(course, self.lanes.len())
     }
 
-    /// Offer one job for admission. On admission the payload is queued
-    /// (after `downgrade` is applied if the offer lands in the
-    /// brown-out band); on shed it is dropped and the caller should
-    /// return [`Admission::Shed`]'s retry hint to the submitter.
+    /// Offer one job for admission on its course's lane. On admission
+    /// the payload is queued (after `downgrade` is applied if the offer
+    /// lands in the brown-out band); on shed it is dropped and the
+    /// caller should return [`Admission::Shed`]'s retry hint to the
+    /// submitter.
     pub fn offer(
         &self,
         course: &str,
@@ -258,35 +409,24 @@ impl<T> FairScheduler<T> {
         now_ms: u64,
         downgrade: impl FnOnce(&mut T),
     ) -> Admission {
-        let budget = self.config.budget_for(course);
-        let mut st = self.state.lock();
-        let round = st.round;
-        if !st.courses.contains_key(course) {
-            st.ring.push(course.to_string());
-        }
-        let cq = st.courses.entry(course.to_string()).or_default();
-        if cq.q.len() >= budget {
-            let retry_after_s =
-                self.config.shed_retry_after_s * (1.0 + cq.q.len() as f64 / budget as f64);
-            drop(st);
-            self.obs.annotate(job_id, Annotation::Shed, now_ms);
-            return Admission::Shed { retry_after_s };
-        }
-        let brownout_at = ((budget as f64) * self.config.brownout_start).ceil() as usize;
-        let browned_out = class == GradeClass::Full && cq.q.len() >= brownout_at;
-        if browned_out {
-            downgrade(&mut payload);
-        }
-        cq.q.push_back(Entry {
-            payload,
-            offered_round: round,
-        });
-        drop(st);
-        self.obs.bump(Counter::SchedAdmitted);
-        if browned_out {
-            self.obs.annotate(job_id, Annotation::BrownOut, now_ms);
-        }
-        Admission::Admitted { browned_out }
+        let adm = {
+            let mut st = self.lanes[self.shard_for(course)].lock();
+            let offered_round = st.round;
+            let cq = st.course(course);
+            let adm = self.config.judge(course, cq.q.len(), class);
+            if let Admission::Admitted { browned_out } = adm {
+                if browned_out {
+                    downgrade(&mut payload);
+                }
+                cq.q.push_back(Entry {
+                    payload,
+                    offered_round,
+                });
+            }
+            adm
+        };
+        self.record(job_id, adm, now_ms);
+        adm
     }
 
     /// Admission decision without queueing, for synchronous callers
@@ -295,319 +435,103 @@ impl<T> FairScheduler<T> {
     /// course's current backlog, but the job never enters the queue —
     /// the caller applies any brown-out downgrade itself.
     pub fn admit(&self, course: &str, job_id: u64, class: GradeClass, now_ms: u64) -> Admission {
-        let budget = self.config.budget_for(course);
-        let backlog = self.backlog(course);
-        if backlog >= budget {
-            let retry_after_s =
-                self.config.shed_retry_after_s * (1.0 + backlog as f64 / budget as f64);
-            self.obs.annotate(job_id, Annotation::Shed, now_ms);
-            return Admission::Shed { retry_after_s };
-        }
-        let brownout_at = ((budget as f64) * self.config.brownout_start).ceil() as usize;
-        let browned_out = class == GradeClass::Full && backlog >= brownout_at;
-        self.obs.bump(Counter::SchedAdmitted);
-        if browned_out {
-            self.obs.annotate(job_id, Annotation::BrownOut, now_ms);
-        }
-        Admission::Admitted { browned_out }
+        let adm = self.config.judge(course, self.backlog(course), class);
+        self.record(job_id, adm, now_ms);
+        adm
     }
 
-    /// Release up to `max` jobs to the execution layer, in fair-share
-    /// order: aged head-of-line jobs first (course rotation), then
-    /// deficit-round-robin over the remaining backlogs.
-    pub fn drain(&self, max: usize, now_ms: u64) -> Vec<(String, T)> {
-        let mut out = Vec::new();
-        let mut aged_promotions = 0u64;
-        {
-            let mut st = self.state.lock();
-            st.round += 1;
-            let round = st.round;
-            let len = st.ring.len();
-            let start = if len == 0 { 0 } else { st.cursor % len };
-
-            // Aging pass: any course whose head has waited past the
-            // promotion threshold releases one job, in rotation over
-            // the persistent ring (key-stable: an emptied course is
-            // skipped in place, it never shifts the others' turns).
-            for i in 0..len {
-                if out.len() >= max {
-                    break;
-                }
-                let name = st.ring[(start + i) % len].clone();
-                let Some(cq) = st.courses.get_mut(&name) else {
-                    continue;
-                };
-                let aged =
-                    cq.q.front()
-                        .is_some_and(|e| round - e.offered_round >= self.config.age_promote_rounds);
-                if !aged {
-                    continue;
-                }
-                let e = cq.q.pop_front().unwrap();
-                if cq.q.is_empty() {
-                    cq.deficit = 0;
-                }
-                aged_promotions += 1;
-                out.push((name, e.payload));
-            }
-
-            // Deficit-round-robin: cycle over the ring until capacity
-            // fills or every backlog empties. Each visit earns a
-            // non-empty course its weight; a dequeue spends `quantum`.
-            // Contended capacity therefore divides by weight, while
-            // spare capacity still drains every backlog (work
-            // conserving).
-            'drr: while out.len() < max {
-                let mut all_empty = true;
-                for i in 0..len {
-                    if out.len() >= max {
-                        break 'drr;
-                    }
-                    let name = st.ring[(start + i) % len].clone();
-                    let w = self.effective_weight(&name, now_ms);
-                    let Some(cq) = st.courses.get_mut(&name) else {
-                        continue;
-                    };
-                    if cq.q.is_empty() {
-                        continue;
-                    }
-                    all_empty = false;
-                    cq.deficit += w;
-                    while cq.deficit >= self.config.quantum && !cq.q.is_empty() && out.len() < max {
-                        cq.deficit -= self.config.quantum;
-                        let e = cq.q.pop_front().unwrap();
-                        out.push((name.clone(), e.payload));
-                    }
-                    // An emptied course keeps no credit, and one that capacity
-                    // cut off only its sub-quantum remainder: credit it could
-                    // not spend would be spent next drain ahead of courses
-                    // still owed a turn.
-                    let left = if cq.q.is_empty() { 0 } else { cq.deficit };
-                    cq.deficit = left.min(self.config.quantum.saturating_sub(1));
-                }
-                if all_empty {
-                    break;
+    /// Put an admission decision on the recorder.
+    fn record(&self, job_id: u64, adm: Admission, now_ms: u64) {
+        match adm {
+            Admission::Shed { .. } => self.obs.annotate(job_id, Annotation::Shed, now_ms),
+            Admission::Admitted { browned_out } => {
+                self.obs.bump(Counter::SchedAdmitted);
+                if browned_out {
+                    self.obs.annotate(job_id, Annotation::BrownOut, now_ms);
                 }
             }
-            st.cursor = st.cursor.wrapping_add(1);
         }
+    }
+
+    /// Release up to `max` jobs from one lane, recording the dequeues.
+    fn drain(&self, lane: usize, max: usize, now_ms: u64) -> Vec<(String, T)> {
+        let (out, aged) = self.lanes[lane].lock().drain(&self.config, max, now_ms);
         self.obs.add(Counter::SchedDequeues, out.len() as u64);
-        self.obs.add(Counter::SchedAgedPromotions, aged_promotions);
+        self.obs.add(Counter::SchedAgedPromotions, aged);
         for (course, _) in &out {
             self.obs.bump_scoped(&format!("sched/dequeued/{course}"));
         }
         out
     }
 
-    /// A course's current weight: its configured share, multiplied by
-    /// the boost when its deadline is inside the proximity window.
-    pub fn effective_weight(&self, course: &str, now_ms: u64) -> u64 {
-        let cc = self.config.courses.get(course);
-        let base = cc.map(|c| c.weight).unwrap_or(1).max(1);
-        if let Some(deadline) = cc.and_then(|c| c.deadline_ms) {
-            if now_ms <= deadline && deadline - now_ms <= self.config.deadline_boost_window_ms {
-                return base.saturating_mul(self.config.deadline_boost.max(1));
-            }
+    fn lane_backlog(&self, lane: usize) -> usize {
+        self.lanes[lane].lock().total_backlog()
+    }
+
+    /// Release up to `max` jobs anchored at lane `home`: the home lane
+    /// drains first (its aging clock ticks even when `max` is 0), then
+    /// the remainder is stolen from the other lanes in
+    /// descending-backlog order. A victim only ticks when it actually
+    /// has work, so idle lanes don't age from their siblings' drains.
+    pub fn drain_stealing(&self, home: usize, max: usize, now_ms: u64) -> Vec<(String, T)> {
+        let n = self.lanes.len();
+        let home = home % n;
+        let mut out = self.drain(home, max, now_ms);
+        if out.len() >= max || n == 1 {
+            return out;
         }
-        base
+        let mut victims: Vec<usize> = (0..n).filter(|&i| i != home).collect();
+        victims.sort_by_key(|&i| Reverse(self.lane_backlog(i)));
+        for v in victims {
+            if out.len() >= max {
+                break;
+            }
+            if self.lane_backlog(v) == 0 {
+                continue;
+            }
+            out.extend(self.drain(v, max - out.len(), now_ms));
+        }
+        out
+    }
+
+    /// Release up to `max` jobs from a rotating home lane — the drain
+    /// for callers that pump the whole cluster rather than one lane.
+    pub fn drain_rotating(&self, max: usize, now_ms: u64) -> Vec<(String, T)> {
+        let home = self.next_home.fetch_add(1, Ordering::Relaxed);
+        self.drain_stealing(home % self.lanes.len(), max, now_ms)
     }
 
     /// Jobs a course holds that have not yet been released.
     pub fn backlog(&self, course: &str) -> usize {
-        self.state
-            .lock()
-            .courses
-            .get(course)
-            .map_or(0, |cq| cq.q.len())
+        self.lanes[self.shard_for(course)].lock().backlog(course)
     }
 
-    /// Total held jobs across all courses.
+    /// Total unreleased jobs across every lane.
     pub fn total_backlog(&self) -> usize {
-        self.state
-            .lock()
-            .courses
-            .values()
-            .map(|cq| cq.q.len())
-            .sum()
+        (0..self.lanes.len()).map(|i| self.lane_backlog(i)).sum()
     }
 
     /// The largest single-course backlog — the signal a one-course
     /// rush raises long before the global queue depth moves.
     pub fn max_course_backlog(&self) -> usize {
-        self.state
-            .lock()
-            .courses
-            .values()
-            .map(|cq| cq.q.len())
-            .max()
-            .unwrap_or(0)
+        let lanes = self.lanes.iter();
+        let per_lane = lanes.filter_map(|l| l.lock().courses.values().map(|cq| cq.q.len()).max());
+        per_lane.max().unwrap_or(0)
     }
 
-    /// Plain-data per-course view for dashboards.
+    /// Plain-data per-course view for dashboards: every non-empty
+    /// course, in course-id order.
     pub fn snapshot(&self) -> SchedSnapshot {
-        let st = self.state.lock();
-        SchedSnapshot {
-            total_backlog: st.courses.values().map(|cq| cq.q.len()).sum(),
-            courses: st
-                .courses
-                .iter()
-                .filter(|(_, cq)| !cq.q.is_empty())
-                .map(|(name, cq)| CourseBacklog {
-                    course: name.clone(),
-                    backlog: cq.q.len(),
-                    deficit: cq.deficit,
-                })
-                .collect(),
+        let mut courses = Vec::new();
+        for lane in &self.lanes {
+            let st = lane.lock();
+            let rows = st.courses.iter().filter(|(_, cq)| !cq.q.is_empty());
+            courses.extend(rows.map(|(name, cq)| CourseBacklog {
+                course: name.clone(),
+                backlog: cq.q.len(),
+                deficit: cq.deficit,
+            }));
         }
-    }
-}
-
-/// Stable shard for a course: FNV-1a over the course id, mod `shards`.
-/// Deliberately a fixed hash (not `DefaultHasher`) and deliberately the
-/// same function the sharded broker uses, so a course's scheduler shard
-/// and broker lane agree across crates, runs, and processes.
-pub fn shard_for_course(course: &str, shards: usize) -> usize {
-    debug_assert!(shards > 0, "at least one shard");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in course.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h % shards as u64) as usize
-}
-
-/// `N` independent [`FairScheduler`] lanes with course-hashed routing
-/// and a work-stealing drain.
-///
-/// Each course lives wholly on one shard (FNV-1a of the course id), so
-/// per-course FIFO order, backlog budgets, brown-out bands, and the
-/// deficit accounting are exactly the single-scheduler semantics — the
-/// shards never split a course. What sharding buys is lock spread:
-/// offers and drains for different courses contend on different
-/// mutexes.
-///
-/// The drain steals: a shard asked for `max` jobs serves its own
-/// backlog first, then pulls the remainder from the most-loaded
-/// sibling shards. Stolen jobs are released through the victim's own
-/// fair-share drain, so course order and fairness survive migration.
-pub struct ShardedScheduler<T> {
-    shards: Vec<FairScheduler<T>>,
-    /// Rotating home for callers without a natural lane (the v1 wave
-    /// drain), so successive waves start at successive shards.
-    next_home: std::sync::atomic::AtomicUsize,
-}
-
-impl<T> ShardedScheduler<T> {
-    /// A sharded scheduler with `shards` lanes (clamped to at least 1),
-    /// each lane reporting to the shared recorder.
-    pub fn new(shards: usize, config: SchedConfig, obs: Arc<Recorder>) -> Self {
-        let n = shards.max(1);
-        ShardedScheduler {
-            shards: (0..n)
-                .map(|_| FairScheduler::new(config.clone(), Arc::clone(&obs)))
-                .collect(),
-            next_home: std::sync::atomic::AtomicUsize::new(0),
-        }
-    }
-
-    /// Number of scheduler lanes.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a course's jobs are routed to.
-    pub fn shard_for(&self, course: &str) -> usize {
-        shard_for_course(course, self.shards.len())
-    }
-
-    /// The shared configuration (identical across lanes).
-    pub fn config(&self) -> &SchedConfig {
-        self.shards[0].config()
-    }
-
-    /// Offer a job for admission on its course's shard. Same contract
-    /// as [`FairScheduler::offer`].
-    pub fn offer(
-        &self,
-        course: &str,
-        job_id: u64,
-        payload: T,
-        class: GradeClass,
-        now_ms: u64,
-        downgrade: impl FnOnce(&mut T),
-    ) -> Admission {
-        self.shards[self.shard_for(course)].offer(course, job_id, payload, class, now_ms, downgrade)
-    }
-
-    /// Non-queueing admission decision on the course's shard. Same
-    /// contract as [`FairScheduler::admit`].
-    pub fn admit(&self, course: &str, job_id: u64, class: GradeClass, now_ms: u64) -> Admission {
-        self.shards[self.shard_for(course)].admit(course, job_id, class, now_ms)
-    }
-
-    /// Release up to `max` jobs anchored at shard `home`: the home
-    /// shard drains first (its aging clock ticks even when `max` is 0),
-    /// then the remainder is stolen from the other shards in
-    /// descending-backlog order. A victim only ticks when it actually
-    /// has work, so idle shards don't age from their siblings' drains.
-    pub fn drain_stealing(&self, home: usize, max: usize, now_ms: u64) -> Vec<(String, T)> {
-        let n = self.shards.len();
-        let home = home % n;
-        let mut out = self.shards[home].drain(max, now_ms);
-        if out.len() >= max || n == 1 {
-            return out;
-        }
-        let mut victims: Vec<usize> = (0..n).filter(|&i| i != home).collect();
-        victims.sort_by_key(|&i| std::cmp::Reverse(self.shards[i].total_backlog()));
-        for v in victims {
-            if out.len() >= max {
-                break;
-            }
-            if self.shards[v].total_backlog() == 0 {
-                continue;
-            }
-            out.extend(self.shards[v].drain(max - out.len(), now_ms));
-        }
-        out
-    }
-
-    /// Release up to `max` jobs from a rotating home shard — the drain
-    /// for callers that pump the whole cluster rather than one lane.
-    pub fn drain_rotating(&self, max: usize, now_ms: u64) -> Vec<(String, T)> {
-        let home = self
-            .next_home
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.drain_stealing(home % self.shards.len(), max, now_ms)
-    }
-
-    /// A course's unreleased backlog (on its home shard).
-    pub fn backlog(&self, course: &str) -> usize {
-        self.shards[self.shard_for(course)].backlog(course)
-    }
-
-    /// Total unreleased jobs across every shard.
-    pub fn total_backlog(&self) -> usize {
-        self.shards.iter().map(|s| s.total_backlog()).sum()
-    }
-
-    /// The largest single-course backlog across every shard.
-    pub fn max_course_backlog(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.max_course_backlog())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Merged dashboard snapshot: every shard's non-empty courses, in
-    /// course-id order (a course lives on exactly one shard, so the
-    /// merge never has to combine rows).
-    pub fn snapshot(&self) -> SchedSnapshot {
-        let mut courses: Vec<CourseBacklog> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.snapshot().courses)
-            .collect();
         courses.sort_by(|a, b| a.course.cmp(&b.course));
         SchedSnapshot {
             total_backlog: courses.iter().map(|c| c.backlog).sum(),
@@ -620,12 +544,17 @@ impl<T> ShardedScheduler<T> {
 mod tests {
     use super::*;
 
-    fn sched(config: SchedConfig) -> FairScheduler<u64> {
-        FairScheduler::new(config, Arc::new(Recorder::noop()))
+    /// One lane: the plain fair-share scheduler.
+    fn sched(config: SchedConfig) -> ShardedScheduler<u64> {
+        ShardedScheduler::new(1, config, Arc::new(Recorder::noop()))
     }
 
-    fn offer_light(s: &FairScheduler<u64>, course: &str, job: u64) -> Admission {
+    fn offer_light(s: &ShardedScheduler<u64>, course: &str, job: u64) -> Admission {
         s.offer(course, job, job, GradeClass::Light, 0, |_| {})
+    }
+
+    fn drain(s: &ShardedScheduler<u64>, max: usize, now_ms: u64) -> Vec<(String, u64)> {
+        s.drain_stealing(0, max, now_ms)
     }
 
     #[test]
@@ -634,7 +563,7 @@ mod tests {
         for j in 0..5 {
             assert!(offer_light(&s, "hpp", j).admitted());
         }
-        let got: Vec<u64> = s.drain(10, 0).into_iter().map(|(_, j)| j).collect();
+        let got: Vec<u64> = drain(&s, 10, 0).into_iter().map(|(_, j)| j).collect();
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
         assert_eq!(s.total_backlog(), 0);
     }
@@ -648,7 +577,7 @@ mod tests {
         }
         // Capacity 2 per round: each course releases exactly one job.
         for round in 0..4 {
-            let got = s.drain(2, round);
+            let got = drain(&s, 2, round);
             let courses: Vec<&str> = got.iter().map(|(c, _)| c.as_str()).collect();
             assert!(
                 courses.contains(&"hpp") && courses.contains(&"ece408"),
@@ -671,7 +600,7 @@ mod tests {
         let mut big = 0;
         let mut small = 0;
         for round in 0..6 {
-            for (c, _) in s.drain(4, round) {
+            for (c, _) in drain(&s, 4, round) {
                 if c == "big" {
                     big += 1;
                 } else {
@@ -693,14 +622,18 @@ mod tests {
         }
         .with_course_deadline("due", 500);
         let s = sched(cfg);
-        assert_eq!(s.effective_weight("due", 0), 3);
-        assert_eq!(s.effective_weight("due", 2_000), 1, "past the deadline");
-        assert_eq!(s.effective_weight("other", 0), 1);
+        assert_eq!(s.config.effective_weight("due", 0), 3);
+        assert_eq!(
+            s.config.effective_weight("due", 2_000),
+            1,
+            "past the deadline"
+        );
+        assert_eq!(s.config.effective_weight("other", 0), 1);
         for j in 0..12 {
             offer_light(&s, "due", j);
             offer_light(&s, "other", 100 + j);
         }
-        let got = s.drain(4, 0);
+        let got = drain(&s, 4, 0);
         let due = got.iter().filter(|(c, _)| c == "due").count();
         assert_eq!(due, 3, "boosted course takes 3 of 4 slots: {got:?}");
     }
@@ -724,8 +657,7 @@ mod tests {
         }
         let mut tiny_by_round = Vec::new();
         for round in 0..6 {
-            let tiny = s
-                .drain(5, round)
+            let tiny = drain(&s, 5, round)
                 .iter()
                 .filter(|(c, _)| c == "tiny")
                 .count();
@@ -748,7 +680,7 @@ mod tests {
             backlog_budget: 8,
             ..SchedConfig::default()
         };
-        let s = FairScheduler::new(cfg, Arc::new(Recorder::traced()));
+        let s = ShardedScheduler::new(1, cfg, Arc::new(Recorder::traced()));
         let mut downgrades = Vec::new();
         for j in 0..10u64 {
             let adm = s.offer("hpp", j, j, GradeClass::Full, 0, |p| {
@@ -772,7 +704,7 @@ mod tests {
         );
         assert_eq!(s.backlog("hpp"), 8);
         // Draining below the band reopens whole-grade admission.
-        s.drain(3, 0);
+        drain(&s, 3, 0);
         let adm = s.offer("hpp", 20, 20, GradeClass::Full, 0, |_| {
             panic!("below the band")
         });
@@ -863,7 +795,7 @@ mod tests {
         offer_light(&s, "c", 20);
         offer_light(&s, "c", 21);
         let turn = |round: u64| {
-            let got = s.drain(1, round);
+            let got = drain(&s, 1, round);
             assert_eq!(got.len(), 1, "round {round} must release one job");
             got[0].0.clone()
         };
@@ -885,11 +817,9 @@ mod tests {
                 .admitted());
         }
         let home = s.shard_for("cs100");
-        assert_eq!(s.shards[home].backlog("cs100"), 8);
-        for (i, sh) in s.shards.iter().enumerate() {
-            if i != home {
-                assert_eq!(sh.total_backlog(), 0, "course leaked to shard {i}");
-            }
+        assert_eq!(s.lanes[home].lock().backlog("cs100"), 8);
+        for i in (0..4).filter(|&i| i != home) {
+            assert_eq!(s.lane_backlog(i), 0, "course leaked to shard {i}");
         }
         assert_eq!(s.backlog("cs100"), 8);
         assert_eq!(s.total_backlog(), 8);
@@ -1011,7 +941,7 @@ mod tests {
         assert_eq!(snap.courses[0].course, "a");
         assert_eq!(snap.courses[0].backlog, 2);
         assert_eq!(s.max_course_backlog(), 2);
-        s.drain(10, 0);
+        drain(&s, 10, 0);
         assert!(s.snapshot().courses.is_empty());
     }
 }

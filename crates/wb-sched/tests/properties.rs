@@ -4,11 +4,12 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use wb_obs::Recorder;
-use wb_sched::{Admission, FairScheduler, GradeClass, SchedConfig, ShardedScheduler};
+use wb_sched::{Admission, GradeClass, SchedConfig, ShardedScheduler};
 
 const COURSES: [&str; 4] = ["ece408", "ece598", "hpp", "pumps"];
 
-fn sched_with_weights(weights: &[u64]) -> FairScheduler<u64> {
+/// A one-lane scheduler: every course shares the one DRR ring.
+fn sched_with_weights(weights: &[u64]) -> ShardedScheduler<u64> {
     let mut cfg = SchedConfig {
         backlog_budget: 10_000,
         ..SchedConfig::default()
@@ -16,7 +17,7 @@ fn sched_with_weights(weights: &[u64]) -> FairScheduler<u64> {
     for (i, w) in weights.iter().enumerate() {
         cfg = cfg.with_course_weight(COURSES[i], *w);
     }
-    FairScheduler::new(cfg, Arc::new(Recorder::noop()))
+    ShardedScheduler::new(1, cfg, Arc::new(Recorder::noop()))
 }
 
 /// Conservation and order: across any arrival mix, draining one
@@ -45,14 +46,14 @@ fn every_admitted_job_drains_exactly_once() {
         let total = arrivals.len();
         let mut drained: BTreeMap<String, Vec<u64>> = BTreeMap::new();
         for round in 0..total {
-            let got = s.drain(1, round as u64);
+            let got = s.drain_stealing(0, 1, round as u64);
             assert_eq!(got.len(), 1, "non-empty backlog always progresses");
             for (course, job) in got {
                 drained.entry(course).or_default().push(job);
             }
         }
         assert_eq!(s.total_backlog(), 0, "exactly one drain per job empties it");
-        assert!(s.drain(1, total as u64).is_empty());
+        assert!(s.drain_stealing(0, 1, total as u64).is_empty());
         for (i, name) in COURSES.iter().enumerate() {
             let want = offered.remove(&i).unwrap_or_default();
             let got = drained.remove(*name).unwrap_or_default();
@@ -82,7 +83,7 @@ fn no_course_starves_under_adversarial_mixes() {
         let capacity: u64 = weights.iter().sum();
         let mut left: Vec<usize> = backlogs.clone();
         for round in 0..rounds {
-            let got = s.drain(capacity as usize, round);
+            let got = s.drain_stealing(0, capacity as usize, round);
             let mut served = [0usize; 4];
             for (course, _) in &got {
                 let i = COURSES.iter().position(|c| c == course).unwrap();
@@ -114,7 +115,7 @@ fn capacity_cut_credit_does_not_starve_the_next_drain() {
         s.offer(course, job, job, GradeClass::Light, 0, |_| {});
     }
     for round in 0..3 {
-        let got = s.drain(11, round);
+        let got = s.drain_stealing(0, 11, round);
         assert!(got.iter().any(|(c, _)| c == "ece598"), "{round}: {got:?}");
     }
 }
@@ -132,7 +133,7 @@ fn contended_capacity_splits_by_weight() {
                 s.offer(course, id, id, GradeClass::Light, 0, |_| {});
             }
         }
-        let got = s.drain((w0 + w1) as usize, 0);
+        let got = s.drain_stealing(0, (w0 + w1) as usize, 0);
         let c0 = got.iter().filter(|(c, _)| c == COURSES[0]).count() as u64;
         let c1 = got.iter().filter(|(c, _)| c == COURSES[1]).count() as u64;
         assert_eq!((c0, c1), (w0, w1));
@@ -150,7 +151,7 @@ fn admission_bands_are_ordered() {
             backlog_budget: budget,
             ..SchedConfig::default()
         };
-        let s = FairScheduler::new(cfg, Arc::new(Recorder::noop()));
+        let s = ShardedScheduler::new(1, cfg, Arc::new(Recorder::noop()));
         let band = ((budget as f64) * 0.75).ceil() as usize;
         for j in 0..offers {
             let adm = s.offer("hpp", j as u64, j as u64, GradeClass::Full, 0, |_| {});

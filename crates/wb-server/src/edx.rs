@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use wb_db::BlobStore;
 use wb_obs::sync::Mutex;
-use wb_queue::Broker;
+use wb_queue::ShardedBroker;
 use wb_worker::{JobOutcome, JobRequest};
 
 /// A dispatcher that enqueues to the v2 broker and waits for the
@@ -25,14 +25,18 @@ use wb_worker::{JobOutcome, JobRequest};
 /// event simulation does exactly that. For convenience, `dispatch`
 /// drives the supplied worker set itself.
 pub struct EdxFrontend {
-    broker: Arc<Broker<JobRequest>>,
+    broker: Arc<ShardedBroker<JobRequest>>,
     results: Mutex<HashMap<u64, JobOutcome>>,
     workers: Vec<Arc<wb_worker::WorkerNode>>,
 }
 
 impl EdxFrontend {
-    /// Build over a broker and a worker fleet.
-    pub fn new(broker: Arc<Broker<JobRequest>>, workers: Vec<Arc<wb_worker::WorkerNode>>) -> Self {
+    /// Build over a broker and a worker fleet. Every worker polls from
+    /// lane 0; a one-lane broker is the XBlock's single queue.
+    pub fn new(
+        broker: Arc<ShardedBroker<JobRequest>>,
+        workers: Vec<Arc<wb_worker::WorkerNode>>,
+    ) -> Self {
         EdxFrontend {
             broker,
             results: Mutex::new(HashMap::new()),
@@ -105,7 +109,7 @@ impl EdxFrontend {
     pub fn pump(&self, now_ms: u64) -> usize {
         let mut done = 0;
         for w in &self.workers {
-            if let Some(outcome) = w.poll_once(&self.broker, now_ms) {
+            if let Some(outcome) = w.poll_once(&self.broker, 0, now_ms) {
                 self.results.lock().insert(outcome.job_id, outcome);
                 done += 1;
             }
@@ -123,7 +127,7 @@ impl JobDispatcher for EdxFrontend {
     fn dispatch(&self, req: JobRequest, now_ms: u64) -> Result<JobOutcome, WbError> {
         let job_id = req.job_id;
         let tags = req.spec.tags.to_wire();
-        self.broker.enqueue(req, tags, now_ms);
+        self.broker.enqueue_to(0, req, tags, now_ms);
         // Drive the fleet until the job completes or nobody can take it.
         for round in 0..1_000 {
             if self.pump(now_ms + round) == 0 && self.take_result(job_id).is_none() {
@@ -151,8 +155,8 @@ mod tests {
     use minicuda::DeviceConfig;
     use wb_worker::{DatasetCase, JobAction, LabSpec, WorkerConfig, WorkerNode};
 
-    fn fleet(n: usize) -> (Arc<Broker<JobRequest>>, Vec<Arc<WorkerNode>>) {
-        let broker = Arc::new(Broker::new(60_000, 3));
+    fn fleet(n: usize) -> (Arc<ShardedBroker<JobRequest>>, Vec<Arc<WorkerNode>>) {
+        let broker = Arc::new(ShardedBroker::new(1, 60_000, 3));
         let workers = (0..n)
             .map(|i| {
                 Arc::new(WorkerNode::boot(

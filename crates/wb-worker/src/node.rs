@@ -9,7 +9,7 @@ use minicuda::DeviceConfig;
 use std::sync::Arc;
 use wb_obs::sync::Mutex;
 use wb_obs::{Annotation, JobPhase, Recorder};
-use wb_queue::{BrokerHandle, CapabilitySet};
+use wb_queue::{CapabilitySet, ShardedBroker};
 use wb_sandbox::{ContainerPool, Image};
 
 /// A health check emitted periodically to the web server (v1) or
@@ -240,13 +240,14 @@ impl WorkerNode {
         Some(self.run(req, now_ms))
     }
 
-    /// v2 pull interface: poll the broker once; execute and ack a job
-    /// if one matches this node's capabilities. Generic over
-    /// [`BrokerHandle`] so a mirrored broker's ack reaches every zone,
-    /// not just the active one.
+    /// v2 pull interface: poll the broker once from lane `home`
+    /// (stealing from the other lanes when it is dry); execute and ack a
+    /// job if one matches this node's capabilities. The ack reaches
+    /// both zones of the issuing lane, so a failover cannot re-run it.
     pub fn poll_once(
         &self,
-        broker: &impl BrokerHandle<JobRequest>,
+        broker: &ShardedBroker<JobRequest>,
+        home: usize,
         now_ms: u64,
     ) -> Option<JobOutcome> {
         let (caps, preempting) = {
@@ -256,7 +257,7 @@ impl WorkerNode {
             }
             (g.capabilities.clone(), g.preempting)
         };
-        let delivery = broker.poll(&caps, now_ms);
+        let delivery = broker.poll_from(home, &caps, now_ms);
         if preempting {
             // The node vanishes at this poll whether or not a job was
             // in hand. With a delivery taken, it goes dark without
@@ -357,7 +358,6 @@ mod tests {
     use super::*;
     use crate::job::{DatasetCase, JobAction, LabSpec};
     use libwb::Dataset;
-    use wb_queue::Broker;
 
     fn trivial_request(job_id: u64) -> JobRequest {
         JobRequest {
@@ -411,18 +411,18 @@ mod tests {
 
     #[test]
     fn poll_respects_capabilities() {
-        let broker: Broker<JobRequest> = Broker::new(10_000, 3);
+        let broker = ShardedBroker::new(1, 10_000, 3);
         let mut req = trivial_request(1);
         req.spec.tags = ["mpi".to_string()].into_iter().collect();
-        broker.enqueue(req.clone(), req.spec.tags.to_wire(), 0);
+        broker.enqueue_to(0, req.clone(), req.spec.tags.to_wire(), 0);
         let n = node(); // plain cuda worker
-        assert!(n.poll_once(&broker, 1).is_none(), "mpi job skipped");
+        assert!(n.poll_once(&broker, 0, 1).is_none(), "mpi job skipped");
         // An MPI-capable node picks it up.
         let mut cfg = WorkerConfig::default();
         cfg.capabilities.insert("mpi".into());
         let mpi_node = WorkerNode::boot(2, DeviceConfig::test_small(), &cfg);
         let out = mpi_node
-            .poll_once(&broker, 2)
+            .poll_once(&broker, 0, 2)
             .expect("capable node took it");
         assert_eq!(out.worker_id, 2);
         assert_eq!(broker.depth(3), 0, "job acked");
@@ -430,20 +430,20 @@ mod tests {
 
     #[test]
     fn preempted_node_strands_its_delivery_for_the_timeout() {
-        let broker: Broker<JobRequest> = Broker::new(100, 3);
+        let broker = ShardedBroker::new(1, 100, 3);
         let req = trivial_request(7);
-        broker.enqueue(req, std::collections::BTreeSet::new(), 0);
+        broker.enqueue_to(0, req, std::collections::BTreeSet::new(), 0);
         let n = node();
         n.preempt();
         assert!(n.health(0).is_some(), "beats continue until the poll");
         // The poll takes the delivery and vanishes: no outcome, no ack.
-        assert!(n.poll_once(&broker, 1).is_none());
+        assert!(n.poll_once(&broker, 0, 1).is_none());
         assert!(n.is_crashed());
         assert_eq!(broker.in_flight(2), 1, "job stranded in flight");
         assert_eq!(broker.depth(2), 0);
         // Visibility lapses; a healthy node picks the job back up.
         let rescuer = WorkerNode::boot(2, DeviceConfig::test_small(), &WorkerConfig::default());
-        let out = rescuer.poll_once(&broker, 101).expect("redelivered");
+        let out = rescuer.poll_once(&broker, 0, 101).expect("redelivered");
         assert_eq!(out.worker_id, 2);
         assert_eq!(broker.depth(102), 0, "acked after rescue");
         // Recovery clears both flags: the node polls normally again.

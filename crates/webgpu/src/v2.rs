@@ -92,7 +92,7 @@ impl Pull {
         // The worker polls its pinned lane (stealing from siblings when
         // the lane is dry); each lane is a mirror, so the ack reaches
         // both zones and a failover cannot re-run completed jobs.
-        w.poll_once(&plane.strategy.broker.lane(idx % plane.shards), now_ms)
+        w.poll_once(&plane.strategy.broker, idx % plane.shards, now_ms)
     }
 
     /// Grow and shrink the fleet toward `target`. Killed workers keep

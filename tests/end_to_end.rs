@@ -153,11 +153,11 @@ fn full_journey_on_the_openedx_frontend() {
     // WebGPU 2.0's student path: the OpenEdx XBlock enqueues to the
     // broker; a small fleet polls; datasets round-trip the blob store.
     use wb_db::BlobStore;
-    use wb_queue::Broker;
+    use wb_queue::ShardedBroker;
     use wb_server::EdxFrontend;
     use wb_worker::{WorkerConfig, WorkerNode};
 
-    let broker = Arc::new(Broker::new(60_000, 3));
+    let broker = Arc::new(ShardedBroker::new(1, 60_000, 3));
     let workers = (1..=2)
         .map(|id| {
             Arc::new(WorkerNode::boot(
