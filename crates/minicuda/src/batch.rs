@@ -605,18 +605,6 @@ macro_rules! mask {
     };
 }
 
-/// Execute one block of a kernel launch over the IR. Drop-in
-/// replacement for `simt::run_block`.
-pub fn run_block_ir(
-    env: &KernelEnv<'_>,
-    block_idx: [i64; 3],
-    func: &IrFunc,
-    ir: &IrProgram,
-    args: &[Value],
-) -> Result<CostSummary, Diag> {
-    BatchExec::new(env, ir).run_block(block_idx, func, args)
-}
-
 /// The executor for the blocks one SM worker runs of one launch: the
 /// arena, `tid` tables and frame shells are built once and reused by
 /// every block; everything else is reset per block.

@@ -166,7 +166,7 @@ pub fn launch(
         }
     }
 
-    // Executor selection: programs compiled at O1+ carry middle-end IR
+    // Executor selection: programs compiled at O2 carry middle-end IR
     // and run each block warp-batched; otherwise fall back to the
     // tree-walk interpreter.
     let batched = program

@@ -65,7 +65,7 @@
 
 pub mod analyze;
 pub mod ast;
-pub mod batch;
+mod batch;
 pub mod cost;
 pub mod device;
 pub mod diag;
@@ -81,7 +81,7 @@ pub mod parser;
 pub mod passes;
 pub mod preprocessor;
 pub mod sema;
-pub mod simt;
+mod simt;
 pub mod token;
 pub mod value;
 
@@ -101,11 +101,11 @@ pub use sema::Program;
 /// produced at one level is never served for another.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum OptLevel {
-    /// No IR: kernels run on the tree-walking interpreter.
+    /// No IR: kernels run on the tree-walking interpreter — the
+    /// oracle the differential tests compare the batched executor to.
     O0,
-    /// Lower to the kernel IR and execute warp-batched, no rewrites.
-    O1,
-    /// Lower plus the full pass pipeline (fold, CSE, LICM, DCE).
+    /// Lower to the kernel IR, run the full pass pipeline (fold, CSE,
+    /// LICM, DCE) and execute warp-batched.
     #[default]
     O2,
 }
@@ -116,7 +116,6 @@ impl OptLevel {
     pub fn fingerprint(self) -> String {
         match self {
             OptLevel::O0 => "O0".to_string(),
-            OptLevel::O1 => format!("O1/{}", ir::IR_VERSION),
             OptLevel::O2 => format!("O2/{}", ir::IR_VERSION),
         }
     }
@@ -126,7 +125,6 @@ impl std::fmt::Display for OptLevel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             OptLevel::O0 => "O0",
-            OptLevel::O1 => "O1",
             OptLevel::O2 => "O2",
         })
     }
@@ -151,11 +149,9 @@ pub fn compile_with(source: &str, dialect: Dialect, opt: OptLevel) -> Result<Pro
     let tokens = lexer::lex(&canonical)?;
     let unit = parser::parse(tokens)?;
     let mut program = sema::analyze(unit, dialect)?;
-    if opt != OptLevel::O0 {
+    if opt == OptLevel::O2 {
         let mut lowered = lower::lower_program(&program);
-        if opt == OptLevel::O2 {
-            passes::optimize_program(&mut lowered);
-        }
+        passes::optimize_program(&mut lowered);
         program.attach_ir(lowered);
     }
     Ok(program)

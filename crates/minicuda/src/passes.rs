@@ -18,7 +18,7 @@
 //!   hoisted out of a conditionally-executed loop, and never deleted
 //!   while dead, because any of those would change *whether* or
 //!   *where* a student's kernel fails. Passes act only on operations
-//!   the [`Kind`] analysis proves total over their operand
+//!   the `Kind` analysis proves total over their operand
 //!   representations. Duplicate elimination of a *potentially*
 //!   trapping op is still legal — the surviving first occurrence runs
 //!   under a superset mask with the same operand values, so it traps

@@ -20,9 +20,9 @@ pub struct Program {
     kernel_names: Vec<String>,
     constants: Vec<ConstantSpec>,
     dialect: Dialect,
-    /// Lowered (and possibly optimized) middle-end IR, attached by
-    /// `compile_with` at `O1`+. `None` means kernels execute on the
-    /// tree-walk interpreter.
+    /// Lowered middle-end IR, attached by `compile_with` at `O2` (or by
+    /// a caller that lowers for itself, via `attach_ir`). `None` means
+    /// kernels execute on the tree-walk interpreter.
     ir: Option<std::sync::Arc<crate::ir::IrProgram>>,
 }
 

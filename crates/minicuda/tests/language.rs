@@ -681,7 +681,7 @@ fn compound_index_assignment_evaluates_index_once() {
             return 0;
         }
     "#;
-    for opt in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+    for opt in [OptLevel::O0, OptLevel::O2] {
         let program = compile_with(src, Dialect::Cuda, opt).unwrap_or_else(|d| panic!("{d}"));
         let opts = RunOptions {
             device: DeviceConfig::test_small(),
@@ -701,10 +701,19 @@ fn compound_index_assignment_evaluates_index_once() {
     }
 }
 
+/// `src` lowered to the kernel IR with no pass run over it: the
+/// warp-batched executor on the IR exactly as lowering emits it.
+fn compile_unoptimized(src: &str) -> minicuda::Program {
+    let mut program =
+        compile_with(src, Dialect::Cuda, OptLevel::O0).unwrap_or_else(|d| panic!("{d}"));
+    program.attach_ir(minicuda::lower::lower_program(&program));
+    program
+}
+
 /// The instruction cost model counts **IR ops executed**: after LICM
 /// hoists thread-invariant math out of a 64-iteration loop, the O2
 /// kernel issues measurably fewer warp-instructions than the same IR
-/// run unoptimized at O1 — while every memory/divergence counter stays
+/// run unoptimized — while every memory/divergence counter stays
 /// bit-identical (the optimizer may only shrink issue counts).
 #[test]
 fn optimized_kernels_issue_fewer_warp_instructions() {
@@ -726,29 +735,28 @@ fn optimized_kernels_issue_fewer_warp_instructions() {
             return 0;
         }
     "#;
-    let run_at = |opt: OptLevel| {
-        let program = compile_with(src, Dialect::Cuda, opt).unwrap_or_else(|d| panic!("{d}"));
+    let run = |program: &minicuda::Program| {
         let opts = RunOptions {
             device: DeviceConfig::test_small(),
             ..Default::default()
         };
-        let out = minicuda::run(&program, &[] as &[Dataset], &opts);
-        assert!(out.ok(), "{opt}: {:?}", out.error);
+        let out = minicuda::run(program, &[] as &[Dataset], &opts);
+        assert!(out.ok(), "{:?}", out.error);
         out
     };
-    let o1 = run_at(OptLevel::O1);
-    let o2 = run_at(OptLevel::O2);
-    assert_eq!(o1.solution, o2.solution);
-    assert_eq!(o1.solution, Some(Dataset::Vector(vec![64.0 * 22.0; 32])));
+    let raw = run(&compile_unoptimized(src));
+    let o2 = run(&compile_with(src, Dialect::Cuda, OptLevel::O2).unwrap_or_else(|d| panic!("{d}")));
+    assert_eq!(raw.solution, o2.solution);
+    assert_eq!(raw.solution, Some(Dataset::Vector(vec![64.0 * 22.0; 32])));
     assert!(
-        o2.cost.warp_instructions < o1.cost.warp_instructions,
-        "LICM+fold should shrink issued IR ops: O1={} O2={}",
-        o1.cost.warp_instructions,
+        o2.cost.warp_instructions < raw.cost.warp_instructions,
+        "LICM+fold should shrink issued IR ops: unoptimized={} O2={}",
+        raw.cost.warp_instructions,
         o2.cost.warp_instructions
     );
-    assert_eq!(o1.cost.global_transactions, o2.cost.global_transactions);
-    assert_eq!(o1.cost.divergent_branches, o2.cost.divergent_branches);
-    assert_eq!(o1.cost.barriers, o2.cost.barriers);
+    assert_eq!(raw.cost.global_transactions, o2.cost.global_transactions);
+    assert_eq!(raw.cost.divergent_branches, o2.cost.divergent_branches);
+    assert_eq!(raw.cost.barriers, o2.cost.barriers);
 }
 
 // ---- lane representations vs the tree-walk oracle -------------------------
@@ -756,11 +764,12 @@ fn optimized_kernels_issue_fewer_warp_instructions() {
 // The batched executor stores a register as uniform, typed or generic
 // lanes and picks a loop by representation. These kernels sit on the
 // edges between representations; each must be indistinguishable from
-// the tree-walk (`O0`) at `O1` and `O2`: solution, diagnostic (message,
-// position, block and lane) and memory counters.
+// the tree-walk (`O0`) on the unoptimized IR and at `O2`: solution,
+// diagnostic (message, position, block and lane) and memory counters.
 
-/// Run `kernel` over one block of `n` threads writing `out[n]`, at
-/// every opt level, and return the (identical) outcome.
+/// Run `kernel` over one block of `n` threads writing `out[n]` on the
+/// tree-walk, the unoptimized IR and the `O2` IR, and return the
+/// (identical) outcome.
 fn same_at_all_levels(kernel: &str, n: usize) -> minicuda::RunOutcome {
     let src = format!(
         r#"{kernel}
@@ -780,17 +789,21 @@ fn same_at_all_levels(kernel: &str, n: usize) -> minicuda::RunOutcome {
             return 0;
         }}"#
     );
-    let run_at = |opt: OptLevel| {
-        let program = compile_with(&src, Dialect::Cuda, opt).unwrap_or_else(|d| panic!("{d}"));
+    let run = |program: &minicuda::Program| {
         let opts = RunOptions {
             device: DeviceConfig::test_small(),
             ..Default::default()
         };
-        minicuda::run(&program, &[] as &[Dataset], &opts)
+        minicuda::run(program, &[] as &[Dataset], &opts)
     };
-    let oracle = run_at(OptLevel::O0);
-    for opt in [OptLevel::O1, OptLevel::O2] {
-        let out = run_at(opt);
+    let at =
+        |opt: OptLevel| compile_with(&src, Dialect::Cuda, opt).unwrap_or_else(|d| panic!("{d}"));
+    let oracle = run(&at(OptLevel::O0));
+    for (opt, program) in [
+        ("unoptimized", compile_unoptimized(&src)),
+        ("O2", at(OptLevel::O2)),
+    ] {
+        let out = run(&program);
         assert_eq!(out.error, oracle.error, "{opt}: diagnostic");
         assert_eq!(out.solution, oracle.solution, "{opt}: solution");
         let (c, o) = (&out.cost, &oracle.cost);

@@ -10,7 +10,7 @@
 use wb_bench::reference_job;
 use wb_labs::LabScale;
 use wb_sandbox::{ContainerPool, Image};
-use wb_worker::JobAction;
+use wb_worker::{execute, JobAction, RunCtx};
 
 fn main() {
     let jobs = 50;
@@ -73,8 +73,13 @@ fn main() {
     // claim — because the container is pure setup in this model: run
     // the same job twice and compare device cycles.
     let req = reference_job("vecadd", 1, LabScale::Small, JobAction::RunDataset(0));
-    let a = wb_worker::execute_job(&req, &minicuda::DeviceConfig::test_small(), 0, 0);
-    let b = wb_worker::execute_job(&req, &minicuda::DeviceConfig::test_small(), 0, 900);
+    let device = minicuda::DeviceConfig::test_small();
+    let a = execute(&req, &RunCtx::new(&device));
+    let waited = RunCtx {
+        container_wait_ms: 900,
+        ..RunCtx::new(&device)
+    };
+    let b = execute(&req, &waited);
     println!(
         "\nGPU work is container-independent: {} vs {} device cycles (identical)",
         a.datasets[0].elapsed_cycles, b.datasets[0].elapsed_cycles

@@ -7,7 +7,7 @@
 use minicuda::DeviceConfig;
 use wb_bench::reference_job;
 use wb_labs::{catalog, LabScale};
-use wb_worker::{execute_job, JobAction};
+use wb_worker::{execute, JobAction, RunCtx};
 
 fn main() {
     let courses = catalog::courses();
@@ -30,7 +30,7 @@ fn main() {
             }
             job_id += 1;
             let req = reference_job(entry.id, job_id, LabScale::Small, JobAction::FullGrade);
-            let out = execute_job(&req, &device, 0, 0);
+            let out = execute(&req, &RunCtx::new(&device));
             let ok = out.compiled() && out.passed_count() == out.datasets.len();
             if !ok {
                 failed += 1;

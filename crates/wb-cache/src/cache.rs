@@ -44,20 +44,11 @@ impl<K: Hash + Eq + Clone, V: Clone> CachedMap<K, V> {
     }
 
     /// Serve `key` from cache, or compute it exactly once across all
-    /// concurrent callers. `weigh` prices the freshly computed value
-    /// for the byte budget; it only runs on the single-flight leader.
+    /// concurrent callers, reporting how the lookup was served so
+    /// callers can annotate job traces. `weigh` prices the freshly
+    /// computed value for the byte budget; it only runs on the
+    /// single-flight leader.
     pub fn get_or_compute(
-        &self,
-        key: K,
-        weigh: impl FnOnce(&V) -> usize,
-        compute: impl FnOnce() -> V,
-    ) -> V {
-        self.get_or_compute_traced(key, weigh, compute).0
-    }
-
-    /// [`CachedMap::get_or_compute`], also reporting how the lookup
-    /// was served so callers can annotate job traces.
-    pub fn get_or_compute_traced(
         &self,
         key: K,
         weigh: impl FnOnce(&V) -> usize,
@@ -287,41 +278,22 @@ impl<G: Clone> SubmissionCache<G> {
     }
 
     /// Serve a compile result from cache, computing it exactly once
-    /// across concurrent identical submissions.
+    /// across concurrent identical submissions; also reports how the
+    /// lookup was served.
     pub fn compile_or(
-        &self,
-        key: CompileKey,
-        compute: impl FnOnce() -> CompiledEntry,
-    ) -> CompiledEntry {
-        self.compile_or_traced(key, compute).0
-    }
-
-    /// [`SubmissionCache::compile_or`] plus the lookup outcome for
-    /// trace annotation.
-    pub fn compile_or_traced(
         &self,
         key: CompileKey,
         compute: impl FnOnce() -> CompiledEntry,
     ) -> (CompiledEntry, LookupOutcome) {
         self.compile
-            .get_or_compute_traced(key, CompiledEntry::weight, compute)
+            .get_or_compute(key, CompiledEntry::weight, compute)
     }
 
     /// Serve a grade outcome from cache, computing it exactly once
-    /// across concurrent identical runs.
-    pub fn grade_or(&self, key: GradeKey, compute: impl FnOnce() -> G) -> G {
-        self.grade_or_traced(key, compute).0
-    }
-
-    /// [`SubmissionCache::grade_or`] plus the lookup outcome for trace
-    /// annotation.
-    pub fn grade_or_traced(
-        &self,
-        key: GradeKey,
-        compute: impl FnOnce() -> G,
-    ) -> (G, LookupOutcome) {
-        self.grade
-            .get_or_compute_traced(key, self.grade_weigher, compute)
+    /// across concurrent identical runs; also reports how the lookup
+    /// was served.
+    pub fn grade_or(&self, key: GradeKey, compute: impl FnOnce() -> G) -> (G, LookupOutcome) {
+        self.grade.get_or_compute(key, self.grade_weigher, compute)
     }
 
     /// Snapshot both tiers' counters.
@@ -342,9 +314,9 @@ mod tests {
     fn hit_and_miss_counters() {
         let m: CachedMap<u64, String> = CachedMap::new(1024, 2);
         let v = m.get_or_compute(1, |v| v.len(), || "alpha".to_string());
-        assert_eq!(v, "alpha");
+        assert_eq!(v, ("alpha".to_string(), LookupOutcome::Miss));
         let v = m.get_or_compute(1, |v| v.len(), || unreachable!("must hit"));
-        assert_eq!(v, "alpha");
+        assert_eq!(v, ("alpha".to_string(), LookupOutcome::Hit));
         let metrics = m.metrics();
         assert_eq!((metrics.hits, metrics.misses, metrics.coalesced), (1, 1, 0));
         assert_eq!(metrics.entries, 1);
@@ -375,7 +347,7 @@ mod tests {
             })
             .collect();
         for h in handles {
-            assert_eq!(h.join().unwrap(), 77);
+            assert_eq!(h.join().unwrap().0, 77);
         }
         let metrics = m.metrics();
         // Every lookup either led, coalesced, or (if it arrived after
@@ -416,20 +388,21 @@ mod tests {
         let cache: SubmissionCache<Vec<u8>> =
             SubmissionCache::new(CacheConfig::default(), Vec::len);
         let key = CompileKey(crate::hash::hash_bytes(b"src"));
-        let entry = cache.compile_or(key, || CompiledEntry {
+        let (entry, _) = cache.compile_or(key, || CompiledEntry {
             result: Err("syntax error".to_string()),
             source_bytes: 3,
             analysis: Vec::new(),
         });
         assert!(entry.result.is_err());
-        let entry = cache.compile_or(key, || unreachable!("cached"));
+        let (entry, lookup) = cache.compile_or(key, || unreachable!("cached"));
         assert_eq!(entry.result.unwrap_err(), "syntax error");
+        assert!(lookup.saved_work());
 
         let gkey = GradeKey(crate::hash::hash_bytes(b"grade"));
         let g = cache.grade_or(gkey, || vec![1, 2, 3]);
-        assert_eq!(g, vec![1, 2, 3]);
+        assert_eq!(g, (vec![1, 2, 3], LookupOutcome::Miss));
         let g = cache.grade_or(gkey, || unreachable!("cached"));
-        assert_eq!(g, vec![1, 2, 3]);
+        assert_eq!(g, (vec![1, 2, 3], LookupOutcome::Hit));
 
         let m = cache.metrics();
         assert_eq!(m.compile.hits, 1);
@@ -442,7 +415,7 @@ mod tests {
         let cache: SubmissionCache<Vec<u8>> = SubmissionCache::new(CacheConfig::tiny(8), Vec::len);
         let gkey = GradeKey(crate::hash::hash_bytes(b"big"));
         let big = vec![0u8; 4096];
-        let got = cache.grade_or(gkey, || big.clone());
+        let (got, _) = cache.grade_or(gkey, || big.clone());
         assert_eq!(got, big, "oversized value reaches the caller");
         // ...but never becomes resident.
         assert_eq!(cache.metrics().grade.resident_bytes, 0);

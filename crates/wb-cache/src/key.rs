@@ -322,16 +322,6 @@ mod tests {
             CompileKey::derive(
                 SRC,
                 Dialect::Cuda,
-                OptLevel::O1,
-                false,
-                "cuda",
-                "webgpu/cuda",
-                &Blacklist::standard(),
-                &ResourceLimits::default(),
-            ),
-            CompileKey::derive(
-                SRC,
-                Dialect::Cuda,
                 OptLevel::default(),
                 true,
                 "cuda",

@@ -12,8 +12,7 @@ use wb_cache::{CacheConfig, CompileKey, LruStore};
 use wb_prop::Gen;
 use wb_sandbox::{Blacklist, ResourceLimits, ScanMode};
 use wb_worker::{
-    execute_job, execute_job_cached, new_submission_cache, DatasetCase, JobAction, JobRequest,
-    LabSpec,
+    execute, new_submission_cache, DatasetCase, JobAction, JobRequest, LabSpec, RunCtx,
 };
 
 /// A vecadd solution parameterized by comment text and grid shape so
@@ -93,7 +92,7 @@ const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
 type Config = (i64, Dialect, OptLevel, bool);
 
 fn config(g: &mut Gen) -> Config {
-    let opts = [OptLevel::O0, OptLevel::O1, OptLevel::O2];
+    let opts = [OptLevel::O0, OptLevel::O2];
     let dialect = *g.pick(&[Dialect::Cuda, Dialect::OpenCl]);
     (g.int(1..1_000_000), dialect, *g.pick(&opts), g.bool())
 }
@@ -119,10 +118,18 @@ fn cache_hit_equals_fresh_execution() {
             (vecadd_source(&comment, block), Dataset::Vector(expected))
         };
         let req = request(1, source, data, expected);
-        let fresh = execute_job(&req, &device, 3, 0);
+        let ctx = RunCtx {
+            worker_id: 3,
+            ..RunCtx::new(&device)
+        };
+        let fresh = execute(&req, &ctx);
         let cache = new_submission_cache(CacheConfig::default());
-        let miss_pass = execute_job_cached(&req, &device, 3, 0, "webgpu/cuda", &cache);
-        let hit_pass = execute_job_cached(&req, &device, 3, 0, "webgpu/cuda", &cache);
+        let cached = RunCtx {
+            cache: Some(&cache),
+            ..ctx
+        };
+        let miss_pass = execute(&req, &cached);
+        let hit_pass = execute(&req, &cached);
         assert_eq!(&fresh, &miss_pass, "miss pass must equal fresh");
         assert_eq!(&fresh, &hit_pass, "hit pass must equal fresh");
         let m = cache.metrics();

@@ -12,8 +12,7 @@ use minicuda::DeviceConfig;
 use std::sync::{Arc, Barrier};
 use wb_cache::CacheConfig;
 use wb_worker::{
-    execute_job, execute_job_cached, new_submission_cache, DatasetCase, JobAction, JobRequest,
-    LabSpec,
+    execute, new_submission_cache, DatasetCase, JobAction, JobRequest, LabSpec, RunCtx,
 };
 
 const SOURCE: &str = r#"
@@ -58,7 +57,7 @@ fn concurrent_identical_submissions_execute_once() {
     const THREADS: usize = 8;
     let cache = new_submission_cache(CacheConfig::default());
     let device = DeviceConfig::test_small();
-    let reference = execute_job(&request(0), &device, 0, 0);
+    let reference = execute(&request(0), &RunCtx::new(&device));
     assert!(reference.compiled());
     assert_eq!(reference.passed_count(), 1);
 
@@ -70,7 +69,12 @@ fn concurrent_identical_submissions_execute_once() {
             let gate = Arc::clone(&gate);
             std::thread::spawn(move || {
                 gate.wait();
-                execute_job_cached(&request(t + 1), &device, t + 1, 0, "webgpu/cuda", &cache)
+                let ctx = RunCtx {
+                    worker_id: t + 1,
+                    cache: Some(&cache),
+                    ..RunCtx::new(&device)
+                };
+                execute(&request(t + 1), &ctx)
             })
         })
         .collect();
@@ -100,9 +104,17 @@ fn eviction_pressure_never_corrupts_results() {
     // depend on residency, only hit-rate does.
     let cache = new_submission_cache(CacheConfig::tiny(256));
     let device = DeviceConfig::test_small();
-    let reference = execute_job(&request(0), &device, 9, 0);
+    let fresh = RunCtx {
+        worker_id: 9,
+        ..RunCtx::new(&device)
+    };
+    let cached = RunCtx {
+        cache: Some(&cache),
+        ..fresh
+    };
+    let reference = execute(&request(0), &fresh);
     for round in 0..4 {
-        let out = execute_job_cached(&request(round), &device, 9, 0, "webgpu/cuda", &cache);
+        let out = execute(&request(round), &cached);
         assert_eq!(out.datasets, reference.datasets, "round {round}");
     }
 }

@@ -164,7 +164,7 @@ mod tests {
 
     #[test]
     fn duplicate_enqueue_bug_still_converges_or_fails_cleanly() {
-        use wb_worker::{execute_job, JobAction, JobRequest};
+        use wb_worker::{execute, JobAction, JobRequest, RunCtx};
         // Claiming with a plain load instead of atomicMin enqueues
         // duplicates; the queue can overflow the frontier buffer, which
         // the simulator reports as an out-of-bounds error rather than
@@ -183,7 +183,7 @@ mod tests {
             datasets: lab.datasets.clone(),
             action: JobAction::FullGrade,
         };
-        let out = execute_job(&req, &minicuda::DeviceConfig::test_small(), 0, 0);
+        let out = execute(&req, &RunCtx::new(&minicuda::DeviceConfig::test_small()));
         assert!(out.compiled());
         // Either a wrong answer, a reported overflow, or (on the tiny
         // serialized device) a lucky pass — never a crash.

@@ -76,7 +76,7 @@ pub fn exact_check() -> CheckPolicy {
 /// lab module's tests to prove the reference solution is correct.
 #[doc(hidden)]
 pub fn grade_solution(lab: &LabDefinition, source: &str) {
-    use wb_worker::{execute_job, JobAction, JobRequest};
+    use wb_worker::{execute, JobAction, JobRequest, RunCtx};
     let req = JobRequest {
         job_id: 1,
         user: "reference".into(),
@@ -85,7 +85,7 @@ pub fn grade_solution(lab: &LabDefinition, source: &str) {
         datasets: lab.datasets.clone(),
         action: JobAction::FullGrade,
     };
-    let out = execute_job(&req, &minicuda::DeviceConfig::test_small(), 0, 0);
+    let out = execute(&req, &RunCtx::new(&minicuda::DeviceConfig::test_small()));
     assert!(
         out.compiled(),
         "reference solution for {} failed to compile: {}",

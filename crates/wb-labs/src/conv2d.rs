@@ -176,7 +176,7 @@ mod tests {
 
     #[test]
     fn missing_ghost_check_fails() {
-        use wb_worker::{execute_job, JobAction, JobRequest};
+        use wb_worker::{execute, JobAction, JobRequest, RunCtx};
         let lab = definition(LabScale::Small);
         let buggy = SOLUTION.replace("if (x >= 0 && x < width && y >= 0 && y < height)", "if (1)");
         assert_ne!(buggy, SOLUTION, "replacement must apply");
@@ -188,7 +188,7 @@ mod tests {
             datasets: lab.datasets.clone(),
             action: JobAction::FullGrade,
         };
-        let out = execute_job(&req, &minicuda::DeviceConfig::test_small(), 0, 0);
+        let out = execute(&req, &RunCtx::new(&minicuda::DeviceConfig::test_small()));
         // Without the bounds check the kernel reads out of bounds.
         assert!(out.datasets.iter().any(|d| d.error.is_some()));
     }

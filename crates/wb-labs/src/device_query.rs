@@ -67,7 +67,7 @@ mod tests {
     fn skeleton_compiles_but_fails() {
         // The skeleton submits an uninitialized count (0); it should
         // compile yet not pass the dataset — students must do work.
-        use wb_worker::{execute_job, JobAction, JobRequest};
+        use wb_worker::{execute, JobAction, JobRequest, RunCtx};
         let lab = definition(LabScale::Small);
         let req = JobRequest {
             job_id: 1,
@@ -77,7 +77,7 @@ mod tests {
             datasets: lab.datasets.clone(),
             action: JobAction::FullGrade,
         };
-        let out = execute_job(&req, &minicuda::DeviceConfig::test_small(), 0, 0);
+        let out = execute(&req, &RunCtx::new(&minicuda::DeviceConfig::test_small()));
         assert!(out.compiled(), "{:?}", out.compile_error);
         assert_eq!(out.passed_count(), 0);
     }

@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn non_atomic_histogram_loses_counts() {
-        use wb_worker::{execute_job, JobAction, JobRequest};
+        use wb_worker::{execute, JobAction, JobRequest, RunCtx};
         let lab = definition(LabScale::Small);
         // The bug the lab teaches about: a plain read-modify-write.
         let buggy = SOLUTION.replace(
@@ -227,7 +227,7 @@ mod tests {
         // corrupt the histogram and the CDF, so at least one dataset
         // must fail (lockstep within a block serializes warps in one
         // block, but the multi-block datasets race).
-        let out = execute_job(&req, &minicuda::DeviceConfig::test_small(), 0, 0);
+        let out = execute(&req, &RunCtx::new(&minicuda::DeviceConfig::test_small()));
         assert!(out.compiled());
         // Deterministic small device serializes blocks, so the race
         // may not bite at Small scale; the invariant we can always

@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn swapped_index_bug_caught() {
-        use wb_worker::{execute_job, JobAction, JobRequest};
+        use wb_worker::{execute, JobAction, JobRequest, RunCtx};
         let lab = definition(LabScale::Small);
         // The classic bug: C[col * n + row].
         let buggy = SOLUTION.replace("C[row * n + col] = acc;", "C[col * m + row] = acc;");
@@ -150,7 +150,7 @@ mod tests {
             datasets: lab.datasets.clone(),
             action: JobAction::FullGrade,
         };
-        let out = execute_job(&req, &minicuda::DeviceConfig::test_small(), 0, 0);
+        let out = execute(&req, &RunCtx::new(&minicuda::DeviceConfig::test_small()));
         assert_eq!(out.passed_count(), 0, "rectangular datasets expose it");
     }
 }

@@ -179,7 +179,7 @@ mod tests {
 
     #[test]
     fn cuda_whitelist_kills_the_mpi_solution() {
-        use wb_worker::{execute_job, JobAction, JobRequest};
+        use wb_worker::{execute, JobAction, JobRequest, RunCtx};
         // Running the MPI lab under the plain CUDA whitelist dies with
         // a security diagnostic — the per-lab whitelist is real.
         let mut lab = definition(LabScale::Small);
@@ -192,7 +192,7 @@ mod tests {
             datasets: lab.datasets.clone(),
             action: JobAction::RunDataset(0),
         };
-        let out = execute_job(&req, &minicuda::DeviceConfig::test_small(), 0, 0);
+        let out = execute(&req, &RunCtx::new(&minicuda::DeviceConfig::test_small()));
         let err = out.datasets[0].error.as_ref().expect("must be denied");
         assert_eq!(err.phase, minicuda::Phase::Security);
     }

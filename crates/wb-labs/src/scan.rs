@@ -167,7 +167,7 @@ mod tests {
 
     #[test]
     fn missing_offset_add_fails_multi_block() {
-        use wb_worker::{execute_job, JobAction, JobRequest};
+        use wb_worker::{execute, JobAction, JobRequest, RunCtx};
         let lab = definition(LabScale::Small);
         let buggy = SOLUTION.replace("addOffsets<<<blocks, BLOCK>>>(dOut, dSums, n);", "");
         let req = JobRequest {
@@ -178,7 +178,7 @@ mod tests {
             datasets: lab.datasets.clone(),
             action: JobAction::FullGrade,
         };
-        let out = execute_job(&req, &minicuda::DeviceConfig::test_small(), 0, 0);
+        let out = execute(&req, &RunCtx::new(&minicuda::DeviceConfig::test_small()));
         assert!(out.compiled());
         // Single-block datasets still pass; the 300-element one fails.
         assert!(out.passed_count() < out.datasets.len());

@@ -129,7 +129,7 @@ mod tests {
 
     #[test]
     fn scatter_written_as_gather_of_same_map_fails() {
-        use wb_worker::{execute_job, JobAction, JobRequest};
+        use wb_worker::{execute, JobAction, JobRequest, RunCtx};
         // Students who confuse the direction write out[map[i]] = in[i],
         // which equals gathering through the inverse permutation — a
         // wrong answer on a random (non-involution) map.
@@ -143,7 +143,7 @@ mod tests {
             datasets: lab.datasets.clone(),
             action: JobAction::FullGrade,
         };
-        let out = execute_job(&req, &minicuda::DeviceConfig::test_small(), 0, 0);
+        let out = execute(&req, &RunCtx::new(&minicuda::DeviceConfig::test_small()));
         assert!(out.compiled());
         assert!(out.passed_count() < out.datasets.len());
     }

@@ -150,7 +150,7 @@ mod tests {
 
     #[test]
     fn coarsened_kernel_issues_fewer_instructions_than_tiled() {
-        use wb_worker::{execute_job, JobAction, JobRequest};
+        use wb_worker::{execute, JobAction, JobRequest, RunCtx};
         // Same datasets through the tiled lab's kernel vs SGEMM: the
         // register-tiled kernel does the same flops with fewer shared
         // loads per output.
@@ -190,7 +190,7 @@ mod tests {
                 datasets: sets.clone(),
                 action: JobAction::RunDataset(0),
             };
-            execute_job(&req, &minicuda::DeviceConfig::test_small(), 0, 0)
+            execute(&req, &RunCtx::new(&minicuda::DeviceConfig::test_small()))
         };
         let sgemm = run(SOLUTION);
         let tiled = run(crate::tiled_matmul::SOLUTION);

@@ -114,7 +114,7 @@ mod tests {
 
     #[test]
     fn off_by_one_row_extent_fails() {
-        use wb_worker::{execute_job, JobAction, JobRequest};
+        use wb_worker::{execute, JobAction, JobRequest, RunCtx};
         let lab = definition(LabScale::Small);
         let buggy = SOLUTION.replace("int end = rowPtr[row + 1];", "int end = rowPtr[row];");
         let req = JobRequest {
@@ -125,7 +125,7 @@ mod tests {
             datasets: lab.datasets.clone(),
             action: JobAction::FullGrade,
         };
-        let out = execute_job(&req, &minicuda::DeviceConfig::test_small(), 0, 0);
+        let out = execute(&req, &RunCtx::new(&minicuda::DeviceConfig::test_small()));
         assert!(out.compiled());
         assert_eq!(out.passed_count(), 0, "all rows come out zero");
     }

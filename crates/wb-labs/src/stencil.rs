@@ -142,7 +142,7 @@ mod tests {
 
     #[test]
     fn unclamped_boundary_fails() {
-        use wb_worker::{execute_job, JobAction, JobRequest};
+        use wb_worker::{execute, JobAction, JobRequest, RunCtx};
         let lab = definition(LabScale::Small);
         let buggy = SOLUTION
             .replace("int im2 = max(i - 2, 0);", "int im2 = i - 2;")
@@ -155,7 +155,7 @@ mod tests {
             datasets: lab.datasets.clone(),
             action: JobAction::FullGrade,
         };
-        let out = execute_job(&req, &minicuda::DeviceConfig::test_small(), 0, 0);
+        let out = execute(&req, &RunCtx::new(&minicuda::DeviceConfig::test_small()));
         // Negative indexing is a reported runtime error, not silence.
         assert!(out.datasets.iter().any(|d| d.error.is_some()));
     }

@@ -137,7 +137,7 @@ difference against your basic kernel.\n";
 mod tests {
     use super::*;
     use crate::common::grade_solution;
-    use wb_worker::{execute_job, JobAction, JobRequest};
+    use wb_worker::{execute, JobAction, JobRequest, RunCtx};
 
     #[test]
     fn reference_solution_passes() {
@@ -166,7 +166,7 @@ mod tests {
             datasets: lab.datasets.clone(),
             action: JobAction::FullGrade,
         };
-        let out = execute_job(&req, &minicuda::DeviceConfig::test_small(), 0, 0);
+        let out = execute(&req, &RunCtx::new(&minicuda::DeviceConfig::test_small()));
         assert!(out.compiled());
         // Lockstep execution makes this particular race benign, but
         // the kernel must still produce correct results; accept either
@@ -187,7 +187,7 @@ mod tests {
             datasets: lab.datasets.clone(),
             action: JobAction::RunDataset(0),
         };
-        let out = execute_job(&req, &minicuda::DeviceConfig::test_small(), 0, 0);
+        let out = execute(&req, &RunCtx::new(&minicuda::DeviceConfig::test_small()));
         assert!(out.datasets[0].cost.shared_accesses > 0);
         assert!(out.datasets[0].cost.barriers > 0);
     }
@@ -206,7 +206,7 @@ mod tests {
                 datasets,
                 action: JobAction::RunDataset(0),
             };
-            execute_job(&req, &minicuda::DeviceConfig::test_small(), 0, 0)
+            execute(&req, &RunCtx::new(&minicuda::DeviceConfig::test_small()))
         };
         let shared_sets = crate::matmul::datasets(LabScale::Small, 0x42);
         let naive = run(crate::matmul::SOLUTION, shared_sets.clone());

@@ -112,7 +112,7 @@ mod tests {
 
     #[test]
     fn missing_boundary_check_fails_non_multiple_size() {
-        use wb_worker::{execute_job, JobAction, JobRequest};
+        use wb_worker::{execute, JobAction, JobRequest, RunCtx};
         let lab = definition(LabScale::Small);
         let buggy = SOLUTION.replace(
             "if (i < n) { out[i] = a[i] + b[i]; }",
@@ -126,7 +126,7 @@ mod tests {
             datasets: lab.datasets.clone(),
             action: JobAction::FullGrade,
         };
-        let out = execute_job(&req, &minicuda::DeviceConfig::test_small(), 0, 0);
+        let out = execute(&req, &RunCtx::new(&minicuda::DeviceConfig::test_small()));
         // The unguarded kernel writes out of bounds on sizes that are
         // not multiples of the block size and the worker reports it.
         assert!(out.datasets.iter().any(|d| d.error.is_some()));

@@ -1,6 +1,6 @@
 //! Differential grading: every Table II lab must grade **identically**
 //! under the tree-walking interpreter (`O0`) and the warp-batched IR
-//! executor (`O1` unoptimized, `O2` with the full pass pipeline).
+//! executor on `O2` IR (the full pass pipeline).
 //!
 //! "Identically" means everything a student or grader can see: check
 //! verdicts, runtime diagnostics (message, position, and thread
@@ -12,7 +12,7 @@
 
 use minicuda::{analyze_program, compile, CheckKind, DeviceConfig, Dialect, OptLevel};
 use wb_labs::{definition, lab_ids, solution, LabScale};
-use wb_worker::{execute_job, JobAction, JobOutcome, JobRequest};
+use wb_worker::{execute, JobAction, JobOutcome, JobRequest, RunCtx};
 
 fn graded(lab_id: &str, source: &str, opt: OptLevel) -> JobOutcome {
     graded_at(lab_id, source, opt, LabScale::Small)
@@ -30,7 +30,7 @@ fn graded_at(lab_id: &str, source: &str, opt: OptLevel, scale: LabScale) -> JobO
         datasets: lab.datasets,
         action: JobAction::FullGrade,
     };
-    execute_job(&req, &DeviceConfig::test_small(), 0, 0)
+    execute(&req, &RunCtx::new(&DeviceConfig::test_small()))
 }
 
 /// Assert two outcomes are indistinguishable to a student, dataset by
@@ -96,10 +96,8 @@ fn every_lab_reference_grades_identically_at_all_levels() {
             o0.datasets.len(),
             "{id}: reference solution must pass at O0"
         );
-        for lvl in [OptLevel::O1, OptLevel::O2] {
-            let out = graded(id, src, lvl);
-            assert_same_grading(id, lvl, &o0, &out);
-        }
+        let o2 = graded(id, src, OptLevel::O2);
+        assert_same_grading(id, OptLevel::O2, &o0, &o2);
     }
 }
 
@@ -238,10 +236,8 @@ fn buggy_kernels_fail_identically_at_all_levels() {
             o0.datasets.iter().any(|d| d.error.is_some()),
             "case {i} should produce a runtime diagnostic at O0"
         );
-        for lvl in [OptLevel::O1, OptLevel::O2] {
-            let out = graded(lab, src, lvl);
-            assert_same_grading(&format!("buggy-case-{i}"), lvl, &o0, &out);
-        }
+        let o2 = graded(lab, src, OptLevel::O2);
+        assert_same_grading(&format!("buggy-case-{i}"), OptLevel::O2, &o0, &o2);
     }
 }
 
@@ -433,7 +429,7 @@ fn graded_with_policy(
         datasets: lab.datasets,
         action: JobAction::FullGrade,
     };
-    execute_job(&req, &DeviceConfig::test_small(), 0, 0)
+    execute(&req, &RunCtx::new(&DeviceConfig::test_small()))
 }
 
 /// A flagged-but-gradeable source: the student's real (correct) kernel
@@ -460,7 +456,7 @@ fn warn_mode_analysis_never_perturbs_grading() {
         let clean = solution(id).unwrap().to_string();
         let flagged = with_audit_probe(&clean);
         for (src, expect_flag) in [(&clean, false), (&flagged, true)] {
-            for lvl in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+            for lvl in [OptLevel::O0, OptLevel::O2] {
                 let off = graded_with_policy(id, src, lvl, AnalysisPolicy::Off);
                 let warn = graded_with_policy(id, src, lvl, AnalysisPolicy::Warn);
                 assert_same_grading(id, lvl, &off, &warn);

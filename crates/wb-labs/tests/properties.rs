@@ -8,7 +8,7 @@ use libwb::{gen, Dataset};
 use minicuda::{
     compile, AnalysisPolicy, CheckKind, DeviceConfig, Dialect, OptLevel, Phase, RunOptions,
 };
-use wb_worker::{execute_job, JobAction, JobOutcome, JobRequest};
+use wb_worker::{execute, JobAction, JobOutcome, JobRequest, RunCtx};
 
 fn run_solution(lab: &str, inputs: Vec<Dataset>) -> Option<Dataset> {
     let program = compile(wb_labs::solution(lab).unwrap(), dialect_of(lab)).unwrap();
@@ -179,7 +179,7 @@ fn graded_with_probe(probe: &str, opt: OptLevel, policy: AnalysisPolicy) -> JobO
         datasets: lab.datasets,
         action: JobAction::FullGrade,
     };
-    execute_job(&req, &DeviceConfig::test_small(), 0, 0)
+    execute(&req, &RunCtx::new(&DeviceConfig::test_small()))
 }
 
 /// Everything a student can see of a grade, minus the advisory

@@ -157,7 +157,10 @@ impl Counter {
 pub enum Timer {
     /// Pump rounds between enqueue and completion.
     QueueWaitRounds,
-    /// Wall microseconds spent compiling.
+    /// Wall microseconds the compile step cost the job that paid for
+    /// it: the cache lookup, plus the compile and the static verifier
+    /// when this job computed the entry (as single-flight leader, or
+    /// with no cache). A hit or coalesced wait records only the lookup.
     CompileMicros,
     /// Wall microseconds spent grading datasets.
     GradeMicros,
@@ -221,8 +224,9 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    /// A recorder that records nothing.
-    pub fn noop() -> Recorder {
+    /// A recorder that records nothing. `const`, so a `static` no-op
+    /// recorder can stand in where a `&Recorder` is required.
+    pub const fn noop() -> Recorder {
         Recorder { inner: None }
     }
 

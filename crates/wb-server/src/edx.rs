@@ -153,18 +153,13 @@ mod tests {
     use super::*;
     use libwb::Dataset;
     use minicuda::DeviceConfig;
-    use wb_worker::{DatasetCase, JobAction, LabSpec, WorkerConfig, WorkerNode};
+    use wb_worker::{DatasetCase, JobAction, LabSpec, NodeConfig, WorkerNode};
 
     fn fleet(n: usize) -> (Arc<ShardedBroker<JobRequest>>, Vec<Arc<WorkerNode>>) {
         let broker = Arc::new(ShardedBroker::new(1, 60_000, 3));
+        let cfg = NodeConfig::new(DeviceConfig::test_small());
         let workers = (0..n)
-            .map(|i| {
-                Arc::new(WorkerNode::boot(
-                    i as u64 + 1,
-                    DeviceConfig::test_small(),
-                    &WorkerConfig::default(),
-                ))
-            })
+            .map(|i| Arc::new(WorkerNode::launch(i as u64 + 1, &cfg)))
             .collect();
         (broker, workers)
     }

@@ -284,7 +284,7 @@ mod tests {
 
     use minicuda::DeviceConfig;
     use wb_labs::LabScale;
-    use wb_worker::{execute_job, JobAction, JobRequest};
+    use wb_worker::{execute, JobAction, JobRequest, RunCtx};
 
     fn grade(lab: &str, source: &str) -> (JobOutcome, String) {
         let lab = wb_labs::definition(lab, LabScale::Small).unwrap();
@@ -297,7 +297,7 @@ mod tests {
             action: JobAction::FullGrade,
         };
         (
-            execute_job(&req, &DeviceConfig::test_small(), 0, 0),
+            execute(&req, &RunCtx::new(&DeviceConfig::test_small())),
             source.to_string(),
         )
     }
@@ -349,7 +349,7 @@ mod tests {
             datasets: lab.datasets,
             action: JobAction::RunDataset(0),
         };
-        let out = execute_job(&req, &DeviceConfig::test_small(), 0, 0);
+        let out = execute(&req, &RunCtx::new(&DeviceConfig::test_small()));
         let c = codes(&out, src);
         assert!(c.contains(&"timeout"), "{c:?}");
     }

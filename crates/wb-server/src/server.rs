@@ -86,7 +86,7 @@ impl<D: JobDispatcher + ?Sized> JobDispatcher for Arc<D> {
 }
 
 /// A dispatcher running jobs on one in-process worker node (used by
-/// tests and the quickstart example).
+/// tests).
 pub struct LocalDispatcher {
     node: wb_worker::WorkerNode,
     /// Outcomes of queued jobs. The single local node executes at
@@ -96,35 +96,16 @@ pub struct LocalDispatcher {
     done: Mutex<HashMap<u64, JobOutcome>>,
 }
 
-impl Default for LocalDispatcher {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl LocalDispatcher {
-    /// A single small deterministic worker.
-    pub fn new() -> Self {
+    /// A single small deterministic worker reporting to `obs` (pass
+    /// `Recorder::noop()` for an untraced one).
+    pub fn new(obs: Arc<Recorder>) -> Self {
+        let cfg = wb_worker::NodeConfig {
+            obs,
+            ..wb_worker::NodeConfig::new(minicuda::DeviceConfig::test_small())
+        };
         LocalDispatcher {
-            node: wb_worker::WorkerNode::boot(
-                1,
-                minicuda::DeviceConfig::test_small(),
-                &wb_worker::WorkerConfig::default(),
-            ),
-            done: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// A single worker reporting to a shared recorder.
-    pub fn traced(obs: Arc<Recorder>) -> Self {
-        LocalDispatcher {
-            node: wb_worker::WorkerNode::launch(
-                1,
-                &wb_worker::NodeConfig {
-                    obs,
-                    ..wb_worker::NodeConfig::new(minicuda::DeviceConfig::test_small())
-                },
-            ),
+            node: wb_worker::WorkerNode::launch(1, &cfg),
             done: Mutex::new(HashMap::new()),
         }
     }
@@ -810,7 +791,7 @@ mod tests {
     "#;
 
     fn server_with_lab() -> (WebGpuServer, u64, u64) {
-        let srv = WebGpuServer::new(Box::new(LocalDispatcher::new()));
+        let srv = WebGpuServer::new(Box::new(LocalDispatcher::new(Arc::new(Recorder::noop()))));
         srv.register_instructor("prof", "pw").unwrap();
         srv.register_student("alice", "pw").unwrap();
         let staff = srv.login("prof", "pw", DeviceKind::Desktop, 0).unwrap();
@@ -949,8 +930,7 @@ mod tests {
     #[test]
     fn attempts_and_rate_limits_land_in_metrics() {
         let obs = Arc::new(Recorder::traced());
-        let srv =
-            WebGpuServer::new_traced(Box::new(LocalDispatcher::traced(Arc::clone(&obs))), obs);
+        let srv = WebGpuServer::new_traced(Box::new(LocalDispatcher::new(Arc::clone(&obs))), obs);
         srv.register_instructor("prof", "pw").unwrap();
         srv.register_student("alice", "pw").unwrap();
         let staff = srv.login("prof", "pw", DeviceKind::Desktop, 0).unwrap();
@@ -1066,10 +1046,11 @@ mod tests {
 
     #[test]
     fn custom_rate_limit_replaces_the_default() {
-        let srv = WebGpuServer::new(Box::new(LocalDispatcher::new())).with_rate_limit(RateLimit {
-            burst: 1.0,
-            per_second: 0.0,
-        });
+        let srv = WebGpuServer::new(Box::new(LocalDispatcher::new(Arc::new(Recorder::noop()))))
+            .with_rate_limit(RateLimit {
+                burst: 1.0,
+                per_second: 0.0,
+            });
         srv.register_instructor("prof", "pw").unwrap();
         srv.register_student("alice", "pw").unwrap();
         let staff = srv.login("prof", "pw", DeviceKind::Desktop, 0).unwrap();

@@ -15,7 +15,7 @@ pub type SubmissionCache = wb_cache::SubmissionCache<DatasetOutcome>;
 /// Approximate resident size of a grade outcome in bytes. The fixed
 /// term covers the struct itself plus the cost counters; the variable
 /// terms cover the heap-owned text and mismatch list.
-pub fn dataset_outcome_weight(outcome: &DatasetOutcome) -> usize {
+fn dataset_outcome_weight(outcome: &DatasetOutcome) -> usize {
     let check = outcome.check.as_ref().map_or(0, |c| {
         48 + c.mismatches.len() * std::mem::size_of::<libwb::check::Mismatch>()
             + c.shape_error.as_ref().map_or(0, String::len)

@@ -14,7 +14,8 @@
 //! This crate provides:
 //!
 //! * the job/result envelope types ([`job`]);
-//! * the compile → sandbox → execute → evaluate pipeline ([`pipeline`]);
+//! * the compile → sandbox → execute → evaluate pipeline ([`pipeline`]),
+//!   one entry point, [`execute`], run under a [`RunCtx`];
 //! * the node itself, supporting both the v1 push interface and the v2
 //!   queue-polling driver ([`node`]);
 //! * remote configuration with restart-on-change ([`config`]);
@@ -28,12 +29,9 @@ pub mod job;
 pub mod node;
 pub mod pipeline;
 
-pub use cache::{dataset_outcome_weight, new_submission_cache, SubmissionCache};
+pub use cache::{new_submission_cache, SubmissionCache};
 pub use config::{ConfigServer, WorkerConfig};
 pub use job::{DatasetCase, JobAction, JobOutcome, JobRequest, LabSpec};
-pub use node::{default_shards, HealthBeat, NodeConfig, WorkerNode};
-pub use pipeline::{
-    compile_phase, execute_job, execute_job_cached, execute_job_cached_traced, execute_job_traced,
-    run_dataset_case,
-};
+pub use node::{HealthBeat, NodeConfig, WorkerNode};
+pub use pipeline::{execute, execute_job_cached_traced, RunCtx};
 pub use wb_queue::{Capability, CapabilitySet};

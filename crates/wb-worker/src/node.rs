@@ -4,7 +4,7 @@
 use crate::cache::SubmissionCache;
 use crate::config::{ConfigServer, WorkerConfig};
 use crate::job::{JobOutcome, JobRequest};
-use crate::pipeline::{execute_job_cached_traced, execute_job_traced};
+use crate::pipeline::{execute, RunCtx};
 use minicuda::DeviceConfig;
 use std::sync::Arc;
 use wb_obs::sync::Mutex;
@@ -59,78 +59,40 @@ pub struct NodeConfig {
     pub cache: Option<Arc<SubmissionCache>>,
     /// Cluster-wide trace/metrics recorder (noop for untraced fleets).
     pub obs: Arc<Recorder>,
-    /// Control-plane lanes for the cluster this node belongs to: how
-    /// many per-course broker/scheduler shards the submission path is
-    /// split into. Workers don't read it directly — the cluster that
-    /// stamps out the fleet does. Defaults to the host's available
-    /// cores ([`default_shards`]); 1 reproduces the single-lane
-    /// control plane exactly.
-    pub shards: usize,
 }
 
 impl NodeConfig {
-    /// A plain node: default worker config, no cache, noop recorder,
-    /// one control-plane shard per available core.
+    /// A plain node: default worker config, no cache, noop recorder.
     pub fn new(device: DeviceConfig) -> Self {
         NodeConfig {
             device,
             worker: WorkerConfig::default(),
             cache: None,
             obs: Arc::new(Recorder::noop()),
-            shards: default_shards(),
         }
     }
 }
 
-/// The default control-plane shard count: one lane per core the host
-/// exposes, so the control plane scales with the machine (1 when the
-/// parallelism probe fails).
-pub fn default_shards() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
-}
-
-/// One worker node with a simulated GPU.
+/// One worker node with a simulated GPU. `device`, `cache` and `obs`
+/// are as in the [`NodeConfig`] it launched from.
 pub struct WorkerNode {
     id: u64,
     device: DeviceConfig,
-    /// Cluster-wide submission cache; `None` runs every job fresh
-    /// (the pre-cache behaviour, kept as the bench baseline).
     cache: Option<Arc<SubmissionCache>>,
-    /// Cluster-wide trace/metrics recorder (noop by default).
     obs: Arc<Recorder>,
     state: Mutex<NodeState>,
 }
 
 impl WorkerNode {
-    /// Boot a node against the current remote configuration.
-    pub fn boot(id: u64, device: DeviceConfig, config: &WorkerConfig) -> Self {
-        Self::boot_inner(id, device, config, None, Arc::new(Recorder::noop()))
-    }
-
-    /// Boot a node from a [`NodeConfig`] — the one constructor that
-    /// covers cached, traced, and plain nodes alike.
+    /// Boot a node from a [`NodeConfig`] — the one constructor, for
+    /// cached, traced and plain nodes alike.
     pub fn launch(id: u64, cfg: &NodeConfig) -> Self {
-        Self::boot_inner(
-            id,
-            cfg.device.clone(),
-            &cfg.worker,
-            cfg.cache.clone(),
-            Arc::clone(&cfg.obs),
-        )
-    }
-
-    fn boot_inner(
-        id: u64,
-        device: DeviceConfig,
-        config: &WorkerConfig,
-        cache: Option<Arc<SubmissionCache>>,
-        obs: Arc<Recorder>,
-    ) -> Self {
+        let config = &cfg.worker;
         WorkerNode {
             id,
-            device,
-            cache,
-            obs,
+            device: cfg.device.clone(),
+            cache: cfg.cache.clone(),
+            obs: Arc::clone(&cfg.obs),
             state: Mutex::new(NodeState {
                 config_version: config.version,
                 capabilities: config.capabilities.clone(),
@@ -230,11 +192,8 @@ impl WorkerNode {
     /// Returns `None` when the node is down (the caller treats it as a
     /// dispatch failure and retries elsewhere).
     pub fn submit(&self, req: &JobRequest, now_ms: u64) -> Option<JobOutcome> {
-        {
-            let g = self.state.lock();
-            if g.crashed {
-                return None;
-            }
+        if self.is_crashed() {
+            return None;
         }
         self.obs.phase(req.job_id, JobPhase::Dispatched, now_ms);
         Some(self.run(req, now_ms))
@@ -288,7 +247,7 @@ impl WorkerNode {
         // "a CUDA lab will not, for example, have the PGI OpenACC
         // tools"). A v1 cluster that pushes an MPI job to a CUDA-only
         // node hits exactly this failure.
-        {
+        let (container, wait_ms, image_name) = {
             let g = self.state.lock();
             if !g.pool.image().has(&req.spec.toolchain) {
                 self.obs.phase(req.job_id, JobPhase::Failed, now_ms);
@@ -306,27 +265,21 @@ impl WorkerNode {
                     container_wait_ms: 0,
                 };
             }
-        }
-        // Check out a fresh container for the job (§VI-B: one job per
-        // container, destroyed afterwards).
-        let (container, wait_ms, image_name) = {
-            let g = self.state.lock();
+            // Check out a fresh container for the job (§VI-B: one job
+            // per container, destroyed afterwards).
             let (c, w) = g.pool.checkout();
             (c, w, g.pool.image().name.clone())
         };
-        let outcome = match &self.cache {
-            Some(cache) => execute_job_cached_traced(
-                req,
-                &self.device,
-                self.id,
-                wait_ms,
-                &image_name,
-                cache,
-                &self.obs,
-                now_ms,
-            ),
-            None => execute_job_traced(req, &self.device, self.id, wait_ms, &self.obs, now_ms),
+        let ctx = RunCtx {
+            device: &self.device,
+            worker_id: self.id,
+            container_wait_ms: wait_ms,
+            image: &image_name,
+            cache: self.cache.as_deref(),
+            obs: &self.obs,
+            now_ms,
         };
+        let outcome = execute(req, &ctx);
         let busy: u64 = outcome
             .datasets
             .iter()
@@ -334,11 +287,8 @@ impl WorkerNode {
             .sum::<u64>()
             .max(1)
             + wait_ms;
-        {
-            let g = self.state.lock();
-            g.pool.destroy(container);
-        }
         let mut g = self.state.lock();
+        g.pool.destroy(container);
         g.jobs_done += 1;
         g.busy_ms += busy;
         outcome
@@ -382,8 +332,17 @@ mod tests {
         }
     }
 
+    /// An uncached, untraced node on the small test device.
+    fn node_with(id: u64, worker: WorkerConfig) -> WorkerNode {
+        let cfg = NodeConfig {
+            worker,
+            ..NodeConfig::new(DeviceConfig::test_small())
+        };
+        WorkerNode::launch(id, &cfg)
+    }
+
     fn node() -> WorkerNode {
-        WorkerNode::boot(1, DeviceConfig::test_small(), &WorkerConfig::default())
+        node_with(1, WorkerConfig::default())
     }
 
     #[test]
@@ -420,7 +379,7 @@ mod tests {
         // An MPI-capable node picks it up.
         let mut cfg = WorkerConfig::default();
         cfg.capabilities.insert("mpi".into());
-        let mpi_node = WorkerNode::boot(2, DeviceConfig::test_small(), &cfg);
+        let mpi_node = node_with(2, cfg);
         let out = mpi_node
             .poll_once(&broker, 0, 2)
             .expect("capable node took it");
@@ -442,7 +401,7 @@ mod tests {
         assert_eq!(broker.in_flight(2), 1, "job stranded in flight");
         assert_eq!(broker.depth(2), 0);
         // Visibility lapses; a healthy node picks the job back up.
-        let rescuer = WorkerNode::boot(2, DeviceConfig::test_small(), &WorkerConfig::default());
+        let rescuer = node_with(2, WorkerConfig::default());
         let out = rescuer.poll_once(&broker, 0, 101).expect("redelivered");
         assert_eq!(out.worker_id, 2);
         assert_eq!(broker.depth(102), 0, "acked after rescue");
@@ -454,7 +413,7 @@ mod tests {
     #[test]
     fn config_change_restarts_driver() {
         let server = ConfigServer::new(WorkerConfig::default());
-        let n = WorkerNode::boot(1, DeviceConfig::test_small(), &server.get());
+        let n = node_with(1, server.get());
         assert!(!n.sync_config(&server), "same version: no restart");
         server.update(|c| c.image = "webgpu/full".into());
         assert!(n.sync_config(&server), "new version restarts");
@@ -465,7 +424,7 @@ mod tests {
     #[test]
     fn capability_update_applies_after_restart() {
         let server = ConfigServer::new(WorkerConfig::default());
-        let n = WorkerNode::boot(1, DeviceConfig::test_small(), &server.get());
+        let n = node_with(1, server.get());
         assert!(!n.capabilities().contains("mpi"));
         server.update(|c| {
             c.capabilities.insert("mpi".into());
@@ -495,7 +454,7 @@ mod tests {
             image: "webgpu/full".to_string(),
             ..Default::default()
         };
-        let fat = WorkerNode::boot(2, DeviceConfig::test_small(), &cfg);
+        let fat = node_with(2, cfg);
         let out = fat.submit(&req, 0).expect("node is up");
         assert!(out.compiled(), "{:?}", out.compile_error);
     }

@@ -1,12 +1,11 @@
 //! The compile → sandbox → execute → evaluate pipeline (§III-C/D).
 //!
-//! Two entry points share the same phases: [`execute_job`] always runs
-//! fresh; [`execute_job_cached`] consults a cluster-wide
-//! [`SubmissionCache`] first, so byte-identical submissions during a
-//! deadline rush compile and grade once. The phases themselves —
-//! [`compile_phase`] and [`run_dataset_case`] — are deterministic pure
-//! functions of their keyed inputs, which is what makes serving a
-//! cached result indistinguishable from fresh execution.
+//! [`execute`] runs a job from source to verdict under a [`RunCtx`].
+//! With a cluster-wide [`SubmissionCache`] in the context, the compile
+//! and every dataset grade are looked up by key first, so byte-identical
+//! submissions during a deadline rush compile and grade once. The steps
+//! are deterministic pure functions of their keyed inputs, which is what
+//! makes a cached result indistinguishable from fresh execution.
 
 use crate::cache::SubmissionCache;
 use crate::job::{DatasetCase, DatasetOutcome, JobAction, JobOutcome, JobRequest, LabSpec};
@@ -21,11 +20,52 @@ use wb_sandbox::JobDir;
 /// Scratch-directory quota per job (mirrors the real worker's tmpfs).
 const JOB_DIR_QUOTA: usize = 4 * 1024 * 1024;
 
+/// The recorder [`RunCtx::new`] reports to.
+static NOOP: Recorder = Recorder::noop();
+
+/// Everything a job runs with besides the request itself. Identity
+/// fields (`worker_id`, `container_wait_ms`) land on the outcome and are
+/// never cached; only the deterministic compile/grade payloads are.
+#[derive(Clone, Copy)]
+pub struct RunCtx<'a> {
+    /// Simulated GPU the datasets run on.
+    pub device: &'a DeviceConfig,
+    /// Node reported on the outcome.
+    pub worker_id: u64,
+    /// Container checkout wait reported on the outcome.
+    pub container_wait_ms: u64,
+    /// Container image the job runs in — part of the compile key, since
+    /// different images may carry different toolchain stacks.
+    pub image: &'a str,
+    /// Cluster-wide submission cache; `None` runs every step fresh.
+    pub cache: Option<&'a SubmissionCache>,
+    /// Trace/metrics recorder.
+    pub obs: &'a Recorder,
+    /// Virtual ms stamped on the job's span events.
+    pub now_ms: u64,
+}
+
+impl<'a> RunCtx<'a> {
+    /// Worker 0 on `device`: no container wait, the default worker
+    /// image, no cache and the no-op recorder.
+    pub fn new(device: &'a DeviceConfig) -> Self {
+        RunCtx {
+            device,
+            worker_id: 0,
+            container_wait_ms: 0,
+            image: "webgpu/cuda",
+            cache: None,
+            obs: &NOOP,
+            now_ms: 0,
+        }
+    }
+}
+
 /// The compile phase of a submission: size gate → blacklist scan →
 /// scratch-dir write (as the real worker writes `solution.cu` before
 /// invoking nvcc) → compile. Returns the program or the rendered
 /// error shown to the student.
-pub fn compile_phase(job_id: u64, source: &str, spec: &LabSpec) -> Result<Arc<Program>, String> {
+fn compile_phase(job_id: u64, source: &str, spec: &LabSpec) -> Result<Arc<Program>, String> {
     spec.limits.check_source_size(source)?;
 
     // Layer 1: blacklist scan on the raw, unparsed text.
@@ -47,7 +87,7 @@ pub fn compile_phase(job_id: u64, source: &str, spec: &LabSpec) -> Result<Arc<Pr
 
 /// Run one dataset case: execute under the whitelist policy, then
 /// evaluate against the expected output.
-pub fn run_dataset_case(
+fn run_dataset_case(
     program: &Program,
     case: &DatasetCase,
     spec: &LabSpec,
@@ -80,7 +120,7 @@ pub fn run_dataset_case(
 /// Run the static verifier over a freshly compiled program: records
 /// the verifier's wall time and run/finding counters, and returns the
 /// findings. Only ever called when the lab's policy enables analysis,
-/// and — on the cached path — only on the single-flight leader, so
+/// and — with a cache — only on the single-flight leader, so
 /// `analysis_runs` counts actual verifier executions, not lookups.
 fn analyze_phase(program: &Program, obs: &Recorder) -> Vec<Finding> {
     let started = Instant::now();
@@ -148,123 +188,123 @@ fn case_indexes(action: &JobAction, dataset_count: usize) -> Vec<usize> {
     }
 }
 
-/// Execute a job on a device. `worker_id` and `container_wait_ms` are
-/// supplied by the node (the pipeline itself is stateless so it can be
-/// unit-tested without a node).
-pub fn execute_job(
-    req: &JobRequest,
-    device: &DeviceConfig,
-    worker_id: u64,
-    container_wait_ms: u64,
-) -> JobOutcome {
-    execute_job_traced(
-        req,
-        device,
-        worker_id,
-        container_wait_ms,
-        &Recorder::noop(),
-        0,
-    )
-}
-
-/// [`execute_job`] with span/timer recording: compile time lands in
-/// [`Timer::CompileMicros`], dataset time in [`Timer::GradeMicros`],
-/// and the job's span advances to `Compiled` then `Graded` (or
-/// straight to `Failed` when compilation is rejected).
-pub fn execute_job_traced(
-    req: &JobRequest,
-    device: &DeviceConfig,
-    worker_id: u64,
-    container_wait_ms: u64,
-    obs: &Recorder,
-    now_ms: u64,
-) -> JobOutcome {
-    let mut outcome = JobOutcome {
-        job_id: req.job_id,
-        worker_id,
-        compile_error: None,
-        datasets: Vec::new(),
-        analysis: Vec::new(),
-        container_wait_ms,
-    };
-    let started = Instant::now();
-    let compiled = compile_phase(req.job_id, &req.source, &req.spec);
-    obs.observe(Timer::CompileMicros, started.elapsed().as_micros() as u64);
-    let program = match compiled {
-        Ok(p) => p,
-        Err(m) => {
-            outcome.compile_error = Some(m);
-            obs.phase(req.job_id, JobPhase::Failed, now_ms);
-            return outcome;
-        }
-    };
-    obs.phase(req.job_id, JobPhase::Compiled, now_ms);
-    if req.spec.analysis.enabled() {
-        let findings = analyze_phase(&program, obs);
-        if apply_analysis(&mut outcome, req.spec.analysis, findings, obs, now_ms) {
-            obs.phase(req.job_id, JobPhase::Failed, now_ms);
-            return outcome;
-        }
-    }
-    let started = Instant::now();
-    for idx in case_indexes(&req.action, req.datasets.len()) {
-        outcome.datasets.push(match req.datasets.get(idx) {
-            Some(case) => run_dataset_case(&program, case, &req.spec, device),
-            None => missing_dataset_outcome(idx),
-        });
-    }
-    obs.observe(Timer::GradeMicros, started.elapsed().as_micros() as u64);
-    obs.phase(req.job_id, JobPhase::Graded, now_ms);
-    outcome
-}
-
-/// Cache-aware variant of [`execute_job`]: compile results and
-/// per-dataset grades are served from `cache` when a prior submission
-/// with identical keyed inputs already produced them, and concurrent
-/// identical submissions single-flight so each distinct computation
-/// runs once cluster-wide.
-///
-/// `image` is the container image the job would run in — part of the
-/// compile key, since different images may carry different toolchain
-/// stacks. Identity fields (`job_id`, `worker_id`,
-/// `container_wait_ms`) are never cached; only the deterministic
-/// compile/grade payloads are.
-pub fn execute_job_cached(
-    req: &JobRequest,
-    device: &DeviceConfig,
-    worker_id: u64,
-    container_wait_ms: u64,
-    image: &str,
-    cache: &SubmissionCache,
-) -> JobOutcome {
-    execute_job_cached_traced(
-        req,
-        device,
-        worker_id,
-        container_wait_ms,
-        image,
-        cache,
-        &Recorder::noop(),
-        0,
-    )
-}
-
 /// Record one cache lookup against the job's span: saved work becomes
 /// a `CacheHit`/`Coalesced` annotation, a miss only bumps the
 /// [`Counter::CacheMisses`] counter (misses are the normal path, not a
-/// span-worthy event).
-fn record_lookup(obs: &Recorder, job_id: u64, lookup: LookupOutcome, now_ms: u64) {
+/// span-worthy event). `None` — no cache — records nothing.
+fn record_lookup(obs: &Recorder, job_id: u64, lookup: Option<LookupOutcome>, now_ms: u64) {
     match lookup {
-        LookupOutcome::Hit => obs.annotate(job_id, Annotation::CacheHit, now_ms),
-        LookupOutcome::Coalesced => obs.annotate(job_id, Annotation::Coalesced, now_ms),
-        LookupOutcome::Miss => obs.bump(Counter::CacheMisses),
+        Some(LookupOutcome::Hit) => obs.annotate(job_id, Annotation::CacheHit, now_ms),
+        Some(LookupOutcome::Coalesced) => obs.annotate(job_id, Annotation::Coalesced, now_ms),
+        Some(LookupOutcome::Miss) => obs.bump(Counter::CacheMisses),
+        None => {}
     }
 }
 
-/// [`execute_job_cached`] with span/timer recording. Phase timers
-/// capture what this call actually paid: a compile served from cache
-/// records the (near-zero) lookup time, which is exactly what the
-/// latency histograms should show for deduplicated work.
+/// A value served through a cache tier, with how the lookup went.
+fn served<V>((value, lookup): (V, LookupOutcome)) -> (V, Option<LookupOutcome>) {
+    (value, Some(lookup))
+}
+
+/// Run a job: compile (plus the static verifier when the lab's policy
+/// enables it), then every dataset its action names. With `ctx.cache`,
+/// the compile and each dataset grade are served by key and
+/// single-flight, so each distinct computation runs once cluster-wide.
+///
+/// Compile time lands in [`Timer::CompileMicros`], dataset time in
+/// [`Timer::GradeMicros`]; the span advances to `Compiled` then
+/// `Graded`, or to `Failed` on a compile error or a `Deny` verdict.
+pub fn execute(req: &JobRequest, ctx: &RunCtx) -> JobOutcome {
+    let (obs, now_ms, job_id) = (ctx.obs, ctx.now_ms, req.job_id);
+    let mut outcome = JobOutcome {
+        job_id,
+        worker_id: ctx.worker_id,
+        compile_error: None,
+        datasets: Vec::new(),
+        analysis: Vec::new(),
+        container_wait_ms: ctx.container_wait_ms,
+    };
+    let analyze = req.spec.analysis.enabled();
+    let compile = || {
+        let result = compile_phase(job_id, &req.source, &req.spec);
+        let analysis = match (&result, analyze) {
+            (Ok(p), true) => analyze_phase(p, obs),
+            _ => Vec::new(),
+        };
+        CompiledEntry {
+            result,
+            source_bytes: req.source.len(),
+            analysis,
+        }
+    };
+    let keyed = ctx.cache.map(|cache| {
+        let ckey = CompileKey::derive(
+            &req.source,
+            req.spec.dialect,
+            req.spec.opt_level,
+            analyze,
+            &req.spec.toolchain,
+            ctx.image,
+            &req.spec.blacklist,
+            &req.spec.limits,
+        );
+        (cache, ckey)
+    });
+    let started = Instant::now();
+    let (entry, lookup) = match keyed {
+        Some((cache, ckey)) => served(cache.compile_or(ckey, compile)),
+        None => (compile(), None),
+    };
+    obs.observe(Timer::CompileMicros, started.elapsed().as_micros() as u64);
+    record_lookup(obs, job_id, lookup, now_ms);
+    let program = match entry.result {
+        Ok(p) => p,
+        Err(m) => {
+            outcome.compile_error = Some(m);
+            obs.phase(job_id, JobPhase::Failed, now_ms);
+            return outcome;
+        }
+    };
+    obs.phase(job_id, JobPhase::Compiled, now_ms);
+    if analyze && apply_analysis(&mut outcome, req.spec.analysis, entry.analysis, obs, now_ms) {
+        obs.phase(job_id, JobPhase::Failed, now_ms);
+        return outcome;
+    }
+    let started = Instant::now();
+    for idx in case_indexes(&req.action, req.datasets.len()) {
+        // A missing index is never cached: trivially cheap, and there
+        // is no dataset content to key on.
+        let Some(case) = req.datasets.get(idx) else {
+            outcome.datasets.push(missing_dataset_outcome(idx));
+            continue;
+        };
+        let grade = || run_dataset_case(&program, case, &req.spec, ctx.device);
+        let (graded, lookup) = match keyed {
+            Some((cache, ckey)) => {
+                let gkey = GradeKey::derive(
+                    ckey,
+                    &case.name,
+                    &case.inputs,
+                    &case.expected,
+                    ctx.device,
+                    &req.spec.whitelist,
+                    &req.spec.check,
+                    &req.spec.limits,
+                );
+                served(cache.grade_or(gkey, grade))
+            }
+            None => (grade(), None),
+        };
+        record_lookup(obs, job_id, lookup, now_ms);
+        outcome.datasets.push(graded);
+    }
+    obs.observe(Timer::GradeMicros, started.elapsed().as_micros() as u64);
+    obs.phase(job_id, JobPhase::Graded, now_ms);
+    outcome
+}
+
+/// [`execute`] with a cache and a recorder, under the positional
+/// signature that predates [`RunCtx`].
 #[allow(clippy::too_many_arguments)]
 pub fn execute_job_cached_traced(
     req: &JobRequest,
@@ -276,80 +316,18 @@ pub fn execute_job_cached_traced(
     obs: &Recorder,
     now_ms: u64,
 ) -> JobOutcome {
-    let mut outcome = JobOutcome {
-        job_id: req.job_id,
-        worker_id,
-        compile_error: None,
-        datasets: Vec::new(),
-        analysis: Vec::new(),
-        container_wait_ms,
-    };
-    let analyze = req.spec.analysis.enabled();
-    let ckey = CompileKey::derive(
-        &req.source,
-        req.spec.dialect,
-        req.spec.opt_level,
-        analyze,
-        &req.spec.toolchain,
-        image,
-        &req.spec.blacklist,
-        &req.spec.limits,
-    );
-    let started = Instant::now();
-    let (entry, lookup) = cache.compile_or_traced(ckey, || {
-        let result = compile_phase(req.job_id, &req.source, &req.spec);
-        let analysis = match (&result, analyze) {
-            (Ok(p), true) => analyze_phase(p, obs),
-            _ => Vec::new(),
-        };
-        CompiledEntry {
-            result,
-            source_bytes: req.source.len(),
-            analysis,
-        }
-    });
-    obs.observe(Timer::CompileMicros, started.elapsed().as_micros() as u64);
-    record_lookup(obs, req.job_id, lookup, now_ms);
-    let program = match entry.result {
-        Ok(p) => p,
-        Err(m) => {
-            outcome.compile_error = Some(m);
-            obs.phase(req.job_id, JobPhase::Failed, now_ms);
-            return outcome;
-        }
-    };
-    obs.phase(req.job_id, JobPhase::Compiled, now_ms);
-    if analyze && apply_analysis(&mut outcome, req.spec.analysis, entry.analysis, obs, now_ms) {
-        obs.phase(req.job_id, JobPhase::Failed, now_ms);
-        return outcome;
-    }
-    let started = Instant::now();
-    for idx in case_indexes(&req.action, req.datasets.len()) {
-        outcome.datasets.push(match req.datasets.get(idx) {
-            Some(case) => {
-                let gkey = GradeKey::derive(
-                    ckey,
-                    &case.name,
-                    &case.inputs,
-                    &case.expected,
-                    device,
-                    &req.spec.whitelist,
-                    &req.spec.check,
-                    &req.spec.limits,
-                );
-                let (graded, lookup) = cache
-                    .grade_or_traced(gkey, || run_dataset_case(&program, case, &req.spec, device));
-                record_lookup(obs, req.job_id, lookup, now_ms);
-                graded
-            }
-            // Never cached: trivially cheap, and there is no dataset
-            // content to key on.
-            None => missing_dataset_outcome(idx),
-        });
-    }
-    obs.observe(Timer::GradeMicros, started.elapsed().as_micros() as u64);
-    obs.phase(req.job_id, JobPhase::Graded, now_ms);
-    outcome
+    execute(
+        req,
+        &RunCtx {
+            device,
+            worker_id,
+            container_wait_ms,
+            image,
+            cache: Some(cache),
+            obs,
+            now_ms,
+        },
+    )
 }
 
 #[cfg(test)]
@@ -408,10 +386,29 @@ mod tests {
         }
     }
 
+    /// Run uncached on worker 0 of the small test device.
+    fn run(req: &JobRequest) -> JobOutcome {
+        execute(req, &RunCtx::new(&DeviceConfig::test_small()))
+    }
+
+    /// Run through `cache` on worker 0 of `device`.
+    fn run_cached(req: &JobRequest, device: &DeviceConfig, cache: &SubmissionCache) -> JobOutcome {
+        let ctx = RunCtx {
+            cache: Some(cache),
+            ..RunCtx::new(device)
+        };
+        execute(req, &ctx)
+    }
+
     #[test]
     fn full_grade_passes_all_datasets() {
         let req = vecadd_request(JobAction::FullGrade);
-        let out = execute_job(&req, &DeviceConfig::test_small(), 7, 0);
+        let device = DeviceConfig::test_small();
+        let ctx = RunCtx {
+            worker_id: 7,
+            ..RunCtx::new(&device)
+        };
+        let out = execute(&req, &ctx);
         assert!(out.compiled(), "{:?}", out.compile_error);
         assert_eq!(out.datasets.len(), 2);
         assert_eq!(out.passed_count(), 2);
@@ -420,16 +417,14 @@ mod tests {
 
     #[test]
     fn compile_only_runs_nothing() {
-        let req = vecadd_request(JobAction::CompileOnly);
-        let out = execute_job(&req, &DeviceConfig::test_small(), 1, 0);
+        let out = run(&vecadd_request(JobAction::CompileOnly));
         assert!(out.compiled());
         assert!(out.datasets.is_empty());
     }
 
     #[test]
     fn single_dataset_run() {
-        let req = vecadd_request(JobAction::RunDataset(1));
-        let out = execute_job(&req, &DeviceConfig::test_small(), 1, 0);
+        let out = run(&vecadd_request(JobAction::RunDataset(1)));
         assert_eq!(out.datasets.len(), 1);
         assert_eq!(out.datasets[0].name, "d1");
         assert!(out.datasets[0].passed());
@@ -437,8 +432,7 @@ mod tests {
 
     #[test]
     fn out_of_range_dataset_reports_error() {
-        let req = vecadd_request(JobAction::RunDataset(9));
-        let out = execute_job(&req, &DeviceConfig::test_small(), 1, 0);
+        let out = run(&vecadd_request(JobAction::RunDataset(9)));
         assert!(out.datasets[0].error.is_some());
         assert!(!out.datasets[0].passed());
     }
@@ -447,7 +441,7 @@ mod tests {
     fn blacklisted_source_rejected_before_compile() {
         let mut req = vecadd_request(JobAction::FullGrade);
         req.source = format!("// sneaky asm comment\n{}", req.source);
-        let out = execute_job(&req, &DeviceConfig::test_small(), 1, 0);
+        let out = run(&req);
         assert!(!out.compiled());
         assert!(out.compile_error.unwrap().contains("asm"));
         assert!(out.datasets.is_empty());
@@ -457,7 +451,7 @@ mod tests {
     fn syntax_error_reported_with_position() {
         let mut req = vecadd_request(JobAction::CompileOnly);
         req.source = "int main( { return 0; }".to_string();
-        let out = execute_job(&req, &DeviceConfig::test_small(), 1, 0);
+        let out = run(&req);
         assert!(out.compile_error.unwrap().contains("syntax error"));
     }
 
@@ -466,7 +460,7 @@ mod tests {
         let mut req = vecadd_request(JobAction::FullGrade);
         // A classic student bug: using + instead of * in the index.
         req.source = VECADD.replace("a[i] + b[i]", "a[i] - b[i]");
-        let out = execute_job(&req, &DeviceConfig::test_small(), 1, 0);
+        let out = run(&req);
         assert!(out.compiled());
         assert_eq!(out.passed_count(), 0);
         let d = &out.datasets[0];
@@ -478,7 +472,7 @@ mod tests {
     fn missing_wbsolution_is_reported() {
         let mut req = vecadd_request(JobAction::RunDataset(0));
         req.source = "int main() { return 0; }".to_string();
-        let out = execute_job(&req, &DeviceConfig::test_small(), 1, 0);
+        let out = run(&req);
         let d = &out.datasets[0];
         assert!(d.error.is_none());
         assert!(d
@@ -495,17 +489,40 @@ mod tests {
     fn oversized_source_rejected() {
         let mut req = vecadd_request(JobAction::CompileOnly);
         req.spec.limits.max_source_bytes = 16;
-        let out = execute_job(&req, &DeviceConfig::test_small(), 1, 0);
+        let out = run(&req);
         assert!(out.compile_error.unwrap().contains("at most 16"));
     }
 
     #[test]
     fn cost_counters_populated() {
-        let req = vecadd_request(JobAction::RunDataset(0));
-        let out = execute_job(&req, &DeviceConfig::test_small(), 1, 0);
+        let out = run(&vecadd_request(JobAction::RunDataset(0)));
         let d = &out.datasets[0];
         assert_eq!(d.cost.kernel_launches, 1);
         assert!(d.elapsed_cycles > 0);
+    }
+
+    /// What a traced recorder holds after one job, with the counter the
+    /// cache alone bumps (`CacheMisses`) zeroed out.
+    fn books(obs: &Recorder) -> (Vec<wb_obs::SpanView>, Vec<(String, u64)>, [u64; 3]) {
+        let snap = obs.snapshot();
+        let counters = snap
+            .counters
+            .iter()
+            .map(|c| {
+                let value = if c.name == Counter::CacheMisses.name() {
+                    0
+                } else {
+                    c.value
+                };
+                (c.name.clone(), value)
+            })
+            .collect();
+        let timings = [
+            snap.compile_micros.count,
+            snap.grade_micros.count,
+            snap.analyze_micros.count,
+        ];
+        (obs.spans(), counters, timings)
     }
 
     #[test]
@@ -513,9 +530,9 @@ mod tests {
         let cache = new_submission_cache(CacheConfig::default());
         let req = vecadd_request(JobAction::FullGrade);
         let device = DeviceConfig::test_small();
-        let fresh = execute_job(&req, &device, 7, 0);
-        let first = execute_job_cached(&req, &device, 7, 0, "webgpu/cuda", &cache);
-        let second = execute_job_cached(&req, &device, 7, 0, "webgpu/cuda", &cache);
+        let fresh = execute(&req, &RunCtx::new(&device));
+        let first = run_cached(&req, &device, &cache);
+        let second = run_cached(&req, &device, &cache);
         assert_eq!(fresh, first, "cold cached run matches fresh");
         assert_eq!(fresh, second, "warm cached run matches fresh");
         let m = cache.metrics();
@@ -523,6 +540,67 @@ mod tests {
         assert_eq!(m.compile.hits, 1);
         assert_eq!(m.grade.misses, 2, "two datasets computed once");
         assert_eq!(m.grade.hits, 2, "and served from cache once");
+
+        // Both branches of `execute`, cell by cell: no cache, and a
+        // fresh cache whose every lookup misses, must agree on the
+        // outcome and on the books — spans, counters and which timers
+        // fired — except for the misses only the cache counts.
+        let flagged = format!(
+            "__global__ void probe(float* unused) {{\n\
+                 if (threadIdx.x < 7) {{ __syncthreads(); }}\n\
+             }}\n{VECADD}"
+        );
+        let sources = [
+            ("clean", VECADD.to_string()),
+            ("flagged", flagged),
+            ("syntax error", "int main( { return 0; }".to_string()),
+        ];
+        let actions = [
+            JobAction::CompileOnly,
+            JobAction::RunDataset(1),
+            JobAction::FullGrade,
+        ];
+        let policies = [
+            AnalysisPolicy::Off,
+            AnalysisPolicy::Warn,
+            AnalysisPolicy::Deny,
+        ];
+        for (label, source) in &sources {
+            for action in &actions {
+                for policy in policies {
+                    let cell = format!("{label} / {action:?} / {policy:?}");
+                    let mut req = vecadd_request(action.clone());
+                    req.source = source.clone();
+                    req.spec.analysis = policy;
+                    let run = |cache: Option<&SubmissionCache>| {
+                        let obs = Recorder::traced();
+                        let ctx = RunCtx {
+                            worker_id: 7,
+                            cache,
+                            obs: &obs,
+                            now_ms: 5,
+                            ..RunCtx::new(&device)
+                        };
+                        (
+                            execute(&req, &ctx),
+                            books(&obs),
+                            obs.counter(Counter::CacheMisses),
+                        )
+                    };
+                    let (plain, plain_books, plain_misses) = run(None);
+                    let fresh_cache = new_submission_cache(CacheConfig::default());
+                    let (cached, cached_books, cached_misses) = run(Some(&fresh_cache));
+                    assert_eq!(plain, cached, "{cell}: outcome");
+                    let flagged_here = *label == "flagged" && policy.enabled();
+                    assert_eq!(!plain.analysis.is_empty(), flagged_here, "{cell}: verdict");
+                    assert_eq!(plain_books, cached_books, "{cell}: spans, counters, timers");
+                    assert_eq!(plain_misses, 0, "{cell}: no cache, no misses");
+                    let lookups = fresh_cache.metrics().total();
+                    assert_eq!(lookups.hits + lookups.coalesced, 0, "{cell}: all miss");
+                    assert_eq!(cached_misses, lookups.misses, "{cell}: misses counted");
+                }
+            }
+        }
     }
 
     #[test]
@@ -531,11 +609,11 @@ mod tests {
         let mut req = vecadd_request(JobAction::CompileOnly);
         req.source = "int main( { return 0; }".to_string();
         let device = DeviceConfig::test_small();
-        let first = execute_job_cached(&req, &device, 1, 0, "webgpu/cuda", &cache);
+        let first = run_cached(&req, &device, &cache);
         // A different student resubmits the same broken code.
         req.job_id = 2;
         req.user = "bob".into();
-        let second = execute_job_cached(&req, &device, 2, 0, "webgpu/cuda", &cache);
+        let second = run_cached(&req, &device, &cache);
         assert_eq!(first.compile_error, second.compile_error);
         assert!(first.compile_error.unwrap().contains("syntax error"));
         assert_eq!(cache.metrics().compile.hits, 1);
@@ -547,8 +625,8 @@ mod tests {
         let device = DeviceConfig::test_small();
         let a = vecadd_request(JobAction::RunDataset(0));
         let b = vecadd_request(JobAction::RunDataset(1));
-        let out_a = execute_job_cached(&a, &device, 1, 0, "webgpu/cuda", &cache);
-        let out_b = execute_job_cached(&b, &device, 1, 0, "webgpu/cuda", &cache);
+        let out_a = run_cached(&a, &device, &cache);
+        let out_b = run_cached(&b, &device, &cache);
         assert!(out_a.datasets[0].passed());
         assert!(out_b.datasets[0].passed());
         let m = cache.metrics();
@@ -562,7 +640,6 @@ mod tests {
 
     #[test]
     fn pipeline_never_leaks_job_dirs() {
-        let device = DeviceConfig::test_small();
         // Every early-return path through the compile phase.
         let mut oversized = vecadd_request(JobAction::CompileOnly);
         oversized.spec.limits.max_source_bytes = 16;
@@ -576,7 +653,7 @@ mod tests {
             blacklisted,
             broken,
         ] {
-            execute_job(&req, &device, 1, 0);
+            run(&req);
         }
         // Counter deltas are asserted in the dedicated leak regression
         // test (tests/jobdir_leak.rs) where no other test races the

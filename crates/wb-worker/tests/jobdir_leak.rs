@@ -15,8 +15,7 @@ use libwb::Dataset;
 use minicuda::DeviceConfig;
 use wb_sandbox::live_dir_count;
 use wb_worker::{
-    execute_job, execute_job_cached, new_submission_cache, DatasetCase, JobAction, JobRequest,
-    LabSpec,
+    execute, new_submission_cache, DatasetCase, JobAction, JobRequest, LabSpec, RunCtx,
 };
 
 fn request(job_id: u64, source: &str, action: JobAction) -> JobRequest {
@@ -47,19 +46,20 @@ const GOOD: &str = r#"
 fn every_pipeline_exit_path_reclaims_the_job_dir() {
     assert_eq!(live_dir_count(), 0, "test starts clean");
     let device = DeviceConfig::test_small();
+    let ctx = RunCtx::new(&device);
 
     // Success path.
-    let out = execute_job(&request(1, GOOD, JobAction::FullGrade), &device, 1, 0);
+    let out = execute(&request(1, GOOD, JobAction::FullGrade), &ctx);
     assert!(out.compiled());
 
     // Early return: oversized source (fails before the dir exists).
     let mut oversized = request(2, GOOD, JobAction::CompileOnly);
     oversized.spec.limits.max_source_bytes = 8;
-    assert!(!execute_job(&oversized, &device, 1, 0).compiled());
+    assert!(!execute(&oversized, &ctx).compiled());
 
     // Early return: blacklist violation.
     let blacklisted = request(3, "int main() { asm(); }", JobAction::CompileOnly);
-    assert!(!execute_job(&blacklisted, &device, 1, 0).compiled());
+    assert!(!execute(&blacklisted, &ctx).compiled());
 
     // Early return: quota-exceeded write into the scratch dir. The
     // original leak was exactly this path: `dir.write` failed and the
@@ -67,7 +67,7 @@ fn every_pipeline_exit_path_reclaims_the_job_dir() {
     let mut fat = request(4, GOOD, JobAction::CompileOnly);
     fat.source = format!("// {}\n{}", "x".repeat(5 * 1024 * 1024), GOOD);
     fat.spec.limits.max_source_bytes = 8 * 1024 * 1024; // pass the gate
-    let out = execute_job(&fat, &device, 1, 0);
+    let out = execute(&fat, &ctx);
     assert!(
         out.compile_error
             .as_deref()
@@ -78,18 +78,15 @@ fn every_pipeline_exit_path_reclaims_the_job_dir() {
 
     // Early return: compile error.
     let broken = request(5, "int main( { return 0; }", JobAction::CompileOnly);
-    assert!(!execute_job(&broken, &device, 1, 0).compiled());
+    assert!(!execute(&broken, &ctx).compiled());
 
-    // The cached pipeline shares the same compile phase.
+    // The cached branch shares the same compile phase.
     let cache = new_submission_cache(wb_cache::CacheConfig::default());
-    let out = execute_job_cached(
-        &request(6, GOOD, JobAction::FullGrade),
-        &device,
-        1,
-        0,
-        "webgpu/cuda",
-        &cache,
-    );
+    let cached = RunCtx {
+        cache: Some(&cache),
+        ..ctx
+    };
+    let out = execute(&request(6, GOOD, JobAction::FullGrade), &cached);
     assert!(out.compiled());
 
     assert_eq!(live_dir_count(), 0, "no scratch directory leaked");

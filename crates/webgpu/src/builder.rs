@@ -135,11 +135,13 @@ impl ClusterBuilder {
         self
     }
 
-    /// Control-plane lane count: the broker, the fair-share scheduler,
-    /// and the `wb-obs`/`wb-cache` hot paths all split `n` ways, and
-    /// workers pin to lanes round-robin. Defaults to the host's core
-    /// count ([`wb_worker::default_shards`]); `1` reproduces the
-    /// single-lane control plane exactly. Clamped to at least 1.
+    /// Control-plane lane count: the fair-share scheduler and (v2) the
+    /// broker split `n` ways, and v2 workers pin to lanes round-robin.
+    /// This knob moves neither `wb-obs`, which stripes its spans and
+    /// scoped counters by fixed constants, nor `wb-cache`, which
+    /// stripes by [`CacheConfig::shards`]. Defaults to one lane per
+    /// core the host exposes; `1` reproduces the single-lane control
+    /// plane exactly. Clamped to at least 1.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = Some(n);
         self
@@ -179,8 +181,15 @@ impl ClusterBuilder {
     }
 
     pub(crate) fn resolved_shards(&self) -> usize {
-        self.shards.unwrap_or_else(wb_worker::default_shards).max(1)
+        self.shards.unwrap_or_else(default_shards).max(1)
     }
+}
+
+/// The default control-plane lane count: one lane per core the host
+/// exposes, so the control plane scales with the machine (1 when the
+/// parallelism probe fails).
+fn default_shards() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
 }
 
 #[cfg(test)]

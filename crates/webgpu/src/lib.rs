@@ -62,4 +62,3 @@ pub use v1::{ClusterV1, Push};
 pub use v2::{ClusterV2, Pull};
 pub use wb_queue::shard_for_course;
 pub use wb_sched::{CourseConfig, SchedConfig, SchedSnapshot};
-pub use wb_worker::default_shards;

@@ -355,7 +355,6 @@ impl<D: Dispatch> ControlPlane<D> {
                 device: self.device.clone(),
                 worker,
                 cache: self.cache.clone(),
-                shards: self.shards,
                 obs: Arc::clone(&self.obs),
             },
         )));

@@ -155,17 +155,12 @@ fn full_journey_on_the_openedx_frontend() {
     use wb_db::BlobStore;
     use wb_queue::ShardedBroker;
     use wb_server::EdxFrontend;
-    use wb_worker::{WorkerConfig, WorkerNode};
+    use wb_worker::{NodeConfig, WorkerNode};
 
     let broker = Arc::new(ShardedBroker::new(1, 60_000, 3));
+    let cfg = NodeConfig::new(minicuda::DeviceConfig::test_small());
     let workers = (1..=2)
-        .map(|id| {
-            Arc::new(WorkerNode::boot(
-                id,
-                minicuda::DeviceConfig::test_small(),
-                &WorkerConfig::default(),
-            ))
-        })
+        .map(|id| Arc::new(WorkerNode::launch(id, &cfg)))
         .collect::<Vec<_>>();
 
     // The instructor uploads the lab datasets to the bucket; the

@@ -4,7 +4,7 @@
 use minicuda::DeviceConfig;
 use wb_labs::LabScale;
 use wb_sandbox::{Blacklist, ScanMode};
-use wb_worker::{execute_job, JobAction, JobRequest};
+use wb_worker::{execute, JobAction, JobRequest, RunCtx};
 
 fn request_with(source: &str) -> JobRequest {
     let lab = wb_labs::definition("vecadd", LabScale::Small).unwrap();
@@ -20,11 +20,9 @@ fn request_with(source: &str) -> JobRequest {
 
 #[test]
 fn inline_asm_rejected_at_compile_time() {
-    let out = execute_job(
+    let out = execute(
         &request_with("int main() { asm(\"syscall\"); return 0; }"),
-        &DeviceConfig::test_small(),
-        0,
-        0,
+        &RunCtx::new(&DeviceConfig::test_small()),
     );
     let err = out.compile_error.expect("blacklist fires");
     assert!(err.contains("asm"));
@@ -34,11 +32,9 @@ fn inline_asm_rejected_at_compile_time() {
 #[test]
 fn blacklist_fires_even_inside_comments() {
     // The paper documents this false positive as an accepted trade-off.
-    let out = execute_job(
+    let out = execute(
         &request_with("// I promise not to use asm\nint main() { return 0; }"),
-        &DeviceConfig::test_small(),
-        0,
-        0,
+        &RunCtx::new(&DeviceConfig::test_small()),
     );
     assert!(out.compile_error.is_some());
 }
@@ -70,7 +66,10 @@ fn non_whitelisted_call_killed_at_runtime() {
             return 0;
         }
     "#;
-    let out = execute_job(&request_with(source), &DeviceConfig::test_small(), 0, 0);
+    let out = execute(
+        &request_with(source),
+        &RunCtx::new(&DeviceConfig::test_small()),
+    );
     assert!(out.compiled(), "compiles fine — dies at runtime");
     for d in &out.datasets {
         let err = d.error.as_ref().expect("killed");
@@ -86,7 +85,7 @@ fn runaway_kernel_hits_the_time_limit() {
     "#;
     let mut req = request_with(source);
     req.spec.limits = wb_sandbox::ResourceLimits::strict();
-    let out = execute_job(&req, &DeviceConfig::test_small(), 0, 0);
+    let out = execute(&req, &RunCtx::new(&DeviceConfig::test_small()));
     assert!(out.compiled());
     for d in &out.datasets {
         assert_eq!(
@@ -101,7 +100,7 @@ fn runaway_host_loop_hits_the_time_limit() {
     let source = "int main() { while (1) { int x = 0; } return 0; }";
     let mut req = request_with(source);
     req.spec.limits = wb_sandbox::ResourceLimits::strict();
-    let out = execute_job(&req, &DeviceConfig::test_small(), 0, 0);
+    let out = execute(&req, &RunCtx::new(&DeviceConfig::test_small()));
     for d in &out.datasets {
         assert_eq!(d.error.as_ref().unwrap().phase, minicuda::Phase::Limit);
     }
@@ -116,7 +115,10 @@ fn memory_bomb_hits_the_device_memory_cap() {
             return 0;
         }
     "#;
-    let out = execute_job(&request_with(source), &DeviceConfig::test_small(), 0, 0);
+    let out = execute(
+        &request_with(source),
+        &RunCtx::new(&DeviceConfig::test_small()),
+    );
     for d in &out.datasets {
         let err = d.error.as_ref().expect("must fail");
         assert!(
@@ -129,7 +131,10 @@ fn memory_bomb_hits_the_device_memory_cap() {
 #[test]
 fn oversized_source_rejected_before_any_work() {
     let huge = format!("int main() {{ return 0; }} // {}", "x".repeat(400 * 1024));
-    let out = execute_job(&request_with(&huge), &DeviceConfig::test_small(), 0, 0);
+    let out = execute(
+        &request_with(&huge),
+        &RunCtx::new(&DeviceConfig::test_small()),
+    );
     assert!(out.compile_error.expect("size gate").contains("at most"));
 }
 
@@ -151,7 +156,7 @@ fn log_flood_is_truncated_not_fatal() {
     // fail, but the run itself must complete with a truncated log).
     let mut req = request_with(source);
     req.action = JobAction::RunDataset(0);
-    let out = execute_job(&req, &DeviceConfig::test_small(), 0, 0);
+    let out = execute(&req, &RunCtx::new(&DeviceConfig::test_small()));
     let d = &out.datasets[0];
     assert!(d.error.is_none(), "{:?}", d.error);
     assert!(d.log_text.contains("truncated"));
