@@ -395,11 +395,12 @@ impl<T> ShardedScheduler<T> {
         shard_for_course(course, self.lanes.len())
     }
 
-    /// Offer one job for admission on its course's lane. On admission
-    /// the payload is queued (after `downgrade` is applied if the offer
-    /// lands in the brown-out band); on shed it is dropped and the
-    /// caller should return [`Admission::Shed`]'s retry hint to the
-    /// submitter.
+    /// Offer one job for admission on its course's lane — the one
+    /// admission path, whether the job was submitted queued or
+    /// synchronously. On admission the payload is queued (after
+    /// `downgrade` is applied if the offer lands in the brown-out
+    /// band); on shed it is dropped and the caller should return
+    /// [`Admission::Shed`]'s retry hint to the submitter.
     pub fn offer(
         &self,
         course: &str,
@@ -425,23 +426,6 @@ impl<T> ShardedScheduler<T> {
             }
             adm
         };
-        self.record(job_id, adm, now_ms);
-        adm
-    }
-
-    /// Admission decision without queueing, for synchronous callers
-    /// that execute immediately (the push cluster's single-job path):
-    /// the same bands as [`offer`](Self::offer), judged against the
-    /// course's current backlog, but the job never enters the queue —
-    /// the caller applies any brown-out downgrade itself.
-    pub fn admit(&self, course: &str, job_id: u64, class: GradeClass, now_ms: u64) -> Admission {
-        let adm = self.config.judge(course, self.backlog(course), class);
-        self.record(job_id, adm, now_ms);
-        adm
-    }
-
-    /// Put an admission decision on the recorder.
-    fn record(&self, job_id: u64, adm: Admission, now_ms: u64) {
         match adm {
             Admission::Shed { .. } => self.obs.annotate(job_id, Annotation::Shed, now_ms),
             Admission::Admitted { browned_out } => {
@@ -451,6 +435,7 @@ impl<T> ShardedScheduler<T> {
                 }
             }
         }
+        adm
     }
 
     /// Release up to `max` jobs from one lane, recording the dequeues.
@@ -735,34 +720,6 @@ mod tests {
             panic!("light never downgrades")
         });
         assert_eq!(adm, Admission::Admitted { browned_out: false });
-    }
-
-    #[test]
-    fn admit_judges_bands_without_queueing() {
-        let cfg = SchedConfig {
-            backlog_budget: 4,
-            ..SchedConfig::default()
-        };
-        let s = sched(cfg);
-        assert_eq!(
-            s.admit("c", 0, GradeClass::Full, 0),
-            Admission::Admitted { browned_out: false }
-        );
-        for j in 0..3 {
-            offer_light(&s, "c", j);
-        }
-        // Backlog 3 of 4 is inside the band: full grades brown out, but
-        // the admit path never grows the backlog.
-        assert_eq!(
-            s.admit("c", 9, GradeClass::Full, 0),
-            Admission::Admitted { browned_out: true }
-        );
-        assert_eq!(s.backlog("c"), 3);
-        offer_light(&s, "c", 3);
-        let Admission::Shed { retry_after_s } = s.admit("c", 10, GradeClass::Full, 0) else {
-            panic!("budget exhausted must shed");
-        };
-        assert!(retry_after_s.is_finite() && retry_after_s > 0.0);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! In the new architecture, instructors author labs and students work
 //! inside OpenEdx via a programming XBlock; the XBlock's only job on
 //! the execution path is to enqueue jobs to the message broker and
-//! collect results. This adapter models that contract: it turns the
-//! server's synchronous dispatch into an enqueue + poll-for-result
-//! flow over `wb-queue`, with lab datasets fetched from the blob store
-//! instead of shipped inline.
+//! collect results. This adapter models that contract: the server's
+//! dispatcher becomes an enqueue + poll-for-result flow over
+//! `wb-queue`, with lab datasets fetched from the blob store instead
+//! of shipped inline.
 
 use crate::api::WbError;
 use crate::server::JobDispatcher;
@@ -20,10 +20,10 @@ use wb_worker::{JobOutcome, JobRequest};
 /// A dispatcher that enqueues to the v2 broker and waits for the
 /// result to be posted back by a worker.
 ///
-/// The "wait" is cooperative: after enqueueing, the caller is expected
-/// to drive workers (`pump`) until the result lands — the discrete-
-/// event simulation does exactly that. For convenience, `dispatch`
-/// drives the supplied worker set itself.
+/// The "wait" is cooperative: each `advance` lets every worker poll
+/// once, and the result lands when one of them posts it. The trait's
+/// provided `dispatch` drives the supplied worker set that way until
+/// the job's outcome is in hand.
 pub struct EdxFrontend {
     broker: Arc<ShardedBroker<JobRequest>>,
     results: Mutex<HashMap<u64, JobOutcome>>,
@@ -104,9 +104,19 @@ impl EdxFrontend {
         }
         Ok(cases)
     }
+}
+
+impl JobDispatcher for EdxFrontend {
+    /// Enqueue to lane 0 with the job's capability tags.
+    fn submit_queued(&self, req: JobRequest, now_ms: u64) -> Result<u64, WbError> {
+        let job_id = req.job_id;
+        let tags = req.spec.tags.to_wire();
+        self.broker.enqueue_to(0, req, tags, now_ms);
+        Ok(job_id)
+    }
 
     /// Let every live worker poll once; posted results are collected.
-    pub fn pump(&self, now_ms: u64) -> usize {
+    fn advance(&self, now_ms: u64) -> usize {
         let mut done = 0;
         for w in &self.workers {
             if let Some(outcome) = w.poll_once(&self.broker, 0, now_ms) {
@@ -117,34 +127,8 @@ impl EdxFrontend {
         done
     }
 
-    /// Take a completed result.
-    pub fn take_result(&self, job_id: u64) -> Option<JobOutcome> {
+    fn poll_queued(&self, job_id: u64) -> Option<JobOutcome> {
         self.results.lock().remove(&job_id)
-    }
-}
-
-impl JobDispatcher for EdxFrontend {
-    fn dispatch(&self, req: JobRequest, now_ms: u64) -> Result<JobOutcome, WbError> {
-        let job_id = req.job_id;
-        let tags = req.spec.tags.to_wire();
-        self.broker.enqueue_to(0, req, tags, now_ms);
-        // Drive the fleet until the job completes or nobody can take it.
-        for round in 0..1_000 {
-            if self.pump(now_ms + round) == 0 && self.take_result(job_id).is_none() {
-                // No worker made progress this round: either the job is
-                // tagged beyond the fleet's capabilities or everyone is
-                // down.
-                if self.broker.depth(now_ms + round + 1) > 0 {
-                    return Err(WbError::infra(
-                        "no worker in the fleet can run this job (missing capability tags or all down)",
-                    ));
-                }
-            }
-            if let Some(out) = self.take_result(job_id) {
-                return Ok(out);
-            }
-        }
-        Err(WbError::infra("job did not complete"))
     }
 }
 

@@ -23,44 +23,59 @@ use wb_obs::sync::{Mutex, RwLock};
 use wb_obs::{Counter, MetricsSnapshot, Recorder};
 use wb_worker::{JobAction, JobOutcome, JobRequest};
 
+/// Consecutive rounds that complete nothing before
+/// [`JobDispatcher::dispatch`] stops waiting.
+const DISPATCH_IDLE_ROUNDS: u32 = 10_000;
+
 /// Abstract job execution backend.
 ///
-/// Two execution styles share the trait. [`dispatch`] is the
-/// interactive path: run the job and block until its outcome is in
-/// hand. The queued trio — [`submit_queued`] / [`advance`] /
-/// [`poll_queued`] — is the throughput path the semester replay
-/// drives: admission happens at submit time, execution happens in
-/// pumped rounds, and outcomes are collected when they surface.
-/// Backends without a queue keep the defaults and remain plain
-/// synchronous dispatchers.
+/// A backend implements the queued trio the semester replay drives:
+/// [`submit_queued`] admits a job, [`advance`] runs one scheduling
+/// round, and [`poll_queued`] collects an outcome once it surfaces.
+/// The interactive path, [`dispatch`], is written once over the trio,
+/// so a job's books are the same whichever path submitted it.
 ///
 /// [`dispatch`]: JobDispatcher::dispatch
 /// [`submit_queued`]: JobDispatcher::submit_queued
 /// [`advance`]: JobDispatcher::advance
 /// [`poll_queued`]: JobDispatcher::poll_queued
 pub trait JobDispatcher: Send + Sync {
-    /// Execute a job somewhere, synchronously from the caller's view.
-    /// Backend failures come back as [`WbError::Infra`]; the student's
-    /// own compile/runtime failures are *not* errors at this layer —
-    /// they ride inside the [`JobOutcome`].
-    fn dispatch(&self, req: JobRequest, now_ms: u64) -> Result<JobOutcome, WbError>;
-
     /// Offer a job through the backend's admission control without
     /// waiting for execution; `Ok(job_id)` when queued,
     /// [`WbError::Overloaded`] when shed.
-    fn submit_queued(&self, _req: JobRequest, _now_ms: u64) -> Result<u64, WbError> {
-        Err(WbError::infra("this dispatcher has no queued path"))
-    }
-
-    /// Take the outcome of a previously queued job, if it finished.
-    fn poll_queued(&self, _job_id: u64) -> Option<JobOutcome> {
-        None
-    }
+    fn submit_queued(&self, req: JobRequest, now_ms: u64) -> Result<u64, WbError>;
 
     /// Drive queued work one scheduling round; returns jobs completed
     /// this round.
-    fn advance(&self, _now_ms: u64) -> usize {
-        0
+    fn advance(&self, now_ms: u64) -> usize;
+
+    /// Take the outcome of a previously queued job, if it finished.
+    fn poll_queued(&self, job_id: u64) -> Option<JobOutcome>;
+
+    /// Submit a job and advance one round per virtual ms from `now_ms`
+    /// until its outcome is in hand. Admission errors come back as
+    /// they are. When ten thousand rounds in a row complete nothing,
+    /// this gives up with [`WbError::Infra`], but the job stays
+    /// admitted: it runs once a worker can take it, and its outcome
+    /// is then polled like any queued job's. The student's own
+    /// compile/runtime failures are *not* errors at this layer — they
+    /// ride inside the [`JobOutcome`].
+    fn dispatch(&self, req: JobRequest, now_ms: u64) -> Result<JobOutcome, WbError> {
+        let job_id = self.submit_queued(req, now_ms)?;
+        let (mut now, mut idle) = (now_ms, 0);
+        while idle < DISPATCH_IDLE_ROUNDS {
+            let done = self.advance(now);
+            if let Some(outcome) = self.poll_queued(job_id) {
+                return Ok(outcome);
+            }
+            idle = if done == 0 { idle + 1 } else { 0 };
+            now += 1;
+        }
+        Err(WbError::infra(format!(
+            "job {job_id} is still queued after {DISPATCH_IDLE_ROUNDS} rounds that completed \
+             nothing (fleet empty or scaled to zero, every worker down, or none with the \
+             job's capability tags)"
+        )))
     }
 }
 
@@ -68,10 +83,6 @@ pub trait JobDispatcher: Send + Sync {
 /// shared between a [`WebGpuServer`] and a harness that reads its
 /// gauges directly.
 impl<D: JobDispatcher + ?Sized> JobDispatcher for Arc<D> {
-    fn dispatch(&self, req: JobRequest, now_ms: u64) -> Result<JobOutcome, WbError> {
-        (**self).dispatch(req, now_ms)
-    }
-
     fn submit_queued(&self, req: JobRequest, now_ms: u64) -> Result<u64, WbError> {
         (**self).submit_queued(req, now_ms)
     }
@@ -89,10 +100,9 @@ impl<D: JobDispatcher + ?Sized> JobDispatcher for Arc<D> {
 /// tests).
 pub struct LocalDispatcher {
     node: wb_worker::WorkerNode,
-    /// Outcomes of queued jobs. The single local node executes at
+    /// Outcomes of submitted jobs. The single local node executes at
     /// submit time, so "queued" work is already done and merely waits
-    /// to be polled — which is exactly what server-level tests of the
-    /// queued path need.
+    /// to be polled; `advance` has nothing to run.
     done: Mutex<HashMap<u64, JobOutcome>>,
 }
 
@@ -112,17 +122,17 @@ impl LocalDispatcher {
 }
 
 impl JobDispatcher for LocalDispatcher {
-    fn dispatch(&self, req: JobRequest, now_ms: u64) -> Result<JobOutcome, WbError> {
-        self.node
+    fn submit_queued(&self, req: JobRequest, now_ms: u64) -> Result<u64, WbError> {
+        let outcome = self
+            .node
             .submit(&req, now_ms)
-            .ok_or_else(|| WbError::infra("worker unavailable"))
+            .ok_or_else(|| WbError::infra("worker unavailable"))?;
+        self.done.lock().insert(req.job_id, outcome);
+        Ok(req.job_id)
     }
 
-    fn submit_queued(&self, req: JobRequest, now_ms: u64) -> Result<u64, WbError> {
-        let job_id = req.job_id;
-        let outcome = self.dispatch(req, now_ms)?;
-        self.done.lock().insert(job_id, outcome);
-        Ok(job_id)
+    fn advance(&self, _now_ms: u64) -> usize {
+        0
     }
 
     fn poll_queued(&self, job_id: u64) -> Option<JobOutcome> {
@@ -155,7 +165,7 @@ pub struct WebGpuServer {
     pub state: ServerState,
     /// Session manager.
     pub sessions: Sessions,
-    labs: RwLock<HashMap<String, LabDefinition>>,
+    labs: RwLock<HashMap<String, Arc<LabDefinition>>>,
     dispatcher: Box<dyn JobDispatcher>,
     limiter: RateLimiter,
     obs: Arc<Recorder>,
@@ -224,7 +234,7 @@ impl WebGpuServer {
     /// server API guarded by the instructor role.
     pub fn deploy_lab(&self, token: u64, lab: LabDefinition) -> Result<(), WbError> {
         self.sessions.authenticate_instructor(token)?;
-        self.labs.write().insert(lab.id.clone(), lab);
+        self.labs.write().insert(lab.id.clone(), Arc::new(lab));
         Ok(())
     }
 
@@ -235,7 +245,7 @@ impl WebGpuServer {
         v
     }
 
-    fn lab(&self, id: &str) -> Result<LabDefinition, WbError> {
+    fn lab(&self, id: &str) -> Result<Arc<LabDefinition>, WbError> {
         self.labs
             .read()
             .get(id)
@@ -256,7 +266,7 @@ impl WebGpuServer {
 
     /// The skeleton code a student sees on first open (§IV-B 2).
     pub fn lab_skeleton(&self, lab_id: &str) -> Result<String, WbError> {
-        Ok(self.lab(lab_id)?.skeleton)
+        Ok(self.lab(lab_id)?.skeleton.clone())
     }
 
     // ---- student actions (§IV-A) ----------------------------------------
@@ -305,8 +315,9 @@ impl WebGpuServer {
     /// [`WbError::RateLimited`], a compiler diagnostic for
     /// [`WbError::CompileError`], a crash report for
     /// [`WbError::RuntimeError`], and pages the operator for
-    /// [`WbError::Infra`]. Wrong answers are not errors: they come back
-    /// `Ok` with `passed < total`.
+    /// [`WbError::Infra`] (a job no worker could take stays queued on
+    /// the dispatcher, but writes no record). Wrong answers are not
+    /// errors: they come back `Ok` with `passed < total`.
     ///
     /// Full grades are the exception to the error taxonomy: grading
     /// records whatever happened — compile failure included — as a
@@ -334,8 +345,8 @@ impl WebGpuServer {
         Ok(job_id)
     }
 
-    /// Drive the dispatcher one scheduling round (no-op for purely
-    /// synchronous backends); returns jobs completed this round.
+    /// Drive the dispatcher one scheduling round (a no-op where jobs run
+    /// at submit time); returns jobs completed this round.
     pub fn advance(&self, now_ms: u64) -> usize {
         self.dispatcher.advance(now_ms)
     }
@@ -375,7 +386,7 @@ impl WebGpuServer {
     fn prepare_submission(
         &self,
         req: &SubmitRequest,
-    ) -> Result<(LabDefinition, PendingSubmission, JobRequest), WbError> {
+    ) -> Result<(Arc<LabDefinition>, PendingSubmission, JobRequest), WbError> {
         let s = self.sessions.authenticate(req.token)?;
         let lab = self.lab(&req.lab)?;
         let source = match &req.source {

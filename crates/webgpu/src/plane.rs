@@ -44,13 +44,6 @@ pub trait Dispatch: Sized + Send + Sync {
     /// Runs at the end of every pump, after the outcomes are merged.
     fn after_round(_plane: &ControlPlane<Self>, _now_ms: u64) {}
 
-    /// Run one job to completion from the caller's point of view.
-    fn dispatch(
-        plane: &ControlPlane<Self>,
-        req: JobRequest,
-        now_ms: u64,
-    ) -> Result<JobOutcome, WbError>;
-
     /// Take a live worker down.
     fn kill(w: &WorkerNode);
 
@@ -283,7 +276,7 @@ impl<D: Dispatch> ControlPlane<D> {
         self.state.lock().results.remove(&job_id)
     }
 
-    /// Jobs completed through the pumped path.
+    /// Jobs completed, whichever path submitted them.
     pub fn completed(&self) -> u64 {
         self.state.lock().completed
     }
@@ -458,11 +451,10 @@ impl<D: Dispatch> ControlPlane<D> {
     }
 }
 
+/// The queued trio is the plane's own admission, pump and results
+/// table; the interactive `dispatch` is the trait's, over the same
+/// books.
 impl<D: Dispatch> JobDispatcher for ControlPlane<D> {
-    fn dispatch(&self, req: JobRequest, now_ms: u64) -> Result<JobOutcome, WbError> {
-        D::dispatch(self, req, now_ms)
-    }
-
     fn submit_queued(&self, req: JobRequest, now_ms: u64) -> Result<u64, WbError> {
         self.submit(req, now_ms)
     }
@@ -657,5 +649,83 @@ mod tests {
     #[test]
     fn partitioned_zone_workers_sit_out_the_round_on_pull() {
         partition_and_heal(builder(2).build_v2(), true);
+    }
+
+    /// A traced fleet of 2 under either strategy.
+    fn traced(obs: &Arc<Recorder>) -> ClusterBuilder {
+        builder(2)
+            .policy(AutoscalePolicy::Static(2))
+            .traced(Arc::clone(obs))
+    }
+
+    /// The interactive path keeps the queued path's books: each
+    /// `dispatch` is admitted, waits its turn, completes once, and
+    /// hands its outcome to the caller alone.
+    fn dispatch_goes_through_the_books<D: Dispatch>(c: ControlPlane<D>, obs: &Recorder) {
+        for j in 0..3 {
+            let out = c.dispatch(echo(j, "hpp"), 0).expect("a live fleet runs it");
+            assert!(out.compiled());
+            assert!(c.take_result(j).is_none(), "dispatch collected it");
+            let span = c.span(j).expect("traced");
+            assert_eq!(span.phases[0].0, JobPhase::Queued);
+            assert!(span.is_complete() && span.is_ordered(), "{span:?}");
+        }
+        assert_eq!(c.completed(), 3);
+        assert_eq!(obs.histogram(Timer::QueueWaitRounds).count, 3);
+    }
+
+    #[test]
+    fn dispatch_goes_through_the_books_on_push() {
+        let obs = Arc::new(Recorder::traced());
+        dispatch_goes_through_the_books(traced(&obs).build_v1(), &obs);
+    }
+
+    #[test]
+    fn dispatch_goes_through_the_books_on_pull() {
+        let obs = Arc::new(Recorder::traced());
+        dispatch_goes_through_the_books(traced(&obs).build_v2(), &obs);
+    }
+
+    /// A `dispatch` no worker can take gives up without failing the
+    /// job: it stays queued, runs once `unblock` lets a worker take it,
+    /// and its span closes exactly once.
+    fn dispatch_gives_up_but_keeps_the_job<D: Dispatch>(
+        c: ControlPlane<D>,
+        req: JobRequest,
+        unblock: impl FnOnce(&ControlPlane<D>),
+    ) {
+        let job_id = req.job_id;
+        let err = c.dispatch(req, 0).unwrap_err();
+        assert!(matches!(err, WbError::Infra { .. }), "{err:?}");
+        assert!(err.to_string().contains("still queued"), "{err}");
+        assert_eq!(c.queue_depth(20_000), 1);
+        unblock(&c);
+        let done: usize = (20_000..20_020).map(|r| c.pump(r)).sum();
+        assert_eq!(done, 1);
+        assert!(c.take_result(job_id).expect("it ran").compiled());
+        assert!(c.take_result(job_id).is_none(), "exactly once");
+        let span = c.span(job_id).expect("traced");
+        assert_eq!(span.terminal(), Some(JobPhase::Graded));
+        assert!(span.is_complete() && span.is_ordered(), "{span:?}");
+    }
+
+    #[test]
+    fn dispatch_gives_up_but_keeps_the_job_on_push() {
+        let obs = Arc::new(Recorder::traced());
+        let c = traced(&obs).build_v1();
+        assert!(c.kill_worker(1) && c.kill_worker(2));
+        dispatch_gives_up_but_keeps_the_job(c, echo(1, "hpp"), |c| {
+            assert!(c.revive_worker(1) && c.revive_worker(2));
+        });
+    }
+
+    #[test]
+    fn dispatch_gives_up_but_keeps_the_job_on_pull() {
+        let obs = Arc::new(Recorder::traced());
+        dispatch_gives_up_but_keeps_the_job(traced(&obs).build_v2(), mpi_echo(1), |c| {
+            c.config.update(|cfg| {
+                cfg.capabilities.insert("mpi".into());
+            });
+        });
     }
 }

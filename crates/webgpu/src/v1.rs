@@ -2,17 +2,15 @@
 //! servers ­, and workers ® — the web server pushes each job to a
 //! chosen worker and evicts workers whose health checks go quiet.
 
-use crate::fleet::{WorkerDesc, Zone};
-use crate::plane::{grade_class, run_each, ControlPlane, Dispatch};
+use crate::fleet::Zone;
+use crate::plane::{run_each, ControlPlane, Dispatch};
 use minicuda::DeviceConfig;
 use std::collections::HashMap;
 use std::sync::Arc;
 use wb_cache::CacheMetrics;
 use wb_obs::sync::Mutex;
 use wb_obs::{Annotation, Counter, JobPhase};
-use wb_sched::Admission;
-use wb_server::WbError;
-use wb_worker::{JobAction, JobOutcome, JobRequest, WorkerConfig, WorkerNode};
+use wb_worker::{JobOutcome, JobRequest, WorkerConfig, WorkerNode};
 
 /// Eviction threshold: a worker missing health checks for this many
 /// virtual ms is dropped from the pool (§III-C).
@@ -20,9 +18,11 @@ pub const HEALTH_TIMEOUT_MS: u64 = 30_000;
 
 /// Push dispatch: each pumped wave takes one job per live worker off
 /// the fair-share scheduler and places it round-robin, retrying past
-/// dead nodes. v1 predates multi-AZ: every node lives in the primary
-/// zone, but spot vs on-demand still matters to the cost meter and the
-/// chaos harness.
+/// dead nodes. A synchronous `dispatch` is no exception: its job is
+/// offered to the scheduler like any other and runs in the first wave
+/// that reaches it. v1 predates multi-AZ: every node lives in the
+/// primary zone, but spot vs on-demand still matters to the cost meter
+/// and the chaos harness.
 #[derive(Default)]
 pub struct Push {
     book: Mutex<PushBook>,
@@ -68,35 +68,7 @@ impl Dispatch for Push {
     ) -> Vec<JobOutcome> {
         let live = workers.iter().filter(|(_, w)| !w.is_crashed()).count();
         let wave = plane.sched.drain_rotating(live, now_ms);
-        run_each(&wave, |(_, req)| plane.execute(req, now_ms).ok())
-    }
-
-    /// Admission control first (a shed rush returns
-    /// [`WbError::Overloaded`] instead of melting the pool), then
-    /// inline execution on the pool.
-    fn dispatch(plane: &ClusterV1, req: JobRequest, now_ms: u64) -> Result<JobOutcome, WbError> {
-        match plane
-            .sched
-            .admit(&req.spec.course, req.job_id, grade_class(&req), now_ms)
-        {
-            Admission::Shed { retry_after_s } => {
-                plane.obs.phase(req.job_id, JobPhase::Failed, now_ms);
-                Err(WbError::Overloaded { retry_after_s })
-            }
-            Admission::Admitted { browned_out } => {
-                // The span opens the moment the web tier hands the job
-                // over — queue wait is zero on this path, but the
-                // opener keeps push and pull spans shape-compatible.
-                plane.obs.phase(req.job_id, JobPhase::Queued, now_ms);
-                if browned_out {
-                    let mut lighter = req;
-                    lighter.action = JobAction::CompileOnly;
-                    plane.execute(&lighter, now_ms)
-                } else {
-                    plane.execute(&req, now_ms)
-                }
-            }
-        }
+        run_each(&wave, |(_, req)| plane.execute(req, now_ms))
     }
 
     fn kill(w: &WorkerNode) {
@@ -136,15 +108,6 @@ impl ControlPlane<Push> {
         self.strategy.book.lock().dispatch_failures
     }
 
-    /// Add an on-demand worker to the pool (manual pre-deadline
-    /// scaling, §III); its health clock starts at `now_ms`.
-    pub fn add_worker(&self, now_ms: u64) -> u64 {
-        let mut g = self.state.lock();
-        let id = self.spawn_locked(&mut g, WorkerDesc::default());
-        self.strategy.book.lock().last_beat.insert(id, now_ms);
-        id
-    }
-
     /// Remove the most recently added worker (scale-in).
     pub fn remove_worker(&self) -> Option<u64> {
         let mut g = self.state.lock();
@@ -155,16 +118,21 @@ impl ControlPlane<Push> {
     }
 
     /// Collect health checks and evict silent workers. Returns the ids
-    /// evicted this round.
+    /// evicted this round. A worker's health clock starts at the first
+    /// sweep that sees it, so a worker that dies before its first beat
+    /// still gets a full [`HEALTH_TIMEOUT_MS`].
     pub fn health_sweep(&self, now_ms: u64) -> Vec<u64> {
         let mut g = self.state.lock();
         let mut book = self.strategy.book.lock();
-        for beat in g.workers.iter().filter_map(|w| w.health(now_ms)) {
-            book.last_beat.insert(beat.worker_id, beat.at_ms);
+        for w in &g.workers {
+            let last = book.last_beat.entry(w.id()).or_insert(now_ms);
+            if let Some(beat) = w.health(now_ms) {
+                *last = beat.at_ms;
+            }
         }
         let mut evicted_now = Vec::new();
         g.workers.retain(|w| {
-            let last = book.last_beat.get(&w.id()).copied().unwrap_or(0);
+            let last = book.last_beat[&w.id()];
             let alive = now_ms.saturating_sub(last) < HEALTH_TIMEOUT_MS;
             if !alive {
                 evicted_now.push(w.id());
@@ -183,43 +151,39 @@ impl ControlPlane<Push> {
     /// Run one admitted job on the pool: round-robin over the roster,
     /// a dead node marking a dispatch failure and passing the job to
     /// the next (the retry students experienced as a slow attempt
-    /// rather than an error page).
-    fn execute(&self, req: &JobRequest, now_ms: u64) -> Result<JobOutcome, WbError> {
+    /// rather than an error page). `None`, with the span stamped
+    /// `Failed`, when no node in the pool takes it.
+    fn execute(&self, req: &JobRequest, now_ms: u64) -> Option<JobOutcome> {
         // Snapshot candidates to avoid holding the lock during a job.
         let candidates: Vec<Arc<WorkerNode>> = {
             let g = self.state.lock();
-            if g.workers.is_empty() {
-                self.obs.phase(req.job_id, JobPhase::Failed, now_ms);
-                return Err(WbError::infra("no workers in the pool"));
-            }
             let n = g.workers.len();
             let mut book = self.strategy.book.lock();
-            let start = book.rr_cursor % n;
-            book.rr_cursor = (book.rr_cursor + 1) % n;
+            let start = book.rr_cursor % n.max(1);
+            book.rr_cursor = (start + 1) % n.max(1);
             (0..n)
                 .map(|k| Arc::clone(&g.workers[(start + k) % n]))
                 .collect()
         };
         for w in candidates {
-            match w.submit(req, now_ms) {
-                Some(outcome) => return Ok(outcome),
-                None => {
-                    self.obs.annotate(req.job_id, Annotation::Retry, now_ms);
-                    self.strategy.book.lock().dispatch_failures += 1;
-                }
+            if let Some(outcome) = w.submit(req, now_ms) {
+                return Some(outcome);
             }
+            self.obs.annotate(req.job_id, Annotation::Retry, now_ms);
+            self.strategy.book.lock().dispatch_failures += 1;
         }
         self.obs.phase(req.job_id, JobPhase::Failed, now_ms);
-        Err(WbError::infra("every worker in the pool is unreachable"))
+        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::WorkerDesc;
     use libwb::Dataset;
     use wb_server::JobDispatcher;
-    use wb_worker::{DatasetCase, LabSpec};
+    use wb_worker::{DatasetCase, JobAction, LabSpec};
 
     fn echo(job_id: u64) -> JobRequest {
         JobRequest {
@@ -322,9 +286,22 @@ mod tests {
     }
 
     #[test]
+    fn a_spawned_worker_gets_a_full_health_timeout() {
+        // The health clock starts at the first sweep that sees a
+        // worker: one spawned late and killed before its first beat is
+        // evicted a full timeout later, not at once.
+        let c = cluster(1);
+        assert!(c.health_sweep(100_000).is_empty());
+        let id = c.spawn_worker(WorkerDesc::default());
+        assert!(c.kill_worker(id));
+        assert!(c.health_sweep(100_001).is_empty());
+        assert_eq!(c.health_sweep(100_001 + HEALTH_TIMEOUT_MS), vec![id]);
+    }
+
+    #[test]
     fn scaling_in_and_out() {
         let c = cluster(1);
-        let id = c.add_worker(0);
+        let id = c.spawn_worker(WorkerDesc::default());
         assert_eq!(c.pool_size(), 2);
         assert_eq!(c.remove_worker(), Some(id));
         assert_eq!(c.pool_size(), 1);

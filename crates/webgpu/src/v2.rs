@@ -12,9 +12,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use wb_cache::CacheMetrics;
 use wb_obs::sync::Mutex;
-use wb_obs::{Counter, JobPhase, Recorder};
+use wb_obs::{Counter, Recorder};
 use wb_queue::ShardedBroker;
-use wb_server::WbError;
 use wb_worker::{JobOutcome, JobRequest, WorkerNode};
 
 /// A worker health record persisted to the metrics database (§VI-B:
@@ -181,24 +180,6 @@ impl Dispatch for Pull {
         let target = plane.strategy.scaler.lock().desired_mix(&metrics);
         plane.obs.autoscale(g.workers.len(), target.total(), now_ms);
         Pull::apply_target(plane, &mut g, target);
-    }
-
-    /// Submit, then pump until the outcome lands.
-    fn dispatch(plane: &ClusterV2, req: JobRequest, now_ms: u64) -> Result<JobOutcome, WbError> {
-        let job_id = req.job_id;
-        plane.submit(req, now_ms)?;
-        for round in 0..10_000u64 {
-            plane.pump(now_ms + round);
-            if let Some(out) = plane.take_result(job_id) {
-                return Ok(out);
-            }
-            if plane.queue_depth(now_ms + round) > 0 && plane.fleet_size() == 0 {
-                plane.obs.phase(job_id, JobPhase::Failed, now_ms + round);
-                return Err(WbError::infra("fleet scaled to zero with work queued"));
-            }
-        }
-        plane.obs.phase(job_id, JobPhase::Failed, now_ms + 10_000);
-        Err(WbError::infra("job did not complete (no capable worker?)"))
     }
 
     fn kill(w: &WorkerNode) {
