@@ -8,8 +8,7 @@
 //! prefix, a struct is its fields in declaration order, and an enum is
 //! its `u32` variant index (widened like any integer) followed by the
 //! variant's fields. There is no version tag: nothing encoded here
-//! outlives the process. Tables, WAL records and replication frames
-//! are all written in it.
+//! outlives the process. Table rows are written in it.
 //!
 //! Decoding trusts nothing: every length prefix is checked against the
 //! bytes that remain before anything is sliced or reserved, so a

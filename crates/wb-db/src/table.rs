@@ -18,8 +18,6 @@ pub enum TableError {
     NotFound(u64),
     /// Serialization failed.
     Codec(String),
-    /// Optimistic update conflict: the row changed since it was read.
-    Conflict(u64),
     /// Named index does not exist.
     NoSuchIndex(String),
 }
@@ -29,7 +27,6 @@ impl fmt::Display for TableError {
         match self {
             TableError::NotFound(id) => write!(f, "row {id} not found"),
             TableError::Codec(m) => write!(f, "encoding failure: {m}"),
-            TableError::Conflict(id) => write!(f, "row {id} was modified concurrently"),
             TableError::NoSuchIndex(n) => write!(f, "no index named {n:?}"),
         }
     }
@@ -39,21 +36,15 @@ impl std::error::Error for TableError {}
 
 type KeyFn<T> = Box<dyn Fn(&T) -> String + Send + Sync>;
 
-struct Row {
-    bytes: Vec<u8>,
-    version: u64,
-}
-
 struct Index<T> {
     key_fn: KeyFn<T>,
     map: BTreeMap<String, Vec<u64>>,
 }
 
 struct Inner<T> {
-    rows: HashMap<u64, Row>,
+    rows: HashMap<u64, Vec<u8>>,
     indexes: HashMap<String, Index<T>>,
     next_id: u64,
-    writes: u64,
 }
 
 /// A thread-safe typed table. Rows are stored encoded, so reads return
@@ -76,7 +67,6 @@ impl<T: Encode> Table<T> {
                 rows: HashMap::new(),
                 indexes: HashMap::new(),
                 next_id: 1,
-                writes: 0,
             }),
         }
     }
@@ -93,7 +83,7 @@ impl<T: Encode> Table<T> {
         let pairs: Vec<(u64, T)> = g
             .rows
             .iter()
-            .filter_map(|(&id, row)| decode::<T>(&row.bytes).ok().map(|v| (id, v)))
+            .filter_map(|(&id, bytes)| decode::<T>(bytes).ok().map(|v| (id, v)))
             .collect();
         for (id, v) in &pairs {
             map.entry(key_fn(v)).or_default().push(*id);
@@ -110,125 +100,62 @@ impl<T: Encode> Table<T> {
         );
     }
 
-    /// Insert a record, returning its primary key.
+    /// Insert a record, returning its primary key. Ids only grow, so
+    /// pushing the new id keeps every index list ascending.
     pub fn insert(&self, value: &T) -> Result<u64, TableError> {
         let bytes = encode(value).map_err(|e| TableError::Codec(e.0))?;
         let mut g = self.inner.write();
         let id = g.next_id;
         g.next_id += 1;
-        g.writes += 1;
-        g.rows.insert(id, Row { bytes, version: 1 });
+        g.rows.insert(id, bytes);
         for idx in g.indexes.values_mut() {
-            let key = (idx.key_fn)(value);
-            let ids = idx.map.entry(key).or_default();
-            ids.push(id);
-            ids.sort_unstable();
+            idx.map.entry((idx.key_fn)(value)).or_default().push(id);
         }
         Ok(id)
-    }
-
-    /// Insert a record under an explicit primary key. Used by
-    /// replication snapshots, which must reproduce the primary's ids
-    /// exactly; `next_id` advances past `id`. Fails on a duplicate key.
-    pub fn insert_with_id(&self, id: u64, value: &T) -> Result<(), TableError> {
-        let bytes = encode(value).map_err(|e| TableError::Codec(e.0))?;
-        let mut g = self.inner.write();
-        if g.rows.contains_key(&id) {
-            return Err(TableError::Conflict(id));
-        }
-        g.next_id = g.next_id.max(id + 1);
-        g.writes += 1;
-        g.rows.insert(id, Row { bytes, version: 1 });
-        for idx in g.indexes.values_mut() {
-            let key = (idx.key_fn)(value);
-            let ids = idx.map.entry(key).or_default();
-            ids.push(id);
-            ids.sort_unstable();
-        }
-        Ok(())
     }
 
     /// Fetch a record by primary key.
     pub fn get(&self, id: u64) -> Result<T, TableError> {
         let g = self.inner.read();
-        let row = g.rows.get(&id).ok_or(TableError::NotFound(id))?;
-        decode(&row.bytes).map_err(|e| TableError::Codec(e.0))
+        let bytes = g.rows.get(&id).ok_or(TableError::NotFound(id))?;
+        decode(bytes).map_err(|e| TableError::Codec(e.0))
     }
 
-    /// Fetch a record together with its version (for optimistic update).
-    pub fn get_versioned(&self, id: u64) -> Result<(T, u64), TableError> {
-        let g = self.inner.read();
-        let row = g.rows.get(&id).ok_or(TableError::NotFound(id))?;
-        let v = decode(&row.bytes).map_err(|e| TableError::Codec(e.0))?;
-        Ok((v, row.version))
-    }
-
-    /// Unconditional update.
+    /// Replace a record. A row whose index key changes is inserted into
+    /// its new key's list at its sorted position: `find` returns ids
+    /// ascending, and callers take the last as the newest.
     pub fn update(&self, id: u64, value: &T) -> Result<(), TableError> {
-        self.update_inner(id, value, None)
-    }
-
-    /// Optimistic update: fails with [`TableError::Conflict`] when the
-    /// row's version no longer matches `expected_version`.
-    pub fn update_if(&self, id: u64, value: &T, expected_version: u64) -> Result<(), TableError> {
-        self.update_inner(id, value, Some(expected_version))
-    }
-
-    fn update_inner(&self, id: u64, value: &T, expected: Option<u64>) -> Result<(), TableError> {
         let bytes = encode(value).map_err(|e| TableError::Codec(e.0))?;
         let mut g = self.inner.write();
         // Decode the old value first for index maintenance.
-        let old = {
-            let row = g.rows.get(&id).ok_or(TableError::NotFound(id))?;
-            if let Some(want) = expected {
-                if row.version != want {
-                    return Err(TableError::Conflict(id));
-                }
-            }
-            decode::<T>(&row.bytes).map_err(|e| TableError::Codec(e.0))?
-        };
+        let row = g.rows.get(&id).ok_or(TableError::NotFound(id))?;
+        let old = decode::<T>(row).map_err(|e| TableError::Codec(e.0))?;
         for idx in g.indexes.values_mut() {
             let old_key = (idx.key_fn)(&old);
             let new_key = (idx.key_fn)(value);
             if old_key != new_key {
-                if let Some(ids) = idx.map.get_mut(&old_key) {
-                    ids.retain(|&x| x != id);
-                    if ids.is_empty() {
-                        idx.map.remove(&old_key);
-                    }
-                }
+                unindex(&mut idx.map, &old_key, id);
                 let ids = idx.map.entry(new_key).or_default();
-                ids.push(id);
-                ids.sort_unstable();
+                ids.insert(ids.partition_point(|&x| x < id), id);
             }
         }
-        let row = g.rows.get_mut(&id).expect("checked above");
-        row.bytes = bytes;
-        row.version += 1;
-        g.writes += 1;
+        g.rows.insert(id, bytes);
         Ok(())
     }
 
     /// Delete a record.
     pub fn delete(&self, id: u64) -> Result<(), TableError> {
         let mut g = self.inner.write();
-        let row = g.rows.remove(&id).ok_or(TableError::NotFound(id))?;
-        if let Ok(old) = decode::<T>(&row.bytes) {
+        let bytes = g.rows.remove(&id).ok_or(TableError::NotFound(id))?;
+        if let Ok(old) = decode::<T>(&bytes) {
             for idx in g.indexes.values_mut() {
-                let key = (idx.key_fn)(&old);
-                if let Some(ids) = idx.map.get_mut(&key) {
-                    ids.retain(|&x| x != id);
-                    if ids.is_empty() {
-                        idx.map.remove(&key);
-                    }
-                }
+                unindex(&mut idx.map, &(idx.key_fn)(&old), id);
             }
         }
-        g.writes += 1;
         Ok(())
     }
 
-    /// Primary keys matching an index key.
+    /// Primary keys matching an index key, ascending.
     pub fn find(&self, index: &str, key: &str) -> Result<Vec<u64>, TableError> {
         let g = self.inner.read();
         let idx = g
@@ -244,7 +171,7 @@ impl<T: Encode> Table<T> {
         let mut out: Vec<(u64, T)> = g
             .rows
             .iter()
-            .filter_map(|(&id, row)| decode(&row.bytes).ok().map(|v| (id, v)))
+            .filter_map(|(&id, bytes)| decode(bytes).ok().map(|v| (id, v)))
             .collect();
         out.sort_by_key(|(id, _)| *id);
         out
@@ -259,11 +186,15 @@ impl<T: Encode> Table<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
 
-    /// Total writes performed (insert/update/delete) — replication and
-    /// WAL bookkeeping.
-    pub fn write_count(&self) -> u64 {
-        self.inner.read().writes
+/// Drop `id` from `key`'s list, and the key once its list is empty.
+fn unindex(map: &mut BTreeMap<String, Vec<u64>>, key: &str, id: u64) {
+    if let Some(ids) = map.get_mut(key) {
+        ids.retain(|&x| x != id);
+        if ids.is_empty() {
+            map.remove(key);
+        }
     }
 }
 
@@ -352,18 +283,19 @@ mod tests {
     }
 
     #[test]
-    fn optimistic_update_detects_conflicts() {
+    fn rekeyed_row_keeps_index_order() {
         let t = Table::new();
-        let id = t.insert(&sub("alice", "vecadd", 1.0)).unwrap();
-        let (_, v1) = t.get_versioned(id).unwrap();
-        // A concurrent writer bumps the version.
-        t.update(id, &sub("alice", "vecadd", 2.0)).unwrap();
-        let r = t.update_if(id, &sub("alice", "vecadd", 3.0), v1);
-        assert_eq!(r.unwrap_err(), TableError::Conflict(id));
-        // Retrying with the fresh version succeeds.
-        let (_, v2) = t.get_versioned(id).unwrap();
-        t.update_if(id, &sub("alice", "vecadd", 3.0), v2).unwrap();
-        assert_eq!(t.get(id).unwrap().score, 3.0);
+        t.create_index("by_lab", |s: &Submission| s.lab.clone());
+        let old = t.insert(&sub("alice", "vecadd", 1.0)).unwrap();
+        let newer = t.insert(&sub("alice", "matmul", 2.0)).unwrap();
+        let newest = t.insert(&sub("alice", "matmul", 3.0)).unwrap();
+        // The older row moves into a key that already holds newer ones.
+        t.update(old, &sub("alice", "matmul", 1.0)).unwrap();
+        assert_eq!(
+            t.find("by_lab", "matmul").unwrap(),
+            vec![old, newer, newest]
+        );
+        assert!(t.find("by_lab", "vecadd").unwrap().is_empty());
     }
 
     #[test]
@@ -384,15 +316,6 @@ mod tests {
             t.find("nope", "x"),
             Err(TableError::NoSuchIndex(_))
         ));
-    }
-
-    #[test]
-    fn write_count_tracks_mutations() {
-        let t = Table::new();
-        let id = t.insert(&sub("a", "l", 0.0)).unwrap();
-        t.update(id, &sub("a", "l", 1.0)).unwrap();
-        t.delete(id).unwrap();
-        assert_eq!(t.write_count(), 3);
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! Property-based tests: codec round-trips, model-checked tables, WAL
-//! recovery under arbitrary truncation.
+//! Property-based tests: codec round-trips and model-checked tables.
 
 use std::collections::BTreeMap;
-use wb_db::{decode, encode, CodecError, Decoder, Encode, Table, Wal};
+use wb_db::{decode, encode, CodecError, Decoder, Encode, Table};
 use wb_prop::Gen;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -179,31 +178,6 @@ fn table_matches_model() {
                 }
             }
             assert_eq!(table.len(), model.len());
-        }
-    });
-}
-
-/// WAL recovery from any truncation point yields a prefix of the
-/// appended records, never garbage.
-#[test]
-fn wal_recovery_is_a_prefix() {
-    wb_prop::check(256, |g| {
-        let (values, cut) = (g.vec(1..16, |g| g.text(0..32)), g.int(0..512));
-        let mut wal = Wal::new();
-        for v in &values {
-            wal.append(v).unwrap();
-        }
-        let bytes = wal.raw_bytes();
-        let cut = cut.min(bytes.len());
-        let (_, recs) = Wal::recover::<String>(&bytes[..bytes.len() - cut]);
-        assert!(recs.len() <= values.len());
-        for (i, rec) in recs.iter().enumerate() {
-            assert_eq!(rec.seq, i as u64);
-            assert_eq!(&rec.op, &values[i]);
-        }
-        // Untruncated input recovers everything.
-        if cut == 0 {
-            assert_eq!(recs.len(), values.len());
         }
     });
 }

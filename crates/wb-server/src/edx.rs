@@ -12,7 +12,7 @@ use crate::api::WbError;
 use crate::server::JobDispatcher;
 use std::collections::HashMap;
 use std::sync::Arc;
-use wb_db::BlobStore;
+pub use wb_db::BlobStore;
 use wb_obs::sync::Mutex;
 use wb_queue::ShardedBroker;
 use wb_worker::{JobOutcome, JobRequest};

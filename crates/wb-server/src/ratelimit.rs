@@ -60,7 +60,9 @@ impl RateLimiter {
         });
         let elapsed_s = (now_ms.saturating_sub(b.updated_ms)) as f64 / 1000.0;
         b.tokens = (b.tokens + elapsed_s * self.limit.per_second).min(self.limit.burst);
-        b.updated_ms = now_ms;
+        // A late caller's earlier clock must not rewind the bucket, or
+        // the same interval would be refilled twice.
+        b.updated_ms = b.updated_ms.max(now_ms);
         if b.tokens >= 1.0 {
             b.tokens -= 1.0;
             Ok(())
@@ -125,5 +127,19 @@ mod tests {
         assert!(rl.check("k", 10_000_000).is_ok());
         assert!(rl.check("k", 10_000_000).is_ok());
         assert!(rl.check("k", 10_000_000).is_err());
+    }
+
+    #[test]
+    fn limiter_clock_never_runs_backward() {
+        let rl = RateLimiter::new(RateLimit {
+            burst: 1.0,
+            per_second: 1.0,
+        });
+        assert!(rl.check("k", 10_000).is_ok());
+        assert!(rl.check("k", 0).is_err());
+        assert!(
+            rl.check("k", 10_000).is_err(),
+            "the 0..10 s interval must not refill a second time"
+        );
     }
 }

@@ -12,8 +12,8 @@ use wb_obs::{Annotation, JobPhase, Recorder};
 use wb_queue::{CapabilitySet, ShardedBroker};
 use wb_sandbox::{ContainerPool, Image};
 
-/// A health check emitted periodically to the web server (v1) or
-/// written to the metrics database (v2).
+/// A health check emitted periodically to the web server (v1) or kept
+/// as the pull plane's latest beat for its worker (v2).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthBeat {
     /// Reporting worker.

@@ -6,7 +6,9 @@
 //! dashboard is available to the system administrators to track the
 //! system status."* The dashboard snapshots a v2 cluster into a
 //! serializable status record and renders the text view an operator
-//! would read.
+//! would read. Worker rows are read from the live `WorkerNode`s; the
+//! pull plane keeps no beat history, only each worker's latest beat
+//! ([`ClusterV2::latest_health`]).
 
 use crate::v2::ClusterV2;
 use wb_cache::CacheMetrics;

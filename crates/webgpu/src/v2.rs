@@ -1,7 +1,8 @@
 //! WebGPU 2.0 (Figs. 6–7): a pull architecture — workers poll a
 //! mirrored broker for jobs whose tags they can satisfy, drivers
-//! restart on remote-config changes, and the fleet resizes under an
-//! autoscaling policy.
+//! restart on remote-config changes, the fleet resizes under an
+//! autoscaling policy, and each worker's latest health beat is kept
+//! for [`ClusterV2::latest_health`].
 
 use crate::autoscaler::{AutoscalePolicy, Autoscaler, FleetMetrics, FleetTarget};
 use crate::builder::BrokerTuning;
@@ -14,32 +15,17 @@ use wb_cache::CacheMetrics;
 use wb_obs::sync::Mutex;
 use wb_obs::{Counter, Recorder};
 use wb_queue::ShardedBroker;
-use wb_worker::{JobOutcome, JobRequest, WorkerNode};
-
-/// A worker health record persisted to the metrics database (§VI-B:
-/// *"Each worker node constantly monitors the system, performing
-/// necessary health checks … This information is stored in a
-/// replicated database."*).
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthRecord {
-    /// Reporting worker.
-    pub worker_id: u64,
-    /// Virtual ms of the beat.
-    pub at_ms: u64,
-    /// Jobs completed at that time.
-    pub jobs_done: u64,
-    /// Driver restarts at that time.
-    pub restarts: u64,
-}
-wb_db::impl_encode!(struct HealthRecord { worker_id, at_ms, jobs_done, restarts });
+use wb_worker::{HealthBeat, JobOutcome, JobRequest, WorkerNode};
 
 /// Pull dispatch: each round releases a fleet-sized batch from the
 /// fair-share scheduler into the sharded, mirrored broker, and every
 /// reachable worker syncs config, beats, and polls once.
 pub struct Pull {
     broker: ShardedBroker<JobRequest>,
-    /// Replicated metrics database receiving worker health beats.
-    metrics_db: wb_db::ReplicatedTable<HealthRecord>,
+    /// Each worker's latest health beat (§VI-B: *"Each worker node
+    /// constantly monitors the system, performing necessary health
+    /// checks"*).
+    health: Mutex<HashMap<u64, HealthBeat>>,
     scaler: Mutex<Autoscaler>,
 }
 
@@ -61,14 +47,14 @@ impl Pull {
                 tuning.max_attempts,
                 Arc::clone(obs),
             ),
-            metrics_db: wb_db::ReplicatedTable::new(),
+            health: Mutex::new(HashMap::new()),
             scaler: Mutex::new(Autoscaler::new(policy, fleet)),
         }
     }
 
     /// One worker's share of a round, on its own thread: config sync,
     /// health beat, one poll of its pinned lane. Touches only the
-    /// worker, the config service, the metrics database and the
+    /// worker, the config service, the latest-beat map and the
     /// broker — never the plane's state lock.
     fn pump_worker(
         plane: &ClusterV2,
@@ -77,16 +63,17 @@ impl Pull {
         now_ms: u64,
     ) -> Option<JobOutcome> {
         w.sync_config(&plane.config);
-        // Crashed workers emit no beat, which is exactly how the
-        // dashboard notices them going quiet.
+        // Crashed workers emit no beat, so their last one ages. A beat
+        // from a racing pump at an earlier clock never replaces a newer one.
         if let Some(beat) = w.health(now_ms) {
             plane.obs.bump(Counter::HealthBeats);
-            let _ = plane.strategy.metrics_db.insert(&HealthRecord {
-                worker_id: beat.worker_id,
-                at_ms: beat.at_ms,
-                jobs_done: beat.jobs_done,
-                restarts: beat.restarts,
-            });
+            let mut latest = plane.strategy.health.lock();
+            if latest
+                .get(&beat.worker_id)
+                .is_none_or(|last| last.at_ms <= beat.at_ms)
+            {
+                latest.insert(beat.worker_id, beat);
+            }
         }
         // The worker polls its pinned lane (stealing from siblings when
         // the lane is dry); each lane is a mirror, so the ack reaches
@@ -241,20 +228,11 @@ impl ControlPlane<Pull> {
         self.strategy.broker.failover();
     }
 
-    /// Latest health record per worker, read from a fresh replica of
-    /// the metrics database — the query the dashboard issues.
-    pub fn latest_health(&self) -> Vec<HealthRecord> {
-        let mut replica = wb_db::replica::Replica::new();
-        let _ = replica.catch_up(&self.strategy.metrics_db);
-        let mut latest: HashMap<u64, HealthRecord> = HashMap::new();
-        for (_, rec) in replica.table().scan() {
-            let slot = latest.entry(rec.worker_id).or_insert_with(|| rec.clone());
-            if rec.at_ms >= slot.at_ms {
-                *slot = rec;
-            }
-        }
-        let mut out: Vec<HealthRecord> = latest.into_values().collect();
-        out.sort_by_key(|r| r.worker_id);
+    /// Latest health beat per worker, sorted by worker id. A worker
+    /// that has crashed keeps its last beat, which stops advancing.
+    pub fn latest_health(&self) -> Vec<HealthBeat> {
+        let mut out: Vec<HealthBeat> = self.strategy.health.lock().values().cloned().collect();
+        out.sort_by_key(|b| b.worker_id);
         out
     }
 }
@@ -529,7 +507,7 @@ mod health_tests {
     use wb_worker::{DatasetCase, JobAction, LabSpec};
 
     #[test]
-    fn health_beats_flow_into_the_replicated_db() {
+    fn health_beats_keep_the_latest_per_worker() {
         let c = ClusterV2::new(2, DeviceConfig::test_small(), AutoscalePolicy::Static(2));
         c.enqueue(
             JobRequest {

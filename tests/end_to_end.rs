@@ -152,9 +152,8 @@ fn mobile_login_statistic_flows_to_the_database() {
 fn full_journey_on_the_openedx_frontend() {
     // WebGPU 2.0's student path: the OpenEdx XBlock enqueues to the
     // broker; a small fleet polls; datasets round-trip the blob store.
-    use wb_db::BlobStore;
     use wb_queue::ShardedBroker;
-    use wb_server::EdxFrontend;
+    use wb_server::edx::{BlobStore, EdxFrontend};
     use wb_worker::{NodeConfig, WorkerNode};
 
     let broker = Arc::new(ShardedBroker::new(1, 60_000, 3));
