@@ -17,11 +17,13 @@
 //!    arrivals, course/student/lab selection, Zipf source variants —
 //!    comes from one `SplitMix64`. Two runs with the same
 //!    [`SemesterParams`] produce the same
-//!    [`SemesterOutcome::deterministic_digest`]. (The cache's
-//!    hit-vs-coalesced split is the one counter the concurrent pump is
-//!    allowed to race on, so the digest folds them together; misses
-//!    are deterministic because single-flight guarantees one compute
-//!    per distinct key.)
+//!    [`SemesterOutcome::deterministic_digest`]. (The replay pumps from
+//!    one thread and a round runs on the pumping thread, so no lookup
+//!    waits on another and `coalesced` stays 0. The digest still folds
+//!    hits and coalesced waits together, so it holds for a caller that
+//!    pumps from several threads too; misses are deterministic either
+//!    way, because single-flight guarantees one compute per distinct
+//!    key.)
 //! 2. **Exactly-once books.** Every offered submission is accounted
 //!    for exactly once: admitted + shed + rate-limited = offered, and
 //!    every admitted job is reaped exactly once
@@ -186,9 +188,10 @@ impl SemesterOutcome {
     }
 
     /// Cache lookups served without re-executing, as a fraction of all
-    /// lookups. Hits and coalesced waits count together — whether a
-    /// duplicate landed before or during the first compute is a thread
-    /// race; that it did not recompute is not.
+    /// lookups. Hits and coalesced waits count together — under
+    /// concurrent pumps, whether a duplicate landed before or during
+    /// the first compute is a thread race; that it did not recompute is
+    /// not.
     pub fn cache_reuse_rate(&self) -> f64 {
         let Some(c) = &self.cache else { return 0.0 };
         let t = c.total();
@@ -200,7 +203,8 @@ impl SemesterOutcome {
 
     /// A string of every replay quantity that must be identical
     /// between two runs with the same [`SemesterParams`]. Excludes
-    /// the cache's hit/coalesced split (racy by design); includes
+    /// the cache's hit/coalesced split (racy under concurrent pumps);
+    /// includes
     /// everything else, so a determinism regression
     /// anywhere in the stack shows up as a digest mismatch.
     pub fn deterministic_digest(&self) -> String {

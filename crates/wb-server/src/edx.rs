@@ -127,8 +127,9 @@ impl JobDispatcher for EdxFrontend {
         done
     }
 
-    fn poll_queued(&self, job_id: u64) -> Option<JobOutcome> {
-        self.results.lock().remove(&job_id)
+    fn take_ready(&self, wanted: &dyn Fn(u64) -> bool) -> Vec<JobOutcome> {
+        let mut map = self.results.lock();
+        map.extract_if(|&id, _| wanted(id)).map(|e| e.1).collect()
     }
 }
 

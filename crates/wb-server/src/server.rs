@@ -29,16 +29,18 @@ const DISPATCH_IDLE_ROUNDS: u32 = 10_000;
 
 /// Abstract job execution backend.
 ///
-/// A backend implements the queued trio the semester replay drives:
+/// A backend implements the queued path the semester replay drives:
 /// [`submit_queued`] admits a job, [`advance`] runs one scheduling
-/// round, and [`poll_queued`] collects an outcome once it surfaces.
-/// The interactive path, [`dispatch`], is written once over the trio,
-/// so a job's books are the same whichever path submitted it.
+/// round, and [`take_ready`] hands over the finished jobs a caller asks
+/// for. The by-id [`poll_queued`] and the interactive [`dispatch`] are
+/// written once over them, so a job's books are the same whichever path
+/// submitted it.
 ///
 /// [`dispatch`]: JobDispatcher::dispatch
 /// [`submit_queued`]: JobDispatcher::submit_queued
 /// [`advance`]: JobDispatcher::advance
 /// [`poll_queued`]: JobDispatcher::poll_queued
+/// [`take_ready`]: JobDispatcher::take_ready
 pub trait JobDispatcher: Send + Sync {
     /// Offer a job through the backend's admission control without
     /// waiting for execution; `Ok(job_id)` when queued,
@@ -49,8 +51,14 @@ pub trait JobDispatcher: Send + Sync {
     /// this round.
     fn advance(&self, now_ms: u64) -> usize;
 
+    /// Take every finished job's outcome whose id `wanted` accepts, in
+    /// no particular order; the rest stay where they are.
+    fn take_ready(&self, wanted: &dyn Fn(u64) -> bool) -> Vec<JobOutcome>;
+
     /// Take the outcome of a previously queued job, if it finished.
-    fn poll_queued(&self, job_id: u64) -> Option<JobOutcome>;
+    fn poll_queued(&self, job_id: u64) -> Option<JobOutcome> {
+        self.take_ready(&|id| id == job_id).pop()
+    }
 
     /// Submit a job and advance one round per virtual ms from `now_ms`
     /// until its outcome is in hand. Admission errors come back as
@@ -87,8 +95,8 @@ impl<D: JobDispatcher + ?Sized> JobDispatcher for Arc<D> {
         (**self).submit_queued(req, now_ms)
     }
 
-    fn poll_queued(&self, job_id: u64) -> Option<JobOutcome> {
-        (**self).poll_queued(job_id)
+    fn take_ready(&self, wanted: &dyn Fn(u64) -> bool) -> Vec<JobOutcome> {
+        (**self).take_ready(wanted)
     }
 
     fn advance(&self, now_ms: u64) -> usize {
@@ -135,8 +143,9 @@ impl JobDispatcher for LocalDispatcher {
         0
     }
 
-    fn poll_queued(&self, job_id: u64) -> Option<JobOutcome> {
-        self.done.lock().remove(&job_id)
+    fn take_ready(&self, wanted: &dyn Fn(u64) -> bool) -> Vec<JobOutcome> {
+        let mut done = self.done.lock();
+        done.extract_if(|&id, _| wanted(id)).map(|e| e.1).collect()
     }
 }
 
@@ -353,26 +362,30 @@ impl WebGpuServer {
 
     /// Collect every queued submission whose outcome is ready and
     /// finish its record-keeping — rubric scoring, submission/attempt
-    /// rows, hints — identically to the synchronous path. Returns
-    /// `(job_id, result)` pairs in job-id order.
+    /// rows, hints — identically to the synchronous path. Takes only
+    /// finished jobs this server queued, holding `pending` (locked
+    /// before any dispatcher lock). Returns pairs in job-id order.
     #[allow(clippy::type_complexity)]
     pub fn reap_queued(&self) -> Vec<(u64, Result<SubmissionOutcome, WbError>)> {
-        let mut ids: Vec<u64> = self.pending.lock().keys().copied().collect();
-        ids.sort_unstable();
-        let mut reaped = Vec::new();
-        for job_id in ids {
-            let Some(outcome) = self.dispatcher.poll_queued(job_id) else {
-                continue;
-            };
-            let Some(meta) = self.pending.lock().remove(&job_id) else {
-                continue;
-            };
-            let result = self
-                .lab(&meta.lab)
-                .and_then(|lab| self.record_outcome(&lab, meta, job_id, &outcome));
-            reaped.push((job_id, result));
-        }
-        reaped
+        let mut ready: Vec<(PendingSubmission, JobOutcome)> = {
+            let mut pending = self.pending.lock();
+            let outcomes = self.dispatcher.take_ready(&|id| pending.contains_key(&id));
+            outcomes
+                .into_iter()
+                .filter_map(|o| Some((pending.remove(&o.job_id)?, o)))
+                .collect()
+        };
+        ready.sort_unstable_by_key(|(_, o)| o.job_id);
+        ready
+            .into_iter()
+            .map(|(meta, outcome)| {
+                let job_id = outcome.job_id;
+                let result = self
+                    .lab(&meta.lab)
+                    .and_then(|lab| self.record_outcome(&lab, meta, job_id, &outcome));
+                (job_id, result)
+            })
+            .collect()
     }
 
     /// Queued submissions not yet reaped.
@@ -802,7 +815,12 @@ mod tests {
     "#;
 
     fn server_with_lab() -> (WebGpuServer, u64, u64) {
-        let srv = WebGpuServer::new(Box::new(LocalDispatcher::new(Arc::new(Recorder::noop()))));
+        let local = LocalDispatcher::new(Arc::new(Recorder::noop()));
+        with_echo_lab(WebGpuServer::new(Box::new(local)))
+    }
+
+    /// `srv` with an instructor, a student and the echo lab deployed.
+    fn with_echo_lab(srv: WebGpuServer) -> (WebGpuServer, u64, u64) {
         srv.register_instructor("prof", "pw").unwrap();
         srv.register_student("alice", "pw").unwrap();
         let staff = srv.login("prof", "pw", DeviceKind::Desktop, 0).unwrap();
@@ -1174,5 +1192,89 @@ mod tests {
         let err = srv.save_code(student, "nope", "x", 0).unwrap_err();
         assert!(matches!(err, WbError::Rejected { ref reason } if reason.contains("no lab")));
         assert!(srv.lab_description_html("nope").is_err());
+    }
+
+    /// Runs only the jobs `runs` accepts, on a [`LocalDispatcher`];
+    /// every other job stays queued. Counts the by-id polls it serves.
+    struct Holding {
+        local: LocalDispatcher,
+        runs: fn(u64) -> bool,
+        polls: Arc<AtomicU64>,
+    }
+
+    impl JobDispatcher for Holding {
+        fn submit_queued(&self, req: JobRequest, now_ms: u64) -> Result<u64, WbError> {
+            if (self.runs)(req.job_id) {
+                return self.local.submit_queued(req, now_ms);
+            }
+            Ok(req.job_id)
+        }
+
+        fn advance(&self, now_ms: u64) -> usize {
+            self.local.advance(now_ms)
+        }
+
+        fn poll_queued(&self, job_id: u64) -> Option<JobOutcome> {
+            self.polls.fetch_add(1, Ordering::Relaxed);
+            self.local.poll_queued(job_id)
+        }
+
+        fn take_ready(&self, wanted: &dyn Fn(u64) -> bool) -> Vec<JobOutcome> {
+            self.local.take_ready(wanted)
+        }
+    }
+
+    #[test]
+    fn reap_polls_no_pending_id() {
+        let polls = Arc::new(AtomicU64::new(0));
+        let d = Holding {
+            local: LocalDispatcher::new(Arc::new(Recorder::noop())),
+            runs: |id| id == 5_000,
+            polls: Arc::clone(&polls),
+        };
+        let unlimited = RateLimit {
+            burst: 1e9,
+            per_second: 0.0,
+        };
+        let srv = WebGpuServer::new(Box::new(d)).with_rate_limit(unlimited);
+        let (srv, _, student) = with_echo_lab(srv);
+        for k in 0..10_000 {
+            let req = SubmitRequest::compile_only(student, "echo").at(k);
+            srv.submit_queued(&req.with_source(ECHO)).unwrap();
+        }
+        assert_eq!(srv.pending_queued(), 10_000);
+        let reaped = srv.reap_queued();
+        assert_eq!(reaped.len(), 1, "one of the 10 000 finished");
+        assert_eq!(reaped[0].0, 5_000);
+        assert!(reaped[0].1.as_ref().is_ok_and(|o| o.compiled));
+        assert_eq!(polls.load(Ordering::Relaxed), 0, "no pending id polled");
+        assert_eq!(srv.pending_queued(), 9_999);
+    }
+
+    #[test]
+    fn reap_leaves_a_synchronous_jobs_outcome() {
+        // Job 9 999 stands for a synchronous `dispatch` whose outcome is
+        // in but not yet polled: the server never queued it.
+        let d = Arc::new(LocalDispatcher::new(Arc::new(Recorder::noop())));
+        let (srv, _, student) = with_echo_lab(WebGpuServer::new(Box::new(Arc::clone(&d))));
+        let lab = LabDefinition::test_lab("echo");
+        let sync_job = JobRequest {
+            job_id: 9_999,
+            user: "bob".into(),
+            source: ECHO.into(),
+            spec: lab.spec,
+            datasets: lab.datasets,
+            action: JobAction::CompileOnly,
+        };
+        d.submit_queued(sync_job, 0).unwrap();
+        let queued: Vec<u64> = (0..3)
+            .map(|k| {
+                let req = SubmitRequest::compile_only(student, "echo").at(k);
+                srv.submit_queued(&req.with_source(ECHO)).unwrap()
+            })
+            .collect();
+        let reaped: Vec<u64> = srv.reap_queued().into_iter().map(|(id, _)| id).collect();
+        assert_eq!(reaped, queued, "every queued job, in job-id order");
+        assert!(d.poll_queued(9_999).is_some_and(|o| o.compiled()));
     }
 }

@@ -7,7 +7,8 @@
 //! table, the round clock and the worker roster are the same platform
 //! in both, written once here in [`ControlPlane`]. The small
 //! [`Dispatch`] trait holds only what differs; [`Push`](crate::v1::Push)
-//! and [`Pull`](crate::v2::Pull) are its two strategies.
+//! and [`Pull`](crate::v2::Pull) are its two strategies. Rounds run on
+//! the pumping thread; concurrency comes from several callers pumping.
 //!
 //! Lock order: the plane's state lock before the scheduler's, the
 //! broker's, or a strategy's own. No lock is held while a worker runs
@@ -31,9 +32,9 @@ use wb_worker::{
 
 /// What differs between the push and pull architectures.
 pub trait Dispatch: Sized + Send + Sync {
-    /// Release one round's work from the scheduler and run it on the
-    /// reachable `workers` (fleet index, node); returns the outcomes
-    /// the plane files in its results table.
+    /// Release one round's work from the scheduler and run it, on the
+    /// calling thread, on the reachable `workers` (fleet index, node);
+    /// returns the outcomes the plane files in its results table.
     fn round(
         plane: &ControlPlane<Self>,
         workers: &[(usize, Arc<WorkerNode>)],
@@ -120,29 +121,6 @@ pub(crate) fn grade_class(req: &JobRequest) -> GradeClass {
     } else {
         GradeClass::Light
     }
-}
-
-/// Run `f` over `items` on one scoped thread each — inline when there
-/// is at most one, since there is nothing to overlap — and collect the
-/// `Some` results in item order. Each thread writes its own pre-sized
-/// slot, so no lock guards the results; a panicking item propagates at
-/// scope exit. The one place a round spawns threads.
-pub(crate) fn run_each<T: Sync, R: Send>(
-    items: &[T],
-    f: impl Fn(&T) -> Option<R> + Sync,
-) -> Vec<R> {
-    if items.len() <= 1 {
-        return items.iter().filter_map(f).collect();
-    }
-    let mut slots: Vec<Option<R>> = Vec::new();
-    slots.resize_with(items.len(), || None);
-    let f = &f;
-    std::thread::scope(|s| {
-        for (item, slot) in items.iter().zip(slots.iter_mut()) {
-            s.spawn(move || *slot = f(item));
-        }
-    });
-    slots.into_iter().flatten().collect()
 }
 
 impl<D: Dispatch> ControlPlane<D> {
@@ -251,8 +229,8 @@ impl<D: Dispatch> ControlPlane<D> {
         done
     }
 
-    /// Post-join completion bookkeeping, under the state lock but
-    /// strictly after all job execution finished.
+    /// Completion bookkeeping, under the state lock but strictly after
+    /// the round's jobs finished.
     fn merge_outcomes(&self, outcomes: Vec<JobOutcome>) {
         if outcomes.is_empty() {
             return;
@@ -451,7 +429,7 @@ impl<D: Dispatch> ControlPlane<D> {
     }
 }
 
-/// The queued trio is the plane's own admission, pump and results
+/// The queued path is the plane's own admission, pump and results
 /// table; the interactive `dispatch` is the trait's, over the same
 /// books.
 impl<D: Dispatch> JobDispatcher for ControlPlane<D> {
@@ -459,8 +437,10 @@ impl<D: Dispatch> JobDispatcher for ControlPlane<D> {
         self.submit(req, now_ms)
     }
 
-    fn poll_queued(&self, job_id: u64) -> Option<JobOutcome> {
-        self.take_result(job_id)
+    fn take_ready(&self, wanted: &dyn Fn(u64) -> bool) -> Vec<JobOutcome> {
+        let mut g = self.state.lock();
+        let ready = g.results.extract_if(|&id, _| wanted(id));
+        ready.map(|e| e.1).collect()
     }
 
     fn advance(&self, now_ms: u64) -> usize {
@@ -473,8 +453,9 @@ mod tests {
     use super::*;
     use crate::AutoscalePolicy;
     use libwb::Dataset;
+    use wb_cache::CacheMetrics;
     use wb_sandbox::SyscallWhitelist;
-    use wb_worker::{DatasetCase, LabSpec};
+    use wb_worker::{DatasetCase, HealthBeat, LabSpec};
 
     fn echo(job_id: u64, course: &str) -> JobRequest {
         let mut spec = LabSpec::cuda_test("echo");
@@ -727,5 +708,115 @@ mod tests {
                 cfg.capabilities.insert("mpi".into());
             });
         });
+    }
+
+    /// Fleet 2, a backlog budget of 4, both workers killed, then one
+    /// job offered and pumped per round: a dead fleet releases nothing,
+    /// so the backlog fills and admission sheds the rest. Pull's first
+    /// round still hands one job to a preempting worker, which polls
+    /// once before it goes dark, so pull admits one more than push.
+    fn dead_fleet_sheds_past_the_budget<D: Dispatch>(
+        build: fn(ClusterBuilder) -> ControlPlane<D>,
+        admits: usize,
+    ) {
+        let c = build(builder(2).scheduler(crate::SchedConfig {
+            backlog_budget: 4,
+            ..Default::default()
+        }));
+        assert!(c.kill_worker(1) && c.kill_worker(2));
+        let admitted = (0..50)
+            .filter(|&j| {
+                let ok = c.submit(echo(j, "hpp"), j).is_ok();
+                c.pump(j);
+                ok
+            })
+            .count();
+        assert_eq!(admitted, admits, "the budget holds with the fleet down");
+        assert_eq!(c.sched.total_backlog(), 4);
+    }
+
+    #[test]
+    fn dead_fleet_sheds_past_the_budget_on_push() {
+        dead_fleet_sheds_past_the_budget(ClusterBuilder::build_v1, 4);
+    }
+
+    #[test]
+    fn dead_fleet_sheds_past_the_budget_on_pull() {
+        dead_fleet_sheds_past_the_budget(ClusterBuilder::build_v2, 5);
+    }
+
+    /// What one run leaves behind.
+    #[derive(Debug, PartialEq)]
+    struct Replay {
+        jobs_done: Vec<u64>,
+        outcomes: Vec<JobOutcome>,
+        health: Vec<HealthBeat>,
+        waits: (u64, u64),
+        cache: Option<CacheMetrics>,
+    }
+
+    /// Fleet 4 on two lanes, three courses and four distinct sources,
+    /// so most jobs are byte-identical duplicates; one job is offered
+    /// per round, and this thread does all the pumping.
+    fn replay<D: Dispatch>(
+        build: fn(ClusterBuilder) -> ControlPlane<D>,
+        health: fn(&ControlPlane<D>) -> Vec<HealthBeat>,
+    ) -> Replay {
+        const JOBS: u64 = 24;
+        let c = build(
+            ClusterBuilder::new(DeviceConfig::test_small())
+                .fleet(4)
+                .shards(2),
+        );
+        for j in 0..JOBS {
+            let mut req = echo(j, ["hpp", "ece408", "cs483"][j as usize % 3]);
+            req.source.push_str(&format!("// variant {}\n", j % 4));
+            c.submit(req, j).expect("default budget admits everything");
+            c.pump(j);
+        }
+        let mut now = JOBS;
+        while c.completed() < JOBS {
+            c.pump(now);
+            now += 1;
+            assert!(now < 200, "platform failed to drain");
+        }
+        let waits = {
+            let g = c.state.lock();
+            (g.wait_sum, g.wait_count)
+        };
+        Replay {
+            jobs_done: (0..c.fleet_size())
+                .map(|i| c.worker(i).expect("in the roster").jobs_done())
+                .collect(),
+            outcomes: (0..JOBS)
+                .map(|j| c.take_result(j).expect("every job has an outcome"))
+                .collect(),
+            health: health(&c),
+            waits,
+            cache: c.cache.as_ref().map(|m| m.metrics()),
+        }
+    }
+
+    /// With one pumping thread nothing runs concurrently: two runs
+    /// agree on everything, and no cache lookup ever waits on another.
+    fn pumping_replays_identically<D: Dispatch>(
+        build: fn(ClusterBuilder) -> ControlPlane<D>,
+        health: fn(&ControlPlane<D>) -> Vec<HealthBeat>,
+    ) {
+        let first = replay(build, health);
+        let cache = first.cache.expect("default builds are cached");
+        assert_eq!(cache.compile.misses, 4, "one compile per distinct source");
+        assert_eq!(cache.compile.coalesced + cache.grade.coalesced, 0);
+        assert_eq!(first, replay(build, health));
+    }
+
+    #[test]
+    fn pumping_replays_identically_on_push() {
+        pumping_replays_identically(ClusterBuilder::build_v1, |_| Vec::new());
+    }
+
+    #[test]
+    fn pumping_replays_identically_on_pull() {
+        pumping_replays_identically(ClusterBuilder::build_v2, crate::ClusterV2::latest_health);
     }
 }

@@ -3,7 +3,7 @@
 //! chosen worker and evicts workers whose health checks go quiet.
 
 use crate::fleet::Zone;
-use crate::plane::{run_each, ControlPlane, Dispatch};
+use crate::plane::{ControlPlane, Dispatch};
 use minicuda::DeviceConfig;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -56,10 +56,10 @@ pub(crate) fn full_image_config() -> WorkerConfig {
 
 impl Dispatch for Push {
     /// Release one fair-share wave — at most one job per live worker —
-    /// and execute it, one thread per job. With the whole pool down
-    /// the wave is empty and admitted jobs wait in the scheduler, the
-    /// way pull jobs wait in the broker. (A push kill crashes the node,
-    /// so "not crashed" is "not killed and not crashed".)
+    /// and execute it job by job. With the whole pool down the wave is
+    /// empty and admitted jobs wait in the scheduler, the way pull jobs
+    /// wait in the broker. (A push kill crashes the node, so "not
+    /// crashed" is "not killed and not crashed".)
     fn round(
         plane: &ClusterV1,
         workers: &[(usize, Arc<WorkerNode>)],
@@ -68,7 +68,9 @@ impl Dispatch for Push {
     ) -> Vec<JobOutcome> {
         let live = workers.iter().filter(|(_, w)| !w.is_crashed()).count();
         let wave = plane.sched.drain_rotating(live, now_ms);
-        run_each(&wave, |(_, req)| plane.execute(req, now_ms))
+        wave.iter()
+            .filter_map(|(_, req)| plane.execute(req, now_ms))
+            .collect()
     }
 
     fn kill(w: &WorkerNode) {

@@ -7,7 +7,7 @@
 use crate::autoscaler::{AutoscalePolicy, Autoscaler, FleetMetrics, FleetTarget};
 use crate::builder::BrokerTuning;
 use crate::fleet::{placement, ReliabilityClass, WorkerDesc};
-use crate::plane::{run_each, ControlPlane, Dispatch, State};
+use crate::plane::{ControlPlane, Dispatch, State};
 use minicuda::DeviceConfig;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -17,9 +17,9 @@ use wb_obs::{Counter, Recorder};
 use wb_queue::ShardedBroker;
 use wb_worker::{HealthBeat, JobOutcome, JobRequest, WorkerNode};
 
-/// Pull dispatch: each round releases a fleet-sized batch from the
-/// fair-share scheduler into the sharded, mirrored broker, and every
-/// reachable worker syncs config, beats, and polls once.
+/// Pull dispatch: each round releases a batch sized to the live fleet
+/// from the fair-share scheduler into the sharded, mirrored broker, and
+/// every reachable worker syncs config, beats, and polls once.
 pub struct Pull {
     broker: ShardedBroker<JobRequest>,
     /// Each worker's latest health beat (§VI-B: *"Each worker node
@@ -52,10 +52,10 @@ impl Pull {
         }
     }
 
-    /// One worker's share of a round, on its own thread: config sync,
-    /// health beat, one poll of its pinned lane. Touches only the
-    /// worker, the config service, the latest-beat map and the
-    /// broker — never the plane's state lock.
+    /// One worker's share of a round: config sync, health beat, one
+    /// poll of its pinned lane. Touches only the worker, the config
+    /// service, the latest-beat map and the broker — never the plane's
+    /// state lock.
     fn pump_worker(
         plane: &ClusterV2,
         idx: usize,
@@ -125,14 +125,14 @@ impl Pull {
 }
 
 impl Dispatch for Pull {
-    /// Release one fleet-sized batch from the fair-share scheduler into
-    /// the broker, lane by lane — each shard drains its own slice of
-    /// the fleet's capacity (stealing from loaded siblings when its
-    /// backlog is short) into the matching broker lane — then run every
-    /// reachable worker's sync/beat/poll, one thread per worker. The
-    /// lane walk is rotated by round so leftover quota from the
-    /// `fleet % shards` remainder doesn't always favour lane 0, and
-    /// every shard's aging clock ticks even at quota zero.
+    /// Release one batch from the fair-share scheduler into the broker,
+    /// lane by lane — each shard drains its slice of the live fleet's
+    /// capacity (stealing from loaded siblings when its backlog is
+    /// short) into its broker lane, so a dead fleet leaves jobs in the
+    /// scheduler, where admission control sees them — then walk the
+    /// reachable workers in order, each syncing, beating and polling
+    /// once. The lane walk rotates by round so the `fleet % shards`
+    /// remainder doesn't always favour lane 0; aging ticks at quota 0.
     fn round(
         plane: &ClusterV2,
         workers: &[(usize, Arc<WorkerNode>)],
@@ -140,7 +140,7 @@ impl Dispatch for Pull {
         now_ms: u64,
     ) -> Vec<JobOutcome> {
         let n = plane.shards;
-        let fleet = workers.len();
+        let fleet = workers.iter().filter(|(_, w)| !w.is_crashed()).count();
         for k in 0..n {
             let lane = (round as usize + k) % n;
             let quota = fleet / n + usize::from(k < fleet % n);
@@ -149,7 +149,10 @@ impl Dispatch for Pull {
                 plane.strategy.broker.enqueue_to(lane, req, tags, now_ms);
             }
         }
-        run_each(workers, |(i, w)| Pull::pump_worker(plane, *i, w, now_ms))
+        workers
+            .iter()
+            .filter_map(|(i, w)| Pull::pump_worker(plane, *i, w, now_ms))
+            .collect()
     }
 
     /// Autoscale. Decision and application share one critical section:
@@ -278,8 +281,8 @@ mod tests {
 
     #[test]
     fn rush_of_identical_jobs_dedupes_cluster_wide() {
-        // Twelve byte-identical submissions against a fleet of four
-        // pumping concurrently: the cache must compile and grade once,
+        // Twelve byte-identical submissions against a fleet of four:
+        // the cache must compile and grade once,
         // no matter which workers pick which jobs up.
         let c = ClusterV2::new(4, DeviceConfig::test_small(), AutoscalePolicy::Static(4));
         for j in 0..12 {
