@@ -87,13 +87,13 @@ pub fn run(program: &Program, inputs: &[Dataset], opts: &RunOptions) -> RunOutco
     run_with_policy(program, inputs, opts, &AllowAll)
 }
 
-/// Run with an explicit hostcall policy (the sandbox entry point).
 /// Stack size for interpreter threads. Tree-walking recursion is
 /// stack-hungry in debug builds; interpreters always run on dedicated
 /// threads with room to spare so a deeply recursive (but in-budget)
 /// student program cannot overflow a small caller stack.
 const INTERP_STACK: usize = 32 * 1024 * 1024;
 
+/// Run with an explicit hostcall policy (the sandbox entry point).
 pub fn run_with_policy(
     program: &Program,
     inputs: &[Dataset],

@@ -531,13 +531,6 @@ pub struct IrFunc {
     pub pos: Pos,
 }
 
-impl IrFunc {
-    /// Total instruction count across all blocks (pass-effect metric).
-    pub fn inst_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.insts.len()).sum()
-    }
-}
-
 /// All lowered device-side functions of one program.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct IrProgram {

@@ -50,25 +50,6 @@ impl Alloc {
     pub(crate) fn words(&self) -> &[AtomicU32] {
         &self.words
     }
-
-    /// Load through `ptr` against this allocation (bounds-checked).
-    ///
-    /// Same checks and messages as [`MemPool::load`], minus the
-    /// per-access allocation lookup — for executors that gather a whole
-    /// warp from one allocation.
-    pub fn load_at(&self, ptr: Ptr) -> Result<Value, MemError> {
-        let idx = bounds(ptr, self.len())?;
-        Ok(decode(self.words[idx].load(Ordering::Relaxed), ptr.elem))
-    }
-
-    /// Store through `ptr` against this allocation (bounds-checked);
-    /// the batched counterpart of [`MemPool::store`].
-    pub fn store_at(&self, ptr: Ptr, v: Value) -> Result<(), MemError> {
-        let idx = bounds(ptr, self.len())?;
-        let v = v.coerce_to_elem(ptr.elem).map_err(MemError)?;
-        self.words[idx].store(encode(v), Ordering::Relaxed);
-        Ok(())
-    }
 }
 
 fn decode(bits: u32, elem: ElemType) -> Value {

@@ -1,12 +1,11 @@
 //! Typed tables with primary keys and secondary indexes.
 //!
 //! The web server stores user profiles, code submissions, attempts, and
-//! grades (§III-B, §IV). Records are any [`Encode`] type; the table
+//! grades (§III-B, §IV). Records are any `Clone` type; the table
 //! assigns `u64` primary keys and maintains instructor-defined
 //! secondary indexes (e.g. submissions by `(user, lab)`), which is what
 //! the roster and history views query.
 
-use crate::codec::{decode, encode, Encode};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use wb_obs::sync::RwLock;
@@ -16,8 +15,6 @@ use wb_obs::sync::RwLock;
 pub enum TableError {
     /// Primary key not present.
     NotFound(u64),
-    /// Serialization failed.
-    Codec(String),
     /// Named index does not exist.
     NoSuchIndex(String),
 }
@@ -26,7 +23,6 @@ impl fmt::Display for TableError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TableError::NotFound(id) => write!(f, "row {id} not found"),
-            TableError::Codec(m) => write!(f, "encoding failure: {m}"),
             TableError::NoSuchIndex(n) => write!(f, "no index named {n:?}"),
         }
     }
@@ -42,24 +38,24 @@ struct Index<T> {
 }
 
 struct Inner<T> {
-    rows: HashMap<u64, Vec<u8>>,
+    rows: HashMap<u64, T>,
     indexes: HashMap<String, Index<T>>,
     next_id: u64,
 }
 
-/// A thread-safe typed table. Rows are stored encoded, so reads return
-/// fresh decoded copies (no aliasing into the store).
+/// A thread-safe typed table. Reads return clones, so a caller never
+/// aliases the store.
 pub struct Table<T> {
     inner: RwLock<Inner<T>>,
 }
 
-impl<T: Encode> Default for Table<T> {
+impl<T: Clone> Default for Table<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Encode> Table<T> {
+impl<T: Clone> Table<T> {
     /// Create an empty table.
     pub fn new() -> Self {
         Table {
@@ -80,13 +76,8 @@ impl<T: Encode> Table<T> {
     ) {
         let mut g = self.inner.write();
         let mut map: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-        let pairs: Vec<(u64, T)> = g
-            .rows
-            .iter()
-            .filter_map(|(&id, bytes)| decode::<T>(bytes).ok().map(|v| (id, v)))
-            .collect();
-        for (id, v) in &pairs {
-            map.entry(key_fn(v)).or_default().push(*id);
+        for (&id, v) in &g.rows {
+            map.entry(key_fn(v)).or_default().push(id);
         }
         for ids in map.values_mut() {
             ids.sort_unstable();
@@ -101,13 +92,14 @@ impl<T: Encode> Table<T> {
     }
 
     /// Insert a record, returning its primary key. Ids only grow, so
-    /// pushing the new id keeps every index list ascending.
+    /// pushing the new id keeps every index list ascending. Never fails;
+    /// the `Result` keeps callers that check it compiling.
     pub fn insert(&self, value: &T) -> Result<u64, TableError> {
-        let bytes = encode(value).map_err(|e| TableError::Codec(e.0))?;
+        let row = value.clone();
         let mut g = self.inner.write();
         let id = g.next_id;
         g.next_id += 1;
-        g.rows.insert(id, bytes);
+        g.rows.insert(id, row);
         for idx in g.indexes.values_mut() {
             idx.map.entry((idx.key_fn)(value)).or_default().push(id);
         }
@@ -117,21 +109,19 @@ impl<T: Encode> Table<T> {
     /// Fetch a record by primary key.
     pub fn get(&self, id: u64) -> Result<T, TableError> {
         let g = self.inner.read();
-        let bytes = g.rows.get(&id).ok_or(TableError::NotFound(id))?;
-        decode(bytes).map_err(|e| TableError::Codec(e.0))
+        g.rows.get(&id).cloned().ok_or(TableError::NotFound(id))
     }
 
     /// Replace a record. A row whose index key changes is inserted into
     /// its new key's list at its sorted position: `find` returns ids
     /// ascending, and callers take the last as the newest.
     pub fn update(&self, id: u64, value: &T) -> Result<(), TableError> {
-        let bytes = encode(value).map_err(|e| TableError::Codec(e.0))?;
+        let row = value.clone();
         let mut g = self.inner.write();
-        // Decode the old value first for index maintenance.
-        let row = g.rows.get(&id).ok_or(TableError::NotFound(id))?;
-        let old = decode::<T>(row).map_err(|e| TableError::Codec(e.0))?;
-        for idx in g.indexes.values_mut() {
-            let old_key = (idx.key_fn)(&old);
+        let Inner { rows, indexes, .. } = &mut *g;
+        let old = rows.get_mut(&id).ok_or(TableError::NotFound(id))?;
+        for idx in indexes.values_mut() {
+            let old_key = (idx.key_fn)(old);
             let new_key = (idx.key_fn)(value);
             if old_key != new_key {
                 unindex(&mut idx.map, &old_key, id);
@@ -139,18 +129,16 @@ impl<T: Encode> Table<T> {
                 ids.insert(ids.partition_point(|&x| x < id), id);
             }
         }
-        g.rows.insert(id, bytes);
+        *old = row;
         Ok(())
     }
 
     /// Delete a record.
     pub fn delete(&self, id: u64) -> Result<(), TableError> {
         let mut g = self.inner.write();
-        let bytes = g.rows.remove(&id).ok_or(TableError::NotFound(id))?;
-        if let Ok(old) = decode::<T>(&bytes) {
-            for idx in g.indexes.values_mut() {
-                unindex(&mut idx.map, &(idx.key_fn)(&old), id);
-            }
+        let old = g.rows.remove(&id).ok_or(TableError::NotFound(id))?;
+        for idx in g.indexes.values_mut() {
+            unindex(&mut idx.map, &(idx.key_fn)(&old), id);
         }
         Ok(())
     }
@@ -168,11 +156,7 @@ impl<T: Encode> Table<T> {
     /// All `(id, record)` pairs, ordered by id (full scan).
     pub fn scan(&self) -> Vec<(u64, T)> {
         let g = self.inner.read();
-        let mut out: Vec<(u64, T)> = g
-            .rows
-            .iter()
-            .filter_map(|(&id, bytes)| decode(bytes).ok().map(|v| (id, v)))
-            .collect();
+        let mut out: Vec<(u64, T)> = g.rows.iter().map(|(&id, v)| (id, v.clone())).collect();
         out.sort_by_key(|(id, _)| *id);
         out
     }
@@ -208,7 +192,6 @@ mod tests {
         lab: String,
         score: f32,
     }
-    crate::impl_encode!(struct Submission { user, lab, score });
 
     fn sub(user: &str, lab: &str, score: f32) -> Submission {
         Submission {

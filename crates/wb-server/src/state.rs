@@ -4,7 +4,7 @@
 //! their compilation and execution status, and previous attempts so
 //! that a user can backtrack to earlier versions of their code."*
 
-use wb_db::{impl_encode, Table};
+use wb_db::Table;
 
 /// How a login reached the site (the paper reports ~2% of logins come
 /// from tablets and smartphones, §II-B).
@@ -145,33 +145,6 @@ pub struct LoginRec {
     /// Virtual ms.
     pub at_ms: u64,
 }
-
-// Byte layout of the stored rows: fields in declaration order, enums by
-// variant index. Reordering either changes the bytes (`wb_db::codec`).
-impl_encode!(
-    enum DeviceKind {
-        Desktop,
-        Tablet,
-        Phone,
-    }
-);
-impl_encode!(
-    enum Role {
-        Student,
-        Instructor,
-    }
-);
-impl_encode!(struct UserRec { name, pass_hash, role, email });
-impl_encode!(struct RevisionRec { user, lab, at_ms, source });
-impl_encode!(struct AttemptRec {
-    user, lab, dataset, at_ms, compiled, passed, summary, source, share_token
-});
-impl_encode!(struct SubmissionRec {
-    user, lab, at_ms, passed, total, compiled, score, override_score, source
-});
-impl_encode!(struct AnswerRec { user, lab, answers, question_score, comment });
-impl_encode!(struct PeerReviewRec { lab, reviewer, reviewee, review });
-impl_encode!(struct LoginRec { user, device, at_ms });
 
 /// All server tables, with the indexes the views query.
 pub struct ServerState {

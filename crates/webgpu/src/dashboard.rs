@@ -38,8 +38,10 @@ pub struct Snapshot {
     pub at_ms: u64,
     /// Jobs visible in the queue.
     pub queue_depth: usize,
-    /// Jobs delivered to workers and not yet acknowledged — with the
-    /// concurrent pump, many can be in flight at once.
+    /// Jobs delivered to workers and not yet acknowledged. A round acks
+    /// every job it runs before it returns, so between rounds this counts
+    /// only deliveries stranded by a worker that vanished with a job in
+    /// hand, until the visibility timeout redelivers them.
     pub in_flight: usize,
     /// Broker counters.
     pub broker: BrokerMetrics,
