@@ -74,8 +74,9 @@
 //! comes from [`Arena`] free lists and returns there when the register
 //! is overwritten or the construct exits, so steady-state execution
 //! allocates nothing. A [`BatchExec`] (arena, `tid` tables, frame
-//! shells) lives for one launch on one SM worker and is reused by
-//! every block that worker runs; it is dropped with the launch.
+//! shells) lives for one launch and is reused by every block of it,
+//! which run one at a time in launch order; it is dropped with the
+//! launch.
 //!
 //! Semantics are bit-identical to `simt.rs` for everything a grader
 //! can observe: dataset bytes, runtime diagnostics (message, position,
@@ -93,11 +94,11 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::ast::{BinOp, BuiltinVar, Type, UnOp};
-use crate::cost::CostSummary;
+use crate::cost::{self, CostSummary};
+use crate::device::KernelEnv;
 use crate::diag::{Diag, Phase, Pos};
 use crate::ir::{AtomicKind, BlockId, Inst, IrFunc, IrProgram, OclFn, Reg};
 use crate::memory::{bounds, MemError, SharedMem};
-use crate::simt::KernelEnv;
 use crate::value::{
     apply_binop, apply_math_op, apply_unop, math_op, ElemType, MathOp, Ptr, Space, Value,
 };
@@ -605,9 +606,9 @@ macro_rules! mask {
     };
 }
 
-/// The executor for the blocks one SM worker runs of one launch: the
-/// arena, `tid` tables and frame shells are built once and reused by
-/// every block; everything else is reset per block.
+/// The executor for the blocks of one launch: the arena, `tid` tables
+/// and frame shells are built once and reused by every block;
+/// everything else is reset per block.
 pub(crate) struct BatchExec<'a> {
     env: &'a KernelEnv<'a>,
     ir: &'a IrProgram,
@@ -682,7 +683,7 @@ impl<'a> BatchExec<'a> {
             call_depth: 0,
             arena: Arena::new(n, warps),
             ptr_scratch: Vec::new(),
-            acct: Accounting::new(env.warp_size, env.model.shared_banks),
+            acct: Accounting::new(env.warp_size, cost::SHARED_BANKS),
         }
     }
 
@@ -712,7 +713,7 @@ impl<'a> BatchExec<'a> {
         self.exec_block(func, &mut fr, 0)?;
         self.arena.frames.push(fr);
 
-        self.cycles += self.env.model.block_overhead;
+        self.cycles += cost::BLOCK_OVERHEAD;
         self.cost.device_cycles = self.cycles;
         Ok(self.cost)
     }
@@ -900,7 +901,6 @@ impl<'a> BatchExec<'a> {
 
     fn exec_inst(&mut self, func: &'a IrFunc, fr: &mut Frame, inst: &Inst) -> Result<(), Diag> {
         let n = self.n;
-        let issue = self.env.model.issue;
         match inst {
             Inst::Const { dst, v } => self.set(fr, *dst as usize, LaneVec::U(*v)),
             Inst::Builtin {
@@ -909,7 +909,7 @@ impl<'a> BatchExec<'a> {
                 axis,
                 pos,
             } => {
-                self.charge(*pos, issue)?;
+                self.charge(*pos, cost::ISSUE)?;
                 let ax = *axis as usize;
                 let lv = match which {
                     BuiltinVar::ThreadIdx => LaneVec::I(self.arena.i.copy_of(&self.tid[ax])),
@@ -920,22 +920,22 @@ impl<'a> BatchExec<'a> {
                 self.set(fr, *dst as usize, lv);
             }
             Inst::Un { dst, op, a, pos } => {
-                self.charge(*pos, issue)?;
+                self.charge(*pos, cost::ISSUE)?;
                 let out = self.un(*op, &fr.regs[*a as usize], *pos)?;
                 self.set(fr, *dst as usize, out);
             }
             Inst::Bin { dst, op, a, b, pos } => {
-                self.charge(*pos, issue)?;
+                self.charge(*pos, cost::ISSUE)?;
                 let out = self.bin(*op, &fr.regs[*a as usize], &fr.regs[*b as usize], *pos)?;
                 self.set(fr, *dst as usize, out);
             }
             Inst::Coerce { dst, a, ty, pos } => {
-                self.charge(*pos, issue)?;
+                self.charge(*pos, cost::ISSUE)?;
                 let out = self.coerce(&fr.regs[*a as usize], ty, *pos)?;
                 self.set(fr, *dst as usize, out);
             }
             Inst::Assign { var, src, pos } => {
-                self.charge(*pos, issue)?;
+                self.charge(*pos, cost::ISSUE)?;
                 self.exec_assign(fr, *var as usize, *src as usize, *pos)?;
             }
             Inst::DeclShared { dst, spec, pos } => {
@@ -992,7 +992,7 @@ impl<'a> BatchExec<'a> {
                 val,
                 pos,
             } => {
-                self.charge(*pos, issue)?;
+                self.charge(*pos, cost::ISSUE)?;
                 let (addr, _) = self.index(
                     &fr.regs[*base as usize],
                     &fr.regs[*idx as usize],
@@ -1027,7 +1027,7 @@ impl<'a> BatchExec<'a> {
                 self.set(fr, *dst as usize, out);
             }
             Inst::StorePtr { ptr, val, pos } => {
-                self.charge(*pos, issue)?;
+                self.charge(*pos, cost::ISSUE)?;
                 let val = &fr.regs[*val as usize];
                 match &fr.regs[*ptr as usize] {
                     LaneVec::Ptr(h, offs) => self.store_lanes(*h, offs, val, *pos)?,
@@ -1043,7 +1043,7 @@ impl<'a> BatchExec<'a> {
                 args,
                 pos,
             } => {
-                self.charge(*pos, self.env.model.sfu)?;
+                self.charge(*pos, cost::SFU)?;
                 let out = self.exec_math(fr, name, args, *pos)?;
                 self.set(fr, *dst as usize, out);
             }
@@ -1137,7 +1137,7 @@ impl<'a> BatchExec<'a> {
                     .with_thread(self.block_linear(), 0));
                 }
                 self.cost.barriers += 1;
-                self.charge(*pos, self.env.model.barrier)?;
+                self.charge(*pos, cost::BARRIER)?;
             }
             Inst::OclId {
                 dst,
@@ -1145,7 +1145,7 @@ impl<'a> BatchExec<'a> {
                 dim,
                 pos,
             } => {
-                self.charge(*pos, issue)?;
+                self.charge(*pos, cost::ISSUE)?;
                 let out = self.exec_ocl_id(*which, &fr.regs[*dim as usize], *pos)?;
                 self.set(fr, *dst as usize, out);
             }
@@ -1162,7 +1162,7 @@ impl<'a> BatchExec<'a> {
                 else_b,
                 pos,
             } => {
-                self.charge(*pos, issue)?;
+                self.charge(*pos, cost::ISSUE)?;
                 match &fr.regs[*cond as usize] {
                     LaneVec::U(cv) => {
                         let t = cv.truthy().map_err(|m| self.first_err(*pos, m))?;
@@ -1186,7 +1186,7 @@ impl<'a> BatchExec<'a> {
                 else_r,
                 pos,
             } => {
-                self.charge(*pos, issue)?;
+                self.charge(*pos, cost::ISSUE)?;
                 let arms = [(*then_b, *then_r), (*else_b, *else_r)];
                 let out = match &fr.regs[*cond as usize] {
                     LaneVec::U(cv) => {
@@ -1207,7 +1207,7 @@ impl<'a> BatchExec<'a> {
                 rhs_r,
                 pos,
             } => {
-                self.charge(*pos, issue)?;
+                self.charge(*pos, cost::ISSUE)?;
                 let out = self.exec_logic(func, fr, *op == BinOp::And, *a, *rhs_b, *rhs_r, *pos)?;
                 self.set(fr, *dst as usize, out);
             }
@@ -1273,7 +1273,7 @@ impl<'a> BatchExec<'a> {
                 self.deactivate_all();
             }
             Inst::Return { val, pos } => {
-                self.charge(*pos, issue)?;
+                self.charge(*pos, cost::ISSUE)?;
                 let zero = LaneVec::ZERO;
                 let src = val.map_or(&zero, |v| &fr.regs[v as usize]);
                 // Masked write: lanes returned earlier keep their values.
@@ -1483,7 +1483,7 @@ impl<'a> BatchExec<'a> {
             }
         }
         self.cost.atomics += lanes;
-        self.cycles += self.env.model.atomic * lanes;
+        self.cycles += cost::ATOMIC * lanes;
         self.charge(pos, 0)?;
         Ok(self.arena.pack(buf, Some(&self.active)))
     }
@@ -1546,7 +1546,7 @@ impl<'a> BatchExec<'a> {
         if self.call_depth >= 32 {
             return Err(self.rt_err(pos, format!("recursion limit reached calling `{callee}`")));
         }
-        self.charge(pos, self.env.model.issue)?;
+        self.charge(pos, cost::ISSUE)?;
         let mut newf = self.take_frame(f.num_regs, false);
         for ((preg, ty), &arg) in f.params.iter().zip(args) {
             newf.regs[*preg as usize] = self.coerce(&fr.regs[arg as usize], ty, pos)?;
@@ -1740,7 +1740,7 @@ impl<'a> BatchExec<'a> {
                 break;
             }
             if let Some(cb) = cond_b {
-                self.charge(pos, self.env.model.issue)?;
+                self.charge(pos, cost::ISSUE)?;
                 self.exec_block(func, fr, cb)?;
                 if self.active_count == 0 {
                     break;
@@ -1792,7 +1792,7 @@ impl<'a> BatchExec<'a> {
             } else {
                 // Condition-less `for (;;)`: charge once per iteration
                 // so an empty body cannot spin outside the budget.
-                self.charge(pos, self.env.model.issue)?;
+                self.charge(pos, cost::ISSUE)?;
             }
             self.exec_block(func, fr, body_b)?;
             // Lanes that `continue`d rejoin for the step/condition.
@@ -2066,7 +2066,6 @@ fn words_of<'s>(
 ) -> Result<(Words<'s>, ElemType), String> {
     let pool = match head.space {
         Space::Global => env.global,
-        Space::Host if env.allow_host_space => env.host,
         Space::Host => {
             return Err(
                 "kernel dereferenced a host pointer (did you forget cudaMemcpy?)".to_string(),
@@ -2368,7 +2367,7 @@ impl<'a> BatchExec<'a> {
         let mask = mask!(self);
         let stored = match head.space {
             Space::Constant => return Err(self.first_err(pos, "constant memory is read-only")),
-            Space::Host if !self.env.allow_host_space => {
+            Space::Host => {
                 return Err(self.first_err(
                     pos,
                     "kernel wrote through a host pointer (did you forget cudaMemcpy?)",
@@ -2385,13 +2384,10 @@ impl<'a> BatchExec<'a> {
                     words[k] = store_bits(src.get(i), elem)
                 })
             }
-            Space::Global | Space::Host => {
-                let pool = if head.space == Space::Global {
-                    self.env.global
-                } else {
-                    self.env.host
-                };
-                let words = pool
+            Space::Global => {
+                let words = self
+                    .env
+                    .global
                     .view(head.alloc)
                     .map_err(|e| self.first_err(pos, e.0))?
                     .words();
@@ -2409,15 +2405,11 @@ impl<'a> BatchExec<'a> {
             Space::Shared => self.shared.load(p),
             Space::Constant => self.env.consts.load(p),
             Space::Host => {
-                if self.env.allow_host_space {
-                    self.env.host.load(p)
-                } else {
-                    return Err(self.lane_err(
-                        pos,
-                        lane,
-                        "kernel dereferenced a host pointer (did you forget cudaMemcpy?)",
-                    ));
-                }
+                return Err(self.lane_err(
+                    pos,
+                    lane,
+                    "kernel dereferenced a host pointer (did you forget cudaMemcpy?)",
+                ))
             }
         };
         v.map_err(|e| self.lane_err(pos, lane, e.0))
@@ -2431,15 +2423,11 @@ impl<'a> BatchExec<'a> {
                 return Err(self.lane_err(pos, lane, "constant memory is read-only"))
             }
             Space::Host => {
-                if self.env.allow_host_space {
-                    self.env.host.store(p, v)
-                } else {
-                    return Err(self.lane_err(
-                        pos,
-                        lane,
-                        "kernel wrote through a host pointer (did you forget cudaMemcpy?)",
-                    ));
-                }
+                return Err(self.lane_err(
+                    pos,
+                    lane,
+                    "kernel wrote through a host pointer (did you forget cudaMemcpy?)",
+                ))
             }
         };
         r.map_err(|e| self.lane_err(pos, lane, e.0))
@@ -2450,24 +2438,22 @@ impl<'a> BatchExec<'a> {
     fn charge_global(&mut self, lanes: usize, transactions: u64) {
         self.cost.global_accesses += lanes as u64;
         self.cost.global_transactions += transactions;
-        self.cycles += self.env.model.global_transaction * transactions;
+        self.cycles += cost::GLOBAL_TRANSACTION * transactions;
     }
 
     fn charge_shared(&mut self, degree: u64) {
-        let m = self.env.model;
         self.cost.shared_accesses += 1;
         self.cost.shared_conflicts += degree - 1;
-        self.cycles += m.shared_access + m.shared_conflict * (degree - 1);
+        self.cycles += cost::SHARED_ACCESS + cost::SHARED_CONFLICT * (degree - 1);
     }
 
     /// A warp's constant-memory read: broadcast when every lane reads
     /// the same word, a global transaction otherwise.
     fn charge_const(&mut self, uniform: bool) {
-        let m = self.env.model;
         self.cycles += if uniform {
-            m.shared_access
+            cost::SHARED_ACCESS
         } else {
-            m.global_transaction
+            cost::GLOBAL_TRANSACTION
         };
     }
 
@@ -2477,7 +2463,7 @@ impl<'a> BatchExec<'a> {
     fn charge_lanes(&mut self, head: Ptr, offs: &[i64], pos: Pos) -> Result<(), Diag> {
         self.charge(pos, 0)?;
         let ws = self.env.warp_size;
-        let tw = self.env.model.transaction_words as i64;
+        let tw = cost::TRANSACTION_WORDS as i64;
         let mut acct = std::mem::take(&mut self.acct);
         for w in 0..self.warp_active.len() {
             let live = self.warp_active[w] as usize;
@@ -2517,7 +2503,7 @@ impl<'a> BatchExec<'a> {
     fn charge_memory(&mut self, ptrs: &[Option<Ptr>], pos: Pos) -> Result<(), Diag> {
         self.charge(pos, 0)?;
         let ws = self.env.warp_size;
-        let tw = self.env.model.transaction_words as i64;
+        let tw = cost::TRANSACTION_WORDS as i64;
         let mut acct = std::mem::take(&mut self.acct);
         for warp in ptrs.chunks(ws) {
             acct.segs.clear();
@@ -2695,7 +2681,6 @@ impl BankTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CostModel;
     use crate::memory::{ConstMem, MemPool};
     use std::sync::atomic::AtomicI64;
 
@@ -2707,8 +2692,7 @@ mod tests {
         /// [`BatchExec::charge_lanes`].
         fn charge_memory_reference(&mut self, ptrs: &[Option<Ptr>], pos: Pos) -> Result<(), Diag> {
             self.charge(pos, 0)?;
-            let m = self.env.model;
-            let tw = m.transaction_words as i64;
+            let tw = cost::TRANSACTION_WORDS as i64;
             let ws = self.env.warp_size;
             let mut segs: Vec<(u32, i64)> = Vec::new();
             let mut banks: Vec<(i64, i64)> = Vec::new();
@@ -2728,7 +2712,7 @@ mod tests {
                             segs.push((p.alloc, p.offset / tw));
                         }
                         Space::Shared => {
-                            banks.push((p.offset.rem_euclid(m.shared_banks as i64), p.offset));
+                            banks.push((p.offset.rem_euclid(cost::SHARED_BANKS as i64), p.offset));
                         }
                         Space::Constant => {
                             has_const = true;
@@ -2745,7 +2729,7 @@ mod tests {
                     let distinct = segs.len() as u64;
                     self.cost.global_accesses += global_count;
                     self.cost.global_transactions += distinct;
-                    self.cycles += m.global_transaction * distinct;
+                    self.cycles += cost::GLOBAL_TRANSACTION * distinct;
                 }
                 if !banks.is_empty() {
                     banks.sort_unstable();
@@ -2760,13 +2744,14 @@ mod tests {
                     }
                     self.cost.shared_accesses += 1;
                     self.cost.shared_conflicts += degree.saturating_sub(1) as u64;
-                    self.cycles += m.shared_access + m.shared_conflict * (degree as u64 - 1);
+                    self.cycles +=
+                        cost::SHARED_ACCESS + cost::SHARED_CONFLICT * (degree as u64 - 1);
                 }
                 if has_const {
                     self.cycles += if const_uniform {
-                        m.shared_access
+                        cost::SHARED_ACCESS
                     } else {
-                        m.global_transaction
+                        cost::GLOBAL_TRANSACTION
                     };
                 }
             }
@@ -2777,20 +2762,16 @@ mod tests {
     /// Run `f` on an executor for one block of `n` threads.
     fn with_exec(n: usize, f: impl FnOnce(&mut BatchExec<'_>)) {
         let program = crate::compile("int main() { return 0; }", crate::Dialect::Cuda).unwrap();
-        let (global, host, consts) = (MemPool::new(), MemPool::new(), ConstMem::new());
-        let model = CostModel::default();
+        let (global, consts) = (MemPool::new(), ConstMem::new());
         let budget = AtomicI64::new(i64::MAX);
         let env = KernelEnv {
             program: &program,
             global: &global,
-            host: &host,
             consts: &consts,
-            model: &model,
             budget: &budget,
             grid: [1, 1, 1],
             block_dim: [n as i64, 1, 1],
             max_shared_bytes: 48 * 1024,
-            allow_host_space: false,
             warp_size: 32,
         };
         let ir = IrProgram::default();

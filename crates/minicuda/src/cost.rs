@@ -11,7 +11,7 @@
 //!
 //! # Instruction accounting is IR-based
 //!
-//! `warp_instructions` (and the `issue` cycles charged for them) count
+//! `warp_instructions` (and the [`ISSUE`] cycles charged for them) count
 //! **kernel-IR instructions executed per active warp** by the batched
 //! executor (`batch`), not source AST nodes: one `Bin` is one issue,
 //! one `Load` is one issue plus its memory transactions, and an
@@ -27,56 +27,36 @@
 //! expression/statement node, which is why cycle totals — but nothing
 //! else — differ between levels.
 
-/// Tunable cycle charges.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CostModel {
-    /// Issue cost per warp-instruction.
-    pub issue: u64,
-    /// Cycles per 128-byte global memory transaction.
-    pub global_transaction: u64,
-    /// Cycles per conflict-free shared access (per warp).
-    pub shared_access: u64,
-    /// Extra cycles per additional conflicting access on the worst bank.
-    pub shared_conflict: u64,
-    /// Cycles per lane for a global atomic.
-    pub atomic: u64,
-    /// Cycles per `__syncthreads`.
-    pub barrier: u64,
-    /// Cycles per special-function (sqrt/exp/…) warp-instruction.
-    pub sfu: u64,
-    /// Fixed cycles per kernel launch.
-    pub launch_overhead: u64,
-    /// Fixed cycles per block (scheduling).
-    pub block_overhead: u64,
-    /// Host↔device copy: cycles per 32-bit word.
-    pub copy_word: u64,
-    /// Cycles per interpreted host statement.
-    pub host_step: u64,
-    /// Number of banks in shared memory.
-    pub shared_banks: usize,
-    /// Words per global memory transaction (128 B / 4 B).
-    pub transaction_words: usize,
-}
+// Cycle charges. Only their ratios matter (see above), and every
+// device is charged the same, so a grade is a function of the program,
+// its inputs and the `DeviceConfig` alone.
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            issue: 4,
-            global_transaction: 100,
-            shared_access: 4,
-            shared_conflict: 4,
-            atomic: 40,
-            barrier: 16,
-            sfu: 16,
-            launch_overhead: 2_000,
-            block_overhead: 100,
-            copy_word: 1,
-            host_step: 10,
-            shared_banks: 32,
-            transaction_words: 32,
-        }
-    }
-}
+/// Issue cost per warp-instruction.
+pub const ISSUE: u64 = 4;
+/// Cycles per 128-byte global memory transaction.
+pub const GLOBAL_TRANSACTION: u64 = 100;
+/// Cycles per conflict-free shared access (per warp).
+pub const SHARED_ACCESS: u64 = 4;
+/// Extra cycles per additional conflicting access on the worst bank.
+pub const SHARED_CONFLICT: u64 = 4;
+/// Cycles per lane for a global atomic.
+pub const ATOMIC: u64 = 40;
+/// Cycles per `__syncthreads`.
+pub const BARRIER: u64 = 16;
+/// Cycles per special-function (sqrt/exp/…) warp-instruction.
+pub const SFU: u64 = 16;
+/// Fixed cycles per kernel launch.
+pub const LAUNCH_OVERHEAD: u64 = 2_000;
+/// Fixed cycles per block (scheduling).
+pub const BLOCK_OVERHEAD: u64 = 100;
+/// Host↔device copy: cycles per 32-bit word.
+pub const COPY_WORD: u64 = 1;
+/// Cycles per interpreted host statement.
+pub const HOST_STEP: u64 = 10;
+/// Number of banks in shared memory.
+pub const SHARED_BANKS: usize = 32;
+/// Words per global memory transaction (128 B / 4 B).
+pub const TRANSACTION_WORDS: usize = 32;
 
 /// Counters accumulated over a run (per block, then merged).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -106,7 +86,7 @@ pub struct CostSummary {
     /// Interpreted host statements.
     pub host_steps: u64,
     /// Total device cycles (sum over blocks — wall-clock cycles are
-    /// computed by the SM scheduler in `device`).
+    /// the makespan `device` models over its SMs).
     pub device_cycles: u64,
 }
 
@@ -174,11 +154,10 @@ mod tests {
 
     #[test]
     fn default_model_ratios_teach_the_right_lessons() {
-        let m = CostModel::default();
         // Global traffic must dominate arithmetic, or tiling labs
         // would show no speedup.
-        assert!(m.global_transaction > 10 * m.issue);
+        const { assert!(GLOBAL_TRANSACTION > 10 * ISSUE) };
         // Shared must be much cheaper than global.
-        assert!(m.global_transaction > 10 * m.shared_access);
+        const { assert!(GLOBAL_TRANSACTION > 10 * SHARED_ACCESS) };
     }
 }

@@ -1,16 +1,21 @@
-//! The simulated GPU device: launch validation, block scheduling over
-//! SMs, and wall-clock cycle estimation.
+//! The simulated GPU device: launch validation, block execution, and
+//! wall-clock cycle estimation.
+//!
+//! Blocks run one after another in launch order on the calling thread,
+//! so every launch is deterministic — float atomics across blocks
+//! included — and a cached grade always equals a fresh one. The SMs
+//! exist only in the makespan model: `num_sms` sizes it, it runs
+//! nothing.
 
 use crate::ast::FuncDef;
 use crate::batch::BatchExec;
-use crate::cost::{CostModel, CostSummary};
+use crate::cost::{self, CostSummary};
 use crate::diag::{Diag, Phase, Pos};
 use crate::memory::{ConstMem, MemPool};
 use crate::sema::Program;
-use crate::simt::{run_block, KernelEnv};
+use crate::simt::run_block;
 use crate::value::Value;
-use std::sync::atomic::AtomicI64;
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicI64, Ordering};
 
 /// Static description of the simulated device.
 ///
@@ -20,7 +25,8 @@ use std::sync::{Mutex, PoisonError};
 pub struct DeviceConfig {
     /// Marketing name reported by the Device Query lab.
     pub name: String,
-    /// Streaming multiprocessors = blocks executed concurrently.
+    /// Streaming multiprocessors the makespan model spreads blocks
+    /// over. Blocks still run one at a time, in launch order.
     pub num_sms: usize,
     /// Warp width.
     pub warp_size: usize,
@@ -38,10 +44,6 @@ pub struct DeviceConfig {
     pub const_mem_bytes: usize,
     /// Core clock in kHz (used to convert cycles → virtual µs).
     pub clock_khz: u64,
-    /// When set, blocks execute sequentially in block order, making
-    /// float atomics across blocks deterministic (used by graders when
-    /// a lab needs exact reproducibility).
-    pub deterministic: bool,
 }
 
 impl Default for DeviceConfig {
@@ -57,21 +59,41 @@ impl Default for DeviceConfig {
             global_mem_words: 64 << 20, // 256 MiB
             const_mem_bytes: 64 * 1024,
             clock_khz: 1_000_000,
-            deterministic: false,
         }
     }
 }
 
 impl DeviceConfig {
-    /// A tiny deterministic device for unit tests.
+    /// A tiny device for unit tests: two SMs in the makespan model.
     pub fn test_small() -> Self {
         DeviceConfig {
             name: "SimGPU test".to_string(),
             num_sms: 2,
-            deterministic: true,
             ..Default::default()
         }
     }
+}
+
+/// Immutable context shared by all blocks of one launch.
+pub(crate) struct KernelEnv<'a> {
+    /// Compiled program (kernel + device functions).
+    pub program: &'a Program,
+    /// Device global memory pool. Kernels never see the host pool:
+    /// dereferencing a host pointer is a classic student bug that the
+    /// executors report instead of silently corrupting memory.
+    pub global: &'a MemPool,
+    /// Constant memory image.
+    pub consts: &'a ConstMem,
+    /// Remaining warp-instruction budget, shared across blocks.
+    pub budget: &'a AtomicI64,
+    /// Grid dimensions.
+    pub grid: [i64; 3],
+    /// Block dimensions.
+    pub block_dim: [i64; 3],
+    /// Per-block shared memory cap in bytes.
+    pub max_shared_bytes: usize,
+    /// Warp width (32 on the modeled device).
+    pub warp_size: usize,
 }
 
 /// Outcome of one kernel launch.
@@ -123,123 +145,68 @@ pub fn validate_launch(
     Ok(())
 }
 
-/// Execute a full kernel launch: every block of the grid, scheduled
-/// over `num_sms` simulated SMs (real threads via `std::thread::scope`).
+/// Execute a full kernel launch: every block of the grid, one after
+/// another in launch order, stopping at the first failure.
 #[allow(clippy::too_many_arguments)]
 pub fn launch(
     config: &DeviceConfig,
-    model: &CostModel,
     program: &Program,
     kernel: &FuncDef,
     grid: [i64; 3],
     block: [i64; 3],
     args: &[Value],
     global: &MemPool,
-    host: &MemPool,
     consts: &ConstMem,
     budget: &AtomicI64,
-    allow_host_space: bool,
     pos: Pos,
 ) -> Result<LaunchResult, Diag> {
     validate_launch(config, grid, block, pos)?;
+    // An empty block charges nothing, so without this check a grid
+    // larger than the budget would run for as long as it has blocks.
+    let [gx, gy, gz] = grid;
+    let blocks = gx * gy * gz;
+    if blocks > budget.load(Ordering::Relaxed) {
+        return Err(Diag::new(
+            Phase::Limit,
+            pos,
+            format!("kernel exceeded its execution time limit ({blocks} blocks launched)"),
+        ));
+    }
 
     let env = KernelEnv {
         program,
         global,
-        host,
         consts,
-        model,
         budget,
         grid,
         block_dim: block,
         max_shared_bytes: config.max_shared_bytes,
-        allow_host_space,
         warp_size: config.warp_size,
     };
-
-    let mut block_ids = Vec::new();
-    for bz in 0..grid[2] {
-        for by in 0..grid[1] {
-            for bx in 0..grid[0] {
-                block_ids.push([bx, by, bz]);
-            }
-        }
-    }
-
-    // Executor selection: programs compiled at O2 carry middle-end IR
-    // and run each block warp-batched; otherwise fall back to the
-    // tree-walk interpreter.
-    let batched = program
-        .ir()
-        .and_then(|ir| ir.funcs.get(&kernel.name).map(|f| (f, ir)));
-    // Run a worker's share of the blocks in launch order, stopping at
-    // the first failure (its own, or another worker's via `stop`). The
-    // batched executor's arena and tables are built once per worker
-    // and reused by every block it runs.
-    let run_blocks = |ids: &[[i64; 3]],
-                      costs: &mut [Option<CostSummary>],
-                      stop: &dyn Fn() -> bool|
-     -> Result<(), Diag> {
-        let mut batch = batched.map(|(f, ir)| (f, BatchExec::new(&env, ir)));
-        for (slot, &bi) in costs.iter_mut().zip(ids) {
-            if stop() {
-                break;
-            }
-            *slot = Some(match &mut batch {
-                Some((f, exec)) => exec.run_block(bi, f, args)?,
-                None => run_block(&env, bi, kernel, args)?,
-            });
-        }
-        Ok(())
-    };
-
-    let num_blocks = block_ids.len();
-    let mut block_costs: Vec<Option<CostSummary>> = vec![None; num_blocks];
-
-    if config.deterministic || config.num_sms <= 1 || num_blocks <= 1 {
-        run_blocks(&block_ids, &mut block_costs, &|| false)?;
-    } else {
-        // Parallel block execution: chunk blocks over SM worker threads.
-        // As on the sequential path, the failure reported is the first in
-        // launch order: a worker stops once an earlier chunk has failed.
-        let error: Mutex<Option<(usize, Diag)>> = Mutex::new(None);
-        let workers = config.num_sms.min(num_blocks);
-        let chunk = num_blocks.div_ceil(workers);
-        // A panicking SM worker propagates out of the scope, so a
-        // poisoned slot is never read; recovering it keeps `lock` total.
-        let first_error = || error.lock().unwrap_or_else(PoisonError::into_inner);
-        let failed_before = |w: usize| first_error().as_ref().is_some_and(|(k, _)| *k < w);
-        let run_ref = &run_blocks;
-        std::thread::scope(|s| {
-            let chunks = block_ids.chunks(chunk).zip(block_costs.chunks_mut(chunk));
-            for (w, (ids, costs)) in chunks.enumerate() {
-                s.spawn(move || {
-                    if let Err(e) = run_ref(ids, costs, &|| failed_before(w)) {
-                        let mut slot = first_error();
-                        if slot.as_ref().is_none_or(|(k, _)| w < *k) {
-                            *slot = Some((w, e));
-                        }
-                    }
-                });
-            }
-        });
-        if let Some((_, e)) = error.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            return Err(e);
-        }
-    }
+    // Programs compiled at O2 carry middle-end IR and run each block
+    // warp-batched on one executor, whose arena and tables every block
+    // reuses; otherwise each block runs on the tree-walk interpreter.
+    let mut batched = program.ir().and_then(|ir| {
+        let f = ir.funcs.get(&kernel.name)?;
+        Some((f, BatchExec::new(&env, ir)))
+    });
 
     // Merge counters and estimate the makespan: round-robin blocks onto
     // SMs in launch order (a good proxy for the hardware scheduler).
     let mut total = CostSummary::default();
     let mut sm_cycles = vec![0u64; config.num_sms.max(1)];
-    for (k, c) in block_costs.iter().enumerate() {
-        let c = c.as_ref().expect("all blocks completed");
-        total.merge(c);
-        let slot = k % sm_cycles.len();
+    for k in 0..blocks {
+        let bi = [k % gx, k / gx % gy, k / (gx * gy)];
+        let c = match &mut batched {
+            Some((f, exec)) => exec.run_block(bi, f, args)?,
+            None => run_block(&env, bi, kernel, args)?,
+        };
+        total.merge(&c);
+        let slot = k as usize % sm_cycles.len();
         sm_cycles[slot] += c.device_cycles;
     }
     total.kernel_launches = 1;
-    let elapsed = model.launch_overhead + sm_cycles.into_iter().max().unwrap_or(0);
+    let elapsed = cost::LAUNCH_OVERHEAD + sm_cycles.into_iter().max().unwrap_or(0);
     Ok(LaunchResult {
         cost: total,
         elapsed_cycles: elapsed,
@@ -268,6 +235,5 @@ mod tests {
         assert_eq!(c.warp_size, 32);
         assert!(c.num_sms >= 1);
         assert!(!DeviceConfig::test_small().name.is_empty());
-        assert!(DeviceConfig::test_small().deterministic);
     }
 }

@@ -10,7 +10,7 @@
 //! the real platform reports.
 
 use crate::ast::*;
-use crate::cost::{CostModel, CostSummary};
+use crate::cost::{self, CostSummary};
 use crate::device::{self, DeviceConfig};
 use crate::diag::{Diag, Phase, Pos};
 use crate::hostcall::{AllowAll, HostcallPolicy};
@@ -27,8 +27,6 @@ use std::sync::atomic::AtomicI64;
 pub struct RunOptions {
     /// Simulated device.
     pub device: DeviceConfig,
-    /// Cost model.
-    pub model: CostModel,
     /// Device budget in warp-instructions (the "time limit" the paper
     /// places on execution, §III-C).
     pub max_warp_instructions: i64,
@@ -44,7 +42,6 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             device: DeviceConfig::default(),
-            model: CostModel::default(),
             max_warp_instructions: 200_000_000,
             max_host_steps: 20_000_000,
             max_log_bytes: 64 * 1024,
@@ -100,54 +97,46 @@ pub fn run_with_policy(
     opts: &RunOptions,
     policy: &dyn HostcallPolicy,
 ) -> RunOutcome {
-    if opts.world_size <= 1 {
-        return std::thread::scope(|s| {
-            std::thread::Builder::new()
-                .stack_size(INTERP_STACK)
-                .spawn_scoped(s, || run_rank(program, inputs, opts, policy, None))
-                .expect("spawn interpreter thread")
-                .join()
-                .expect("interpreter thread panicked")
-        });
-    }
-    // MPI mode: one interpreter thread per rank, each with its own
-    // device; outcomes are merged with rank 0 as primary.
-    let comms = CommWorld::new(opts.world_size).into_rank_comms();
-    let mut outcomes: Vec<Option<RunOutcome>> = (0..opts.world_size).map(|_| None).collect();
+    // One interpreter thread per rank, each with its own device; one
+    // rank runs without a communicator. Outcomes are merged with rank 0
+    // as primary.
+    let comms: Vec<Option<RankComm>> = if opts.world_size <= 1 {
+        vec![None]
+    } else {
+        let comms = CommWorld::new(opts.world_size).into_rank_comms();
+        comms.into_iter().map(Some).collect()
+    };
+    let mut outcomes: Vec<Option<RunOutcome>> = comms.iter().map(|_| None).collect();
     std::thread::scope(|s| {
         for (slot, comm) in outcomes.iter_mut().zip(comms) {
             std::thread::Builder::new()
                 .stack_size(INTERP_STACK)
                 .spawn_scoped(s, move || {
-                    *slot = Some(run_rank(program, inputs, opts, policy, Some(comm)));
+                    *slot = Some(run_rank(program, inputs, opts, policy, comm));
                 })
                 .expect("spawn rank thread");
         }
     });
 
-    let mut merged: Option<RunOutcome> = None;
-    for (rank, o) in outcomes.into_iter().enumerate() {
-        let o = o.expect("rank completed");
-        match &mut merged {
-            None => merged = Some(o),
-            Some(m) => {
-                m.cost.merge(&o.cost);
-                m.elapsed_cycles = m.elapsed_cycles.max(o.elapsed_cycles);
-                if m.solution.is_none() {
-                    m.solution = o.solution;
-                }
-                if m.error.is_none() {
-                    m.error = o.error;
-                }
-                for line in o.log.lines() {
-                    m.log
-                        .log(line.level, format!("[rank {rank}] {}", line.message));
-                }
-                m.hostcalls.extend(o.hostcalls);
-            }
+    let mut outcomes = outcomes.into_iter().map(|o| o.expect("rank completed"));
+    let mut merged = outcomes.next().expect("at least one rank");
+    for (rank, o) in (1..).zip(outcomes) {
+        merged.cost.merge(&o.cost);
+        merged.elapsed_cycles = merged.elapsed_cycles.max(o.elapsed_cycles);
+        if merged.solution.is_none() {
+            merged.solution = o.solution;
         }
+        if merged.error.is_none() {
+            merged.error = o.error;
+        }
+        for line in o.log.lines() {
+            merged
+                .log
+                .log(line.level, format!("[rank {rank}] {}", line.message));
+        }
+        merged.hostcalls.extend(o.hostcalls);
     }
-    merged.expect("world_size >= 1")
+    merged
 }
 
 fn run_rank(
@@ -277,7 +266,7 @@ impl<'a> HostExec<'a> {
     fn step(&mut self, pos: Pos) -> Result<(), Diag> {
         self.host_steps += 1;
         self.cost.host_steps += 1;
-        self.clock += self.opts.model.host_step;
+        self.clock += cost::HOST_STEP;
         if self.host_steps > self.opts.max_host_steps {
             return Err(Diag::new(
                 Phase::Limit,
@@ -481,7 +470,7 @@ impl<'a> HostExec<'a> {
                 // host budget. See DESIGN.md (substitutions).
                 self.step(*pos)?;
                 self.cost.kernel_launches += 1;
-                self.clock += self.opts.model.launch_overhead;
+                self.clock += cost::LAUNCH_OVERHEAD;
                 self.exec_stmt(body)
             }
         }
@@ -529,17 +518,14 @@ impl<'a> HostExec<'a> {
         let f = self.program.func(kernel).expect("sema verified kernel");
         let result = device::launch(
             &self.opts.device,
-            &self.opts.model,
             self.program,
             f,
             g,
             b,
             &argv,
             &self.dev,
-            &self.host,
             &self.consts,
             &self.budget,
-            false,
             pos,
         )?;
         self.cost.merge(&result.cost);
@@ -933,7 +919,7 @@ impl<'a> HostExec<'a> {
                     1 => self.cost.words_d2h += words as u64,
                     _ => {}
                 }
-                self.clock += self.opts.model.copy_word * words as u64;
+                self.clock += cost::COPY_WORD * words as u64;
                 Ok(Value::I(0))
             }
             "cudaMemcpyToSymbol" => {
@@ -969,7 +955,7 @@ impl<'a> HostExec<'a> {
                     .fill_from(sym.alloc, &self.host, src, words)
                     .map_err(|e| Diag::new(Phase::Runtime, pos, e.0))?;
                 self.cost.words_h2d += words as u64;
-                self.clock += self.opts.model.copy_word * words as u64;
+                self.clock += cost::COPY_WORD * words as u64;
                 Ok(Value::I(0))
             }
             "cudaDeviceSynchronize" | "cudaGetLastError" => {
@@ -1654,6 +1640,42 @@ mod tests {
     }
 
     #[test]
+    fn maximal_grid_hits_device_budget_before_any_block_runs() {
+        let src = r#"
+            __global__ void k(float* d) { }
+            int main() {
+                float* d;
+                cudaMalloc(&d, 4);
+                k<<<dim3(65535, 65535, 65535), dim3(1, 1, 1)>>>(d);
+                return 0;
+            }
+        "#;
+        let program = compile(src, Dialect::Cuda).unwrap();
+        let out = run(&program, &[], &RunOptions::default());
+        assert_eq!(out.error.expect("must time out").phase, Phase::Limit);
+        assert_eq!(out.cost.kernel_launches, 0);
+    }
+
+    #[test]
+    fn empty_blocks_count_against_the_device_budget() {
+        let src = r#"
+            __global__ void k() { }
+            int main() { k<<<1000, 1>>>(); return 0; }
+        "#;
+        let program = compile(src, Dialect::Cuda).unwrap();
+        let with_budget = |max_warp_instructions| RunOptions {
+            max_warp_instructions,
+            device: DeviceConfig::test_small(),
+            ..Default::default()
+        };
+        let out = run(&program, &[], &with_budget(1000));
+        assert!(out.ok(), "{:?}", out.error);
+        assert_eq!(out.cost.warp_instructions, 0);
+        let out = run(&program, &[], &with_budget(999));
+        assert_eq!(out.error.expect("must time out").phase, Phase::Limit);
+    }
+
+    #[test]
     fn policy_denial_is_security_error() {
         use crate::hostcall::DenyList;
         let src = "int main() { float* p = (float*) malloc(4); return 0; }";
@@ -1744,6 +1766,52 @@ mod tests {
         assert!(out.ok(), "{:?}", out.error);
         assert_eq!(out.solution, Some(Dataset::IntVector(vec![200])));
         assert_eq!(out.cost.atomics, 200);
+    }
+
+    #[test]
+    fn cross_block_float_atomics_are_deterministic() {
+        let src = r#"
+            __global__ void sum(float* in, float* out, int n) {
+                int i = blockIdx.x * blockDim.x + threadIdx.x;
+                if (i < n) { atomicAdd(out, in[i]); }
+            }
+            int main() {
+                int n;
+                float* a = wbImportVector(0, &n);
+                float* dIn; float* dOut;
+                cudaMalloc(&dIn, n * sizeof(float));
+                cudaMalloc(&dOut, sizeof(float));
+                cudaMemcpy(dIn, a, n * sizeof(float), cudaMemcpyHostToDevice);
+                sum<<<(n + 31) / 32, 32>>>(dIn, dOut, n);
+                float* h = (float*) malloc(sizeof(float));
+                cudaMemcpy(h, dOut, sizeof(float), cudaMemcpyDeviceToHost);
+                wbSolutionScalar(h[0]);
+                return 0;
+            }
+        "#;
+        // Magnitudes far apart, so the f32 sum depends on the order.
+        let data: Vec<f32> = (0..1000)
+            .map(|i| if i % 7 == 0 { 1.0e7 } else { 0.1 * i as f32 })
+            .collect();
+        let program = compile(src, Dialect::Cuda).unwrap();
+        let inputs = [Dataset::Vector(data.clone())];
+        // The 8-SM default device, not the small test one.
+        let (a, b) = (
+            run(&program, &inputs, &RunOptions::default()),
+            run(&program, &inputs, &RunOptions::default()),
+        );
+        assert!(a.ok(), "{:?}", a.error);
+        let bits = |o: &RunOutcome| match o.solution {
+            Some(Dataset::Scalar(x)) => x.to_bits(),
+            ref other => panic!("unexpected {other:?}"),
+        };
+        assert_eq!(bits(&a), bits(&b));
+        assert_eq!(a.cost, b.cost);
+        assert_eq!(a.elapsed_cycles, b.elapsed_cycles);
+        // Blocks run in launch order and lanes in lane order: the sum
+        // is the sequential one.
+        let want = data.iter().fold(0.0f32, |acc, x| acc + x);
+        assert_eq!(bits(&a), want.to_bits());
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! * a **simulated bulk-synchronous device**: grids, blocks, threads,
 //!   warps, shared/global/constant address spaces, `__syncthreads`,
 //!   atomics, and SIMT divergence executed in lockstep with an active
-//!   mask — blocks run in parallel on simulated SMs via real threads;
+//!   mask — blocks run one at a time in launch order on the calling
+//!   thread, and the SM count only sizes the makespan model;
 //! * a **cost model** that charges cycles for warp instructions, global
 //!   memory transactions (coalescing-aware), shared-memory bank
 //!   conflicts, and atomics, so optimization labs (tiling, coarsening)
@@ -86,7 +87,7 @@ pub mod token;
 pub mod value;
 
 pub use analyze::{analyze_program, AnalysisPolicy, CheckKind, Finding};
-pub use cost::{CostModel, CostSummary};
+pub use cost::CostSummary;
 pub use device::DeviceConfig;
 pub use diag::{Diag, Phase};
 pub use dialect::Dialect;

@@ -4,10 +4,11 @@
 //! Host and device-global allocations store raw 32-bit words in
 //! `AtomicU32` cells. That single representation gives us:
 //!
-//! * **parallel-safe device execution** — blocks run concurrently on
-//!   simulated SMs; plain loads/stores use `Relaxed` ordering (real GPU
-//!   global memory is incoherent between blocks), while `atomicAdd` and
-//!   friends use compare-and-swap loops;
+//! * **stores through a shared reference** — every lane of every block
+//!   writes through the one `&MemPool` a launch borrows. Blocks run one
+//!   at a time in launch order, so no two threads touch a word; plain
+//!   loads/stores use `Relaxed` ordering, which costs what a plain move
+//!   does, and `atomicAdd` and friends are compare-and-swap loops;
 //! * **C-style type punning through pointers** — a word's meaning comes
 //!   from the pointer's element type, not from the allocation.
 //!

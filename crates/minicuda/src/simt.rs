@@ -15,9 +15,9 @@
 //!   transactions (coalescing), shared memory is charged by bank
 //!   conflict degree, and atomics serialize per lane.
 //!
-//! Blocks are independent (bulk-synchronous model), so `device` runs
-//! them in parallel on simulated SMs with real threads; global memory
-//! is atomic-word-backed (see `memory`), which makes that safe.
+//! Blocks are independent (bulk-synchronous model); `device` runs them
+//! one at a time in launch order and models the SMs only in its
+//! makespan estimate.
 
 // Lockstep interpretation indexes several parallel per-lane vectors
 // (`active`, `vals`, `cvals`, …) by the same lane number; iterator
@@ -25,42 +25,14 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::ast::*;
-use crate::cost::{CostModel, CostSummary};
+use crate::cost::{self, CostSummary};
+use crate::device::KernelEnv;
 use crate::diag::{Diag, Phase, Pos};
-use crate::memory::{ConstMem, MemPool, SharedMem};
-use crate::sema::{const_eval, predefined, Program};
+use crate::memory::SharedMem;
+use crate::sema::{const_eval, predefined};
 use crate::value::{apply_binop, apply_math, apply_unop, ElemType, Ptr, Space, Value};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, Ordering};
-
-/// Immutable context shared by all blocks of one launch.
-pub struct KernelEnv<'a> {
-    /// Compiled program (kernel + device functions).
-    pub program: &'a Program,
-    /// Device global memory pool (snapshot valid for this launch).
-    pub global: &'a MemPool,
-    /// Host memory pool; kernels may only touch it when
-    /// `allow_host_space` is set (the paper's labs never do — accessing
-    /// a host pointer from a kernel is a classic student bug that this
-    /// simulator reports instead of silently corrupting memory).
-    pub host: &'a MemPool,
-    /// Constant memory image.
-    pub consts: &'a ConstMem,
-    /// Cost model.
-    pub model: &'a CostModel,
-    /// Remaining warp-instruction budget, shared across blocks.
-    pub budget: &'a AtomicI64,
-    /// Grid dimensions.
-    pub grid: [i64; 3],
-    /// Block dimensions.
-    pub block_dim: [i64; 3],
-    /// Per-block shared memory cap in bytes.
-    pub max_shared_bytes: usize,
-    /// Allow kernel access to host-space pointers (unified-memory mode).
-    pub allow_host_space: bool,
-    /// Warp width (32 on the modeled device).
-    pub warp_size: usize,
-}
+use std::sync::atomic::Ordering;
 
 /// Execute one block of a kernel launch. Returns the block's cost.
 pub fn run_block(
@@ -108,7 +80,7 @@ pub fn run_block(
     };
     exec.exec_block_stmts(&kernel.body, &mut fr)?;
 
-    exec.cycles += env.model.block_overhead;
+    exec.cycles += cost::BLOCK_OVERHEAD;
     exec.cost.device_cycles = exec.cycles;
     Ok(exec.cost)
 }
@@ -255,7 +227,7 @@ impl<'a> BlockExec<'a> {
                 init,
                 pos,
             } => {
-                self.charge_op(*pos, self.env.model.issue)?;
+                self.charge_op(*pos, cost::ISSUE)?;
                 let vals = match init {
                     Some(e) => {
                         let raw = self.eval(e)?;
@@ -342,7 +314,7 @@ impl<'a> BlockExec<'a> {
                                 .map_err(|m| self.lane_err(*pos, i, m))?;
                         }
                     }
-                    self.charge_op(*pos, self.env.model.issue)?;
+                    self.charge_op(*pos, cost::ISSUE)?;
                     return self.store_lanes(&ptrs, &rhs, *pos);
                 }
                 if let Some(op) = op {
@@ -366,7 +338,7 @@ impl<'a> BlockExec<'a> {
                 else_blk,
                 pos,
             } => {
-                self.charge_op(*pos, self.env.model.issue)?;
+                self.charge_op(*pos, cost::ISSUE)?;
                 let cvals = self.eval(cond)?;
                 let entry = self.active.clone();
                 let mut then_mask = vec![false; self.n];
@@ -423,7 +395,7 @@ impl<'a> BlockExec<'a> {
                 r
             }
             Stmt::Return { value, pos } => {
-                self.charge_op(*pos, self.env.model.issue)?;
+                self.charge_op(*pos, cost::ISSUE)?;
                 let vals = match value {
                     Some(e) => self.eval(e)?,
                     None => vec![Value::I(0); self.n],
@@ -500,7 +472,7 @@ impl<'a> BlockExec<'a> {
                 break;
             }
             if let Some(c) = cond {
-                self.charge_op(pos, self.env.model.issue)?;
+                self.charge_op(pos, cost::ISSUE)?;
                 let cvals = self.eval(c)?;
                 let before = self.active.clone();
                 for i in 0..self.n {
@@ -569,7 +541,7 @@ impl<'a> BlockExec<'a> {
     // ---- assignment ----------------------------------------------------
 
     fn assign(&mut self, target: &Expr, vals: Vec<Value>, pos: Pos) -> Result<(), Diag> {
-        self.charge_op(pos, self.env.model.issue)?;
+        self.charge_op(pos, cost::ISSUE)?;
         match &target.kind {
             ExprKind::Var(name) => {
                 if self.lookup(name).is_none() {
@@ -669,15 +641,11 @@ impl<'a> BlockExec<'a> {
                     Space::Shared => self.shared.load(p),
                     Space::Constant => self.env.consts.load(p),
                     Space::Host => {
-                        if self.env.allow_host_space {
-                            self.env.host.load(p)
-                        } else {
-                            return Err(self.lane_err(
-                                pos,
-                                i,
-                                "kernel dereferenced a host pointer (did you forget cudaMemcpy?)",
-                            ));
-                        }
+                        return Err(self.lane_err(
+                            pos,
+                            i,
+                            "kernel dereferenced a host pointer (did you forget cudaMemcpy?)",
+                        ))
                     }
                 };
                 out[i] = v.map_err(|e| self.lane_err(pos, i, e.0))?;
@@ -698,15 +666,11 @@ impl<'a> BlockExec<'a> {
                         return Err(self.lane_err(pos, i, "constant memory is read-only"))
                     }
                     Space::Host => {
-                        if self.env.allow_host_space {
-                            self.env.host.store(p, vals[i])
-                        } else {
-                            return Err(self.lane_err(
-                                pos,
-                                i,
-                                "kernel wrote through a host pointer (did you forget cudaMemcpy?)",
-                            ));
-                        }
+                        return Err(self.lane_err(
+                            pos,
+                            i,
+                            "kernel wrote through a host pointer (did you forget cudaMemcpy?)",
+                        ))
                     }
                 };
                 r.map_err(|e| self.lane_err(pos, i, e.0))?;
@@ -718,8 +682,7 @@ impl<'a> BlockExec<'a> {
     /// Charge cycles for a warp-grouped memory operation.
     fn charge_memory(&mut self, ptrs: &[Option<Ptr>], pos: Pos) -> Result<(), Diag> {
         self.charge_op(pos, 0)?;
-        let m = self.env.model;
-        let tw = m.transaction_words as i64;
+        let tw = cost::TRANSACTION_WORDS as i64;
         for w in 0..self.n.div_ceil(self.env.warp_size) {
             let lo = w * self.env.warp_size;
             let hi = (lo + self.env.warp_size).min(self.n);
@@ -741,7 +704,7 @@ impl<'a> BlockExec<'a> {
                 segments.dedup();
                 self.cost.global_accesses += globals.len() as u64;
                 self.cost.global_transactions += segments.len() as u64;
-                self.cycles += m.global_transaction * segments.len() as u64;
+                self.cycles += cost::GLOBAL_TRANSACTION * segments.len() as u64;
             }
             let shareds: Vec<&Ptr> = lane_ptrs
                 .iter()
@@ -752,7 +715,7 @@ impl<'a> BlockExec<'a> {
                 // the same bank.
                 let mut per_bank: HashMap<usize, Vec<i64>> = HashMap::new();
                 for p in &shareds {
-                    let bank = (p.offset.rem_euclid(m.shared_banks as i64)) as usize;
+                    let bank = (p.offset.rem_euclid(cost::SHARED_BANKS as i64)) as usize;
                     per_bank.entry(bank).or_default().push(p.offset);
                 }
                 let degree = per_bank
@@ -766,7 +729,7 @@ impl<'a> BlockExec<'a> {
                     .unwrap_or(1);
                 self.cost.shared_accesses += 1;
                 self.cost.shared_conflicts += degree.saturating_sub(1) as u64;
-                self.cycles += m.shared_access + m.shared_conflict * (degree as u64 - 1);
+                self.cycles += cost::SHARED_ACCESS + cost::SHARED_CONFLICT * (degree as u64 - 1);
             }
             let consts: Vec<&Ptr> = lane_ptrs
                 .iter()
@@ -777,9 +740,9 @@ impl<'a> BlockExec<'a> {
                 // Broadcast is as cheap as a register; scattered reads
                 // serialize like global.
                 self.cycles += if uniform {
-                    m.shared_access
+                    cost::SHARED_ACCESS
                 } else {
-                    m.global_transaction
+                    cost::GLOBAL_TRANSACTION
                 };
             }
         }
@@ -815,7 +778,7 @@ impl<'a> BlockExec<'a> {
                 Err(self.rt_err(e.pos, format!("unknown variable `{name}`")))
             }
             ExprKind::Builtin(which, axis) => {
-                self.charge_op(e.pos, self.env.model.issue)?;
+                self.charge_op(e.pos, cost::ISSUE)?;
                 let ax = *axis as usize;
                 let out: Vec<Value> = match which {
                     BuiltinVar::ThreadIdx => self.tid.iter().map(|t| Value::I(t[ax])).collect(),
@@ -826,7 +789,7 @@ impl<'a> BlockExec<'a> {
                 Ok(out)
             }
             ExprKind::Unary(op, inner) => {
-                self.charge_op(e.pos, self.env.model.issue)?;
+                self.charge_op(e.pos, cost::ISSUE)?;
                 let mut vals = self.eval(inner)?;
                 for i in 0..self.n {
                     if self.active[i] {
@@ -837,7 +800,7 @@ impl<'a> BlockExec<'a> {
                 Ok(vals)
             }
             ExprKind::Binary(op, a, b) => {
-                self.charge_op(e.pos, self.env.model.issue)?;
+                self.charge_op(e.pos, cost::ISSUE)?;
                 // `&&`/`||` short-circuit per lane: evaluate the right
                 // side only for lanes that need it.
                 if op.is_logical() {
@@ -892,7 +855,7 @@ impl<'a> BlockExec<'a> {
                 Ok(out)
             }
             ExprKind::Ternary(c, a, b) => {
-                self.charge_op(e.pos, self.env.model.issue)?;
+                self.charge_op(e.pos, cost::ISSUE)?;
                 let cvals = self.eval(c)?;
                 let saved = self.active.clone();
                 let mut t_mask = vec![false; self.n];
@@ -1004,7 +967,7 @@ impl<'a> BlockExec<'a> {
                     .with_thread(self.block_linear(), 0));
                 }
                 self.cost.barriers += 1;
-                self.charge_op(pos, self.env.model.barrier)?;
+                self.charge_op(pos, cost::BARRIER)?;
                 Ok(vec![Value::I(0); self.n])
             }
             "atomicAdd" | "atomicMin" | "atomicMax" | "atomicExch" => {
@@ -1036,7 +999,7 @@ impl<'a> BlockExec<'a> {
                     }
                 }
                 self.cost.atomics += lanes;
-                self.cycles += self.env.model.atomic * lanes;
+                self.cycles += cost::ATOMIC * lanes;
                 self.charge_op(pos, 0)?;
                 Ok(out)
             }
@@ -1082,13 +1045,13 @@ impl<'a> BlockExec<'a> {
                     }
                 }
                 self.cost.atomics += lanes;
-                self.cycles += self.env.model.atomic * lanes;
+                self.cycles += cost::ATOMIC * lanes;
                 self.charge_op(pos, 0)?;
                 Ok(out)
             }
             "get_global_id" | "get_local_id" | "get_group_id" | "get_local_size"
             | "get_num_groups" | "get_global_size" => {
-                self.charge_op(pos, self.env.model.issue)?;
+                self.charge_op(pos, cost::ISSUE)?;
                 let dvals = self.eval(&args[0])?;
                 let mut out = vec![Value::I(0); self.n];
                 for i in 0..self.n {
@@ -1112,7 +1075,7 @@ impl<'a> BlockExec<'a> {
                 Ok(out)
             }
             _ if crate::value::is_math_intrinsic(name) => {
-                self.charge_op(pos, self.env.model.sfu)?;
+                self.charge_op(pos, cost::SFU)?;
                 let argvals: Vec<Vec<Value>> = args
                     .iter()
                     .map(|a| self.eval(a))
@@ -1145,7 +1108,7 @@ impl<'a> BlockExec<'a> {
                     .iter()
                     .map(|a| self.eval(a))
                     .collect::<Result<_, _>>()?;
-                self.charge_op(pos, self.env.model.issue)?;
+                self.charge_op(pos, cost::ISSUE)?;
 
                 let saved_active = self.active.clone();
                 self.frames.push(FnScopes { scopes: vec![] });

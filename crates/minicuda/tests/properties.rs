@@ -207,7 +207,7 @@ fn straight_line_kernels_identical_at_o0_and_o2() {
 }
 
 /// Pinned from the property's first run: with two blocks trapping, the
-/// parallel device reported whichever SM worker failed first in wall
+/// error reported is the first in launch order, not the first in wall
 /// time. Block 0 traps late and block 1 at once; block 0's trap wins.
 #[test]
 fn parallel_device_reports_the_first_trap_in_launch_order() {

@@ -223,16 +223,14 @@ mod tests {
             datasets: lab.datasets.clone(),
             action: JobAction::FullGrade,
         };
-        // Blocks run in parallel on racy global memory; lost updates
-        // corrupt the histogram and the CDF, so at least one dataset
-        // must fail (lockstep within a block serializes warps in one
-        // block, but the multi-block datasets race).
+        // Blocks run one at a time in launch order, so the lost
+        // updates come only from lanes of one lockstep block that hit
+        // the same bin, which may not happen at Small scale; the
+        // invariant we can always assert is that the atomic reference
+        // passes (above test) and this variant compiles and runs
+        // without crashing the worker.
         let out = execute(&req, &RunCtx::new(&minicuda::DeviceConfig::test_small()));
         assert!(out.compiled());
-        // Deterministic small device serializes blocks, so the race
-        // may not bite at Small scale; the invariant we can always
-        // assert is that the atomic reference passes (above test) and
-        // this variant compiles and runs without crashing the worker.
         let _ = out.passed_count();
     }
 }

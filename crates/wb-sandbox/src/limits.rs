@@ -64,7 +64,6 @@ impl ResourceLimits {
             max_host_steps: self.max_host_steps,
             max_log_bytes: self.max_log_bytes,
             world_size: self.world_size,
-            ..RunOptions::default()
         }
     }
 
