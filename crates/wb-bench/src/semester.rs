@@ -22,8 +22,9 @@
 //!    waits on another and `coalesced` stays 0. The digest still folds
 //!    hits and coalesced waits together, so it holds for a caller that
 //!    pumps from several threads too; misses are deterministic either
-//!    way, because single-flight guarantees one compute per distinct
-//!    key.)
+//!    way, because a cache tier decides hit, coalesce or lead under one
+//!    lock, so each distinct key computes exactly once while its entry
+//!    stays resident.)
 //! 2. **Exactly-once books.** Every offered submission is accounted
 //!    for exactly once: admitted + shed + rate-limited = offered, and
 //!    every admitted job is reaped exactly once

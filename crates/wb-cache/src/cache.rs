@@ -1,105 +1,266 @@
-//! The assembled cache: LRU store + single-flight + counters.
+//! The assembled cache: one sharded table per tier, plus counters.
 //!
 //! [`CachedMap`] is one keyed tier; [`SubmissionCache`] bundles the
 //! two tiers a worker needs — compile results keyed by [`CompileKey`]
 //! and grade results keyed by [`GradeKey`] — behind one shared handle
 //! that a whole cluster can hold as `Arc<SubmissionCache<_>>`.
 //!
+//! A tier is one table, lock-sharded by key hash so a worker touching
+//! shard 3 never waits on a worker touching shard 7. A key's slot is
+//! either *ready* (resident, in its shard's LRU order) or *pending* (a
+//! leader is computing it). A lookup decides hit, coalesce or lead
+//! under one shard lock, and the leader swaps pending for ready under
+//! that same lock, so a key is never absent while its value is being
+//! computed or once it is resident: each key computes once until the
+//! byte budget evicts it.
+//!
+//! The deadline rush delivers N concurrent, byte-identical submissions
+//! (the paper's Figure 1 spike). The first arrival leads; the other
+//! N−1 block on the leader's flight and read its value from the flight
+//! itself, so they get it even when the budget evicts it at once. A
+//! leader that unwinds out of its computation takes its pending slot
+//! off the table and abandons the flight: its waiters wake, re-enter
+//! and one of them leads afresh.
+//!
+//! Each shard owns `budget / shards` bytes; publishing past that evicts
+//! least-recently-used entries until the shard fits. A value heavier
+//! than the whole shard budget reaches the leader and its waiters but
+//! is never made resident, and evicts nothing else.
+//!
 //! The grade tier is generic over its value type `G` because this
 //! crate sits *below* the worker crate in the dependency graph: the
 //! worker instantiates `G = DatasetOutcome` and supplies the weigher.
 
-use crate::flight::{FlightRole, SingleFlight};
 use crate::key::{CompileKey, GradeKey};
-use crate::store::LruStore;
 use minicuda::Program;
-use std::hash::Hash;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
+use wb_obs::sync::Mutex;
 
-/// One cache tier: lookups hit the LRU store first; misses dedupe
-/// through single-flight so N concurrent identical computations run
-/// once.
+/// A key's place in its shard.
+enum Slot<V> {
+    /// Resident: counted in the shard's bytes and LRU order.
+    Ready { value: V, bytes: usize, tick: u64 },
+    /// A leader is computing the value; lookups join its flight.
+    Pending(Arc<Flight<V>>),
+}
+
+/// How a flight ended, as its waiters see it.
+enum Landing<V> {
+    Pending,
+    Done(V),
+    /// The leader unwound before producing a value.
+    Abandoned,
+}
+
+struct Flight<V> {
+    landing: Mutex<Landing<V>>,
+    landed: Condvar,
+}
+
+impl<V: Clone> Flight<V> {
+    /// Block until the leader lands: its value, or `None` if it unwound.
+    fn wait(&self) -> Option<V> {
+        let landing = self
+            .landed
+            .wait_while(self.landing.lock(), |l| matches!(l, Landing::Pending))
+            .unwrap_or_else(PoisonError::into_inner);
+        match &*landing {
+            Landing::Done(value) => Some(value.clone()),
+            _ => None,
+        }
+    }
+}
+
+struct Shard<K, V> {
+    slots: HashMap<K, Slot<V>>,
+    /// LRU order of the ready slots: tick → key. Ticks come from the
+    /// shard's own clock, so this is a faithful recency queue.
+    order: BTreeMap<u64, K>,
+    clock: u64,
+    /// Bytes held by ready slots.
+    bytes: usize,
+    evictions: u64,
+}
+
+impl<K: Hash + Eq + Clone, V> Shard<K, V> {
+    /// Make a leader's value resident (replacing its pending slot),
+    /// then evict least-recently-used entries until the shard fits.
+    fn publish(&mut self, key: &K, value: V, bytes: usize, budget: usize) {
+        if bytes > budget {
+            // Keeping it would flush the whole shard and still not fit.
+            self.slots.remove(key);
+            self.evictions += 1;
+            return;
+        }
+        self.clock += 1;
+        let tick = self.clock;
+        self.slots
+            .insert(key.clone(), Slot::Ready { value, bytes, tick });
+        self.order.insert(tick, key.clone());
+        self.bytes += bytes;
+        while self.bytes > budget {
+            let (_, victim) = self.order.pop_first().expect("over budget, so not empty");
+            if let Some(Slot::Ready { bytes, .. }) = self.slots.remove(&victim) {
+                self.bytes -= bytes;
+            }
+            self.evictions += 1;
+        }
+    }
+}
+
+/// Held by a leader while it computes. Dropping it wakes the flight's
+/// waiters; if the leader unwound before landing a value, it first
+/// takes the pending slot off the table and marks the flight
+/// abandoned, so a woken waiter never meets this flight again.
+struct Lead<'a, K: Hash + Eq, V> {
+    shard: &'a Mutex<Shard<K, V>>,
+    key: &'a K,
+    flight: &'a Flight<V>,
+}
+
+impl<K: Hash + Eq, V> Drop for Lead<'_, K, V> {
+    fn drop(&mut self) {
+        if matches!(*self.flight.landing.lock(), Landing::Pending) {
+            self.shard.lock().slots.remove(self.key);
+            *self.flight.landing.lock() = Landing::Abandoned;
+        }
+        self.flight.landed.notify_all();
+    }
+}
+
+/// One cache tier: a byte-budgeted, sharded LRU table whose misses
+/// compute once across all concurrent callers.
 pub struct CachedMap<K, V> {
-    store: LruStore<K, V>,
-    flight: SingleFlight<K, V>,
+    shards: Vec<Mutex<Shard<K, V>>>,
+    budget_per_shard: usize,
+    budget_total: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> CachedMap<K, V> {
-    /// Create a tier with a total byte budget split over `shards`.
-    /// The same shard count spreads the single-flight map's locks, so
-    /// neither the store index nor the dedup path is a global
-    /// serialization point.
+    /// Create a tier with a total byte budget split over `shards`. The
+    /// shard count is clamped to `[1, budget]` so that `shards ×
+    /// per-shard budget` never exceeds the total budget — with more
+    /// shards than bytes, a 1-byte-per-shard floor would quietly
+    /// overshoot it.
     pub fn new(budget_bytes: usize, shards: usize) -> Self {
+        let shards = shards.clamp(1, budget_bytes.max(1));
         CachedMap {
-            store: LruStore::new(budget_bytes, shards),
-            flight: SingleFlight::with_shards(shards),
+            shards: (0..shards)
+                .map(|_| {
+                    Mutex::new(Shard {
+                        slots: HashMap::new(),
+                        order: BTreeMap::new(),
+                        clock: 0,
+                        bytes: 0,
+                        evictions: 0,
+                    })
+                })
+                .collect(),
+            budget_per_shard: (budget_bytes / shards).max(1),
+            budget_total: budget_bytes,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
         }
     }
 
+    fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        key.hash(&mut h);
+        &self.shards[(h.finish() as usize) % self.shards.len()]
+    }
+
     /// Serve `key` from cache, or compute it exactly once across all
     /// concurrent callers, reporting how the lookup was served so
     /// callers can annotate job traces. `weigh` prices the freshly
-    /// computed value for the byte budget; it only runs on the
-    /// single-flight leader.
+    /// computed value for the byte budget; it only runs on the leader.
     pub fn get_or_compute(
         &self,
         key: K,
         weigh: impl FnOnce(&V) -> usize,
         compute: impl FnOnce() -> V,
     ) -> (V, LookupOutcome) {
-        if let Some(v) = self.store.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (v, LookupOutcome::Hit);
-        }
-        let (value, role) = self.flight.run(&key, compute, |v| {
-            self.store.insert(key.clone(), v.clone(), weigh(v));
-        });
-        let outcome = match role {
-            FlightRole::Leader => {
+        let shard = self.shard(&key);
+        loop {
+            let (flight, leads) = {
+                let mut g = shard.lock();
+                let g = &mut *g;
+                match g.slots.get_mut(&key) {
+                    Some(Slot::Ready { value, tick, .. }) => {
+                        let value = value.clone();
+                        g.order.remove(tick);
+                        g.clock += 1;
+                        *tick = g.clock;
+                        g.order.insert(g.clock, key);
+                        self.hits.fetch_add(1, Ordering::Relaxed);
+                        return (value, LookupOutcome::Hit);
+                    }
+                    Some(Slot::Pending(flight)) => (Arc::clone(flight), false),
+                    None => {
+                        let flight = Arc::new(Flight {
+                            landing: Mutex::new(Landing::Pending),
+                            landed: Condvar::new(),
+                        });
+                        g.slots
+                            .insert(key.clone(), Slot::Pending(Arc::clone(&flight)));
+                        (flight, true)
+                    }
+                }
+            };
+            if leads {
+                let lead = Lead {
+                    shard,
+                    key: &key,
+                    flight: &flight,
+                };
+                let value = compute();
+                let bytes = weigh(&value);
+                shard
+                    .lock()
+                    .publish(&key, value.clone(), bytes, self.budget_per_shard);
+                *flight.landing.lock() = Landing::Done(value.clone());
+                drop(lead);
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                LookupOutcome::Miss
+                return (value, LookupOutcome::Miss);
             }
-            FlightRole::Coalesced => {
+            if let Some(value) = flight.wait() {
                 self.coalesced.fetch_add(1, Ordering::Relaxed);
-                LookupOutcome::Coalesced
+                return (value, LookupOutcome::Coalesced);
             }
-        };
-        (value, outcome)
+        }
     }
 
-    /// Read without counting or recency effects (metrics/tests).
+    /// Read a resident value without counting or recency effects
+    /// (metrics/tests).
     pub fn peek(&self, key: &K) -> Option<V> {
-        self.store.peek(key)
-    }
-
-    /// Entries currently resident.
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// True when nothing is resident.
-    pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
+        match self.shard(key).lock().slots.get(key) {
+            Some(Slot::Ready { value, .. }) => Some(value.clone()),
+            _ => None,
+        }
     }
 
     /// Snapshot the tier's counters.
     pub fn metrics(&self) -> MapMetrics {
-        MapMetrics {
+        let mut m = MapMetrics {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
-            evictions: self.store.counters.evictions.load(Ordering::Relaxed),
-            entries: self.store.len() as u64,
-            resident_bytes: self.store.resident_bytes() as u64,
-            budget_bytes: self.store.budget_bytes() as u64,
+            budget_bytes: self.budget_total as u64,
+            ..MapMetrics::default()
+        };
+        for shard in &self.shards {
+            let g = shard.lock();
+            m.evictions += g.evictions;
+            m.entries += g.order.len() as u64;
+            m.resident_bytes += g.bytes as u64;
         }
+        m
     }
 }
 
@@ -107,7 +268,7 @@ impl<K: Hash + Eq + Clone, V: Clone> CachedMap<K, V> {
 /// counters, but per lookup, so workers can annotate job spans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LookupOutcome {
-    /// Served from the resident store.
+    /// Served from a resident entry.
     Hit,
     /// Led a fresh computation.
     Miss,
@@ -125,7 +286,7 @@ impl LookupOutcome {
 /// Counter snapshot for one cache tier.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MapMetrics {
-    /// Lookups served straight from the resident store.
+    /// Lookups served straight from a resident entry.
     pub hits: u64,
     /// Lookups that led a fresh computation.
     pub misses: u64,
@@ -328,17 +489,19 @@ mod tests {
     fn concurrent_misses_coalesce() {
         const THREADS: usize = 6;
         let m: Arc<CachedMap<u64, u64>> = Arc::new(CachedMap::new(1024, 2));
+        let computes = Arc::new(AtomicU64::new(0));
         let gate = Arc::new(Barrier::new(THREADS));
         let handles: Vec<_> = (0..THREADS)
             .map(|_| {
-                let m = Arc::clone(&m);
-                let gate = Arc::clone(&gate);
+                let (m, computes, gate) = (m.clone(), computes.clone(), gate.clone());
                 std::thread::spawn(move || {
                     gate.wait();
                     m.get_or_compute(
                         9,
                         |_| 8,
                         || {
+                            computes.fetch_add(1, Ordering::Relaxed);
+                            // Hold the flight open so the others pile up.
                             std::thread::sleep(std::time::Duration::from_millis(40));
                             77u64
                         },
@@ -347,18 +510,13 @@ mod tests {
             })
             .collect();
         for h in handles {
-            assert_eq!(h.join().unwrap().0, 77);
+            assert_eq!(h.join().unwrap().0, 77, "every caller gets the value");
         }
+        // Every other lookup coalesced on the flight or, if it came
+        // after the leader published, hit the resident value.
         let metrics = m.metrics();
-        // Every lookup either led, coalesced, or (if it arrived after
-        // the leader published) hit the store; exactly `misses`
-        // computations ran.
         assert_eq!(metrics.lookups(), THREADS as u64);
-        assert!(metrics.misses >= 1);
-        assert!(
-            metrics.misses < THREADS as u64,
-            "at least one thread was deduplicated"
-        );
+        assert_eq!((computes.load(Ordering::Relaxed), metrics.misses), (1, 1));
     }
 
     #[test]
@@ -420,5 +578,227 @@ mod tests {
         // ...but never becomes resident.
         assert_eq!(cache.metrics().grade.resident_bytes, 0);
         assert_eq!(cache.metrics().grade.evictions, 1);
+    }
+
+    /// A tier whose shards hold every key the tests below touch.
+    fn roomy() -> CachedMap<u64, u64> {
+        CachedMap::new(1 << 20, 8)
+    }
+
+    /// How many hold `key`'s flight while a leader computes it.
+    fn pending(m: &CachedMap<u64, u64>, key: u64) -> Option<usize> {
+        match m.shard(&key).lock().slots.get(&key) {
+            Some(Slot::Pending(f)) => Some(Arc::strong_count(f)),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn every_key_computes_once_under_contention() {
+        const THREADS: usize = 8;
+        const KEYS: u64 = 10_000;
+        let m = Arc::new(roomy());
+        let computes = Arc::new(AtomicU64::new(0));
+        let gate = Arc::new(Barrier::new(THREADS));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let (m, computes, gate) = (m.clone(), computes.clone(), gate.clone());
+                std::thread::spawn(move || {
+                    for key in 0..KEYS {
+                        gate.wait();
+                        let compute = || {
+                            computes.fetch_add(1, Ordering::Relaxed);
+                            key * 3
+                        };
+                        assert_eq!(m.get_or_compute(key, |_| 1, compute).0, key * 3);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let metrics = m.metrics();
+        assert_eq!(metrics.evictions, 0, "the budget holds every key");
+        assert_eq!(
+            computes.load(Ordering::Relaxed),
+            KEYS,
+            "one compute per key"
+        );
+        assert_eq!(metrics.misses, KEYS);
+        assert_eq!(metrics.lookups(), THREADS as u64 * KEYS);
+    }
+
+    #[test]
+    fn sequential_calls_each_lead() {
+        // Too heavy to keep: a finished flight leaves nothing behind.
+        let m: CachedMap<u64, u64> = CachedMap::new(4, 1);
+        assert_eq!(m.get_or_compute(1, |_| 5, || 10), (10, LookupOutcome::Miss));
+        assert_eq!(m.get_or_compute(1, |_| 5, || 20), (20, LookupOutcome::Miss));
+        assert_eq!(pending(&m, 1), None);
+        let metrics = m.metrics();
+        assert_eq!(
+            (metrics.misses, metrics.evictions, metrics.entries),
+            (2, 2, 0)
+        );
+    }
+
+    #[test]
+    fn single_shard_tier_still_dedupes() {
+        // The shard count spreads locks; it changes no outcome.
+        let m: CachedMap<u64, u64> = CachedMap::new(1024, 1);
+        assert_eq!(m.get_or_compute(9, |_| 8, || 90), (90, LookupOutcome::Miss));
+        assert_eq!(m.get_or_compute(9, |_| 8, || 0), (90, LookupOutcome::Hit));
+        assert_eq!(m.get_or_compute(8, |_| 8, || 80), (80, LookupOutcome::Miss));
+    }
+
+    #[test]
+    fn distinct_keys_do_not_coalesce() {
+        let m = Arc::new(roomy());
+        let handles: Vec<_> = (0..4u64)
+            .map(|k| {
+                let m = Arc::clone(&m);
+                std::thread::spawn(move || m.get_or_compute(k, |_| 8, move || k * 10))
+            })
+            .collect();
+        for (k, h) in handles.into_iter().enumerate() {
+            assert_eq!(h.join().unwrap(), (k as u64 * 10, LookupOutcome::Miss));
+        }
+    }
+
+    #[test]
+    fn coalesced_value_is_resident_when_the_waiter_returns() {
+        let m = Arc::new(roomy());
+        let gate = Arc::new(Barrier::new(2));
+        let leader = {
+            let (m, gate) = (m.clone(), gate.clone());
+            std::thread::spawn(move || {
+                let compute = || {
+                    gate.wait(); // the other thread may look up now
+                    std::thread::sleep(std::time::Duration::from_millis(30));
+                    5
+                };
+                m.get_or_compute(1, |_| 8, compute)
+            })
+        };
+        gate.wait();
+        let (value, outcome) = m.get_or_compute(1, |_| 8, || unreachable!("in flight"));
+        assert_eq!((value, outcome.saved_work()), (5, true));
+        assert_eq!(m.peek(&1), Some(5), "published before the waiter woke");
+        assert_eq!(leader.join().unwrap(), (5, LookupOutcome::Miss));
+    }
+
+    #[test]
+    fn waiters_get_a_value_too_heavy_to_keep() {
+        let m: Arc<CachedMap<u64, u64>> = Arc::new(CachedMap::new(4, 1));
+        let leader = {
+            let m = m.clone();
+            let watch = m.clone();
+            std::thread::spawn(move || {
+                let compute = || {
+                    // Table + leader + the waiter hold the flight.
+                    while pending(&watch, 1) != Some(3) {
+                        std::thread::yield_now();
+                    }
+                    7
+                };
+                m.get_or_compute(1, |_| 5, compute)
+            })
+        };
+        while pending(&m, 1).is_none() {
+            std::thread::yield_now();
+        }
+        let waiter = m.get_or_compute(1, |_| 5, || unreachable!("in flight"));
+        assert_eq!(waiter, (7, LookupOutcome::Coalesced));
+        assert_eq!(leader.join().unwrap(), (7, LookupOutcome::Miss));
+        assert_eq!(m.peek(&1), None, "never resident");
+    }
+
+    #[test]
+    fn panicking_leader_releases_its_followers() {
+        let m = Arc::new(roomy());
+        let leader = {
+            let m = m.clone();
+            let watch = m.clone();
+            std::thread::spawn(move || {
+                let compute = move || -> u64 {
+                    // Table + leader + two followers hold the flight:
+                    // both followers have joined it and can only get
+                    // out through the abandoned path.
+                    while pending(&watch, 1) != Some(4) {
+                        std::thread::yield_now();
+                    }
+                    panic!("leader dies inside compute");
+                };
+                m.get_or_compute(1, |_| 8, compute)
+            })
+        };
+        let followers: Vec<_> = (0..2)
+            .map(|_| {
+                let m = m.clone();
+                std::thread::spawn(move || {
+                    // Join only once the doomed flight is in the table.
+                    while pending(&m, 1).is_none() {
+                        std::thread::yield_now();
+                    }
+                    m.get_or_compute(1, |_| 8, || 99)
+                })
+            })
+            .collect();
+        assert!(leader.join().is_err(), "the leader's panic is its own");
+        let outcomes: Vec<_> = followers
+            .into_iter()
+            .map(|f| f.join().expect("follower returns"))
+            .collect();
+        assert!(outcomes.iter().all(|(v, _)| *v == 99));
+        let leads = outcomes
+            .iter()
+            .filter(|(_, o)| *o == LookupOutcome::Miss)
+            .count();
+        assert_eq!(leads, 1, "one follower leads afresh");
+        assert_eq!(m.get_or_compute(1, |_| 8, || 5), (99, LookupOutcome::Hit));
+    }
+
+    #[test]
+    fn lru_evicts_oldest_first() {
+        // One shard, so the recency order is global.
+        let m: CachedMap<u64, u64> = CachedMap::new(30, 1);
+        for k in 1..=3 {
+            m.get_or_compute(k, |_| 10, || k * 10);
+        }
+        // Touch 1 so 2 becomes the LRU victim.
+        assert_eq!(m.get_or_compute(1, |_| 10, || 0), (10, LookupOutcome::Hit));
+        m.get_or_compute(4, |_| 10, || 40);
+        assert_eq!(m.peek(&2), None, "LRU entry evicted");
+        for k in [1, 3, 4] {
+            assert_eq!(m.peek(&k), Some(k * 10));
+        }
+        assert_eq!(m.metrics().evictions, 1);
+    }
+
+    #[test]
+    fn budget_never_exceeded() {
+        let m: CachedMap<u64, u64> = CachedMap::new(100, 4);
+        for k in 0..1000 {
+            m.get_or_compute(k, |_| 7, || k);
+            let resident = m.metrics().resident_bytes;
+            assert!(resident <= 100, "resident {resident} exceeds budget");
+        }
+        assert!(m.metrics().evictions > 0);
+    }
+
+    #[test]
+    fn oversized_entry_evicts_only_itself() {
+        let m: CachedMap<u64, u64> = CachedMap::new(16, 1);
+        m.get_or_compute(1, |_| 8, || 1);
+        assert_eq!(
+            m.get_or_compute(2, |_| 1000, || 2),
+            (2, LookupOutcome::Miss)
+        );
+        assert_eq!(m.peek(&1), Some(1), "the neighbour stays resident");
+        assert_eq!(m.peek(&2), None);
+        let metrics = m.metrics();
+        assert_eq!(metrics.evictions, 1);
+        assert_eq!((metrics.entries, metrics.resident_bytes), (1, 8));
     }
 }

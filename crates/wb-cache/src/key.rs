@@ -9,10 +9,12 @@
 //! execution.
 //!
 //! * [`CompileKey`] covers the compile phase (source-size gate →
-//!   blacklist scan → compile): canonicalized source bytes, dialect,
-//!   middle-end opt level (with its kernel-IR revision), container
-//!   image / toolchain id, the blacklist's full content ("version"),
-//!   and the lab's resource limits.
+//!   blacklist scan → compile): the source bytes exactly as they are
+//!   gated, scanned and compiled (line endings included — the lexer
+//!   ends a `//` comment only at LF), dialect, middle-end opt level
+//!   (with its kernel-IR revision), container image / toolchain id,
+//!   the blacklist's full content ("version"), and the lab's resource
+//!   limits.
 //! * [`GradeKey`] covers one dataset run: the program identity (the
 //!   compile key), the dataset content, the device configuration, the
 //!   syscall whitelist content, the float-check tolerance, and the
@@ -34,18 +36,6 @@ pub struct CompileKey(pub ContentHash);
 /// Key for one dataset grading run of a compiled program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GradeKey(pub ContentHash);
-
-/// Canonicalize submission text for keying: normalize CR/CRLF line
-/// endings to LF. Nothing further — aggressive canonicalization (e.g.
-/// trimming) risks merging sources whose diagnostics differ, which
-/// would break the hit ≡ fresh-execution property.
-pub fn canonicalize_source(source: &str) -> std::borrow::Cow<'_, str> {
-    if source.contains('\r') {
-        std::borrow::Cow::Owned(source.replace("\r\n", "\n").replace('\r', "\n"))
-    } else {
-        std::borrow::Cow::Borrowed(source)
-    }
-}
 
 fn write_limits(h: &mut ContentHasher, limits: &ResourceLimits) {
     h.write_usize(limits.max_source_bytes)
@@ -147,7 +137,7 @@ impl CompileKey {
         let mut h = ContentHasher::new();
         h.write_str("compile-v3");
         h.write_bool(analyze);
-        h.write_str(&canonicalize_source(source));
+        h.write_str(source);
         h.write_str(dialect.name());
         h.write_str(&opt.fingerprint());
         h.write_str(toolchain);
@@ -230,19 +220,25 @@ mod tests {
     }
 
     #[test]
-    fn crlf_and_lf_sources_share_a_key() {
-        let crlf = SRC.replace('\n', "\r\n");
-        let k = CompileKey::derive(
-            &crlf,
-            Dialect::Cuda,
-            OptLevel::default(),
-            false,
-            "cuda",
-            "webgpu/cuda",
-            &Blacklist::standard(),
-            &ResourceLimits::default(),
-        );
-        assert_eq!(k, base_compile());
+    fn line_ending_twins_get_distinct_keys() {
+        // The lexer ends a `//` comment only at LF, so the three twins
+        // can compile differently: the key covers the bytes compiled.
+        let key = |eol: &str| {
+            CompileKey::derive(
+                &format!("// notes{eol}{SRC}{eol}"),
+                Dialect::Cuda,
+                OptLevel::default(),
+                false,
+                "cuda",
+                "webgpu/cuda",
+                &Blacklist::standard(),
+                &ResourceLimits::default(),
+            )
+        };
+        let (lf, crlf, cr) = (key("\n"), key("\r\n"), key("\r"));
+        assert_ne!(lf, crlf);
+        assert_ne!(lf, cr);
+        assert_ne!(crlf, cr);
     }
 
     #[test]

@@ -9,30 +9,28 @@
 //! the cluster can execute each distinct (source, lab-config, dataset)
 //! combination once and serve every duplicate from cache.
 //!
-//! The crate is three layers:
+//! The crate is two layers:
 //!
 //! * [`hash`] / [`key`] — a self-contained 128-bit content hasher and
 //!   the key-derivation rules: [`CompileKey`] covers everything that
 //!   can change a compile result, [`GradeKey`] everything that can
 //!   change a dataset grade.
-//! * [`store`] — a byte-budgeted, sharded LRU ([`LruStore`]).
-//! * [`flight`] / [`cache`] — Condvar-based single-flight
-//!   ([`SingleFlight`]) and the assembled [`SubmissionCache`] with
-//!   hit/miss/coalesced/eviction counters ([`CacheMetrics`]).
+//! * [`cache`] — one table per tier ([`CachedMap`]): a byte-budgeted,
+//!   sharded LRU whose slots are either resident values or in-flight
+//!   computations, so a lookup decides hit, coalesce or lead under one
+//!   lock and each key computes once. [`SubmissionCache`] bundles the
+//!   compile and grade tiers with hit/miss/coalesced/eviction counters
+//!   ([`CacheMetrics`]).
 //!
 //! The worker crate instantiates `SubmissionCache<DatasetOutcome>` and
 //! both cluster implementations share one instance fleet-wide.
 
 pub mod cache;
-pub mod flight;
 pub mod hash;
 pub mod key;
-pub mod store;
 
 pub use cache::{
     CacheConfig, CacheMetrics, CachedMap, CompiledEntry, LookupOutcome, MapMetrics, SubmissionCache,
 };
-pub use flight::{FlightRole, SingleFlight};
 pub use hash::{hash_bytes, ContentHash, ContentHasher};
-pub use key::{canonicalize_source, CompileKey, GradeKey};
-pub use store::LruStore;
+pub use key::{CompileKey, GradeKey};

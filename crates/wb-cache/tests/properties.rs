@@ -8,7 +8,7 @@
 
 use libwb::Dataset;
 use minicuda::{DeviceConfig, Dialect, OptLevel};
-use wb_cache::{CacheConfig, CompileKey, LruStore};
+use wb_cache::{CacheConfig, CachedMap, CompileKey};
 use wb_prop::Gen;
 use wb_sandbox::{Blacklist, ResourceLimits, ScanMode};
 use wb_worker::{
@@ -175,23 +175,51 @@ fn distinct_configurations_never_collide() {
     });
 }
 
-/// Property (c): no insertion sequence pushes the store past its
-/// byte budget, and everything still resident is readable.
+/// Property (c): no lookup sequence pushes a tier past its byte
+/// budget, and everything still resident is readable.
 #[test]
 fn lru_never_exceeds_budget() {
     wb_prop::check(24, |g| {
         let (budget, shards) = (g.int(1..4096), g.int(1..8));
-        let inserts = g.vec(1..128, |g| (g.int(0..64u64), g.int(1..512usize)));
-        let store: LruStore<u64, u64> = LruStore::new(budget, shards);
-        for (i, (key, weight)) in inserts.iter().enumerate() {
-            store.insert(*key, i as u64, *weight);
-            let resident = store.resident_bytes();
+        let lookups = g.vec(1..128, |g| (g.int(0..64u64), g.int(1..512usize)));
+        let tier: CachedMap<u64, u64> = CachedMap::new(budget, shards);
+        for (i, (key, weight)) in lookups.iter().enumerate() {
+            tier.get_or_compute(*key, |_| *weight, || i as u64);
+            let resident = tier.metrics().resident_bytes as usize;
             assert!(resident <= budget, "resident {resident} > budget {budget}");
         }
-        for (key, _) in &inserts {
-            if let Some(v) = store.peek(key) {
-                assert!((v as usize) < inserts.len());
+        for (key, _) in &lookups {
+            if let Some(v) = tier.peek(key) {
+                assert!((v as usize) < lookups.len());
             }
         }
     });
+}
+
+/// A source whose first line ends in a lone CR: the lexer ends a `//`
+/// comment only at LF, so the comment swallows `int main() {` and the
+/// compile fails, while its LF twin passes. A cache warmed by the LF
+/// twin must still give the CR twin its own (fresh) verdict.
+#[test]
+fn cr_twin_gets_its_own_verdict_from_a_warm_cache() {
+    let data: Vec<f32> = (0..16).map(|i| i as f32).collect();
+    let solution = sum_source("");
+    // Drop the solution's own comment line so the twin's comes first.
+    let (_, body) = solution.trim_start().split_once('\n').unwrap();
+    let twin = |eol: &str| {
+        let source = format!("// my notes{eol}{}", body.trim_start());
+        request(1, source, data.clone(), Dataset::Scalar(data.iter().sum()))
+    };
+    let (lf, cr) = (twin("\n"), twin("\r"));
+    let device = DeviceConfig::test_small();
+    let ctx = RunCtx::new(&device);
+    let fresh = execute(&cr, &ctx);
+    assert_ne!(fresh, execute(&lf, &ctx), "the twins compile differently");
+    let cache = new_submission_cache(CacheConfig::default());
+    let cached = RunCtx {
+        cache: Some(&cache),
+        ..ctx
+    };
+    execute(&lf, &cached);
+    assert_eq!(execute(&cr, &cached), fresh);
 }

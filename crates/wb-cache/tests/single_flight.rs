@@ -5,7 +5,7 @@
 //! The cache counts a `miss` only when a lookup actually led a fresh
 //! computation, so `misses == 1` per tier *is* the exactly-once
 //! assertion; the other K−1 lookups must show up as coalesced
-//! single-flight waits or store hits.
+//! single-flight waits or hits on the resident entry.
 
 use libwb::Dataset;
 use minicuda::DeviceConfig;

@@ -120,7 +120,8 @@ fn run_dataset_case(
 /// Run the static verifier over a freshly compiled program: records
 /// the verifier's wall time and run/finding counters, and returns the
 /// findings. Only ever called when the lab's policy enables analysis,
-/// and — with a cache — only on the single-flight leader, so
+/// and — with a cache — only by the lookup that leads its key, which
+/// happens once per key while the entry stays resident, so
 /// `analysis_runs` counts actual verifier executions, not lookups.
 fn analyze_phase(program: &Program, obs: &Recorder) -> Vec<Finding> {
     let started = Instant::now();
@@ -208,8 +209,10 @@ fn served<V>((value, lookup): (V, LookupOutcome)) -> (V, Option<LookupOutcome>) 
 
 /// Run a job: compile (plus the static verifier when the lab's policy
 /// enables it), then every dataset its action names. With `ctx.cache`,
-/// the compile and each dataset grade are served by key and
-/// single-flight, so each distinct computation runs once cluster-wide.
+/// the compile and each dataset grade are served by key from one table
+/// per tier, which decides hit, coalesce or lead under one lock, so
+/// each distinct computation runs once cluster-wide while its entry
+/// stays resident.
 ///
 /// Compile time lands in [`Timer::CompileMicros`], dataset time in
 /// [`Timer::GradeMicros`]; the span advances to `Compiled` then
