@@ -630,6 +630,44 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_identical_keys_execute_once() {
+        const THREADS: usize = 8;
+        let m = Arc::new(roomy());
+        let executions = Arc::new(AtomicU64::new(0));
+        let gate = Arc::new(Barrier::new(THREADS));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let (m, executions, gate) = (m.clone(), executions.clone(), gate.clone());
+                std::thread::spawn(move || {
+                    gate.wait();
+                    let compute = || {
+                        executions.fetch_add(1, Ordering::SeqCst);
+                        // Hold the flight open long enough for the
+                        // stragglers to pile up behind it.
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                        42u64
+                    };
+                    m.get_or_compute(7, |_| 8, compute)
+                })
+            })
+            .collect();
+        let results: Vec<(u64, LookupOutcome)> =
+            handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let leaders = results
+            .iter()
+            .filter(|(_, o)| *o == LookupOutcome::Miss)
+            .count();
+        assert_eq!(executions.load(Ordering::SeqCst), 1);
+        assert_eq!(leaders, 1, "exactly one caller led");
+        assert!(
+            results.iter().all(|(v, _)| *v == 42),
+            "every caller got the leader's value"
+        );
+        assert_eq!(pending(&m, 7), None, "no flight left behind");
+        assert_eq!(m.peek(&7), Some(42));
+    }
+
+    #[test]
     fn sequential_calls_each_lead() {
         // Too heavy to keep: a finished flight leaves nothing behind.
         let m: CachedMap<u64, u64> = CachedMap::new(4, 1);
@@ -757,6 +795,15 @@ mod tests {
             .count();
         assert_eq!(leads, 1, "one follower leads afresh");
         assert_eq!(m.get_or_compute(1, |_| 8, || 5), (99, LookupOutcome::Hit));
+    }
+
+    #[test]
+    fn get_after_insert() {
+        let m: CachedMap<u64, String> = CachedMap::new(1024, 4);
+        assert_eq!(m.peek(&1), None);
+        m.get_or_compute(1, |v| v.len(), || "one".to_string());
+        assert_eq!(m.peek(&1).as_deref(), Some("one"));
+        assert_eq!(m.metrics().resident_bytes, 3);
     }
 
     #[test]
