@@ -119,9 +119,16 @@ impl Finding {
 ///
 /// The analyzer lowers the program for itself (never reusing an
 /// attached, possibly optimized IR), so the verdict is a function of
-/// the source alone — identical across opt levels.
+/// the source alone — identical across opt levels. The product path
+/// uses [`crate::compile_analyzed`] instead, which analyzes the one
+/// lowering its compile makes.
 pub fn analyze_program(p: &Program) -> Vec<Finding> {
-    analyze_ir_with_caps(&lower::lower_program(p), &launch_caps(p))
+    analyze_lowered(p, &lower::lower_program(p))
+}
+
+/// Analyze `ir`, the unoptimized lowering of `p`.
+pub(crate) fn analyze_lowered(p: &Program, ir: &IrProgram) -> Vec<Finding> {
+    analyze_ir_with_caps(ir, &launch_caps(p))
 }
 
 /// Kernels are visited in name order and findings sorted, so the

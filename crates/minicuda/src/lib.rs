@@ -94,6 +94,7 @@ pub use dialect::Dialect;
 pub use host::{run, run_with_policy, RunOptions, RunOutcome};
 pub use hostcall::{AllowAll, HostcallPolicy};
 pub use sema::Program;
+use std::time::{Duration, Instant};
 
 /// How much of the middle-end a compile runs.
 ///
@@ -145,17 +146,59 @@ pub fn compile(source: &str, dialect: Dialect) -> Result<Program, Diag> {
 
 /// [`compile`] with an explicit middle-end level.
 pub fn compile_with(source: &str, dialect: Dialect, opt: OptLevel) -> Result<Program, Diag> {
+    compile_body(source, dialect, opt, false).map(|(program, _, _)| program)
+}
+
+/// [`compile_with`] plus the static verifier ([`analyze_program`]'s
+/// findings), lowering the program once for both: the analyzers read
+/// the unoptimized IR, which the passes then optimize in place.
+pub fn compile_analyzed(
+    source: &str,
+    dialect: Dialect,
+    opt: OptLevel,
+) -> Result<(Program, Vec<Finding>), Diag> {
+    compile_analyzed_timed(source, dialect, opt).map(|(program, findings, _)| (program, findings))
+}
+
+/// [`compile_analyzed`], also returning the wall time of the analysis
+/// alone: the verifier's run over the lowered IR, with the front end,
+/// the lowering and the passes excluded.
+pub fn compile_analyzed_timed(
+    source: &str,
+    dialect: Dialect,
+    opt: OptLevel,
+) -> Result<(Program, Vec<Finding>, Duration), Diag> {
+    compile_body(source, dialect, opt, true)
+}
+
+/// The one compile path: the front end, then at most one
+/// `lower_program` — the verifier (when `analyze`) reads that IR
+/// before `O2`'s passes optimize it in place and attach it.
+fn compile_body(
+    source: &str,
+    dialect: Dialect,
+    opt: OptLevel,
+    analyze: bool,
+) -> Result<(Program, Vec<Finding>, Duration), Diag> {
     let pre = preprocessor::preprocess(source)?;
     let canonical = dialect::canonicalize(&pre, dialect);
     let tokens = lexer::lex(&canonical)?;
     let unit = parser::parse(tokens)?;
     let mut program = sema::analyze(unit, dialect)?;
-    if opt == OptLevel::O2 {
+    let (mut findings, mut analyze_time) = (Vec::new(), Duration::ZERO);
+    if opt == OptLevel::O2 || analyze {
         let mut lowered = lower::lower_program(&program);
-        passes::optimize_program(&mut lowered);
-        program.attach_ir(lowered);
+        if analyze {
+            let started = Instant::now();
+            findings = analyze::analyze_lowered(&program, &lowered);
+            analyze_time = started.elapsed();
+        }
+        if opt == OptLevel::O2 {
+            passes::optimize_program(&mut lowered);
+            program.attach_ir(lowered);
+        }
     }
-    Ok(program)
+    Ok((program, findings, analyze_time))
 }
 
 #[cfg(test)]
@@ -166,6 +209,28 @@ mod tests {
     fn compile_rejects_syntax_error() {
         let err = compile("int main( { return 0; }", Dialect::Cuda).unwrap_err();
         assert_eq!(err.phase, Phase::Parse);
+    }
+
+    #[test]
+    fn analyzed_compile_lowers_once_and_matches_analyze_program() {
+        let src = "__global__ void k(float* a) {\n  __shared__ float s[4];\n  \
+                   s[threadIdx.x] = a[0];\n  if (threadIdx.x < 2) { __syncthreads(); }\n}\n\
+                   int main() { return 0; }";
+        for opt in [OptLevel::O0, OptLevel::O2] {
+            let before = lower::lowerings();
+            let (program, findings) = compile_analyzed(src, Dialect::Cuda, opt).unwrap();
+            assert_eq!(
+                lower::lowerings() - before,
+                1,
+                "{opt}: one lowering per compile"
+            );
+            assert!(
+                !findings.is_empty(),
+                "{opt}: the divergent barrier is found"
+            );
+            assert_eq!(findings, analyze_program(&program), "{opt}");
+            assert_eq!(program.ir().is_some(), opt == OptLevel::O2, "{opt}");
+        }
     }
 
     #[test]

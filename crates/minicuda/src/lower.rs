@@ -38,12 +38,25 @@ use std::collections::HashMap;
 /// too, since the interpreter resolves device calls against the whole
 /// function table).
 pub fn lower_program(p: &Program) -> IrProgram {
+    #[cfg(test)]
+    LOWERINGS.with(|n| n.set(n.get() + 1));
     let mut out = IrProgram::default();
     for f in p.funcs() {
         let lowered = Lower::new(p).lower_func(f);
         out.funcs.insert(f.name.clone(), lowered);
     }
     out
+}
+
+#[cfg(test)]
+thread_local! {
+    static LOWERINGS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// How many times this thread has called [`lower_program`].
+#[cfg(test)]
+pub(crate) fn lowerings() -> usize {
+    LOWERINGS.with(std::cell::Cell::get)
 }
 
 struct Lower<'a> {

@@ -152,7 +152,7 @@ fn distinct_configurations_never_collide() {
             Some(p) => {
                 let mut pats: Vec<String> = blacklist_a.patterns().to_vec();
                 pats.push(p.clone());
-                Blacklist::new(pats, ScanMode::RawText)
+                Blacklist::new(pats, ScanMode::RawText).expect("lowercase words are identifiers")
             }
             None => blacklist_a.clone(),
         };

@@ -10,7 +10,10 @@
 //! `device_cycles` may differ: shrinking those is what the optimizer
 //! is *for*.
 
-use minicuda::{analyze_program, compile, CheckKind, DeviceConfig, Dialect, OptLevel};
+use minicuda::{
+    analyze_program, compile, compile_analyzed, compile_with, CheckKind, DeviceConfig, Dialect,
+    OptLevel,
+};
 use wb_labs::{definition, lab_ids, solution, LabScale};
 use wb_worker::{execute, JobAction, JobOutcome, JobRequest, RunCtx};
 
@@ -473,6 +476,44 @@ fn warn_mode_analysis_never_perturbs_grading() {
                         warn.passed_count(),
                         warn.datasets.len(),
                         "{id}@{lvl}: flagged-but-correct code still passes under Warn"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The product path's one-lowering compile is the two-lowering one:
+/// on every lab, clean and with a flagged audit probe, at both levels,
+/// `compile_analyzed` reports exactly `analyze_program`'s findings and
+/// its program runs every dataset bit-identically to `compile_with`'s.
+#[test]
+fn compile_analyzed_equals_compile_then_analyze_on_every_lab() {
+    let device = DeviceConfig::test_small();
+    for id in lab_ids() {
+        let lab = definition(id, LabScale::Small).unwrap();
+        let spec = &lab.spec;
+        let opts = spec.limits.to_run_options(device.clone());
+        let clean = solution(id).unwrap().to_string();
+        for src in [with_audit_probe(&clean), clean] {
+            for lvl in [OptLevel::O0, OptLevel::O2] {
+                let ctx = format!("{id}@{lvl}");
+                let (once, findings) = compile_analyzed(&src, spec.dialect, lvl).expect(&ctx);
+                let twice = compile_with(&src, spec.dialect, lvl).expect(&ctx);
+                assert_eq!(findings, analyze_program(&twice), "{ctx}: findings");
+                assert_eq!(
+                    once.ir().is_some(),
+                    twice.ir().is_some(),
+                    "{ctx}: IR attached"
+                );
+                for case in &lab.datasets {
+                    let run =
+                        |p| minicuda::run_with_policy(p, &case.inputs, &opts, &spec.whitelist);
+                    assert_eq!(
+                        format!("{:?}", run(&once)),
+                        format!("{:?}", run(&twice)),
+                        "{ctx} {}: run diverged",
+                        case.name
                     );
                 }
             }

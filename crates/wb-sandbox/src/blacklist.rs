@@ -35,7 +35,28 @@ pub struct Violation {
     pub message: String,
 }
 
-/// A set of forbidden substrings, matched on identifier boundaries.
+/// A pattern [`Blacklist::new`] refused: every pattern must be a
+/// non-empty identifier (`[A-Za-z0-9_]+`), since the scan matches
+/// whole identifiers only.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PatternError {
+    /// The rejected pattern.
+    pub pattern: String,
+}
+
+impl std::fmt::Display for PatternError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "blacklist pattern {:?} is not an identifier ([A-Za-z0-9_]+)",
+            self.pattern
+        )
+    }
+}
+
+impl std::error::Error for PatternError {}
+
+/// A set of forbidden identifiers, matched on identifier boundaries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Blacklist {
     patterns: Vec<String>,
@@ -66,9 +87,16 @@ impl Blacklist {
         }
     }
 
-    /// Build a custom blacklist.
-    pub fn new(patterns: Vec<String>, mode: ScanMode) -> Self {
-        Blacklist { patterns, mode }
+    /// Build a custom blacklist. Every pattern must be a non-empty
+    /// identifier (`[A-Za-z0-9_]+`); the first one that is not is
+    /// returned as the error.
+    pub fn new(patterns: Vec<String>, mode: ScanMode) -> Result<Self, PatternError> {
+        let is_identifier = |p: &&String| !p.is_empty() && p.bytes().all(is_ident_byte);
+        if let Some(bad) = patterns.iter().find(|p| !is_identifier(p)) {
+            let pattern = bad.clone();
+            return Err(PatternError { pattern });
+        }
+        Ok(Blacklist { patterns, mode })
     }
 
     /// Change the scan mode.
@@ -87,78 +115,108 @@ impl Blacklist {
         self.mode
     }
 
-    /// Scan `source`, returning every violation (empty = clean).
+    /// Scan `source`, returning every violation (empty = clean): one
+    /// per pattern found, at the line of its first match, in pattern
+    /// order.
     pub fn scan(&self, source: &str) -> Vec<Violation> {
-        let text: String = match self.mode {
-            ScanMode::RawText => source.to_string(),
-            ScanMode::Preprocessed => strip_comments_lossy(source),
+        let first_lines = match self.mode {
+            ScanMode::RawText => self.first_lines(source.as_bytes()),
+            ScanMode::Preprocessed => self.first_lines(strip_comments_lossy(source).as_bytes()),
         };
-        let mut out = Vec::new();
-        for pat in &self.patterns {
-            if let Some(line) = find_identifier(&text, pat) {
-                out.push(Violation {
-                    pattern: pat.clone(),
-                    line,
-                    message: format!("use of `{pat}` is not allowed in this lab (line {line})"),
-                });
-            }
-        }
-        out
+        self.patterns
+            .iter()
+            .zip(first_lines)
+            .filter_map(|(pat, line)| line.map(|line| violation(pat, line)))
+            .collect()
     }
 
     /// Convenience: true when the source is clean.
     pub fn permits(&self, source: &str) -> bool {
         self.scan(source).is_empty()
     }
+
+    /// One walk over `text`: split out each maximal identifier run
+    /// outside string literals and record, per pattern, the 1-based
+    /// line of the first run equal to it. Stops early once every
+    /// pattern has been seen.
+    fn first_lines(&self, text: &[u8]) -> Vec<Option<usize>> {
+        // Bit `n` (`n` capped at 63) is set when some pattern is `n`
+        // bytes long: a run of any other length is no pattern.
+        let len_bit = |len: usize| 1u64 << len.min(63);
+        let lens = self.patterns.iter().fold(0, |m, p| m | len_bit(p.len()));
+        let mut first = vec![None; self.patterns.len()];
+        let mut unseen = self.patterns.len();
+        let (mut line, mut i, mut in_str) = (1usize, 0usize, false);
+        while i < text.len() && unseen > 0 {
+            let c = text[i];
+            if c == b'\n' {
+                line += 1;
+                in_str = false; // unterminated string: stop skipping
+                i += 1;
+            } else if in_str {
+                match c {
+                    b'\\' => {
+                        // A backslash-newline splices the line but is
+                        // still a line.
+                        if text.get(i + 1) == Some(&b'\n') {
+                            line += 1;
+                        }
+                        i += 2;
+                    }
+                    b'"' => {
+                        in_str = false;
+                        i += 1;
+                    }
+                    _ => i += 1,
+                }
+            } else if c == b'"' {
+                in_str = true;
+                i += 1;
+            } else if c == b'\'' {
+                i += apostrophe_len(&text[i..]);
+            } else if is_ident_byte(c) {
+                let start = i;
+                while i < text.len() && is_ident_byte(text[i]) {
+                    i += 1;
+                }
+                let run = &text[start..i];
+                if lens & len_bit(run.len()) == 0 {
+                    continue;
+                }
+                for (p, pat) in self.patterns.iter().enumerate() {
+                    if first[p].is_none() && pat.as_bytes() == run {
+                        first[p] = Some(line);
+                        unseen -= 1;
+                    }
+                }
+            } else {
+                i += 1;
+            }
+        }
+        first
+    }
 }
 
-/// Find `word` as a whole identifier outside string literals; returns
-/// the 1-based line of the first occurrence.
-fn find_identifier(text: &str, word: &str) -> Option<usize> {
-    let bytes = text.as_bytes();
-    let wlen = word.len();
-    if wlen == 0 {
-        return None;
+fn violation(pat: &str, line: usize) -> Violation {
+    Violation {
+        pattern: pat.to_string(),
+        line,
+        message: format!("use of `{pat}` is not allowed in this lab (line {line})"),
     }
-    let mut line = 1usize;
-    let mut i = 0usize;
-    let mut in_str = false;
-    while i < bytes.len() {
-        let c = bytes[i];
-        if c == b'\n' {
-            line += 1;
-            in_str = false; // unterminated string: stop skipping
-            i += 1;
-            continue;
-        }
-        if in_str {
-            if c == b'\\' {
-                i += 2;
-                continue;
-            }
-            if c == b'"' {
-                in_str = false;
-            }
-            i += 1;
-            continue;
-        }
-        if c == b'"' {
-            in_str = true;
-            i += 1;
-            continue;
-        }
-        // Byte-level match: `i` may fall inside a multi-byte UTF-8
-        // character in student source, where a str slice would panic.
-        if bytes[i..].starts_with(word.as_bytes()) {
-            let before_ok = i == 0 || !is_ident_byte(bytes[i - 1]);
-            let after_ok = i + wlen >= bytes.len() || !is_ident_byte(bytes[i + wlen]);
-            if before_ok && after_ok {
-                return Some(line);
-            }
-        }
-        i += 1;
+}
+
+/// How far to step at a `'`: over a whole double-quote char literal
+/// (`'"'` or `'\"'`), whose quote must open no string, else over the
+/// `'` alone. No other `'` delimits anything: raw mode scans comments,
+/// where an apostrophe (`don't use asm`) must not hide what follows.
+fn apostrophe_len(text: &[u8]) -> usize {
+    if text.starts_with(b"'\"'") {
+        3
+    } else if text.starts_with(b"'\\\"'") {
+        4
+    } else {
+        1
     }
-    None
 }
 
 fn is_ident_byte(b: u8) -> bool {
@@ -171,6 +229,11 @@ fn is_ident_byte(b: u8) -> bool {
 fn strip_comments_lossy(source: &str) -> String {
     minicuda::preprocessor::strip_comments(source).unwrap_or_else(|_| source.to_string())
 }
+
+/// The per-pattern scan the one-pass walk replaced, kept as the test
+/// oracle (shared with the property suite).
+#[cfg(test)]
+pub(crate) mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -242,10 +305,62 @@ mod tests {
 
     #[test]
     fn custom_patterns() {
-        let bl = Blacklist::new(vec!["goto".to_string()], ScanMode::RawText);
+        let bl = Blacklist::new(vec!["goto".to_string()], ScanMode::RawText).unwrap();
         assert!(!bl.permits("goto fail;"));
         assert!(bl.permits("int gotoX;"));
         assert_eq!(bl.patterns(), &["goto".to_string()]);
+    }
+
+    #[test]
+    fn non_identifier_patterns_are_refused() {
+        for bad in ["", "asm(", "a b", "é", "x-y"] {
+            let pats = vec!["ok".to_string(), bad.to_string()];
+            let err = Blacklist::new(pats, ScanMode::RawText).unwrap_err();
+            assert_eq!(err.pattern, bad);
+        }
+        assert!(Blacklist::new(vec!["_9".to_string()], ScanMode::Preprocessed).is_ok());
+    }
+
+    #[test]
+    fn duplicate_patterns_are_each_reported() {
+        let bl = Blacklist::new(vec!["goto".into(), "goto".into()], ScanMode::RawText).unwrap();
+        let v = bl.scan("goto fail;");
+        assert_eq!(v, oracle::scan(&bl, "goto fail;"));
+        assert_eq!(v.len(), 2);
+    }
+
+    #[test]
+    fn quote_char_literal_opens_no_string() {
+        let bl = Blacklist::standard();
+        for src in [
+            "int main() { char q = '\"'; asm(\"nop\"); return 0; }",
+            "int main() { char q = '\\\"'; asm(\"nop\"); return 0; }",
+        ] {
+            let v = bl.scan(src);
+            assert_eq!(v, oracle::scan(&bl, src), "{src}");
+            assert_eq!((v.len(), v[0].pattern.as_str()), (1, "asm"), "{src}");
+        }
+    }
+
+    #[test]
+    fn apostrophes_in_comments_hide_nothing() {
+        // Only the exact `'"'` / `'\"'` sequences are special: a general
+        // char-literal rule would make this comment skip `asm`.
+        let bl = Blacklist::standard();
+        let src = "// don't use asm here\nint main() { return 0; }";
+        assert_eq!(bl.scan(src), oracle::scan(&bl, src));
+        assert!(!bl.permits(src));
+    }
+
+    #[test]
+    fn backslash_newline_in_a_string_counts_the_line() {
+        let bl = Blacklist::standard();
+        let src = "const char* s = \"a\\\nb\";\nasm();\n";
+        let v = bl.scan(src);
+        assert_eq!(v, oracle::scan(&bl, src));
+        assert_eq!(v[0].line, 3);
+        // The splice continues the string: a pattern after it is text.
+        assert!(bl.permits("const char* s = \"a\\\nasm\";\n"));
     }
 
     #[test]

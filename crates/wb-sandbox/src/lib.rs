@@ -26,7 +26,7 @@ pub mod jobdir;
 pub mod limits;
 pub mod whitelist;
 
-pub use blacklist::{Blacklist, ScanMode, Violation};
+pub use blacklist::{Blacklist, PatternError, ScanMode, Violation};
 pub use container::{ContainerPool, Image, PoolStats};
 pub use jobdir::{live_dir_count, JobDir};
 pub use limits::ResourceLimits;

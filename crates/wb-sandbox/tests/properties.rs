@@ -1,7 +1,78 @@
 //! Property-based tests: blacklist scanning robustness and job-dir
 //! confinement under arbitrary inputs.
 
-use wb_sandbox::{Blacklist, JobDir, ScanMode};
+use wb_sandbox::{Blacklist, JobDir, ScanMode, Violation};
+
+/// The per-pattern scan the one-pass walk replaced, the reference for
+/// the equivalence properties below.
+#[path = "../src/blacklist/oracle.rs"]
+mod oracle;
+
+/// Source fragments for the equivalence properties: patterns and
+/// near-miss identifiers, comment and string delimiters, escapes,
+/// double-quote char literals, a lone apostrophe, backslash-newline
+/// splices, and multi-byte UTF-8 glued to identifiers.
+const PIECES: &[&str] = &[
+    "asm",
+    "__asm__",
+    "system",
+    "fork",
+    "open",
+    "fopen",
+    "mmap",
+    "goto",
+    "x9",
+    "asmx",
+    "xasm",
+    "_asm",
+    "asm_",
+    "9asm",
+    "my_asm",
+    " ",
+    "  ",
+    "\n",
+    "\r\n",
+    "(",
+    ");",
+    "{",
+    "}",
+    ",",
+    "//",
+    "/*",
+    "*/",
+    "\"",
+    "\\",
+    "\\\"",
+    "\\\n",
+    "'",
+    "'\"'",
+    "'\\\"'",
+    "'a'",
+    "don't",
+    "#define ",
+    "é",
+    "日本",
+    "\u{11366}",
+    "é_asm",
+    "asmé",
+    "0",
+    "_",
+];
+
+/// Patterns the equivalence properties draw custom blacklists from.
+const PATTERN_POOL: &[&str] = &[
+    "asm", "__asm__", "system", "fork", "open", "goto", "x9", "_", "9",
+];
+
+fn assert_matches_oracle(bl: &Blacklist, src: &str) {
+    let got: Vec<Violation> = bl.scan(src);
+    assert_eq!(
+        got,
+        oracle::scan(bl, src),
+        "{:?} scan of {src:?}",
+        bl.mode()
+    );
+}
 
 /// The scanner never panics on arbitrary text, in either mode.
 #[test]
@@ -61,6 +132,47 @@ fn preprocessed_flags_subset_of_raw() {
             assert!(!raw.permits(&src), "raw must also flag: {src:?}");
         }
     });
+}
+
+/// The one-pass scan returns exactly the per-pattern oracle's
+/// violations, in both modes, on text stitched from fragments that
+/// stress every state of the walk.
+#[test]
+fn one_pass_scan_equals_the_oracle() {
+    wb_prop::check(512, |g| {
+        let src: String = g.vec(0..60, |g| *g.pick(PIECES)).concat();
+        let custom = g.vec(1..6, |g| g.pick(PATTERN_POOL).to_string());
+        for mode in [ScanMode::RawText, ScanMode::Preprocessed] {
+            assert_matches_oracle(&Blacklist::standard().with_mode(mode), &src);
+            let bl = Blacklist::new(custom.clone(), mode).expect("pool patterns are identifiers");
+            assert_matches_oracle(&bl, &src);
+        }
+    });
+}
+
+/// The same equivalence on arbitrary text, non-ASCII included.
+#[test]
+fn one_pass_scan_equals_the_oracle_on_arbitrary_text() {
+    wb_prop::check(256, |g| {
+        let src = g.text(0..301);
+        for mode in [ScanMode::RawText, ScanMode::Preprocessed] {
+            assert_matches_oracle(&Blacklist::standard().with_mode(mode), &src);
+        }
+    });
+}
+
+/// Every reference solution in the lab catalog scans identically
+/// under the one-pass walk and the oracle, in both modes.
+#[test]
+fn one_pass_scan_equals_the_oracle_on_every_lab_solution() {
+    let ids = wb_labs::lab_ids();
+    assert_eq!(ids.len(), 15);
+    for id in ids {
+        let src = wb_labs::solution(id).expect("catalog lab has a solution");
+        for mode in [ScanMode::RawText, ScanMode::Preprocessed] {
+            assert_matches_oracle(&Blacklist::standard().with_mode(mode), src);
+        }
+    }
 }
 
 /// Job directories confine arbitrary path strings: after any write

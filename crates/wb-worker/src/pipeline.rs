@@ -10,7 +10,9 @@
 use crate::cache::SubmissionCache;
 use crate::job::{DatasetCase, DatasetOutcome, JobAction, JobOutcome, JobRequest, LabSpec};
 use libwb::check;
-use minicuda::{analyze_program, compile_with, AnalysisPolicy, DeviceConfig, Finding, Program};
+use minicuda::{
+    compile_analyzed_timed, compile_with, AnalysisPolicy, DeviceConfig, Finding, Program,
+};
 use std::sync::Arc;
 use std::time::Instant;
 use wb_cache::{CompileKey, CompiledEntry, GradeKey, LookupOutcome};
@@ -63,9 +65,20 @@ impl<'a> RunCtx<'a> {
 
 /// The compile phase of a submission: size gate → blacklist scan →
 /// scratch-dir write (as the real worker writes `solution.cu` before
-/// invoking nvcc) → compile. Returns the program or the rendered
-/// error shown to the student.
-fn compile_phase(job_id: u64, source: &str, spec: &LabSpec) -> Result<Arc<Program>, String> {
+/// invoking nvcc) → compile, plus the static verifier when the lab's
+/// policy enables it. Returns the program and the verifier's findings,
+/// or the rendered error shown to the student.
+///
+/// With a cache, only the lookup that leads its key gets here, once
+/// per key while the entry stays resident, so `analysis_runs` counts
+/// actual verifier executions, not lookups; [`Timer::AnalyzeMicros`]
+/// times the verifier's run over the lowered IR alone.
+fn compile_phase(
+    job_id: u64,
+    source: &str,
+    spec: &LabSpec,
+    obs: &Recorder,
+) -> Result<(Arc<Program>, Vec<Finding>), String> {
     spec.limits.check_source_size(source)?;
 
     // Layer 1: blacklist scan on the raw, unparsed text.
@@ -79,10 +92,18 @@ fn compile_phase(job_id: u64, source: &str, spec: &LabSpec) -> Result<Arc<Progra
     dir.write("solution.cu", source.as_bytes())
         .map_err(|e| e.to_string())?;
 
-    match compile_with(source, spec.dialect, spec.opt_level) {
-        Ok(p) => Ok(Arc::new(p)),
-        Err(d) => Err(d.to_string()),
+    if !spec.analysis.enabled() {
+        let program = compile_with(source, spec.dialect, spec.opt_level);
+        return program
+            .map(|p| (Arc::new(p), Vec::new()))
+            .map_err(|d| d.to_string());
     }
+    let (program, findings, took) =
+        compile_analyzed_timed(source, spec.dialect, spec.opt_level).map_err(|d| d.to_string())?;
+    obs.observe(Timer::AnalyzeMicros, took.as_micros() as u64);
+    obs.bump(Counter::AnalysisRuns);
+    obs.add(Counter::AnalysisFindings, findings.len() as u64);
+    Ok((Arc::new(program), findings))
 }
 
 /// Run one dataset case: execute under the whitelist policy, then
@@ -115,21 +136,6 @@ fn run_dataset_case(
         log_text: run.log.render(),
         timing_text: run.timer.report(),
     }
-}
-
-/// Run the static verifier over a freshly compiled program: records
-/// the verifier's wall time and run/finding counters, and returns the
-/// findings. Only ever called when the lab's policy enables analysis,
-/// and — with a cache — only by the lookup that leads its key, which
-/// happens once per key while the entry stays resident, so
-/// `analysis_runs` counts actual verifier executions, not lookups.
-fn analyze_phase(program: &Program, obs: &Recorder) -> Vec<Finding> {
-    let started = Instant::now();
-    let findings = analyze_program(program);
-    obs.observe(Timer::AnalyzeMicros, started.elapsed().as_micros() as u64);
-    obs.bump(Counter::AnalysisRuns);
-    obs.add(Counter::AnalysisFindings, findings.len() as u64);
-    findings
 }
 
 /// Apply the lab's analysis policy to the verifier's findings for one
@@ -229,10 +235,9 @@ pub fn execute(req: &JobRequest, ctx: &RunCtx) -> JobOutcome {
     };
     let analyze = req.spec.analysis.enabled();
     let compile = || {
-        let result = compile_phase(job_id, &req.source, &req.spec);
-        let analysis = match (&result, analyze) {
-            (Ok(p), true) => analyze_phase(p, obs),
-            _ => Vec::new(),
+        let (result, analysis) = match compile_phase(job_id, &req.source, &req.spec, obs) {
+            Ok((p, findings)) => (Ok(p), findings),
+            Err(m) => (Err(m), Vec::new()),
         };
         CompiledEntry {
             result,

@@ -179,19 +179,6 @@ pub fn run_course_v1(cfg: &CourseRun, workers: usize) -> CourseReport {
     run_course(cfg, Box::new(cluster))
 }
 
-/// Convenience: run a course on a v2 cluster with a policy.
-pub fn run_course_v2(
-    cfg: &CourseRun,
-    initial_workers: usize,
-    policy: crate::autoscaler::AutoscalePolicy,
-) -> CourseReport {
-    let cluster = crate::ClusterBuilder::new(minicuda::DeviceConfig::test_small())
-        .fleet(initial_workers)
-        .policy(policy)
-        .build_v2();
-    run_course(cfg, Box::new(cluster))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,8 +213,8 @@ mod tests {
             buggy_fraction: 0.0,
             seed: 9,
         };
-        // The MPI lab is tagged and run_course_v2's default fleet lacks
-        // the tags, so grow capabilities first via the config service.
+        // The MPI lab is tagged and a default v2 fleet lacks the tags,
+        // so grow capabilities first via the config service.
         let cluster = crate::v2::ClusterV2::new(
             2,
             minicuda::DeviceConfig::test_small(),
