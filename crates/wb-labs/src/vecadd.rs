@@ -138,4 +138,36 @@ mod tests {
         assert_eq!(cases[0].expected.len(), 1, "single-element edge case");
         assert!(cases.iter().any(|c| c.expected.len() % 256 != 0));
     }
+
+    #[test]
+    fn cache_keys_are_pinned() {
+        // Cloned specs share their blacklist and whitelist tables; the
+        // keys hash the tables' contents, so sharing moves no key.
+        use wb_cache::{CompileKey, GradeKey};
+        let lab = definition(LabScale::Small);
+        let spec = lab.spec.clone();
+        let ckey = CompileKey::derive(
+            SOLUTION,
+            spec.dialect,
+            spec.opt_level,
+            spec.analysis.enabled(),
+            &spec.toolchain,
+            "webgpu/cuda",
+            &spec.blacklist,
+            &spec.limits,
+        );
+        let case = &lab.datasets[0];
+        let gkey = GradeKey::derive(
+            ckey,
+            &case.name,
+            &case.inputs,
+            &case.expected,
+            &minicuda::DeviceConfig::test_small(),
+            &spec.whitelist,
+            &spec.check,
+            &spec.limits,
+        );
+        assert_eq!(ckey.0.to_string(), "263c9c15d50629740e57275bf5e99da6");
+        assert_eq!(gkey.0.to_string(), "6d40a4bfa35721e125a2d30cee625f35");
+    }
 }

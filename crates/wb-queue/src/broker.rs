@@ -3,6 +3,7 @@
 
 use crate::capability::CapabilitySet;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use wb_obs::{Counter, Recorder};
 
 /// Metadata carried by every job.
@@ -19,12 +20,23 @@ pub struct JobMeta {
 }
 
 /// A delivered job: payload plus receipt handle for ack/nack.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Delivery<T> {
     /// Job metadata.
     pub meta: JobMeta,
-    /// The payload.
-    pub payload: T,
+    /// The payload, shared with the job's queued copies in both zones.
+    pub payload: Arc<T>,
+}
+
+// Not derived: the derive would demand a cloneable payload, which a
+// shared one never needs.
+impl<T> Clone for Delivery<T> {
+    fn clone(&self) -> Self {
+        Delivery {
+            meta: self.meta.clone(),
+            payload: Arc::clone(&self.payload),
+        }
+    }
 }
 
 /// Counters for the operations dashboard.
@@ -44,10 +56,10 @@ pub struct BrokerMetrics {
     pub dead_lettered: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct QueuedJob<T> {
     meta: JobMeta,
-    payload: T,
+    payload: Arc<T>,
     /// When Some, the job is in flight and invisible until this time.
     invisible_until: Option<u64>,
 }
@@ -74,9 +86,9 @@ impl<T> Default for Queue<T> {
     }
 }
 
-impl<T: Clone> Queue<T> {
+impl<T> Queue<T> {
     /// Take a job in, visible.
-    pub(crate) fn push(&mut self, meta: JobMeta, payload: T) {
+    pub(crate) fn push(&mut self, meta: JobMeta, payload: Arc<T>) {
         self.metrics.enqueued += 1;
         self.jobs.push(QueuedJob {
             meta,
@@ -88,8 +100,14 @@ impl<T: Clone> Queue<T> {
     /// Reclaim expired deliveries and dead-letter jobs that exhausted
     /// their retry budget. Every observation of the queue (`poll`,
     /// `depth`, `in_flight`) sweeps first so autoscalers never see
-    /// phantom depth from jobs that can no longer be delivered.
-    pub(crate) fn sweep(&mut self, now_ms: u64, max_attempts: u32, obs: &Recorder) {
+    /// phantom depth from jobs that can no longer be delivered. Returns
+    /// the letters this call made.
+    pub(crate) fn sweep(
+        &mut self,
+        now_ms: u64,
+        max_attempts: u32,
+        obs: &Recorder,
+    ) -> &[Delivery<T>] {
         let mut timeouts = 0;
         for j in &mut self.jobs {
             if j.invisible_until.is_some_and(|t| t <= now_ms) {
@@ -100,6 +118,7 @@ impl<T: Clone> Queue<T> {
         self.metrics.timeouts += timeouts;
         obs.add(Counter::QueueTimeouts, timeouts);
 
+        let before = self.dead.len();
         let mut k = 0;
         while k < self.jobs.len() {
             let j = &self.jobs[k];
@@ -115,6 +134,7 @@ impl<T: Clone> Queue<T> {
                 k += 1;
             }
         }
+        &self.dead[before..]
     }
 
     /// Deliver the oldest visible job whose tags are all within
@@ -134,7 +154,7 @@ impl<T: Clone> Queue<T> {
         job.invisible_until = Some(now_ms + visibility_timeout_ms);
         let d = Delivery {
             meta: job.meta.clone(),
-            payload: job.payload.clone(),
+            payload: Arc::clone(&job.payload),
         };
         self.metrics.delivered += 1;
         obs.bump(Counter::QueueDelivered);
@@ -183,7 +203,7 @@ impl<T: Clone> Queue<T> {
         self.metrics.acked += self.jobs.len() as u64;
         self.jobs.clear();
         for j in &from.jobs {
-            self.push(j.meta.clone(), j.payload.clone());
+            self.push(j.meta.clone(), Arc::clone(&j.payload));
         }
     }
 }
@@ -206,7 +226,7 @@ mod tests {
     }
 
     /// One lane: the single queue every test here drives.
-    fn broker<T: Clone>(visibility_timeout_ms: u64, max_attempts: u32) -> ShardedBroker<T> {
+    fn broker<T>(visibility_timeout_ms: u64, max_attempts: u32) -> ShardedBroker<T> {
         ShardedBroker::new(1, visibility_timeout_ms, max_attempts)
     }
 
@@ -216,10 +236,10 @@ mod tests {
         b.enqueue_to(0, "first", tags(&[]), 0);
         b.enqueue_to(0, "second", tags(&[]), 0);
         let d1 = b.poll_from(0, &basic_worker(), 10).unwrap();
-        assert_eq!(d1.payload, "first");
+        assert_eq!(*d1.payload, "first");
         assert!(b.ack(d1.meta.id));
         let d2 = b.poll_from(0, &basic_worker(), 11).unwrap();
-        assert_eq!(d2.payload, "second");
+        assert_eq!(*d2.payload, "second");
         assert!(b.ack(d2.meta.id));
         assert!(b.poll_from(0, &basic_worker(), 12).is_none());
         let m = b.metrics();
@@ -233,10 +253,10 @@ mod tests {
         b.enqueue_to(0, "plain job", tags(&[]), 0);
         // A plain CUDA worker skips the MPI job but gets the plain one.
         let d = b.poll_from(0, &basic_worker(), 1).unwrap();
-        assert_eq!(d.payload, "plain job");
+        assert_eq!(*d.payload, "plain job");
         // An MPI-capable worker gets the MPI job.
         let d2 = b.poll_from(0, &caps(&["cuda", "mpi"]), 2).unwrap();
-        assert_eq!(d2.payload, "mpi job");
+        assert_eq!(*d2.payload, "mpi job");
     }
 
     #[test]
@@ -286,7 +306,7 @@ mod tests {
         assert_eq!(b.metrics().dead_lettered, 1);
         let dead = b.drain_dead_letters();
         assert_eq!(dead.len(), 1);
-        assert_eq!(dead[0].payload, "poison");
+        assert_eq!(*dead[0].payload, "poison");
     }
 
     #[test]
@@ -350,5 +370,52 @@ mod tests {
         }
         let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
         assert_eq!(total, 100, "every job delivered exactly once");
+    }
+
+    /// A payload that cannot be cloned: the broker compiles over it
+    /// only because it never copies one.
+    #[derive(Debug, PartialEq)]
+    struct Unclonable(u32);
+
+    #[test]
+    fn payload_is_shared_never_copied() {
+        use crate::Zone;
+        use std::sync::Arc;
+        let b = broker(10, 2);
+        b.enqueue_to(0, Unclonable(7), tags(&[]), 0);
+        let first = b.poll_from(0, &basic_worker(), 0).unwrap();
+        assert_eq!(*first.payload, Unclonable(7));
+        assert_eq!(
+            Arc::strong_count(&first.payload),
+            3,
+            "the two zones and the delivery hold one allocation"
+        );
+        let same = |d: &crate::Delivery<Unclonable>| Arc::ptr_eq(&first.payload, &d.payload);
+
+        let redelivered = b.poll_from(0, &basic_worker(), 10).unwrap();
+        assert_eq!(redelivered.meta.attempts, 2);
+        assert!(same(&redelivered), "redelivery after the timeout");
+
+        b.failover();
+        let standby = b.poll_from(0, &basic_worker(), 11).unwrap();
+        assert_eq!(standby.meta.attempts, 1, "the standby's own copy");
+        assert!(same(&standby), "the standby's delivery");
+
+        assert!(b.partition(Zone::Primary));
+        assert!(b.heal(Zone::Primary));
+        b.failover();
+        assert_eq!(b.active_zone(), Zone::Primary);
+        let rebuilt = b.poll_from(0, &basic_worker(), 12).unwrap();
+        assert!(same(&rebuilt), "the copy heal rebuilt");
+
+        assert_eq!(b.depth(22), 0, "attempts exhausted: dead-lettered");
+        let dead = b.drain_dead_letters();
+        assert_eq!(dead.len(), 1);
+        assert!(same(&dead[0]), "the drained dead letter");
+        assert_eq!(
+            Arc::strong_count(&first.payload),
+            5,
+            "after the drain only the four deliveries and the letter hold it"
+        );
     }
 }

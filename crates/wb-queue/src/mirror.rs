@@ -74,7 +74,7 @@ pub(crate) struct Lane<T> {
     drained_while_cut: BTreeSet<u64>,
 }
 
-impl<T: Clone> Lane<T> {
+impl<T> Lane<T> {
     pub(crate) fn new(first_id: u64) -> Self {
         Lane {
             zones: [Queue::default(), Queue::default()],
@@ -94,12 +94,13 @@ impl<T: Clone> Lane<T> {
         (active, z.partitioned.is_none().then_some(passive))
     }
 
-    /// Enqueue to the serving zone and mirror to the other.
+    /// Enqueue to the serving zone and mirror to the other; both zones
+    /// hold the one payload.
     pub(crate) fn enqueue(
         &mut self,
         z: Zones,
         t: &Tuning,
-        payload: T,
+        payload: Arc<T>,
         tags: BTreeSet<String>,
         now_ms: u64,
     ) -> u64 {
@@ -113,7 +114,7 @@ impl<T: Clone> Lane<T> {
         };
         let (active, passive) = self.sides(z);
         if let Some(p) = passive {
-            p.push(meta.clone(), payload.clone());
+            p.push(meta.clone(), Arc::clone(&payload));
         }
         active.push(meta, payload);
         t.obs.bump(Counter::QueueEnqueued);
@@ -121,16 +122,19 @@ impl<T: Clone> Lane<T> {
     }
 
     /// Sweep the serving zone, then drop the other zone's live copy of
-    /// every job it has dead-lettered, and hand back the serving zone.
-    /// The standby's copy of a job is never acked when the job
+    /// every job the sweep dead-lettered, and hand back the serving
+    /// zone. The standby's copy of a job is never acked when the job
     /// dead-letters, so without this a failover would re-run a poisoned
-    /// job from scratch and dead-letter it a second time. Every
-    /// observation (`poll`, `depth`, `in_flight`) comes through here.
+    /// job from scratch and dead-letter it a second time. A standby cut
+    /// off when a letter was made misses its removal here, and heal's
+    /// [`rebuild_passive`](Self::rebuild_passive) replaces its jobs
+    /// wholesale. Every observation (`poll`, `depth`, `in_flight`)
+    /// comes through here.
     pub(crate) fn observe(&mut self, z: Zones, t: &Tuning, now_ms: u64) -> &mut Queue<T> {
         let (active, passive) = self.sides(z);
-        active.sweep(now_ms, t.max_attempts, &t.obs);
+        let fresh = active.sweep(now_ms, t.max_attempts, &t.obs);
         if let Some(p) = passive {
-            for d in &active.dead {
+            for d in fresh {
                 p.remove(d.meta.id);
             }
         }
@@ -249,11 +253,11 @@ mod tests {
         enqueue(&m, "done", 0);
         enqueue(&m, "pending", 0);
         let d = poll(&m, 0).unwrap();
-        assert_eq!(d.payload, "done");
+        assert_eq!(*d.payload, "done");
         m.ack(d.meta.id);
         m.failover();
         let d2 = poll(&m, 1).unwrap();
-        assert_eq!(d2.payload, "pending", "only the unacked job remains");
+        assert_eq!(*d2.payload, "pending", "only the unacked job remains");
         m.ack(d2.meta.id);
         assert!(poll(&m, 2).is_none());
     }
@@ -278,7 +282,7 @@ mod tests {
         // Primary zone dies before the worker acks.
         m.failover();
         let d2 = poll(&m, 1).expect("standby redelivers");
-        assert_eq!(d2.payload, "crash victim");
+        assert_eq!(*d2.payload, "crash victim");
     }
 
     #[test]
@@ -327,7 +331,7 @@ mod tests {
         assert_eq!(m.partitioned_zone(), Some(Zone::Primary));
         // The job was mirrored before the cut and survives on standby.
         let d = m.poll_from(0, &caps(&[]), 1).unwrap();
-        assert_eq!(d.payload, "survivor");
+        assert_eq!(*d.payload, "survivor");
         // A second partition is refused; failing back into the cut
         // zone is a no-op.
         assert!(!m.partition(Zone::Standby));
@@ -344,7 +348,7 @@ mod tests {
         enqueue(&m, "during", 1);
         // Completed during the cut: the ack cannot fan to standby.
         let d = m.poll_from(0, &caps(&[]), 2).unwrap();
-        assert_eq!(d.payload, "before");
+        assert_eq!(*d.payload, "before");
         m.ack(d.meta.id);
         assert!(m.heal(Zone::Standby));
         assert!(!m.heal(Zone::Standby), "already healed");
@@ -352,7 +356,7 @@ mod tests {
         // The healed zone serves exactly the surviving job — the cut
         // enqueue is present, the cut ack did not resurrect "before".
         let d2 = m.poll_from(0, &caps(&[]), 3).unwrap();
-        assert_eq!(d2.payload, "during");
+        assert_eq!(*d2.payload, "during");
         m.ack(d2.meta.id);
         assert!(m.poll_from(0, &caps(&[]), 4).is_none());
     }
@@ -377,7 +381,7 @@ mod tests {
         );
         let drained = m.drain_dead_letters();
         assert_eq!(drained.len(), 1, "exactly one letter across both zones");
-        assert_eq!(drained[0].payload, "poison");
+        assert_eq!(*drained[0].payload, "poison");
         assert!(m.drain_dead_letters().is_empty(), "drain removes from both");
     }
 
@@ -412,7 +416,7 @@ mod tests {
         assert!(m.heal(Zone::Primary));
         let drained = m.drain_dead_letters();
         assert_eq!(drained.len(), 1, "healed letter drains exactly once");
-        assert_eq!(drained[0].payload, "poison");
+        assert_eq!(*drained[0].payload, "poison");
         assert!(m.drain_dead_letters().is_empty(), "no duplicate remains");
     }
 
@@ -449,7 +453,7 @@ mod tests {
         let d = poll(&m, 0).unwrap();
         assert!(m.ack(d.meta.id));
         m.failover();
-        assert_eq!(poll(&m, 1).unwrap().payload, "poison");
+        assert_eq!(*poll(&m, 1).unwrap().payload, "poison");
         assert_eq!(m.depth(11), 0); // dead-letters on standby
         let s = m.metrics();
         assert_eq!(

@@ -48,7 +48,7 @@ pub struct ShardedBroker<T> {
     tuning: Tuning,
 }
 
-impl<T: Clone> ShardedBroker<T> {
+impl<T> ShardedBroker<T> {
     /// Sharded broker with `shards` lanes (clamped to at least 1).
     pub fn new(shards: usize, visibility_timeout_ms: u64, max_attempts: u32) -> Self {
         ShardedBroker::with_recorder(
@@ -107,9 +107,11 @@ impl<T: Clone> ShardedBroker<T> {
         lanes.map(|l| op(&mut l.lock(), *z, &self.tuning)).collect()
     }
 
-    /// Enqueue into an explicit lane; returns the striped job id.
+    /// Enqueue into an explicit lane; returns the striped job id. The
+    /// payload is wrapped once here: both zones, every delivery, heal's
+    /// rebuild and the dead letters share it.
     pub fn enqueue_to(&self, lane: usize, payload: T, tags: BTreeSet<String>, now_ms: u64) -> u64 {
-        let lane = lane % self.lanes.len();
+        let (lane, payload) = (lane % self.lanes.len(), Arc::new(payload));
         self.on_lane(lane, |l, z, t| l.enqueue(z, t, payload, tags, now_ms))
     }
 
@@ -303,9 +305,9 @@ mod tests {
         b.enqueue_to(0, "other lane", tags(&[]), 0);
         b.enqueue_to(1, "home lane", tags(&[]), 0);
         let first = b.poll_from(1, &caps(), 0).unwrap();
-        assert_eq!(first.payload, "home lane");
+        assert_eq!(*first.payload, "home lane");
         let second = b.poll_from(1, &caps(), 0).unwrap();
-        assert_eq!(second.payload, "other lane", "idle home steals");
+        assert_eq!(*second.payload, "other lane", "idle home steals");
     }
 
     #[test]
@@ -317,7 +319,7 @@ mod tests {
             "steal can't ignore tags"
         );
         let d = b.poll_from(1, &["cuda", "mpi"].into(), 1).unwrap();
-        assert_eq!(d.payload, "mpi job");
+        assert_eq!(*d.payload, "mpi job");
     }
 
     #[test]
@@ -345,7 +347,7 @@ mod tests {
         // FIFO within the course: the lane preserves offer order.
         for expect in 0..6 {
             let d = b.poll_from(lane, &caps(), 1).unwrap();
-            assert_eq!(d.payload, expect);
+            assert_eq!(*d.payload, expect);
             b.ack(d.meta.id);
         }
     }

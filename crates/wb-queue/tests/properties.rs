@@ -68,7 +68,7 @@ fn no_job_is_lost_or_double_acked() {
                     if let Some(d) = broker.poll_from(home, &caps, now) {
                         assert_eq!(
                             enqueued.get(&d.meta.id).copied(),
-                            Some(d.payload),
+                            Some(*d.payload),
                             "payload matches enqueue"
                         );
                         assert!(!acked.contains(&d.meta.id), "acked jobs never redelivered");

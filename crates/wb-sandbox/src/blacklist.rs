@@ -13,6 +13,8 @@
 //! production behaviour (comments included), [`ScanMode::Preprocessed`]
 //! strips comments first.
 
+use std::sync::Arc;
+
 /// How the scanner treats the source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanMode {
@@ -57,9 +59,10 @@ impl std::fmt::Display for PatternError {
 impl std::error::Error for PatternError {}
 
 /// A set of forbidden identifiers, matched on identifier boundaries.
+/// Clones share the pattern table; equality compares contents.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Blacklist {
-    patterns: Vec<String>,
+    patterns: Arc<[String]>,
     mode: ScanMode,
 }
 
@@ -82,7 +85,7 @@ impl Blacklist {
     /// An empty blacklist (used by instructor reference runs).
     pub fn permissive() -> Self {
         Blacklist {
-            patterns: Vec::new(),
+            patterns: Arc::new([]),
             mode: ScanMode::RawText,
         }
     }
@@ -96,6 +99,7 @@ impl Blacklist {
             let pattern = bad.clone();
             return Err(PatternError { pattern });
         }
+        let patterns = patterns.into();
         Ok(Blacklist { patterns, mode })
     }
 
@@ -309,6 +313,19 @@ mod tests {
         assert!(!bl.permits("goto fail;"));
         assert!(bl.permits("int gotoX;"));
         assert_eq!(bl.patterns(), &["goto".to_string()]);
+    }
+
+    #[test]
+    fn clones_share_the_table_and_equality_compares_contents() {
+        let bl = Blacklist::standard();
+        let copy = bl.clone();
+        assert!(std::ptr::eq(bl.patterns(), copy.patterns()), "one table");
+        // Separately built, equal contents: equal.
+        assert_eq!(bl, Blacklist::standard());
+        let rebuilt = Blacklist::new(bl.patterns().to_vec(), ScanMode::RawText).unwrap();
+        assert_eq!(bl, rebuilt);
+        assert_ne!(bl, rebuilt.with_mode(ScanMode::Preprocessed));
+        assert_ne!(bl, Blacklist::permissive());
     }
 
     #[test]

@@ -8,12 +8,15 @@
 
 use minicuda::HostcallPolicy;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-/// An instructor-provided whitelist of allowed hostcalls.
+/// An instructor-provided whitelist of allowed hostcalls. Clones share
+/// the call set until one of them is edited; equality compares
+/// contents.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyscallWhitelist {
     name: String,
-    allowed: BTreeSet<String>,
+    allowed: Arc<BTreeSet<String>>,
 }
 
 impl SyscallWhitelist {
@@ -21,7 +24,7 @@ impl SyscallWhitelist {
     pub fn new(name: impl Into<String>, calls: impl IntoIterator<Item = String>) -> Self {
         SyscallWhitelist {
             name: name.into(),
-            allowed: calls.into_iter().collect(),
+            allowed: Arc::new(calls.into_iter().collect()),
         }
     }
 
@@ -72,6 +75,7 @@ impl SyscallWhitelist {
     pub fn mpi_profile() -> Self {
         let mut w = Self::cuda_default();
         w.name = "mpi-profile".to_string();
+        let allowed = Arc::make_mut(&mut w.allowed);
         for c in [
             "wbMPI_rank",
             "wbMPI_size",
@@ -79,7 +83,7 @@ impl SyscallWhitelist {
             "wbMPI_recvFloat",
             "wbMPI_barrier",
         ] {
-            w.allowed.insert(c.to_string());
+            allowed.insert(c.to_string());
         }
         w
     }
@@ -88,12 +92,12 @@ impl SyscallWhitelist {
     /// because the `HostcallPolicy` trait already claims `allow` for
     /// the read path and would win method resolution on `&self`.)
     pub fn add(&mut self, call: impl Into<String>) {
-        self.allowed.insert(call.into());
+        Arc::make_mut(&mut self.allowed).insert(call.into());
     }
 
     /// Remove a call from the whitelist.
     pub fn remove(&mut self, call: &str) {
-        self.allowed.remove(call);
+        Arc::make_mut(&mut self.allowed).remove(call);
     }
 
     /// Number of whitelisted calls.
@@ -154,6 +158,26 @@ mod tests {
         assert_eq!(w.len(), 1);
         w.remove("foo");
         assert!(!HostcallPolicy::allow(&w, "foo"));
+    }
+
+    #[test]
+    fn editing_a_clone_leaves_the_original() {
+        let original = SyscallWhitelist::cuda_default();
+        let mut copy = original.clone();
+        assert_eq!(copy, original);
+        copy.add("wbMPI_rank");
+        copy.remove("malloc");
+        assert!(HostcallPolicy::allow(&copy, "wbMPI_rank"));
+        assert!(!HostcallPolicy::allow(&copy, "malloc"));
+        assert!(!HostcallPolicy::allow(&original, "wbMPI_rank"));
+        assert!(HostcallPolicy::allow(&original, "malloc"));
+        assert_eq!(original, SyscallWhitelist::cuda_default(), "unchanged");
+        assert_ne!(copy, original);
+        // Equality compares contents, not the shared table: undoing the
+        // edits on the clone's own table makes it equal again.
+        copy.remove("wbMPI_rank");
+        copy.add("malloc");
+        assert_eq!(copy, original);
     }
 
     #[test]
