@@ -31,6 +31,7 @@ pub mod dataset;
 pub mod error;
 pub mod gen;
 pub mod graph;
+pub mod hash;
 pub mod image;
 pub mod log;
 pub mod rng;

@@ -1,5 +1,6 @@
 //! Property-based tests on the support library's core invariants.
 
+use libwb::hash::{ContentHash, ContentHasher};
 use libwb::{check, gen, CheckPolicy, CsrGraph, CsrMatrix, Dataset, Image};
 use wb_prop::Gen;
 
@@ -191,5 +192,66 @@ fn generated_graph_invariants() {
         // Rebuilding through the constructor revalidates everything.
         let rebuilt = CsrGraph::new(n, graph.row_ptr().to_vec(), graph.neighbors().to_vec());
         assert!(rebuilt.is_ok());
+    });
+}
+
+/// Digest of `bytes` written as successive `write_raw` calls, one per
+/// piece between the given cut points.
+fn hash_split(bytes: &[u8], cuts: &[usize]) -> ContentHash {
+    let mut h = ContentHasher::new();
+    let mut at = 0;
+    for &cut in cuts {
+        h.write_raw(&bytes[at..cut]);
+        at = cut;
+    }
+    h.write_raw(&bytes[at..]);
+    h.finish()
+}
+
+/// Any split of a byte string into successive raw writes gives the
+/// digest of one write: the carry makes block boundaries a property of
+/// the stream, not of the calls.
+#[test]
+fn digest_is_split_invariant() {
+    wb_prop::check(512, |g| {
+        let bytes = g.vec(0..80, |g| g.int(0..=255u8));
+        let mut cuts = g.vec(0..8, |g| g.int(0..=bytes.len()));
+        cuts.sort_unstable();
+        assert_eq!(
+            hash_split(&bytes, &cuts),
+            hash_split(&bytes, &[]),
+            "cuts {cuts:?}"
+        );
+    });
+}
+
+/// Length-prefixed fields never alias: moving bytes across a field
+/// boundary, or splitting one field into two (an empty one included),
+/// changes the digest.
+#[test]
+fn adjacent_fields_never_alias() {
+    let fields = |fs: &[&[u8]]| {
+        let mut h = ContentHasher::new();
+        fs.iter().for_each(|f| {
+            h.write_bytes(f);
+        });
+        h.finish()
+    };
+    assert_ne!(fields(&[b"ab", b"c"]), fields(&[b"a", b"bc"]));
+    assert_ne!(
+        fields(&[b"abc"]),
+        fields(&[b"abc", b""]),
+        "empty vs missing"
+    );
+    assert_ne!(fields(&[b""]), fields(&[]), "empty vs missing");
+    wb_prop::check(512, |g| {
+        let bytes = g.vec(0..40, |g| g.int(0..=255u8));
+        let (i, j) = (g.int(0..=bytes.len()), g.int(0..=bytes.len()));
+        if i == j {
+            return;
+        }
+        let (a, b) = (bytes.split_at(i), bytes.split_at(j));
+        assert_ne!(fields(&[a.0, a.1]), fields(&[b.0, b.1]), "cut {i} vs {j}");
+        assert_ne!(fields(&[a.0, a.1]), fields(&[&bytes]), "one field vs two");
     });
 }

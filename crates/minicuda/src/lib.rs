@@ -99,7 +99,7 @@ use std::time::{Duration, Instant};
 /// How much of the middle-end a compile runs.
 ///
 /// The level is part of a program's execution contract — `wb-cache`
-/// folds [`OptLevel::fingerprint`] into the compile key so a grade
+/// folds it, beside [`ir::IR_VERSION`], into the compile key so a grade
 /// produced at one level is never served for another.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum OptLevel {
@@ -110,17 +110,6 @@ pub enum OptLevel {
     /// LICM, DCE) and execute warp-batched.
     #[default]
     O2,
-}
-
-impl OptLevel {
-    /// Cache-key component: distinguishes levels *and* IR revisions,
-    /// so cached grades go stale when either changes.
-    pub fn fingerprint(self) -> String {
-        match self {
-            OptLevel::O0 => "O0".to_string(),
-            OptLevel::O2 => format!("O2/{}", ir::IR_VERSION),
-        }
-    }
 }
 
 impl std::fmt::Display for OptLevel {

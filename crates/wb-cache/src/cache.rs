@@ -545,7 +545,7 @@ mod tests {
     fn submission_cache_round_trip() {
         let cache: SubmissionCache<Vec<u8>> =
             SubmissionCache::new(CacheConfig::default(), Vec::len);
-        let key = CompileKey(crate::hash::hash_bytes(b"src"));
+        let key = CompileKey(crate::hash_bytes(b"src"));
         let (entry, _) = cache.compile_or(key, || CompiledEntry {
             result: Err("syntax error".to_string()),
             source_bytes: 3,
@@ -556,7 +556,7 @@ mod tests {
         assert_eq!(entry.result.unwrap_err(), "syntax error");
         assert!(lookup.saved_work());
 
-        let gkey = GradeKey(crate::hash::hash_bytes(b"grade"));
+        let gkey = GradeKey(crate::hash_bytes(b"grade"));
         let g = cache.grade_or(gkey, || vec![1, 2, 3]);
         assert_eq!(g, (vec![1, 2, 3], LookupOutcome::Miss));
         let g = cache.grade_or(gkey, || unreachable!("cached"));
@@ -571,7 +571,7 @@ mod tests {
     #[test]
     fn tiny_budget_still_serves_values() {
         let cache: SubmissionCache<Vec<u8>> = SubmissionCache::new(CacheConfig::tiny(8), Vec::len);
-        let gkey = GradeKey(crate::hash::hash_bytes(b"big"));
+        let gkey = GradeKey(crate::hash_bytes(b"big"));
         let big = vec![0u8; 4096];
         let (got, _) = cache.grade_or(gkey, || big.clone());
         assert_eq!(got, big, "oversized value reaches the caller");

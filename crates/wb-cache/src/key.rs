@@ -12,21 +12,24 @@
 //!   blacklist scan → compile): the source bytes exactly as they are
 //!   gated, scanned and compiled (line endings included — the lexer
 //!   ends a `//` comment only at LF), dialect, middle-end opt level
-//!   (with its kernel-IR revision), container image / toolchain id,
-//!   the blacklist's full content ("version"), and the lab's resource
+//!   and kernel-IR revision, container image / toolchain id, the
+//!   blacklist's content digest and scan mode, and the lab's resource
 //!   limits.
 //! * [`GradeKey`] covers one dataset run: the program identity (the
 //!   compile key), the dataset content, the device configuration, the
-//!   syscall whitelist content, the float-check tolerance, and the
-//!   execution budgets.
+//!   syscall whitelist's content digest, the float-check tolerance,
+//!   and the execution budgets.
 //!
 //! Invalidation is automatic: instructors don't flush the cache, they
 //! change an input (new blacklist pattern, new dataset, new limits) and
-//! the key changes with it — old entries age out of the LRU.
+//! the key changes with it — old entries age out of the LRU. The
+//! sandbox tables hold a digest of their content that every edit
+//! recomputes, so a key folds in 16 bytes per table, not the table,
+//! and still changes with any edit.
 
-use crate::hash::{ContentHash, ContentHasher};
+use libwb::hash::{ContentHash, ContentHasher};
 use libwb::{CheckPolicy, Dataset};
-use minicuda::{DeviceConfig, Dialect, HostcallPolicy, OptLevel};
+use minicuda::{ir, DeviceConfig, Dialect, OptLevel};
 use wb_sandbox::{Blacklist, ResourceLimits, SyscallWhitelist};
 
 /// Key for the compile phase of a submission.
@@ -69,10 +72,7 @@ fn write_dataset(h: &mut ContentHasher, d: &Dataset) {
             h.write_u64(0).write_f32s(v);
         }
         Dataset::IntVector(v) => {
-            h.write_u64(1).write_u64(v.len() as u64);
-            for &x in v {
-                h.write_i64(x as i64);
-            }
+            h.write_u64(1).write_i32s(v);
         }
         Dataset::Matrix { rows, cols, data } => {
             h.write_u64(2)
@@ -113,10 +113,9 @@ impl CompileKey {
     /// `toolchain` is the lab's required toolchain and `image` the
     /// container image that provides it — different toolchain stacks
     /// may compile the same bytes differently, so both are part of the
-    /// key even though the simulator has a single compiler. `opt`
-    /// contributes its [`OptLevel::fingerprint`], which also encodes
-    /// the kernel-IR revision: bumping `ir::IR_VERSION` re-keys every
-    /// optimized compile without touching this function.
+    /// key even though the simulator has a single compiler. `opt` is
+    /// hashed beside [`ir::IR_VERSION`]: bumping the kernel-IR revision
+    /// re-keys every compile without touching this function.
     ///
     /// `analyze` records whether the static verifier ran alongside the
     /// compile: entries produced with analysis off carry no findings,
@@ -135,19 +134,20 @@ impl CompileKey {
         limits: &ResourceLimits,
     ) -> CompileKey {
         let mut h = ContentHasher::new();
-        h.write_str("compile-v3");
+        h.write_str("compile-v4");
         h.write_bool(analyze);
         h.write_str(source);
         h.write_str(dialect.name());
-        h.write_str(&opt.fingerprint());
+        h.write_str(match opt {
+            OptLevel::O0 => "O0",
+            OptLevel::O2 => "O2",
+        });
+        h.write_str(ir::IR_VERSION);
         h.write_str(toolchain);
         h.write_str(image);
-        // The blacklist "version" is its full content: any edit to the
-        // pattern set or scan mode re-keys every submission.
-        h.write_u64(blacklist.patterns().len() as u64);
-        for p in blacklist.patterns() {
-            h.write_str(p);
-        }
+        // The blacklist "version" is its content digest and scan mode:
+        // any edit to the pattern set or mode re-keys every submission.
+        h.write_hash(blacklist.digest());
         h.write_str(match blacklist.mode() {
             wb_sandbox::ScanMode::RawText => "raw",
             wb_sandbox::ScanMode::Preprocessed => "preprocessed",
@@ -171,8 +171,8 @@ impl GradeKey {
         limits: &ResourceLimits,
     ) -> GradeKey {
         let mut h = ContentHasher::new();
-        h.write_str("grade-v2");
-        h.write_raw(&program.0 .0.to_le_bytes());
+        h.write_str("grade-v3");
+        h.write_hash(program.0);
         h.write_str(case_name);
         h.write_u64(inputs.len() as u64);
         for d in inputs {
@@ -180,13 +180,9 @@ impl GradeKey {
         }
         write_dataset(&mut h, expected);
         write_device(&mut h, device);
-        // The whitelist "version" is its full content, like the
+        // The whitelist "version" is its content digest, like the
         // blacklist's: profile name plus the allowed-call set.
-        h.write_str(whitelist.name());
-        h.write_u64(whitelist.calls().count() as u64);
-        for c in whitelist.calls() {
-            h.write_str(c);
-        }
+        h.write_hash(whitelist.digest());
         h.write_f32(check.abs_tol)
             .write_f32(check.rel_tol)
             .write_usize(check.max_reported);
@@ -404,6 +400,68 @@ mod tests {
                 &limits
             )
         );
+    }
+
+    fn compile_with(blacklist: &Blacklist) -> CompileKey {
+        let (opt, limits) = (OptLevel::default(), ResourceLimits::default());
+        CompileKey::derive(
+            SRC,
+            Dialect::Cuda,
+            opt,
+            false,
+            "cuda",
+            "img",
+            blacklist,
+            &limits,
+        )
+    }
+
+    fn grade_with(whitelist: &SyscallWhitelist) -> GradeKey {
+        let (dev, check) = (DeviceConfig::test_small(), CheckPolicy::default());
+        let expected = Dataset::Scalar(1.0);
+        let limits = ResourceLimits::default();
+        let p = base_compile();
+        GradeKey::derive(p, "d", &[], &expected, &dev, whitelist, &check, &limits)
+    }
+
+    #[test]
+    fn whitelist_edits_rekey_the_edited_clone_only() {
+        let original = SyscallWhitelist::cuda_default();
+        let before = grade_with(&original);
+        let mut added = original.clone();
+        added.add("wbMPI_rank");
+        let mut removed = original.clone();
+        removed.remove("malloc");
+        let mpi = SyscallWhitelist::mpi_profile();
+        for (edit, w) in [("add", &added), ("remove", &removed), ("mpi_profile", &mpi)] {
+            assert_ne!(grade_with(w), before, "{edit} kept the key");
+        }
+        assert_eq!(grade_with(&original), before, "the original re-keyed");
+        assert_eq!(original, SyscallWhitelist::cuda_default());
+        // Undoing an edit restores the content, so the key.
+        added.remove("wbMPI_rank");
+        assert_eq!(grade_with(&added), before);
+    }
+
+    #[test]
+    fn tables_key_by_content_not_identity() {
+        let wl = SyscallWhitelist::cuda_default();
+        let calls = wl.calls().map(String::from).collect::<Vec<_>>();
+        let rebuilt = SyscallWhitelist::new("cuda-default", calls.into_iter().rev());
+        assert_eq!(grade_with(&rebuilt), grade_with(&wl));
+        let renamed = SyscallWhitelist::new("renamed", wl.calls().map(String::from));
+        assert_ne!(grade_with(&renamed), grade_with(&wl), "the name is content");
+        let bl = Blacklist::standard();
+        let rebuilt = Blacklist::new(bl.patterns().to_vec(), bl.mode()).unwrap();
+        assert_eq!(compile_with(&rebuilt), compile_with(&bl));
+    }
+
+    #[test]
+    fn scan_mode_rekeys_compiles() {
+        let raw = Blacklist::standard();
+        let pre = raw.clone().with_mode(wb_sandbox::ScanMode::Preprocessed);
+        assert_eq!(raw.digest(), pre.digest(), "the mode is not in the digest");
+        assert_ne!(compile_with(&raw), compile_with(&pre));
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //!
 //! The crate is two layers:
 //!
-//! * [`hash`] / [`key`] — a self-contained 128-bit content hasher and
-//!   the key-derivation rules: [`CompileKey`] covers everything that
-//!   can change a compile result, [`GradeKey`] everything that can
-//!   change a dataset grade.
+//! * [`key`] — the key-derivation rules over `libwb`'s 128-bit content
+//!   hasher (re-exported here as [`ContentHasher`]): [`CompileKey`]
+//!   covers everything that can change a compile result, [`GradeKey`]
+//!   everything that can change a dataset grade.
 //! * [`cache`] — one table per tier ([`CachedMap`]): a byte-budgeted,
 //!   sharded LRU whose slots are either resident values or in-flight
 //!   computations, so a lookup decides hit, coalesce or lead under one
@@ -26,11 +26,10 @@
 //! both cluster implementations share one instance fleet-wide.
 
 pub mod cache;
-pub mod hash;
 pub mod key;
 
 pub use cache::{
     CacheConfig, CacheMetrics, CachedMap, CompiledEntry, LookupOutcome, MapMetrics, SubmissionCache,
 };
-pub use hash::{hash_bytes, ContentHash, ContentHasher};
 pub use key::{CompileKey, GradeKey};
+pub use libwb::hash::{hash_bytes, ContentHash, ContentHasher};

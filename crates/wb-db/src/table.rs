@@ -153,6 +153,25 @@ impl<T: Clone> Table<T> {
         Ok(idx.map.get(key).cloned().unwrap_or_default())
     }
 
+    /// Apply `f` to the newest record (the highest id) under an index
+    /// key, borrowing it in place: `None` when the key has no rows.
+    /// Unlike [`find`](Self::find) + [`get`](Self::get), it copies
+    /// neither the id list nor the record.
+    pub fn with_last<R>(
+        &self,
+        index: &str,
+        key: &str,
+        f: impl FnOnce(&T) -> R,
+    ) -> Result<Option<R>, TableError> {
+        let g = self.inner.read();
+        let idx = g
+            .indexes
+            .get(index)
+            .ok_or_else(|| TableError::NoSuchIndex(index.to_string()))?;
+        let last = idx.map.get(key).and_then(|ids| ids.last());
+        Ok(last.and_then(|id| g.rows.get(id)).map(f))
+    }
+
     /// All `(id, record)` pairs, ordered by id (full scan).
     pub fn scan(&self) -> Vec<(u64, T)> {
         let g = self.inner.read();
@@ -279,6 +298,25 @@ mod tests {
             vec![old, newer, newest]
         );
         assert!(t.find("by_lab", "vecadd").unwrap().is_empty());
+    }
+
+    #[test]
+    fn with_last_borrows_the_newest_row_under_a_key() {
+        let t = Table::new();
+        t.create_index("by_user", |s: &Submission| s.user.clone());
+        assert_eq!(t.with_last("by_user", "alice", |s| s.score), Ok(None));
+        let old = t.insert(&sub("alice", "vecadd", 1.0)).unwrap();
+        t.insert(&sub("bob", "vecadd", 2.0)).unwrap();
+        t.insert(&sub("alice", "matmul", 3.0)).unwrap();
+        assert_eq!(t.with_last("by_user", "alice", |s| s.score), Ok(Some(3.0)));
+        // Ids order the rows, not insertion: a re-keyed older row is not
+        // the newest.
+        t.update(old, &sub("bob", "vecadd", 4.0)).unwrap();
+        assert_eq!(t.with_last("by_user", "bob", |s| s.score), Ok(Some(2.0)));
+        assert!(matches!(
+            t.with_last("nope", "x", |s| s.score),
+            Err(TableError::NoSuchIndex(_))
+        ));
     }
 
     #[test]

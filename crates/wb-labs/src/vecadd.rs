@@ -140,9 +140,36 @@ mod tests {
     }
 
     #[test]
+    fn cloned_spec_shares_its_tables() {
+        // The tables, their digests and the whitelist's profile name
+        // sit behind the one `Arc` per table that a clone shares: the
+        // clone's handles are a pointer wide (plus the scan mode) and
+        // point at the original's strings.
+        use minicuda::HostcallPolicy;
+        use std::mem::size_of;
+        let spec = definition(LabScale::Small).spec;
+        let copy = spec.clone();
+        assert_eq!(
+            size_of::<wb_sandbox::SyscallWhitelist>(),
+            size_of::<usize>()
+        );
+        assert_eq!(size_of::<wb_sandbox::Blacklist>(), 2 * size_of::<usize>());
+        assert!(std::ptr::eq(
+            spec.blacklist.patterns(),
+            copy.blacklist.patterns()
+        ));
+        assert!(std::ptr::eq(spec.whitelist.name(), copy.whitelist.name()));
+        let first_call = |w: &wb_sandbox::SyscallWhitelist| w.calls().next().map(str::as_ptr);
+        assert_eq!(first_call(&spec.whitelist), first_call(&copy.whitelist));
+        assert_eq!(spec.blacklist.digest(), copy.blacklist.digest());
+        assert_eq!(spec.whitelist.digest(), copy.whitelist.digest());
+    }
+
+    #[test]
     fn cache_keys_are_pinned() {
         // Cloned specs share their blacklist and whitelist tables; the
-        // keys hash the tables' contents, so sharing moves no key.
+        // keys fold in the tables' content digests, so sharing moves no
+        // key.
         use wb_cache::{CompileKey, GradeKey};
         let lab = definition(LabScale::Small);
         let spec = lab.spec.clone();
@@ -167,7 +194,7 @@ mod tests {
             &spec.check,
             &spec.limits,
         );
-        assert_eq!(ckey.0.to_string(), "263c9c15d50629740e57275bf5e99da6");
-        assert_eq!(gkey.0.to_string(), "6d40a4bfa35721e125a2d30cee625f35");
+        assert_eq!(ckey.0.to_string(), "df14e18499d3ed76c36d21f61caf18f7");
+        assert_eq!(gkey.0.to_string(), "2c8cfc7f8451fa7153b28207373b94b5");
     }
 }

@@ -272,3 +272,65 @@ fn deny_rejects_deterministically_with_attributed_diags() {
         }
     });
 }
+
+/// Inputs that differ in one byte, one line ending, one float bit
+/// pattern or one dataset kind all get different cache keys: every
+/// lab solution against single-byte edits at sampled positions and its
+/// CR/LF twin, and grade inputs that differ only in `-0.0` vs `0.0`, in
+/// a NaN payload, or in `Vector` vs `IntVector` with the same bits.
+#[test]
+fn distinct_inputs_get_distinct_keys() {
+    use std::collections::HashMap;
+    use wb_cache::{CompileKey, GradeKey};
+    let mut keys = HashMap::new();
+    let mut add = |what: String, key: wb_cache::ContentHash| {
+        if let Some(other) = keys.insert(key, what.clone()) {
+            panic!("{what} and {other} share key {key}");
+        }
+    };
+    for id in wb_labs::lab_ids() {
+        let spec = wb_labs::definition(id, wb_labs::LabScale::Small)
+            .unwrap()
+            .spec;
+        let key = |src: &str| {
+            let (opt, analyze) = (spec.opt_level, spec.analysis.enabled());
+            let (tool, bl, lim) = (&spec.toolchain, &spec.blacklist, &spec.limits);
+            CompileKey::derive(src, spec.dialect, opt, analyze, tool, "img", bl, lim).0
+        };
+        let solution = wb_labs::solution(id).unwrap();
+        add(format!("{id} solution"), key(solution));
+        add(
+            format!("{id} CR/LF twin"),
+            key(&solution.replace('\n', "\r\n")),
+        );
+        let bytes = solution.as_bytes();
+        for k in 0..24 {
+            let at = k * (bytes.len() - 1) / 23;
+            let mut edited = bytes.to_vec();
+            edited[at] ^= 1;
+            if let Ok(edited) = String::from_utf8(edited) {
+                add(format!("{id} byte {at} edited"), key(&edited));
+            }
+        }
+    }
+    let spec = wb_labs::definition("vecadd", wb_labs::LabScale::Small)
+        .unwrap()
+        .spec;
+    let program = CompileKey(wb_cache::hash_bytes(b"program"));
+    let grade = |expected: Dataset| {
+        let dev = DeviceConfig::test_small();
+        let (wl, check, lim) = (&spec.whitelist, &spec.check, &spec.limits);
+        GradeKey::derive(program, "d", &[], &expected, &dev, wl, check, lim).0
+    };
+    let floats = |bits: [u32; 3]| Dataset::Vector(bits.map(f32::from_bits).to_vec());
+    let (zero, neg_zero) = (0.0f32.to_bits(), (-0.0f32).to_bits());
+    add("0.0".into(), grade(floats([1, zero, 2])));
+    add("-0.0".into(), grade(floats([1, neg_zero, 2])));
+    add("NaN payload 1".into(), grade(floats([1, 0x7fc0_0001, 2])));
+    add("NaN payload 2".into(), grade(floats([1, 0x7fc0_0002, 2])));
+    add("Vector of 3, 4, 5".into(), grade(floats([3, 4, 5])));
+    add(
+        "IntVector, same bits".into(),
+        grade(Dataset::IntVector(vec![3, 4, 5])),
+    );
+}

@@ -13,6 +13,7 @@
 //! production behaviour (comments included), [`ScanMode::Preprocessed`]
 //! strips comments first.
 
+use libwb::hash::{ContentHash, ContentHasher};
 use std::sync::Arc;
 
 /// How the scanner treats the source.
@@ -59,25 +60,44 @@ impl std::fmt::Display for PatternError {
 impl std::error::Error for PatternError {}
 
 /// A set of forbidden identifiers, matched on identifier boundaries.
-/// Clones share the pattern table; equality compares contents.
+/// Clones share the pattern table and its digest; equality compares
+/// contents.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Blacklist {
-    patterns: Arc<[String]>,
+    table: Arc<Table>,
     mode: ScanMode,
+}
+
+/// The part of a blacklist its clones share.
+#[derive(Debug, PartialEq, Eq)]
+struct Table {
+    patterns: Box<[String]>,
+    /// Content digest of `patterns`, computed when the table is built.
+    digest: ContentHash,
+}
+
+impl Table {
+    fn new(patterns: Box<[String]>) -> Table {
+        let mut h = ContentHasher::new();
+        h.write_u64(patterns.len() as u64);
+        for p in patterns.iter() {
+            h.write_str(p);
+        }
+        let digest = h.finish();
+        Table { patterns, digest }
+    }
 }
 
 impl Blacklist {
     /// The default deny set used by the GPU labs: inline assembly,
     /// process control, raw I/O, and dynamic loading.
     pub fn standard() -> Self {
+        let patterns = [
+            "asm", "__asm__", "system", "popen", "fork", "execve", "execvp", "fopen", "open",
+            "socket", "dlopen", "syscall", "mmap", "ptrace",
+        ];
         Blacklist {
-            patterns: [
-                "asm", "__asm__", "system", "popen", "fork", "execve", "execvp", "fopen", "open",
-                "socket", "dlopen", "syscall", "mmap", "ptrace",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
+            table: Arc::new(Table::new(patterns.map(String::from).into())),
             mode: ScanMode::RawText,
         }
     }
@@ -85,7 +105,7 @@ impl Blacklist {
     /// An empty blacklist (used by instructor reference runs).
     pub fn permissive() -> Self {
         Blacklist {
-            patterns: Arc::new([]),
+            table: Arc::new(Table::new(Box::new([]))),
             mode: ScanMode::RawText,
         }
     }
@@ -99,8 +119,8 @@ impl Blacklist {
             let pattern = bad.clone();
             return Err(PatternError { pattern });
         }
-        let patterns = patterns.into();
-        Ok(Blacklist { patterns, mode })
+        let table = Arc::new(Table::new(patterns.into()));
+        Ok(Blacklist { table, mode })
     }
 
     /// Change the scan mode.
@@ -111,7 +131,14 @@ impl Blacklist {
 
     /// Patterns in the deny set.
     pub fn patterns(&self) -> &[String] {
-        &self.patterns
+        &self.table.patterns
+    }
+
+    /// Content digest of the pattern list (the scan mode is not in it),
+    /// computed once when the list was built: what a cache key folds in
+    /// for the list.
+    pub fn digest(&self) -> ContentHash {
+        self.table.digest
     }
 
     /// The active scan mode.
@@ -127,7 +154,7 @@ impl Blacklist {
             ScanMode::RawText => self.first_lines(source.as_bytes()),
             ScanMode::Preprocessed => self.first_lines(strip_comments_lossy(source).as_bytes()),
         };
-        self.patterns
+        self.patterns()
             .iter()
             .zip(first_lines)
             .filter_map(|(pat, line)| line.map(|line| violation(pat, line)))
@@ -147,9 +174,10 @@ impl Blacklist {
         // Bit `n` (`n` capped at 63) is set when some pattern is `n`
         // bytes long: a run of any other length is no pattern.
         let len_bit = |len: usize| 1u64 << len.min(63);
-        let lens = self.patterns.iter().fold(0, |m, p| m | len_bit(p.len()));
-        let mut first = vec![None; self.patterns.len()];
-        let mut unseen = self.patterns.len();
+        let patterns = self.patterns();
+        let lens = patterns.iter().fold(0, |m, p| m | len_bit(p.len()));
+        let mut first = vec![None; patterns.len()];
+        let mut unseen = patterns.len();
         let (mut line, mut i, mut in_str) = (1usize, 0usize, false);
         while i < text.len() && unseen > 0 {
             let c = text[i];
@@ -187,7 +215,7 @@ impl Blacklist {
                 if lens & len_bit(run.len()) == 0 {
                     continue;
                 }
-                for (p, pat) in self.patterns.iter().enumerate() {
+                for (p, pat) in patterns.iter().enumerate() {
                     if first[p].is_none() && pat.as_bytes() == run {
                         first[p] = Some(line);
                         unseen -= 1;
@@ -320,12 +348,28 @@ mod tests {
         let bl = Blacklist::standard();
         let copy = bl.clone();
         assert!(std::ptr::eq(bl.patterns(), copy.patterns()), "one table");
-        // Separately built, equal contents: equal.
+        assert!(Arc::ptr_eq(&bl.table, &copy.table), "and one digest");
+        assert_eq!(Arc::strong_count(&bl.table), 2);
+        // Separately built, equal contents: equal, with equal digests.
         assert_eq!(bl, Blacklist::standard());
         let rebuilt = Blacklist::new(bl.patterns().to_vec(), ScanMode::RawText).unwrap();
+        assert!(!Arc::ptr_eq(&bl.table, &rebuilt.table));
         assert_eq!(bl, rebuilt);
-        assert_ne!(bl, rebuilt.with_mode(ScanMode::Preprocessed));
+        assert_eq!(bl.digest(), rebuilt.digest());
+        assert_ne!(bl, rebuilt.clone().with_mode(ScanMode::Preprocessed));
+        assert_eq!(
+            bl.digest(),
+            rebuilt.with_mode(ScanMode::Preprocessed).digest()
+        );
         assert_ne!(bl, Blacklist::permissive());
+        assert_ne!(bl.digest(), Blacklist::permissive().digest());
+        // The digest covers order and framing, like the scan's output.
+        let ab = |a: &str, b: &str| {
+            let pats = vec![a.to_string(), b.to_string()];
+            Blacklist::new(pats, ScanMode::RawText).unwrap().digest()
+        };
+        assert_ne!(ab("asm", "fork"), ab("fork", "asm"));
+        assert_ne!(ab("ab", "c"), ab("a", "bc"));
     }
 
     #[test]

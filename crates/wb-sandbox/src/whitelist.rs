@@ -6,26 +6,59 @@
 //! kills the run at the first non-whitelisted call, like seccomp's
 //! `SECCOMP_RET_KILL`.
 
+use libwb::hash::{ContentHash, ContentHasher};
 use minicuda::HostcallPolicy;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// An instructor-provided whitelist of allowed hostcalls. Clones share
-/// the call set until one of them is edited; equality compares
-/// contents.
+/// the profile name, the call set and its digest until one of them is
+/// edited; equality compares contents.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyscallWhitelist {
+    table: Arc<Table>,
+}
+
+/// The part of a whitelist its clones share.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Table {
     name: String,
-    allowed: Arc<BTreeSet<String>>,
+    allowed: BTreeSet<String>,
+    /// Content digest of `name` and `allowed`, kept current by every
+    /// edit.
+    digest: ContentHash,
+}
+
+/// Content digest of a profile: its name, then its calls in order.
+fn digest(name: &str, allowed: &BTreeSet<String>) -> ContentHash {
+    let mut h = ContentHasher::new();
+    h.write_str(name);
+    h.write_u64(allowed.len() as u64);
+    for c in allowed {
+        h.write_str(c);
+    }
+    h.finish()
 }
 
 impl SyscallWhitelist {
     /// Build from an explicit list.
     pub fn new(name: impl Into<String>, calls: impl IntoIterator<Item = String>) -> Self {
-        SyscallWhitelist {
-            name: name.into(),
-            allowed: Arc::new(calls.into_iter().collect()),
-        }
+        let (name, allowed) = (name.into(), calls.into_iter().collect());
+        let digest = digest(&name, &allowed);
+        let table = Arc::new(Table {
+            name,
+            allowed,
+            digest,
+        });
+        SyscallWhitelist { table }
+    }
+
+    /// Edit this whitelist's own copy of the table (copying it first if
+    /// a clone shares it), then bring the digest up to date.
+    fn edit(&mut self, f: impl FnOnce(&mut Table)) {
+        let table = Arc::make_mut(&mut self.table);
+        f(table);
+        table.digest = digest(&table.name, &table.allowed);
     }
 
     /// The default profile for single-GPU CUDA labs: memory, CUDA API,
@@ -74,17 +107,18 @@ impl SyscallWhitelist {
     /// only by labs tagged as requiring MPI.
     pub fn mpi_profile() -> Self {
         let mut w = Self::cuda_default();
-        w.name = "mpi-profile".to_string();
-        let allowed = Arc::make_mut(&mut w.allowed);
-        for c in [
-            "wbMPI_rank",
-            "wbMPI_size",
-            "wbMPI_sendFloat",
-            "wbMPI_recvFloat",
-            "wbMPI_barrier",
-        ] {
-            allowed.insert(c.to_string());
-        }
+        w.edit(|t| {
+            t.name = "mpi-profile".to_string();
+            for c in [
+                "wbMPI_rank",
+                "wbMPI_size",
+                "wbMPI_sendFloat",
+                "wbMPI_recvFloat",
+                "wbMPI_barrier",
+            ] {
+                t.allowed.insert(c.to_string());
+            }
+        });
         w
     }
 
@@ -92,38 +126,48 @@ impl SyscallWhitelist {
     /// because the `HostcallPolicy` trait already claims `allow` for
     /// the read path and would win method resolution on `&self`.)
     pub fn add(&mut self, call: impl Into<String>) {
-        Arc::make_mut(&mut self.allowed).insert(call.into());
+        let call = call.into();
+        self.edit(|t| {
+            t.allowed.insert(call);
+        });
     }
 
     /// Remove a call from the whitelist.
     pub fn remove(&mut self, call: &str) {
-        Arc::make_mut(&mut self.allowed).remove(call);
+        self.edit(|t| {
+            t.allowed.remove(call);
+        });
     }
 
     /// Number of whitelisted calls.
     pub fn len(&self) -> usize {
-        self.allowed.len()
+        self.table.allowed.len()
     }
 
     /// True when nothing is whitelisted.
     pub fn is_empty(&self) -> bool {
-        self.allowed.is_empty()
+        self.table.allowed.is_empty()
     }
 
-    /// The whitelisted calls, in sorted order (BTreeSet iteration),
-    /// which makes the sequence stable for content hashing.
+    /// The whitelisted calls, in sorted order (BTreeSet iteration).
     pub fn calls(&self) -> impl Iterator<Item = &str> {
-        self.allowed.iter().map(|s| s.as_str())
+        self.table.allowed.iter().map(|s| s.as_str())
+    }
+
+    /// Content digest of the profile name and the call set, current
+    /// after every edit: what a cache key folds in for the whitelist.
+    pub fn digest(&self) -> ContentHash {
+        self.table.digest
     }
 }
 
 impl HostcallPolicy for SyscallWhitelist {
     fn allow(&self, call: &str) -> bool {
-        self.allowed.contains(call)
+        self.table.allowed.contains(call)
     }
 
     fn name(&self) -> &str {
-        &self.name
+        &self.table.name
     }
 }
 
@@ -173,11 +217,51 @@ mod tests {
         assert!(HostcallPolicy::allow(&original, "malloc"));
         assert_eq!(original, SyscallWhitelist::cuda_default(), "unchanged");
         assert_ne!(copy, original);
+        assert_ne!(copy.digest(), original.digest());
+        assert_eq!(original.digest(), SyscallWhitelist::cuda_default().digest());
         // Equality compares contents, not the shared table: undoing the
-        // edits on the clone's own table makes it equal again.
+        // edits on the clone's own table makes it equal again, digest
+        // included.
         copy.remove("wbMPI_rank");
         copy.add("malloc");
+        assert!(!Arc::ptr_eq(&copy.table, &original.table));
         assert_eq!(copy, original);
+        assert_eq!(copy.digest(), original.digest());
+    }
+
+    #[test]
+    fn clones_share_name_calls_and_digest() {
+        let original = SyscallWhitelist::mpi_profile();
+        let copy = original.clone();
+        assert!(Arc::ptr_eq(&copy.table, &original.table));
+        assert_eq!(Arc::strong_count(&original.table), 2);
+        assert_eq!(
+            std::mem::size_of::<SyscallWhitelist>(),
+            std::mem::size_of::<usize>()
+        );
+    }
+
+    #[test]
+    fn digest_covers_name_and_calls() {
+        let calls = || ["a".to_string(), "b".to_string()];
+        let base = SyscallWhitelist::new("p", calls()).digest();
+        assert_eq!(
+            base,
+            SyscallWhitelist::new("p", calls().into_iter().rev()).digest()
+        );
+        assert_ne!(base, SyscallWhitelist::new("q", calls()).digest());
+        assert_ne!(
+            base,
+            SyscallWhitelist::new("p", ["ab".to_string()]).digest()
+        );
+        let mut edited = SyscallWhitelist::new("p", calls());
+        edited.add("b");
+        assert_eq!(edited.digest(), base, "re-adding a call is no edit");
+        edited.remove("b");
+        assert_eq!(
+            edited.digest(),
+            SyscallWhitelist::new("p", ["a".to_string()]).digest()
+        );
     }
 
     #[test]

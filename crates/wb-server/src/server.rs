@@ -304,13 +304,15 @@ impl WebGpuServer {
     /// The student's latest saved code, or the skeleton.
     pub fn current_code(&self, token: u64, lab_id: &str) -> Result<String, WbError> {
         let s = self.sessions.authenticate(token)?;
-        let ids = self
+        let latest = self
             .state
             .revisions
-            .find("by_user_lab", &format!("{}/{}", s.user, lab_id))
+            .with_last("by_user_lab", &format!("{}/{}", s.user, lab_id), |r| {
+                r.source.clone()
+            })
             .map_err(db_err)?;
-        match ids.last() {
-            Some(&id) => Ok(self.state.revisions.get(id).map_err(db_err)?.source),
+        match latest {
+            Some(source) => Ok(source),
             None => self.lab_skeleton(lab_id),
         }
     }

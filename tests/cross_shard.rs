@@ -39,6 +39,30 @@ fn vecadd_request(job_id: u64, course: &str) -> JobRequest {
     }
 }
 
+/// Every catalog course's home lane, pinned at 2 and 4 shards. Lane
+/// routing hashes the course id on its own FNV-1a loop, apart from the
+/// cache-key hasher, so a change to content hashing cannot move a
+/// course to another lane (and with it the scheduling count rows).
+#[test]
+fn catalog_course_lanes_are_pinned() {
+    let pinned = [
+        ("hpp", 1, 3),
+        ("ece408", 0, 0),
+        ("ece598", 0, 2),
+        ("pumps", 0, 0),
+    ];
+    let catalog: Vec<&str> = wb_labs::courses().iter().map(|c| c.id).collect();
+    assert_eq!(
+        catalog,
+        pinned.map(|(id, _, _)| id),
+        "pin every catalog course"
+    );
+    for (course, two, four) in pinned {
+        assert_eq!(shard_for_course(course, 2), two, "{course} at 2 shards");
+        assert_eq!(shard_for_course(course, 4), four, "{course} at 4 shards");
+    }
+}
+
 #[test]
 fn adversarial_course_mix_completes_exactly_once_across_shards() {
     // The hash must spread six courses over more than one lane —
