@@ -192,43 +192,43 @@ impl Dataset {
             }
             "ivector" => {
                 let n = expect_dims(&dims, 1)?[0];
-                let mut v = Vec::with_capacity(n);
-                for k in 0..n {
-                    let (line, tok) = body
-                        .get(k)
-                        .ok_or_else(|| WbError::parse(1, "truncated int vector"))?;
-                    v.push(
+                let v = tokens(&body, 0, n)?
+                    .iter()
+                    .map(|(line, tok)| {
                         tok.parse::<i32>()
-                            .map_err(|_| WbError::parse(*line, format!("bad int {tok:?}")))?,
-                    );
-                }
+                            .map_err(|_| WbError::parse(*line, format!("bad int {tok:?}")))
+                    })
+                    .collect::<Result<_>>()?;
                 Ok(Dataset::IntVector(v))
             }
             "matrix" => {
                 let d = expect_dims(&dims, 2)?;
                 let (rows, cols) = (d[0], d[1]);
-                let data = take_floats(&body, 0, rows * cols)?;
+                let data = take_floats(&body, 0, size(rows.checked_mul(cols))?)?;
                 Ok(Dataset::Matrix { rows, cols, data })
             }
             "image" => {
                 let d = expect_dims(&dims, 3)?;
                 let (w, h, c) = (d[0], d[1], d[2]);
-                let data = take_floats(&body, 0, w * h * c)?;
+                let n = size(w.checked_mul(h).and_then(|wh| wh.checked_mul(c)))?;
+                let data = take_floats(&body, 0, n)?;
                 Image::from_data(w, h, c, data).map(Dataset::Image)
             }
             "sparse" => {
                 let d = expect_dims(&dims, 3)?;
                 let (rows, cols, nnz) = (d[0], d[1], d[2]);
-                let row_ptr = take_usizes(&body, 0, rows + 1)?;
-                let col_idx = take_usizes(&body, rows + 1, nnz)?;
-                let values = take_floats(&body, rows + 1 + nnz, nnz)?;
+                let ptrs = size(rows.checked_add(1))?;
+                let row_ptr = take_usizes(&body, 0, ptrs)?;
+                let col_idx = take_usizes(&body, ptrs, nnz)?;
+                let values = take_floats(&body, size(ptrs.checked_add(nnz))?, nnz)?;
                 CsrMatrix::new(rows, cols, row_ptr, col_idx, values).map(Dataset::Sparse)
             }
             "graph" => {
                 let d = expect_dims(&dims, 2)?;
                 let (nodes, edges) = (d[0], d[1]);
-                let row_ptr = take_usizes(&body, 0, nodes + 1)?;
-                let neighbors = take_usizes(&body, nodes + 1, edges)?;
+                let ptrs = size(nodes.checked_add(1))?;
+                let row_ptr = take_usizes(&body, 0, ptrs)?;
+                let neighbors = take_usizes(&body, ptrs, edges)?;
                 CsrGraph::new(nodes, row_ptr, neighbors).map(Dataset::Graph)
             }
             "scalar" => {
@@ -272,32 +272,43 @@ fn expect_dims(dims: &[usize], n: usize) -> Result<&[usize]> {
     Ok(dims)
 }
 
+/// A size computed from header fields with checked arithmetic; `None`
+/// (an overflow) is a parse error on the header line.
+fn size(checked: Option<usize>) -> Result<usize> {
+    checked.ok_or_else(|| WbError::parse(1, "dataset size overflows"))
+}
+
+/// The `n` body tokens from `offset` on. Checked before anything is
+/// allocated, so a header's sizes never outrun the body that backs them.
+fn tokens<'a>(
+    body: &'a [(usize, &'a str)],
+    offset: usize,
+    n: usize,
+) -> Result<&'a [(usize, &'a str)]> {
+    offset
+        .checked_add(n)
+        .and_then(|end| body.get(offset..end))
+        .ok_or_else(|| WbError::parse(1, format!("truncated payload: needed {n} values")))
+}
+
 fn take_floats(body: &[(usize, &str)], offset: usize, n: usize) -> Result<Vec<f32>> {
-    let mut v = Vec::with_capacity(n);
-    for k in 0..n {
-        let (line, tok) = body
-            .get(offset + k)
-            .ok_or_else(|| WbError::parse(1, format!("truncated payload: needed {n} values")))?;
-        v.push(
+    tokens(body, offset, n)?
+        .iter()
+        .map(|(line, tok)| {
             tok.parse::<f32>()
-                .map_err(|_| WbError::parse(*line, format!("bad float {tok:?}")))?,
-        );
-    }
-    Ok(v)
+                .map_err(|_| WbError::parse(*line, format!("bad float {tok:?}")))
+        })
+        .collect()
 }
 
 fn take_usizes(body: &[(usize, &str)], offset: usize, n: usize) -> Result<Vec<usize>> {
-    let mut v = Vec::with_capacity(n);
-    for k in 0..n {
-        let (line, tok) = body
-            .get(offset + k)
-            .ok_or_else(|| WbError::parse(1, format!("truncated payload: needed {n} indices")))?;
-        v.push(
+    tokens(body, offset, n)?
+        .iter()
+        .map(|(line, tok)| {
             tok.parse::<usize>()
-                .map_err(|_| WbError::parse(*line, format!("bad index {tok:?}")))?,
-        );
-    }
-    Ok(v)
+                .map_err(|_| WbError::parse(*line, format!("bad index {tok:?}")))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -382,6 +393,35 @@ mod tests {
     #[test]
     fn import_rejects_wrong_dim_count() {
         assert!(Dataset::import("matrix 2\n1 2\n").is_err());
+    }
+
+    /// A header may claim any size; the body it needs is checked, with
+    /// overflow-free arithmetic, before anything is allocated.
+    #[test]
+    fn import_rejects_hostile_headers() {
+        for text in [
+            "vector 100000000000000\n1.0\n",
+            "vector 18446744073709551615\n1.0\n",
+            "ivector 18446744073709551615\n1\n",
+            "matrix 4294967296 4294967297\n1.0\n",
+            "image 4294967296 4294967296 2\n1.0\n",
+            "sparse 18446744073709551615 1 1\n0\n",
+            "sparse 1 1 18446744073709551615\n0 1\n0\n1.0\n",
+            "graph 18446744073709551615 1\n0\n",
+            "graph 1 18446744073709551615\n0 0\n",
+        ] {
+            let err = Dataset::import(text).unwrap_err();
+            assert!(
+                matches!(err, WbError::Parse { line: 1, .. }),
+                "{text:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn image_from_data_rejects_overflowing_dims() {
+        let err = Image::from_data(1 << 32, 1 << 32, 2, vec![0.0]).unwrap_err();
+        assert!(matches!(err, WbError::Shape(_)), "{err}");
     }
 
     #[test]

@@ -17,15 +17,20 @@ pub struct Image {
 impl Image {
     /// Create an image from raw interleaved data.
     ///
-    /// Fails when `data.len() != width * height * channels` or when
-    /// `channels == 0`.
+    /// Fails when `data.len() != width * height * channels`, when that
+    /// product overflows, or when `channels == 0`.
     pub fn from_data(width: usize, height: usize, channels: usize, data: Vec<f32>) -> Result<Self> {
         if channels == 0 {
             return Err(WbError::Invalid(
                 "image must have at least 1 channel".into(),
             ));
         }
-        let expected = width * height * channels;
+        let expected = width
+            .checked_mul(height)
+            .and_then(|n| n.checked_mul(channels))
+            .ok_or_else(|| {
+                WbError::Shape(format!("image {width}x{height}x{channels} overflows"))
+            })?;
         if data.len() != expected {
             return Err(WbError::Shape(format!(
                 "image {width}x{height}x{channels} needs {expected} samples, got {}",
@@ -68,16 +73,6 @@ impl Image {
     /// Raw interleaved samples.
     pub fn data(&self) -> &[f32] {
         &self.data
-    }
-
-    /// Mutable raw interleaved samples.
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
-    /// Consume into raw samples.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
     }
 
     /// Sample at `(x, y, c)`. Panics when out of range, like slice

@@ -96,11 +96,6 @@ impl Timer {
         &self.spans
     }
 
-    /// Number of spans started but never stopped.
-    pub fn unclosed(&self) -> usize {
-        self.open.len()
-    }
-
     /// Sum of elapsed ticks for one category.
     pub fn total(&self, kind: TimerKind) -> u64 {
         self.spans
@@ -128,6 +123,13 @@ impl Timer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Timer {
+        /// Number of spans started but never stopped.
+        fn unclosed(&self) -> usize {
+            self.open.len()
+        }
+    }
 
     #[test]
     fn basic_span() {

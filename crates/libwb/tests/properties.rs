@@ -54,6 +54,41 @@ fn dataset_text_format_roundtrips() {
     });
 }
 
+/// A random dimension header over a truncated body never panics or
+/// over-allocates: import returns an error, or a dataset no larger than
+/// the body that backs it. Sizes mix small counts with ones whose
+/// products and sums overflow `usize`.
+#[test]
+fn hostile_headers_over_truncated_bodies_end_in_errors() {
+    const TAGS: &[&str] = &[
+        "vector", "ivector", "matrix", "image", "sparse", "graph", "scalar",
+    ];
+    const HUGE: &[usize] = &[
+        1 << 32,
+        (1 << 32) + 1,
+        100_000_000_000_000,
+        usize::MAX / 2 + 1,
+        usize::MAX - 1,
+        usize::MAX,
+    ];
+    wb_prop::check(512, |g| {
+        let tag = *g.pick(TAGS);
+        let dims = g.vec(0..4, |g| {
+            if g.bool() {
+                g.int(0..6usize)
+            } else {
+                *g.pick(HUGE)
+            }
+        });
+        let body = g.vec(0..12, |g| g.int(0..4u32).to_string());
+        let header: Vec<String> = dims.iter().map(usize::to_string).collect();
+        let text = format!("{tag} {}\n{}\n", header.join(" "), body.join(" "));
+        if let Ok(d) = Dataset::import(&text) {
+            assert!(d.len() <= body.len(), "{text:?} invented values");
+        }
+    });
+}
+
 /// Comparing a dataset against itself always passes, under any
 /// tolerance (reflexivity) — for finite data.
 #[test]

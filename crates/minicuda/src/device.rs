@@ -107,7 +107,7 @@ pub struct LaunchResult {
 }
 
 /// Validate a launch configuration against device limits.
-pub fn validate_launch(
+fn validate_launch(
     config: &DeviceConfig,
     grid: [i64; 3],
     block: [i64; 3],

@@ -140,19 +140,11 @@ pub fn compile_with(source: &str, dialect: Dialect, opt: OptLevel) -> Result<Pro
 
 /// [`compile_with`] plus the static verifier ([`analyze_program`]'s
 /// findings), lowering the program once for both: the analyzers read
-/// the unoptimized IR, which the passes then optimize in place.
+/// the unoptimized IR, which the passes then optimize in place. Also
+/// returns the wall time of the analysis alone: the verifier's run over
+/// the lowered IR, with the front end, the lowering and the passes
+/// excluded.
 pub fn compile_analyzed(
-    source: &str,
-    dialect: Dialect,
-    opt: OptLevel,
-) -> Result<(Program, Vec<Finding>), Diag> {
-    compile_analyzed_timed(source, dialect, opt).map(|(program, findings, _)| (program, findings))
-}
-
-/// [`compile_analyzed`], also returning the wall time of the analysis
-/// alone: the verifier's run over the lowered IR, with the front end,
-/// the lowering and the passes excluded.
-pub fn compile_analyzed_timed(
     source: &str,
     dialect: Dialect,
     opt: OptLevel,
@@ -207,7 +199,7 @@ mod tests {
                    int main() { return 0; }";
         for opt in [OptLevel::O0, OptLevel::O2] {
             let before = lower::lowerings();
-            let (program, findings) = compile_analyzed(src, Dialect::Cuda, opt).unwrap();
+            let (program, findings, _) = compile_analyzed(src, Dialect::Cuda, opt).unwrap();
             assert_eq!(
                 lower::lowerings() - before,
                 1,

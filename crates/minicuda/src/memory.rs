@@ -141,11 +141,6 @@ impl MemPool {
         Ok(a)
     }
 
-    /// Length in elements of an allocation.
-    pub fn len_of(&self, id: u32) -> Result<usize, MemError> {
-        Ok(self.get(id)?.len())
-    }
-
     /// Checked allocation lookup (null / invalid / freed), returning
     /// the allocation for repeated per-lane access.
     pub fn view(&self, id: u32) -> Result<&Alloc, MemError> {
@@ -491,11 +486,6 @@ impl ConstMem {
         (self.banks.len() - 1) as u32
     }
 
-    /// Number of elements in a bank.
-    pub fn len_of(&self, id: u32) -> Option<usize> {
-        self.banks.get(id as usize).map(|(_, d)| d.len())
-    }
-
     /// A bank's element interpretation and raw words.
     pub(crate) fn bank(&self, id: u32) -> Option<(ElemType, &[u32])> {
         self.banks.get(id as usize).map(|(e, d)| (*e, d.as_slice()))
@@ -543,6 +533,20 @@ impl ConstMem {
 mod tests {
     use super::*;
     use crate::value::Space;
+
+    impl MemPool {
+        /// Length in elements of an allocation.
+        fn len_of(&self, id: u32) -> Result<usize, MemError> {
+            Ok(self.get(id)?.len())
+        }
+    }
+
+    impl ConstMem {
+        /// Number of elements in a bank.
+        fn len_of(&self, id: u32) -> Option<usize> {
+            self.banks.get(id as usize).map(|(_, d)| d.len())
+        }
+    }
 
     fn fptr(alloc: u32, offset: i64) -> Ptr {
         Ptr {

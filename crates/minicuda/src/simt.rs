@@ -35,7 +35,7 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
 /// Execute one block of a kernel launch. Returns the block's cost.
-pub fn run_block(
+pub(crate) fn run_block(
     env: &KernelEnv<'_>,
     block_idx: [i64; 3],
     kernel: &FuncDef,

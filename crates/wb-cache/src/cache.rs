@@ -276,13 +276,6 @@ pub enum LookupOutcome {
     Coalesced,
 }
 
-impl LookupOutcome {
-    /// True when no fresh computation ran for this caller.
-    pub fn saved_work(self) -> bool {
-        !matches!(self, LookupOutcome::Miss)
-    }
-}
-
 /// Counter snapshot for one cache tier.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MapMetrics {
@@ -470,6 +463,13 @@ impl<G: Clone> SubmissionCache<G> {
 mod tests {
     use super::*;
     use std::sync::Barrier;
+
+    impl LookupOutcome {
+        /// True when no fresh computation ran for this caller.
+        fn saved_work(self) -> bool {
+            !matches!(self, LookupOutcome::Miss)
+        }
+    }
 
     #[test]
     fn hit_and_miss_counters() {

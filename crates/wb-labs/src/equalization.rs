@@ -108,7 +108,7 @@ pub fn golden(img: &Image) -> Image {
 
 /// Quantized random image with a biased level distribution (so
 /// equalization actually changes it).
-pub fn quantized_image(w: usize, h: usize, seed: u64) -> Image {
+fn quantized_image(w: usize, h: usize, seed: u64) -> Image {
     let mut rng = SplitMix64::new(seed);
     let data = (0..w * h)
         .map(|_| {

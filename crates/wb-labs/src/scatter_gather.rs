@@ -48,7 +48,7 @@ pub fn golden(input: &[f32], map: &[i32]) -> Vec<f32> {
 }
 
 /// A random permutation map.
-pub fn permutation(n: usize, seed: u64) -> Vec<i32> {
+fn permutation(n: usize, seed: u64) -> Vec<i32> {
     let mut map: Vec<i32> = (0..n as i32).collect();
     SplitMix64::new(seed).shuffle(&mut map);
     map

@@ -498,7 +498,7 @@ fn compile_analyzed_equals_compile_then_analyze_on_every_lab() {
         for src in [with_audit_probe(&clean), clean] {
             for lvl in [OptLevel::O0, OptLevel::O2] {
                 let ctx = format!("{id}@{lvl}");
-                let (once, findings) = compile_analyzed(&src, spec.dialect, lvl).expect(&ctx);
+                let (once, findings, _) = compile_analyzed(&src, spec.dialect, lvl).expect(&ctx);
                 let twice = compile_with(&src, spec.dialect, lvl).expect(&ctx);
                 assert_eq!(findings, analyze_program(&twice), "{ctx}: findings");
                 assert_eq!(

@@ -397,17 +397,6 @@ impl Recorder {
         }
     }
 
-    /// Events with `seq > after`, oldest first — the replay cursor.
-    pub fn events_after(&self, after: u64) -> Vec<Event> {
-        match &self.inner {
-            Some(i) => {
-                let g = i.events.lock();
-                g.buf.iter().filter(|e| e.seq > after).cloned().collect()
-            }
-            None => Vec::new(),
-        }
-    }
-
     /// One job's span, if tracked.
     pub fn span(&self, job_id: u64) -> Option<SpanView> {
         let i = self.inner.as_ref()?;
@@ -518,6 +507,19 @@ impl Inner {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Recorder {
+        /// Events with `seq > after`, oldest first — the replay cursor.
+        fn events_after(&self, after: u64) -> Vec<Event> {
+            match &self.inner {
+                Some(i) => {
+                    let g = i.events.lock();
+                    g.buf.iter().filter(|e| e.seq > after).cloned().collect()
+                }
+                None => Vec::new(),
+            }
+        }
+    }
 
     #[test]
     fn noop_recorder_observes_nothing() {

@@ -7,7 +7,7 @@
 use super::{Blacklist, ScanMode, Violation};
 
 /// What [`Blacklist::scan`] must return for `source`.
-pub fn scan(bl: &Blacklist, source: &str) -> Vec<Violation> {
+pub(crate) fn scan(bl: &Blacklist, source: &str) -> Vec<Violation> {
     let text = match bl.mode() {
         ScanMode::RawText => source.to_string(),
         ScanMode::Preprocessed => {
@@ -29,7 +29,7 @@ pub fn scan(bl: &Blacklist, source: &str) -> Vec<Violation> {
 
 /// Find `word` as a whole identifier outside string literals; returns
 /// the 1-based line of the first occurrence.
-pub fn find_identifier(text: &str, word: &str) -> Option<usize> {
+fn find_identifier(text: &str, word: &str) -> Option<usize> {
     let bytes = text.as_bytes();
     let wlen = word.len();
     if wlen == 0 {

@@ -10,7 +10,7 @@
 //! and start a new container to replenish the pool."*
 //!
 //! Container "boot" is modeled as a virtual-millisecond charge so the
-//! pool-vs-cold-start ablation (`container_overhead` in wb-bench) has a
+//! pool-vs-cold-start ablation (the `container_overhead` paper test) has a
 //! measurable axis.
 
 use std::collections::BTreeSet;
@@ -126,11 +126,6 @@ impl ContainerPool {
         &self.image
     }
 
-    /// Warm containers currently available.
-    pub fn warm_count(&self) -> usize {
-        self.warm.lock().len()
-    }
-
     fn boot(&self) -> Container {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let mut st = self.stats.lock();
@@ -142,7 +137,7 @@ impl ContainerPool {
     }
 
     /// Top the warm set back up to the target.
-    pub fn replenish(&self) {
+    fn replenish(&self) {
         if !self.pooling_enabled {
             return;
         }
@@ -200,6 +195,13 @@ impl ContainerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ContainerPool {
+        /// Warm containers currently available.
+        fn warm_count(&self) -> usize {
+            self.warm.lock().len()
+        }
+    }
 
     #[test]
     fn images_know_their_toolchains() {

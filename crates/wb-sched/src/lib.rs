@@ -109,17 +109,8 @@ impl SchedConfig {
         self
     }
 
-    /// Set a course's deadline, returning `self` for chaining.
-    pub fn with_course_deadline(mut self, course: &str, deadline_ms: u64) -> Self {
-        self.courses
-            .entry(course.to_string())
-            .or_default()
-            .deadline_ms = Some(deadline_ms);
-        self
-    }
-
     /// Effective backlog budget for a course (always at least 1).
-    pub fn budget_for(&self, course: &str) -> usize {
+    fn budget_for(&self, course: &str) -> usize {
         self.courses
             .get(course)
             .and_then(|c| c.backlog_budget)
@@ -129,7 +120,7 @@ impl SchedConfig {
 
     /// A course's current weight: its configured share, multiplied by
     /// the boost when its deadline is inside the proximity window.
-    pub fn effective_weight(&self, course: &str, now_ms: u64) -> u64 {
+    fn effective_weight(&self, course: &str, now_ms: u64) -> u64 {
         let cc = self.courses.get(course);
         let base = cc.map(|c| c.weight).unwrap_or(1).max(1);
         if let Some(deadline) = cc.and_then(|c| c.deadline_ms) {
@@ -528,6 +519,17 @@ impl<T> ShardedScheduler<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SchedConfig {
+        /// Set a course's deadline, returning `self` for chaining.
+        fn with_course_deadline(mut self, course: &str, deadline_ms: u64) -> Self {
+            self.courses
+                .entry(course.to_string())
+                .or_default()
+                .deadline_ms = Some(deadline_ms);
+            self
+        }
+    }
 
     /// One lane: the plain fair-share scheduler.
     fn sched(config: SchedConfig) -> ShardedScheduler<u64> {

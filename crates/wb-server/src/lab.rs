@@ -34,14 +34,6 @@ impl Default for Rubric {
 }
 
 impl Rubric {
-    /// Maximum attainable points.
-    pub fn max_points(&self) -> f64 {
-        self.compile_points
-            + self.dataset_points
-            + self.question_points
-            + self.keyword_points.iter().map(|(_, p)| p).sum::<f64>()
-    }
-
     /// Auto-gradable portion of the score: compilation, datasets, and
     /// keywords. Question points are added later by the instructor.
     pub fn auto_score(&self, outcome: &JobOutcome, source: &str) -> f64 {
@@ -115,6 +107,16 @@ mod tests {
     use super::*;
     use minicuda::CostSummary;
     use wb_worker::job::DatasetOutcome;
+
+    impl Rubric {
+        /// Maximum attainable points.
+        fn max_points(&self) -> f64 {
+            self.compile_points
+                + self.dataset_points
+                + self.question_points
+                + self.keyword_points.iter().map(|(_, p)| p).sum::<f64>()
+        }
+    }
 
     fn outcome(compiled: bool, passes: &[bool]) -> JobOutcome {
         JobOutcome {

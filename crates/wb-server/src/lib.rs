@@ -43,6 +43,6 @@ pub use gradebook::{CourseraGradebook, ExternalGradebook, GradePost};
 pub use hints::{hints_for, Hint};
 pub use lab::{LabDefinition, Rubric};
 pub use ratelimit::{RateLimit, RateLimiter};
-pub use server::{JobDispatcher, LocalDispatcher, RosterRow, WebGpuServer};
+pub use server::{JobDispatcher, RosterRow, WebGpuServer};
 pub use session::{AuthError, Session, Sessions};
 pub use state::{DeviceKind, Role, ServerState};

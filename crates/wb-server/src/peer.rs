@@ -80,7 +80,8 @@ pub fn complete_review(
 }
 
 /// Peer-review completion credit for one student: the fraction of their
-/// assigned reviews they completed (the auto-gradable 10%/5%).
+/// assigned reviews they completed — the auto-gradable share of the
+/// grade that §IV-D cut from 10% to 5% before dropping the feature.
 pub fn completion_fraction(state: &ServerState, lab: &str, reviewer: &str) -> f64 {
     let key = format!("{reviewer}/{lab}");
     let ids = state

@@ -104,51 +104,6 @@ impl<D: JobDispatcher + ?Sized> JobDispatcher for Arc<D> {
     }
 }
 
-/// A dispatcher running jobs on one in-process worker node (used by
-/// tests).
-pub struct LocalDispatcher {
-    node: wb_worker::WorkerNode,
-    /// Outcomes of submitted jobs. The single local node executes at
-    /// submit time, so "queued" work is already done and merely waits
-    /// to be polled; `advance` has nothing to run.
-    done: Mutex<HashMap<u64, JobOutcome>>,
-}
-
-impl LocalDispatcher {
-    /// A single small deterministic worker reporting to `obs` (pass
-    /// `Recorder::noop()` for an untraced one).
-    pub fn new(obs: Arc<Recorder>) -> Self {
-        let cfg = wb_worker::NodeConfig {
-            obs,
-            ..wb_worker::NodeConfig::new(minicuda::DeviceConfig::test_small())
-        };
-        LocalDispatcher {
-            node: wb_worker::WorkerNode::launch(1, &cfg),
-            done: Mutex::new(HashMap::new()),
-        }
-    }
-}
-
-impl JobDispatcher for LocalDispatcher {
-    fn submit_queued(&self, req: JobRequest, now_ms: u64) -> Result<u64, WbError> {
-        let outcome = self
-            .node
-            .submit(&req, now_ms)
-            .ok_or_else(|| WbError::infra("worker unavailable"))?;
-        self.done.lock().insert(req.job_id, outcome);
-        Ok(req.job_id)
-    }
-
-    fn advance(&self, _now_ms: u64) -> usize {
-        0
-    }
-
-    fn take_ready(&self, wanted: &dyn Fn(u64) -> bool) -> Vec<JobOutcome> {
-        let mut done = self.done.lock();
-        done.extract_if(|&id, _| wanted(id)).map(|e| e.1).collect()
-    }
-}
-
 /// One row of the instructor roster view (§IV-F, Fig. 5).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RosterRow {
@@ -222,13 +177,6 @@ impl WebGpuServer {
         }
     }
 
-    /// Replace the default per-student submission rate limit (burst 3,
-    /// one token per 15 s).
-    pub fn with_rate_limit(mut self, limit: RateLimit) -> Self {
-        self.limiter = RateLimiter::new(limit);
-        self
-    }
-
     /// Current metrics: counters, latency percentiles, per-course
     /// attempt tallies, recent events — the queryable snapshot the
     /// operations dashboard renders.
@@ -274,7 +222,7 @@ impl WebGpuServer {
     }
 
     /// The skeleton code a student sees on first open (§IV-B 2).
-    pub fn lab_skeleton(&self, lab_id: &str) -> Result<String, WbError> {
+    fn lab_skeleton(&self, lab_id: &str) -> Result<String, WbError> {
         Ok(self.lab(lab_id)?.skeleton.clone())
     }
 
@@ -806,6 +754,59 @@ fn render_outcome(outcome: &JobOutcome) -> (bool, String) {
 mod tests {
     use super::*;
     use crate::lab::LabDefinition;
+
+    /// A dispatcher running jobs on one in-process worker node.
+    struct LocalDispatcher {
+        node: wb_worker::WorkerNode,
+        /// Outcomes of submitted jobs. The single local node executes at
+        /// submit time, so "queued" work is already done and merely waits
+        /// to be polled; `advance` has nothing to run.
+        done: Mutex<HashMap<u64, JobOutcome>>,
+    }
+
+    impl LocalDispatcher {
+        /// A single small deterministic worker reporting to `obs` (pass
+        /// `Recorder::noop()` for an untraced one).
+        fn new(obs: Arc<Recorder>) -> Self {
+            let cfg = wb_worker::NodeConfig {
+                obs,
+                ..wb_worker::NodeConfig::new(minicuda::DeviceConfig::test_small())
+            };
+            LocalDispatcher {
+                node: wb_worker::WorkerNode::launch(1, &cfg),
+                done: Mutex::new(HashMap::new()),
+            }
+        }
+    }
+
+    impl JobDispatcher for LocalDispatcher {
+        fn submit_queued(&self, req: JobRequest, now_ms: u64) -> Result<u64, WbError> {
+            let outcome = self
+                .node
+                .submit(&req, now_ms)
+                .ok_or_else(|| WbError::infra("worker unavailable"))?;
+            self.done.lock().insert(req.job_id, outcome);
+            Ok(req.job_id)
+        }
+
+        fn advance(&self, _now_ms: u64) -> usize {
+            0
+        }
+
+        fn take_ready(&self, wanted: &dyn Fn(u64) -> bool) -> Vec<JobOutcome> {
+            let mut done = self.done.lock();
+            done.extract_if(|&id, _| wanted(id)).map(|e| e.1).collect()
+        }
+    }
+
+    impl WebGpuServer {
+        /// Replace the default per-student submission rate limit (burst 3,
+        /// one token per 15 s).
+        fn with_rate_limit(mut self, limit: RateLimit) -> Self {
+            self.limiter = RateLimiter::new(limit);
+            self
+        }
+    }
 
     const ECHO: &str = r#"
         int main() {

@@ -10,9 +10,7 @@
 use crate::cache::SubmissionCache;
 use crate::job::{DatasetCase, DatasetOutcome, JobAction, JobOutcome, JobRequest, LabSpec};
 use libwb::check;
-use minicuda::{
-    compile_analyzed_timed, compile_with, AnalysisPolicy, DeviceConfig, Finding, Program,
-};
+use minicuda::{compile_analyzed, compile_with, AnalysisPolicy, DeviceConfig, Finding, Program};
 use std::sync::Arc;
 use std::time::Instant;
 use wb_cache::{CompileKey, CompiledEntry, GradeKey, LookupOutcome};
@@ -99,7 +97,7 @@ fn compile_phase(
             .map_err(|d| d.to_string());
     }
     let (program, findings, took) =
-        compile_analyzed_timed(source, spec.dialect, spec.opt_level).map_err(|d| d.to_string())?;
+        compile_analyzed(source, spec.dialect, spec.opt_level).map_err(|d| d.to_string())?;
     obs.observe(Timer::AnalyzeMicros, took.as_micros() as u64);
     obs.bump(Counter::AnalysisRuns);
     obs.add(Counter::AnalysisFindings, findings.len() as u64);

@@ -40,7 +40,7 @@ impl FleetMetrics {
     /// backlog. The reactive policies scale to this, so a single-course
     /// rush held at the scheduler triggers growth before the broker's
     /// global depth ever moves.
-    pub fn total_pending(&self) -> usize {
+    fn total_pending(&self) -> usize {
         self.queue_depth + self.sched_backlog
     }
 }
@@ -102,7 +102,7 @@ pub struct FleetTarget {
 
 impl FleetTarget {
     /// A target with no spot component (every legacy policy).
-    pub fn all_on_demand(n: usize) -> FleetTarget {
+    fn all_on_demand(n: usize) -> FleetTarget {
         FleetTarget {
             on_demand: n,
             spot: 0,

@@ -72,7 +72,7 @@ pub struct CourseReport {
 }
 
 /// Run a course against any dispatcher-backed cluster.
-pub fn run_course(cfg: &CourseRun, dispatcher: Box<dyn JobDispatcher>) -> CourseReport {
+fn run_course(cfg: &CourseRun, dispatcher: Box<dyn JobDispatcher>) -> CourseReport {
     let mut rng = SplitMix64::new(cfg.seed);
     let srv = WebGpuServer::new(dispatcher);
     srv.register_instructor("staff", "pw")

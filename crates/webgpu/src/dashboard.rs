@@ -93,7 +93,7 @@ impl Snapshot {
     }
 
     /// Fleet-wide utilization proxy: alive workers with ≥1 job done.
-    pub fn active_fraction(&self) -> f64 {
+    fn active_fraction(&self) -> f64 {
         if self.workers.is_empty() {
             return 0.0;
         }

@@ -126,14 +126,6 @@ impl FleetView {
         self.workers.iter().filter(|w| w.alive).count()
     }
 
-    /// Alive workers in `zone`.
-    pub fn alive_in_zone(&self, zone: Zone) -> usize {
-        self.workers
-            .iter()
-            .filter(|w| w.alive && w.zone == zone)
-            .count()
-    }
-
     /// Alive workers of `class`.
     pub fn alive_of_class(&self, class: ReliabilityClass) -> usize {
         self.workers
@@ -151,6 +143,16 @@ impl FleetView {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FleetView {
+        /// Alive workers in `zone`.
+        fn alive_in_zone(&self, zone: Zone) -> usize {
+            self.workers
+                .iter()
+                .filter(|w| w.alive && w.zone == zone)
+                .count()
+        }
+    }
 
     #[test]
     fn default_placement_straddles_both_zones() {

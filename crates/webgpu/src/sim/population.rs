@@ -76,11 +76,6 @@ impl CohortParams {
             certificate_fraction: 0.39,
         }
     }
-
-    /// Expected completion rate under the survival model.
-    pub fn expected_completion_rate(&self) -> f64 {
-        self.start_fraction * self.weekly_continue.powi(self.weeks as i32 - 1)
-    }
 }
 
 /// Outcome of simulating one cohort.
@@ -321,6 +316,13 @@ fn normal(rng: &mut SplitMix64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CohortParams {
+        /// Expected completion rate under the survival model.
+        fn expected_completion_rate(&self) -> f64 {
+            self.start_fraction * self.weekly_continue.powi(self.weeks as i32 - 1)
+        }
+    }
 
     #[test]
     fn cohort_2013_matches_table1() {

@@ -66,7 +66,7 @@ impl RushScenario {
     }
 
     /// Submissions arriving per round across all courses.
-    pub fn per_round(&self) -> usize {
+    fn per_round(&self) -> usize {
         self.courses.iter().map(|c| c.jobs_per_round).sum()
     }
 

@@ -110,7 +110,8 @@ impl ControlPlane<Push> {
         self.strategy.book.lock().dispatch_failures
     }
 
-    /// Remove the most recently added worker (scale-in).
+    /// Remove the most recently added worker (scale-in): v1's fleet was
+    /// sized by hand, grown before a deadline and shrunk after (§II-C).
     pub fn remove_worker(&self) -> Option<u64> {
         let mut g = self.state.lock();
         let id = g.workers.pop()?.id();

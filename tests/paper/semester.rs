@@ -54,7 +54,7 @@ const WEEK_HOURS: u64 = 168;
 /// Everything that shapes one replay. Same params + same seed ⇒ same
 /// [`SemesterOutcome::deterministic_digest`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct SemesterParams {
+pub(crate) struct SemesterParams {
     /// Load multiplier over the 2012 trace (1.0 ≈ 112 peak-active
     /// students; 100.0 ≈ 11 200).
     pub scale: f64,
@@ -84,7 +84,7 @@ pub struct SemesterParams {
 impl SemesterParams {
     /// A small replay: one week at 3× the 2012 trace, a 2-worker
     /// ceiling, and a tight backlog budget so the shed path still runs.
-    pub fn smoke() -> SemesterParams {
+    pub(crate) fn smoke() -> SemesterParams {
         SemesterParams {
             scale: 3.0,
             days: 7,
@@ -99,28 +99,9 @@ impl SemesterParams {
     }
 }
 
-/// One week of the replay.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WeekRow {
-    /// Week index (0-based).
-    pub week: u32,
-    /// Submissions offered to the front door.
-    pub offered: u64,
-    /// Admitted past admission control.
-    pub admitted: u64,
-    /// Shed by the backlog budget.
-    pub shed: u64,
-    /// Results reaped this week.
-    pub completed: u64,
-    /// Largest fleet the autoscaler ran.
-    pub peak_fleet: usize,
-    /// Dollars burned (GPU + fixed tier).
-    pub dollars: f64,
-}
-
 /// Everything the replay measured.
 #[derive(Debug, Clone)]
-pub struct SemesterOutcome {
+pub(crate) struct SemesterOutcome {
     /// Hours replayed.
     pub hours: u32,
     /// Submissions offered to the server.
@@ -147,10 +128,6 @@ pub struct SemesterOutcome {
     /// Reaped outcomes carrying static-verifier findings (the catalog
     /// deploys warn-mode labs, so flagged work still grades).
     pub flagged: u64,
-    /// Recorder's `analysis_runs` — verifier executions, one per
-    /// fresh compile of an analysis-enabled lab (cache hits reuse the
-    /// stored verdict).
-    pub analysis_runs: u64,
     /// Recorder's `analysis_flagged` (reconciles with `flagged`).
     pub analysis_flagged: u64,
     /// Recorder's `analysis_denied` — the replay deploys warn-mode
@@ -170,14 +147,12 @@ pub struct SemesterOutcome {
     pub sched_shed: u64,
     /// Recorder's `rate_limited` (reconciles with `rate_limited`).
     pub rate_limited_counter: u64,
-    /// The weekly trajectory.
-    pub weeks: Vec<WeekRow>,
 }
 
 impl SemesterOutcome {
     /// Exactly-once reconciliation: the harness's books against the
     /// recorder's, with no job lost, duplicated, or invented.
-    pub fn books_balance(&self) -> bool {
+    pub(crate) fn books_balance(&self) -> bool {
         self.offered == self.admitted + self.shed + self.rate_limited
             && self.completed == self.admitted
             && self.infra_errors == 0
@@ -193,7 +168,7 @@ impl SemesterOutcome {
     /// concurrent pumps, whether a duplicate landed before or during
     /// the first compute is a thread race; that it did not recompute is
     /// not.
-    pub fn cache_reuse_rate(&self) -> f64 {
+    pub(crate) fn cache_reuse_rate(&self) -> f64 {
         let Some(c) = &self.cache else { return 0.0 };
         let t = c.total();
         if t.lookups() == 0 {
@@ -208,7 +183,7 @@ impl SemesterOutcome {
     /// includes
     /// everything else, so a determinism regression
     /// anywhere in the stack shows up as a digest mismatch.
-    pub fn deterministic_digest(&self) -> String {
+    pub(crate) fn deterministic_digest(&self) -> String {
         let (misses, reused, evictions) = match &self.cache {
             Some(c) => {
                 let t = c.total();
@@ -338,7 +313,7 @@ fn sample_cdf(cdf: &[f64], rng: &mut SplitMix64) -> usize {
 
 /// Replay one semester. Builds the stack, deploys the catalog, drives
 /// the trace hour by hour, drains, and reconciles the books.
-pub fn run_semester(p: &SemesterParams) -> SemesterOutcome {
+pub(crate) fn run_semester(p: &SemesterParams) -> SemesterOutcome {
     let obs = Arc::new(Recorder::traced_with_capacity(4096));
     let cluster = Arc::new(
         ClusterBuilder::new(minicuda::DeviceConfig::test_small())
@@ -443,12 +418,10 @@ pub fn run_semester(p: &SemesterParams) -> SemesterOutcome {
     let mut graded = 0u64;
     let mut flagged = 0u64;
     let mut infra_errors = 0u64;
-    let mut weeks: Vec<WeekRow> = Vec::new();
 
-    let mut reap = |server: &WebGpuServer, week: &mut WeekRow| {
+    let mut reap = |server: &WebGpuServer| {
         for (_job, res) in server.reap_queued() {
             completed += 1;
-            week.completed += 1;
             match res {
                 Ok(o) => {
                     if o.score.is_some() {
@@ -467,12 +440,6 @@ pub fn run_semester(p: &SemesterParams) -> SemesterOutcome {
 
     for h in 0..hours {
         let week_idx = (u64::from(h) / WEEK_HOURS) as u32;
-        if weeks.len() <= week_idx as usize {
-            weeks.push(WeekRow {
-                week: week_idx,
-                ..WeekRow::default()
-            });
-        }
         let hour_ms = u64::from(h) * HOUR_MS;
         let lambda = model.expected_active(h as usize) * p.scale * p.submit_prob;
         let arrivals = poisson(&mut rng, lambda);
@@ -499,17 +466,9 @@ pub fn run_semester(p: &SemesterParams) -> SemesterOutcome {
                 SubmitRequest::full_grade(token, &lab.lab_id)
             };
             offered += 1;
-            let week = &mut weeks[week_idx as usize];
-            week.offered += 1;
             match server.submit_queued(&req.at(at_ms).with_source(source)) {
-                Ok(_) => {
-                    admitted += 1;
-                    week.admitted += 1;
-                }
-                Err(WbError::Overloaded { .. }) => {
-                    shed += 1;
-                    week.shed += 1;
-                }
+                Ok(_) => admitted += 1,
+                Err(WbError::Overloaded { .. }) => shed += 1,
                 Err(WbError::RateLimited { .. }) => rate_limited += 1,
                 Err(e) => panic!("front door refused a well-formed submission: {e}"),
             }
@@ -526,28 +485,22 @@ pub fn run_semester(p: &SemesterParams) -> SemesterOutcome {
             }
             served_h += server.advance(hour_ms + u64::from(r) * step);
         }
-        reap(&server, &mut weeks[week_idx as usize]);
+        reap(&server);
 
         let fleet = cluster.fleet_size();
         let capacity = (fleet as u64 * u64::from(p.pumps_per_hour.max(1))).max(1);
         cost.record_hour(fleet, served_h as f64 / capacity as f64);
-        let week = &mut weeks[week_idx as usize];
-        week.peak_fleet = week.peak_fleet.max(fleet);
-        week.dollars += fleet as f64 * CostModel::default().gpu_worker_hour
-            + CostModel::default().web_server_hour
-            + CostModel::default().database_hour;
     }
 
     // Final drain: finish everything still queued past the last hour.
     let end_ms = u64::from(hours) * HOUR_MS;
     let mut drain_rounds = 0u64;
-    let last = weeks.len() - 1;
     while server.pending_queued() > 0 && drain_rounds < 1_000_000 {
         server.advance(end_ms + drain_rounds * 60_000);
         drain_rounds += 1;
-        reap(&server, &mut weeks[last]);
+        reap(&server);
     }
-    reap(&server, &mut weeks[last]);
+    reap(&server);
     assert_eq!(
         server.pending_queued(),
         0,
@@ -568,7 +521,6 @@ pub fn run_semester(p: &SemesterParams) -> SemesterOutcome {
         brown_outs: snapshot.counter("sched_brown_outs"),
         infra_errors,
         flagged,
-        analysis_runs: snapshot.counter("analysis_runs"),
         analysis_flagged: snapshot.counter("analysis_flagged"),
         analysis_denied: snapshot.counter("analysis_denied"),
         drain_rounds,
@@ -578,7 +530,6 @@ pub fn run_semester(p: &SemesterParams) -> SemesterOutcome {
         sched_admitted: snapshot.counter("sched_admitted"),
         sched_shed: snapshot.counter("sched_shed"),
         rate_limited_counter: snapshot.counter("rate_limited"),
-        weeks,
     }
 }
 

@@ -2,7 +2,7 @@
 //! bit-for-bit reproducible across executions, and its recorder books
 //! reconcile exactly-once.
 
-use wb_bench::semester::{run_semester, SemesterParams};
+use crate::semester::{run_semester, SemesterParams};
 
 /// Smaller than `SemesterParams::smoke` (this runs in the debug-profile
 /// test suite) but the same shape: multiple courses, both cache tiers
