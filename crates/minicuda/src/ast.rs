@@ -155,6 +155,26 @@ pub enum UnOp {
     BitNot,
 }
 
+/// The slot the parser gives every name; `sema::analyze` replaces each
+/// one, so a checked program holds none.
+pub(crate) const UNBOUND: u32 = u32::MAX;
+
+/// What a variable name denotes. Sema binds every name once, following
+/// the one lookup order (a local, then a `__constant__` symbol, then a
+/// predefined integer); lowering and both interpreters read the binding
+/// and never look a name up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Binding {
+    /// A slot of the enclosing function's frame ([`FuncDef::frame`]).
+    Slot(u32),
+    /// A `__constant__` symbol, by id (its index in the program's
+    /// constants).
+    Constant(u32),
+    /// A predefined integer: a `cudaMemcpy*` direction, a `wbLog` level
+    /// or a `wbTime` category.
+    Predefined(i64),
+}
+
 /// Expression node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Expr {
@@ -173,8 +193,8 @@ pub enum ExprKind {
     FloatLit(f32),
     /// String literal (only valid as an argument to `wb*` calls).
     StrLit(String),
-    /// Named variable.
-    Var(String),
+    /// Named variable and what sema bound it to.
+    Var(String, Binding),
     /// `threadIdx.x` and friends: family + axis (0=x, 1=y, 2=z).
     Builtin(BuiltinVar, u8),
     /// Unary operation.
@@ -189,8 +209,9 @@ pub enum ExprKind {
     Index(Box<Expr>, Box<Expr>),
     /// `(type) expr`
     Cast(Type, Box<Expr>),
-    /// `&var` — host out-parameters (`cudaMalloc(&d, n)`).
-    AddrOf(String),
+    /// `&var` — host out-parameters (`cudaMalloc(&d, n)`) — and the
+    /// frame slot sema bound the name to.
+    AddrOf(String, u32),
     /// `sizeof(type)`
     SizeOf(Type),
 }
@@ -208,7 +229,7 @@ impl Expr {
 
     /// True when this expression can be assigned to.
     pub fn is_lvalue(&self) -> bool {
-        matches!(self.kind, ExprKind::Var(_) | ExprKind::Index(_, _))
+        matches!(self.kind, ExprKind::Var(..) | ExprKind::Index(..))
     }
 }
 
@@ -224,12 +245,6 @@ pub struct Dim3Expr {
 }
 
 /// Statement node.
-///
-/// `Launch` is the outsized variant (two inline `Dim3Expr`s); statements
-/// live in `Vec<Stmt>` bodies that are built once at parse time and only
-/// walked afterwards, so boxing it would cost more indirection on every
-/// interpreted statement than the parse-time memory it saves.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     /// Local variable declaration.
@@ -242,6 +257,8 @@ pub enum Stmt {
         init: Option<Expr>,
         /// Source location.
         pos: Pos,
+        /// Frame slot the declaration binds.
+        slot: u32,
     },
     /// `__shared__ float tile[A][B];` — dims must be constant.
     SharedDecl {
@@ -253,6 +270,8 @@ pub enum Stmt {
         dims: Vec<Expr>,
         /// Source location.
         pos: Pos,
+        /// Frame slot the array name binds.
+        slot: u32,
     },
     /// Assignment, optionally compound (`+=` carries `Some(Add)`).
     Assign {
@@ -317,10 +336,12 @@ pub enum Stmt {
     Launch {
         /// Kernel name.
         kernel: String,
-        /// Grid dimensions.
-        grid: Dim3Expr,
+        /// Grid dimensions. Both triples are boxed: inline they would
+        /// make every `Stmt` three times its size, and compiled programs
+        /// keep their AST in the cache.
+        grid: Box<Dim3Expr>,
         /// Block dimensions.
-        block: Dim3Expr,
+        block: Box<Dim3Expr>,
         /// Kernel arguments.
         args: Vec<Expr>,
         /// Source location.
@@ -397,6 +418,9 @@ pub struct FuncDef {
     pub body: Block,
     /// Source location of the definition.
     pub pos: Pos,
+    /// Frame layout: the declared type of each slot, parameters first
+    /// (sema fills it; one slot per parameter and per declaration).
+    pub frame: Vec<Type>,
 }
 
 /// `__constant__ float mask[25];` — device constant memory, filled by
@@ -452,10 +476,16 @@ mod tests {
         assert_eq!(Type::Int.pointee(), None);
     }
 
+    /// Cached programs hold their AST: a binding must not grow a node.
+    #[test]
+    fn expr_stays_56_bytes() {
+        assert!(std::mem::size_of::<Expr>() <= 56);
+    }
+
     #[test]
     fn lvalue_classification() {
         let p = Pos::unknown();
-        assert!(Expr::new(ExprKind::Var("x".into()), p).is_lvalue());
+        assert!(Expr::new(ExprKind::Var("x".into(), Binding::Slot(UNBOUND)), p).is_lvalue());
         assert!(!Expr::int(3, p).is_lvalue());
     }
 }

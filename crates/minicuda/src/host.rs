@@ -16,10 +16,9 @@ use crate::diag::{Diag, Phase, Pos};
 use crate::hostcall::{AllowAll, HostcallPolicy};
 use crate::memory::{ConstMem, MemPool};
 use crate::mpi::{CommWorld, RankComm};
-use crate::sema::{predefined, Program};
+use crate::sema::Program;
 use crate::value::{apply_binop, apply_math, apply_unop, ElemType, Ptr, Space, Value};
 use libwb::{Dataset, Image, LogLevel, Logger, Timer, TimerKind};
-use std::collections::HashMap;
 use std::sync::atomic::AtomicI64;
 
 /// Resource limits and device selection for one run.
@@ -158,7 +157,7 @@ fn run_rank(
         host: MemPool::new(),
         dev: MemPool::new(),
         consts,
-        scopes: vec![HashMap::new()],
+        frame: Frame::default(),
         logger: Logger::with_capacity(opts.max_log_bytes),
         timer: Timer::new(),
         clock: 0,
@@ -194,12 +193,36 @@ fn run_rank(
     }
 }
 
+/// A dataset's indices as the `int`s a student program reads.
+fn narrow(indices: &[usize]) -> impl ExactSizeIterator<Item = i32> + '_ {
+    indices.iter().map(|&x| x as i32)
+}
+
 /// Control flow result of a host statement.
 enum Flow {
     Normal,
     Return(Value),
     Break,
     Continue,
+}
+
+/// One call's variables: a value per slot of its function's frame.
+#[derive(Default)]
+struct Frame<'a> {
+    /// Declared type of each slot; assignments coerce to it.
+    types: &'a [Type],
+    vals: Vec<Value>,
+}
+
+impl<'a> Frame<'a> {
+    /// A frame for `f` with its parameter slots holding `args`.
+    fn enter(f: &'a FuncDef, mut args: Vec<Value>) -> Self {
+        args.resize(f.frame.len(), Value::I(0));
+        Frame {
+            types: &f.frame,
+            vals: args,
+        }
+    }
 }
 
 struct HostExec<'a> {
@@ -210,7 +233,7 @@ struct HostExec<'a> {
     host: MemPool,
     dev: MemPool,
     consts: ConstMem,
-    scopes: Vec<HashMap<String, (Type, Value)>>,
+    frame: Frame<'a>,
     logger: Logger,
     timer: Timer,
     clock: u64,
@@ -230,36 +253,19 @@ impl<'a> HostExec<'a> {
         let main = program
             .func("main")
             .ok_or_else(|| Diag::nowhere(Phase::Sema, "program has no main function"))?;
+        self.frame = Frame::enter(main, Vec::new());
         match self.exec_block(&main.body)? {
             Flow::Return(v) => Ok(v.as_int().unwrap_or(0)),
             _ => Ok(0),
         }
     }
 
-    // ---- scope helpers ---------------------------------------------------
-
-    fn declare(&mut self, name: &str, ty: Type, v: Value) {
-        self.scopes
-            .last_mut()
-            .expect("scope")
-            .insert(name.to_string(), (ty, v));
-    }
-
-    fn lookup(&self, name: &str) -> Option<&(Type, Value)> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
-    }
-
-    fn assign_var(&mut self, name: &str, v: Value, pos: Pos) -> Result<(), Diag> {
-        let slot = self
-            .scopes
-            .iter_mut()
-            .rev()
-            .find_map(|s| s.get_mut(name))
-            .ok_or_else(|| Diag::new(Phase::Runtime, pos, format!("unknown variable `{name}`")))?;
-        let coerced = v
-            .coerce_to(&slot.0)
+    /// Store `v` in a frame slot, coerced to the slot's declared type.
+    fn assign_var(&mut self, slot: u32, v: Value, pos: Pos) -> Result<(), Diag> {
+        let slot = slot as usize;
+        self.frame.vals[slot] = v
+            .coerce_to(&self.frame.types[slot])
             .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-        slot.1 = coerced;
         Ok(())
     }
 
@@ -288,25 +294,23 @@ impl<'a> HostExec<'a> {
     // ---- statements --------------------------------------------------------
 
     fn exec_block(&mut self, b: &Block) -> Result<Flow, Diag> {
-        self.scopes.push(HashMap::new());
-        let mut flow = Flow::Normal;
         for s in &b.stmts {
-            flow = self.exec_stmt(s)?;
+            let flow = self.exec_stmt(s)?;
             if !matches!(flow, Flow::Normal) {
-                break;
+                return Ok(flow);
             }
         }
-        self.scopes.pop();
-        Ok(flow)
+        Ok(Flow::Normal)
     }
 
     fn exec_stmt(&mut self, s: &Stmt) -> Result<Flow, Diag> {
         match s {
             Stmt::Decl {
                 ty,
-                name,
                 init,
                 pos,
+                slot,
+                ..
             } => {
                 self.step(*pos)?;
                 let v = match init {
@@ -317,7 +321,7 @@ impl<'a> HostExec<'a> {
                     }
                     None => Value::zero_of(ty),
                 };
-                self.declare(name, ty.clone(), v);
+                self.frame.vals[*slot as usize] = v;
                 Ok(Flow::Normal)
             }
             Stmt::SharedDecl { pos, .. } => {
@@ -337,7 +341,7 @@ impl<'a> HostExec<'a> {
                         .map_err(|m| Diag::new(Phase::Runtime, *pos, m))?;
                 }
                 match &target.kind {
-                    ExprKind::Var(name) => self.assign_var(name, rhs, *pos)?,
+                    ExprKind::Var(_, Binding::Slot(slot)) => self.assign_var(*slot, rhs, *pos)?,
                     ExprKind::Index(base, idx) => {
                         let p = self
                             .eval(base)?
@@ -410,35 +414,30 @@ impl<'a> HostExec<'a> {
                 body,
                 pos,
             } => {
-                self.scopes.push(HashMap::new());
-                let result = (|| {
-                    if let Some(i) = init {
-                        self.exec_stmt(i)?;
-                    }
-                    loop {
-                        self.step(*pos)?;
-                        if let Some(c) = cond {
-                            let t = self
-                                .eval(c)?
-                                .truthy()
-                                .map_err(|m| Diag::new(Phase::Runtime, *pos, m))?;
-                            if !t {
-                                break;
-                            }
-                        }
-                        match self.exec_block(body)? {
-                            Flow::Break => break,
-                            Flow::Continue | Flow::Normal => {}
-                            other => return Ok(other),
-                        }
-                        if let Some(st) = step {
-                            self.exec_stmt(st)?;
+                if let Some(i) = init {
+                    self.exec_stmt(i)?;
+                }
+                loop {
+                    self.step(*pos)?;
+                    if let Some(c) = cond {
+                        let t = self
+                            .eval(c)?
+                            .truthy()
+                            .map_err(|m| Diag::new(Phase::Runtime, *pos, m))?;
+                        if !t {
+                            break;
                         }
                     }
-                    Ok(Flow::Normal)
-                })();
-                self.scopes.pop();
-                result
+                    match self.exec_block(body)? {
+                        Flow::Break => break,
+                        Flow::Continue | Flow::Normal => {}
+                        other => return Ok(other),
+                    }
+                    if let Some(st) = step {
+                        self.exec_stmt(st)?;
+                    }
+                }
+                Ok(Flow::Normal)
             }
             Stmt::Return { value, pos } => {
                 self.step(*pos)?;
@@ -577,29 +576,11 @@ impl<'a> HostExec<'a> {
                 "string literals are only valid as wb* arguments",
             )),
             ExprKind::SizeOf(t) => Ok(Value::I(t.size_of())),
-            ExprKind::Var(name) => {
-                if let Some((_, v)) = self.lookup(name) {
-                    return Ok(*v);
-                }
-                if let Some(id) = self.program.constant_id(name) {
-                    let spec = &self.program.constants()[id as usize];
-                    return Ok(Value::P(Ptr {
-                        space: Space::Constant,
-                        alloc: id,
-                        offset: 0,
-                        elem: spec.elem,
-                        level: 0,
-                    }));
-                }
-                if let Some(v) = predefined(name) {
-                    return Ok(Value::I(v));
-                }
-                Err(Diag::new(
-                    Phase::Runtime,
-                    e.pos,
-                    format!("unknown variable `{name}`"),
-                ))
-            }
+            ExprKind::Var(_, binding) => Ok(match *binding {
+                Binding::Slot(slot) => self.frame.vals[slot as usize],
+                Binding::Constant(id) => Value::P(self.program.constant_ptr(id)),
+                Binding::Predefined(v) => Value::I(v),
+            }),
             ExprKind::Builtin(_, _) => Err(Diag::new(
                 Phase::Runtime,
                 e.pos,
@@ -667,7 +648,7 @@ impl<'a> HostExec<'a> {
                 v.coerce_to(ty)
                     .map_err(|m| Diag::new(Phase::Runtime, e.pos, m))
             }
-            ExprKind::AddrOf(_) => Err(Diag::new(
+            ExprKind::AddrOf(..) => Err(Diag::new(
                 Phase::Runtime,
                 e.pos,
                 "&variable is only valid as an out-parameter of an API call",
@@ -693,10 +674,10 @@ impl<'a> HostExec<'a> {
         Ok(())
     }
 
-    /// Evaluate an out-parameter: returns the variable name to write.
-    fn ref_arg(&mut self, e: &Expr) -> Result<String, Diag> {
-        match &e.kind {
-            ExprKind::AddrOf(name) => Ok(name.clone()),
+    /// Evaluate an out-parameter: returns the frame slot to write.
+    fn ref_arg(&mut self, e: &Expr) -> Result<u32, Diag> {
+        match e.kind {
+            ExprKind::AddrOf(_, slot) => Ok(slot),
             _ => Err(Diag::new(
                 Phase::Runtime,
                 e.pos,
@@ -744,7 +725,9 @@ impl<'a> HostExec<'a> {
         }
     }
 
-    fn alloc_host_i32(&mut self, data: &[i32]) -> Ptr {
+    /// Import integers (or a dataset's indices, narrowed) into a fresh
+    /// host allocation, straight from the borrowed dataset.
+    fn alloc_host_i32(&mut self, data: impl ExactSizeIterator<Item = i32>) -> Ptr {
         let id = self.host.alloc_elems(data.len().max(1));
         self.host.write_i32(id, data).expect("fresh allocation");
         Ptr {
@@ -757,8 +740,8 @@ impl<'a> HostExec<'a> {
     }
 
     fn write_out_int(&mut self, arg: &Expr, v: i64, pos: Pos) -> Result<(), Diag> {
-        let name = self.ref_arg(arg)?;
-        self.assign_var(&name, Value::I(v), pos)
+        let slot = self.ref_arg(arg)?;
+        self.assign_var(slot, Value::I(v), pos)
     }
 
     fn eval_call(&mut self, name: &str, args: &[Expr], pos: Pos) -> Result<Value, Diag> {
@@ -843,7 +826,7 @@ impl<'a> HostExec<'a> {
                 };
                 // assign_var coerces through the declared pointer type,
                 // which stamps the element interpretation.
-                self.assign_var(&out, Value::P(p), pos)?;
+                self.assign_var(out, Value::P(p), pos)?;
                 Ok(Value::I(0))
             }
             "cudaFree" => {
@@ -984,10 +967,9 @@ impl<'a> HostExec<'a> {
                 let data = self
                     .input(idx, pos)?
                     .as_vector()
-                    .map_err(|e| Diag::new(Phase::Runtime, pos, e.to_string()))?
-                    .to_vec();
+                    .map_err(|e| Diag::new(Phase::Runtime, pos, e.to_string()))?;
                 self.write_out_int(&args[1], data.len() as i64, pos)?;
-                Ok(Value::P(self.alloc_host_f32(&data)))
+                Ok(Value::P(self.alloc_host_f32(data)))
             }
             "wbImportIntVector" => {
                 self.check_policy(name, pos)?;
@@ -998,10 +980,9 @@ impl<'a> HostExec<'a> {
                 let data = self
                     .input(idx, pos)?
                     .as_int_vector()
-                    .map_err(|e| Diag::new(Phase::Runtime, pos, e.to_string()))?
-                    .to_vec();
+                    .map_err(|e| Diag::new(Phase::Runtime, pos, e.to_string()))?;
                 self.write_out_int(&args[1], data.len() as i64, pos)?;
-                Ok(Value::P(self.alloc_host_i32(&data)))
+                Ok(Value::P(self.alloc_host_i32(data.iter().copied())))
             }
             "wbImportMatrix" => {
                 self.check_policy(name, pos)?;
@@ -1009,16 +990,13 @@ impl<'a> HostExec<'a> {
                     .eval(&args[0])?
                     .as_int()
                     .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                let (rows, cols, data) = {
-                    let (r, c, d) = self
-                        .input(idx, pos)?
-                        .as_matrix()
-                        .map_err(|e| Diag::new(Phase::Runtime, pos, e.to_string()))?;
-                    (r, c, d.to_vec())
-                };
+                let (rows, cols, data) = self
+                    .input(idx, pos)?
+                    .as_matrix()
+                    .map_err(|e| Diag::new(Phase::Runtime, pos, e.to_string()))?;
                 self.write_out_int(&args[1], rows as i64, pos)?;
                 self.write_out_int(&args[2], cols as i64, pos)?;
-                Ok(Value::P(self.alloc_host_f32(&data)))
+                Ok(Value::P(self.alloc_host_f32(data)))
             }
             "wbImportImage" => {
                 self.check_policy(name, pos)?;
@@ -1027,7 +1005,7 @@ impl<'a> HostExec<'a> {
                     .as_int()
                     .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
                 let img = match self.input(idx, pos)? {
-                    Dataset::Image(img) => img.clone(),
+                    Dataset::Image(img) => img,
                     other => {
                         return Err(Diag::new(
                             Phase::Runtime,
@@ -1048,7 +1026,7 @@ impl<'a> HostExec<'a> {
                     .as_int()
                     .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
                 let m = match self.input(idx, pos)? {
-                    Dataset::Sparse(m) => m.clone(),
+                    Dataset::Sparse(m) => m,
                     other => {
                         return Err(Diag::new(
                             Phase::Runtime,
@@ -1059,14 +1037,12 @@ impl<'a> HostExec<'a> {
                 };
                 match name {
                     "wbImportCsrRowPtr" => {
-                        let data: Vec<i32> = m.row_ptr().iter().map(|&x| x as i32).collect();
                         self.write_out_int(&args[1], m.rows() as i64, pos)?;
-                        Ok(Value::P(self.alloc_host_i32(&data)))
+                        Ok(Value::P(self.alloc_host_i32(narrow(m.row_ptr()))))
                     }
                     "wbImportCsrColIdx" => {
-                        let data: Vec<i32> = m.col_idx().iter().map(|&x| x as i32).collect();
                         self.write_out_int(&args[1], m.nnz() as i64, pos)?;
-                        Ok(Value::P(self.alloc_host_i32(&data)))
+                        Ok(Value::P(self.alloc_host_i32(narrow(m.col_idx()))))
                     }
                     _ => {
                         self.write_out_int(&args[1], m.nnz() as i64, pos)?;
@@ -1081,7 +1057,7 @@ impl<'a> HostExec<'a> {
                     .as_int()
                     .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
                 let g = match self.input(idx, pos)? {
-                    Dataset::Graph(g) => g.clone(),
+                    Dataset::Graph(g) => g,
                     other => {
                         return Err(Diag::new(
                             Phase::Runtime,
@@ -1091,13 +1067,11 @@ impl<'a> HostExec<'a> {
                     }
                 };
                 if name == "wbImportGraphRowPtr" {
-                    let data: Vec<i32> = g.row_ptr().iter().map(|&x| x as i32).collect();
                     self.write_out_int(&args[1], g.num_nodes() as i64, pos)?;
-                    Ok(Value::P(self.alloc_host_i32(&data)))
+                    Ok(Value::P(self.alloc_host_i32(narrow(g.row_ptr()))))
                 } else {
-                    let data: Vec<i32> = g.neighbors().iter().map(|&x| x as i32).collect();
                     self.write_out_int(&args[1], g.num_edges() as i64, pos)?;
-                    Ok(Value::P(self.alloc_host_i32(&data)))
+                    Ok(Value::P(self.alloc_host_i32(narrow(g.neighbors()))))
                 }
             }
             "wbImportScalar" => {
@@ -1424,16 +1398,11 @@ impl<'a> HostExec<'a> {
                             .map_err(|m| Diag::new(Phase::Runtime, pos, m))?,
                     );
                 }
-                // Fresh call frame: swap in a new scope stack.
-                let saved = std::mem::take(&mut self.scopes);
-                self.scopes.push(HashMap::new());
-                for (p, v) in f.params.iter().zip(argv) {
-                    self.declare(&p.name, p.ty.clone(), v);
-                }
+                let caller = std::mem::replace(&mut self.frame, Frame::enter(f, argv));
                 self.call_depth += 1;
                 let flow = self.exec_block(&f.body);
                 self.call_depth -= 1;
-                self.scopes = saved;
+                self.frame = caller;
                 match flow? {
                     Flow::Return(v) => Ok(v),
                     _ => Ok(Value::I(0)),

@@ -1,18 +1,19 @@
 //! AST → IR lowering.
 //!
-//! Lowering resolves all *lexical* structure at compile time so the
-//! executor never touches a name table:
+//! Lowering turns all *lexical* structure into registers at compile
+//! time so the executor never touches a name table:
 //!
-//! * every variable declaration binds its name to a fresh virtual
-//!   register in a lowering-time scope stack (shadowing and `for`-init
-//!   scopes behave exactly like the tree-walk's runtime scopes);
+//! * names arrive bound: sema resolved each one to a frame slot, a
+//!   `__constant__` id or a predefined integer ([`Binding`]). Lowering
+//!   maps each slot to the virtual register its declaration wrote, so
+//!   shadowing and `for`-init scopes are exactly sema's, which are the
+//!   tree-walk's;
 //! * every expression node writes a fresh single-definition register,
 //!   which is what makes the optimization passes simple;
-//! * name resolution follows the tree-walk's cascade — local scope,
-//!   then `__constant__` symbols, then predefined integer constants —
-//!   and unresolvable names become [`Inst::Trap`]s that only fire if
-//!   the code actually executes with live lanes, preserving the
-//!   interpreter's lazy runtime errors.
+//! * constructs device code cannot run (strings, `&var`, launches)
+//!   become [`Inst::Trap`]s that only fire if the code actually
+//!   executes with live lanes, preserving the interpreter's lazy
+//!   runtime errors.
 //!
 //! One deliberate semantic difference from the historical tree-walk is
 //! compound index assignment: `a[i] += v` lowers to a single
@@ -29,7 +30,7 @@
 use crate::ast::*;
 use crate::diag::Pos;
 use crate::ir::*;
-use crate::sema::{const_eval, predefined, Program};
+use crate::sema::{const_eval, Program};
 use crate::value::{ElemType, Value};
 use std::collections::HashMap;
 
@@ -42,7 +43,7 @@ pub fn lower_program(p: &Program) -> IrProgram {
     LOWERINGS.with(|n| n.set(n.get() + 1));
     let mut out = IrProgram::default();
     for f in p.funcs() {
-        let lowered = Lower::new(p).lower_func(f);
+        let lowered = Lower::new(p, f).lower_func(f);
         out.funcs.insert(f.name.clone(), lowered);
     }
     out
@@ -64,19 +65,20 @@ struct Lower<'a> {
     blocks: Vec<IrBlock>,
     cur: BlockId,
     next_reg: Reg,
-    scopes: Vec<HashMap<String, Reg>>,
+    /// The register each frame slot's declaration wrote.
+    slots: Vec<Reg>,
     shared: Vec<SharedSpec>,
     shared_by_name: HashMap<String, u32>,
 }
 
 impl<'a> Lower<'a> {
-    fn new(prog: &'a Program) -> Self {
+    fn new(prog: &'a Program, f: &FuncDef) -> Self {
         Lower {
             prog,
             blocks: vec![IrBlock::default()],
             cur: 0,
             next_reg: 0,
-            scopes: vec![HashMap::new()],
+            slots: vec![0; f.frame.len()],
             shared: Vec::new(),
             shared_by_name: HashMap::new(),
         }
@@ -104,25 +106,14 @@ impl<'a> Lower<'a> {
         (id, r)
     }
 
-    fn bind(&mut self, name: &str, reg: Reg) {
-        self.scopes
-            .last_mut()
-            .expect("scope")
-            .insert(name.to_string(), reg);
-    }
-
-    fn lookup(&self, name: &str) -> Option<Reg> {
-        self.scopes.iter().rev().find_map(|s| s.get(name)).copied()
-    }
-
     fn lower_func(mut self, f: &FuncDef) -> IrFunc {
         let mut params = Vec::with_capacity(f.params.len());
-        for p in &f.params {
+        for (slot, p) in f.params.iter().enumerate() {
             let r = self.fresh();
-            self.bind(&p.name, r);
+            self.slots[slot] = r;
             params.push((r, p.ty.clone()));
         }
-        self.lower_block_into_current(&f.body);
+        self.lower_block(&f.body);
         IrFunc {
             name: f.name.clone(),
             params,
@@ -134,20 +125,17 @@ impl<'a> Lower<'a> {
         }
     }
 
-    /// Lower a `{}` block's statements into the current IR block under
-    /// a fresh lexical scope.
-    fn lower_block_into_current(&mut self, b: &Block) {
-        self.scopes.push(HashMap::new());
+    /// Lower a `{}` block's statements into the current IR block.
+    fn lower_block(&mut self, b: &Block) {
         for s in &b.stmts {
             self.lower_stmt(s);
         }
-        self.scopes.pop();
     }
 
     /// Lower a `{}` block into a brand-new IR block (branch arms, loop
     /// bodies).
     fn lower_block_child(&mut self, b: &Block) -> BlockId {
-        self.in_new_block(|l| l.lower_block_into_current(b)).0
+        self.in_new_block(|l| l.lower_block(b)).0
     }
 
     fn trap(&mut self, pos: Pos, msg: impl Into<String>) -> Reg {
@@ -167,9 +155,10 @@ impl<'a> Lower<'a> {
         match s {
             Stmt::Decl {
                 ty,
-                name,
                 init,
                 pos,
+                slot,
+                ..
             } => {
                 let dst = match init {
                     Some(e) => {
@@ -192,13 +181,14 @@ impl<'a> Lower<'a> {
                         dst
                     }
                 };
-                self.bind(name, dst);
+                self.slots[*slot as usize] = dst;
             }
             Stmt::SharedDecl {
                 elem,
                 name,
                 dims,
                 pos,
+                slot,
             } => {
                 // Allocation deduplicates by name (first declaration's
                 // dims win), mirroring the tree-walk's `shared_ids`.
@@ -224,7 +214,7 @@ impl<'a> Lower<'a> {
                     spec,
                     pos: *pos,
                 });
-                self.bind(name, dst);
+                self.slots[*slot as usize] = dst;
             }
             Stmt::Assign {
                 target,
@@ -272,7 +262,6 @@ impl<'a> Lower<'a> {
                 // The init statement runs once in the enclosing block —
                 // that block is the natural preheader for invariant
                 // hoisting.
-                self.scopes.push(HashMap::new());
                 if let Some(i) = init {
                     self.lower_stmt(i);
                 }
@@ -294,7 +283,6 @@ impl<'a> Lower<'a> {
                     step_b,
                     pos: *pos,
                 });
-                self.scopes.pop();
             }
             Stmt::Return { value, pos } => {
                 let val = value.as_ref().map(|e| self.lower_expr(e));
@@ -302,7 +290,7 @@ impl<'a> Lower<'a> {
             }
             Stmt::Break(pos) => self.emit(Inst::Break { pos: *pos }),
             Stmt::Continue(pos) => self.emit(Inst::Continue { pos: *pos }),
-            Stmt::Block(b) => self.lower_block_into_current(b),
+            Stmt::Block(b) => self.lower_block(b),
             Stmt::Launch { pos, .. } => {
                 self.trap(*pos, "nested kernel launch");
             }
@@ -314,11 +302,8 @@ impl<'a> Lower<'a> {
 
     fn lower_assign(&mut self, target: &Expr, op: Option<BinOp>, value: &Expr, pos: Pos) {
         match &target.kind {
-            ExprKind::Var(name) => {
-                let Some(var) = self.lookup(name) else {
-                    self.trap(pos, format!("assignment to unknown variable `{name}`"));
-                    return;
-                };
+            &ExprKind::Var(_, Binding::Slot(slot)) => {
+                let var = self.slots[slot as usize];
                 let rhs = self.lower_expr(value);
                 let src = match op {
                     Some(op) => {
@@ -393,25 +378,11 @@ impl<'a> Lower<'a> {
             ExprKind::FloatLit(v) => self.constant(Value::F(*v)),
             ExprKind::StrLit(_) => self.trap(e.pos, "strings are not device values"),
             ExprKind::SizeOf(t) => self.constant(Value::I(t.size_of())),
-            ExprKind::Var(name) => {
-                if let Some(r) = self.lookup(name) {
-                    return r;
-                }
-                if let Some(id) = self.prog.constant_id(name) {
-                    let spec = &self.prog.constants()[id as usize];
-                    return self.constant(Value::P(crate::value::Ptr {
-                        space: crate::value::Space::Constant,
-                        alloc: id,
-                        offset: 0,
-                        elem: spec.elem,
-                        level: 0,
-                    }));
-                }
-                if let Some(v) = predefined(name) {
-                    return self.constant(Value::I(v));
-                }
-                self.trap(e.pos, format!("unknown variable `{name}`"))
-            }
+            ExprKind::Var(_, binding) => match *binding {
+                Binding::Slot(slot) => self.slots[slot as usize],
+                Binding::Constant(id) => self.constant(Value::P(self.prog.constant_ptr(id))),
+                Binding::Predefined(v) => self.constant(Value::I(v)),
+            },
             ExprKind::Builtin(which, axis) => {
                 let dst = self.fresh();
                 self.emit(Inst::Builtin {
@@ -499,7 +470,7 @@ impl<'a> Lower<'a> {
                 });
                 dst
             }
-            ExprKind::AddrOf(_) => self.trap(e.pos, "address-of is not supported in device code"),
+            ExprKind::AddrOf(..) => self.trap(e.pos, "address-of is not supported in device code"),
             ExprKind::Call(name, args) => self.lower_call(name, args, e.pos),
         }
     }

@@ -285,13 +285,17 @@ impl MemPool {
     }
 
     /// Bulk-write i32 data.
-    pub fn write_i32(&self, id: u32, data: &[i32]) -> Result<(), MemError> {
+    pub fn write_i32(
+        &self,
+        id: u32,
+        data: impl ExactSizeIterator<Item = i32>,
+    ) -> Result<(), MemError> {
         let a = self.get(id)?;
         if data.len() > a.len() {
             return Err(MemError("write overruns allocation".to_string()));
         }
-        for (k, &x) in data.iter().enumerate() {
-            a.words[k].store(x as u32, Ordering::Relaxed);
+        for (word, x) in a.words.iter().zip(data) {
+            word.store(x as u32, Ordering::Relaxed);
         }
         Ok(())
     }
@@ -707,7 +711,7 @@ mod tests {
     fn bulk_io_roundtrip() {
         let mut pool = MemPool::new();
         let id = pool.alloc_elems(3);
-        pool.write_i32(id, &[7, -8, 9]).unwrap();
+        pool.write_i32(id, [7, -8, 9].into_iter()).unwrap();
         assert_eq!(pool.read_i32(id, 0, 3).unwrap(), vec![7, -8, 9]);
         assert_eq!(pool.read_i32(id, 1, 2).unwrap(), vec![-8, 9]);
         assert!(pool.read_i32(id, 2, 2).is_err());

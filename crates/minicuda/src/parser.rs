@@ -143,6 +143,7 @@ impl Parser {
             params,
             body,
             pos,
+            frame: Vec::new(),
         }))
     }
 
@@ -228,6 +229,9 @@ impl Parser {
             stmts.push(self.stmt()?);
         }
         self.eat(Tok::RBrace)?;
+        // Compiled programs keep their AST, and the cache keeps compiled
+        // programs: drop the growth slack.
+        stmts.shrink_to_fit();
         Ok(Block { stmts })
     }
 
@@ -397,6 +401,7 @@ impl Parser {
                 name,
                 init,
                 pos,
+                slot: UNBOUND,
             });
             if *self.peek() == Tok::Comma {
                 self.advance();
@@ -435,6 +440,7 @@ impl Parser {
             name,
             dims,
             pos,
+            slot: UNBOUND,
         })
     }
 
@@ -505,9 +511,9 @@ impl Parser {
         let pos = self.pos();
         let kernel = self.eat_ident()?;
         self.eat(Tok::LaunchOpen)?;
-        let grid = self.dim3()?;
+        let grid = Box::new(self.dim3()?);
         self.eat(Tok::Comma)?;
-        let block = self.dim3()?;
+        let block = Box::new(self.dim3()?);
         // Optional third config argument (dynamic shared memory size):
         // parsed and ignored — labs use static `__shared__` arrays.
         if *self.peek() == Tok::Comma {
@@ -515,6 +521,18 @@ impl Parser {
             let _ = self.expr()?;
         }
         self.eat(Tok::LaunchClose)?;
+        let args = self.args()?;
+        Ok(Stmt::Launch {
+            kernel,
+            grid,
+            block,
+            args,
+            pos,
+        })
+    }
+
+    /// A parenthesized argument list, trimmed like a block.
+    fn args(&mut self) -> Result<Vec<Expr>, Diag> {
         self.eat(Tok::LParen)?;
         let mut args = Vec::new();
         if *self.peek() != Tok::RParen {
@@ -528,13 +546,8 @@ impl Parser {
             }
         }
         self.eat(Tok::RParen)?;
-        Ok(Stmt::Launch {
-            kernel,
-            grid,
-            block,
-            args,
-            pos,
-        })
+        args.shrink_to_fit();
+        Ok(args)
     }
 
     fn dim3(&mut self) -> Result<Dim3Expr, Diag> {
@@ -656,14 +669,14 @@ impl Parser {
                 if *self.peek() == Tok::LBracket {
                     // `&arr[i]` is plain pointer arithmetic: `arr + i`
                     // (chained for `&t[i][j]` on shared arrays).
-                    let mut e = Expr::new(ExprKind::Var(name), pos);
+                    let mut e = Expr::new(ExprKind::Var(name, Binding::Slot(UNBOUND)), pos);
                     e = self.postfix(e)?;
                     if let ExprKind::Index(base, idx) = e.kind {
                         return Ok(Expr::new(ExprKind::Binary(BinOp::Add, base, idx), pos));
                     }
                     unreachable!("postfix after `[` yields an index");
                 }
-                Ok(Expr::new(ExprKind::AddrOf(name), pos))
+                Ok(Expr::new(ExprKind::AddrOf(name, UNBOUND), pos))
             }
             Tok::LParen => {
                 // Cast or parenthesized expression.
@@ -745,22 +758,10 @@ impl Parser {
                     ));
                 }
                 if *self.peek() == Tok::LParen {
-                    self.advance();
-                    let mut args = Vec::new();
-                    if *self.peek() != Tok::RParen {
-                        loop {
-                            args.push(self.expr()?);
-                            if *self.peek() == Tok::Comma {
-                                self.advance();
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                    self.eat(Tok::RParen)?;
+                    let args = self.args()?;
                     return Ok(Expr::new(ExprKind::Call(name, args), pos));
                 }
-                Ok(Expr::new(ExprKind::Var(name), pos))
+                Ok(Expr::new(ExprKind::Var(name, Binding::Slot(UNBOUND)), pos))
             }
             other => Err(Diag::new(
                 Phase::Parse,
@@ -1041,7 +1042,7 @@ mod tests {
         match &first_func(&u).body.stmts[1] {
             Stmt::Expr(e) => match &e.kind {
                 ExprKind::Call(_, args) => {
-                    assert!(matches!(args[0].kind, ExprKind::AddrOf(_)));
+                    assert!(matches!(args[0].kind, ExprKind::AddrOf(..)));
                 }
                 other => panic!("unexpected {other:?}"),
             },

@@ -1,16 +1,25 @@
-//! Semantic analysis: scopes, types, call resolution, kernel rules.
+//! Semantic analysis: name binding, types, call resolution, kernel rules.
+//!
+//! Sema is the one place a variable name is resolved. It binds every
+//! reference, `&var` out-parameter, declaration and parameter to a
+//! frame slot, a `__constant__` id or a predefined integer, writing the
+//! [`Binding`] into the AST, and records each function's frame layout
+//! ([`FuncDef::frame`]). Lowering, the host interpreter and the
+//! tree-walk read those bindings; none of them keeps a scope chain.
 //!
 //! The checker is deliberately lenient where C is lenient (numeric
 //! promotions, pointer retyping through assignments) and strict where
 //! student mistakes hide bugs: undeclared names, wrong arity, indexing
 //! non-pointers, launching undefined kernels, `__shared__` outside
-//! device code, host API calls inside kernels, and non-constant shared
-//! array extents.
+//! device code, host API calls inside kernels, non-constant shared
+//! array extents, assignments to a name that is not a variable, and
+//! declarations in a `for` step (which C does not allow, and which would
+//! bind before the body they run after).
 
 use crate::ast::*;
 use crate::diag::{Diag, Phase, Pos};
 use crate::dialect::Dialect;
-use crate::value::ElemType;
+use crate::value::{ElemType, Ptr, Space};
 use std::collections::HashMap;
 
 /// A compiled, semantically valid program.
@@ -54,11 +63,23 @@ impl Program {
     }
 
     /// Id of a constant symbol.
-    pub fn constant_id(&self, name: &str) -> Option<u32> {
+    fn constant_id(&self, name: &str) -> Option<u32> {
         self.constants
             .iter()
             .position(|c| c.name == name)
             .map(|i| i as u32)
+    }
+
+    /// The value a [`Binding::Constant`] denotes: a pointer to element 0
+    /// of the symbol's constant bank.
+    pub(crate) fn constant_ptr(&self, id: u32) -> Ptr {
+        Ptr {
+            space: Space::Constant,
+            alloc: id,
+            offset: 0,
+            elem: self.constants[id as usize].elem,
+            level: 0,
+        }
     }
 
     /// Dialect the program was compiled under.
@@ -85,7 +106,7 @@ impl Program {
 
 /// Values predefined as integer constants in every scope: `cudaMemcpy*`
 /// direction flags, `wbLog` levels, and `wbTime` categories.
-pub fn predefined(name: &str) -> Option<i64> {
+fn predefined(name: &str) -> Option<i64> {
     Some(match name {
         "cudaMemcpyHostToDevice" => 0,
         "cudaMemcpyDeviceToHost" => 1,
@@ -113,15 +134,20 @@ enum Ctx {
     Device,
 }
 
-/// Analyze a parsed unit, producing an executable [`Program`].
+/// Analyze a parsed unit, producing an executable [`Program`]. Sema is
+/// the only resolver: it binds every name in every body (see
+/// [`Binding`]) and lays out each function's frame.
 pub fn analyze(unit: Unit, dialect: Dialect) -> Result<Program, Diag> {
     let mut funcs: HashMap<String, FuncDef> = HashMap::new();
     let mut kernel_names = Vec::new();
     let mut constants = Vec::new();
+    // Bodies are moved out until checked, so the checker binds one body
+    // in place while it reads every signature, its own included.
+    let mut bodies = Vec::new();
 
-    for item in &unit.items {
+    for item in unit.items {
         match item {
-            Item::Func(f) => {
+            Item::Func(mut f) => {
                 if funcs.contains_key(&f.name) {
                     return Err(Diag::new(
                         Phase::Sema,
@@ -149,7 +175,8 @@ pub fn analyze(unit: Unit, dialect: Dialect) -> Result<Program, Diag> {
                     }
                     kernel_names.push(f.name.clone());
                 }
-                funcs.insert(f.name.clone(), f.clone());
+                bodies.push((f.name.clone(), std::mem::take(&mut f.body)));
+                funcs.insert(f.name.clone(), f);
             }
             Item::Constant(c) => {
                 let len = const_eval(&c.size).ok_or_else(|| {
@@ -174,7 +201,7 @@ pub fn analyze(unit: Unit, dialect: Dialect) -> Result<Program, Diag> {
                     ));
                 }
                 constants.push(ConstantSpec {
-                    name: c.name.clone(),
+                    name: c.name,
                     elem: ElemType::of(&c.elem),
                     len: len as usize,
                 });
@@ -192,7 +219,7 @@ pub fn analyze(unit: Unit, dialect: Dialect) -> Result<Program, Diag> {
         }
     }
 
-    let program = Program {
+    let mut program = Program {
         funcs,
         kernel_names,
         constants,
@@ -200,12 +227,13 @@ pub fn analyze(unit: Unit, dialect: Dialect) -> Result<Program, Diag> {
         ir: None,
     };
 
-    // Second pass: check every function body.
-    let mut checker = Checker { program: &program };
-    for item in &unit.items {
-        if let Item::Func(f) = item {
-            checker.check_func(f)?;
-        }
+    // Second pass: bind and check every body, in source order.
+    for (name, mut body) in bodies {
+        let checker = Checker { program: &program };
+        let frame = checker.check_func(&program.funcs[&name], &mut body)?;
+        let f = program.funcs.get_mut(&name).expect("inserted above");
+        f.body = body;
+        f.frame = frame;
     }
 
     Ok(program)
@@ -239,9 +267,11 @@ struct Checker<'a> {
     program: &'a Program,
 }
 
-/// Lexically scoped variable types.
+/// Lexical scopes, each mapping a visible name to its frame slot, and
+/// the frame being laid out: the declared type of every slot.
 struct Env {
-    scopes: Vec<HashMap<String, Type>>,
+    scopes: Vec<HashMap<String, u32>>,
+    frame: Vec<Type>,
     loop_depth: usize,
 }
 
@@ -249,6 +279,7 @@ impl Env {
     fn new() -> Self {
         Env {
             scopes: vec![HashMap::new()],
+            frame: Vec::new(),
             loop_depth: 0,
         }
     }
@@ -261,20 +292,26 @@ impl Env {
         self.scopes.pop();
     }
 
-    fn declare(&mut self, name: &str, ty: Type) {
+    /// Bind `name` to a fresh slot of type `ty` in the innermost scope.
+    fn declare(&mut self, name: &str, ty: Type) -> u32 {
+        let slot = self.frame.len() as u32;
+        self.frame.push(ty);
         self.scopes
             .last_mut()
             .expect("at least one scope")
-            .insert(name.to_string(), ty);
+            .insert(name.to_string(), slot);
+        slot
     }
 
-    fn lookup(&self, name: &str) -> Option<&Type> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
+    fn lookup(&self, name: &str) -> Option<u32> {
+        self.scopes.iter().rev().find_map(|s| s.get(name)).copied()
     }
 }
 
 impl<'a> Checker<'a> {
-    fn check_func(&mut self, f: &FuncDef) -> Result<(), Diag> {
+    /// Check `body` (moved out of `f`), binding its names in place, and
+    /// return `f`'s frame layout. Parameters take the first slots.
+    fn check_func(&self, f: &FuncDef, body: &mut Block) -> Result<Vec<Type>, Diag> {
         let ctx = match f.kind {
             FuncKind::Host => Ctx::Host,
             FuncKind::Kernel | FuncKind::Device => Ctx::Device,
@@ -290,25 +327,28 @@ impl<'a> Checker<'a> {
             }
             env.declare(&p.name, p.ty.clone());
         }
-        self.check_block(&f.body, &mut env, ctx)
+        self.check_block(body, &mut env, ctx)?;
+        env.frame.shrink_to_fit();
+        Ok(env.frame)
     }
 
-    fn check_block(&mut self, b: &Block, env: &mut Env, ctx: Ctx) -> Result<(), Diag> {
+    fn check_block(&self, b: &mut Block, env: &mut Env, ctx: Ctx) -> Result<(), Diag> {
         env.push();
-        for s in &b.stmts {
+        for s in &mut b.stmts {
             self.check_stmt(s, env, ctx)?;
         }
         env.pop();
         Ok(())
     }
 
-    fn check_stmt(&mut self, s: &Stmt, env: &mut Env, ctx: Ctx) -> Result<(), Diag> {
+    fn check_stmt(&self, s: &mut Stmt, env: &mut Env, ctx: Ctx) -> Result<(), Diag> {
         match s {
             Stmt::Decl {
                 ty,
                 name,
                 init,
                 pos,
+                slot,
             } => {
                 if *ty == Type::Void {
                     return Err(Diag::new(
@@ -327,7 +367,7 @@ impl<'a> Checker<'a> {
                         )
                     })?;
                 }
-                env.declare(name, ty.clone());
+                *slot = env.declare(name, ty.clone());
                 Ok(())
             }
             Stmt::SharedDecl {
@@ -335,6 +375,7 @@ impl<'a> Checker<'a> {
                 name,
                 dims,
                 pos,
+                slot,
             } => {
                 if ctx != Ctx::Device {
                     return Err(Diag::new(
@@ -351,7 +392,7 @@ impl<'a> Checker<'a> {
                     ));
                 }
                 let mut total: i64 = 1;
-                for d in dims {
+                for d in dims.iter() {
                     let v = const_eval(d).ok_or_else(|| {
                         Diag::new(
                             Phase::Sema,
@@ -380,7 +421,7 @@ impl<'a> Checker<'a> {
                 for _ in 0..dims.len() {
                     ty = ty.ptr_to();
                 }
-                env.declare(name, ty);
+                *slot = env.declare(name, ty);
                 Ok(())
             }
             Stmt::Assign {
@@ -410,6 +451,15 @@ impl<'a> Checker<'a> {
                 }
                 assignable(&tt, &vt)
                     .map_err(|m| Diag::new(Phase::Sema, *pos, format!("cannot assign: {m}")))?;
+                if let ExprKind::Var(name, Binding::Constant(_) | Binding::Predefined(_)) =
+                    &target.kind
+                {
+                    return Err(Diag::new(
+                        Phase::Sema,
+                        *pos,
+                        format!("cannot assign to `{name}`, which is not a variable"),
+                    ));
+                }
                 Ok(())
             }
             Stmt::Expr(e) => {
@@ -454,6 +504,15 @@ impl<'a> Checker<'a> {
                     condition(&ct).map_err(|m| Diag::new(Phase::Sema, *pos, m))?;
                 }
                 if let Some(st) = step {
+                    // C's step is an expression: a name declared there
+                    // would bind before the body it runs after.
+                    if matches!(**st, Stmt::Decl { .. } | Stmt::Block(_)) {
+                        return Err(Diag::new(
+                            Phase::Sema,
+                            st.pos(),
+                            "a for-loop step cannot declare a variable",
+                        ));
+                    }
                     self.check_stmt(st, env, ctx)?;
                 }
                 env.loop_depth += 1;
@@ -514,12 +573,12 @@ impl<'a> Checker<'a> {
                         ),
                     ));
                 }
-                for d in [&grid.x, &block.x]
+                for d in [&mut grid.x, &mut block.x]
                     .into_iter()
-                    .chain(grid.y.iter())
-                    .chain(grid.z.iter())
-                    .chain(block.y.iter())
-                    .chain(block.z.iter())
+                    .chain(grid.y.iter_mut())
+                    .chain(grid.z.iter_mut())
+                    .chain(block.y.iter_mut())
+                    .chain(block.z.iter_mut())
                 {
                     let t = self.typeof_expr(d, env, ctx)?;
                     if !t.is_numeric() {
@@ -530,8 +589,7 @@ impl<'a> Checker<'a> {
                         ));
                     }
                 }
-                let params = f.params.clone();
-                for (a, p) in args.iter().zip(&params) {
+                for (a, p) in args.iter_mut().zip(&f.params) {
                     let at = self.typeof_expr(a, env, ctx)?;
                     assignable(&p.ty, &at).map_err(|m| {
                         Diag::new(
@@ -573,32 +631,39 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn typeof_expr(&mut self, e: &Expr, env: &mut Env, ctx: Ctx) -> Result<Type, Diag> {
-        match &e.kind {
+    /// The one lookup order: a local, then a `__constant__` symbol, then
+    /// a predefined integer.
+    fn resolve(&self, name: &str, env: &Env) -> Option<(Binding, Type)> {
+        if let Some(slot) = env.lookup(name) {
+            return Some((Binding::Slot(slot), env.frame[slot as usize].clone()));
+        }
+        if let Some(id) = self.program.constant_id(name) {
+            let elem = match self.program.constants[id as usize].elem {
+                ElemType::I32 => Type::Int,
+                _ => Type::Float,
+            };
+            return Some((Binding::Constant(id), elem.ptr_to()));
+        }
+        predefined(name).map(|v| (Binding::Predefined(v), Type::Int))
+    }
+
+    fn typeof_expr(&self, e: &mut Expr, env: &mut Env, ctx: Ctx) -> Result<Type, Diag> {
+        match &mut e.kind {
             ExprKind::IntLit(_) => Ok(Type::Int),
             ExprKind::FloatLit(_) => Ok(Type::Float),
             // Strings type as char*-ish; only wb* intrinsics accept them.
             ExprKind::StrLit(_) => Ok(Type::Void.ptr_to()),
             ExprKind::SizeOf(_) => Ok(Type::Int),
-            ExprKind::Var(name) => {
-                if let Some(t) = env.lookup(name) {
-                    return Ok(t.clone());
-                }
-                if let Some(spec) = self.program.constants().iter().find(|c| c.name == *name) {
-                    let elem = match spec.elem {
-                        ElemType::I32 => Type::Int,
-                        _ => Type::Float,
-                    };
-                    return Ok(elem.ptr_to());
-                }
-                if predefined(name).is_some() {
-                    return Ok(Type::Int);
-                }
-                Err(Diag::new(
-                    Phase::Sema,
-                    e.pos,
-                    format!("use of undeclared variable `{name}`"),
-                ))
+            ExprKind::Var(name, binding) => {
+                let (b, t) = self.resolve(name, env).ok_or_else(|| {
+                    Diag::new(
+                        Phase::Sema,
+                        e.pos,
+                        format!("use of undeclared variable `{name}`"),
+                    )
+                })?;
+                *binding = b;
+                Ok(t)
             }
             ExprKind::Builtin(_, _) => {
                 if ctx != Ctx::Device {
@@ -693,30 +758,30 @@ impl<'a> Checker<'a> {
                 }
                 Ok(ty.clone())
             }
-            ExprKind::AddrOf(name) => {
-                let t = env.lookup(name).cloned().ok_or_else(|| {
+            ExprKind::AddrOf(name, slot) => {
+                *slot = env.lookup(name).ok_or_else(|| {
                     Diag::new(
                         Phase::Sema,
                         e.pos,
                         format!("cannot take the address of undeclared variable `{name}`"),
                     )
                 })?;
-                Ok(t.ptr_to())
+                Ok(env.frame[*slot as usize].clone().ptr_to())
             }
             ExprKind::Call(name, args) => self.check_call(name, args, e.pos, env, ctx),
         }
     }
 
     fn check_call(
-        &mut self,
+        &self,
         name: &str,
-        args: &[Expr],
+        args: &mut [Expr],
         pos: Pos,
         env: &mut Env,
         ctx: Ctx,
     ) -> Result<Type, Diag> {
         let arg_types: Vec<Type> = args
-            .iter()
+            .iter_mut()
             .map(|a| self.typeof_expr(a, env, ctx))
             .collect::<Result<_, _>>()?;
 
@@ -819,9 +884,7 @@ impl<'a> Checker<'a> {
                 ),
             ));
         }
-        let params = f.params.clone();
-        let ret = f.ret.clone();
-        for (p, at) in params.iter().zip(&arg_types) {
+        for (p, at) in f.params.iter().zip(&arg_types) {
             assignable(&p.ty, at).map_err(|m| {
                 Diag::new(
                     Phase::Sema,
@@ -830,7 +893,7 @@ impl<'a> Checker<'a> {
                 )
             })?;
         }
-        Ok(ret)
+        Ok(f.ret.clone())
     }
 }
 
@@ -929,6 +992,52 @@ mod tests {
     #[test]
     fn shadowing_allowed() {
         assert!(check("int main() { int x = 1; { float x = 2.0; x = 3.0; } return 0; }").is_ok());
+    }
+
+    #[test]
+    fn names_bind_to_slots_constants_and_predefined_values() {
+        let p = check(
+            "__constant__ float m[2];\nfloat f(int x) { { int x = 2; } return x + cudaSuccess + m[1]; }",
+        )
+        .unwrap();
+        let f = p.func("f").unwrap();
+        assert_eq!(f.frame, [Type::Int, Type::Int]);
+        assert!(matches!(f.body.stmts[0], Stmt::Block(ref b)
+            if matches!(b.stmts[0], Stmt::Decl { slot: 1, .. })));
+        let Stmt::Return { value: Some(e), .. } = &f.body.stmts[1] else {
+            panic!("return");
+        };
+        let ExprKind::Binary(_, sum, index) = &e.kind else {
+            panic!("sum");
+        };
+        let ExprKind::Binary(_, x, success) = &sum.kind else {
+            panic!("x + cudaSuccess");
+        };
+        assert_eq!(x.kind, ExprKind::Var("x".into(), Binding::Slot(0)));
+        assert_eq!(
+            success.kind,
+            ExprKind::Var("cudaSuccess".into(), Binding::Predefined(0))
+        );
+        assert!(matches!(&index.kind, ExprKind::Index(m, _)
+            if m.kind == ExprKind::Var("m".into(), Binding::Constant(0))));
+    }
+
+    #[test]
+    fn only_variables_are_assignable() {
+        for src in [
+            "int main() { cudaSuccess = 1; return 0; }",
+            "__constant__ float m[2];\nint main() { float* q; m = q; return 0; }",
+        ] {
+            let err = check(src).unwrap_err();
+            assert!(err.message.contains("not a variable"), "{err}");
+        }
+    }
+
+    #[test]
+    fn for_step_cannot_declare() {
+        let err =
+            check("int main() { for (int i = 0; i < 2; int j = 1) {} return 0; }").unwrap_err();
+        assert!(err.message.contains("step cannot declare"), "{err}");
     }
 
     #[test]

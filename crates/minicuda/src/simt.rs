@@ -29,7 +29,7 @@ use crate::cost::{self, CostSummary};
 use crate::device::KernelEnv;
 use crate::diag::{Diag, Phase, Pos};
 use crate::memory::SharedMem;
-use crate::sema::{const_eval, predefined};
+use crate::sema::const_eval;
 use crate::value::{apply_binop, apply_math, apply_unop, ElemType, Ptr, Space, Value};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -57,7 +57,7 @@ pub(crate) fn run_block(
         tid,
         shared: SharedMem::new(),
         shared_ids: HashMap::new(),
-        frames: vec![FnScopes { scopes: vec![] }],
+        slots: vec![Vec::new(); kernel.frame.len()],
         active: vec![true; n],
         kernel_returned: vec![false; n],
         cost: CostSummary::default(),
@@ -66,10 +66,9 @@ pub(crate) fn run_block(
     };
 
     // Bind kernel parameters (uniform across threads).
-    exec.push_scope();
-    for (p, a) in kernel.params.iter().zip(args) {
+    for (slot, (p, a)) in kernel.params.iter().zip(args).enumerate() {
         let v = a.coerce_to(&p.ty).map_err(|m| exec.rt_err(kernel.pos, m))?;
-        exec.declare(&p.name, vec![v; n]);
+        exec.slots[slot] = vec![v; n];
     }
 
     let mut fr = FnFrame {
@@ -83,11 +82,6 @@ pub(crate) fn run_block(
     exec.cycles += cost::BLOCK_OVERHEAD;
     exec.cost.device_cycles = exec.cycles;
     Ok(exec.cost)
-}
-
-/// Per-call-frame scopes (each function invocation has its own).
-struct FnScopes {
-    scopes: Vec<HashMap<String, Vec<Value>>>,
 }
 
 /// Per-invocation control-flow state.
@@ -110,7 +104,8 @@ struct BlockExec<'a> {
     tid: Vec<[i64; 3]>,
     shared: SharedMem,
     shared_ids: HashMap<String, u32>,
-    frames: Vec<FnScopes>,
+    /// The current call's frame: each slot's per-lane values.
+    slots: Vec<Vec<Value>>,
     active: Vec<bool>,
     kernel_returned: Vec<bool>,
     cost: CostSummary,
@@ -120,48 +115,6 @@ struct BlockExec<'a> {
 
 impl<'a> BlockExec<'a> {
     // ---- bookkeeping ---------------------------------------------------
-
-    fn push_scope(&mut self) {
-        self.frames
-            .last_mut()
-            .expect("frame")
-            .scopes
-            .push(HashMap::new());
-    }
-
-    fn pop_scope(&mut self) {
-        self.frames.last_mut().expect("frame").scopes.pop();
-    }
-
-    fn declare(&mut self, name: &str, vals: Vec<Value>) {
-        self.frames
-            .last_mut()
-            .expect("frame")
-            .scopes
-            .last_mut()
-            .expect("scope")
-            .insert(name.to_string(), vals);
-    }
-
-    fn lookup(&self, name: &str) -> Option<&Vec<Value>> {
-        self.frames
-            .last()
-            .expect("frame")
-            .scopes
-            .iter()
-            .rev()
-            .find_map(|s| s.get(name))
-    }
-
-    fn lookup_mut(&mut self, name: &str) -> Option<&mut Vec<Value>> {
-        self.frames
-            .last_mut()
-            .expect("frame")
-            .scopes
-            .iter_mut()
-            .rev()
-            .find_map(|s| s.get_mut(name))
-    }
 
     fn block_linear(&self) -> u32 {
         (self.block_idx[0]
@@ -208,14 +161,12 @@ impl<'a> BlockExec<'a> {
     // ---- statements ----------------------------------------------------
 
     fn exec_block_stmts(&mut self, b: &Block, fr: &mut FnFrame) -> Result<(), Diag> {
-        self.push_scope();
         for s in &b.stmts {
             if !self.any_active() {
                 break;
             }
             self.exec_stmt(s, fr)?;
         }
-        self.pop_scope();
         Ok(())
     }
 
@@ -223,9 +174,10 @@ impl<'a> BlockExec<'a> {
         match s {
             Stmt::Decl {
                 ty,
-                name,
                 init,
                 pos,
+                slot,
+                ..
             } => {
                 self.charge_op(*pos, cost::ISSUE)?;
                 let vals = match init {
@@ -235,7 +187,7 @@ impl<'a> BlockExec<'a> {
                     }
                     None => vec![Value::zero_of(ty); self.n],
                 };
-                self.declare(name, vals);
+                self.slots[*slot as usize] = vals;
                 Ok(())
             }
             Stmt::SharedDecl {
@@ -243,6 +195,7 @@ impl<'a> BlockExec<'a> {
                 name,
                 dims,
                 pos,
+                slot,
             } => {
                 if !self.shared_ids.contains_key(name) {
                     let dims: Vec<usize> = dims
@@ -271,7 +224,7 @@ impl<'a> BlockExec<'a> {
                     elem: ElemType::of(elem),
                     level: 0,
                 };
-                self.declare(name, vec![Value::P(p); self.n]);
+                self.slots[*slot as usize] = vec![Value::P(p); self.n];
                 Ok(())
             }
             Stmt::Assign {
@@ -386,13 +339,10 @@ impl<'a> BlockExec<'a> {
                 body,
                 pos,
             } => {
-                self.push_scope();
                 if let Some(i) = init {
                     self.exec_stmt(i, fr)?;
                 }
-                let r = self.exec_loop(None, cond.as_ref(), step.as_deref(), body, fr, *pos);
-                self.pop_scope();
-                r
+                self.exec_loop(None, cond.as_ref(), step.as_deref(), body, fr, *pos)
             }
             Stmt::Return { value, pos } => {
                 self.charge_op(*pos, cost::ISSUE)?;
@@ -543,16 +493,10 @@ impl<'a> BlockExec<'a> {
     fn assign(&mut self, target: &Expr, vals: Vec<Value>, pos: Pos) -> Result<(), Diag> {
         self.charge_op(pos, cost::ISSUE)?;
         match &target.kind {
-            ExprKind::Var(name) => {
-                if self.lookup(name).is_none() {
-                    return Err(
-                        self.rt_err(pos, format!("assignment to unknown variable `{name}`"))
-                    );
-                }
+            ExprKind::Var(_, Binding::Slot(slot)) => {
                 // Determine per-lane representation from the existing
                 // value so `int i` stays int after `i = i / 2`.
-                let active = self.active.clone();
-                let slot = self.lookup_mut(name).expect("checked above");
+                let (active, slot) = (&self.active, &mut self.slots[*slot as usize]);
                 let mut coerced_err: Option<String> = None;
                 for i in 0..active.len() {
                     if active[i] {
@@ -757,26 +701,11 @@ impl<'a> BlockExec<'a> {
             ExprKind::FloatLit(v) => Ok(vec![Value::F(*v); self.n]),
             ExprKind::StrLit(_) => Err(self.rt_err(e.pos, "strings are not device values")),
             ExprKind::SizeOf(t) => Ok(vec![Value::I(t.size_of()); self.n]),
-            ExprKind::Var(name) => {
-                if let Some(vals) = self.lookup(name) {
-                    return Ok(vals.clone());
-                }
-                if let Some(id) = self.env.program.constant_id(name) {
-                    let spec = &self.env.program.constants()[id as usize];
-                    let p = Ptr {
-                        space: Space::Constant,
-                        alloc: id,
-                        offset: 0,
-                        elem: spec.elem,
-                        level: 0,
-                    };
-                    return Ok(vec![Value::P(p); self.n]);
-                }
-                if let Some(v) = predefined(name) {
-                    return Ok(vec![Value::I(v); self.n]);
-                }
-                Err(self.rt_err(e.pos, format!("unknown variable `{name}`")))
-            }
+            ExprKind::Var(_, binding) => Ok(match *binding {
+                Binding::Slot(slot) => self.slots[slot as usize].clone(),
+                Binding::Constant(id) => vec![Value::P(self.env.program.constant_ptr(id)); self.n],
+                Binding::Predefined(v) => vec![Value::I(v); self.n],
+            }),
             ExprKind::Builtin(which, axis) => {
                 self.charge_op(e.pos, cost::ISSUE)?;
                 let ax = *axis as usize;
@@ -928,7 +857,7 @@ impl<'a> BlockExec<'a> {
                 let vals = self.eval(inner)?;
                 self.coerce_lanes(vals, ty, e.pos)
             }
-            ExprKind::AddrOf(_) => {
+            ExprKind::AddrOf(..) => {
                 Err(self.rt_err(e.pos, "address-of is not supported in device code"))
             }
             ExprKind::Call(name, args) => self.eval_call(name, args, e.pos),
@@ -1093,12 +1022,11 @@ impl<'a> BlockExec<'a> {
             }
             _ => {
                 // User __device__ function.
-                let f = self
-                    .env
+                let env = self.env;
+                let f = env
                     .program
                     .func(name)
-                    .ok_or_else(|| self.rt_err(pos, format!("unknown function `{name}`")))?
-                    .clone();
+                    .ok_or_else(|| self.rt_err(pos, format!("unknown function `{name}`")))?;
                 if self.call_depth >= 32 {
                     return Err(
                         self.rt_err(pos, format!("recursion limit reached calling `{name}`"))
@@ -1111,12 +1039,11 @@ impl<'a> BlockExec<'a> {
                 self.charge_op(pos, cost::ISSUE)?;
 
                 let saved_active = self.active.clone();
-                self.frames.push(FnScopes { scopes: vec![] });
-                self.push_scope();
-                for (p, vals) in f.params.iter().zip(argvals) {
-                    let coerced = self.coerce_lanes(vals, &p.ty, pos)?;
-                    self.declare(&p.name, coerced);
+                let mut frame = vec![Vec::new(); f.frame.len()];
+                for (slot, (p, vals)) in f.params.iter().zip(argvals).enumerate() {
+                    frame[slot] = self.coerce_lanes(vals, &p.ty, pos)?;
                 }
+                let caller = std::mem::replace(&mut self.slots, frame);
                 self.call_depth += 1;
                 let mut fr = FnFrame {
                     returned: vec![false; self.n],
@@ -1126,7 +1053,7 @@ impl<'a> BlockExec<'a> {
                 };
                 let result = self.exec_block_stmts(&f.body, &mut fr);
                 self.call_depth -= 1;
-                self.frames.pop();
+                self.slots = caller;
                 self.active = saved_active;
                 result?;
                 Ok(fr.retvals)

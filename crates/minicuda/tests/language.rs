@@ -6,12 +6,16 @@ use libwb::Dataset;
 use minicuda::{compile, compile_with, DeviceConfig, Dialect, OptLevel, Phase, RunOptions};
 
 fn run_ok(src: &str) -> minicuda::RunOutcome {
+    run_ok_with(src, &[])
+}
+
+fn run_ok_with(src: &str, inputs: &[Dataset]) -> minicuda::RunOutcome {
     let program = compile(src, Dialect::Cuda).unwrap_or_else(|d| panic!("compile: {d}"));
     let opts = RunOptions {
         device: DeviceConfig::test_small(),
         ..Default::default()
     };
-    let out = minicuda::run(&program, &[] as &[Dataset], &opts);
+    let out = minicuda::run(&program, inputs, &opts);
     assert!(out.ok(), "{:?}", out.error);
     out
 }
@@ -989,5 +993,379 @@ fn device_function_returns_per_lane_floats_from_divergent_returns() {
         let b = 200.0 + t as f32;
         let want = if t % 2 == 0 { b * 2.0 } else { b + 0.5 };
         assert_eq!(x, want + 1.0, "lane {t}");
+    }
+}
+
+// ---- name binding: shadowing, pinned ------------------------------------
+//
+// Sema binds every name once and lowering, the host interpreter and the
+// tree-walk all read that binding, so O0-vs-O2 parity alone no longer
+// checks resolution: each program below pins its answer.
+
+/// A shadow in a nested block; the outer name is read before the inner
+/// declaration and again after the block.
+const HOST_NESTED_SHADOW: &str = r#"
+    int main() {
+        int x = 1;
+        float acc = 0;
+        {
+            acc = acc + x;
+            int x = 10;
+            acc = acc + x;
+            { float x = 0.5; acc = acc + x; }
+            acc = acc + x;
+        }
+        wbSolutionScalar(acc + x * 100);
+        return 0;
+    }"#;
+
+/// `for (int i …)` shadows an outer `i`, which is read after the loop.
+const HOST_FOR_SHADOW: &str = r#"
+    int main() {
+        int i = 7;
+        int sum = 0;
+        for (int i = 0; i < 4; i++) { sum += i; }
+        wbSolutionScalar(sum * 100 + i);
+        return 0;
+    }"#;
+
+/// A loop-body declaration without an initializer is re-initialized to
+/// 0 on every iteration, even though the last iteration assigned it.
+const HOST_LOOP_DECL: &str = r#"
+    int main() {
+        int sum = 0;
+        for (int k = 0; k < 5; k++) {
+            int fresh;
+            sum = sum * 10 + fresh + 1;
+            fresh = 9;
+        }
+        int w = 0;
+        while (w < 2) {
+            float f;
+            sum = sum + f * 1000000;
+            f = 1;
+            w++;
+        }
+        wbSolutionScalar(sum);
+        return 0;
+    }"#;
+
+/// A recursive host helper whose parameters and locals reuse `main`'s
+/// names: every call gets its own frame.
+const HOST_RECURSIVE_HELPER: &str = r#"
+    int tri(int n, int acc) {
+        int x = n;
+        if (n == 0) { return acc; }
+        int r = tri(n - 1, acc + x);
+        return r;
+    }
+    int main() {
+        int n = 5;
+        int acc = 1000;
+        int x = 3;
+        int r = tri(n, 0);
+        wbSolutionScalar(r * 10000 + n * 1000 + acc + x);
+        return 0;
+    }"#;
+
+/// `cudaMalloc(&p, …)` and `wbImportVector(0, &n)` write through a
+/// shadowed `p` and `n`; the outer ones keep their values.
+const HOST_OUT_PARAMS: &str = r#"
+    int main() {
+        int n = -1;
+        float* p = (float*) malloc(sizeof(float));
+        p[0] = 42;
+        float seen = 0;
+        {
+            int n = 0;
+            float* p;
+            float* v = wbImportVector(0, &n);
+            cudaMalloc(&p, n * sizeof(float));
+            cudaMemcpy(p, v, n * sizeof(float), cudaMemcpyHostToDevice);
+            float* back = (float*) malloc(n * sizeof(float));
+            cudaMemcpy(back, p, n * sizeof(float), cudaMemcpyDeviceToHost);
+            seen = n * 1000 + back[n - 1];
+        }
+        wbSolutionScalar(seen * 10 + p[0] + n);
+        return 0;
+    }"#;
+
+/// A local shadows a `__constant__` symbol, which is visible again
+/// after the block.
+const HOST_CONSTANT_SHADOW: &str = r#"
+    __constant__ float mask[2];
+    int main() {
+        float* h = (float*) malloc(2 * sizeof(float));
+        h[0] = 3;
+        h[1] = 4;
+        cudaMemcpyToSymbol(mask, h, 2 * sizeof(float));
+        float total = 0;
+        {
+            float mask = 100;
+            total = total + mask;
+        }
+        wbSolutionScalar(total + mask[0] * 10 + mask[1]);
+        return 0;
+    }"#;
+
+/// A local shadows the predefined `cudaMemcpyHostToDevice` (0) with the
+/// code of the opposite direction (1).
+const HOST_PREDEFINED_SHADOW: &str = r#"
+    int main() {
+        float* h = (float*) malloc(sizeof(float));
+        float* d;
+        cudaMalloc(&d, sizeof(float));
+        h[0] = 5;
+        cudaMemcpy(d, h, sizeof(float), cudaMemcpyHostToDevice);
+        h[0] = 0;
+        {
+            int cudaMemcpyHostToDevice = 1;
+            cudaMemcpy(h, d, sizeof(float), cudaMemcpyHostToDevice);
+        }
+        wbSolutionScalar(h[0] * 10 + cudaMemcpyHostToDevice);
+        return 0;
+    }"#;
+
+/// The first three host cases in a kernel: a nested-block shadow read
+/// before and after, a `for` shadow, and a loop-body declaration that
+/// reads 0 on every iteration.
+const KERNEL_SCOPES: &str = r#"
+    __global__ void k(float* out, float* a, float* b) {
+        int t = threadIdx.x;
+        int i = t;
+        float acc = 0;
+        {
+            acc = acc + i;
+            int i = 10;
+            acc = acc + i;
+        }
+        for (int i = 0; i < 3; i++) {
+            int fresh;
+            acc = acc + fresh * 1000 + i;
+            fresh = 7;
+        }
+        out[t] = acc + i * 100;
+    }"#;
+
+/// A kernel local shadows a `__constant__` symbol (never filled, so it
+/// reads 0 on both sides of the block).
+const KERNEL_CONSTANT_SHADOW: &str = r#"
+    __constant__ float mask[4];
+    __global__ void k(float* out, float* a, float* b) {
+        int t = threadIdx.x;
+        float sum = mask[t % 4];
+        {
+            float mask = t * 2.0;
+            sum = sum + mask;
+        }
+        out[t] = sum + mask[0] + a[t];
+    }"#;
+
+/// A `__device__` helper whose parameters and locals shadow the
+/// kernel's names.
+const KERNEL_DEVICE_HELPER: &str = r#"
+    __device__ float helper(float a, int t) {
+        float out = a * 2;
+        int i = t + 1;
+        return out + i;
+    }
+    __global__ void k(float* out, float* a, float* b) {
+        int t = threadIdx.x;
+        int i = 1000;
+        float v = helper(a[t], t);
+        out[t] = v + i;
+    }"#;
+
+#[test]
+fn nested_block_shadow_then_outer_read() {
+    // 1 (outer, before the inner declaration) + 10 + 0.5 + 10, then
+    // the outer x again: + 100.
+    assert_eq!(scalar(&run_ok(HOST_NESTED_SHADOW)), 121.5);
+}
+
+#[test]
+fn for_init_shadow_leaves_outer_counter() {
+    assert_eq!(scalar(&run_ok(HOST_FOR_SHADOW)), 607.0);
+}
+
+#[test]
+fn loop_body_declaration_reads_zero_every_iteration() {
+    assert_eq!(scalar(&run_ok(HOST_LOOP_DECL)), 11111.0);
+}
+
+#[test]
+fn recursive_helper_reusing_main_names_gets_its_own_frame() {
+    // tri(5, 0) = 15; main's n, acc and x are untouched.
+    assert_eq!(scalar(&run_ok(HOST_RECURSIVE_HELPER)), 156003.0);
+}
+
+#[test]
+fn out_parameters_write_the_shadowing_variables() {
+    let out = run_ok_with(HOST_OUT_PARAMS, &[Dataset::Vector(vec![10.0, 20.0, 30.0])]);
+    // Inner n = 3 and back[2] = 30; outer p[0] = 42 and n = -1.
+    assert_eq!(scalar(&out), 30341.0);
+}
+
+#[test]
+fn local_shadows_a_constant_symbol() {
+    assert_eq!(scalar(&run_ok(HOST_CONSTANT_SHADOW)), 134.0);
+}
+
+#[test]
+fn local_shadows_a_predefined_constant() {
+    // The shadowed call copies device to host (5 comes back); the outer
+    // name is the predefined 0 again.
+    assert_eq!(scalar(&run_ok(HOST_PREDEFINED_SHADOW)), 50.0);
+}
+
+#[test]
+fn kernel_shadows_and_loop_declarations_are_pinned() {
+    let out = same_at_all_levels(KERNEL_SCOPES, 8);
+    let want: Vec<f32> = (0..8).map(|t| (101 * t + 13) as f32).collect();
+    assert_eq!(solution_vec(&out), want);
+}
+
+#[test]
+fn kernel_local_shadows_a_constant_symbol() {
+    let out = same_at_all_levels(KERNEL_CONSTANT_SHADOW, 8);
+    let want: Vec<f32> = (0..8).map(|t| (3 * t + 100) as f32).collect();
+    assert_eq!(solution_vec(&out), want);
+}
+
+#[test]
+fn device_helper_locals_shadow_the_kernels() {
+    let out = same_at_all_levels(KERNEL_DEVICE_HELPER, 8);
+    // 2 * (t + 100) + (t + 1) + 1000
+    let want: Vec<f32> = (0..8).map(|t| (3 * t + 1201) as f32).collect();
+    assert_eq!(solution_vec(&out), want);
+}
+
+/// Sema binds every name: each variable reference and `&var` names a
+/// slot of its function's frame, and each frame has exactly one slot
+/// per parameter and declaration — over the 15 lab solutions and the
+/// shadowing corpus above.
+#[test]
+fn sema_binds_every_name_in_the_labs_and_the_shadowing_corpus() {
+    use minicuda::ast::{Binding, Expr, ExprKind, FuncDef, Stmt};
+
+    fn expr(e: &Expr, used: &mut Vec<u32>) {
+        match &e.kind {
+            ExprKind::Var(_, Binding::Slot(s)) | ExprKind::AddrOf(_, s) => used.push(*s),
+            ExprKind::Unary(_, a) | ExprKind::Cast(_, a) => expr(a, used),
+            ExprKind::Binary(_, a, b) | ExprKind::Index(a, b) => {
+                expr(a, used);
+                expr(b, used);
+            }
+            ExprKind::Ternary(c, a, b) => [c, a, b].into_iter().for_each(|e| expr(e, used)),
+            ExprKind::Call(_, args) => args.iter().for_each(|a| expr(a, used)),
+            _ => {}
+        }
+    }
+    fn stmt(s: &Stmt, declared: &mut Vec<u32>, used: &mut Vec<u32>) {
+        match s {
+            Stmt::Decl { init, slot, .. } => {
+                init.iter().for_each(|e| expr(e, used));
+                declared.push(*slot);
+            }
+            Stmt::SharedDecl { slot, .. } => declared.push(*slot),
+            Stmt::Assign { target, value, .. } => {
+                expr(target, used);
+                expr(value, used);
+            }
+            Stmt::Expr(e) => expr(e, used),
+            Stmt::Return { value, .. } => value.iter().for_each(|e| expr(e, used)),
+            Stmt::If {
+                cond,
+                then_blk,
+                else_blk,
+                ..
+            } => {
+                expr(cond, used);
+                for b in std::iter::once(then_blk).chain(else_blk) {
+                    b.stmts.iter().for_each(|s| stmt(s, declared, used));
+                }
+            }
+            Stmt::While { cond, body, .. } => {
+                expr(cond, used);
+                body.stmts.iter().for_each(|s| stmt(s, declared, used));
+            }
+            Stmt::For {
+                init,
+                cond,
+                step,
+                body,
+                ..
+            } => {
+                init.iter()
+                    .chain(step)
+                    .for_each(|s| stmt(s, declared, used));
+                cond.iter().for_each(|e| expr(e, used));
+                body.stmts.iter().for_each(|s| stmt(s, declared, used));
+            }
+            Stmt::Block(b) => b.stmts.iter().for_each(|s| stmt(s, declared, used)),
+            Stmt::Launch {
+                grid, block, args, ..
+            } => {
+                for d in [grid, block] {
+                    [Some(&d.x), d.y.as_ref(), d.z.as_ref()]
+                        .into_iter()
+                        .flatten()
+                        .for_each(|e| expr(e, used));
+                }
+                args.iter().for_each(|a| expr(a, used));
+            }
+            Stmt::AccParallelLoop { body, .. } => stmt(body, declared, used),
+            Stmt::Break(_) | Stmt::Continue(_) => {}
+        }
+    }
+    fn check(f: &FuncDef, what: &str) {
+        let (mut declared, mut used) = ((0..f.params.len() as u32).collect::<Vec<_>>(), vec![]);
+        f.body
+            .stmts
+            .iter()
+            .for_each(|s| stmt(s, &mut declared, &mut used));
+        declared.sort_unstable();
+        let all: Vec<u32> = (0..f.frame.len() as u32).collect();
+        assert_eq!(
+            declared, all,
+            "{what} `{}`: one slot per parameter and declaration",
+            f.name
+        );
+        let unbound: Vec<_> = used
+            .iter()
+            .filter(|&&s| s as usize >= f.frame.len())
+            .collect();
+        assert!(
+            unbound.is_empty(),
+            "{what} `{}`: unbound references",
+            f.name
+        );
+    }
+
+    let mut checked = 0;
+    for id in wb_labs::lab_ids() {
+        let spec = wb_labs::definition(id, wb_labs::LabScale::Small)
+            .expect("lab")
+            .spec;
+        let src = wb_labs::solution(id).expect("solution");
+        let program = compile(src, spec.dialect).unwrap_or_else(|d| panic!("{id}: {d}"));
+        program.funcs().for_each(|f| check(f, id));
+        checked += 1;
+    }
+    assert_eq!(checked, 15);
+    for src in [
+        HOST_NESTED_SHADOW,
+        HOST_FOR_SHADOW,
+        HOST_LOOP_DECL,
+        HOST_RECURSIVE_HELPER,
+        HOST_OUT_PARAMS,
+        HOST_CONSTANT_SHADOW,
+        HOST_PREDEFINED_SHADOW,
+        KERNEL_SCOPES,
+        KERNEL_CONSTANT_SHADOW,
+        KERNEL_DEVICE_HELPER,
+    ] {
+        let program = compile(src, Dialect::Cuda).unwrap_or_else(|d| panic!("{d}"));
+        program.funcs().for_each(|f| check(f, "corpus"));
     }
 }
