@@ -1,9 +1,10 @@
 //! Warp-batched IR execution.
 //!
-//! Runs one block of a kernel launch by dispatching each IR
+//! The one kernel executor: every launch runs here, at every opt level.
+//! It runs one block of a kernel launch by dispatching each IR
 //! instruction across every lane of the block at once, the way the
-//! tree-walk interpreter does for AST nodes — but over a flat register
-//! file of *typed lane vectors* instead of name tables.
+//! test-only tree-walk oracle (`simt`) does for AST nodes — but over a
+//! flat register file of *typed lane vectors* instead of name tables.
 //!
 //! # Lane representations
 //!
@@ -78,16 +79,17 @@
 //! which run one at a time in launch order; it is dropped with the
 //! launch.
 //!
-//! Semantics are bit-identical to `simt.rs` for everything a grader
-//! can observe: dataset bytes, runtime diagnostics (message, position,
+//! Semantics are bit-identical to the `simt.rs` oracle (checked by the
+//! unit tests in `differential.rs`) for everything a grader can
+//! observe: dataset bytes, runtime diagnostics (message, position,
 //! block/lane attribution, first-failing-lane order), and the memory
 //! cost counters (transactions, bank conflicts, barriers, atomics,
 //! divergent branches). `warp_instructions`/`device_cycles` are
 //! charged per *executed IR instruction* — the post-optimization cost
 //! the scheduler and brown-out admission should see — so they legally
-//! differ from the tree-walk's per-AST-node charges, which also means
-//! budget-limit diagnostics can trigger at slightly different points
-//! between opt levels right at the budget edge.
+//! differ from the tree-walk's per-AST-node charges and between opt
+//! levels, which also means budget-limit diagnostics can trigger at
+//! slightly different points right at the budget edge.
 
 // Same rationale as simt.rs: lockstep interpretation indexes parallel
 // per-lane vectors by lane number.
@@ -2761,11 +2763,9 @@ mod tests {
 
     /// Run `f` on an executor for one block of `n` threads.
     fn with_exec(n: usize, f: impl FnOnce(&mut BatchExec<'_>)) {
-        let program = crate::compile("int main() { return 0; }", crate::Dialect::Cuda).unwrap();
         let (global, consts) = (MemPool::new(), ConstMem::new());
         let budget = AtomicI64::new(i64::MAX);
         let env = KernelEnv {
-            program: &program,
             global: &global,
             consts: &consts,
             budget: &budget,

@@ -22,10 +22,10 @@
 //! (`global_transactions`, `shared_conflicts`, `barriers`, `atomics`,
 //! `divergent_branches`, access counts) is bit-identical across
 //! executors and opt levels, because passes never create, delete, or
-//! move a memory or control instruction. The `O0` tree-walk fallback
-//! (`simt`) approximates the same accounting by charging per evaluated
-//! expression/statement node, which is why cycle totals — but nothing
-//! else — differ between levels.
+//! move a memory or control instruction. The test-only tree-walk
+//! oracle (`simt`) approximates the same accounting by charging per
+//! evaluated expression/statement node, which is why cycle totals — but
+//! nothing else — differ between it and the batched executor.
 
 // Cycle charges. Only their ratios matter (see above), and every
 // device is charged the same, so a grade is a function of the program,

@@ -1,19 +1,21 @@
 //! The simulated GPU device: launch validation, block execution, and
 //! wall-clock cycle estimation.
 //!
+//! Every block runs on the warp-batched IR executor (`batch`), over the
+//! IR that `compile_with` lowers and attaches at every [`OptLevel`].
 //! Blocks run one after another in launch order on the calling thread,
 //! so every launch is deterministic — float atomics across blocks
 //! included — and a cached grade always equals a fresh one. The SMs
 //! exist only in the makespan model: `num_sms` sizes it, it runs
 //! nothing.
+//!
+//! [`OptLevel`]: crate::OptLevel
 
-use crate::ast::FuncDef;
 use crate::batch::BatchExec;
 use crate::cost::{self, CostSummary};
 use crate::diag::{Diag, Phase, Pos};
 use crate::memory::{ConstMem, MemPool};
 use crate::sema::Program;
-use crate::simt::run_block;
 use crate::value::Value;
 use std::sync::atomic::{AtomicI64, Ordering};
 
@@ -76,8 +78,6 @@ impl DeviceConfig {
 
 /// Immutable context shared by all blocks of one launch.
 pub(crate) struct KernelEnv<'a> {
-    /// Compiled program (kernel + device functions).
-    pub program: &'a Program,
     /// Device global memory pool. Kernels never see the host pool:
     /// dereferencing a host pointer is a classic student bug that the
     /// executors report instead of silently corrupting memory.
@@ -147,11 +147,15 @@ fn validate_launch(
 
 /// Execute a full kernel launch: every block of the grid, one after
 /// another in launch order, stopping at the first failure.
+///
+/// `program` must carry lowered IR (every [`crate::compile_with`]
+/// attaches it); a program straight from [`crate::sema::analyze`] has
+/// none, and its launch fails with a [`Phase::Runtime`] diagnostic.
 #[allow(clippy::too_many_arguments)]
 pub fn launch(
     config: &DeviceConfig,
     program: &Program,
-    kernel: &FuncDef,
+    kernel: &str,
     grid: [i64; 3],
     block: [i64; 3],
     args: &[Value],
@@ -163,8 +167,7 @@ pub fn launch(
     validate_launch(config, grid, block, pos)?;
     // An empty block charges nothing, so without this check a grid
     // larger than the budget would run for as long as it has blocks.
-    let [gx, gy, gz] = grid;
-    let blocks = gx * gy * gz;
+    let blocks: i64 = grid.iter().product();
     if blocks > budget.load(Ordering::Relaxed) {
         return Err(Diag::new(
             Phase::Limit,
@@ -174,7 +177,6 @@ pub fn launch(
     }
 
     let env = KernelEnv {
-        program,
         global,
         consts,
         budget,
@@ -183,24 +185,48 @@ pub fn launch(
         max_shared_bytes: config.max_shared_bytes,
         warp_size: config.warp_size,
     };
-    // Programs compiled at O2 carry middle-end IR and run each block
-    // warp-batched on one executor, whose arena and tables every block
-    // reuses; otherwise each block runs on the tree-walk interpreter.
-    let mut batched = program.ir().and_then(|ir| {
-        let f = ir.funcs.get(&kernel.name)?;
-        Some((f, BatchExec::new(&env, ir)))
-    });
+    match program
+        .ir()
+        .and_then(|ir| Some((ir, ir.funcs.get(kernel)?)))
+    {
+        Some((ir, f)) => {
+            // One executor, whose arena and tables every block reuses.
+            let mut exec = BatchExec::new(&env, ir);
+            run_grid(config, grid, |bi| exec.run_block(bi, f, args))
+        }
+        // The tree-walk oracle: tests build a program with the front end
+        // alone to run its kernels on `simt`.
+        #[cfg(test)]
+        None => {
+            let f = program.func(kernel).ok_or_else(|| {
+                Diag::new(Phase::Runtime, pos, format!("unknown kernel `{kernel}`"))
+            })?;
+            run_grid(config, grid, |bi| {
+                crate::simt::run_block(&env, program, bi, f, args)
+            })
+        }
+        #[cfg(not(test))]
+        None => Err(Diag::new(
+            Phase::Runtime,
+            pos,
+            format!("kernel `{kernel}` has no lowered IR: compile the program before running it"),
+        )),
+    }
+}
 
-    // Merge counters and estimate the makespan: round-robin blocks onto
-    // SMs in launch order (a good proxy for the hardware scheduler).
+/// Run every block of `grid` in launch order through `run_block`,
+/// merge the counters and estimate the makespan: blocks round-robin
+/// onto SMs in launch order (a good proxy for the hardware scheduler).
+fn run_grid(
+    config: &DeviceConfig,
+    grid: [i64; 3],
+    mut run_block: impl FnMut([i64; 3]) -> Result<CostSummary, Diag>,
+) -> Result<LaunchResult, Diag> {
+    let [gx, gy, gz] = grid;
     let mut total = CostSummary::default();
     let mut sm_cycles = vec![0u64; config.num_sms.max(1)];
-    for k in 0..blocks {
-        let bi = [k % gx, k / gx % gy, k / (gx * gy)];
-        let c = match &mut batched {
-            Some((f, exec)) => exec.run_block(bi, f, args)?,
-            None => run_block(&env, bi, kernel, args)?,
-        };
+    for k in 0..gx * gy * gz {
+        let c = run_block([k % gx, k / gx % gy, k / (gx * gy)])?;
         total.merge(&c);
         let slot = k as usize % sm_cycles.len();
         sm_cycles[slot] += c.device_cycles;

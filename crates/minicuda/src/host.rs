@@ -514,11 +514,10 @@ impl<'a> HostExec<'a> {
         for a in args {
             argv.push(self.eval(a)?);
         }
-        let f = self.program.func(kernel).expect("sema verified kernel");
         let result = device::launch(
             &self.opts.device,
             self.program,
-            f,
+            kernel,
             g,
             b,
             &argv,

@@ -12,9 +12,13 @@
 //!   every expression writes a fresh single-definition register, and
 //!   mutable variables are just registers redefined by `Assign`
 //!   instructions;
-//! * divergence semantics stay trivially aligned with the tree-walking
-//!   interpreter (`simt`): the structured control instructions
+//! * divergence semantics stay trivially aligned with the test-only
+//!   tree-walk oracle (`simt`): the structured control instructions
 //!   partition the active mask exactly where the AST nodes did.
+//!
+//! Only device code is lowered (kernels and `__device__` functions);
+//! every compile lowers it once and attaches it to the `Program`, at
+//! every opt level.
 //!
 //! Lexical scoping is resolved entirely at lowering time: the IR has
 //! no runtime environments, only registers. Address arithmetic is
@@ -315,7 +319,7 @@ pub enum Inst {
     },
     /// A deferred runtime error: reached only if the offending
     /// construct actually executes with live lanes (string literals in
-    /// device code, nested launches, …), exactly like the tree-walk.
+    /// device code, `&var`, …), exactly like the tree-walk.
     Trap {
         /// Student-facing message.
         msg: String,

@@ -71,6 +71,8 @@ pub mod cost;
 pub mod device;
 pub mod diag;
 pub mod dialect;
+#[cfg(test)]
+mod differential;
 pub mod host;
 pub mod hostcall;
 pub mod ir;
@@ -82,6 +84,7 @@ pub mod parser;
 pub mod passes;
 pub mod preprocessor;
 pub mod sema;
+#[cfg(test)]
 mod simt;
 pub mod token;
 pub mod value;
@@ -98,16 +101,19 @@ use std::time::{Duration, Instant};
 
 /// How much of the middle-end a compile runs.
 ///
-/// The level is part of a program's execution contract — `wb-cache`
-/// folds it, beside [`ir::IR_VERSION`], into the compile key so a grade
-/// produced at one level is never served for another.
+/// Every level lowers the program's device code to the kernel IR and
+/// runs its kernels on the one warp-batched executor; the level only
+/// chooses whether the passes optimize that IR first. The level is
+/// part of a program's execution contract — `wb-cache` folds it,
+/// beside [`ir::IR_VERSION`], into the compile key so a grade produced
+/// at one level is never served for another (the passes shrink
+/// `warp_instructions` and `device_cycles`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum OptLevel {
-    /// No IR: kernels run on the tree-walking interpreter — the
-    /// oracle the differential tests compare the batched executor to.
+    /// Execute the IR exactly as lowering emits it: no pass runs.
     O0,
-    /// Lower to the kernel IR, run the full pass pipeline (fold, CSE,
-    /// LICM, DCE) and execute warp-batched.
+    /// Run the full pass pipeline (fold, CSE, LICM, DCE) over the IR
+    /// before it executes.
     #[default]
     O2,
 }
@@ -125,15 +131,16 @@ impl std::fmt::Display for OptLevel {
 ///
 /// Runs the full front end: preprocessing (comment stripping, object
 /// macros), dialect canonicalization, lexing, parsing, and semantic
-/// analysis. The first diagnostic encountered is returned, formatted the
-/// way students see it in the WebGPU code view. Kernels execute on the
-/// optimizing middle-end ([`OptLevel::O2`]); use [`compile_with`] to
-/// select a different level.
+/// analysis, then lowers the device code to the kernel IR and optimizes
+/// it ([`OptLevel::O2`]). The first diagnostic encountered is returned,
+/// formatted the way students see it in the WebGPU code view; use
+/// [`compile_with`] to select a different level.
 pub fn compile(source: &str, dialect: Dialect) -> Result<Program, Diag> {
     compile_with(source, dialect, OptLevel::default())
 }
 
-/// [`compile`] with an explicit middle-end level.
+/// [`compile`] with an explicit middle-end level: both levels lower
+/// once and attach the IR, and only [`OptLevel::O2`] runs the passes.
 pub fn compile_with(source: &str, dialect: Dialect, opt: OptLevel) -> Result<Program, Diag> {
     compile_body(source, dialect, opt, false).map(|(program, _, _)| program)
 }
@@ -152,9 +159,10 @@ pub fn compile_analyzed(
     compile_body(source, dialect, opt, true)
 }
 
-/// The one compile path: the front end, then at most one
-/// `lower_program` — the verifier (when `analyze`) reads that IR
-/// before `O2`'s passes optimize it in place and attach it.
+/// The one compile path: the front end, then exactly one
+/// `lower_program` — the verifier (when `analyze`) reads that IR before
+/// `O2`'s passes optimize it in place, and the program carries it at
+/// every level.
 fn compile_body(
     source: &str,
     dialect: Dialect,
@@ -167,18 +175,16 @@ fn compile_body(
     let unit = parser::parse(tokens)?;
     let mut program = sema::analyze(unit, dialect)?;
     let (mut findings, mut analyze_time) = (Vec::new(), Duration::ZERO);
-    if opt == OptLevel::O2 || analyze {
-        let mut lowered = lower::lower_program(&program);
-        if analyze {
-            let started = Instant::now();
-            findings = analyze::analyze_lowered(&program, &lowered);
-            analyze_time = started.elapsed();
-        }
-        if opt == OptLevel::O2 {
-            passes::optimize_program(&mut lowered);
-            program.attach_ir(lowered);
-        }
+    let mut lowered = lower::lower_program(&program);
+    if analyze {
+        let started = Instant::now();
+        findings = analyze::analyze_lowered(&program, &lowered);
+        analyze_time = started.elapsed();
     }
+    if opt == OptLevel::O2 {
+        passes::optimize_program(&mut lowered);
+    }
+    program.attach_ir(lowered);
     Ok((program, findings, analyze_time))
 }
 
@@ -192,25 +198,45 @@ mod tests {
         assert_eq!(err.phase, Phase::Parse);
     }
 
+    /// Every compile lowers its device code exactly once and attaches
+    /// the IR, at both levels, analyzed or not; `O0` attaches the
+    /// lowering untouched, and the verifier reads that same lowering.
     #[test]
     fn analyzed_compile_lowers_once_and_matches_analyze_program() {
-        let src = "__global__ void k(float* a) {\n  __shared__ float s[4];\n  \
-                   s[threadIdx.x] = a[0];\n  if (threadIdx.x < 2) { __syncthreads(); }\n}\n\
-                   int main() { return 0; }";
+        let src = "__device__ float twice(float x) { return 2.0 * x; }\n\
+                   __global__ void k(float* a) {\n  __shared__ float s[4];\n  \
+                   s[threadIdx.x] = twice(a[0]);\n  if (threadIdx.x < 2) { __syncthreads(); }\n}\n\
+                   int helper(int n) { return n + 1; }\n\
+                   int main() { return helper(0) - 1; }";
         for opt in [OptLevel::O0, OptLevel::O2] {
-            let before = lower::lowerings();
-            let (program, findings, _) = compile_analyzed(src, Dialect::Cuda, opt).unwrap();
-            assert_eq!(
-                lower::lowerings() - before,
-                1,
-                "{opt}: one lowering per compile"
-            );
-            assert!(
-                !findings.is_empty(),
-                "{opt}: the divergent barrier is found"
-            );
-            assert_eq!(findings, analyze_program(&program), "{opt}");
-            assert_eq!(program.ir().is_some(), opt == OptLevel::O2, "{opt}");
+            for analyzed in [false, true] {
+                let ctx = format!("{opt} analyzed={analyzed}");
+                let before = lower::lowerings();
+                let (program, findings, _) = if analyzed {
+                    compile_analyzed(src, Dialect::Cuda, opt).unwrap()
+                } else {
+                    (
+                        compile_with(src, Dialect::Cuda, opt).unwrap(),
+                        Vec::new(),
+                        Duration::ZERO,
+                    )
+                };
+                assert_eq!(lower::lowerings() - before, 1, "{ctx}: one lowering");
+                if analyzed {
+                    assert!(
+                        !findings.is_empty(),
+                        "{ctx}: the divergent barrier is found"
+                    );
+                    assert_eq!(findings, analyze_program(&program), "{ctx}");
+                }
+                let ir = program.ir().unwrap_or_else(|| panic!("{ctx}: IR attached"));
+                let mut names: Vec<&str> = ir.funcs.keys().map(String::as_str).collect();
+                names.sort_unstable();
+                assert_eq!(names, ["k", "twice"], "{ctx}: device code only");
+                if opt == OptLevel::O0 {
+                    assert_eq!(*ir, lower::lower_program(&program), "{ctx}: no pass ran");
+                }
+            }
         }
     }
 

@@ -10,22 +10,26 @@
 //!   tree-walk's;
 //! * every expression node writes a fresh single-definition register,
 //!   which is what makes the optimization passes simple;
-//! * constructs device code cannot run (strings, `&var`, launches)
-//!   become [`Inst::Trap`]s that only fire if the code actually
-//!   executes with live lanes, preserving the interpreter's lazy
-//!   runtime errors.
+//! * constructs device code cannot run (strings, `&var`) become
+//!   [`Inst::Trap`]s that only fire if the code actually executes with
+//!   live lanes, preserving lazy runtime errors.
 //!
-//! One deliberate semantic difference from the historical tree-walk is
-//! compound index assignment: `a[i] += v` lowers to a single
-//! [`Inst::Addr`] whose element pointer feeds both the load and the
-//! store, so the index expression's side effects happen exactly once
-//! (the C rule). `simt.rs` was fixed to match; see the regression test
-//! in `tests/language.rs`.
+//! Only device code is lowered: kernels and `__device__` functions.
+//! Host functions never run on the device — sema rejects a
+//! device-to-host call, a launch inside device code and a device-side
+//! `#pragma acc` — so the host interpreter runs them from the AST.
 //!
-//! A second, narrower difference: the recursion-depth check fires at
-//! the `Call` instruction (after argument evaluation) rather than
-//! before it. The diagnostic and position are identical; only side
-//! effects inside arguments of the depth-exceeding call differ.
+//! One deliberate semantic choice is compound index assignment:
+//! `a[i] += v` lowers to a single [`Inst::Addr`] whose element pointer
+//! feeds both the load and the store, so the index expression's side
+//! effects happen exactly once (the C rule); see the regression test in
+//! `tests/language.rs`.
+//!
+//! A second, narrower one: the recursion-depth check fires at the
+//! `Call` instruction (after argument evaluation), where the test-only
+//! tree-walk oracle (`simt`) checks before it. The diagnostic and
+//! position are identical; only side effects inside arguments of the
+//! depth-exceeding call differ.
 
 use crate::ast::*;
 use crate::diag::Pos;
@@ -34,15 +38,13 @@ use crate::sema::{const_eval, Program};
 use crate::value::{ElemType, Value};
 use std::collections::HashMap;
 
-/// Lower every function of a program (kernels, device helpers, and —
-/// for exact call-semantics parity with the tree-walk — host functions
-/// too, since the interpreter resolves device calls against the whole
-/// function table).
+/// Lower a program's device code: every kernel and `__device__`
+/// function. Host functions stay AST-only (see the module docs).
 pub fn lower_program(p: &Program) -> IrProgram {
     #[cfg(test)]
     LOWERINGS.with(|n| n.set(n.get() + 1));
     let mut out = IrProgram::default();
-    for f in p.funcs() {
+    for f in p.funcs().filter(|f| f.kind != FuncKind::Host) {
         let lowered = Lower::new(p, f).lower_func(f);
         out.funcs.insert(f.name.clone(), lowered);
     }
@@ -291,11 +293,9 @@ impl<'a> Lower<'a> {
             Stmt::Break(pos) => self.emit(Inst::Break { pos: *pos }),
             Stmt::Continue(pos) => self.emit(Inst::Continue { pos: *pos }),
             Stmt::Block(b) => self.lower_block(b),
-            Stmt::Launch { pos, .. } => {
-                self.trap(*pos, "nested kernel launch");
-            }
-            Stmt::AccParallelLoop { pos, .. } => {
-                self.trap(*pos, "OpenACC pragma inside device code");
+            // Only device code is lowered, and sema rejects both there.
+            Stmt::Launch { pos, .. } | Stmt::AccParallelLoop { pos, .. } => {
+                self.trap(*pos, "sema: kernel launches and #pragma acc are host-only");
             }
         }
     }

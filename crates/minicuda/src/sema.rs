@@ -29,9 +29,9 @@ pub struct Program {
     kernel_names: Vec<String>,
     constants: Vec<ConstantSpec>,
     dialect: Dialect,
-    /// Lowered middle-end IR, attached by `compile_with` at `O2` (or by
-    /// a caller that lowers for itself, via `attach_ir`). `None` means
-    /// kernels execute on the tree-walk interpreter.
+    /// Lowered device-code IR, attached by every `compile_with` (or by
+    /// a caller that lowers for itself, via `attach_ir`). `None` only
+    /// for a program straight from [`analyze`], whose launches fail.
     ir: Option<std::sync::Arc<crate::ir::IrProgram>>,
 }
 
@@ -92,13 +92,15 @@ impl Program {
         self.funcs.values()
     }
 
-    /// The attached middle-end IR, if this program was compiled with
-    /// the batched executor enabled.
+    /// The attached device-code IR: optimized at `O2`, as lowered at
+    /// `O0`. `None` only for a program straight from [`analyze`]; a
+    /// kernel launch from such a program is a runtime diagnostic.
     pub fn ir(&self) -> Option<&crate::ir::IrProgram> {
         self.ir.as_deref()
     }
 
-    /// Attach lowered IR (done by `compile_with` after optimization).
+    /// Attach lowered IR (done by `compile_with`, after the passes at
+    /// `O2`).
     pub fn attach_ir(&mut self, ir: crate::ir::IrProgram) {
         self.ir = Some(std::sync::Arc::new(ir));
     }
@@ -1117,6 +1119,32 @@ mod tests {
     fn host_fn_not_callable_from_device() {
         let err = check("int h() { return 1; }\n__global__ void k() { int x = h(); }").unwrap_err();
         assert!(err.message.contains("cannot be called from device"));
+    }
+
+    #[test]
+    fn launch_in_device_code_rejected() {
+        let err =
+            check("__global__ void k() {}\n__global__ void g() { k<<<1, 1>>>(); }").unwrap_err();
+        assert!(err
+            .message
+            .contains("kernels can only be launched from host code"));
+        let err =
+            check("__global__ void k() {}\n__device__ void d() { k<<<1, 1>>>(); }").unwrap_err();
+        assert!(err
+            .message
+            .contains("kernels can only be launched from host code"));
+    }
+
+    #[test]
+    fn acc_pragma_in_device_code_rejected() {
+        let err = check(
+            "__global__ void k(float* a) {\n#pragma acc parallel loop\n  \
+             for (int i = 0; i < 4; i++) { a[i] = 0.0; }\n}",
+        )
+        .unwrap_err();
+        assert!(err
+            .message
+            .contains("#pragma acc parallel loop is host-only"));
     }
 
     #[test]

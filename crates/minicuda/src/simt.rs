@@ -1,4 +1,11 @@
-//! SIMT kernel execution: one block at a time, all threads in lockstep.
+//! The test-only tree-walk oracle: SIMT kernel execution over the AST,
+//! one block at a time, all threads in lockstep.
+//!
+//! The product build runs every kernel on the warp-batched IR executor
+//! (`batch`); this module is compiled into the unit tests only. There a
+//! program built by the front end alone (no IR attached) runs its
+//! launches here, and `differential.rs` requires the batched executor
+//! to match it on everything a grader can see.
 //!
 //! The interpreter models CUDA's execution model directly instead of
 //! approximating it with one OS thread per GPU thread:
@@ -29,7 +36,7 @@ use crate::cost::{self, CostSummary};
 use crate::device::KernelEnv;
 use crate::diag::{Diag, Phase, Pos};
 use crate::memory::SharedMem;
-use crate::sema::const_eval;
+use crate::sema::{const_eval, Program};
 use crate::value::{apply_binop, apply_math, apply_unop, ElemType, Ptr, Space, Value};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -37,6 +44,7 @@ use std::sync::atomic::Ordering;
 /// Execute one block of a kernel launch. Returns the block's cost.
 pub(crate) fn run_block(
     env: &KernelEnv<'_>,
+    program: &Program,
     block_idx: [i64; 3],
     kernel: &FuncDef,
     args: &[Value],
@@ -52,6 +60,7 @@ pub(crate) fn run_block(
     }
     let mut exec = BlockExec {
         env,
+        program,
         n,
         block_idx,
         tid,
@@ -99,6 +108,9 @@ struct LoopMasks {
 
 struct BlockExec<'a> {
     env: &'a KernelEnv<'a>,
+    /// The AST the tree-walk runs: kernels, `__device__` functions and
+    /// `__constant__` symbols.
+    program: &'a Program,
     n: usize,
     block_idx: [i64; 3],
     tid: Vec<[i64; 3]>,
@@ -703,7 +715,7 @@ impl<'a> BlockExec<'a> {
             ExprKind::SizeOf(t) => Ok(vec![Value::I(t.size_of()); self.n]),
             ExprKind::Var(_, binding) => Ok(match *binding {
                 Binding::Slot(slot) => self.slots[slot as usize].clone(),
-                Binding::Constant(id) => vec![Value::P(self.env.program.constant_ptr(id)); self.n],
+                Binding::Constant(id) => vec![Value::P(self.program.constant_ptr(id)); self.n],
                 Binding::Predefined(v) => vec![Value::I(v); self.n],
             }),
             ExprKind::Builtin(which, axis) => {
@@ -1022,8 +1034,7 @@ impl<'a> BlockExec<'a> {
             }
             _ => {
                 // User __device__ function.
-                let env = self.env;
-                let f = env
+                let f = self
                     .program
                     .func(name)
                     .ok_or_else(|| self.rt_err(pos, format!("unknown function `{name}`")))?;

@@ -705,15 +705,6 @@ fn compound_index_assignment_evaluates_index_once() {
     }
 }
 
-/// `src` lowered to the kernel IR with no pass run over it: the
-/// warp-batched executor on the IR exactly as lowering emits it.
-fn compile_unoptimized(src: &str) -> minicuda::Program {
-    let mut program =
-        compile_with(src, Dialect::Cuda, OptLevel::O0).unwrap_or_else(|d| panic!("{d}"));
-    program.attach_ir(minicuda::lower::lower_program(&program));
-    program
-}
-
 /// The instruction cost model counts **IR ops executed**: after LICM
 /// hoists thread-invariant math out of a 64-iteration loop, the O2
 /// kernel issues measurably fewer warp-instructions than the same IR
@@ -748,7 +739,8 @@ fn optimized_kernels_issue_fewer_warp_instructions() {
         assert!(out.ok(), "{:?}", out.error);
         out
     };
-    let raw = run(&compile_unoptimized(src));
+    let raw =
+        run(&compile_with(src, Dialect::Cuda, OptLevel::O0).unwrap_or_else(|d| panic!("{d}")));
     let o2 = run(&compile_with(src, Dialect::Cuda, OptLevel::O2).unwrap_or_else(|d| panic!("{d}")));
     assert_eq!(raw.solution, o2.solution);
     assert_eq!(raw.solution, Some(Dataset::Vector(vec![64.0 * 22.0; 32])));
@@ -763,71 +755,77 @@ fn optimized_kernels_issue_fewer_warp_instructions() {
     assert_eq!(raw.cost.barriers, o2.cost.barriers);
 }
 
-// ---- lane representations vs the tree-walk oracle -------------------------
+/// `sema::analyze` alone yields a program without IR; a launch from it
+/// is a typed runtime diagnostic (the kernel has nowhere to run), never
+/// a panic, and host code before the launch still runs.
+#[test]
+fn program_without_ir_fails_its_launch_with_a_runtime_diagnostic() {
+    let src = r#"
+        __global__ void k(float* out) { out[threadIdx.x] = 1.0; }
+        int main() {
+            float* d;
+            cudaMalloc(&d, 4 * sizeof(float));
+            wbLog(INFO, "before the launch");
+            k<<<1, 4>>>(d);
+            return 0;
+        }
+    "#;
+    let pre = minicuda::preprocessor::preprocess(src).unwrap();
+    let tokens = minicuda::lexer::lex(&pre).unwrap();
+    let unit = minicuda::parser::parse(tokens).unwrap();
+    let program = minicuda::sema::analyze(unit, Dialect::Cuda).unwrap();
+    assert!(program.ir().is_none());
+    let out = minicuda::run(&program, &[] as &[Dataset], &RunOptions::default());
+    let err = out.error.expect("the launch fails");
+    assert_eq!(err.phase, Phase::Runtime);
+    assert_eq!(err.pos.line, 7, "{err}");
+    assert!(err.message.contains("no lowered IR"), "{err}");
+    assert_eq!(out.log.lines().len(), 1, "host code before the launch ran");
+}
+
+// ---- lane representations at every level -----------------------------
 //
 // The batched executor stores a register as uniform, typed or generic
 // lanes and picks a loop by representation. These kernels sit on the
-// edges between representations; each must be indistinguishable from
-// the tree-walk (`O0`) on the unoptimized IR and at `O2`: solution,
-// diagnostic (message, position, block and lane) and memory counters.
+// edges between representations; each must run identically on the IR
+// as lowered (`O0`) and after the passes (`O2`): solution, diagnostic
+// (message, position, block and lane) and memory counters. The
+// tree-walk oracle runs the same corpus in `minicuda`'s unit tests.
 
-/// Run `kernel` over one block of `n` threads writing `out[n]` on the
-/// tree-walk, the unoptimized IR and the `O2` IR, and return the
-/// (identical) outcome.
-fn same_at_all_levels(kernel: &str, n: usize) -> minicuda::RunOutcome {
-    let src = format!(
-        r#"{kernel}
-        int main() {{
-            float* d; float* a; float* b;
-            cudaMalloc(&d, {n} * sizeof(float));
-            cudaMalloc(&a, {n} * sizeof(float));
-            cudaMalloc(&b, {n} * sizeof(float));
-            float* h = (float*) malloc({n} * sizeof(float));
-            for (int i = 0; i < {n}; i++) {{ h[i] = i + 100; }}
-            cudaMemcpy(a, h, {n} * sizeof(float), cudaMemcpyHostToDevice);
-            for (int i = 0; i < {n}; i++) {{ h[i] = i + 200; }}
-            cudaMemcpy(b, h, {n} * sizeof(float), cudaMemcpyHostToDevice);
-            k<<<1, {n}>>>(d, a, b);
-            cudaMemcpy(h, d, {n} * sizeof(float), cudaMemcpyDeviceToHost);
-            wbSolution(h, {n});
-            return 0;
-        }}"#
-    );
-    let run = |program: &minicuda::Program| {
+include!("corpus/representation_edges.rs");
+
+/// Run one `(kernel, n)` of the corpus at `O0` and at `O2`, and return
+/// the (identical) outcome.
+fn same_at_all_levels(case: (&str, usize)) -> minicuda::RunOutcome {
+    let src = representation_edge_program(case);
+    let run = |opt: OptLevel| {
+        let program = compile_with(&src, Dialect::Cuda, opt).unwrap_or_else(|d| panic!("{d}"));
         let opts = RunOptions {
             device: DeviceConfig::test_small(),
             ..Default::default()
         };
-        minicuda::run(program, &[] as &[Dataset], &opts)
+        minicuda::run(&program, &[] as &[Dataset], &opts)
     };
-    let at =
-        |opt: OptLevel| compile_with(&src, Dialect::Cuda, opt).unwrap_or_else(|d| panic!("{d}"));
-    let oracle = run(&at(OptLevel::O0));
-    for (opt, program) in [
-        ("unoptimized", compile_unoptimized(&src)),
-        ("O2", at(OptLevel::O2)),
-    ] {
-        let out = run(&program);
-        assert_eq!(out.error, oracle.error, "{opt}: diagnostic");
-        assert_eq!(out.solution, oracle.solution, "{opt}: solution");
-        let (c, o) = (&out.cost, &oracle.cost);
-        assert_eq!(
-            (c.global_transactions, c.global_accesses),
-            (o.global_transactions, o.global_accesses),
-            "{opt}: global memory counters"
-        );
-        assert_eq!(
-            (c.shared_accesses, c.shared_conflicts),
-            (o.shared_accesses, o.shared_conflicts),
-            "{opt}: shared memory counters"
-        );
-        assert_eq!(
-            (c.atomics, c.barriers, c.divergent_branches),
-            (o.atomics, o.barriers, o.divergent_branches),
-            "{opt}: atomics, barriers, divergence"
-        );
-    }
-    oracle
+    let (o0, o2) = (run(OptLevel::O0), run(OptLevel::O2));
+    assert_eq!(o2.error, o0.error, "diagnostic");
+    assert_eq!(o2.solution, o0.solution, "solution");
+    let (c, o) = (&o2.cost, &o0.cost);
+    assert_eq!(
+        (c.global_transactions, c.global_accesses),
+        (o.global_transactions, o.global_accesses),
+        "global memory counters"
+    );
+    assert_eq!(
+        (c.shared_accesses, c.shared_conflicts),
+        (o.shared_accesses, o.shared_conflicts),
+        "shared memory counters"
+    );
+    assert_eq!(
+        (c.atomics, c.barriers, c.divergent_branches),
+        (o.atomics, o.barriers, o.divergent_branches),
+        "atomics, barriers, divergence"
+    );
+    o0
 }
 
 fn solution_vec(out: &minicuda::RunOutcome) -> &[f32] {
@@ -840,19 +838,7 @@ fn solution_vec(out: &minicuda::RunOutcome) -> &[f32] {
 
 #[test]
 fn int_and_float_lanes_mix_through_arithmetic_and_comparison() {
-    let out = same_at_all_levels(
-        r#"__global__ void k(float* out, float* a, float* b) {
-            int t = threadIdx.x;
-            float f = t * 0.5;
-            float sum = t + f;
-            float diff = f - t;
-            float prod = t * f;
-            int below = t < f + 2;
-            int above = 2.5 < t;
-            out[t] = sum + diff * 100 + prod * 10000 + below * 7 + above * 3 + (a[t] - t);
-        }"#,
-        8,
-    );
+    let out = same_at_all_levels(INT_FLOAT_LANES_MIX);
     let v = solution_vec(&out);
     for (t, &x) in v.iter().enumerate() {
         let (ti, f) = (t as f32, t as f32 * 0.5);
@@ -866,16 +852,7 @@ fn int_and_float_lanes_mix_through_arithmetic_and_comparison() {
 #[test]
 fn ternary_between_two_arrays_then_indexed() {
     // Pointer lanes that cannot share one allocation header.
-    let out = same_at_all_levels(
-        r#"__global__ void k(float* out, float* a, float* b) {
-            int t = threadIdx.x;
-            float* p = (t % 2 == 0) ? a : b;
-            out[t] = p[t];
-            p[t] = p[t] + 1000;
-            out[t] += p[t];
-        }"#,
-        8,
-    );
+    let out = same_at_all_levels(TERNARY_BETWEEN_TWO_ARRAYS);
     let v = solution_vec(&out);
     for (t, &x) in v.iter().enumerate() {
         let base = if t % 2 == 0 { 100.0 } else { 200.0 } + t as f32;
@@ -887,18 +864,7 @@ fn ternary_between_two_arrays_then_indexed() {
 fn partial_mask_assignment_demotes_a_uniform_variable() {
     // Inactive lanes keep the uniform's old value; active lanes convert
     // the source to the variable's declared kind.
-    let out = same_at_all_levels(
-        r#"__global__ void k(float* out, float* a, float* b) {
-            int t = threadIdx.x;
-            int x = 7;
-            float y = t * 1.5;
-            float z = 0.25;
-            bool flag = 0;
-            if (t % 3 == 0) { x = y; z = t; flag = y; }
-            out[t] = x * 100 + z + flag * 10000;
-        }"#,
-        8,
-    );
+    let out = same_at_all_levels(PARTIAL_MASK_DEMOTES_UNIFORM);
     let v = solution_vec(&out);
     for (t, &x) in v.iter().enumerate() {
         let want = if t % 3 == 0 {
@@ -913,15 +879,7 @@ fn partial_mask_assignment_demotes_a_uniform_variable() {
 
 #[test]
 fn division_by_zero_in_one_lane_is_attributed_to_it() {
-    let out = same_at_all_levels(
-        r#"__global__ void k(float* out, float* a, float* b) {
-            int t = threadIdx.x;
-            int q = 1;
-            if (t > 2) { q = 100 / (t - 5); }
-            out[t] = q % (t - 6);
-        }"#,
-        8,
-    );
+    let out = same_at_all_levels(DIV_ZERO_IN_ONE_LANE);
     let err = out.error.expect("lane 5 divides by zero");
     assert_eq!(err.message, "integer division by zero");
     assert_eq!(err.thread, Some((0, 5)));
@@ -929,18 +887,7 @@ fn division_by_zero_in_one_lane_is_attributed_to_it() {
 
 #[test]
 fn shared_2d_index_out_of_bounds_in_one_lane_is_attributed_to_it() {
-    let out = same_at_all_levels(
-        r#"__global__ void k(float* out, float* a, float* b) {
-            __shared__ float tile[4][4];
-            int t = threadIdx.x;
-            int col = t % 4;
-            if (t == 9) { col = col + 20; }
-            tile[t / 4][col] = t;
-            __syncthreads();
-            out[t] = tile[t / 4][col];
-        }"#,
-        16,
-    );
+    let out = same_at_all_levels(SHARED_2D_OOB_IN_ONE_LANE);
     let err = out.error.expect("lane 9 indexes past the tile");
     assert!(err.message.contains("out of bounds"), "{}", err.message);
     assert_eq!(err.thread, Some((0, 9)));
@@ -948,19 +895,7 @@ fn shared_2d_index_out_of_bounds_in_one_lane_is_attributed_to_it() {
 
 #[test]
 fn bool_and_int_assignments_round_trip() {
-    let out = same_at_all_levels(
-        r#"__global__ void k(float* out, float* a, float* b) {
-            int t = threadIdx.x;
-            bool big = t > 3;
-            int i = big;
-            i = i + big;
-            big = i - 1;
-            float f = big;
-            if (t % 2 == 1) { big = t - 1; i = big; }
-            out[t] = i * 10 + big + f * 100;
-        }"#,
-        8,
-    );
+    let out = same_at_all_levels(BOOL_INT_ROUND_TRIP);
     let v = solution_vec(&out);
     for (t, &x) in v.iter().enumerate() {
         let mut big = t > 3;
@@ -977,17 +912,7 @@ fn bool_and_int_assignments_round_trip() {
 
 #[test]
 fn device_function_returns_per_lane_floats_from_divergent_returns() {
-    let out = same_at_all_levels(
-        r#"__device__ float pick(float x, int t) {
-            if (t % 2 == 0) { return x * 2.0; }
-            return x + 0.5;
-        }
-        __global__ void k(float* out, float* a, float* b) {
-            int t = threadIdx.x;
-            out[t] = pick(b[t], t) + 1;
-        }"#,
-        8,
-    );
+    let out = same_at_all_levels(DEVICE_FN_DIVERGENT_RETURNS);
     let v = solution_vec(&out);
     for (t, &x) in v.iter().enumerate() {
         let b = 200.0 + t as f32;
@@ -1126,56 +1051,6 @@ const HOST_PREDEFINED_SHADOW: &str = r#"
         return 0;
     }"#;
 
-/// The first three host cases in a kernel: a nested-block shadow read
-/// before and after, a `for` shadow, and a loop-body declaration that
-/// reads 0 on every iteration.
-const KERNEL_SCOPES: &str = r#"
-    __global__ void k(float* out, float* a, float* b) {
-        int t = threadIdx.x;
-        int i = t;
-        float acc = 0;
-        {
-            acc = acc + i;
-            int i = 10;
-            acc = acc + i;
-        }
-        for (int i = 0; i < 3; i++) {
-            int fresh;
-            acc = acc + fresh * 1000 + i;
-            fresh = 7;
-        }
-        out[t] = acc + i * 100;
-    }"#;
-
-/// A kernel local shadows a `__constant__` symbol (never filled, so it
-/// reads 0 on both sides of the block).
-const KERNEL_CONSTANT_SHADOW: &str = r#"
-    __constant__ float mask[4];
-    __global__ void k(float* out, float* a, float* b) {
-        int t = threadIdx.x;
-        float sum = mask[t % 4];
-        {
-            float mask = t * 2.0;
-            sum = sum + mask;
-        }
-        out[t] = sum + mask[0] + a[t];
-    }"#;
-
-/// A `__device__` helper whose parameters and locals shadow the
-/// kernel's names.
-const KERNEL_DEVICE_HELPER: &str = r#"
-    __device__ float helper(float a, int t) {
-        float out = a * 2;
-        int i = t + 1;
-        return out + i;
-    }
-    __global__ void k(float* out, float* a, float* b) {
-        int t = threadIdx.x;
-        int i = 1000;
-        float v = helper(a[t], t);
-        out[t] = v + i;
-    }"#;
-
 #[test]
 fn nested_block_shadow_then_outer_read() {
     // 1 (outer, before the inner declaration) + 10 + 0.5 + 10, then
@@ -1220,21 +1095,21 @@ fn local_shadows_a_predefined_constant() {
 
 #[test]
 fn kernel_shadows_and_loop_declarations_are_pinned() {
-    let out = same_at_all_levels(KERNEL_SCOPES, 8);
+    let out = same_at_all_levels(KERNEL_SCOPES);
     let want: Vec<f32> = (0..8).map(|t| (101 * t + 13) as f32).collect();
     assert_eq!(solution_vec(&out), want);
 }
 
 #[test]
 fn kernel_local_shadows_a_constant_symbol() {
-    let out = same_at_all_levels(KERNEL_CONSTANT_SHADOW, 8);
+    let out = same_at_all_levels(KERNEL_CONSTANT_SHADOW);
     let want: Vec<f32> = (0..8).map(|t| (3 * t + 100) as f32).collect();
     assert_eq!(solution_vec(&out), want);
 }
 
 #[test]
 fn device_helper_locals_shadow_the_kernels() {
-    let out = same_at_all_levels(KERNEL_DEVICE_HELPER, 8);
+    let out = same_at_all_levels(KERNEL_DEVICE_HELPER);
     // 2 * (t + 100) + (t + 1) + 1000
     let want: Vec<f32> = (0..8).map(|t| (3 * t + 1201) as f32).collect();
     assert_eq!(solution_vec(&out), want);
@@ -1361,9 +1236,9 @@ fn sema_binds_every_name_in_the_labs_and_the_shadowing_corpus() {
         HOST_OUT_PARAMS,
         HOST_CONSTANT_SHADOW,
         HOST_PREDEFINED_SHADOW,
-        KERNEL_SCOPES,
-        KERNEL_CONSTANT_SHADOW,
-        KERNEL_DEVICE_HELPER,
+        KERNEL_SCOPES.0,
+        KERNEL_CONSTANT_SHADOW.0,
+        KERNEL_DEVICE_HELPER.0,
     ] {
         let program = compile(src, Dialect::Cuda).unwrap_or_else(|d| panic!("{d}"));
         program.funcs().for_each(|f| check(f, "corpus"));

@@ -70,127 +70,29 @@ fn expr(g: &mut Gen, depth: u32) -> E {
     }
 }
 
-/// A statement expression for random straight-line kernels: leaves are
-/// literals or a variable slot resolved against whatever is in scope
-/// at the statement's position (`i`, `x`, earlier temporaries).
-/// Division and remainder are deliberately included so the optimizer's
-/// trap-preservation is exercised: a `/ 0` must produce the identical
-/// diagnostic at every opt level, never be folded away or hoisted.
-#[derive(Debug, Clone)]
-enum K {
-    Lit(i32),
-    Var(usize),
-    Add(Box<K>, Box<K>),
-    Sub(Box<K>, Box<K>),
-    Mul(Box<K>, Box<K>),
-    Div(Box<K>, Box<K>),
-    Rem(Box<K>, Box<K>),
-    Min(Box<K>, Box<K>),
-    Max(Box<K>, Box<K>),
-    Neg(Box<K>),
-    Ternary(Box<K>, Box<K>, Box<K>),
-}
-
-impl K {
-    /// Render with `temps` temporaries in scope; variable slots wrap
-    /// around `i`, `x`, `t0..t{temps-1}` so any raw index is valid.
-    fn render(&self, temps: usize) -> String {
-        match self {
-            K::Lit(v) => format!("({v})"),
-            K::Var(r) => match r % (temps + 2) {
-                0 => "i".to_string(),
-                1 => "x".to_string(),
-                j => format!("t{}", j - 2),
-            },
-            K::Add(a, b) => format!("({} + {})", a.render(temps), b.render(temps)),
-            K::Sub(a, b) => format!("({} - {})", a.render(temps), b.render(temps)),
-            K::Mul(a, b) => format!("({} * {})", a.render(temps), b.render(temps)),
-            K::Div(a, b) => format!("({} / {})", a.render(temps), b.render(temps)),
-            K::Rem(a, b) => format!("({} % {})", a.render(temps), b.render(temps)),
-            K::Min(a, b) => format!("min({}, {})", a.render(temps), b.render(temps)),
-            K::Max(a, b) => format!("max({}, {})", a.render(temps), b.render(temps)),
-            K::Neg(a) => format!("(-{})", a.render(temps)),
-            K::Ternary(c, a, b) => format!(
-                "(({}) > 0 ? {} : {})",
-                c.render(temps),
-                a.render(temps),
-                b.render(temps)
-            ),
-        }
-    }
-}
-
-/// A random statement expression at most `depth` levels deep; draws 0
-/// and 1 are leaves.
-fn kernel_expr(g: &mut Gen, depth: u32) -> K {
-    let sub = |g: &mut Gen| Box::new(kernel_expr(g, depth - 1));
-    match g.below(if depth == 0 { 2 } else { 11 }) {
-        0 => K::Lit(g.int(-40..40)),
-        1 => K::Var(g.int(0..64)),
-        2 => K::Add(sub(g), sub(g)),
-        3 => K::Sub(sub(g), sub(g)),
-        4 => K::Mul(sub(g), sub(g)),
-        5 => K::Div(sub(g), sub(g)),
-        6 => K::Rem(sub(g), sub(g)),
-        7 => K::Min(sub(g), sub(g)),
-        8 => K::Max(sub(g), sub(g)),
-        9 => K::Neg(sub(g)),
-        _ => K::Ternary(sub(g), sub(g), sub(g)),
-    }
-}
-
-/// Run a generated straight-line kernel at one opt level.
-fn run_straight_line(stmts: &[K], n: usize, seed: u64, opt: OptLevel) -> minicuda::RunOutcome {
-    let mut body = String::new();
-    for (k, e) in stmts.iter().enumerate() {
-        body.push_str(&format!("                int t{k} = {};\n", e.render(k)));
-    }
-    let last = stmts.len() - 1;
-    let src = format!(
-        r#"
-        __global__ void k(float* a, float* out, int n) {{
-            int i = blockIdx.x * blockDim.x + threadIdx.x;
-            if (i < n) {{
-                int x = (int) a[i];
-{body}                out[i] = (float) t{last};
-            }}
-        }}
-        int main() {{
-            int n;
-            float* a = wbImportVector(0, &n);
-            float* out = (float*) malloc(n * sizeof(float));
-            float* dA; float* dOut;
-            cudaMalloc(&dA, n * sizeof(float));
-            cudaMalloc(&dOut, n * sizeof(float));
-            cudaMemcpy(dA, a, n * sizeof(float), cudaMemcpyHostToDevice);
-            k<<<(n + 31) / 32, 32>>>(dA, dOut, n);
-            cudaMemcpy(out, dOut, n * sizeof(float), cudaMemcpyDeviceToHost);
-            wbSolution(out, n);
-            return 0;
-        }}
-        "#
-    );
-    // Small signed values with zeros and negatives, so `/ x` and `% x`
-    // sometimes trap and signed overflow stays reachable through `*`.
-    let a: Vec<f32> = (0..n)
-        .map(|k| (((seed >> (k % 48)) & 31) as i64 - 15) as f32)
-        .collect();
-    let program = compile_with(&src, Dialect::Cuda, opt).expect("generated kernel compiles");
-    minicuda::run(&program, &[Dataset::Vector(a)], &RunOptions::default())
-}
+include!("corpus/straight_line.rs");
 
 /// Optimizer soundness: a random straight-line kernel computes the
 /// identical result — same solution bytes, same diagnostic (message,
 /// position, thread) on failure, same memory-system counters — at
-/// `O0` (tree-walk) and `O2` (full pass pipeline), including runs
-/// that trap on division by zero or wrap on overflow.
+/// `O0` (the IR as lowered) and `O2` (full pass pipeline), including
+/// runs that trap on division by zero or wrap on overflow. The
+/// tree-walk oracle checks the executor on the same generator in
+/// `minicuda`'s unit tests.
 #[test]
 fn straight_line_kernels_identical_at_o0_and_o2() {
-    wb_prop::check(48, |g| {
-        let stmts = g.vec(1..6, |g| kernel_expr(g, 3));
-        let (n, seed) = (g.int(1..80), g.int(0..=u64::MAX));
-        let o0 = run_straight_line(&stmts, n, seed, OptLevel::O0);
-        let o2 = run_straight_line(&stmts, n, seed, OptLevel::O2);
+    wb_prop::check(STRAIGHT_LINE_CASES, |g| {
+        let (src, input) = straight_line_case(g);
+        let run = |opt| {
+            let program =
+                compile_with(&src, Dialect::Cuda, opt).expect("generated kernel compiles");
+            minicuda::run(
+                &program,
+                std::slice::from_ref(&input),
+                &RunOptions::default(),
+            )
+        };
+        let (o0, o2) = (run(OptLevel::O0), run(OptLevel::O2));
         assert_eq!(&o0.error, &o2.error, "diagnostics diverged");
         assert_eq!(&o0.solution, &o2.solution, "solutions diverged");
         assert_eq!(o0.exit_code, o2.exit_code);

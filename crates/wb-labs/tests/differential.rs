@@ -1,6 +1,10 @@
 //! Differential grading: every Table II lab must grade **identically**
-//! under the tree-walking interpreter (`O0`) and the warp-batched IR
-//! executor on `O2` IR (the full pass pipeline).
+//! at `O0` (the kernel IR exactly as lowering emits it) and at `O2`
+//! (the IR after the full pass pipeline), both run on the one
+//! warp-batched executor. This suite checks that the passes change
+//! nothing a grader can see; the tree-walk oracle that checks the
+//! executor itself runs in `minicuda`'s unit tests (`src/differential.rs`),
+//! over the same labs and the same buggy-kernel corpus.
 //!
 //! "Identically" means everything a student or grader can see: check
 //! verdicts, runtime diagnostics (message, position, and thread
@@ -16,6 +20,8 @@ use minicuda::{
 };
 use wb_labs::{definition, lab_ids, solution, LabScale};
 use wb_worker::{execute, JobAction, JobOutcome, JobRequest, RunCtx};
+
+include!("../../minicuda/tests/corpus/buggy_kernels.rs");
 
 fn graded(lab_id: &str, source: &str, opt: OptLevel) -> JobOutcome {
     graded_at(lab_id, source, opt, LabScale::Small)
@@ -107,8 +113,8 @@ fn every_lab_reference_grades_identically_at_all_levels() {
 /// The differential suite grades at `LabScale::Small`; the performance
 /// ledger's `kernel_full` workload grades at `LabScale::Full`, where
 /// blocks are 256 threads wide, grids have interior *and* edge blocks,
-/// and the last warp of a block can be partial. Same oracle, the scale
-/// the ledger runs (~13 s unoptimized, nearly all of it the tree-walk).
+/// and the last warp of a block can be partial. Same comparison, at the
+/// scale the ledger runs.
 #[test]
 fn every_lab_reference_grades_identically_at_full_scale() {
     for id in lab_ids() {
@@ -125,114 +131,12 @@ fn every_lab_reference_grades_identically_at_full_scale() {
     }
 }
 
-/// Student-bug archetypes with runtime diagnostics: the *failure* must
-/// also be identical — same message, same position, same thread.
+/// Student-bug archetypes with runtime diagnostics (the shared
+/// `BUGGY_KERNELS` corpus): the *failure* must also be identical — same
+/// message, same position, same thread.
 #[test]
 fn buggy_kernels_fail_identically_at_all_levels() {
-    let cases: &[(&str, &str)] = &[
-        // Missing boundary check → out-of-bounds global access.
-        (
-            "vecadd",
-            r#"
-            __global__ void vecAdd(float* a, float* b, float* out, int n) {
-                int i = blockIdx.x * blockDim.x + threadIdx.x;
-                out[i] = a[i] + b[i];
-            }
-            int main() {
-                int n;
-                float* a = wbImportVector(0, &n);
-                float* b = wbImportVector(1, &n);
-                float* out = (float*) malloc(n * sizeof(float));
-                float* dA; float* dB; float* dC;
-                cudaMalloc(&dA, n * sizeof(float));
-                cudaMalloc(&dB, n * sizeof(float));
-                cudaMalloc(&dC, n * sizeof(float));
-                cudaMemcpy(dA, a, n * sizeof(float), cudaMemcpyHostToDevice);
-                cudaMemcpy(dB, b, n * sizeof(float), cudaMemcpyHostToDevice);
-                vecAdd<<<(n + 63) / 64, 64>>>(dA, dB, dC, n);
-                cudaMemcpy(out, dC, n * sizeof(float), cudaMemcpyDeviceToHost);
-                wbSolution(out, n);
-                return 0;
-            }
-            "#,
-        ),
-        // Integer division by zero inside a divergent branch.
-        (
-            "vecadd",
-            r#"
-            __global__ void divZero(float* a, float* b, float* out, int n) {
-                int i = blockIdx.x * blockDim.x + threadIdx.x;
-                if (i < n) { out[i] = a[i] + (i / (i - 1)); }
-            }
-            int main() {
-                int n;
-                float* a = wbImportVector(0, &n);
-                float* b = wbImportVector(1, &n);
-                float* out = (float*) malloc(n * sizeof(float));
-                float* dA; float* dB; float* dC;
-                cudaMalloc(&dA, n * sizeof(float));
-                cudaMalloc(&dB, n * sizeof(float));
-                cudaMalloc(&dC, n * sizeof(float));
-                cudaMemcpy(dA, a, n * sizeof(float), cudaMemcpyHostToDevice);
-                cudaMemcpy(dB, b, n * sizeof(float), cudaMemcpyHostToDevice);
-                divZero<<<(n + 63) / 64, 64>>>(dA, dB, dC, n);
-                cudaMemcpy(out, dC, n * sizeof(float), cudaMemcpyDeviceToHost);
-                wbSolution(out, n);
-                return 0;
-            }
-            "#,
-        ),
-        // Dereferencing the host pointer on the device.
-        (
-            "vecadd",
-            r#"
-            __global__ void hostDeref(float* a, float* b, float* out, int n) {
-                int i = blockIdx.x * blockDim.x + threadIdx.x;
-                if (i < n) { out[i] = a[i] + b[i]; }
-            }
-            int main() {
-                int n;
-                float* a = wbImportVector(0, &n);
-                float* b = wbImportVector(1, &n);
-                float* out = (float*) malloc(n * sizeof(float));
-                float* dC;
-                cudaMalloc(&dC, n * sizeof(float));
-                hostDeref<<<(n + 63) / 64, 64>>>(a, b, dC, n);
-                cudaMemcpy(out, dC, n * sizeof(float), cudaMemcpyDeviceToHost);
-                wbSolution(out, n);
-                return 0;
-            }
-            "#,
-        ),
-        // Barrier inside a divergent branch.
-        (
-            "vecadd",
-            r#"
-            __global__ void divBarrier(float* a, float* b, float* out, int n) {
-                int i = blockIdx.x * blockDim.x + threadIdx.x;
-                if (threadIdx.x < 7) { __syncthreads(); }
-                if (i < n) { out[i] = a[i] + b[i]; }
-            }
-            int main() {
-                int n;
-                float* a = wbImportVector(0, &n);
-                float* b = wbImportVector(1, &n);
-                float* out = (float*) malloc(n * sizeof(float));
-                float* dA; float* dB; float* dC;
-                cudaMalloc(&dA, n * sizeof(float));
-                cudaMalloc(&dB, n * sizeof(float));
-                cudaMalloc(&dC, n * sizeof(float));
-                cudaMemcpy(dA, a, n * sizeof(float), cudaMemcpyHostToDevice);
-                cudaMemcpy(dB, b, n * sizeof(float), cudaMemcpyHostToDevice);
-                divBarrier<<<(n + 63) / 64, 64>>>(dA, dB, dC, n);
-                cudaMemcpy(out, dC, n * sizeof(float), cudaMemcpyDeviceToHost);
-                wbSolution(out, n);
-                return 0;
-            }
-            "#,
-        ),
-    ];
-    for (i, (lab, src)) in cases.iter().enumerate() {
+    for (i, (lab, src)) in BUGGY_KERNELS.iter().enumerate() {
         let o0 = graded(lab, src, OptLevel::O0);
         assert!(o0.compiled(), "case {i}: {:?}", o0.compile_error);
         assert!(
@@ -485,8 +389,9 @@ fn warn_mode_analysis_never_perturbs_grading() {
 
 /// The product path's one-lowering compile is the two-lowering one:
 /// on every lab, clean and with a flagged audit probe, at both levels,
-/// `compile_analyzed` reports exactly `analyze_program`'s findings and
-/// its program runs every dataset bit-identically to `compile_with`'s.
+/// `compile_analyzed` reports exactly `analyze_program`'s findings,
+/// attaches the same IR as `compile_with`, and its program runs every
+/// dataset bit-identically to `compile_with`'s.
 #[test]
 fn compile_analyzed_equals_compile_then_analyze_on_every_lab() {
     let device = DeviceConfig::test_small();
@@ -501,11 +406,7 @@ fn compile_analyzed_equals_compile_then_analyze_on_every_lab() {
                 let (once, findings, _) = compile_analyzed(&src, spec.dialect, lvl).expect(&ctx);
                 let twice = compile_with(&src, spec.dialect, lvl).expect(&ctx);
                 assert_eq!(findings, analyze_program(&twice), "{ctx}: findings");
-                assert_eq!(
-                    once.ir().is_some(),
-                    twice.ir().is_some(),
-                    "{ctx}: IR attached"
-                );
+                assert_eq!(once.ir(), twice.ir(), "{ctx}: IR attached");
                 for case in &lab.datasets {
                     let run =
                         |p| minicuda::run_with_policy(p, &case.inputs, &opts, &spec.whitelist);

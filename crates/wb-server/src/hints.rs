@@ -7,6 +7,7 @@
 //! message a TA would have typed, without a TA — the scaling story of
 //! §II-A carried one step further.
 
+use minicuda::token::{Tok, Token};
 use minicuda::{CostSummary, Diag, Phase};
 use wb_worker::JobOutcome;
 
@@ -29,6 +30,12 @@ pub fn hints_for(outcome: &JobOutcome, source: &str) -> Vec<Hint> {
         hints.extend(compile_hints(err));
         return hints; // nothing ran; later analyses don't apply
     }
+    // Tiling lab without shared memory, read only when a dataset ran
+    // (a compile-only job reaches here too); the substring test spares
+    // the lex when no `tileA` can be there.
+    let tiles_not_shared = !outcome.datasets.is_empty()
+        && source.contains("tileA")
+        && tokens(source).is_some_and(|t| has_ident(&t, "tileA") && !has_ident(&t, "__shared__"));
 
     for d in &outcome.datasets {
         if let Some(err) = &d.error {
@@ -38,7 +45,7 @@ pub fn hints_for(outcome: &JobOutcome, source: &str) -> Vec<Hint> {
                 hints.extend(mismatch_hints(check, source));
             }
         }
-        hints.extend(cost_hints(&d.cost, source));
+        hints.extend(cost_hints(&d.cost, tiles_not_shared));
     }
 
     dedup(hints)
@@ -217,7 +224,9 @@ initial contents. Is the kernel writing to the buffer you copy back?"
 the first/last elements, the last partial tile, or sizes that are not multiples of the block."
                 .to_string(),
         });
-        if !source.contains("if") {
+        let has_conditional =
+            |t: &[Token]| has_ident(t, "if") || t.iter().any(|t| t.kind == Tok::Question);
+        if tokens(source).is_some_and(|t| !has_conditional(&t)) {
             hints.push(Hint {
                 code: "no-guard",
                 message: "Your kernel has no conditional at all: add a bounds guard like \
@@ -238,7 +247,21 @@ the first mismatching index shown in the report.",
     hints
 }
 
-fn cost_hints(cost: &CostSummary, source: &str) -> Vec<Hint> {
+/// `source`'s tokens after preprocessing, so comments and parts of
+/// longer names (`shift`, `diff`) never count; `None` when it does not
+/// lex, and the heuristics reading them stay silent.
+fn tokens(source: &str) -> Option<Vec<Token>> {
+    let pre = minicuda::preprocessor::preprocess(source).ok()?;
+    minicuda::lexer::lex(&pre).ok()
+}
+
+fn has_ident(tokens: &[Token], name: &str) -> bool {
+    tokens
+        .iter()
+        .any(|t| matches!(&t.kind, Tok::Ident(s) if s == name))
+}
+
+fn cost_hints(cost: &CostSummary, tiles_not_shared: bool) -> Vec<Hint> {
     let mut hints = Vec::new();
     // Coalescing smell: far fewer accesses per transaction than the
     // hardware can merge.
@@ -261,8 +284,7 @@ dimension of your tile (e.g. [TILE][TILE + 1])."
                 .to_string(),
         });
     }
-    // Tiling lab without shared memory.
-    if source.contains("tileA") && !source.contains("__shared__") {
+    if tiles_not_shared {
         hints.push(Hint {
             code: "missing-shared",
             message: "Your tile arrays are not in shared memory — declare them __shared__ or \
@@ -412,6 +434,57 @@ mod tests {
         let (out, s) = grade("vecadd", src);
         let c = codes(&out, &s);
         assert!(c.contains(&"uncoalesced"), "{c:?}");
+    }
+
+    /// Only the last element is wrong (edge-wrong) and the kernel has
+    /// no `if` or `?`, though `verify` and `diff` contain "if".
+    #[test]
+    fn no_guard_hint_reads_tokens_not_substrings() {
+        let clamped = wb_labs::solution("vecadd").unwrap().replace(
+            "    int i = blockIdx.x * blockDim.x + threadIdx.x;\n    if (i < n) { out[i] = a[i] + b[i]; }",
+            "    // verify: the clamp replaces the bounds guard\n    \
+             int i = min(blockIdx.x * blockDim.x + threadIdx.x, n - 1);\n    \
+             float diff = i == n - 1;\n    out[i] = a[i] + b[i] + diff;",
+        );
+        let (out, src) = grade("vecadd", &clamped);
+        let c = codes(&out, &src);
+        assert!(
+            c.contains(&"edge-wrong") && c.contains(&"no-guard"),
+            "{c:?}"
+        );
+        // A ternary is a conditional: no hint.
+        let ternary = clamped.replace(
+            "float diff = i == n - 1;",
+            "float diff = i == n - 1 ? 1 : 0;",
+        );
+        let (out, src) = grade("vecadd", &ternary);
+        let c = codes(&out, &src);
+        assert!(
+            c.contains(&"edge-wrong") && !c.contains(&"no-guard"),
+            "{c:?}"
+        );
+    }
+
+    /// `tileA` is a local, not `__shared__`: a comment naming
+    /// `__shared__` does not silence the hint, and a comment naming
+    /// `tileA` does not raise it.
+    #[test]
+    fn missing_shared_hint_ignores_comments() {
+        let solution = wb_labs::solution("vecadd").unwrap();
+        let local = solution.replace(
+            "if (i < n) { out[i] = a[i] + b[i]; }",
+            "// __shared__ tiles come later\n    \
+             if (i < n) { float tileA = a[i]; out[i] = tileA; }",
+        );
+        let (out, src) = grade("vecadd", &local);
+        assert!(codes(&out, &src).contains(&"missing-shared"));
+        let comment_only = solution.replace(
+            "if (i < n) { out[i] = a[i] + b[i]; }",
+            "// tileA comes later\n    if (i < n) { out[i] = a[i]; }",
+        );
+        let (out, src) = grade("vecadd", &comment_only);
+        let c = codes(&out, &src);
+        assert!(!c.is_empty() && !c.contains(&"missing-shared"), "{c:?}");
     }
 
     #[test]
