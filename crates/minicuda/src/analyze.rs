@@ -38,11 +38,13 @@
 
 use crate::ast::{BinOp, Block, BuiltinVar, Dim3Expr, Stmt, Type, UnOp};
 use crate::diag::{Diag, Phase, Pos};
+use crate::fx::{FxHashMap, FxHashSet};
 use crate::ir::{BlockId, Inst, IrFunc, IrProgram, OclFn, Reg};
 use crate::lower;
+use crate::passes::RegSet;
 use crate::sema::Program;
 use crate::value::Value;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Per-lab policy for the analysis phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -133,7 +135,10 @@ pub(crate) fn analyze_lowered(p: &Program, ir: &IrProgram) -> Vec<Finding> {
 
 /// Kernels are visited in name order and findings sorted, so the
 /// result is deterministic.
-fn analyze_ir_with_caps(ir: &IrProgram, caps: &HashMap<String, [Option<i64>; 3]>) -> Vec<Finding> {
+fn analyze_ir_with_caps(
+    ir: &IrProgram,
+    caps: &FxHashMap<String, [Option<i64>; 3]>,
+) -> Vec<Finding> {
     let mut names: Vec<&String> = ir
         .funcs
         .iter()
@@ -170,7 +175,7 @@ fn analyze_ir_with_caps(ir: &IrProgram, caps: &HashMap<String, [Option<i64>; 3]>
 /// above `max` can ever exist, which sharpens both the race existence
 /// solver and the bounds checker (`buf[t + BLOCK]` is fine precisely
 /// because the block has `BLOCK` threads).
-fn launch_caps(p: &Program) -> HashMap<String, [Option<i64>; 3]> {
+fn launch_caps(p: &Program) -> FxHashMap<String, [Option<i64>; 3]> {
     fn dim_axes(d: &Dim3Expr) -> [Option<i64>; 3] {
         let ext = |e: Option<&crate::ast::Expr>| match e {
             None => Some(1),
@@ -178,7 +183,7 @@ fn launch_caps(p: &Program) -> HashMap<String, [Option<i64>; 3]> {
         };
         [ext(Some(&d.x)), ext(d.y.as_ref()), ext(d.z.as_ref())]
     }
-    fn walk(b: &Block, caps: &mut HashMap<String, [Option<i64>; 3]>) {
+    fn walk(b: &Block, caps: &mut FxHashMap<String, [Option<i64>; 3]>) {
         for s in &b.stmts {
             match s {
                 Stmt::Launch { kernel, block, .. } => {
@@ -232,7 +237,7 @@ fn launch_caps(p: &Program) -> HashMap<String, [Option<i64>; 3]> {
             }
         }
     }
-    let mut caps = HashMap::new();
+    let mut caps = FxHashMap::default();
     for f in p.funcs() {
         walk(&f.body, &mut caps);
     }
@@ -383,22 +388,12 @@ struct Ctx {
 }
 
 impl Ctx {
-    fn range(
-        &self,
-        s: Sym,
-        induction: &HashMap<Reg, (Sym, Range)>,
-        caps: &[Option<i64>; 3],
-    ) -> Range {
-        let mut r = self.ranges.get(&s).copied().unwrap_or_else(|| {
-            if let Sym::Ind(_) = s {
-                for (is, ir) in induction.values() {
-                    if *is == s {
-                        return *ir;
-                    }
-                }
-            }
-            Range::full()
-        });
+    fn range(&self, s: Sym, induction: &[Range], caps: &[Option<i64>; 3]) -> Range {
+        let mut r = self
+            .ranges
+            .get(&s)
+            .copied()
+            .unwrap_or_else(|| induction_range(s, induction));
         if let Sym::Tid(axis) = s {
             if let Some(cap) = caps[axis as usize] {
                 r.hi = Some(r.hi.map_or(cap, |h| h.min(cap)));
@@ -468,14 +463,22 @@ struct FuncAnalysis<'a> {
     cap: [Option<i64>; 3],
     defs: Vec<DefSite>,
     uniform: Vec<bool>,
-    induction: HashMap<Reg, (Sym, Range)>,
+    /// Set while a uniformity pass demotes a register.
+    demoted: bool,
+    /// The induction symbol of each register detected as one.
+    induction: Vec<Option<Sym>>,
+    /// The certified range of each induction symbol, by its id.
+    induction_ranges: Vec<Range>,
     aff_memo: Vec<Option<Aff>>,
-    shapes: HashMap<Reg, Shape>,
+    /// The shared array a register points into, by register.
+    shapes: Vec<Option<Shape>>,
     accesses: Vec<Access>,
     interval: u32,
     next_if_site: u32,
     findings: Vec<Finding>,
-    reported_uninit: HashSet<Reg>,
+    reported_uninit: RegSet,
+    /// Scratch for one instruction's source registers.
+    srcs: Vec<Reg>,
 }
 
 impl<'a> FuncAnalysis<'a> {
@@ -497,14 +500,17 @@ impl<'a> FuncAnalysis<'a> {
             cap,
             defs,
             uniform: vec![true; n],
-            induction: HashMap::new(),
+            demoted: false,
+            induction: vec![None; n],
+            induction_ranges: Vec::new(),
             aff_memo: vec![None; n],
-            shapes: HashMap::new(),
+            shapes: vec![None; n],
             accesses: Vec::new(),
             interval: 0,
             next_if_site: 0,
             findings: Vec::new(),
-            reported_uninit: HashSet::new(),
+            reported_uninit: RegSet::new(f.num_regs),
+            srcs: Vec::new(),
         }
     }
 
@@ -529,12 +535,16 @@ impl<'a> FuncAnalysis<'a> {
     fn compute_uniformity(&mut self) {
         // Fixpoint: re-walk until no register flips to non-uniform.
         loop {
-            let before = self.uniform.clone();
+            self.demoted = false;
             self.uniformity_block(0, true);
-            if self.uniform == before {
+            if !self.demoted {
                 break;
             }
         }
+    }
+
+    fn demote(&mut self, r: Reg) {
+        self.demoted |= std::mem::replace(&mut self.uniform[r as usize], false);
     }
 
     fn cond_uniform(&self, r: Reg) -> bool {
@@ -542,20 +552,20 @@ impl<'a> FuncAnalysis<'a> {
     }
 
     fn uniformity_block(&mut self, b: BlockId, ctx_uniform: bool) {
-        for ii in 0..self.f.blocks[b as usize].insts.len() {
-            let inst = self.f.blocks[b as usize].insts[ii].clone();
-            let mut srcs = Vec::new();
-            inst.srcs(&mut srcs);
-            let srcs_uniform = srcs.iter().all(|&r| self.uniform[r as usize]);
-            match &inst {
+        let f = self.f;
+        for inst in &f.blocks[b as usize].insts {
+            self.srcs.clear();
+            inst.srcs(&mut self.srcs);
+            let srcs_uniform = self.srcs.iter().all(|&r| self.uniform[r as usize]);
+            match inst {
                 Inst::Builtin { dst, which, .. } => {
                     if *which == BuiltinVar::ThreadIdx {
-                        self.uniform[*dst as usize] = false;
+                        self.demote(*dst);
                     }
                 }
                 Inst::OclId { dst, which, .. } => {
                     if matches!(which, OclFn::LocalId | OclFn::GlobalId) {
-                        self.uniform[*dst as usize] = false;
+                        self.demote(*dst);
                     }
                 }
                 Inst::Load { dst, .. }
@@ -564,11 +574,11 @@ impl<'a> FuncAnalysis<'a> {
                 | Inst::AtomicCas { dst, .. }
                 | Inst::Call { dst, .. } => {
                     // Memory contents and callee effects are opaque.
-                    self.uniform[*dst as usize] = false;
+                    self.demote(*dst);
                 }
                 Inst::Assign { var, .. } => {
                     if !srcs_uniform || !ctx_uniform {
-                        self.uniform[*var as usize] = false;
+                        self.demote(*var);
                     }
                 }
                 Inst::If {
@@ -594,14 +604,14 @@ impl<'a> FuncAnalysis<'a> {
                     self.uniformity_block(*then_b, inner);
                     self.uniformity_block(*else_b, inner);
                     if !srcs_uniform || !inner {
-                        self.uniform[*dst as usize] = false;
+                        self.demote(*dst);
                     }
                 }
                 Inst::Logic { dst, a, rhs_b, .. } => {
                     let inner = ctx_uniform && self.cond_uniform(*a);
                     self.uniformity_block(*rhs_b, inner);
                     if !srcs_uniform || !inner {
-                        self.uniform[*dst as usize] = false;
+                        self.demote(*dst);
                     }
                 }
                 Inst::Loop {
@@ -623,7 +633,7 @@ impl<'a> FuncAnalysis<'a> {
                 _ => {
                     if let Some(dst) = inst.dst() {
                         if !srcs_uniform || !ctx_uniform {
-                            self.uniform[dst as usize] = false;
+                            self.demote(dst);
                         }
                     }
                 }
@@ -699,26 +709,24 @@ impl<'a> FuncAnalysis<'a> {
             }
         }
         for (r, init, hi) in cands {
-            self.induction.entry(r).or_insert_with(|| {
-                let s = Sym::Ind(next_ind);
+            if self.induction[r as usize].is_none() {
+                self.induction[r as usize] = Some(Sym::Ind(next_ind));
                 next_ind += 1;
-                (
-                    s,
-                    Range {
-                        lo: init,
-                        hi: Some(hi),
-                    },
-                )
-            });
+                self.induction_ranges.push(Range {
+                    lo: init,
+                    hi: Some(hi),
+                });
+            }
         }
     }
 
     fn collect_blocks(&self, b: BlockId, out: &mut Vec<BlockId>) {
         out.push(b);
+        let mut kids = Vec::new();
         for inst in &self.f.blocks[b as usize].insts {
-            let mut kids = Vec::new();
+            kids.clear();
             inst.child_blocks(&mut kids);
-            for k in kids {
+            for &k in &kids {
                 self.collect_blocks(k, out);
             }
         }
@@ -828,8 +836,8 @@ impl<'a> FuncAnalysis<'a> {
     // -- affine values -------------------------------------------------
 
     fn aff_of(&mut self, r: Reg) -> Aff {
-        if let Some((s, _)) = self.induction.get(&r) {
-            return Aff::sym(*s);
+        if let Some(s) = self.induction[r as usize] {
+            return Aff::sym(s);
         }
         if let Some(a) = &self.aff_memo[r as usize] {
             return a.clone();
@@ -845,7 +853,7 @@ impl<'a> FuncAnalysis<'a> {
         let Some(inst) = self.inst_at(self.defs[r as usize]) else {
             return Aff::Unknown;
         };
-        match inst.clone() {
+        match *inst {
             Inst::Const { v: Value::I(n), .. } => Aff::konst(n),
             Inst::Const { v: Value::B(b), .. } => Aff::konst(b as i64),
             Inst::Builtin { which, axis, .. } => match which {
@@ -890,10 +898,10 @@ impl<'a> FuncAnalysis<'a> {
     /// the taken arm. Only conjunctions of single-symbol comparisons
     /// against constants refine anything; everything else is a no-op.
     fn apply_guard(&mut self, cond: Reg, truth: bool, ctx: &mut Ctx) {
-        let Some(inst) = self.inst_at(self.defs[cond as usize]).cloned() else {
+        let Some(inst) = self.inst_at(self.defs[cond as usize]) else {
             return;
         };
-        match inst {
+        match *inst {
             Inst::Bin { op, a, b, .. } if op.is_comparison() => {
                 self.apply_cmp(op, a, b, truth, ctx);
             }
@@ -943,14 +951,7 @@ impl<'a> FuncAnalysis<'a> {
     }
 
     fn induction_base(&self, s: Sym) -> Range {
-        if let Sym::Ind(_) = s {
-            for (is, ir) in self.induction.values() {
-                if *is == s {
-                    return *ir;
-                }
-            }
-        }
-        Range::full()
+        induction_range(s, &self.induction_ranges)
     }
 
     // -- the structured walk -------------------------------------------
@@ -958,9 +959,9 @@ impl<'a> FuncAnalysis<'a> {
     /// Collect access events, split barrier intervals, and flag
     /// divergent barriers, in one pass over the structured blocks.
     fn walk_block(&mut self, b: BlockId, ctx: &mut Ctx, ctx_uniform: bool) {
-        for ii in 0..self.f.blocks[b as usize].insts.len() {
-            let inst = self.f.blocks[b as usize].insts[ii].clone();
-            match &inst {
+        let f = self.f;
+        for inst in &f.blocks[b as usize].insts {
+            match inst {
                 Inst::Barrier { pos } => {
                     self.interval += 1;
                     if !ctx_uniform {
@@ -978,14 +979,11 @@ impl<'a> FuncAnalysis<'a> {
                     }
                 }
                 Inst::DeclShared { dst, spec, .. } => {
-                    self.shapes.insert(
-                        *dst,
-                        Shape {
-                            spec: *spec,
-                            level: 0,
-                            offset: Aff::konst(0),
-                        },
-                    );
+                    self.shapes[*dst as usize] = Some(Shape {
+                        spec: *spec,
+                        level: 0,
+                        offset: Aff::konst(0),
+                    });
                 }
                 Inst::Load {
                     dst,
@@ -993,17 +991,17 @@ impl<'a> FuncAnalysis<'a> {
                     idx,
                     pos,
                 } => {
-                    if let Some(shape) = self.shapes.get(base).cloned() {
+                    if let Some(shape) = self.shapes[*base as usize].clone() {
                         let next = self.index_shape(&shape, *idx, *pos, ctx);
                         if next.level == self.dims(shape.spec).len() {
                             self.record_access(&next, AccessKind::Read, ctx, *pos);
                         } else {
-                            self.shapes.insert(*dst, next);
+                            self.shapes[*dst as usize] = Some(next);
                         }
                     }
                 }
                 Inst::Store { base, idx, pos, .. } => {
-                    if let Some(shape) = self.shapes.get(base).cloned() {
+                    if let Some(shape) = self.shapes[*base as usize].clone() {
                         let next = self.index_shape(&shape, *idx, *pos, ctx);
                         self.record_access(&next, AccessKind::Write, ctx, *pos);
                     }
@@ -1014,23 +1012,23 @@ impl<'a> FuncAnalysis<'a> {
                     idx,
                     pos,
                 } => {
-                    if let Some(shape) = self.shapes.get(base).cloned() {
+                    if let Some(shape) = self.shapes[*base as usize].clone() {
                         let next = self.index_shape(&shape, *idx, *pos, ctx);
-                        self.shapes.insert(*dst, next);
+                        self.shapes[*dst as usize] = Some(next);
                     }
                 }
                 Inst::LoadPtr { ptr, pos, .. } => {
-                    if let Some(shape) = self.shapes.get(ptr).cloned() {
+                    if let Some(shape) = self.shapes[*ptr as usize].clone() {
                         self.record_access(&shape, AccessKind::Read, ctx, *pos);
                     }
                 }
                 Inst::StorePtr { ptr, pos, .. } => {
-                    if let Some(shape) = self.shapes.get(ptr).cloned() {
+                    if let Some(shape) = self.shapes[*ptr as usize].clone() {
                         self.record_access(&shape, AccessKind::Write, ctx, *pos);
                     }
                 }
                 Inst::Atomic { ptr, pos, .. } | Inst::AtomicCas { ptr, pos, .. } => {
-                    if let Some(shape) = self.shapes.get(ptr).cloned() {
+                    if let Some(shape) = self.shapes[*ptr as usize].clone() {
                         self.record_access(&shape, AccessKind::Atomic, ctx, *pos);
                     }
                 }
@@ -1106,14 +1104,14 @@ impl<'a> FuncAnalysis<'a> {
         }
     }
 
-    fn dims(&self, spec: u32) -> &[usize] {
+    fn dims(&self, spec: u32) -> &'a [usize] {
         &self.f.shared[spec as usize].dims
     }
 
     /// Apply one index level: bounds-check it and fold it into the
     /// flattened offset.
     fn index_shape(&mut self, shape: &Shape, idx: Reg, pos: Pos, ctx: &Ctx) -> Shape {
-        let dims = self.dims(shape.spec).to_vec();
+        let dims = self.dims(shape.spec);
         let level = shape.level.min(dims.len() - 1);
         let extent = dims[level] as i64;
         let aff = self.aff_of(idx);
@@ -1139,7 +1137,7 @@ impl<'a> FuncAnalysis<'a> {
         let mut min_certified = true;
         let mut max_certified = true;
         for (&s, &c) in coeffs {
-            let r = ctx.range(s, &self.induction, &self.cap);
+            let r = ctx.range(s, &self.induction_ranges, &self.cap);
             if r.is_empty() {
                 return; // unreachable under this guard
             }
@@ -1213,7 +1211,7 @@ impl<'a> FuncAnalysis<'a> {
 
     fn check_races(&mut self) {
         let accesses = std::mem::take(&mut self.accesses);
-        let mut reported: HashSet<(u32, u32)> = HashSet::new();
+        let mut reported: FxHashSet<(u32, u32)> = FxHashSet::default();
         for (i, a) in accesses.iter().enumerate() {
             for b in &accesses[i..] {
                 if a.spec != b.spec || a.interval != b.interval {
@@ -1287,8 +1285,8 @@ impl<'a> FuncAnalysis<'a> {
                 .find(|s| matches!(s, Sym::Tid(_)))
                 .copied();
         }
-        let ra = range_for(sym, &a.ctx, &self.induction, &self.cap);
-        let rb = range_for(sym, &b.ctx, &self.induction, &self.cap);
+        let ra = range_for(sym, &a.ctx, &self.induction_ranges, &self.cap);
+        let rb = range_for(sym, &b.ctx, &self.induction_ranges, &self.cap);
         if ra.is_empty() || rb.is_empty() {
             return None;
         }
@@ -1343,58 +1341,46 @@ impl<'a> FuncAnalysis<'a> {
     /// no-initializer decl lowers to, read on some path before any
     /// `Assign` must have run.
     fn check_uninit(&mut self) {
-        let mut candidates: HashSet<Reg> = HashSet::new();
-        let mut assigned: HashSet<Reg> = HashSet::new();
-        for b in &self.f.blocks {
-            for inst in &b.insts {
-                if let Inst::Assign { var, .. } = inst {
-                    assigned.insert(*var);
-                }
+        // Per register: whether anything assigns it, how many defs are
+        // not assignments, and whether the last of those is a constant.
+        let n = self.f.num_regs as usize;
+        let (mut assigned, mut non_assign, mut decl_const) =
+            (vec![false; n], vec![0u32; n], vec![false; n]);
+        for inst in self.f.blocks.iter().flat_map(|b| &b.insts) {
+            if let Inst::Assign { var, .. } = inst {
+                assigned[*var as usize] = true;
+            } else if let Some(d) = inst.dst() {
+                non_assign[d as usize] += 1;
+                decl_const[d as usize] = matches!(inst, Inst::Const { .. });
             }
         }
-        for (r, site) in self.defs.clone().iter().enumerate() {
-            let r = r as Reg;
-            if !assigned.contains(&r) {
-                continue;
-            }
-            // `Many` def-sites here mean init + assigns; find the one
-            // non-assign def and require it to be a bare constant.
-            let mut decl_const = false;
-            let mut non_assign = 0;
-            for blk in &self.f.blocks {
-                for inst in &blk.insts {
-                    if inst.dst() != Some(r) || matches!(inst, Inst::Assign { .. }) {
-                        continue;
-                    }
-                    non_assign += 1;
-                    decl_const = matches!(inst, Inst::Const { .. });
-                }
-            }
-            let _ = site;
-            if non_assign == 1 && decl_const {
-                candidates.insert(r);
-            }
-        }
-        if candidates.is_empty() {
+        // `Many` def-sites here mean init + assigns; the one non-assign
+        // def must be a bare constant.
+        let candidates: Vec<bool> = (0..n)
+            .map(|r| assigned[r] && non_assign[r] == 1 && decl_const[r])
+            .collect();
+        if !candidates.contains(&true) {
             return;
         }
-        let mut init: HashSet<Reg> = HashSet::new();
+        let mut init = vec![false; n];
         self.uninit_block(0, &candidates, &mut init);
     }
 
-    fn uninit_block(&mut self, b: BlockId, cands: &HashSet<Reg>, init: &mut HashSet<Reg>) {
-        for ii in 0..self.f.blocks[b as usize].insts.len() {
-            let inst = self.f.blocks[b as usize].insts[ii].clone();
+    /// `init` holds, by register, whether an assignment has surely run.
+    fn uninit_block(&mut self, b: BlockId, cands: &[bool], init: &mut Vec<bool>) {
+        let f = self.f;
+        let mut reads = Vec::new();
+        for inst in &f.blocks[b as usize].insts {
             // Reads first (an Assign's `var` operand is the redef, not
             // a read — only its `src` side counts).
-            let mut reads = Vec::new();
-            match &inst {
+            reads.clear();
+            match inst {
                 Inst::Assign { src, .. } => reads.push(*src),
                 other => other.srcs(&mut reads),
             }
-            if let Some(pos) = inst_pos(&inst) {
-                for r in reads {
-                    if cands.contains(&r) && !init.contains(&r) && self.reported_uninit.insert(r) {
+            if let Some(pos) = inst_pos(inst) {
+                for &r in &reads {
+                    if cands[r as usize] && !init[r as usize] && self.reported_uninit.insert(r) {
                         self.findings.push(Finding {
                             kind: CheckKind::UninitRead,
                             diag: Diag::new(
@@ -1407,9 +1393,12 @@ impl<'a> FuncAnalysis<'a> {
                     }
                 }
             }
-            match &inst {
+            // Both arms ran: what either left uninitialized stays so.
+            let both =
+                |t: Vec<bool>, e: Vec<bool>| t.iter().zip(&e).map(|(a, b)| *a && *b).collect();
+            match inst {
                 Inst::Assign { var, .. } => {
-                    init.insert(*var);
+                    init[*var as usize] = true;
                 }
                 Inst::If { then_b, else_b, .. } => {
                     let mut t = init.clone();
@@ -1419,7 +1408,7 @@ impl<'a> FuncAnalysis<'a> {
                     if let Some(e) = else_b {
                         let mut f = init.clone();
                         self.uninit_block(*e, cands, &mut f);
-                        *init = t.intersection(&f).copied().collect();
+                        *init = both(t, f);
                     }
                 }
                 Inst::Ternary { then_b, else_b, .. } => {
@@ -1427,7 +1416,7 @@ impl<'a> FuncAnalysis<'a> {
                     self.uninit_block(*then_b, cands, &mut t);
                     let mut f = init.clone();
                     self.uninit_block(*else_b, cands, &mut f);
-                    *init = t.intersection(&f).copied().collect();
+                    *init = both(t, f);
                 }
                 Inst::Logic { rhs_b, .. } => {
                     let mut t = init.clone();
@@ -1493,15 +1482,18 @@ fn race_form(aff: &Aff) -> Option<(Option<Sym>, i64, i64)> {
     }
 }
 
-fn range_for(
-    sym: Option<Sym>,
-    ctx: &Ctx,
-    induction: &HashMap<Reg, (Sym, Range)>,
-    caps: &[Option<i64>; 3],
-) -> Range {
+fn range_for(sym: Option<Sym>, ctx: &Ctx, induction: &[Range], caps: &[Option<i64>; 3]) -> Range {
     match sym {
         Some(s) => ctx.range(s, induction, caps),
         None => Range::full(),
+    }
+}
+
+/// The certified range of an induction symbol; full for any other.
+fn induction_range(s: Sym, induction: &[Range]) -> Range {
+    match s {
+        Sym::Ind(id) => induction[id as usize],
+        _ => Range::full(),
     }
 }
 

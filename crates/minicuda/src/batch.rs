@@ -2484,8 +2484,10 @@ impl<'a> BatchExec<'a> {
             };
             match head.space {
                 Space::Global | Space::Host => {
-                    let keys = lanes.iter().map(|&o| (head.alloc, o / tw));
-                    let distinct = count_distinct(keys, &mut acct.seen);
+                    let distinct = monotone_segments(lanes, tw).unwrap_or_else(|| {
+                        let keys = lanes.iter().map(|&o| (head.alloc, o / tw));
+                        count_distinct(keys, &mut acct.seen)
+                    });
                     self.charge_global(live, distinct);
                 }
                 Space::Shared => {
@@ -2608,6 +2610,29 @@ impl Accounting {
             },
         }
     }
+}
+
+/// The number of distinct transaction segments (`offset / tw`) of one
+/// warp's lanes when the segments are monotone — ascending or
+/// descending, plateaus allowed — as most warps' are: the segment
+/// changes plus one, in one pass. `None` for a warp whose segments
+/// turn back, which needs [`count_distinct`].
+fn monotone_segments(lanes: &[i64], tw: i64) -> Option<u64> {
+    let mut segs = lanes.iter().map(|&o| o / tw);
+    let mut prev = segs.next()?;
+    let (mut up, mut down, mut changes) = (false, false, 0);
+    for seg in segs {
+        if seg != prev {
+            up |= seg > prev;
+            down |= seg < prev;
+            if up && down {
+                return None;
+            }
+            changes += 1;
+            prev = seg;
+        }
+    }
+    Some(changes + 1)
 }
 
 /// Number of distinct keys, without sorting: a key outside the running
@@ -2849,6 +2874,24 @@ mod tests {
                     &tag("negative"),
                 );
                 assert_same_charge(ex, &lanes(&|i| (i % 4) as i64 * 32, space), &tag("4-way"));
+                // Monotone warps, which the one-pass segment count takes,
+                // and warps that turn back, which it hands on.
+                let shapes: [(&str, &dyn Fn(usize) -> i64); 6] = [
+                    ("ascending across segments", &|i| (i * 7) as i64),
+                    ("descending across segments", &|i| (n - i) as i64 * 9 - 40),
+                    ("plateaus", &|i| (i / 5) as i64 * 40),
+                    ("descending plateaus", &|i| -((i / 3) as i64) * 50),
+                    ("up then down", &|i| (i % 32).min(32 - i % 32) as i64 * 33),
+                    ("down then up", &|i| (i % 32).abs_diff(16) as i64 * 40),
+                ];
+                for (what, f) in shapes {
+                    let mut p = lanes(f, space);
+                    assert_same_charge(ex, &p, &tag(what));
+                    for slot in p.iter_mut().skip(1).step_by(3) {
+                        *slot = None;
+                    }
+                    assert_same_charge(ex, &p, &tag(&format!("{what}, partial")));
+                }
                 for round in 0..40 {
                     let span = [8, 64, 4096][round % 3];
                     let mut p: Vec<Option<Ptr>> = (0..n)

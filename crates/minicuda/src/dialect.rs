@@ -70,45 +70,36 @@ fn rewrite_opencl(source: &str) -> String {
     })
 }
 
-/// Replace whole identifiers outside string literals.
+/// Replace whole identifiers outside string literals, copying the text
+/// between them in byte runs (so non-ASCII text passes through as it
+/// is).
 fn map_identifiers(source: &str, f: impl Fn(&str) -> Option<&'static str>) -> String {
     let bytes = source.as_bytes();
     let mut out = String::with_capacity(source.len());
-    let mut i = 0;
+    let (mut i, mut run) = (0, 0);
     while i < bytes.len() {
-        let c = bytes[i] as char;
-        if c == '"' {
-            out.push('"');
+        let c = bytes[i];
+        if c == b'"' {
             i += 1;
             while i < bytes.len() && bytes[i] != b'"' {
-                if bytes[i] == b'\\' && i + 1 < bytes.len() {
-                    out.push(bytes[i] as char);
-                    i += 1;
-                }
-                out.push(bytes[i] as char);
-                i += 1;
+                i += if bytes[i] == b'\\' { 2 } else { 1 };
             }
-            if i < bytes.len() {
-                out.push('"');
-                i += 1;
-            }
-        } else if c.is_ascii_alphabetic() || c == '_' {
+            i = (i + 1).min(bytes.len());
+        } else if c.is_ascii_alphabetic() || c == b'_' {
             let start = i;
-            while i < bytes.len()
-                && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-            {
+            while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                 i += 1;
             }
-            let word = &source[start..i];
-            match f(word) {
-                Some(repl) => out.push_str(repl),
-                None => out.push_str(word),
+            if let Some(repl) = f(&source[start..i]) {
+                out.push_str(&source[run..start]);
+                out.push_str(repl);
+                run = i;
             }
         } else {
-            out.push(c);
             i += 1;
         }
     }
+    out.push_str(&source[run..]);
     out
 }
 

@@ -38,7 +38,8 @@ impl Executors {
     fn compile(src: &str, dialect: Dialect) -> Self {
         let front_end = || -> Result<Program, crate::Diag> {
             let pre = preprocessor::preprocess(src)?;
-            let tokens = lexer::lex(&dialect::canonicalize(&pre, dialect))?;
+            let canonical = dialect::canonicalize(&pre, dialect);
+            let tokens = lexer::lex(&canonical)?;
             sema::analyze(parser::parse(tokens)?, dialect)
         };
         let oracle = front_end().unwrap_or_else(|d| panic!("{d}"));

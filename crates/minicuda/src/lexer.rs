@@ -3,14 +3,19 @@
 //! Nothing exotic: maximal-munch operators (including the CUDA launch
 //! brackets `<<<` / `>>>`), C numeric literals with optional `f`
 //! suffixes, and `#pragma acc parallel loop` lines folded into a single
-//! token for the OpenACC front end.
+//! token for the OpenACC front end. Identifiers and string literals
+//! borrow their text from the source, so the only allocation is the
+//! token vector. Columns count bytes of the source.
 
 use crate::diag::{Diag, Phase, Pos};
 use crate::token::{Tok, Token};
 
 /// Tokenize preprocessed source.
-pub fn lex(source: &str) -> Result<Vec<Token>, Diag> {
-    let mut tokens = Vec::new();
+pub fn lex(source: &str) -> Result<Vec<Token<'_>>, Diag> {
+    // The lab solutions average one token per four bytes: a third of
+    // the length covers them in one allocation, and a denser source
+    // grows the vector once.
+    let mut tokens = Vec::with_capacity(source.len() / 3 + 1);
     let bytes = source.as_bytes();
     let mut i = 0usize;
     let mut line = 1u32;
@@ -28,21 +33,23 @@ pub fn lex(source: &str) -> Result<Vec<Token>, Diag> {
     }
 
     while i < bytes.len() {
-        let c = bytes[i] as char;
-        let rest = &source[i..];
+        let c = bytes[i];
         match c {
-            '\n' => {
+            b'\n' => {
                 i += 1;
                 line += 1;
                 col = 1;
             }
-            ' ' | '\t' | '\r' => {
+            b' ' | b'\t' | b'\r' => {
                 i += 1;
                 col += 1;
             }
-            '#' => {
+            b'#' => {
                 // Only `#pragma` survives preprocessing.
-                let eol = rest.find('\n').map(|k| i + k).unwrap_or(bytes.len());
+                let eol = bytes[i..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(bytes.len(), |k| i + k);
                 let text = &source[i..eol];
                 if text.contains("acc") && text.contains("parallel") && text.contains("loop") {
                     tokens.push(Token {
@@ -59,135 +66,57 @@ pub fn lex(source: &str) -> Result<Vec<Token>, Diag> {
                 col += (eol - i) as u32;
                 i = eol;
             }
-            '"' => {
+            b'"' => {
                 let start_pos = Pos::new(line, col);
-                let mut s = String::new();
                 let mut k = i + 1;
                 loop {
-                    if k >= bytes.len() || bytes[k] == b'\n' {
-                        return Err(Diag::new(Phase::Lex, start_pos, "unterminated string"));
-                    }
-                    match bytes[k] {
-                        b'"' => break,
-                        b'\\' => {
-                            k += 1;
-                            if k >= bytes.len() {
+                    match bytes.get(k) {
+                        None | Some(b'\n') => {
+                            return Err(Diag::new(Phase::Lex, start_pos, "unterminated string"))
+                        }
+                        Some(b'"') => break,
+                        Some(b'\\') => match bytes.get(k + 1) {
+                            None => {
+                                return Err(Diag::new(Phase::Lex, start_pos, "unterminated string"))
+                            }
+                            Some(b'n' | b't' | b'\\' | b'"' | b'0') => k += 2,
+                            Some(_) => {
+                                let other = source[k + 1..].chars().next().unwrap_or('?');
                                 return Err(Diag::new(
                                     Phase::Lex,
                                     start_pos,
-                                    "unterminated string",
+                                    format!("unknown escape \\{other}"),
                                 ));
                             }
-                            s.push(match bytes[k] {
-                                b'n' => '\n',
-                                b't' => '\t',
-                                b'\\' => '\\',
-                                b'"' => '"',
-                                b'0' => '\0',
-                                other => {
-                                    return Err(Diag::new(
-                                        Phase::Lex,
-                                        start_pos,
-                                        format!("unknown escape \\{}", other as char),
-                                    ))
-                                }
-                            });
-                            k += 1;
-                        }
-                        other => {
-                            s.push(other as char);
-                            k += 1;
-                        }
+                        },
+                        Some(_) => k += 1,
                     }
                 }
                 let len = k + 1 - i;
-                tokens.push(Token {
-                    kind: Tok::Str(s),
-                    pos: start_pos,
-                });
-                i += len;
-                col += len as u32;
+                push!(Tok::Str(&source[i + 1..k]), len);
             }
             _ if c.is_ascii_digit()
-                || (c == '.' && rest.len() > 1 && bytes[i + 1].is_ascii_digit()) =>
+                || (c == b'.' && bytes.get(i + 1).is_some_and(u8::is_ascii_digit)) =>
             {
-                let (tok, len) = lex_number(rest, Pos::new(line, col))?;
+                let (tok, len) = lex_number(&source[i..], Pos::new(line, col))?;
                 push!(tok, len);
             }
-            _ if c.is_ascii_alphabetic() || c == '_' => {
-                let mut k = i;
-                while k < bytes.len()
-                    && ((bytes[k] as char).is_ascii_alphanumeric() || bytes[k] == b'_')
-                {
-                    k += 1;
-                }
-                let word = source[i..k].to_string();
-                let len = k - i;
-                push!(Tok::Ident(word), len);
+            _ if c.is_ascii_alphabetic() || c == b'_' => {
+                let len = bytes[i..]
+                    .iter()
+                    .position(|&b| !(b.is_ascii_alphanumeric() || b == b'_'))
+                    .unwrap_or(bytes.len() - i);
+                push!(Tok::Ident(&source[i..i + len]), len);
             }
             _ => {
-                // Maximal munch over the operator table.
-                let three = rest.get(..3).unwrap_or("");
-                let two = rest.get(..2).unwrap_or("");
-                let (tok, len) = match three {
-                    "<<<" => (Tok::LaunchOpen, 3),
-                    ">>>" => (Tok::LaunchClose, 3),
-                    "<<=" => (Tok::ShlEq, 3),
-                    ">>=" => (Tok::ShrEq, 3),
-                    _ => match two {
-                        "==" => (Tok::EqEq, 2),
-                        "!=" => (Tok::NotEq, 2),
-                        "<=" => (Tok::Le, 2),
-                        ">=" => (Tok::Ge, 2),
-                        "<<" => (Tok::Shl, 2),
-                        ">>" => (Tok::Shr, 2),
-                        "&&" => (Tok::AmpAmp, 2),
-                        "||" => (Tok::PipePipe, 2),
-                        "+=" => (Tok::PlusEq, 2),
-                        "-=" => (Tok::MinusEq, 2),
-                        "*=" => (Tok::StarEq, 2),
-                        "/=" => (Tok::SlashEq, 2),
-                        "%=" => (Tok::PercentEq, 2),
-                        "&=" => (Tok::AmpEq, 2),
-                        "|=" => (Tok::PipeEq, 2),
-                        "^=" => (Tok::CaretEq, 2),
-                        "++" => (Tok::PlusPlus, 2),
-                        "--" => (Tok::MinusMinus, 2),
-                        _ => match c {
-                            '(' => (Tok::LParen, 1),
-                            ')' => (Tok::RParen, 1),
-                            '{' => (Tok::LBrace, 1),
-                            '}' => (Tok::RBrace, 1),
-                            '[' => (Tok::LBracket, 1),
-                            ']' => (Tok::RBracket, 1),
-                            ';' => (Tok::Semi, 1),
-                            ',' => (Tok::Comma, 1),
-                            '.' => (Tok::Dot, 1),
-                            '&' => (Tok::Amp, 1),
-                            '|' => (Tok::Pipe, 1),
-                            '^' => (Tok::Caret, 1),
-                            '!' => (Tok::Bang, 1),
-                            '~' => (Tok::Tilde, 1),
-                            '+' => (Tok::Plus, 1),
-                            '-' => (Tok::Minus, 1),
-                            '*' => (Tok::Star, 1),
-                            '/' => (Tok::Slash, 1),
-                            '%' => (Tok::Percent, 1),
-                            '=' => (Tok::Eq, 1),
-                            '<' => (Tok::Lt, 1),
-                            '>' => (Tok::Gt, 1),
-                            '?' => (Tok::Question, 1),
-                            ':' => (Tok::Colon, 1),
-                            other => {
-                                return Err(Diag::new(
-                                    Phase::Lex,
-                                    Pos::new(line, col),
-                                    format!("unexpected character {other:?}"),
-                                ))
-                            }
-                        },
-                    },
-                };
+                let (tok, len) = operator(&bytes[i..]).ok_or_else(|| {
+                    let other = source[i..].chars().next().unwrap_or('?');
+                    Diag::new(
+                        Phase::Lex,
+                        Pos::new(line, col),
+                        format!("unexpected character {other:?}"),
+                    )
+                })?;
                 push!(tok, len);
             }
         }
@@ -199,8 +128,64 @@ pub fn lex(source: &str) -> Result<Vec<Token>, Diag> {
     Ok(tokens)
 }
 
+/// The operator at the start of `rest`, by maximal munch, and its
+/// length; `None` when `rest` starts with no operator.
+fn operator(rest: &[u8]) -> Option<(Tok<'static>, usize)> {
+    let at = |k: usize| rest.get(k).copied().unwrap_or(0);
+    let (c, d, e) = (at(0), at(1), at(2));
+    Some(match (c, d, e) {
+        (b'<', b'<', b'<') => (Tok::LaunchOpen, 3),
+        (b'>', b'>', b'>') => (Tok::LaunchClose, 3),
+        (b'<', b'<', b'=') => (Tok::ShlEq, 3),
+        (b'>', b'>', b'=') => (Tok::ShrEq, 3),
+        (b'=', b'=', _) => (Tok::EqEq, 2),
+        (b'!', b'=', _) => (Tok::NotEq, 2),
+        (b'<', b'=', _) => (Tok::Le, 2),
+        (b'>', b'=', _) => (Tok::Ge, 2),
+        (b'<', b'<', _) => (Tok::Shl, 2),
+        (b'>', b'>', _) => (Tok::Shr, 2),
+        (b'&', b'&', _) => (Tok::AmpAmp, 2),
+        (b'|', b'|', _) => (Tok::PipePipe, 2),
+        (b'+', b'=', _) => (Tok::PlusEq, 2),
+        (b'-', b'=', _) => (Tok::MinusEq, 2),
+        (b'*', b'=', _) => (Tok::StarEq, 2),
+        (b'/', b'=', _) => (Tok::SlashEq, 2),
+        (b'%', b'=', _) => (Tok::PercentEq, 2),
+        (b'&', b'=', _) => (Tok::AmpEq, 2),
+        (b'|', b'=', _) => (Tok::PipeEq, 2),
+        (b'^', b'=', _) => (Tok::CaretEq, 2),
+        (b'+', b'+', _) => (Tok::PlusPlus, 2),
+        (b'-', b'-', _) => (Tok::MinusMinus, 2),
+        (b'(', _, _) => (Tok::LParen, 1),
+        (b')', _, _) => (Tok::RParen, 1),
+        (b'{', _, _) => (Tok::LBrace, 1),
+        (b'}', _, _) => (Tok::RBrace, 1),
+        (b'[', _, _) => (Tok::LBracket, 1),
+        (b']', _, _) => (Tok::RBracket, 1),
+        (b';', _, _) => (Tok::Semi, 1),
+        (b',', _, _) => (Tok::Comma, 1),
+        (b'.', _, _) => (Tok::Dot, 1),
+        (b'&', _, _) => (Tok::Amp, 1),
+        (b'|', _, _) => (Tok::Pipe, 1),
+        (b'^', _, _) => (Tok::Caret, 1),
+        (b'!', _, _) => (Tok::Bang, 1),
+        (b'~', _, _) => (Tok::Tilde, 1),
+        (b'+', _, _) => (Tok::Plus, 1),
+        (b'-', _, _) => (Tok::Minus, 1),
+        (b'*', _, _) => (Tok::Star, 1),
+        (b'/', _, _) => (Tok::Slash, 1),
+        (b'%', _, _) => (Tok::Percent, 1),
+        (b'=', _, _) => (Tok::Eq, 1),
+        (b'<', _, _) => (Tok::Lt, 1),
+        (b'>', _, _) => (Tok::Gt, 1),
+        (b'?', _, _) => (Tok::Question, 1),
+        (b':', _, _) => (Tok::Colon, 1),
+        _ => return None,
+    })
+}
+
 /// Lex one numeric literal starting at the beginning of `s`.
-fn lex_number(s: &str, pos: Pos) -> Result<(Tok, usize), Diag> {
+fn lex_number(s: &str, pos: Pos) -> Result<(Tok<'static>, usize), Diag> {
     let bytes = s.as_bytes();
     let mut k = 0;
     let mut is_float = false;
@@ -260,7 +245,7 @@ fn lex_number(s: &str, pos: Pos) -> Result<(Tok, usize), Diag> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<Tok> {
+    fn kinds(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -269,8 +254,8 @@ mod tests {
         assert_eq!(
             kinds("int x = 42;"),
             vec![
-                Tok::Ident("int".into()),
-                Tok::Ident("x".into()),
+                Tok::Ident("int"),
+                Tok::Ident("x"),
                 Tok::Eq,
                 Tok::Int(42),
                 Tok::Semi,
@@ -313,17 +298,16 @@ mod tests {
     fn dot_member_access() {
         assert_eq!(
             kinds("threadIdx.x")[..3],
-            [
-                Tok::Ident("threadIdx".into()),
-                Tok::Dot,
-                Tok::Ident("x".into())
-            ]
+            [Tok::Ident("threadIdx"), Tok::Dot, Tok::Ident("x")]
         );
     }
 
     #[test]
     fn string_escapes() {
-        assert_eq!(kinds("\"a\\n\\\"b\\\"\"")[0], Tok::Str("a\n\"b\"".into()));
+        let raw = kinds("\"a\\n\\\"b\\\"\"")[0];
+        assert_eq!(raw, Tok::Str("a\\n\\\"b\\\""));
+        let Tok::Str(raw) = raw else { unreachable!() };
+        assert_eq!(crate::token::unescape(raw), "a\n\"b\"");
     }
 
     #[test]

@@ -73,6 +73,7 @@ pub mod diag;
 pub mod dialect;
 #[cfg(test)]
 mod differential;
+mod fx;
 pub mod host;
 pub mod hostcall;
 pub mod ir;

@@ -9,14 +9,19 @@
 
 use crate::ast::*;
 use crate::diag::{Diag, Phase, Pos};
-use crate::token::{Tok, Token};
+use crate::token::{unescape, Tok, Token};
 
-/// Parse a token stream into a translation unit.
-pub fn parse(tokens: Vec<Token>) -> Result<Unit, Diag> {
+/// Parse a token stream into a translation unit. The unit owns its
+/// names: each is copied out of the source once, into the node that
+/// keeps it.
+pub fn parse(tokens: Vec<Token<'_>>) -> Result<Unit, Diag> {
     let mut p = Parser {
         tokens,
         at: 0,
         depth: 0,
+        // Deep enough for lab sources, so the stacks rarely grow.
+        stmts: Vec::with_capacity(32),
+        exprs: Vec::with_capacity(16),
     };
     let mut items = Vec::new();
     while !p.check_eof() {
@@ -33,18 +38,24 @@ pub fn parse(tokens: Vec<Token>) -> Result<Unit, Diag> {
 /// recursion shallow enough for a 2 MB thread stack in debug builds.
 const MAX_NESTING: usize = 64;
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'src> {
+    tokens: Vec<Token<'src>>,
     at: usize,
     depth: usize,
+    /// The statements of every block still being parsed, innermost
+    /// last: a block collects its own off the top into one exact-size
+    /// `Vec`, so no block vector grows or is trimmed.
+    stmts: Vec<Stmt>,
+    /// The same for the arguments of every call still being parsed.
+    exprs: Vec<Expr>,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
+impl<'src> Parser<'src> {
+    fn peek(&self) -> &Tok<'src> {
         &self.tokens[self.at].kind
     }
 
-    fn peek2(&self) -> &Tok {
+    fn peek2(&self) -> &Tok<'src> {
         &self.tokens[(self.at + 1).min(self.tokens.len() - 1)].kind
     }
 
@@ -52,8 +63,8 @@ impl Parser {
         self.tokens[self.at].pos
     }
 
-    fn advance(&mut self) -> Tok {
-        let t = self.tokens[self.at].kind.clone();
+    fn advance(&mut self) -> Tok<'src> {
+        let t = self.tokens[self.at].kind;
         if self.at + 1 < self.tokens.len() {
             self.at += 1;
         }
@@ -68,7 +79,7 @@ impl Parser {
         Diag::new(Phase::Parse, self.pos(), message)
     }
 
-    fn eat(&mut self, want: Tok) -> Result<(), Diag> {
+    fn eat(&mut self, want: Tok<'_>) -> Result<(), Diag> {
         if *self.peek() == want {
             self.advance();
             Ok(())
@@ -81,10 +92,9 @@ impl Parser {
         }
     }
 
-    fn eat_ident(&mut self) -> Result<String, Diag> {
-        match self.peek() {
+    fn eat_ident(&mut self) -> Result<&'src str, Diag> {
+        match *self.peek() {
             Tok::Ident(name) if !is_keyword(name) => {
-                let name = name.clone();
                 self.advance();
                 Ok(name)
             }
@@ -93,7 +103,7 @@ impl Parser {
     }
 
     fn is_word(&self, w: &str) -> bool {
-        matches!(self.peek(), Tok::Ident(s) if s == w)
+        matches!(self.peek(), Tok::Ident(s) if *s == w)
     }
 
     fn eat_word(&mut self, w: &str) -> bool {
@@ -118,7 +128,7 @@ impl Parser {
             self.eat(Tok::Semi)?;
             return Ok(Item::Constant(ConstantDef {
                 elem,
-                name,
+                name: name.to_string(),
                 size,
                 pos,
             }));
@@ -139,7 +149,7 @@ impl Parser {
         Ok(Item::Func(FuncDef {
             kind,
             ret,
-            name,
+            name: name.to_string(),
             params,
             body,
             pos,
@@ -167,7 +177,10 @@ impl Parser {
             } else {
                 ty
             };
-            params.push(Param { ty, name });
+            params.push(Param {
+                ty,
+                name: name.to_string(),
+            });
             if *self.peek() == Tok::Comma {
                 self.advance();
             } else {
@@ -212,7 +225,7 @@ impl Parser {
 
     fn at_type(&self) -> bool {
         matches!(self.peek(), Tok::Ident(w) if matches!(
-            w.as_str(),
+            *w,
             "void" | "int" | "float" | "bool" | "unsigned" | "const" | "long" | "size_t" | "double"
         ))
     }
@@ -221,17 +234,18 @@ impl Parser {
 
     fn block(&mut self) -> Result<Block, Diag> {
         self.eat(Tok::LBrace)?;
-        let mut stmts = Vec::new();
+        let base = self.stmts.len();
         while *self.peek() != Tok::RBrace {
             if self.check_eof() {
                 return Err(self.err("unexpected end of input inside a block (missing `}`?)"));
             }
-            stmts.push(self.stmt()?);
+            let s = self.stmt()?;
+            self.stmts.push(s);
         }
         self.eat(Tok::RBrace)?;
         // Compiled programs keep their AST, and the cache keeps compiled
-        // programs: drop the growth slack.
-        stmts.shrink_to_fit();
+        // programs: the block's vector is allocated at its exact size.
+        let stmts = self.stmts.drain(base..).collect();
         Ok(Block { stmts })
     }
 
@@ -279,7 +293,7 @@ impl Parser {
                 self.advance();
                 Ok(Stmt::Block(Block::default()))
             }
-            Tok::Ident(w) => match w.as_str() {
+            Tok::Ident(w) => match *w {
                 "__shared__" => self.shared_decl(),
                 "if" => self.if_stmt(),
                 "while" => self.while_stmt(),
@@ -382,38 +396,39 @@ impl Parser {
     fn decl(&mut self) -> Result<Stmt, Diag> {
         let pos = self.pos();
         let base = self.base_type()?;
-        let mut decls = Vec::new();
-        loop {
-            let mut ty = base.clone();
-            while *self.peek() == Tok::Star {
-                self.advance();
-                ty = ty.ptr_to();
-            }
-            let name = self.eat_ident()?;
-            let init = if *self.peek() == Tok::Eq {
-                self.advance();
-                Some(self.expr()?)
-            } else {
-                None
-            };
-            decls.push(Stmt::Decl {
-                ty,
-                name,
-                init,
-                pos,
-                slot: UNBOUND,
-            });
-            if *self.peek() == Tok::Comma {
-                self.advance();
-            } else {
-                break;
-            }
+        let first = self.declarator(&base, pos)?;
+        if *self.peek() != Tok::Comma {
+            return Ok(first);
         }
-        if decls.len() == 1 {
-            Ok(decls.pop().expect("one decl"))
+        let mut decls = vec![first];
+        while *self.peek() == Tok::Comma {
+            self.advance();
+            decls.push(self.declarator(&base, pos)?);
+        }
+        Ok(Stmt::Block(Block { stmts: decls }))
+    }
+
+    /// One `*name = init` of a declaration whose base type is `base`.
+    fn declarator(&mut self, base: &Type, pos: Pos) -> Result<Stmt, Diag> {
+        let mut ty = base.clone();
+        while *self.peek() == Tok::Star {
+            self.advance();
+            ty = ty.ptr_to();
+        }
+        let name = self.eat_ident()?;
+        let init = if *self.peek() == Tok::Eq {
+            self.advance();
+            Some(self.expr()?)
         } else {
-            Ok(Stmt::Block(Block { stmts: decls }))
-        }
+            None
+        };
+        Ok(Stmt::Decl {
+            ty,
+            name: name.to_string(),
+            init,
+            pos,
+            slot: UNBOUND,
+        })
     }
 
     fn shared_decl(&mut self) -> Result<Stmt, Diag> {
@@ -437,7 +452,7 @@ impl Parser {
         self.eat(Tok::Semi)?;
         Ok(Stmt::SharedDecl {
             elem,
-            name,
+            name: name.to_string(),
             dims,
             pos,
             slot: UNBOUND,
@@ -523,7 +538,7 @@ impl Parser {
         self.eat(Tok::LaunchClose)?;
         let args = self.args()?;
         Ok(Stmt::Launch {
-            kernel,
+            kernel: kernel.to_string(),
             grid,
             block,
             args,
@@ -531,13 +546,15 @@ impl Parser {
         })
     }
 
-    /// A parenthesized argument list, trimmed like a block.
+    /// A parenthesized argument list, collected like a block's
+    /// statements.
     fn args(&mut self) -> Result<Vec<Expr>, Diag> {
         self.eat(Tok::LParen)?;
-        let mut args = Vec::new();
+        let base = self.exprs.len();
         if *self.peek() != Tok::RParen {
             loop {
-                args.push(self.expr()?);
+                let arg = self.expr()?;
+                self.exprs.push(arg);
                 if *self.peek() == Tok::Comma {
                     self.advance();
                 } else {
@@ -546,8 +563,7 @@ impl Parser {
             }
         }
         self.eat(Tok::RParen)?;
-        args.shrink_to_fit();
-        Ok(args)
+        Ok(self.exprs.drain(base..).collect())
     }
 
     fn dim3(&mut self) -> Result<Dim3Expr, Diag> {
@@ -669,14 +685,15 @@ impl Parser {
                 if *self.peek() == Tok::LBracket {
                     // `&arr[i]` is plain pointer arithmetic: `arr + i`
                     // (chained for `&t[i][j]` on shared arrays).
-                    let mut e = Expr::new(ExprKind::Var(name, Binding::Slot(UNBOUND)), pos);
+                    let var = ExprKind::Var(name.to_string(), Binding::Slot(UNBOUND));
+                    let mut e = Expr::new(var, pos);
                     e = self.postfix(e)?;
                     if let ExprKind::Index(base, idx) = e.kind {
                         return Ok(Expr::new(ExprKind::Binary(BinOp::Add, base, idx), pos));
                     }
                     unreachable!("postfix after `[` yields an index");
                 }
-                Ok(Expr::new(ExprKind::AddrOf(name, UNBOUND), pos))
+                Ok(Expr::new(ExprKind::AddrOf(name.to_string(), UNBOUND), pos))
             }
             Tok::LParen => {
                 // Cast or parenthesized expression.
@@ -719,9 +736,9 @@ impl Parser {
         match self.advance() {
             Tok::Int(v) => Ok(Expr::int(v, pos)),
             Tok::Float(v) => Ok(Expr::new(ExprKind::FloatLit(v), pos)),
-            Tok::Str(s) => Ok(Expr::new(ExprKind::StrLit(s), pos)),
+            Tok::Str(raw) => Ok(Expr::new(ExprKind::StrLit(unescape(raw)), pos)),
             Tok::Ident(name) => {
-                match name.as_str() {
+                match name {
                     "true" => return Ok(Expr::int(1, pos)),
                     "false" => return Ok(Expr::int(0, pos)),
                     "sizeof" => {
@@ -733,10 +750,9 @@ impl Parser {
                     _ => {}
                 }
                 // Builtin dim3 variables: `threadIdx.x`
-                if let Some(builtin) = builtin_var(&name) {
+                if let Some(builtin) = builtin_var(name) {
                     self.eat(Tok::Dot)?;
-                    let field = self.eat_ident()?;
-                    let axis = match field.as_str() {
+                    let axis = match self.eat_ident()? {
                         "x" => 0,
                         "y" => 1,
                         "z" => 2,
@@ -750,7 +766,7 @@ impl Parser {
                     };
                     return Ok(Expr::new(ExprKind::Builtin(builtin, axis), pos));
                 }
-                if is_keyword(&name) {
+                if is_keyword(name) {
                     return Err(Diag::new(
                         Phase::Parse,
                         pos,
@@ -759,9 +775,10 @@ impl Parser {
                 }
                 if *self.peek() == Tok::LParen {
                     let args = self.args()?;
-                    return Ok(Expr::new(ExprKind::Call(name, args), pos));
+                    return Ok(Expr::new(ExprKind::Call(name.to_string(), args), pos));
                 }
-                Ok(Expr::new(ExprKind::Var(name, Binding::Slot(UNBOUND)), pos))
+                let var = ExprKind::Var(name.to_string(), Binding::Slot(UNBOUND));
+                Ok(Expr::new(var, pos))
             }
             other => Err(Diag::new(
                 Phase::Parse,

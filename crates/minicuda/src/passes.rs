@@ -29,9 +29,9 @@
 //! DCE sweeps them up.
 
 use crate::ast::{BinOp, Type, UnOp};
+use crate::fx::FxHashMap;
 use crate::ir::{BlockId, Inst, IrFunc, IrProgram, Reg};
 use crate::value::{apply_binop, apply_math, apply_unop, Value};
-use std::collections::{HashMap, HashSet};
 
 /// Optimize every function of a lowered program in place.
 pub fn optimize_program(p: &mut IrProgram) {
@@ -41,12 +41,61 @@ pub fn optimize_program(p: &mut IrProgram) {
 }
 
 /// Run all passes over one function.
+///
+/// The definition counts are taken once: the passes only fold an
+/// instruction in place, move a single-definition one or delete one,
+/// so every instruction left keeps its destination's count.
 pub fn optimize(f: &mut IrFunc) {
-    fold(f);
-    cse(f);
-    licm(f);
-    dce(f);
+    let defs = def_counts(f);
+    fold(f, &defs);
+    cse(f, &defs);
+    licm(f, &defs);
+    dce(f, &defs);
 }
+
+/// A set of registers: one membership flag per register of the
+/// function, plus the members, so clearing costs what was inserted.
+pub(crate) struct RegSet {
+    member: Vec<bool>,
+    /// Every register inserted since the last clear (a removed one
+    /// may linger here).
+    inserted: Vec<Reg>,
+}
+
+impl RegSet {
+    pub(crate) fn new(num_regs: u32) -> RegSet {
+        RegSet {
+            member: vec![false; num_regs as usize],
+            inserted: Vec::new(),
+        }
+    }
+
+    pub(crate) fn contains(&self, r: Reg) -> bool {
+        self.member[r as usize]
+    }
+
+    /// Add `r`; true when it was not a member.
+    pub(crate) fn insert(&mut self, r: Reg) -> bool {
+        let fresh = !std::mem::replace(&mut self.member[r as usize], true);
+        if fresh {
+            self.inserted.push(r);
+        }
+        fresh
+    }
+
+    pub(crate) fn remove(&mut self, r: Reg) {
+        self.member[r as usize] = false;
+    }
+
+    pub(crate) fn clear(&mut self) {
+        for r in self.inserted.drain(..) {
+            self.member[r as usize] = false;
+        }
+    }
+}
+
+/// The constant each single-definition register holds, by register.
+type Consts = [Option<Value>];
 
 /// Static definition count per register. Lowering gives every
 /// expression temporary exactly one definition; only named variables
@@ -289,15 +338,12 @@ fn math_safe(name: &str, args: &[Kind]) -> bool {
 
 /// An instruction safe to execute speculatively (hoist) or discard
 /// (delete): pure, total, and free of memory or control effects.
-fn pure_total(inst: &Inst, kinds: &[Kind], consts: &HashMap<Reg, Value>) -> bool {
+fn pure_total(inst: &Inst, kinds: &[Kind], consts: &Consts) -> bool {
     match inst {
         Inst::Const { .. } | Inst::Builtin { .. } => true,
         Inst::Un { op, a, .. } => un_safe(*op, kinds[*a as usize]),
         Inst::Bin { op, a, b, .. } => {
-            let nonzero = matches!(
-                consts.get(b),
-                Some(Value::I(v)) if *v != 0
-            );
+            let nonzero = matches!(consts[*b as usize], Some(Value::I(v)) if v != 0);
             bin_safe(*op, kinds[*a as usize], kinds[*b as usize], nonzero)
         }
         Inst::Coerce { a, ty, .. } => coerce_safe(ty, kinds[*a as usize]),
@@ -310,14 +356,13 @@ fn pure_total(inst: &Inst, kinds: &[Kind], consts: &HashMap<Reg, Value>) -> bool
 }
 
 /// Single-definition registers currently holding a known constant.
-fn const_map(f: &IrFunc) -> HashMap<Reg, Value> {
-    let defs = def_counts(f);
-    let mut m = HashMap::new();
+fn const_map(f: &IrFunc, defs: &[u32]) -> Vec<Option<Value>> {
+    let mut m = vec![None; f.num_regs as usize];
     for b in &f.blocks {
         for inst in &b.insts {
             if let Inst::Const { dst, v } = inst {
                 if defs[*dst as usize] == 1 {
-                    m.insert(*dst, *v);
+                    m[*dst as usize] = Some(*v);
                 }
             }
         }
@@ -333,50 +378,51 @@ fn const_map(f: &IrFunc) -> HashMap<Reg, Value> {
 /// successful evaluations — an op that would trap (division by zero)
 /// is left in place so it traps at runtime exactly like the
 /// tree-walk.
-fn fold(f: &mut IrFunc) {
-    let defs = def_counts(f);
-    let mut consts: HashMap<Reg, Value> = HashMap::new();
+fn fold(f: &mut IrFunc, defs: &[u32]) {
+    let mut consts: Vec<Option<Value>> = vec![None; f.num_regs as usize];
     loop {
         let mut changed = false;
         for b in &mut f.blocks {
             for inst in &mut b.insts {
                 let folded = match inst {
                     Inst::Const { dst, v } if defs[*dst as usize] == 1 => {
-                        if !consts.contains_key(dst) {
-                            consts.insert(*dst, *v);
+                        if consts[*dst as usize].is_none() {
+                            consts[*dst as usize] = Some(*v);
                             changed = true;
                         }
                         None
                     }
-                    Inst::Un { dst, op, a, .. } if defs[*dst as usize] == 1 => consts
-                        .get(a)
-                        .and_then(|av| apply_unop(*op, *av).ok())
+                    Inst::Un { dst, op, a, .. } if defs[*dst as usize] == 1 => consts[*a as usize]
+                        .and_then(|av| apply_unop(*op, av).ok())
                         .map(|v| (*dst, v)),
                     Inst::Bin { dst, op, a, b, .. } if defs[*dst as usize] == 1 => {
-                        match (consts.get(a), consts.get(b)) {
+                        match (consts[*a as usize], consts[*b as usize]) {
                             (Some(av), Some(bv)) => {
-                                apply_binop(*op, *av, *bv).ok().map(|v| (*dst, v))
+                                apply_binop(*op, av, bv).ok().map(|v| (*dst, v))
                             }
                             _ => None,
                         }
                     }
                     Inst::Coerce { dst, a, ty, .. } if defs[*dst as usize] == 1 => consts
-                        .get(a)
+                        [*a as usize]
                         .and_then(|av| av.coerce_to(ty).ok())
                         .map(|v| (*dst, v)),
                     Inst::Math {
                         dst, name, args, ..
-                    } if defs[*dst as usize] == 1 => {
-                        let vals: Option<Vec<Value>> =
-                            args.iter().map(|r| consts.get(r).copied()).collect();
-                        vals.and_then(|vs| apply_math(name, &vs).and_then(|r| r.ok()))
+                    } if defs[*dst as usize] == 1
+                        && args.iter().all(|r| consts[*r as usize].is_some()) =>
+                    {
+                        let vals: Vec<Value> =
+                            args.iter().filter_map(|r| consts[*r as usize]).collect();
+                        apply_math(name, &vals)
+                            .and_then(|r| r.ok())
                             .map(|v| (*dst, v))
                     }
                     _ => None,
                 };
                 if let Some((dst, v)) = folded {
                     *inst = Inst::Const { dst, v };
-                    consts.insert(dst, v);
+                    consts[dst as usize] = Some(v);
                     changed = true;
                 }
             }
@@ -392,21 +438,42 @@ fn fold(f: &mut IrFunc) {
 // ---------------------------------------------------------------------
 
 /// Hashable shape of a pure expression. Operator enums are fieldless,
-/// so their `u8` casts serve as hash keys.
+/// so their `u8` casts serve as hash keys; a coercion's target type is
+/// its base type's tag and pointer depth.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Key {
     Un(u8, Reg),
     Bin(u8, Reg, Reg),
-    Coerce(Reg, String),
+    Coerce(Reg, u8, u32),
     Builtin(u8, u8),
     Math(String, Vec<Reg>),
+}
+
+/// `ty` as a base-type tag and a pointer depth.
+fn type_code(mut ty: &Type) -> (u8, u32) {
+    let mut depth = 0;
+    while let Type::Ptr(inner) = ty {
+        ty = inner;
+        depth += 1;
+    }
+    let tag = match ty {
+        Type::Void => 0,
+        Type::Int => 1,
+        Type::Float => 2,
+        Type::Bool => 3,
+        Type::Ptr(_) => unreachable!("pointers were unwrapped"),
+    };
+    (tag, depth)
 }
 
 fn make_key(inst: &Inst) -> Option<(Key, Reg)> {
     match inst {
         Inst::Un { dst, op, a, .. } => Some((Key::Un(*op as u8, *a), *dst)),
         Inst::Bin { dst, op, a, b, .. } => Some((Key::Bin(*op as u8, *a, *b), *dst)),
-        Inst::Coerce { dst, a, ty, .. } => Some((Key::Coerce(*a, format!("{ty:?}")), *dst)),
+        Inst::Coerce { dst, a, ty, .. } => {
+            let (tag, depth) = type_code(ty);
+            Some((Key::Coerce(*a, tag, depth), *dst))
+        }
         Inst::Builtin {
             dst, which, axis, ..
         } => Some((Key::Builtin(*which as u8, *axis), *dst)),
@@ -417,39 +484,61 @@ fn make_key(inst: &Inst) -> Option<(Key, Reg)> {
     }
 }
 
-fn key_mentions(key: &Key, dead: &HashSet<Reg>) -> bool {
+fn key_mentions(key: &Key, dead: impl Fn(Reg) -> bool) -> bool {
     match key {
-        Key::Un(_, a) | Key::Coerce(a, _) => dead.contains(a),
-        Key::Bin(_, a, b) => dead.contains(a) || dead.contains(b),
+        Key::Un(_, a) | Key::Coerce(a, ..) => dead(*a),
+        Key::Bin(_, a, b) => dead(*a) || dead(*b),
         Key::Builtin(..) => false,
-        Key::Math(_, args) => args.iter().any(|r| dead.contains(r)),
+        Key::Math(_, args) => args.iter().any(|r| dead(*r)),
     }
 }
 
-struct Cse {
-    /// Available-expression tables, one per lexical mask scope.
-    /// Entries flow only *into* child scopes, where the active mask is
-    /// a subset of the defining scope's — that subset relation is what
-    /// makes reusing a lane-vector computed under the outer mask
-    /// sound.
-    scopes: Vec<HashMap<Key, Reg>>,
-    /// Removed-duplicate redirections. Global and never popped: a
-    /// duplicate's register is dead everywhere once its def is gone.
-    alias: HashMap<Reg, Reg>,
-    defs: Vec<u32>,
+/// No alias: the register is its own representative.
+const UNALIASED: Reg = Reg::MAX;
+
+struct Cse<'d> {
+    /// Available expressions, as one table over the lexical mask
+    /// scopes that enclose the instruction being scanned. Entries flow
+    /// only *into* child scopes, where the active mask is a subset of
+    /// the defining scope's — that subset relation is what makes
+    /// reusing a lane-vector computed under the outer mask sound.
+    avail: FxHashMap<Key, Reg>,
+    /// The keys each open scope added, innermost last; a scope is a
+    /// mark in this log, and leaving it removes what it added. A key
+    /// is added only when no enclosing scope has it, so nothing is
+    /// shadowed and removal restores the enclosing table exactly.
+    added: Vec<Key>,
+    /// Removed-duplicate redirections, by register (`UNALIASED` for
+    /// none). Global and never undone: a duplicate's register is dead
+    /// everywhere once its def is gone.
+    alias: Vec<Reg>,
+    aliased: bool,
+    defs: &'d [u32],
+    /// Scratch for the registers a loop redefines.
+    loop_defs: RegSet,
 }
 
-impl Cse {
+impl Cse<'_> {
     fn resolve(&self, r: Reg) -> Reg {
         let mut r = r;
-        while let Some(&n) = self.alias.get(&r) {
-            r = n;
+        while self.alias[r as usize] != UNALIASED {
+            r = self.alias[r as usize];
         }
         r
     }
 
+    fn enter(&self) -> usize {
+        self.added.len()
+    }
+
+    fn leave(&mut self, mark: usize) {
+        for key in self.added.drain(mark..) {
+            self.avail.remove(&key);
+        }
+    }
+
     fn rewrite_srcs(&self, inst: &mut Inst) {
-        if self.alias.is_empty() {
+        if !self.aliased {
             return;
         }
         match inst {
@@ -495,26 +584,17 @@ impl Cse {
             _ => {}
         }
     }
+}
 
-    /// A register was redefined: entries computed from its old value
-    /// are stale in every scope, permanently.
-    fn kill(&mut self, regs: &HashSet<Reg>) {
-        if regs.is_empty() {
-            return;
-        }
-        for scope in &mut self.scopes {
-            scope.retain(|k, _| !key_mentions(k, regs));
-        }
-    }
-
-    fn lookup(&self, key: &Key) -> Option<Reg> {
-        self.scopes.iter().rev().find_map(|s| s.get(key).copied())
-    }
+/// Registers were redefined: entries computed from their old values
+/// are stale in every scope, permanently.
+fn kill(avail: &mut FxHashMap<Key, Reg>, dead: impl Fn(Reg) -> bool) {
+    avail.retain(|k, _| !key_mentions(k, &dead));
 }
 
 /// Registers defined anywhere inside a set of blocks (transitively
 /// through nested control flow).
-fn block_defs(f: &IrFunc, roots: &[BlockId], out: &mut HashSet<Reg>) {
+fn block_defs(f: &IrFunc, roots: &[BlockId], out: &mut RegSet) {
     let mut stack: Vec<BlockId> = roots.to_vec();
     let mut children = Vec::new();
     while let Some(b) = stack.pop() {
@@ -529,16 +609,52 @@ fn block_defs(f: &IrFunc, roots: &[BlockId], out: &mut HashSet<Reg>) {
     }
 }
 
-fn cse(f: &mut IrFunc) {
+fn cse(f: &mut IrFunc, defs: &[u32]) {
     let mut state = Cse {
-        scopes: vec![HashMap::new()],
-        alias: HashMap::new(),
-        defs: def_counts(f),
+        avail: FxHashMap::default(),
+        added: Vec::new(),
+        alias: vec![UNALIASED; f.num_regs as usize],
+        aliased: false,
+        defs,
+        loop_defs: RegSet::new(f.num_regs),
     };
     cse_block(f, 0, &mut state);
 }
 
-fn cse_block(f: &mut IrFunc, b: BlockId, st: &mut Cse) {
+/// The child blocks of a control instruction, copied out so the
+/// instruction's block can be edited while they are scanned.
+enum Control {
+    If(BlockId, Option<BlockId>),
+    Ternary(BlockId, BlockId),
+    Logic(BlockId),
+    Loop(Option<BlockId>, BlockId, Option<BlockId>),
+}
+
+impl Control {
+    fn of(inst: &Inst) -> Option<Control> {
+        Some(match *inst {
+            Inst::If { then_b, else_b, .. } => Control::If(then_b, else_b),
+            Inst::Ternary { then_b, else_b, .. } => Control::Ternary(then_b, else_b),
+            Inst::Logic { rhs_b, .. } => Control::Logic(rhs_b),
+            Inst::Loop {
+                cond_b,
+                body_b,
+                step_b,
+                ..
+            } => Control::Loop(cond_b, body_b, step_b),
+            _ => return None,
+        })
+    }
+}
+
+/// Scan block `b` inside a scope of its own.
+fn cse_scope(f: &mut IrFunc, b: BlockId, st: &mut Cse<'_>) {
+    let mark = st.enter();
+    cse_block(f, b, st);
+    st.leave(mark);
+}
+
+fn cse_block(f: &mut IrFunc, b: BlockId, st: &mut Cse<'_>) {
     let mut i = 0;
     while i < f.blocks[b as usize].insts.len() {
         {
@@ -547,55 +663,39 @@ fn cse_block(f: &mut IrFunc, b: BlockId, st: &mut Cse) {
         }
         // Control flow: child scopes, then resolve the cross-block
         // result registers (CSE inside an arm may have aliased them).
-        let control = f.blocks[b as usize].insts[i].clone();
-        match control {
-            Inst::If { then_b, else_b, .. } => {
-                st.scopes.push(HashMap::new());
-                cse_block(f, then_b, st);
-                st.scopes.pop();
+        match Control::of(&f.blocks[b as usize].insts[i]) {
+            Some(Control::If(then_b, else_b)) => {
+                cse_scope(f, then_b, st);
                 if let Some(eb) = else_b {
-                    st.scopes.push(HashMap::new());
-                    cse_block(f, eb, st);
-                    st.scopes.pop();
+                    cse_scope(f, eb, st);
                 }
             }
-            Inst::Ternary { then_b, else_b, .. } => {
-                st.scopes.push(HashMap::new());
-                cse_block(f, then_b, st);
-                st.scopes.pop();
-                st.scopes.push(HashMap::new());
-                cse_block(f, else_b, st);
-                st.scopes.pop();
+            Some(Control::Ternary(then_b, else_b)) => {
+                cse_scope(f, then_b, st);
+                cse_scope(f, else_b, st);
                 if let Inst::Ternary { then_r, else_r, .. } = &mut f.blocks[b as usize].insts[i] {
                     *then_r = st.resolve(*then_r);
                     *else_r = st.resolve(*else_r);
                 }
             }
-            Inst::Logic { rhs_b, .. } => {
-                st.scopes.push(HashMap::new());
-                cse_block(f, rhs_b, st);
-                st.scopes.pop();
+            Some(Control::Logic(rhs_b)) => {
+                cse_scope(f, rhs_b, st);
                 if let Inst::Logic { rhs_r, .. } = &mut f.blocks[b as usize].insts[i] {
                     *rhs_r = st.resolve(*rhs_r);
                 }
             }
-            Inst::Loop {
-                cond_b,
-                body_b,
-                step_b,
-                ..
-            } => {
+            Some(Control::Loop(cond_b, body_b, step_b)) => {
                 // Registers redefined anywhere in the loop invalidate
                 // outer entries *before* the body is scanned: an entry
                 // reused inside the loop would read iteration-1 values
                 // on iteration 2.
-                let mut roots = vec![body_b];
-                roots.extend(cond_b);
-                roots.extend(step_b);
-                let mut defset = HashSet::new();
-                block_defs(f, &roots, &mut defset);
-                st.kill(&defset);
-                st.scopes.push(HashMap::new());
+                let roots = [Some(body_b), cond_b, step_b];
+                let roots: Vec<BlockId> = roots.into_iter().flatten().collect();
+                st.loop_defs.clear();
+                block_defs(f, &roots, &mut st.loop_defs);
+                let loop_defs = &st.loop_defs;
+                kill(&mut st.avail, |r| loop_defs.contains(r));
+                let mark = st.enter();
                 if let Some(cb) = cond_b {
                     cse_block(f, cb, st);
                 }
@@ -603,28 +703,28 @@ fn cse_block(f: &mut IrFunc, b: BlockId, st: &mut Cse) {
                 if let Some(sb) = step_b {
                     cse_block(f, sb, st);
                 }
-                st.scopes.pop();
+                st.leave(mark);
                 if let Inst::Loop { cond_r, .. } = &mut f.blocks[b as usize].insts[i] {
                     *cond_r = st.resolve(*cond_r);
                 }
             }
-            _ => {
+            None => {
                 let inst = &f.blocks[b as usize].insts[i];
                 if let Some((key, dst)) = make_key(inst) {
                     if st.defs[dst as usize] == 1 {
-                        if let Some(prev) = st.lookup(&key) {
-                            st.alias.insert(dst, prev);
+                        if let Some(&prev) = st.avail.get(&key) {
+                            st.alias[dst as usize] = prev;
+                            st.aliased = true;
                             f.blocks[b as usize].insts.remove(i);
                             continue; // do not advance i
                         }
-                        st.scopes.last_mut().unwrap().insert(key, dst);
+                        st.avail.insert(key.clone(), dst);
+                        st.added.push(key);
                     }
                 }
                 if let Some(d) = inst.dst() {
                     if st.defs[d as usize] > 1 {
-                        let mut dead = HashSet::new();
-                        dead.insert(d);
-                        st.kill(&dead);
+                        kill(&mut st.avail, |r| r == d);
                     }
                 }
             }
@@ -646,28 +746,31 @@ fn cse_block(f: &mut IrFunc, b: BlockId, st: &mut Cse) {
 /// Because only [`pure_total`] instructions move, executing them when
 /// the loop would have run zero iterations (or for lanes that never
 /// enter) is unobservable beyond the cycle counters.
-fn licm(f: &mut IrFunc) {
+fn licm(f: &mut IrFunc, defs: &[u32]) {
     let kinds = infer_kinds(f);
-    let consts = const_map(f);
-    let defs = def_counts(f);
-    licm_block(f, 0, &kinds, &consts, &defs);
+    let consts = const_map(f, defs);
+    let mut defset = RegSet::new(f.num_regs);
+    licm_block(f, 0, &kinds, &consts, defs, &mut defset);
 }
 
 fn licm_block(
     f: &mut IrFunc,
     b: BlockId,
     kinds: &[Kind],
-    consts: &HashMap<Reg, Value>,
+    consts: &Consts,
     defs: &[u32],
+    defset: &mut RegSet,
 ) {
     let mut i = 0;
+    let mut children = Vec::new();
+    let mut srcs = Vec::new();
     while i < f.blocks[b as usize].insts.len() {
-        let mut children = Vec::new();
+        children.clear();
         f.blocks[b as usize].insts[i].child_blocks(&mut children);
         // Inner loops first, so their hoisted code becomes a candidate
         // for this level.
-        for c in children {
-            licm_block(f, c, kinds, consts, defs);
+        for &c in &children {
+            licm_block(f, c, kinds, consts, defs, defset);
         }
         if let Inst::Loop {
             cond_b,
@@ -676,11 +779,10 @@ fn licm_block(
             ..
         } = f.blocks[b as usize].insts[i]
         {
-            let mut roots = vec![body_b];
-            roots.extend(cond_b);
-            roots.extend(step_b);
-            let mut defset = HashSet::new();
-            block_defs(f, &roots, &mut defset);
+            let roots = [Some(body_b), cond_b, step_b];
+            let roots: Vec<BlockId> = roots.into_iter().flatten().collect();
+            defset.clear();
+            block_defs(f, &roots, defset);
             let mut hoisted: Vec<Inst> = Vec::new();
             loop {
                 let mut changed = false;
@@ -693,16 +795,16 @@ fn licm_block(
                         // register) would change its value.
                         let movable = inst
                             .dst()
-                            .is_some_and(|d| defset.contains(&d) && defs[d as usize] == 1)
+                            .is_some_and(|d| defset.contains(d) && defs[d as usize] == 1)
                             && pure_total(inst, kinds, consts)
                             && {
-                                let mut srcs = Vec::new();
+                                srcs.clear();
                                 inst.srcs(&mut srcs);
-                                srcs.iter().all(|s| !defset.contains(s))
+                                srcs.iter().all(|&s| !defset.contains(s))
                             };
                         if movable {
                             let inst = f.blocks[blk as usize].insts.remove(j);
-                            defset.remove(&inst.dst().unwrap());
+                            defset.remove(inst.dst().expect("movable defines"));
                             hoisted.push(inst);
                             changed = true;
                         } else {
@@ -732,13 +834,16 @@ fn licm_block(
 /// read — mostly the stranded defs left behind by folding and CSE.
 /// Potentially-trapping dead code stays: `int t = a / b;` must still
 /// fault on `b == 0` exactly as it does in the tree-walk.
-fn dce(f: &mut IrFunc) {
+///
+/// Kinds and constants are inferred once: a deleted instruction is
+/// read by nothing that stays, so the rest keep theirs.
+fn dce(f: &mut IrFunc, defs: &[u32]) {
+    let kinds = infer_kinds(f);
+    let consts = const_map(f, defs);
+    let mut used = vec![false; f.num_regs as usize];
+    let mut srcs = Vec::new();
     loop {
-        let kinds = infer_kinds(f);
-        let consts = const_map(f);
-        let defs = def_counts(f);
-        let mut used = vec![false; f.num_regs as usize];
-        let mut srcs = Vec::new();
+        used.fill(false);
         for b in &f.blocks {
             for inst in &b.insts {
                 srcs.clear();
@@ -964,7 +1069,8 @@ mod tests {
         };
         // Skip fold (it would constant-fold the multiply); exercise
         // LICM directly.
-        licm(&mut f);
+        let defs = def_counts(&f);
+        licm(&mut f, &defs);
         assert!(
             f.blocks[0]
                 .insts

@@ -19,13 +19,16 @@
 use crate::ast::*;
 use crate::diag::{Diag, Phase, Pos};
 use crate::dialect::Dialect;
+use crate::fx::FxHashMap;
 use crate::value::{ElemType, Ptr, Space};
-use std::collections::HashMap;
 
 /// A compiled, semantically valid program.
 #[derive(Debug, Clone)]
 pub struct Program {
-    funcs: HashMap<String, FuncDef>,
+    /// Every function, in source order.
+    funcs: Vec<FuncDef>,
+    /// Each function's index in `funcs`.
+    func_ids: FxHashMap<String, u32>,
     kernel_names: Vec<String>,
     constants: Vec<ConstantSpec>,
     dialect: Dialect,
@@ -49,7 +52,7 @@ pub struct ConstantSpec {
 impl Program {
     /// Function definition by name.
     pub fn func(&self, name: &str) -> Option<&FuncDef> {
-        self.funcs.get(name)
+        self.func_ids.get(name).map(|&i| &self.funcs[i as usize])
     }
 
     /// Names of all `__global__` kernels.
@@ -87,9 +90,9 @@ impl Program {
         self.dialect
     }
 
-    /// All function definitions, in arbitrary order.
+    /// All function definitions, in source order.
     pub fn funcs(&self) -> impl Iterator<Item = &FuncDef> {
-        self.funcs.values()
+        self.funcs.iter()
     }
 
     /// The attached device-code IR: optimized at `O2`, as lowered at
@@ -140,17 +143,15 @@ enum Ctx {
 /// the only resolver: it binds every name in every body (see
 /// [`Binding`]) and lays out each function's frame.
 pub fn analyze(unit: Unit, dialect: Dialect) -> Result<Program, Diag> {
-    let mut funcs: HashMap<String, FuncDef> = HashMap::new();
+    let mut funcs: Vec<FuncDef> = Vec::new();
+    let mut func_ids: FxHashMap<String, u32> = FxHashMap::default();
     let mut kernel_names = Vec::new();
     let mut constants = Vec::new();
-    // Bodies are moved out until checked, so the checker binds one body
-    // in place while it reads every signature, its own included.
-    let mut bodies = Vec::new();
 
     for item in unit.items {
         match item {
-            Item::Func(mut f) => {
-                if funcs.contains_key(&f.name) {
+            Item::Func(f) => {
+                if func_ids.contains_key(&f.name) {
                     return Err(Diag::new(
                         Phase::Sema,
                         f.pos,
@@ -177,8 +178,8 @@ pub fn analyze(unit: Unit, dialect: Dialect) -> Result<Program, Diag> {
                     }
                     kernel_names.push(f.name.clone());
                 }
-                bodies.push((f.name.clone(), std::mem::take(&mut f.body)));
-                funcs.insert(f.name.clone(), f);
+                func_ids.insert(f.name.clone(), funcs.len() as u32);
+                funcs.push(f);
             }
             Item::Constant(c) => {
                 let len = const_eval(&c.size).ok_or_else(|| {
@@ -211,7 +212,7 @@ pub fn analyze(unit: Unit, dialect: Dialect) -> Result<Program, Diag> {
         }
     }
 
-    if let Some(main) = funcs.get("main") {
+    if let Some(main) = func_ids.get("main").map(|&i| &funcs[i as usize]) {
         if main.kind != FuncKind::Host {
             return Err(Diag::new(
                 Phase::Sema,
@@ -223,17 +224,22 @@ pub fn analyze(unit: Unit, dialect: Dialect) -> Result<Program, Diag> {
 
     let mut program = Program {
         funcs,
+        func_ids,
         kernel_names,
         constants,
         dialect,
         ir: None,
     };
 
-    // Second pass: bind and check every body, in source order.
-    for (name, mut body) in bodies {
+    // Second pass: bind and check every body, in source order. Each
+    // body is moved out while it is checked, so the checker binds it in
+    // place while it reads every signature, its own included.
+    let mut env = Env::with_capacity(64);
+    for i in 0..program.funcs.len() {
+        let mut body = std::mem::take(&mut program.funcs[i].body);
         let checker = Checker { program: &program };
-        let frame = checker.check_func(&program.funcs[&name], &mut body)?;
-        let f = program.funcs.get_mut(&name).expect("inserted above");
+        let frame = checker.check_func(&program.funcs[i], &mut body, &mut env)?;
+        let f = &mut program.funcs[i];
         f.body = body;
         f.frame = frame;
     }
@@ -269,56 +275,165 @@ struct Checker<'a> {
     program: &'a Program,
 }
 
-/// Lexical scopes, each mapping a visible name to its frame slot, and
-/// the frame being laid out: the declared type of every slot.
-struct Env {
-    scopes: Vec<HashMap<String, u32>>,
-    frame: Vec<Type>,
-    loop_depth: usize,
+/// The type of an expression as sema computes it: `base` under `ptrs`
+/// pointer levels. It is `Copy`, so typing an expression allocates
+/// nothing; a boxed [`Type`] is built only where a declaration keeps
+/// one in the frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Ty {
+    base: Base,
+    ptrs: u32,
 }
 
-impl Env {
-    fn new() -> Self {
-        Env {
-            scopes: vec![HashMap::new()],
-            frame: Vec::new(),
-            loop_depth: 0,
+/// [`Type`] without its pointer levels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Base {
+    Void,
+    Int,
+    Float,
+    Bool,
+}
+
+impl Ty {
+    const VOID: Ty = Ty::scalar(Base::Void);
+    const INT: Ty = Ty::scalar(Base::Int);
+    const FLOAT: Ty = Ty::scalar(Base::Float);
+    const BOOL: Ty = Ty::scalar(Base::Bool);
+
+    const fn scalar(base: Base) -> Ty {
+        Ty { base, ptrs: 0 }
+    }
+
+    fn of(t: &Type) -> Ty {
+        match t {
+            Type::Void => Ty::VOID,
+            Type::Int => Ty::INT,
+            Type::Float => Ty::FLOAT,
+            Type::Bool => Ty::BOOL,
+            Type::Ptr(inner) => Ty::of(inner).ptr_to(),
         }
     }
 
-    fn push(&mut self) {
-        self.scopes.push(HashMap::new());
+    const fn ptr_to(self) -> Ty {
+        Ty {
+            base: self.base,
+            ptrs: self.ptrs + 1,
+        }
     }
 
-    fn pop(&mut self) {
-        self.scopes.pop();
+    fn is_ptr(self) -> bool {
+        self.ptrs > 0
+    }
+
+    fn pointee(self) -> Option<Ty> {
+        self.is_ptr().then(|| Ty {
+            base: self.base,
+            ptrs: self.ptrs - 1,
+        })
+    }
+
+    fn is_scalar(self) -> bool {
+        self.ptrs == 0 && self.base != Base::Void
+    }
+
+    fn is_numeric(self) -> bool {
+        self.ptrs == 0 && matches!(self.base, Base::Int | Base::Float)
+    }
+}
+
+/// Spelled as [`Type`]'s `Display` spells the same type.
+impl std::fmt::Display for Ty {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self.base {
+            Base::Void => "void",
+            Base::Int => "int",
+            Base::Float => "float",
+            Base::Bool => "bool",
+        })?;
+        (0..self.ptrs).try_for_each(|_| f.write_str("*"))
+    }
+}
+
+/// No slot: the name is declared but out of scope.
+const HIDDEN: u32 = u32::MAX;
+
+/// The binding table: every name declared anywhere in the program has
+/// one entry, holding the slot it denotes where the check stands now.
+/// A scope is a mark in the undo log, which records each declaration's
+/// shadowed slot; leaving the scope restores them. Declaring a name
+/// allocates only the first time the program declares it.
+struct Env {
+    /// Each declared name's index into `visible`.
+    ids: FxHashMap<String, u32>,
+    /// The slot each name denotes now, or `HIDDEN`.
+    visible: Vec<u32>,
+    /// `(name id, shadowed slot)` per declaration, innermost last.
+    undo: Vec<(u32, u32)>,
+    /// The frame being laid out: the declared type of every slot.
+    frame: Vec<Type>,
+    loop_depth: usize,
+    /// The argument types of every call being checked, innermost last.
+    arg_tys: Vec<Ty>,
+}
+
+impl Env {
+    /// Room for `names` declarations, so lab-sized functions lay out
+    /// their frames without growing the tables.
+    fn with_capacity(names: usize) -> Env {
+        Env {
+            ids: FxHashMap::with_capacity_and_hasher(names, Default::default()),
+            visible: Vec::with_capacity(names),
+            undo: Vec::with_capacity(names),
+            frame: Vec::with_capacity(names),
+            loop_depth: 0,
+            arg_tys: Vec::with_capacity(16),
+        }
+    }
+
+    /// Open a scope; [`Env::leave`] closes it.
+    fn enter(&self) -> usize {
+        self.undo.len()
+    }
+
+    fn leave(&mut self, mark: usize) {
+        for (id, shadowed) in self.undo.drain(mark..).rev() {
+            self.visible[id as usize] = shadowed;
+        }
     }
 
     /// Bind `name` to a fresh slot of type `ty` in the innermost scope.
     fn declare(&mut self, name: &str, ty: Type) -> u32 {
         let slot = self.frame.len() as u32;
         self.frame.push(ty);
-        self.scopes
-            .last_mut()
-            .expect("at least one scope")
-            .insert(name.to_string(), slot);
+        let id = match self.ids.get(name) {
+            Some(&id) => id,
+            None => {
+                let id = self.visible.len() as u32;
+                self.ids.insert(name.to_string(), id);
+                self.visible.push(HIDDEN);
+                id
+            }
+        };
+        self.undo.push((id, self.visible[id as usize]));
+        self.visible[id as usize] = slot;
         slot
     }
 
     fn lookup(&self, name: &str) -> Option<u32> {
-        self.scopes.iter().rev().find_map(|s| s.get(name)).copied()
+        let slot = self.visible[*self.ids.get(name)? as usize];
+        (slot != HIDDEN).then_some(slot)
     }
 }
 
 impl<'a> Checker<'a> {
     /// Check `body` (moved out of `f`), binding its names in place, and
     /// return `f`'s frame layout. Parameters take the first slots.
-    fn check_func(&self, f: &FuncDef, body: &mut Block) -> Result<Vec<Type>, Diag> {
+    fn check_func(&self, f: &FuncDef, body: &mut Block, env: &mut Env) -> Result<Vec<Type>, Diag> {
         let ctx = match f.kind {
             FuncKind::Host => Ctx::Host,
             FuncKind::Kernel | FuncKind::Device => Ctx::Device,
         };
-        let mut env = Env::new();
+        let mark = env.enter();
         for p in &f.params {
             if p.ty == Type::Void {
                 return Err(Diag::new(
@@ -329,17 +444,18 @@ impl<'a> Checker<'a> {
             }
             env.declare(&p.name, p.ty.clone());
         }
-        self.check_block(body, &mut env, ctx)?;
-        env.frame.shrink_to_fit();
-        Ok(env.frame)
+        self.check_block(body, env, ctx)?;
+        env.leave(mark);
+        // Programs keep their frames: allocate each at its exact size.
+        Ok(env.frame.drain(..).collect())
     }
 
     fn check_block(&self, b: &mut Block, env: &mut Env, ctx: Ctx) -> Result<(), Diag> {
-        env.push();
+        let mark = env.enter();
         for s in &mut b.stmts {
             self.check_stmt(s, env, ctx)?;
         }
-        env.pop();
+        env.leave(mark);
         Ok(())
     }
 
@@ -361,7 +477,7 @@ impl<'a> Checker<'a> {
                 }
                 if let Some(e) = init {
                     let et = self.typeof_expr(e, env, ctx)?;
-                    assignable(ty, &et).map_err(|m| {
+                    assignable(Ty::of(ty), et).map_err(|m| {
                         Diag::new(
                             Phase::Sema,
                             *pos,
@@ -443,7 +559,7 @@ impl<'a> Checker<'a> {
                 let vt = self.typeof_expr(value, env, ctx)?;
                 if let Some(op) = op {
                     // Compound assignment needs the operator defined.
-                    if op.is_bitwise() && tt == Type::Float {
+                    if op.is_bitwise() && tt == Ty::FLOAT {
                         return Err(Diag::new(
                             Phase::Sema,
                             *pos,
@@ -451,7 +567,7 @@ impl<'a> Checker<'a> {
                         ));
                     }
                 }
-                assignable(&tt, &vt)
+                assignable(tt, vt)
                     .map_err(|m| Diag::new(Phase::Sema, *pos, format!("cannot assign: {m}")))?;
                 if let ExprKind::Var(name, Binding::Constant(_) | Binding::Predefined(_)) =
                     &target.kind
@@ -475,7 +591,7 @@ impl<'a> Checker<'a> {
                 pos,
             } => {
                 let ct = self.typeof_expr(cond, env, ctx)?;
-                condition(&ct).map_err(|m| Diag::new(Phase::Sema, *pos, m))?;
+                condition(ct).map_err(|m| Diag::new(Phase::Sema, *pos, m))?;
                 self.check_block(then_blk, env, ctx)?;
                 if let Some(b) = else_blk {
                     self.check_block(b, env, ctx)?;
@@ -484,7 +600,7 @@ impl<'a> Checker<'a> {
             }
             Stmt::While { cond, body, pos } => {
                 let ct = self.typeof_expr(cond, env, ctx)?;
-                condition(&ct).map_err(|m| Diag::new(Phase::Sema, *pos, m))?;
+                condition(ct).map_err(|m| Diag::new(Phase::Sema, *pos, m))?;
                 env.loop_depth += 1;
                 let r = self.check_block(body, env, ctx);
                 env.loop_depth -= 1;
@@ -497,13 +613,13 @@ impl<'a> Checker<'a> {
                 body,
                 pos,
             } => {
-                env.push();
+                let mark = env.enter();
                 if let Some(i) = init {
                     self.check_stmt(i, env, ctx)?;
                 }
                 if let Some(c) = cond {
                     let ct = self.typeof_expr(c, env, ctx)?;
-                    condition(&ct).map_err(|m| Diag::new(Phase::Sema, *pos, m))?;
+                    condition(ct).map_err(|m| Diag::new(Phase::Sema, *pos, m))?;
                 }
                 if let Some(st) = step {
                     // C's step is an expression: a name declared there
@@ -520,7 +636,7 @@ impl<'a> Checker<'a> {
                 env.loop_depth += 1;
                 let r = self.check_block(body, env, ctx);
                 env.loop_depth -= 1;
-                env.pop();
+                env.leave(mark);
                 r
             }
             Stmt::Return { value, .. } => {
@@ -593,7 +709,7 @@ impl<'a> Checker<'a> {
                 }
                 for (a, p) in args.iter_mut().zip(&f.params) {
                     let at = self.typeof_expr(a, env, ctx)?;
-                    assignable(&p.ty, &at).map_err(|m| {
+                    assignable(Ty::of(&p.ty), at).map_err(|m| {
                         Diag::new(
                             Phase::Sema,
                             a.pos,
@@ -635,27 +751,27 @@ impl<'a> Checker<'a> {
 
     /// The one lookup order: a local, then a `__constant__` symbol, then
     /// a predefined integer.
-    fn resolve(&self, name: &str, env: &Env) -> Option<(Binding, Type)> {
+    fn resolve(&self, name: &str, env: &Env) -> Option<(Binding, Ty)> {
         if let Some(slot) = env.lookup(name) {
-            return Some((Binding::Slot(slot), env.frame[slot as usize].clone()));
+            return Some((Binding::Slot(slot), Ty::of(&env.frame[slot as usize])));
         }
         if let Some(id) = self.program.constant_id(name) {
             let elem = match self.program.constants[id as usize].elem {
-                ElemType::I32 => Type::Int,
-                _ => Type::Float,
+                ElemType::I32 => Ty::INT,
+                _ => Ty::FLOAT,
             };
             return Some((Binding::Constant(id), elem.ptr_to()));
         }
-        predefined(name).map(|v| (Binding::Predefined(v), Type::Int))
+        predefined(name).map(|v| (Binding::Predefined(v), Ty::INT))
     }
 
-    fn typeof_expr(&self, e: &mut Expr, env: &mut Env, ctx: Ctx) -> Result<Type, Diag> {
+    fn typeof_expr(&self, e: &mut Expr, env: &mut Env, ctx: Ctx) -> Result<Ty, Diag> {
         match &mut e.kind {
-            ExprKind::IntLit(_) => Ok(Type::Int),
-            ExprKind::FloatLit(_) => Ok(Type::Float),
+            ExprKind::IntLit(_) => Ok(Ty::INT),
+            ExprKind::FloatLit(_) => Ok(Ty::FLOAT),
             // Strings type as char*-ish; only wb* intrinsics accept them.
-            ExprKind::StrLit(_) => Ok(Type::Void.ptr_to()),
-            ExprKind::SizeOf(_) => Ok(Type::Int),
+            ExprKind::StrLit(_) => Ok(Ty::VOID.ptr_to()),
+            ExprKind::SizeOf(_) => Ok(Ty::INT),
             ExprKind::Var(name, binding) => {
                 let (b, t) = self.resolve(name, env).ok_or_else(|| {
                     Diag::new(
@@ -675,7 +791,7 @@ impl<'a> Checker<'a> {
                         "threadIdx/blockIdx/blockDim/gridDim are only available in device code",
                     ));
                 }
-                Ok(Type::Int)
+                Ok(Ty::INT)
             }
             ExprKind::Unary(op, inner) => {
                 let t = self.typeof_expr(inner, env, ctx)?;
@@ -686,46 +802,46 @@ impl<'a> Checker<'a> {
                         }
                         Ok(t)
                     }
-                    UnOp::Not => Ok(Type::Bool),
-                    UnOp::BitNot => Ok(Type::Int),
+                    UnOp::Not => Ok(Ty::BOOL),
+                    UnOp::BitNot => Ok(Ty::INT),
                 }
             }
             ExprKind::Binary(op, a, b) => {
                 let ta = self.typeof_expr(a, env, ctx)?;
                 let tb = self.typeof_expr(b, env, ctx)?;
                 if op.is_comparison() || op.is_logical() {
-                    return Ok(Type::Bool);
+                    return Ok(Ty::BOOL);
                 }
                 if op.is_bitwise() {
-                    if ta == Type::Float || tb == Type::Float {
+                    if ta == Ty::FLOAT || tb == Ty::FLOAT {
                         return Err(Diag::new(
                             Phase::Sema,
                             e.pos,
                             "bitwise operators require integers",
                         ));
                     }
-                    return Ok(Type::Int);
+                    return Ok(Ty::INT);
                 }
                 // Pointer arithmetic.
-                if let Type::Ptr(_) = ta {
+                if ta.is_ptr() {
                     return Ok(ta);
                 }
-                if let Type::Ptr(_) = tb {
+                if tb.is_ptr() {
                     return Ok(tb);
                 }
-                if ta == Type::Float || tb == Type::Float {
-                    Ok(Type::Float)
+                if ta == Ty::FLOAT || tb == Ty::FLOAT {
+                    Ok(Ty::FLOAT)
                 } else {
-                    Ok(Type::Int)
+                    Ok(Ty::INT)
                 }
             }
             ExprKind::Ternary(c, a, b) => {
                 let ct = self.typeof_expr(c, env, ctx)?;
-                condition(&ct).map_err(|m| Diag::new(Phase::Sema, e.pos, m))?;
+                condition(ct).map_err(|m| Diag::new(Phase::Sema, e.pos, m))?;
                 let ta = self.typeof_expr(a, env, ctx)?;
                 let tb = self.typeof_expr(b, env, ctx)?;
-                if ta == Type::Float || tb == Type::Float {
-                    Ok(Type::Float)
+                if ta == Ty::FLOAT || tb == Ty::FLOAT {
+                    Ok(Ty::FLOAT)
                 } else {
                     Ok(ta)
                 }
@@ -733,32 +849,30 @@ impl<'a> Checker<'a> {
             ExprKind::Index(base, idx) => {
                 let bt = self.typeof_expr(base, env, ctx)?;
                 let it = self.typeof_expr(idx, env, ctx)?;
-                if !it.is_numeric() && it != Type::Bool {
+                if !it.is_numeric() && it != Ty::BOOL {
                     return Err(Diag::new(Phase::Sema, e.pos, "array index must be numeric"));
                 }
-                match bt {
-                    Type::Ptr(inner) => Ok(*inner),
-                    other => Err(Diag::new(
+                bt.pointee().ok_or_else(|| {
+                    Diag::new(
                         Phase::Sema,
                         e.pos,
-                        format!("cannot index a value of type {other}"),
-                    )),
-                }
+                        format!("cannot index a value of type {bt}"),
+                    )
+                })
             }
             ExprKind::Cast(ty, inner) => {
                 let it = self.typeof_expr(inner, env, ctx)?;
+                let ty = Ty::of(ty);
                 // Pointer↔number casts are rejected; pointer↔pointer and
                 // numeric↔numeric are fine.
-                let ptr_to_num = matches!(it, Type::Ptr(_)) && !matches!(ty, Type::Ptr(_));
-                let num_to_ptr = !matches!(it, Type::Ptr(_)) && matches!(ty, Type::Ptr(_));
-                if ptr_to_num || num_to_ptr {
+                if it.is_ptr() != ty.is_ptr() {
                     return Err(Diag::new(
                         Phase::Sema,
                         e.pos,
                         format!("cannot cast {it} to {ty}"),
                     ));
                 }
-                Ok(ty.clone())
+                Ok(ty)
             }
             ExprKind::AddrOf(name, slot) => {
                 *slot = env.lookup(name).ok_or_else(|| {
@@ -768,7 +882,7 @@ impl<'a> Checker<'a> {
                         format!("cannot take the address of undeclared variable `{name}`"),
                     )
                 })?;
-                Ok(env.frame[*slot as usize].clone().ptr_to())
+                Ok(Ty::of(&env.frame[*slot as usize]).ptr_to())
             }
             ExprKind::Call(name, args) => self.check_call(name, args, e.pos, env, ctx),
         }
@@ -781,21 +895,32 @@ impl<'a> Checker<'a> {
         pos: Pos,
         env: &mut Env,
         ctx: Ctx,
-    ) -> Result<Type, Diag> {
-        let arg_types: Vec<Type> = args
-            .iter_mut()
-            .map(|a| self.typeof_expr(a, env, ctx))
-            .collect::<Result<_, _>>()?;
+    ) -> Result<Ty, Diag> {
+        let base = env.arg_tys.len();
+        for a in args.iter_mut() {
+            let t = self.typeof_expr(a, env, ctx)?;
+            env.arg_tys.push(t);
+        }
+        let result = self.check_call_typed(name, &env.arg_tys[base..], pos, ctx);
+        env.arg_tys.truncate(base);
+        result
+    }
 
+    /// The checks of a call whose arguments typed as `arg_types`.
+    fn check_call_typed(
+        &self,
+        name: &str,
+        arg_types: &[Ty],
+        pos: Pos,
+        ctx: Ctx,
+    ) -> Result<Ty, Diag> {
         // Math intrinsics are available everywhere.
         if crate::value::is_math_intrinsic(name) {
-            let all_int = arg_types
-                .iter()
-                .all(|t| *t == Type::Int || *t == Type::Bool);
+            let all_int = arg_types.iter().all(|t| *t == Ty::INT || *t == Ty::BOOL);
             return Ok(if all_int && matches!(name, "min" | "max" | "abs") {
-                Type::Int
+                Ty::INT
             } else {
-                Type::Float
+                Ty::FLOAT
             });
         }
 
@@ -814,7 +939,7 @@ impl<'a> Checker<'a> {
                     format!("`{name}` can only be called from host code"),
                 ));
             }
-            if args.len() < min_args || args.len() > max_args {
+            if arg_types.len() < min_args || arg_types.len() > max_args {
                 return Err(Diag::new(
                     Phase::Sema,
                     pos,
@@ -825,20 +950,19 @@ impl<'a> Checker<'a> {
                         } else {
                             format!("{min_args}..{max_args}")
                         },
-                        args.len()
+                        arg_types.len()
                     ),
                 ));
             }
             // Atomics return the pointee of their first argument.
             if name.starts_with("atomic") && name != "atomicCAS" {
-                if let Some(Type::Ptr(inner)) = arg_types.first() {
-                    return Ok((**inner).clone());
-                }
-                return Err(Diag::new(
-                    Phase::Sema,
-                    pos,
-                    format!("first argument of `{name}` must be a pointer"),
-                ));
+                return arg_types.first().and_then(|t| t.pointee()).ok_or_else(|| {
+                    Diag::new(
+                        Phase::Sema,
+                        pos,
+                        format!("first argument of `{name}` must be a pointer"),
+                    )
+                });
             }
             return Ok(ret);
         }
@@ -875,19 +999,19 @@ impl<'a> Checker<'a> {
             }
             _ => {}
         }
-        if f.params.len() != args.len() {
+        if f.params.len() != arg_types.len() {
             return Err(Diag::new(
                 Phase::Sema,
                 pos,
                 format!(
                     "`{name}` expects {} argument(s), {} given",
                     f.params.len(),
-                    args.len()
+                    arg_types.len()
                 ),
             ));
         }
-        for (p, at) in f.params.iter().zip(&arg_types) {
-            assignable(&p.ty, at).map_err(|m| {
+        for (p, at) in f.params.iter().zip(arg_types) {
+            assignable(Ty::of(&p.ty), *at).map_err(|m| {
                 Diag::new(
                     Phase::Sema,
                     pos,
@@ -895,11 +1019,11 @@ impl<'a> Checker<'a> {
                 )
             })?;
         }
-        Ok(f.ret.clone())
+        Ok(Ty::of(&f.ret))
     }
 }
 
-fn condition(t: &Type) -> Result<(), String> {
+fn condition(t: Ty) -> Result<(), String> {
     if t.is_scalar() {
         Ok(())
     } else {
@@ -907,64 +1031,62 @@ fn condition(t: &Type) -> Result<(), String> {
     }
 }
 
-fn assignable(dst: &Type, src: &Type) -> Result<(), String> {
-    match (dst, src) {
-        (d, s) if d == s => Ok(()),
-        (d, s) if d.is_scalar() && s.is_scalar() => Ok(()),
-        // Pointers retype freely (C would at most warn); element
-        // interpretation is fixed up at runtime through declared types.
-        (Type::Ptr(_), Type::Ptr(_)) => Ok(()),
-        (d, s) => Err(format!("expected {d}, found {s}")),
+fn assignable(dst: Ty, src: Ty) -> Result<(), String> {
+    if dst == src || (dst.is_scalar() && src.is_scalar()) {
+        return Ok(());
     }
+    // Pointers retype freely (C would at most warn); element
+    // interpretation is fixed up at runtime through declared types.
+    if dst.is_ptr() && src.is_ptr() {
+        return Ok(());
+    }
+    Err(format!("expected {dst}, found {src}"))
 }
 
 /// Intrinsic table: `(min_args, max_args, host_only, device_only, return type)`.
-fn intrinsic_arity(name: &str) -> Option<(usize, usize, bool, bool, Type)> {
-    let t = |t: Type| t;
+fn intrinsic_arity(name: &str) -> Option<(usize, usize, bool, bool, Ty)> {
     Some(match name {
         // Device synchronization / atomics / work-item queries.
-        "__syncthreads" => (0, 0, false, true, t(Type::Void)),
-        "barrier" => (1, 1, false, true, t(Type::Void)),
-        "atomicAdd" | "atomicMin" | "atomicMax" | "atomicExch" => {
-            (2, 2, false, true, t(Type::Float))
-        }
-        "atomicCAS" => (3, 3, false, true, t(Type::Int)),
+        "__syncthreads" => (0, 0, false, true, Ty::VOID),
+        "barrier" => (1, 1, false, true, Ty::VOID),
+        "atomicAdd" | "atomicMin" | "atomicMax" | "atomicExch" => (2, 2, false, true, Ty::FLOAT),
+        "atomicCAS" => (3, 3, false, true, Ty::INT),
         "get_global_id" | "get_local_id" | "get_group_id" | "get_local_size" | "get_num_groups"
-        | "get_global_size" => (1, 1, false, true, t(Type::Int)),
+        | "get_global_size" => (1, 1, false, true, Ty::INT),
         // Host memory & CUDA API.
-        "malloc" => (1, 1, true, false, t(Type::Void.ptr_to())),
-        "free" => (1, 1, true, false, t(Type::Void)),
-        "cudaMalloc" => (2, 2, true, false, t(Type::Int)),
-        "cudaFree" => (1, 1, true, false, t(Type::Int)),
-        "cudaMemcpy" => (4, 4, true, false, t(Type::Int)),
-        "cudaMemcpyToSymbol" => (3, 3, true, false, t(Type::Int)),
-        "cudaDeviceSynchronize" => (0, 0, true, false, t(Type::Int)),
-        "cudaGetLastError" => (0, 0, true, false, t(Type::Int)),
-        "cudaSetDevice" => (1, 1, true, false, t(Type::Int)),
-        "cudaGetDeviceCount" => (1, 1, true, false, t(Type::Int)),
+        "malloc" => (1, 1, true, false, Ty::VOID.ptr_to()),
+        "free" => (1, 1, true, false, Ty::VOID),
+        "cudaMalloc" => (2, 2, true, false, Ty::INT),
+        "cudaFree" => (1, 1, true, false, Ty::INT),
+        "cudaMemcpy" => (4, 4, true, false, Ty::INT),
+        "cudaMemcpyToSymbol" => (3, 3, true, false, Ty::INT),
+        "cudaDeviceSynchronize" => (0, 0, true, false, Ty::INT),
+        "cudaGetLastError" => (0, 0, true, false, Ty::INT),
+        "cudaSetDevice" => (1, 1, true, false, Ty::INT),
+        "cudaGetDeviceCount" => (1, 1, true, false, Ty::INT),
         // wb support library.
-        "wbImportVector" => (2, 2, true, false, t(Type::Float.ptr_to())),
-        "wbImportIntVector" => (2, 2, true, false, t(Type::Int.ptr_to())),
-        "wbImportMatrix" => (3, 3, true, false, t(Type::Float.ptr_to())),
-        "wbImportImage" => (4, 4, true, false, t(Type::Float.ptr_to())),
-        "wbImportCsrRowPtr" => (2, 2, true, false, t(Type::Int.ptr_to())),
-        "wbImportCsrColIdx" => (2, 2, true, false, t(Type::Int.ptr_to())),
-        "wbImportCsrValues" => (2, 2, true, false, t(Type::Float.ptr_to())),
-        "wbImportGraphRowPtr" => (2, 2, true, false, t(Type::Int.ptr_to())),
-        "wbImportGraphNeighbors" => (2, 2, true, false, t(Type::Int.ptr_to())),
-        "wbImportScalar" => (1, 1, true, false, t(Type::Float)),
-        "wbSolution" => (2, 2, true, false, t(Type::Void)),
-        "wbSolutionInt" => (2, 2, true, false, t(Type::Void)),
-        "wbSolutionMatrix" => (3, 3, true, false, t(Type::Void)),
-        "wbSolutionImage" => (4, 4, true, false, t(Type::Void)),
-        "wbSolutionScalar" => (1, 1, true, false, t(Type::Void)),
-        "wbLog" => (1, 8, true, false, t(Type::Void)),
-        "wbTime_start" | "wbTime_stop" => (2, 2, true, false, t(Type::Void)),
+        "wbImportVector" => (2, 2, true, false, Ty::FLOAT.ptr_to()),
+        "wbImportIntVector" => (2, 2, true, false, Ty::INT.ptr_to()),
+        "wbImportMatrix" => (3, 3, true, false, Ty::FLOAT.ptr_to()),
+        "wbImportImage" => (4, 4, true, false, Ty::FLOAT.ptr_to()),
+        "wbImportCsrRowPtr" => (2, 2, true, false, Ty::INT.ptr_to()),
+        "wbImportCsrColIdx" => (2, 2, true, false, Ty::INT.ptr_to()),
+        "wbImportCsrValues" => (2, 2, true, false, Ty::FLOAT.ptr_to()),
+        "wbImportGraphRowPtr" => (2, 2, true, false, Ty::INT.ptr_to()),
+        "wbImportGraphNeighbors" => (2, 2, true, false, Ty::INT.ptr_to()),
+        "wbImportScalar" => (1, 1, true, false, Ty::FLOAT),
+        "wbSolution" => (2, 2, true, false, Ty::VOID),
+        "wbSolutionInt" => (2, 2, true, false, Ty::VOID),
+        "wbSolutionMatrix" => (3, 3, true, false, Ty::VOID),
+        "wbSolutionImage" => (4, 4, true, false, Ty::VOID),
+        "wbSolutionScalar" => (1, 1, true, false, Ty::VOID),
+        "wbLog" => (1, 8, true, false, Ty::VOID),
+        "wbTime_start" | "wbTime_stop" => (2, 2, true, false, Ty::VOID),
         // MPI layer for the multi-GPU lab.
-        "wbMPI_rank" | "wbMPI_size" => (0, 0, true, false, t(Type::Int)),
-        "wbMPI_sendFloat" | "wbMPI_recvFloat" => (3, 3, true, false, t(Type::Void)),
-        "wbMPI_barrier" => (0, 0, true, false, t(Type::Void)),
-        "exit" => (1, 1, true, false, t(Type::Void)),
+        "wbMPI_rank" | "wbMPI_size" => (0, 0, true, false, Ty::INT),
+        "wbMPI_sendFloat" | "wbMPI_recvFloat" => (3, 3, true, false, Ty::VOID),
+        "wbMPI_barrier" => (0, 0, true, false, Ty::VOID),
+        "exit" => (1, 1, true, false, Ty::VOID),
         _ => return None,
     })
 }

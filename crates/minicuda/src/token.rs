@@ -1,28 +1,33 @@
 //! Token definitions for the minicuda lexer.
+//!
+//! A token borrows its text from the source it was lexed from, so
+//! lexing allocates nothing but the token vector; the parser copies a
+//! name out once, when it builds the AST node that keeps it.
 
 use crate::diag::Pos;
 
 /// A lexical token with its source position.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'src> {
     /// Token kind and payload.
-    pub kind: Tok,
+    pub kind: Tok<'src>,
     /// Position of the first character.
     pub pos: Pos,
 }
 
 /// Token kinds.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Tok<'src> {
     /// Identifier or keyword (keywords are distinguished by the parser,
     /// which keeps the lexer trivial and error messages contextual).
-    Ident(String),
+    Ident(&'src str),
     /// Integer literal.
     Int(i64),
     /// Float literal (a trailing `f` suffix is accepted and dropped).
     Float(f32),
-    /// String literal (escapes resolved).
-    Str(String),
+    /// String literal: the text between the quotes as written, its
+    /// escapes checked by the lexer and resolved by the parser.
+    Str(&'src str),
 
     // Punctuation and operators.
     /// `(`
@@ -123,7 +128,28 @@ pub enum Tok {
     Eof,
 }
 
-impl Tok {
+/// Resolve the escapes of a [`Tok::Str`] payload, which the lexer has
+/// already checked: every `\\` is followed by one of `n t \\ " 0`.
+pub(crate) fn unescape(raw: &str) -> String {
+    let mut out = String::with_capacity(raw.len());
+    let mut rest = raw;
+    while let Some(k) = rest.find('\\') {
+        out.push_str(&rest[..k]);
+        let escaped = rest.as_bytes().get(k + 1).copied();
+        out.push(match escaped {
+            Some(b'n') => '\n',
+            Some(b't') => '\t',
+            Some(b'0') => '\0',
+            Some(b'"') => '"',
+            _ => '\\',
+        });
+        rest = rest.get(k + 2..).unwrap_or("");
+    }
+    out.push_str(rest);
+    out
+}
+
+impl Tok<'_> {
     /// Human-readable description for diagnostics.
     pub fn describe(&self) -> String {
         match self {

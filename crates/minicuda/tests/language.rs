@@ -1244,3 +1244,43 @@ fn sema_binds_every_name_in_the_labs_and_the_shadowing_corpus() {
         program.funcs().for_each(|f| check(f, "corpus"));
     }
 }
+
+// ---- non-ASCII text ---------------------------------------------------
+//
+// The preprocessor, the OpenCL canonicalizer and the lexer copy source
+// text in byte runs, so a multi-byte character reaches a log line, a
+// diagnostic or a column count exactly as the student wrote it.
+
+/// The messages `src` logs, run at its dialect.
+fn logged(src: &str, dialect: Dialect) -> Vec<String> {
+    let program = compile(src, dialect).unwrap_or_else(|d| panic!("compile: {d}"));
+    let out = minicuda::run(&program, &[] as &[Dataset], &RunOptions::default());
+    assert!(out.ok(), "{:?}", out.error);
+    out.log.lines().iter().map(|l| l.message.clone()).collect()
+}
+
+#[test]
+fn non_ascii_log_text_comes_out_verbatim() {
+    let plain = "int main() {\n  wbLog(TRACE, \"température µs\"); // déjà\n  return 0;\n}\n";
+    let want = ["température µs"];
+    assert_eq!(logged(plain, Dialect::Cuda), want);
+    // A `#define` sends every later line through macro expansion.
+    let defined = format!("#define N 4 /* café */\n{plain}");
+    assert_eq!(logged(&defined, Dialect::Cuda), want);
+    // OpenCL sources are rewritten onto the CUDA surface first.
+    assert_eq!(logged(&defined, Dialect::OpenCl), want);
+}
+
+#[test]
+fn a_stray_non_ascii_character_is_named_at_its_byte_column() {
+    // `·` is two bytes: the diagnostic names the character, and its
+    // column counts the bytes before it.
+    let err = compile("int main() {\n  int x = 3 · 4;\n}\n", Dialect::Cuda).unwrap_err();
+    assert_eq!(err.to_string(), "2:13: lex error: unexpected character '·'");
+    // A token after a multi-byte character is placed by bytes too:
+    // `é` is two bytes, so `$` sits at byte column 16, not 15.
+    let err = compile("int main() {\n  wbLog(TRACE, \"é\"); $\n}\n", Dialect::Cuda).unwrap_err();
+    assert_eq!(err.to_string(), "2:23: lex error: unexpected character '$'");
+    let err = compile("#define T 1\nint main() { int é = T; }\n", Dialect::Cuda).unwrap_err();
+    assert_eq!(err.to_string(), "2:18: lex error: unexpected character 'é'");
+}

@@ -35,7 +35,9 @@ pub fn hints_for(outcome: &JobOutcome, source: &str) -> Vec<Hint> {
     // the lex when no `tileA` can be there.
     let tiles_not_shared = !outcome.datasets.is_empty()
         && source.contains("tileA")
-        && tokens(source).is_some_and(|t| has_ident(&t, "tileA") && !has_ident(&t, "__shared__"));
+        && with_tokens(source, |t| {
+            has_ident(t, "tileA") && !has_ident(t, "__shared__")
+        });
 
     for d in &outcome.datasets {
         if let Some(err) = &d.error {
@@ -226,7 +228,7 @@ the first/last elements, the last partial tile, or sizes that are not multiples 
         });
         let has_conditional =
             |t: &[Token]| has_ident(t, "if") || t.iter().any(|t| t.kind == Tok::Question);
-        if tokens(source).is_some_and(|t| !has_conditional(&t)) {
+        if with_tokens(source, |t| !has_conditional(t)) {
             hints.push(Hint {
                 code: "no-guard",
                 message: "Your kernel has no conditional at all: add a bounds guard like \
@@ -247,18 +249,18 @@ the first mismatching index shown in the report.",
     hints
 }
 
-/// `source`'s tokens after preprocessing, so comments and parts of
-/// longer names (`shift`, `diff`) never count; `None` when it does not
-/// lex, and the heuristics reading them stay silent.
-fn tokens(source: &str) -> Option<Vec<Token>> {
-    let pre = minicuda::preprocessor::preprocess(source).ok()?;
-    minicuda::lexer::lex(&pre).ok()
+/// `test` of `source`'s tokens after preprocessing, so comments and
+/// parts of longer names (`shift`, `diff`) never count; false when it
+/// does not lex, and the heuristics reading them stay silent.
+fn with_tokens(source: &str, test: impl FnOnce(&[Token]) -> bool) -> bool {
+    let Ok(pre) = minicuda::preprocessor::preprocess(source) else {
+        return false;
+    };
+    minicuda::lexer::lex(&pre).is_ok_and(|t| test(&t))
 }
 
 fn has_ident(tokens: &[Token], name: &str) -> bool {
-    tokens
-        .iter()
-        .any(|t| matches!(&t.kind, Tok::Ident(s) if s == name))
+    tokens.iter().any(|t| t.kind == Tok::Ident(name))
 }
 
 fn cost_hints(cost: &CostSummary, tiles_not_shared: bool) -> Vec<Hint> {

@@ -413,8 +413,9 @@ impl WebGpuServer {
             .collect();
         // Automated feedback (the paper's future-work item): hints are
         // appended to failing attempts only — passing students are not
-        // second-guessed.
-        if !passed {
+        // second-guessed, and a compile-only job that compiled (not
+        // `passed`, as it ran nothing) has nothing to hint at.
+        if attempt_failed(outcome) {
             for hint in crate::hints::hints_for(outcome, &source) {
                 report.push_str(&format!("Hint: {}\n", hint.message));
             }
@@ -720,6 +721,15 @@ impl WebGpuServer {
     }
 }
 
+/// True when the compile failed, or a dataset errored or mismatched.
+fn attempt_failed(outcome: &JobOutcome) -> bool {
+    outcome.compile_error.is_some()
+        || outcome
+            .datasets
+            .iter()
+            .any(|d| d.error.is_some() || d.check.as_ref().is_some_and(|c| !c.passed()))
+}
+
 /// Render a job outcome the way the attempt view shows it.
 fn render_outcome(outcome: &JobOutcome) -> (bool, String) {
     if let Some(err) = &outcome.compile_error {
@@ -875,6 +885,60 @@ mod tests {
         assert_eq!(attempts.len(), 1);
         assert!(attempts[0].compiled);
         assert_eq!(attempts[0].dataset, None);
+    }
+
+    /// Hints are for failures: a compile-only job that compiled is not
+    /// `passed` (it ran nothing) but did not fail either, so
+    /// `record_outcome` skips the hint engine; a failed compile or a
+    /// dataset that errored or mismatched runs it.
+    #[test]
+    fn hints_run_for_failed_attempts_only() {
+        let outcome = |compile_error: Option<&str>,
+                       datasets: Vec<wb_worker::job::DatasetOutcome>| {
+            JobOutcome {
+                job_id: 1,
+                worker_id: 1,
+                compile_error: compile_error.map(str::to_string),
+                datasets,
+                analysis: Vec::new(),
+                container_wait_ms: 0,
+            }
+        };
+        let dataset = |got: f32, error: Option<minicuda::Diag>| wb_worker::job::DatasetOutcome {
+            name: "d".into(),
+            check: error.is_none().then(|| {
+                libwb::check::compare(
+                    &libwb::Dataset::Scalar(got),
+                    &libwb::Dataset::Scalar(1.0),
+                    &libwb::CheckPolicy::exact(),
+                )
+            }),
+            error,
+            cost: minicuda::CostSummary::default(),
+            elapsed_cycles: 0,
+            log_text: String::new(),
+            timing_text: String::new(),
+        };
+
+        let compiled = outcome(None, Vec::new());
+        assert_eq!(
+            render_outcome(&compiled),
+            (false, "Compilation successful.".to_string()),
+            "the attempt record and report are unchanged"
+        );
+        assert!(!attempt_failed(&compiled), "no hints for a clean compile");
+        assert!(!attempt_failed(&outcome(None, vec![dataset(1.0, None)])));
+
+        assert!(attempt_failed(&outcome(
+            Some("1:1: syntax error"),
+            Vec::new()
+        )));
+        assert!(attempt_failed(&outcome(None, vec![dataset(2.0, None)])));
+        let trap = minicuda::Diag::nowhere(minicuda::Phase::Runtime, "division by zero");
+        assert!(attempt_failed(&outcome(
+            None,
+            vec![dataset(1.0, None), dataset(0.0, Some(trap))]
+        )));
     }
 
     #[test]
