@@ -57,13 +57,85 @@ impl Type {
 
 impl fmt::Display for Type {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Type::Void => write!(f, "void"),
-            Type::Int => write!(f, "int"),
-            Type::Float => write!(f, "float"),
-            Type::Bool => write!(f, "bool"),
-            Type::Ptr(inner) => write!(f, "{inner}*"),
+        fmt::Display::fmt(&Ty::of(self), f)
+    }
+}
+
+/// A [`Type`] flattened to its base under `ptrs` pointer levels. It is
+/// `Copy`, so sema types an expression and the passes key a coercion
+/// without allocating; a boxed [`Type`] is built only where a
+/// declaration keeps one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct Ty {
+    base: Base,
+    ptrs: u32,
+}
+
+/// [`Type`] without its pointer levels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Base {
+    Void,
+    Int,
+    Float,
+    Bool,
+}
+
+impl Ty {
+    pub(crate) const VOID: Ty = Ty::scalar(Base::Void);
+    pub(crate) const INT: Ty = Ty::scalar(Base::Int);
+    pub(crate) const FLOAT: Ty = Ty::scalar(Base::Float);
+    pub(crate) const BOOL: Ty = Ty::scalar(Base::Bool);
+
+    const fn scalar(base: Base) -> Ty {
+        Ty { base, ptrs: 0 }
+    }
+
+    pub(crate) fn of(t: &Type) -> Ty {
+        match t {
+            Type::Void => Ty::VOID,
+            Type::Int => Ty::INT,
+            Type::Float => Ty::FLOAT,
+            Type::Bool => Ty::BOOL,
+            Type::Ptr(inner) => Ty::of(inner).ptr_to(),
         }
+    }
+
+    pub(crate) const fn ptr_to(self) -> Ty {
+        Ty {
+            base: self.base,
+            ptrs: self.ptrs + 1,
+        }
+    }
+
+    pub(crate) fn is_ptr(self) -> bool {
+        self.ptrs > 0
+    }
+
+    pub(crate) fn pointee(self) -> Option<Ty> {
+        self.is_ptr().then(|| Ty {
+            base: self.base,
+            ptrs: self.ptrs - 1,
+        })
+    }
+
+    pub(crate) fn is_scalar(self) -> bool {
+        self.ptrs == 0 && self.base != Base::Void
+    }
+
+    pub(crate) fn is_numeric(self) -> bool {
+        self.ptrs == 0 && matches!(self.base, Base::Int | Base::Float)
+    }
+}
+
+impl fmt::Display for Ty {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self.base {
+            Base::Void => "void",
+            Base::Int => "int",
+            Base::Float => "float",
+            Base::Bool => "bool",
+        })?;
+        (0..self.ptrs).try_for_each(|_| f.write_str("*"))
     }
 }
 

@@ -2484,10 +2484,8 @@ impl<'a> BatchExec<'a> {
             };
             match head.space {
                 Space::Global | Space::Host => {
-                    let distinct = monotone_segments(lanes, tw).unwrap_or_else(|| {
-                        let keys = lanes.iter().map(|&o| (head.alloc, o / tw));
-                        count_distinct(keys, &mut acct.seen)
-                    });
+                    let keys = lanes.iter().map(|&o| (head.alloc, o / tw));
+                    let distinct = count_distinct(keys, &mut acct.seen);
                     self.charge_global(live, distinct);
                 }
                 Space::Shared => {
@@ -2612,37 +2610,19 @@ impl Accounting {
     }
 }
 
-/// The number of distinct transaction segments (`offset / tw`) of one
-/// warp's lanes when the segments are monotone — ascending or
-/// descending, plateaus allowed — as most warps' are: the segment
-/// changes plus one, in one pass. `None` for a warp whose segments
-/// turn back, which needs [`count_distinct`].
-fn monotone_segments(lanes: &[i64], tw: i64) -> Option<u64> {
-    let mut segs = lanes.iter().map(|&o| o / tw);
-    let mut prev = segs.next()?;
-    let (mut up, mut down, mut changes) = (false, false, 0);
-    for seg in segs {
-        if seg != prev {
-            up |= seg > prev;
-            down |= seg < prev;
-            if up && down {
-                return None;
-            }
-            changes += 1;
-            prev = seg;
-        }
-    }
-    Some(changes + 1)
-}
-
-/// Number of distinct keys, without sorting: a key outside the running
-/// `[min, max]` is new by construction (so ascending and descending
-/// access never search); one inside it is looked up among the keys
+/// Number of distinct keys, without sorting: a key equal to the one
+/// before it is a repeat, and a key outside the running `[min, max]` is
+/// new by construction, so ascending and descending access, plateaus
+/// included, never search; any other key is looked up among the keys
 /// seen, of which a warp has at most `warp_size`.
 fn count_distinct(keys: impl Iterator<Item = (u32, i64)>, seen: &mut Vec<(u32, i64)>) -> u64 {
     seen.clear();
     let mut range: Option<((u32, i64), (u32, i64))> = None;
+    let mut prev = None;
     for k in keys {
+        if prev.replace(k) == Some(k) {
+            continue;
+        }
         match range {
             Some((min, max)) if k >= min && k <= max => {
                 if !seen.contains(&k) {
@@ -2874,8 +2854,8 @@ mod tests {
                     &tag("negative"),
                 );
                 assert_same_charge(ex, &lanes(&|i| (i % 4) as i64 * 32, space), &tag("4-way"));
-                // Monotone warps, which the one-pass segment count takes,
-                // and warps that turn back, which it hands on.
+                // Monotone warps, plateaus included, which never search,
+                // and warps that turn back, which do.
                 let shapes: [(&str, &dyn Fn(usize) -> i64); 6] = [
                     ("ascending across segments", &|i| (i * 7) as i64),
                     ("descending across segments", &|i| (n - i) as i64 * 9 - 40),

@@ -19,8 +19,9 @@ pub fn parse(tokens: Vec<Token<'_>>) -> Result<Unit, Diag> {
         tokens,
         at: 0,
         depth: 0,
-        // Deep enough for lab sources, so the stacks rarely grow.
-        stmts: Vec::with_capacity(32),
+        // The lab solutions hold at most 38 statements in open blocks
+        // and 8 call arguments at once (bfs), so neither stack grows.
+        stmts: Vec::with_capacity(48),
         exprs: Vec::with_capacity(16),
     };
     let mut items = Vec::new();

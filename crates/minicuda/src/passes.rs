@@ -28,7 +28,7 @@
 //! keys to CSE, CSE and LICM strand dead single-use temporaries, and
 //! DCE sweeps them up.
 
-use crate::ast::{BinOp, Type, UnOp};
+use crate::ast::{BinOp, Ty, Type, UnOp};
 use crate::fx::FxHashMap;
 use crate::ir::{BlockId, Inst, IrFunc, IrProgram, Reg};
 use crate::value::{apply_binop, apply_math, apply_unop, Value};
@@ -439,41 +439,21 @@ fn fold(f: &mut IrFunc, defs: &[u32]) {
 
 /// Hashable shape of a pure expression. Operator enums are fieldless,
 /// so their `u8` casts serve as hash keys; a coercion's target type is
-/// its base type's tag and pointer depth.
+/// its flattened [`Ty`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Key {
     Un(u8, Reg),
     Bin(u8, Reg, Reg),
-    Coerce(Reg, u8, u32),
+    Coerce(Reg, Ty),
     Builtin(u8, u8),
     Math(String, Vec<Reg>),
-}
-
-/// `ty` as a base-type tag and a pointer depth.
-fn type_code(mut ty: &Type) -> (u8, u32) {
-    let mut depth = 0;
-    while let Type::Ptr(inner) = ty {
-        ty = inner;
-        depth += 1;
-    }
-    let tag = match ty {
-        Type::Void => 0,
-        Type::Int => 1,
-        Type::Float => 2,
-        Type::Bool => 3,
-        Type::Ptr(_) => unreachable!("pointers were unwrapped"),
-    };
-    (tag, depth)
 }
 
 fn make_key(inst: &Inst) -> Option<(Key, Reg)> {
     match inst {
         Inst::Un { dst, op, a, .. } => Some((Key::Un(*op as u8, *a), *dst)),
         Inst::Bin { dst, op, a, b, .. } => Some((Key::Bin(*op as u8, *a, *b), *dst)),
-        Inst::Coerce { dst, a, ty, .. } => {
-            let (tag, depth) = type_code(ty);
-            Some((Key::Coerce(*a, tag, depth), *dst))
-        }
+        Inst::Coerce { dst, a, ty, .. } => Some((Key::Coerce(*a, Ty::of(ty)), *dst)),
         Inst::Builtin {
             dst, which, axis, ..
         } => Some((Key::Builtin(*which as u8, *axis), *dst)),

@@ -275,85 +275,6 @@ struct Checker<'a> {
     program: &'a Program,
 }
 
-/// The type of an expression as sema computes it: `base` under `ptrs`
-/// pointer levels. It is `Copy`, so typing an expression allocates
-/// nothing; a boxed [`Type`] is built only where a declaration keeps
-/// one in the frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Ty {
-    base: Base,
-    ptrs: u32,
-}
-
-/// [`Type`] without its pointer levels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Base {
-    Void,
-    Int,
-    Float,
-    Bool,
-}
-
-impl Ty {
-    const VOID: Ty = Ty::scalar(Base::Void);
-    const INT: Ty = Ty::scalar(Base::Int);
-    const FLOAT: Ty = Ty::scalar(Base::Float);
-    const BOOL: Ty = Ty::scalar(Base::Bool);
-
-    const fn scalar(base: Base) -> Ty {
-        Ty { base, ptrs: 0 }
-    }
-
-    fn of(t: &Type) -> Ty {
-        match t {
-            Type::Void => Ty::VOID,
-            Type::Int => Ty::INT,
-            Type::Float => Ty::FLOAT,
-            Type::Bool => Ty::BOOL,
-            Type::Ptr(inner) => Ty::of(inner).ptr_to(),
-        }
-    }
-
-    const fn ptr_to(self) -> Ty {
-        Ty {
-            base: self.base,
-            ptrs: self.ptrs + 1,
-        }
-    }
-
-    fn is_ptr(self) -> bool {
-        self.ptrs > 0
-    }
-
-    fn pointee(self) -> Option<Ty> {
-        self.is_ptr().then(|| Ty {
-            base: self.base,
-            ptrs: self.ptrs - 1,
-        })
-    }
-
-    fn is_scalar(self) -> bool {
-        self.ptrs == 0 && self.base != Base::Void
-    }
-
-    fn is_numeric(self) -> bool {
-        self.ptrs == 0 && matches!(self.base, Base::Int | Base::Float)
-    }
-}
-
-/// Spelled as [`Type`]'s `Display` spells the same type.
-impl std::fmt::Display for Ty {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self.base {
-            Base::Void => "void",
-            Base::Int => "int",
-            Base::Float => "float",
-            Base::Bool => "bool",
-        })?;
-        (0..self.ptrs).try_for_each(|_| f.write_str("*"))
-    }
-}
-
 /// No slot: the name is declared but out of scope.
 const HIDDEN: u32 = u32::MAX;
 
@@ -377,8 +298,9 @@ struct Env {
 }
 
 impl Env {
-    /// Room for `names` declarations, so lab-sized functions lay out
-    /// their frames without growing the tables.
+    /// Room for `names` declared names. The lab solutions declare at
+    /// most 32 distinct names (bfs) and lay out at most 21 slots in one
+    /// frame (sgemm), so 64 lays them out without growing the tables.
     fn with_capacity(names: usize) -> Env {
         Env {
             ids: FxHashMap::with_capacity_and_hasher(names, Default::default()),
@@ -386,7 +308,7 @@ impl Env {
             undo: Vec::with_capacity(names),
             frame: Vec::with_capacity(names),
             loop_depth: 0,
-            arg_tys: Vec::with_capacity(16),
+            arg_tys: Vec::new(),
         }
     }
 
