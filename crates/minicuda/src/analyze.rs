@@ -36,7 +36,7 @@
 //! is identical at `O0` and `O2` and can be cached under the compile
 //! key.
 
-use crate::ast::{BinOp, Block, BuiltinVar, Dim3Expr, Stmt, Type, UnOp};
+use crate::ast::{BinOp, BuiltinVar, ExprId, Stmt, Type, UnOp};
 use crate::diag::{Diag, Phase, Pos};
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::ir::{BlockId, Inst, IrFunc, IrProgram, OclFn, Reg};
@@ -135,21 +135,11 @@ pub(crate) fn analyze_lowered(p: &Program, ir: &IrProgram) -> Vec<Finding> {
 
 /// Kernels are visited in name order and findings sorted, so the
 /// result is deterministic.
-fn analyze_ir_with_caps(
-    ir: &IrProgram,
-    caps: &FxHashMap<String, [Option<i64>; 3]>,
-) -> Vec<Finding> {
-    let mut names: Vec<&String> = ir
-        .funcs
-        .iter()
-        .filter(|(_, f)| f.kernel)
-        .map(|(n, _)| n)
-        .collect();
-    names.sort();
+fn analyze_ir_with_caps(ir: &IrProgram, caps: &FxHashMap<&str, [Option<i64>; 3]>) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for name in names {
+    for (name, f) in ir.funcs.iter().filter(|(_, f)| f.kernel) {
         let cap = caps.get(name.as_str()).copied().unwrap_or([None; 3]);
-        FuncAnalysis::new(&ir.funcs[name], cap).run(&mut findings);
+        FuncAnalysis::new(f, cap).run(&mut findings);
     }
     findings.sort_by(|a, b| {
         (
@@ -175,71 +165,34 @@ fn analyze_ir_with_caps(
 /// above `max` can ever exist, which sharpens both the race existence
 /// solver and the bounds checker (`buf[t + BLOCK]` is fine precisely
 /// because the block has `BLOCK` threads).
-fn launch_caps(p: &Program) -> FxHashMap<String, [Option<i64>; 3]> {
-    fn dim_axes(d: &Dim3Expr) -> [Option<i64>; 3] {
-        let ext = |e: Option<&crate::ast::Expr>| match e {
-            None => Some(1),
-            Some(e) => crate::sema::const_eval(e).filter(|&v| v >= 1),
-        };
-        [ext(Some(&d.x)), ext(d.y.as_ref()), ext(d.z.as_ref())]
-    }
-    fn walk(b: &Block, caps: &mut FxHashMap<String, [Option<i64>; 3]>) {
-        for s in &b.stmts {
-            match s {
-                Stmt::Launch { kernel, block, .. } => {
-                    let axes = dim_axes(block);
-                    let entry = caps
-                        .entry(kernel.clone())
-                        .or_insert([Some(0), Some(0), Some(0)]);
-                    for (slot, ext) in entry.iter_mut().zip(axes) {
-                        *slot = match (*slot, ext) {
-                            (Some(cur), Some(e)) => Some(cur.max(e - 1)),
-                            _ => None,
-                        };
-                    }
-                }
-                Stmt::If {
-                    then_blk, else_blk, ..
-                } => {
-                    walk(then_blk, caps);
-                    if let Some(e) = else_blk {
-                        walk(e, caps);
-                    }
-                }
-                Stmt::While { body, .. } => walk(body, caps),
-                Stmt::For {
-                    init, step, body, ..
-                } => {
-                    let single = |s: &Stmt, caps: &mut _| {
-                        walk(
-                            &Block {
-                                stmts: vec![s.clone()],
-                            },
-                            caps,
-                        )
-                    };
-                    if let Some(i) = init {
-                        single(i, caps);
-                    }
-                    if let Some(st) = step {
-                        single(st, caps);
-                    }
-                    walk(body, caps);
-                }
-                Stmt::Block(inner) => walk(inner, caps),
-                Stmt::AccParallelLoop { body, .. } => walk(
-                    &Block {
-                        stmts: vec![(**body).clone()],
-                    },
-                    caps,
-                ),
-                _ => {}
+fn launch_caps(p: &Program) -> FxHashMap<&str, [Option<i64>; 3]> {
+    let mut caps = FxHashMap::default();
+    // Every statement sits once in its function's arena, so a flat
+    // scan finds every launch, however deeply nested.
+    for f in p.funcs() {
+        for s in &f.stmts {
+            let Stmt::Launch {
+                kernel, operands, ..
+            } = *s
+            else {
+                continue;
+            };
+            let block: Vec<ExprId> = operands.block().ids().collect();
+            let ext = |e: Option<&ExprId>| match e {
+                None => Some(1),
+                Some(&e) => crate::sema::const_eval(&f.exprs, e).filter(|&v| v >= 1),
+            };
+            let axes = [ext(block.first()), ext(block.get(1)), ext(block.get(2))];
+            let entry = caps
+                .entry(p.name(kernel))
+                .or_insert([Some(0), Some(0), Some(0)]);
+            for (slot, ext) in entry.iter_mut().zip(axes) {
+                *slot = match (*slot, ext) {
+                    (Some(cur), Some(e)) => Some(cur.max(e - 1)),
+                    _ => None,
+                };
             }
         }
-    }
-    let mut caps = FxHashMap::default();
-    for f in p.funcs() {
-        walk(&f.body, &mut caps);
     }
     caps
 }
@@ -748,7 +701,7 @@ impl<'a> FuncAnalysis<'a> {
                         }
                     }
                     Inst::Coerce {
-                        a, ty: Type::Int, ..
+                        a, ty: Type::INT, ..
                     } => {
                         let c = self.const_of(*a)?;
                         if init.replace(c).is_some() {
@@ -794,7 +747,7 @@ impl<'a> FuncAnalysis<'a> {
                         }
                     }
                     Some(Inst::Coerce {
-                        a, ty: Type::Int, ..
+                        a, ty: Type::INT, ..
                     }) => match self.inst_at(self.defs[*a as usize]) {
                         Some(Inst::Bin {
                             op: BinOp::Add,
@@ -827,7 +780,7 @@ impl<'a> FuncAnalysis<'a> {
         match self.inst_at(self.defs[r as usize]) {
             Some(Inst::Const { v: Value::I(n), .. }) => Some(*n),
             Some(Inst::Coerce {
-                a, ty: Type::Int, ..
+                a, ty: Type::INT, ..
             }) => self.const_of(*a),
             _ => None,
         }
@@ -886,7 +839,7 @@ impl<'a> FuncAnalysis<'a> {
                 }
             }
             Inst::Coerce {
-                a, ty: Type::Int, ..
+                a, ty: Type::INT, ..
             } => self.aff_of(a),
             _ => Aff::Unknown,
         }
@@ -916,7 +869,7 @@ impl<'a> FuncAnalysis<'a> {
                 op: UnOp::Not, a, ..
             } => self.apply_guard(a, !truth, ctx),
             Inst::Coerce {
-                a, ty: Type::Bool, ..
+                a, ty: Type::BOOL, ..
             } => self.apply_guard(a, truth, ctx),
             _ => {}
         }

@@ -1343,10 +1343,10 @@ impl<'a> BatchExec<'a> {
     /// initialisers, call arguments).
     fn coerce(&mut self, a: &LaneVec, ty: &Type, pos: Pos) -> Result<LaneVec, Diag> {
         fn numeric<T: Lane>(ar: &mut Arena, v: &[T], ty: &Type) -> Option<LaneVec> {
-            Some(match ty {
-                Type::Int => ar.map(v, T::to_i),
-                Type::Float => ar.map(v, T::to_f),
-                Type::Bool => ar.map(v, T::truthy),
+            Some(match *ty {
+                Type::INT => ar.map(v, T::to_i),
+                Type::FLOAT => ar.map(v, T::to_f),
+                Type::BOOL => ar.map(v, T::truthy),
                 _ => return None,
             })
         }
@@ -1359,8 +1359,8 @@ impl<'a> BatchExec<'a> {
             (LaneVec::I(v), _) => numeric(ar, v, ty),
             (LaneVec::F(v), _) => numeric(ar, v, ty),
             (LaneVec::B(v), _) => numeric(ar, v, ty),
-            (LaneVec::Ptr(h, offs), Type::Ptr(inner)) => Some(LaneVec::Ptr(
-                h.with_elem(ElemType::of(inner)),
+            (LaneVec::Ptr(h, offs), ty) if ty.is_ptr() => Some(LaneVec::Ptr(
+                h.with_elem(ElemType::of(&ty.pointee().expect("a pointer"))),
                 ar.i.copy_of(offs),
             )),
             _ => None,

@@ -16,6 +16,8 @@
 //! leaves string literals alone, so diagnostics still show the student's
 //! own spelling of everything except the rewritten keyword itself.
 
+use std::borrow::Cow;
+
 /// Which language surface a lab is written in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dialect {
@@ -48,11 +50,12 @@ impl Dialect {
     }
 }
 
-/// Rewrite `source` into the core (CUDA) surface.
-pub fn canonicalize(source: &str, dialect: Dialect) -> String {
+/// Rewrite `source` into the core (CUDA) surface. CUDA and OpenACC
+/// sources are already in it, so they are borrowed, not copied.
+pub fn canonicalize(source: &str, dialect: Dialect) -> Cow<'_, str> {
     match dialect {
-        Dialect::Cuda | Dialect::OpenAcc => source.to_string(),
-        Dialect::OpenCl => rewrite_opencl(source),
+        Dialect::Cuda | Dialect::OpenAcc => Cow::Borrowed(source),
+        Dialect::OpenCl => Cow::Owned(rewrite_opencl(source)),
     }
 }
 
@@ -111,6 +114,10 @@ mod tests {
     fn cuda_is_identity() {
         let src = "__global__ void k() {}";
         assert_eq!(canonicalize(src, Dialect::Cuda), src);
+        assert!(
+            matches!(canonicalize(src, Dialect::OpenAcc), Cow::Borrowed(_)),
+            "no copy"
+        );
     }
 
     #[test]

@@ -145,6 +145,18 @@ fn run_rank(
     policy: &dyn HostcallPolicy,
     comm: Option<RankComm>,
 ) -> RunOutcome {
+    let Some(main) = program.func("main") else {
+        return RunOutcome {
+            solution: None,
+            log: Logger::with_capacity(opts.max_log_bytes),
+            timer: Timer::new(),
+            cost: CostSummary::default(),
+            elapsed_cycles: 0,
+            error: Some(Diag::nowhere(Phase::Sema, "program has no main function")),
+            exit_code: 1,
+            hostcalls: Vec::new(),
+        };
+    };
     let mut consts = ConstMem::new();
     for spec in program.constants() {
         consts.declare(spec.len, spec.elem);
@@ -157,7 +169,7 @@ fn run_rank(
         host: MemPool::new(),
         dev: MemPool::new(),
         consts,
-        frame: Frame::default(),
+        frame: Frame::enter(main, Vec::new()),
         logger: Logger::with_capacity(opts.max_log_bytes),
         timer: Timer::new(),
         clock: 0,
@@ -170,7 +182,7 @@ fn run_rank(
         call_depth: 0,
     };
 
-    let (error, exit_code) = match exec.run_main() {
+    let (error, exit_code) = match exec.run_main(main) {
         Ok(code) => (None, code),
         // `exit(code)` unwinds as a pseudo-diagnostic; translate it
         // back into a normal termination.
@@ -207,10 +219,9 @@ enum Flow {
 }
 
 /// One call's variables: a value per slot of its function's frame.
-#[derive(Default)]
 struct Frame<'a> {
-    /// Declared type of each slot; assignments coerce to it.
-    types: &'a [Type],
+    /// The function running, whose arenas its statements index.
+    func: &'a FuncDef,
     vals: Vec<Value>,
 }
 
@@ -219,7 +230,7 @@ impl<'a> Frame<'a> {
     fn enter(f: &'a FuncDef, mut args: Vec<Value>) -> Self {
         args.resize(f.frame.len(), Value::I(0));
         Frame {
-            types: &f.frame,
+            func: f,
             vals: args,
         }
     }
@@ -247,14 +258,9 @@ struct HostExec<'a> {
 }
 
 impl<'a> HostExec<'a> {
-    fn run_main(&mut self) -> Result<i64, Diag> {
-        // Borrowed for `'a`, not from `self`: the AST outlives the run.
-        let program = self.program;
-        let main = program
-            .func("main")
-            .ok_or_else(|| Diag::nowhere(Phase::Sema, "program has no main function"))?;
-        self.frame = Frame::enter(main, Vec::new());
-        match self.exec_block(&main.body)? {
+    /// Run `main`, whose frame the executor starts in.
+    fn run_main(&mut self, main: &'a FuncDef) -> Result<i64, Diag> {
+        match self.exec_block(main.body)? {
             Flow::Return(v) => Ok(v.as_int().unwrap_or(0)),
             _ => Ok(0),
         }
@@ -264,7 +270,7 @@ impl<'a> HostExec<'a> {
     fn assign_var(&mut self, slot: u32, v: Value, pos: Pos) -> Result<(), Diag> {
         let slot = slot as usize;
         self.frame.vals[slot] = v
-            .coerce_to(&self.frame.types[slot])
+            .coerce_to(&self.frame.func.frame[slot])
             .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
         Ok(())
     }
@@ -293,8 +299,9 @@ impl<'a> HostExec<'a> {
 
     // ---- statements --------------------------------------------------------
 
-    fn exec_block(&mut self, b: &Block) -> Result<Flow, Diag> {
-        for s in &b.stmts {
+    fn exec_block(&mut self, b: Block) -> Result<Flow, Diag> {
+        let f = self.frame.func;
+        for s in f.block(b) {
             let flow = self.exec_stmt(s)?;
             if !matches!(flow, Flow::Normal) {
                 return Ok(flow);
@@ -304,7 +311,8 @@ impl<'a> HostExec<'a> {
     }
 
     fn exec_stmt(&mut self, s: &Stmt) -> Result<Flow, Diag> {
-        match s {
+        let f = self.frame.func;
+        match *s {
             Stmt::Decl {
                 ty,
                 init,
@@ -312,20 +320,20 @@ impl<'a> HostExec<'a> {
                 slot,
                 ..
             } => {
-                self.step(*pos)?;
+                self.step(pos)?;
                 let v = match init {
                     Some(e) => {
-                        let raw = self.eval(e)?;
-                        raw.coerce_to(ty)
-                            .map_err(|m| Diag::new(Phase::Runtime, *pos, m))?
+                        let raw = self.eval(f.expr(e))?;
+                        raw.coerce_to(&ty)
+                            .map_err(|m| Diag::new(Phase::Runtime, pos, m))?
                     }
-                    None => Value::zero_of(ty),
+                    None => Value::zero_of(&ty),
                 };
-                self.frame.vals[*slot as usize] = v;
+                self.frame.vals[slot as usize] = v;
                 Ok(Flow::Normal)
             }
             Stmt::SharedDecl { pos, .. } => {
-                Err(Diag::new(Phase::Runtime, *pos, "__shared__ in host code"))
+                Err(Diag::new(Phase::Runtime, pos, "__shared__ in host code"))
             }
             Stmt::Assign {
                 target,
@@ -333,32 +341,33 @@ impl<'a> HostExec<'a> {
                 value,
                 pos,
             } => {
-                self.step(*pos)?;
-                let mut rhs = self.eval(value)?;
+                self.step(pos)?;
+                let target = f.expr(target);
+                let mut rhs = self.eval(f.expr(value))?;
                 if let Some(op) = op {
                     let cur = self.eval(target)?;
-                    rhs = apply_binop(*op, cur, rhs)
-                        .map_err(|m| Diag::new(Phase::Runtime, *pos, m))?;
+                    rhs =
+                        apply_binop(op, cur, rhs).map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
                 }
-                match &target.kind {
-                    ExprKind::Var(_, Binding::Slot(slot)) => self.assign_var(*slot, rhs, *pos)?,
+                match target.kind {
+                    ExprKind::Bound(Binding::Slot(slot)) => self.assign_var(slot, rhs, pos)?,
                     ExprKind::Index(base, idx) => {
                         let p = self
-                            .eval(base)?
+                            .eval(f.expr(base))?
                             .as_ptr()
-                            .map_err(|m| Diag::new(Phase::Runtime, *pos, m))?;
+                            .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
                         let k = self
-                            .eval(idx)?
+                            .eval(f.expr(idx))?
                             .as_int()
-                            .map_err(|m| Diag::new(Phase::Runtime, *pos, m))?;
+                            .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
                         let mut q = p;
                         q.offset += k;
-                        self.host_store(q, rhs, *pos)?;
+                        self.host_store(q, rhs, pos)?;
                     }
                     _ => {
                         return Err(Diag::new(
                             Phase::Runtime,
-                            *pos,
+                            pos,
                             "left side of assignment is not assignable",
                         ))
                     }
@@ -366,7 +375,8 @@ impl<'a> HostExec<'a> {
                 Ok(Flow::Normal)
             }
             Stmt::Expr(e) => {
-                self.step(e.pos)?;
+                let e = f.expr(e);
+                self.step(f.pos(e))?;
                 self.eval(e)?;
                 Ok(Flow::Normal)
             }
@@ -376,11 +386,11 @@ impl<'a> HostExec<'a> {
                 else_blk,
                 pos,
             } => {
-                self.step(*pos)?;
+                self.step(pos)?;
                 let c = self
-                    .eval(cond)?
+                    .eval(f.expr(cond))?
                     .truthy()
-                    .map_err(|m| Diag::new(Phase::Runtime, *pos, m))?;
+                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
                 if c {
                     self.exec_block(then_blk)
                 } else if let Some(eb) = else_blk {
@@ -391,11 +401,11 @@ impl<'a> HostExec<'a> {
             }
             Stmt::While { cond, body, pos } => {
                 loop {
-                    self.step(*pos)?;
+                    self.step(pos)?;
                     let c = self
-                        .eval(cond)?
+                        .eval(f.expr(cond))?
                         .truthy()
-                        .map_err(|m| Diag::new(Phase::Runtime, *pos, m))?;
+                        .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
                     if !c {
                         break;
                     }
@@ -415,15 +425,15 @@ impl<'a> HostExec<'a> {
                 pos,
             } => {
                 if let Some(i) = init {
-                    self.exec_stmt(i)?;
+                    self.exec_stmt(f.stmt(i))?;
                 }
                 loop {
-                    self.step(*pos)?;
+                    self.step(pos)?;
                     if let Some(c) = cond {
                         let t = self
-                            .eval(c)?
+                            .eval(f.expr(c))?
                             .truthy()
-                            .map_err(|m| Diag::new(Phase::Runtime, *pos, m))?;
+                            .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
                         if !t {
                             break;
                         }
@@ -434,15 +444,15 @@ impl<'a> HostExec<'a> {
                         other => return Ok(other),
                     }
                     if let Some(st) = step {
-                        self.exec_stmt(st)?;
+                        self.exec_stmt(f.stmt(st))?;
                     }
                 }
                 Ok(Flow::Normal)
             }
             Stmt::Return { value, pos } => {
-                self.step(*pos)?;
+                self.step(pos)?;
                 let v = match value {
-                    Some(e) => self.eval(e)?,
+                    Some(e) => self.eval(f.expr(e))?,
                     None => Value::I(0),
                 };
                 Ok(Flow::Return(v))
@@ -452,13 +462,11 @@ impl<'a> HostExec<'a> {
             Stmt::Block(b) => self.exec_block(b),
             Stmt::Launch {
                 kernel,
-                grid,
-                block,
-                args,
+                operands,
                 pos,
             } => {
-                self.step(*pos)?;
-                self.launch(kernel, grid, block, args, *pos)?;
+                self.step(pos)?;
+                self.launch(self.program.name(kernel), operands, pos)?;
                 Ok(Flow::Normal)
             }
             Stmt::AccParallelLoop { body, pos } => {
@@ -467,49 +475,34 @@ impl<'a> HostExec<'a> {
                 // the loop ran "on the accelerator", so its statements
                 // are charged to the kernel counters rather than the
                 // host budget. See DESIGN.md (substitutions).
-                self.step(*pos)?;
+                self.step(pos)?;
                 self.cost.kernel_launches += 1;
                 self.clock += cost::LAUNCH_OVERHEAD;
-                self.exec_stmt(body)
+                self.exec_stmt(f.stmt(body))
             }
         }
     }
 
     // ---- kernel launches ---------------------------------------------------
 
-    fn eval_dim(&mut self, d: &Dim3Expr, pos: Pos) -> Result<[i64; 3], Diag> {
-        let x = self
-            .eval(&d.x)?
-            .as_int()
-            .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-        let y = match &d.y {
-            Some(e) => self
+    /// A grid or block extent triple; an absent extent is 1.
+    fn eval_dim(&mut self, extents: &[Expr], pos: Pos) -> Result<[i64; 3], Diag> {
+        let mut dim = [1; 3];
+        for (d, e) in dim.iter_mut().zip(extents) {
+            *d = self
                 .eval(e)?
                 .as_int()
-                .map_err(|m| Diag::new(Phase::Runtime, pos, m))?,
-            None => 1,
-        };
-        let z = match &d.z {
-            Some(e) => self
-                .eval(e)?
-                .as_int()
-                .map_err(|m| Diag::new(Phase::Runtime, pos, m))?,
-            None => 1,
-        };
-        Ok([x, y, z])
+                .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
+        }
+        Ok(dim)
     }
 
-    fn launch(
-        &mut self,
-        kernel: &str,
-        grid: &Dim3Expr,
-        block: &Dim3Expr,
-        args: &[Expr],
-        pos: Pos,
-    ) -> Result<(), Diag> {
+    fn launch(&mut self, kernel: &str, operands: LaunchOperands, pos: Pos) -> Result<(), Diag> {
         self.check_policy("kernelLaunch", pos)?;
-        let g = self.eval_dim(grid, pos)?;
-        let b = self.eval_dim(block, pos)?;
+        let f = self.frame.func;
+        let g = self.eval_dim(f.list(operands.grid()), pos)?;
+        let b = self.eval_dim(f.list(operands.block()), pos)?;
+        let args = f.list(operands.args());
         let mut argv = Vec::with_capacity(args.len());
         for a in args {
             argv.push(self.eval(a)?);
@@ -566,36 +559,40 @@ impl<'a> HostExec<'a> {
     // ---- expressions ---------------------------------------------------------
 
     fn eval(&mut self, e: &Expr) -> Result<Value, Diag> {
-        match &e.kind {
-            ExprKind::IntLit(v) => Ok(Value::I(*v)),
-            ExprKind::FloatLit(v) => Ok(Value::F(*v)),
+        let f = self.frame.func;
+        let pos = f.pos(e);
+        match e.kind {
+            ExprKind::IntLit(v) => Ok(Value::I(v.get())),
+            ExprKind::FloatLit(v) => Ok(Value::F(v)),
             ExprKind::StrLit(_) => Err(Diag::new(
                 Phase::Runtime,
-                e.pos,
+                pos,
                 "string literals are only valid as wb* arguments",
             )),
             ExprKind::SizeOf(t) => Ok(Value::I(t.size_of())),
-            ExprKind::Var(_, binding) => Ok(match *binding {
+            ExprKind::Var(_) => unreachable!("sema binds every name"),
+            ExprKind::Bound(binding) => Ok(match binding {
                 Binding::Slot(slot) => self.frame.vals[slot as usize],
                 Binding::Constant(id) => Value::P(self.program.constant_ptr(id)),
-                Binding::Predefined(v) => Value::I(v),
+                Binding::Predefined(v) => Value::I(v.into()),
             }),
             ExprKind::Builtin(_, _) => Err(Diag::new(
                 Phase::Runtime,
-                e.pos,
+                pos,
                 "threadIdx/blockIdx are not available on the host",
             )),
             ExprKind::Unary(op, inner) => {
-                let v = self.eval(inner)?;
-                apply_unop(*op, v).map_err(|m| Diag::new(Phase::Runtime, e.pos, m))
+                let v = self.eval(f.expr(inner))?;
+                apply_unop(op, v).map_err(|m| Diag::new(Phase::Runtime, pos, m))
             }
             ExprKind::Binary(op, a, b) => {
+                let (a, b) = (f.expr(a), f.expr(b));
                 if op.is_logical() {
                     // Short-circuit like C.
                     let av = self
                         .eval(a)?
                         .truthy()
-                        .map_err(|m| Diag::new(Phase::Runtime, e.pos, m))?;
+                        .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
                     return match (op, av) {
                         (BinOp::And, false) => Ok(Value::B(false)),
                         (BinOp::Or, true) => Ok(Value::B(true)),
@@ -603,56 +600,59 @@ impl<'a> HostExec<'a> {
                             let bv = self
                                 .eval(b)?
                                 .truthy()
-                                .map_err(|m| Diag::new(Phase::Runtime, e.pos, m))?;
+                                .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
                             Ok(Value::B(bv))
                         }
                     };
                 }
                 let av = self.eval(a)?;
                 let bv = self.eval(b)?;
-                apply_binop(*op, av, bv).map_err(|m| Diag::new(Phase::Runtime, e.pos, m))
+                apply_binop(op, av, bv).map_err(|m| Diag::new(Phase::Runtime, pos, m))
             }
-            ExprKind::Ternary(c, a, b) => {
+            ExprKind::Ternary(c, a) => {
+                let b = a.next();
                 let cv = self
-                    .eval(c)?
+                    .eval(f.expr(c))?
                     .truthy()
-                    .map_err(|m| Diag::new(Phase::Runtime, e.pos, m))?;
+                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
                 if cv {
-                    self.eval(a)
+                    self.eval(f.expr(a))
                 } else {
-                    self.eval(b)
+                    self.eval(f.expr(b))
                 }
             }
             ExprKind::Index(base, idx) => {
                 let p = self
-                    .eval(base)?
+                    .eval(f.expr(base))?
                     .as_ptr()
-                    .map_err(|m| Diag::new(Phase::Runtime, e.pos, m))?;
+                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
                 let k = self
-                    .eval(idx)?
+                    .eval(f.expr(idx))?
                     .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, e.pos, m))?;
+                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
                 let mut q = p;
                 q.offset += k;
                 if p.space == Space::Constant {
                     return self
                         .consts
                         .load(q)
-                        .map_err(|er| Diag::new(Phase::Runtime, e.pos, er.0));
+                        .map_err(|er| Diag::new(Phase::Runtime, pos, er.0));
                 }
-                self.host_load(q, e.pos)
+                self.host_load(q, pos)
             }
             ExprKind::Cast(ty, inner) => {
-                let v = self.eval(inner)?;
-                v.coerce_to(ty)
-                    .map_err(|m| Diag::new(Phase::Runtime, e.pos, m))
+                let v = self.eval(f.expr(inner))?;
+                v.coerce_to(&ty)
+                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))
             }
             ExprKind::AddrOf(..) => Err(Diag::new(
                 Phase::Runtime,
-                e.pos,
+                pos,
                 "&variable is only valid as an out-parameter of an API call",
             )),
-            ExprKind::Call(name, args) => self.eval_call(name, args, e.pos),
+            ExprKind::Call { callee, first, len } => {
+                self.eval_call(callee, f.list(ExprKind::args(first, len)), pos)
+            }
         }
     }
 
@@ -679,18 +679,18 @@ impl<'a> HostExec<'a> {
             ExprKind::AddrOf(_, slot) => Ok(slot),
             _ => Err(Diag::new(
                 Phase::Runtime,
-                e.pos,
+                self.frame.func.pos(e),
                 "this argument must be &variable",
             )),
         }
     }
 
     fn str_arg(&self, e: &Expr) -> Result<String, Diag> {
-        match &e.kind {
-            ExprKind::StrLit(s) => Ok(s.clone()),
+        match e.kind {
+            ExprKind::StrLit(s) => Ok(self.program.name(s).to_string()),
             _ => Err(Diag::new(
                 Phase::Runtime,
-                e.pos,
+                self.frame.func.pos(e),
                 "this argument must be a string literal",
             )),
         }
@@ -743,7 +743,8 @@ impl<'a> HostExec<'a> {
         self.assign_var(slot, Value::I(v), pos)
     }
 
-    fn eval_call(&mut self, name: &str, args: &[Expr], pos: Pos) -> Result<Value, Diag> {
+    fn eval_call(&mut self, sym: Sym, args: &'a [Expr], pos: Pos) -> Result<Value, Diag> {
+        let name = self.program.name(sym);
         // Pure math: no policy involvement.
         if crate::value::is_math_intrinsic(name) {
             let vals: Vec<Value> = args
@@ -1233,8 +1234,8 @@ impl<'a> HostExec<'a> {
                     if k > 0 {
                         msg.push(' ');
                     }
-                    match &a.kind {
-                        ExprKind::StrLit(s) => msg.push_str(s),
+                    match a.kind {
+                        ExprKind::StrLit(s) => msg.push_str(self.program.name(s)),
                         _ => {
                             let v = self.eval(a)?;
                             msg.push_str(&v.to_string());
@@ -1379,7 +1380,7 @@ impl<'a> HostExec<'a> {
             // ---- user host function ----
             _ => {
                 let program = self.program;
-                let f = program.func(name).ok_or_else(|| {
+                let f = program.func_named(sym).ok_or_else(|| {
                     Diag::new(Phase::Runtime, pos, format!("unknown function `{name}`"))
                 })?;
                 if self.call_depth >= 48 {
@@ -1399,7 +1400,7 @@ impl<'a> HostExec<'a> {
                 }
                 let caller = std::mem::replace(&mut self.frame, Frame::enter(f, argv));
                 self.call_depth += 1;
-                let flow = self.exec_block(&f.body);
+                let flow = self.exec_block(f.body);
                 self.call_depth -= 1;
                 self.frame = caller;
                 match flow? {

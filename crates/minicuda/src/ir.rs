@@ -26,10 +26,9 @@
 //! what makes the thread-invariant address-math hoisting pass
 //! possible.
 
-use crate::ast::{BinOp, BuiltinVar, Type, UnOp};
+use crate::ast::{vec_bytes, BinOp, BuiltinVar, Type, UnOp};
 use crate::diag::Pos;
 use crate::value::{ElemType, Value};
-use std::collections::HashMap;
 
 /// Version tag for the IR + lowering semantics. Absorbed into
 /// `wb-cache`'s `CompileKey` so cached grades can never go stale when
@@ -256,10 +255,10 @@ pub enum Inst {
     Math {
         /// Destination.
         dst: Reg,
-        /// Intrinsic name (validated against `value::is_math_intrinsic`).
-        name: String,
+        /// Intrinsic name (one of `value::math_name`'s).
+        name: &'static str,
         /// Arguments.
-        args: Vec<Reg>,
+        args: Box<[Reg]>,
         /// Source position.
         pos: Pos,
     },
@@ -311,9 +310,9 @@ pub enum Inst {
         /// Destination (per-lane return values).
         dst: Reg,
         /// Callee name (must be lowered in the same [`IrProgram`]).
-        callee: String,
+        callee: Box<str>,
         /// Argument registers.
-        args: Vec<Reg>,
+        args: Box<[Reg]>,
         /// Source position.
         pos: Pos,
     },
@@ -539,7 +538,120 @@ pub struct IrFunc {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct IrProgram {
     /// Kernels and device functions by name.
-    pub funcs: HashMap<String, IrFunc>,
+    pub funcs: IrFuncs,
+}
+
+/// Lowered functions by name, kept sorted by name in one vector: a
+/// lookup is a binary search, and the table holds exactly its entries
+/// (a hash table's smallest holds four).
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct IrFuncs(Vec<(String, IrFunc)>);
+
+impl IrFuncs {
+    /// The function named `name`.
+    pub fn get(&self, name: &str) -> Option<&IrFunc> {
+        let i = self
+            .0
+            .binary_search_by(|(n, _)| n.as_str().cmp(name))
+            .ok()?;
+        Some(&self.0[i].1)
+    }
+
+    /// Names in order.
+    pub fn keys(&self) -> impl Iterator<Item = &String> {
+        self.0.iter().map(|(n, _)| n)
+    }
+
+    /// Functions in name order, mutably.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut IrFunc> {
+        self.0.iter_mut().map(|(_, f)| f)
+    }
+
+    /// `(name, function)` pairs in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&String, &IrFunc)> {
+        self.0.iter().map(|(n, f)| (n, f))
+    }
+}
+
+impl FromIterator<(String, IrFunc)> for IrFuncs {
+    /// Sorts once. Names are distinct: sema rejects a function defined
+    /// twice.
+    fn from_iter<I: IntoIterator<Item = (String, IrFunc)>>(iter: I) -> Self {
+        let mut v: Vec<(String, IrFunc)> = iter.into_iter().collect();
+        v.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        IrFuncs(v)
+    }
+}
+
+impl<Q: AsRef<str> + ?Sized> std::ops::Index<&Q> for IrFuncs {
+    type Output = IrFunc;
+
+    fn index(&self, name: &Q) -> &IrFunc {
+        let name = name.as_ref();
+        self.get(name)
+            .unwrap_or_else(|| panic!("no lowered function `{name}`"))
+    }
+}
+
+impl IrProgram {
+    /// Drop the spare capacity lowering and the passes left in every
+    /// vector.
+    pub fn shrink_to_fit(&mut self) {
+        self.funcs.0.shrink_to_fit();
+        for f in self.funcs.values_mut() {
+            f.params.shrink_to_fit();
+            f.blocks.shrink_to_fit();
+            f.shared.shrink_to_fit();
+            for b in &mut f.blocks {
+                b.insts.shrink_to_fit();
+            }
+        }
+    }
+
+    /// Heap bytes the IR holds: its function table and, per function,
+    /// each vector's capacity and the text and operand lists of its
+    /// instructions.
+    pub fn heap_bytes(&self) -> usize {
+        let table = vec_bytes(&self.funcs.0);
+        let funcs: usize = self
+            .funcs
+            .iter()
+            .map(|(name, f)| {
+                let insts: usize = f
+                    .blocks
+                    .iter()
+                    .map(|b| {
+                        vec_bytes(&b.insts) + b.insts.iter().map(Inst::heap_bytes).sum::<usize>()
+                    })
+                    .sum();
+                let shared: usize = f
+                    .shared
+                    .iter()
+                    .map(|s| s.name.capacity() + vec_bytes(&s.dims))
+                    .sum();
+                name.capacity()
+                    + f.name.capacity()
+                    + vec_bytes(&f.params)
+                    + vec_bytes(&f.blocks)
+                    + insts
+                    + vec_bytes(&f.shared)
+                    + shared
+            })
+            .sum();
+        table + funcs
+    }
+}
+
+impl Inst {
+    /// Heap bytes the instruction holds beyond its own size.
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Inst::Math { args, .. } => std::mem::size_of_val(&**args),
+            Inst::Call { callee, args, .. } => callee.len() + std::mem::size_of_val(&**args),
+            Inst::Trap { msg, .. } => msg.capacity(),
+            _ => 0,
+        }
+    }
 }
 
 #[cfg(test)]

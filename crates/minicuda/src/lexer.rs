@@ -307,7 +307,9 @@ mod tests {
         let raw = kinds("\"a\\n\\\"b\\\"\"")[0];
         assert_eq!(raw, Tok::Str("a\\n\\\"b\\\""));
         let Tok::Str(raw) = raw else { unreachable!() };
-        assert_eq!(crate::token::unescape(raw), "a\n\"b\"");
+        let mut text = String::new();
+        crate::token::unescape(raw, &mut text);
+        assert_eq!(text, "a\n\"b\"");
     }
 
     #[test]

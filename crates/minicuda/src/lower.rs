@@ -33,22 +33,22 @@
 
 use crate::ast::*;
 use crate::diag::Pos;
+use crate::fx::FxHashMap;
 use crate::ir::*;
 use crate::sema::{const_eval, Program};
 use crate::value::{ElemType, Value};
-use std::collections::HashMap;
 
 /// Lower a program's device code: every kernel and `__device__`
 /// function. Host functions stay AST-only (see the module docs).
 pub fn lower_program(p: &Program) -> IrProgram {
     #[cfg(test)]
     LOWERINGS.with(|n| n.set(n.get() + 1));
-    let mut out = IrProgram::default();
-    for f in p.funcs().filter(|f| f.kind != FuncKind::Host) {
-        let lowered = Lower::new(p, f).lower_func(f);
-        out.funcs.insert(f.name.clone(), lowered);
-    }
-    out
+    let funcs = p
+        .funcs()
+        .filter(|f| f.kind != FuncKind::Host)
+        .map(|f| (p.name(f.name).to_string(), Lower::new(p, f).lower_func()))
+        .collect();
+    IrProgram { funcs }
 }
 
 #[cfg(test)]
@@ -64,25 +64,29 @@ pub(crate) fn lowerings() -> usize {
 
 struct Lower<'a> {
     prog: &'a Program,
+    /// The function being lowered, whose arenas the ids index.
+    f: &'a FuncDef,
     blocks: Vec<IrBlock>,
     cur: BlockId,
     next_reg: Reg,
     /// The register each frame slot's declaration wrote.
     slots: Vec<Reg>,
     shared: Vec<SharedSpec>,
-    shared_by_name: HashMap<String, u32>,
+    /// Each shared array's index in `shared`, by name.
+    shared_ids: FxHashMap<Sym, u32>,
 }
 
 impl<'a> Lower<'a> {
-    fn new(prog: &'a Program, f: &FuncDef) -> Self {
+    fn new(prog: &'a Program, f: &'a FuncDef) -> Self {
         Lower {
             prog,
+            f,
             blocks: vec![IrBlock::default()],
             cur: 0,
             next_reg: 0,
             slots: vec![0; f.frame.len()],
             shared: Vec::new(),
-            shared_by_name: HashMap::new(),
+            shared_ids: FxHashMap::default(),
         }
     }
 
@@ -108,16 +112,17 @@ impl<'a> Lower<'a> {
         (id, r)
     }
 
-    fn lower_func(mut self, f: &FuncDef) -> IrFunc {
+    fn lower_func(mut self) -> IrFunc {
+        let f = self.f;
         let mut params = Vec::with_capacity(f.params.len());
         for (slot, p) in f.params.iter().enumerate() {
             let r = self.fresh();
             self.slots[slot] = r;
-            params.push((r, p.ty.clone()));
+            params.push((r, p.ty));
         }
-        self.lower_block(&f.body);
+        self.lower_block(f.body);
         IrFunc {
-            name: f.name.clone(),
+            name: self.prog.name(f.name).to_string(),
             params,
             blocks: self.blocks,
             num_regs: self.next_reg,
@@ -128,15 +133,16 @@ impl<'a> Lower<'a> {
     }
 
     /// Lower a `{}` block's statements into the current IR block.
-    fn lower_block(&mut self, b: &Block) {
-        for s in &b.stmts {
+    fn lower_block(&mut self, b: Block) {
+        let f = self.f;
+        for s in f.block(b) {
             self.lower_stmt(s);
         }
     }
 
     /// Lower a `{}` block into a brand-new IR block (branch arms, loop
     /// bodies).
-    fn lower_block_child(&mut self, b: &Block) -> BlockId {
+    fn lower_block_child(&mut self, b: Block) -> BlockId {
         self.in_new_block(|l| l.lower_block(b)).0
     }
 
@@ -154,7 +160,7 @@ impl<'a> Lower<'a> {
     // ---- statements ----------------------------------------------------
 
     fn lower_stmt(&mut self, s: &Stmt) {
-        match s {
+        match *s {
             Stmt::Decl {
                 ty,
                 init,
@@ -166,24 +172,19 @@ impl<'a> Lower<'a> {
                     Some(e) => {
                         let r = self.lower_expr(e);
                         let dst = self.fresh();
-                        self.emit(Inst::Coerce {
-                            dst,
-                            a: r,
-                            ty: ty.clone(),
-                            pos: *pos,
-                        });
+                        self.emit(Inst::Coerce { dst, a: r, ty, pos });
                         dst
                     }
                     None => {
                         let dst = self.fresh();
                         self.emit(Inst::Const {
                             dst,
-                            v: Value::zero_of(ty),
+                            v: Value::zero_of(&ty),
                         });
                         dst
                     }
                 };
-                self.slots[*slot as usize] = dst;
+                self.slots[slot as usize] = dst;
             }
             Stmt::SharedDecl {
                 elem,
@@ -194,36 +195,34 @@ impl<'a> Lower<'a> {
             } => {
                 // Allocation deduplicates by name (first declaration's
                 // dims win), mirroring the tree-walk's `shared_ids`.
-                let spec = match self.shared_by_name.get(name) {
+                let spec = match self.shared_ids.get(&name) {
                     Some(&i) => i,
                     None => {
-                        let i = self.shared.len() as u32;
                         self.shared.push(SharedSpec {
-                            name: name.clone(),
+                            name: self.prog.name(name).to_string(),
                             dims: dims
-                                .iter()
-                                .map(|d| const_eval(d).expect("sema checked") as usize)
+                                .ids()
+                                .map(|d| {
+                                    const_eval(&self.f.exprs, d).expect("sema checked") as usize
+                                })
                                 .collect(),
-                            elem: ElemType::of(elem),
+                            elem: ElemType::of(&elem),
                         });
-                        self.shared_by_name.insert(name.clone(), i);
+                        let i = self.shared.len() as u32 - 1;
+                        self.shared_ids.insert(name, i);
                         i
                     }
                 };
                 let dst = self.fresh();
-                self.emit(Inst::DeclShared {
-                    dst,
-                    spec,
-                    pos: *pos,
-                });
-                self.slots[*slot as usize] = dst;
+                self.emit(Inst::DeclShared { dst, spec, pos });
+                self.slots[slot as usize] = dst;
             }
             Stmt::Assign {
                 target,
                 op,
                 value,
                 pos,
-            } => self.lower_assign(target, *op, value, *pos),
+            } => self.lower_assign(target, op, value, pos),
             Stmt::Expr(e) => {
                 self.lower_expr(e);
             }
@@ -235,12 +234,12 @@ impl<'a> Lower<'a> {
             } => {
                 let c = self.lower_expr(cond);
                 let then_b = self.lower_block_child(then_blk);
-                let else_b = else_blk.as_ref().map(|b| self.lower_block_child(b));
+                let else_b = else_blk.map(|b| self.lower_block_child(b));
                 self.emit(Inst::If {
                     cond: c,
                     then_b,
                     else_b,
-                    pos: *pos,
+                    pos,
                 });
             }
             Stmt::While { cond, body, pos } => {
@@ -251,7 +250,7 @@ impl<'a> Lower<'a> {
                     cond_r,
                     body_b,
                     step_b: None,
-                    pos: *pos,
+                    pos,
                 });
             }
             Stmt::For {
@@ -264,16 +263,13 @@ impl<'a> Lower<'a> {
                 // The init statement runs once in the enclosing block —
                 // that block is the natural preheader for invariant
                 // hoisting.
+                let f = self.f;
                 if let Some(i) = init {
-                    self.lower_stmt(i);
+                    self.lower_stmt(f.stmt(i));
                 }
-                let cond_lowered = cond
-                    .as_ref()
-                    .map(|c| self.in_new_block(|l| l.lower_expr(c)));
+                let cond_lowered = cond.map(|c| self.in_new_block(|l| l.lower_expr(c)));
                 let body_b = self.lower_block_child(body);
-                let step_b = step
-                    .as_deref()
-                    .map(|st| self.in_new_block(|l| l.lower_stmt(st)).0);
+                let step_b = step.map(|st| self.in_new_block(|l| l.lower_stmt(f.stmt(st))).0);
                 let (cond_b, cond_r) = match cond_lowered {
                     Some((b, r)) => (Some(b), r),
                     None => (None, 0),
@@ -283,26 +279,26 @@ impl<'a> Lower<'a> {
                     cond_r,
                     body_b,
                     step_b,
-                    pos: *pos,
+                    pos,
                 });
             }
             Stmt::Return { value, pos } => {
-                let val = value.as_ref().map(|e| self.lower_expr(e));
-                self.emit(Inst::Return { val, pos: *pos });
+                let val = value.map(|e| self.lower_expr(e));
+                self.emit(Inst::Return { val, pos });
             }
-            Stmt::Break(pos) => self.emit(Inst::Break { pos: *pos }),
-            Stmt::Continue(pos) => self.emit(Inst::Continue { pos: *pos }),
+            Stmt::Break(pos) => self.emit(Inst::Break { pos }),
+            Stmt::Continue(pos) => self.emit(Inst::Continue { pos }),
             Stmt::Block(b) => self.lower_block(b),
             // Only device code is lowered, and sema rejects both there.
             Stmt::Launch { pos, .. } | Stmt::AccParallelLoop { pos, .. } => {
-                self.trap(*pos, "sema: kernel launches and #pragma acc are host-only");
+                self.trap(pos, "sema: kernel launches and #pragma acc are host-only");
             }
         }
     }
 
-    fn lower_assign(&mut self, target: &Expr, op: Option<BinOp>, value: &Expr, pos: Pos) {
-        match &target.kind {
-            &ExprKind::Var(_, Binding::Slot(slot)) => {
+    fn lower_assign(&mut self, target: ExprId, op: Option<BinOp>, value: ExprId, pos: Pos) {
+        match self.f.expr(target).kind {
+            ExprKind::Bound(Binding::Slot(slot)) => {
                 let var = self.slots[slot as usize];
                 let rhs = self.lower_expr(value);
                 let src = match op {
@@ -372,36 +368,34 @@ impl<'a> Lower<'a> {
 
     // ---- expressions ---------------------------------------------------
 
-    fn lower_expr(&mut self, e: &Expr) -> Reg {
-        match &e.kind {
-            ExprKind::IntLit(v) => self.constant(Value::I(*v)),
-            ExprKind::FloatLit(v) => self.constant(Value::F(*v)),
-            ExprKind::StrLit(_) => self.trap(e.pos, "strings are not device values"),
+    fn lower_expr(&mut self, id: ExprId) -> Reg {
+        let e = *self.f.expr(id);
+        let pos = self.f.pos(&e);
+        match e.kind {
+            ExprKind::IntLit(v) => self.constant(Value::I(v.get())),
+            ExprKind::FloatLit(v) => self.constant(Value::F(v)),
+            ExprKind::StrLit(_) => self.trap(pos, "strings are not device values"),
             ExprKind::SizeOf(t) => self.constant(Value::I(t.size_of())),
-            ExprKind::Var(_, binding) => match *binding {
+            ExprKind::Var(_) => unreachable!("sema binds every name"),
+            ExprKind::Bound(binding) => match binding {
                 Binding::Slot(slot) => self.slots[slot as usize],
                 Binding::Constant(id) => self.constant(Value::P(self.prog.constant_ptr(id))),
-                Binding::Predefined(v) => self.constant(Value::I(v)),
+                Binding::Predefined(v) => self.constant(Value::I(v.into())),
             },
             ExprKind::Builtin(which, axis) => {
                 let dst = self.fresh();
                 self.emit(Inst::Builtin {
                     dst,
-                    which: *which,
-                    axis: *axis,
-                    pos: e.pos,
+                    which,
+                    axis,
+                    pos,
                 });
                 dst
             }
             ExprKind::Unary(op, inner) => {
                 let a = self.lower_expr(inner);
                 let dst = self.fresh();
-                self.emit(Inst::Un {
-                    dst,
-                    op: *op,
-                    a,
-                    pos: e.pos,
-                });
+                self.emit(Inst::Un { dst, op, a, pos });
                 dst
             }
             ExprKind::Binary(op, a, b) => {
@@ -411,11 +405,11 @@ impl<'a> Lower<'a> {
                     let dst = self.fresh();
                     self.emit(Inst::Logic {
                         dst,
-                        op: *op,
+                        op,
                         a: ar,
                         rhs_b,
                         rhs_r,
-                        pos: e.pos,
+                        pos,
                     });
                     return dst;
                 }
@@ -424,14 +418,15 @@ impl<'a> Lower<'a> {
                 let dst = self.fresh();
                 self.emit(Inst::Bin {
                     dst,
-                    op: *op,
+                    op,
                     a: ar,
                     b: br,
-                    pos: e.pos,
+                    pos,
                 });
                 dst
             }
-            ExprKind::Ternary(c, a, b) => {
+            ExprKind::Ternary(c, a) => {
+                let b = a.next();
                 let cr = self.lower_expr(c);
                 let (then_b, then_r) = self.in_new_block(|l| l.lower_expr(a));
                 let (else_b, else_r) = self.in_new_block(|l| l.lower_expr(b));
@@ -443,7 +438,7 @@ impl<'a> Lower<'a> {
                     then_r,
                     else_b,
                     else_r,
-                    pos: e.pos,
+                    pos,
                 });
                 dst
             }
@@ -455,23 +450,20 @@ impl<'a> Lower<'a> {
                     dst,
                     base: b,
                     idx: i,
-                    pos: e.pos,
+                    pos,
                 });
                 dst
             }
             ExprKind::Cast(ty, inner) => {
                 let a = self.lower_expr(inner);
                 let dst = self.fresh();
-                self.emit(Inst::Coerce {
-                    dst,
-                    a,
-                    ty: ty.clone(),
-                    pos: e.pos,
-                });
+                self.emit(Inst::Coerce { dst, a, ty, pos });
                 dst
             }
-            ExprKind::AddrOf(..) => self.trap(e.pos, "address-of is not supported in device code"),
-            ExprKind::Call(name, args) => self.lower_call(name, args, e.pos),
+            ExprKind::AddrOf(..) => self.trap(pos, "address-of is not supported in device code"),
+            ExprKind::Call { callee, first, len } => {
+                self.lower_call(callee, ExprKind::args(first, len), pos)
+            }
         }
     }
 
@@ -481,10 +473,12 @@ impl<'a> Lower<'a> {
         dst
     }
 
-    fn lower_call(&mut self, name: &str, args: &[Expr], pos: Pos) -> Reg {
+    fn lower_call(&mut self, callee: Sym, args: ExprList, pos: Pos) -> Reg {
+        let name = self.prog.name(callee);
+        let arg = |k: usize| args.ids().nth(k).expect("sema checked the arity");
         match name {
             "__syncthreads" | "barrier" => {
-                if let Some(flag) = args.first() {
+                if let Some(flag) = args.ids().next() {
                     // barrier(fence_flag): evaluated, irrelevant.
                     self.lower_expr(flag);
                 }
@@ -498,8 +492,8 @@ impl<'a> Lower<'a> {
                     "atomicMax" => AtomicKind::Max,
                     _ => AtomicKind::Exch,
                 };
-                let p = self.lower_expr(&args[0]);
-                let v = self.lower_expr(&args[1]);
+                let p = self.lower_expr(arg(0));
+                let v = self.lower_expr(arg(1));
                 let dst = self.fresh();
                 self.emit(Inst::Atomic {
                     dst,
@@ -511,9 +505,9 @@ impl<'a> Lower<'a> {
                 dst
             }
             "atomicCAS" => {
-                let p = self.lower_expr(&args[0]);
-                let c = self.lower_expr(&args[1]);
-                let v = self.lower_expr(&args[2]);
+                let p = self.lower_expr(arg(0));
+                let c = self.lower_expr(arg(1));
+                let v = self.lower_expr(arg(2));
                 let dst = self.fresh();
                 self.emit(Inst::AtomicCas {
                     dst,
@@ -526,7 +520,7 @@ impl<'a> Lower<'a> {
             }
             _ if OclFn::from_name(name).is_some() => {
                 let which = OclFn::from_name(name).expect("checked");
-                let dim = self.lower_expr(&args[0]);
+                let dim = self.lower_expr(arg(0));
                 let dst = self.fresh();
                 self.emit(Inst::OclId {
                     dst,
@@ -537,25 +531,25 @@ impl<'a> Lower<'a> {
                 dst
             }
             _ if crate::value::is_math_intrinsic(name) => {
-                let regs: Vec<Reg> = args.iter().map(|a| self.lower_expr(a)).collect();
+                let regs: Box<[Reg]> = args.ids().map(|a| self.lower_expr(a)).collect();
                 let dst = self.fresh();
                 self.emit(Inst::Math {
                     dst,
-                    name: name.to_string(),
+                    name: crate::value::math_name(name).expect("a math intrinsic"),
                     args: regs,
                     pos,
                 });
                 dst
             }
             _ => {
-                if self.prog.func(name).is_none() {
+                if self.prog.func_named(callee).is_none() {
                     return self.trap(pos, format!("unknown function `{name}`"));
                 }
-                let regs: Vec<Reg> = args.iter().map(|a| self.lower_expr(a)).collect();
+                let regs: Box<[Reg]> = args.ids().map(|a| self.lower_expr(a)).collect();
                 let dst = self.fresh();
                 self.emit(Inst::Call {
                     dst,
-                    callee: name.to_string(),
+                    callee: name.into(),
                     args: regs,
                     pos,
                 });

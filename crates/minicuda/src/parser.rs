@@ -9,26 +9,36 @@
 
 use crate::ast::*;
 use crate::diag::{Diag, Phase, Pos};
+use crate::fx::FxHashMap;
 use crate::token::{unescape, Tok, Token};
 
-/// Parse a token stream into a translation unit. The unit owns its
-/// names: each is copied out of the source once, into the node that
-/// keeps it.
+/// Parse a token stream into a translation unit. Each function owns
+/// its nodes in two arenas, allocated at their exact size; every name
+/// is interned once into the unit's [`Names`].
 pub fn parse(tokens: Vec<Token<'_>>) -> Result<Unit, Diag> {
     let mut p = Parser {
         tokens,
         at: 0,
         depth: 0,
+        names: Names::default(),
+        interned: FxHashMap::with_capacity_and_hasher(64, Default::default()),
+        exprs: Vec::with_capacity(256),
+        stmts: Vec::with_capacity(64),
+        far: Vec::new(),
         // The lab solutions hold at most 38 statements in open blocks
         // and 8 call arguments at once (bfs), so neither stack grows.
-        stmts: Vec::with_capacity(48),
-        exprs: Vec::with_capacity(16),
+        open_stmts: Vec::with_capacity(48),
+        open_exprs: Vec::with_capacity(16),
     };
     let mut items = Vec::new();
     while !p.check_eof() {
         items.push(p.item()?);
     }
-    Ok(Unit { items })
+    p.names.shrink_to_fit();
+    Ok(Unit {
+        items,
+        names: p.names,
+    })
 }
 
 /// Maximum expression/statement nesting depth. The parser is recursive
@@ -39,16 +49,26 @@ pub fn parse(tokens: Vec<Token<'_>>) -> Result<Unit, Diag> {
 /// recursion shallow enough for a 2 MB thread stack in debug builds.
 const MAX_NESTING: usize = 64;
 
+/// The parse functions return a node by value; its parent moves it into
+/// the arena when the parent is built, so siblings (a block's
+/// statements, a call's arguments) land next to each other and every
+/// node is stored once.
 struct Parser<'src> {
     tokens: Vec<Token<'src>>,
     at: usize,
     depth: usize,
-    /// The statements of every block still being parsed, innermost
-    /// last: a block collects its own off the top into one exact-size
-    /// `Vec`, so no block vector grows or is trimmed.
-    stmts: Vec<Stmt>,
-    /// The same for the arguments of every call still being parsed.
+    names: Names,
+    interned: FxHashMap<&'src str, Sym>,
+    /// The arenas of the item being parsed; each item copies them out
+    /// at their exact size.
     exprs: Vec<Expr>,
+    stmts: Vec<Stmt>,
+    far: Vec<Pos>,
+    /// The statements of every block still being parsed, innermost
+    /// last: a block moves its own off the top into the arena.
+    open_stmts: Vec<Stmt>,
+    /// The same for the arguments of every call still being parsed.
+    open_exprs: Vec<Expr>,
 }
 
 impl<'src> Parser<'src> {
@@ -103,6 +123,23 @@ impl<'src> Parser<'src> {
         }
     }
 
+    /// [`Parser::eat_ident`], interned.
+    fn eat_name(&mut self) -> Result<Sym, Diag> {
+        let name = self.eat_ident()?;
+        Ok(self.intern(name))
+    }
+
+    fn intern(&mut self, name: &'src str) -> Sym {
+        match self.interned.get(name) {
+            Some(&sym) => sym,
+            None => {
+                let sym = self.names.push(name);
+                self.interned.insert(name, sym);
+                sym
+            }
+        }
+    }
+
     fn is_word(&self, w: &str) -> bool {
         matches!(self.peek(), Tok::Ident(s) if *s == w)
     }
@@ -116,21 +153,66 @@ impl<'src> Parser<'src> {
         }
     }
 
+    // ---- arenas --------------------------------------------------------
+
+    /// An expression node at `pos`.
+    fn node(&mut self, kind: ExprKind, pos: Pos) -> Expr {
+        Expr {
+            kind,
+            at: Loc::pack(pos, &mut self.far),
+        }
+    }
+
+    fn int(&mut self, v: i64, pos: Pos) -> Expr {
+        self.node(ExprKind::IntLit(Lit::new(v)), pos)
+    }
+
+    fn push_expr(&mut self, e: Expr) -> ExprId {
+        self.exprs.push(e);
+        ExprId::new(self.exprs.len() - 1)
+    }
+
+    fn push_stmt(&mut self, s: Stmt) -> StmtId {
+        self.stmts.push(s);
+        StmtId::new(self.stmts.len() - 1)
+    }
+
+    /// Move the open expressions from `base` on into the arena, in
+    /// order.
+    fn close_exprs(&mut self, base: usize) -> ExprList {
+        let first = ExprId::new(self.exprs.len());
+        let len = (self.open_exprs.len() - base) as u32;
+        self.exprs.extend(self.open_exprs.drain(base..));
+        ExprList { first, len }
+    }
+
+    /// Move the open statements from `base` on into the arena, in
+    /// order.
+    fn close_stmts(&mut self, base: usize) -> Block {
+        let first = StmtId::new(self.stmts.len());
+        let len = (self.open_stmts.len() - base) as u32;
+        self.stmts.extend(self.open_stmts.drain(base..));
+        Block { first, len }
+    }
+
     // ---- top level ----------------------------------------------------
 
     fn item(&mut self) -> Result<Item, Diag> {
         let pos = self.pos();
         if self.eat_word("__constant__") {
             let elem = self.base_type()?;
-            let name = self.eat_ident()?;
+            let name = self.eat_name()?;
             self.eat(Tok::LBracket)?;
             let size = self.expr()?;
+            let size = self.push_expr(size);
             self.eat(Tok::RBracket)?;
             self.eat(Tok::Semi)?;
             return Ok(Item::Constant(ConstantDef {
                 elem,
-                name: name.to_string(),
+                name,
                 size,
+                exprs: self.exprs.drain(..).collect(),
+                far: self.far.drain(..).collect(),
                 pos,
             }));
         }
@@ -142,19 +224,24 @@ impl<'src> Parser<'src> {
             FuncKind::Host
         };
         let ret = self.typ()?;
-        let name = self.eat_ident()?;
+        let name = self.eat_name()?;
         self.eat(Tok::LParen)?;
         let params = self.params()?;
         self.eat(Tok::RParen)?;
         let body = self.block()?;
+        // Programs keep their AST, and the cache keeps programs: each
+        // arena is copied out at its exact size.
         Ok(Item::Func(FuncDef {
             kind,
             ret,
-            name: name.to_string(),
+            name,
             params,
             body,
             pos,
             frame: Vec::new(),
+            exprs: self.exprs.drain(..).collect(),
+            stmts: self.stmts.drain(..).collect(),
+            far: self.far.drain(..).collect(),
         }))
     }
 
@@ -169,7 +256,7 @@ impl<'src> Parser<'src> {
         }
         loop {
             let ty = self.typ()?;
-            let name = self.eat_ident()?;
+            let name = self.eat_name()?;
             // `float a[]` parameter form: same as a pointer.
             let ty = if *self.peek() == Tok::LBracket {
                 self.advance();
@@ -178,16 +265,14 @@ impl<'src> Parser<'src> {
             } else {
                 ty
             };
-            params.push(Param {
-                ty,
-                name: name.to_string(),
-            });
+            params.push(Param { ty, name });
             if *self.peek() == Tok::Comma {
                 self.advance();
             } else {
                 break;
             }
         }
+        params.shrink_to_fit();
         Ok(params)
     }
 
@@ -196,18 +281,18 @@ impl<'src> Parser<'src> {
     fn base_type(&mut self) -> Result<Type, Diag> {
         self.eat_word("const");
         let t = if self.eat_word("void") {
-            Type::Void
+            Type::VOID
         } else if self.eat_word("int") || self.eat_word("long") || self.eat_word("size_t") {
-            Type::Int
+            Type::INT
         } else if self.eat_word("unsigned") {
             self.eat_word("int"); // `unsigned int` or bare `unsigned`
-            Type::Int
+            Type::INT
         } else if self.eat_word("float") || self.eat_word("double") {
             // Labs occasionally write `double` for host accumulators; the
             // device is single-precision, so both map to f32.
-            Type::Float
+            Type::FLOAT
         } else if self.eat_word("bool") {
-            Type::Bool
+            Type::BOOL
         } else {
             return Err(self.err(format!("expected a type, found {}", self.peek().describe())));
         };
@@ -215,13 +300,28 @@ impl<'src> Parser<'src> {
     }
 
     fn typ(&mut self) -> Result<Type, Diag> {
-        let mut t = self.base_type()?;
+        let t = self.base_type()?;
+        self.stars(t, true)
+    }
+
+    /// `ty` under the `*`s that follow (each may carry `const` when
+    /// `consts`), at most [`MAX_POINTER_DEPTH`] levels deep.
+    fn stars(&mut self, mut ty: Type, consts: bool) -> Result<Type, Diag> {
+        let mut depth = 0;
         while *self.peek() == Tok::Star {
+            depth += 1;
+            if depth > MAX_POINTER_DEPTH {
+                return Err(self.err(format!(
+                    "pointer types nest deeper than {MAX_POINTER_DEPTH} levels"
+                )));
+            }
             self.advance();
-            self.eat_word("const");
-            t = t.ptr_to();
+            if consts {
+                self.eat_word("const");
+            }
+            ty = ty.ptr_to();
         }
-        Ok(t)
+        Ok(ty)
     }
 
     fn at_type(&self) -> bool {
@@ -235,19 +335,16 @@ impl<'src> Parser<'src> {
 
     fn block(&mut self) -> Result<Block, Diag> {
         self.eat(Tok::LBrace)?;
-        let base = self.stmts.len();
+        let base = self.open_stmts.len();
         while *self.peek() != Tok::RBrace {
             if self.check_eof() {
                 return Err(self.err("unexpected end of input inside a block (missing `}`?)"));
             }
             let s = self.stmt()?;
-            self.stmts.push(s);
+            self.open_stmts.push(s);
         }
         self.eat(Tok::RBrace)?;
-        // Compiled programs keep their AST, and the cache keeps compiled
-        // programs: the block's vector is allocated at its exact size.
-        let stmts = self.stmts.drain(base..).collect();
-        Ok(Block { stmts })
+        Ok(self.close_stmts(base))
     }
 
     /// A statement, wrapping single statements after `if`/loops in blocks.
@@ -256,7 +353,10 @@ impl<'src> Parser<'src> {
             self.block()
         } else {
             let s = self.stmt()?;
-            Ok(Block { stmts: vec![s] })
+            Ok(Block {
+                first: self.push_stmt(s),
+                len: 1,
+            })
         }
     }
 
@@ -285,14 +385,15 @@ impl<'src> Parser<'src> {
                     ));
                 }
                 Ok(Stmt::AccParallelLoop {
-                    body: Box::new(inner),
+                    body: self.push_stmt(inner),
                     pos,
                 })
             }
             Tok::LBrace => Ok(Stmt::Block(self.block()?)),
             Tok::Semi => {
                 self.advance();
-                Ok(Stmt::Block(Block::default()))
+                let base = self.open_stmts.len();
+                Ok(Stmt::Block(self.close_stmts(base)))
             }
             Tok::Ident(w) => match *w {
                 "__shared__" => self.shared_decl(),
@@ -304,7 +405,7 @@ impl<'src> Parser<'src> {
                     let value = if *self.peek() == Tok::Semi {
                         None
                     } else {
-                        Some(self.expr()?)
+                        Some(self.expr_id()?)
                     };
                     self.eat(Tok::Semi)?;
                     Ok(Stmt::Return { value, pos })
@@ -373,59 +474,61 @@ impl<'src> Parser<'src> {
                 self.advance();
                 return Ok(self.make_incdec(e, false, pos));
             }
-            _ => return Ok(Stmt::Expr(e)),
+            _ => return Ok(Stmt::Expr(self.push_expr(e))),
         };
         self.advance();
-        let value = self.expr()?;
+        let target = self.push_expr(e);
+        let value = self.expr_id()?;
         Ok(Stmt::Assign {
-            target: e,
+            target,
             op,
             value,
             pos,
         })
     }
 
-    fn make_incdec(&self, target: Expr, inc: bool, pos: Pos) -> Stmt {
+    fn make_incdec(&mut self, target: Expr, inc: bool, pos: Pos) -> Stmt {
         Stmt::Assign {
-            target,
+            target: self.push_expr(target),
             op: Some(if inc { BinOp::Add } else { BinOp::Sub }),
-            value: Expr::int(1, pos),
+            value: {
+                let one = self.int(1, pos);
+                self.push_expr(one)
+            },
             pos,
         }
     }
 
     fn decl(&mut self) -> Result<Stmt, Diag> {
         let pos = self.pos();
-        let base = self.base_type()?;
-        let first = self.declarator(&base, pos)?;
+        let base_ty = self.base_type()?;
+        let first = self.declarator(base_ty, pos)?;
         if *self.peek() != Tok::Comma {
             return Ok(first);
         }
-        let mut decls = vec![first];
+        let base = self.open_stmts.len();
+        self.open_stmts.push(first);
         while *self.peek() == Tok::Comma {
             self.advance();
-            decls.push(self.declarator(&base, pos)?);
+            let next = self.declarator(base_ty, pos)?;
+            self.open_stmts.push(next);
         }
-        Ok(Stmt::Block(Block { stmts: decls }))
+        Ok(Stmt::Block(self.close_stmts(base)))
     }
 
     /// One `*name = init` of a declaration whose base type is `base`.
-    fn declarator(&mut self, base: &Type, pos: Pos) -> Result<Stmt, Diag> {
-        let mut ty = base.clone();
-        while *self.peek() == Tok::Star {
-            self.advance();
-            ty = ty.ptr_to();
-        }
-        let name = self.eat_ident()?;
+    fn declarator(&mut self, base: Type, pos: Pos) -> Result<Stmt, Diag> {
+        let ty = self.stars(base, false)?;
+        let name = self.eat_name()?;
         let init = if *self.peek() == Tok::Eq {
             self.advance();
-            Some(self.expr()?)
+            Some(self.expr_id()?)
         } else {
             None
         };
         Ok(Stmt::Decl {
             ty,
-            name: name.to_string(),
+            name,
             init,
             pos,
             slot: UNBOUND,
@@ -436,14 +539,20 @@ impl<'src> Parser<'src> {
         let pos = self.pos();
         self.advance(); // __shared__
         let elem = self.base_type()?;
-        let name = self.eat_ident()?;
-        let mut dims = Vec::new();
+        let name = self.eat_name()?;
+        let base = self.open_exprs.len();
         while *self.peek() == Tok::LBracket {
+            if self.open_exprs.len() - base == MAX_POINTER_DEPTH {
+                return Err(self.err(format!(
+                    "__shared__ arrays have at most {MAX_POINTER_DEPTH} dimensions"
+                )));
+            }
             self.advance();
-            dims.push(self.expr()?);
+            let dim = self.expr()?;
+            self.open_exprs.push(dim);
             self.eat(Tok::RBracket)?;
         }
-        if dims.is_empty() {
+        if self.open_exprs.len() == base {
             return Err(Diag::new(
                 Phase::Parse,
                 pos,
@@ -453,8 +562,8 @@ impl<'src> Parser<'src> {
         self.eat(Tok::Semi)?;
         Ok(Stmt::SharedDecl {
             elem,
-            name: name.to_string(),
-            dims,
+            name,
+            dims: self.close_exprs(base),
             pos,
             slot: UNBOUND,
         })
@@ -464,7 +573,7 @@ impl<'src> Parser<'src> {
         let pos = self.pos();
         self.advance(); // if
         self.eat(Tok::LParen)?;
-        let cond = self.expr()?;
+        let cond = self.expr_id()?;
         self.eat(Tok::RParen)?;
         let then_blk = self.body_block()?;
         let else_blk = if self.is_word("else") {
@@ -485,7 +594,7 @@ impl<'src> Parser<'src> {
         let pos = self.pos();
         self.advance(); // while
         self.eat(Tok::LParen)?;
-        let cond = self.expr()?;
+        let cond = self.expr_id()?;
         self.eat(Tok::RParen)?;
         let body = self.body_block()?;
         Ok(Stmt::While { cond, body, pos })
@@ -498,19 +607,21 @@ impl<'src> Parser<'src> {
         let init = if *self.peek() == Tok::Semi {
             None
         } else {
-            Some(Box::new(self.simple_stmt()?))
+            let s = self.simple_stmt()?;
+            Some(self.push_stmt(s))
         };
         self.eat(Tok::Semi)?;
         let cond = if *self.peek() == Tok::Semi {
             None
         } else {
-            Some(self.expr()?)
+            Some(self.expr_id()?)
         };
         self.eat(Tok::Semi)?;
         let step = if *self.peek() == Tok::RParen {
             None
         } else {
-            Some(Box::new(self.simple_stmt()?))
+            let s = self.simple_stmt()?;
+            Some(self.push_stmt(s))
         };
         self.eat(Tok::RParen)?;
         let body = self.body_block()?;
@@ -525,37 +636,46 @@ impl<'src> Parser<'src> {
 
     fn launch(&mut self) -> Result<Stmt, Diag> {
         let pos = self.pos();
-        let kernel = self.eat_ident()?;
+        let kernel = self.eat_name()?;
         self.eat(Tok::LaunchOpen)?;
-        let grid = Box::new(self.dim3()?);
+        let base = self.open_exprs.len();
+        let grid = self.dim3()?;
         self.eat(Tok::Comma)?;
-        let block = Box::new(self.dim3()?);
+        let block = self.dim3()?;
         // Optional third config argument (dynamic shared memory size):
-        // parsed and ignored — labs use static `__shared__` arrays.
+        // parsed and ignored — labs use static `__shared__` arrays. Its
+        // nodes are the arena's newest, so they are dropped with it.
         if *self.peek() == Tok::Comma {
             self.advance();
+            let mark = self.exprs.len();
             let _ = self.expr()?;
+            self.exprs.truncate(mark);
         }
         self.eat(Tok::LaunchClose)?;
-        let args = self.args()?;
+        self.open_args()?;
+        let all = self.close_exprs(base);
         Ok(Stmt::Launch {
-            kernel: kernel.to_string(),
-            grid,
-            block,
-            args,
+            kernel,
+            operands: LaunchOperands { all, grid, block },
             pos,
         })
     }
 
     /// A parenthesized argument list, collected like a block's
     /// statements.
-    fn args(&mut self) -> Result<Vec<Expr>, Diag> {
+    fn args(&mut self) -> Result<ExprList, Diag> {
+        let base = self.open_exprs.len();
+        self.open_args()?;
+        Ok(self.close_exprs(base))
+    }
+
+    /// Parse a parenthesized argument list onto the open expressions.
+    fn open_args(&mut self) -> Result<(), Diag> {
         self.eat(Tok::LParen)?;
-        let base = self.exprs.len();
         if *self.peek() != Tok::RParen {
             loop {
                 let arg = self.expr()?;
-                self.exprs.push(arg);
+                self.open_exprs.push(arg);
                 if *self.peek() == Tok::Comma {
                     self.advance();
                 } else {
@@ -564,39 +684,44 @@ impl<'src> Parser<'src> {
             }
         }
         self.eat(Tok::RParen)?;
-        Ok(self.exprs.drain(base..).collect())
+        Ok(())
     }
 
-    fn dim3(&mut self) -> Result<Dim3Expr, Diag> {
-        if self.is_word("dim3") {
-            self.advance();
-            self.eat(Tok::LParen)?;
-            let x = self.expr()?;
-            let mut y = None;
-            let mut z = None;
-            if *self.peek() == Tok::Comma {
-                self.advance();
-                y = Some(self.expr()?);
-                if *self.peek() == Tok::Comma {
-                    self.advance();
-                    z = Some(self.expr()?);
-                }
-            }
-            self.eat(Tok::RParen)?;
-            Ok(Dim3Expr { x, y, z })
-        } else {
-            Ok(Dim3Expr {
-                x: self.expr()?,
-                y: None,
-                z: None,
-            })
+    /// A grid or block extent triple, `n` or `dim3(x[, y[, z]])`, onto
+    /// the open expressions; returns how many extents it gave.
+    fn dim3(&mut self) -> Result<u8, Diag> {
+        let extent = |p: &mut Self| -> Result<(), Diag> {
+            let e = p.expr()?;
+            p.open_exprs.push(e);
+            Ok(())
+        };
+        if !self.is_word("dim3") {
+            extent(self)?;
+            return Ok(1);
         }
+        self.advance();
+        self.eat(Tok::LParen)?;
+        extent(self)?;
+        let mut given = 1;
+        while given < 3 && *self.peek() == Tok::Comma {
+            self.advance();
+            extent(self)?;
+            given += 1;
+        }
+        self.eat(Tok::RParen)?;
+        Ok(given)
     }
 
     // ---- expressions ---------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, Diag> {
         self.ternary()
+    }
+
+    /// An expression moved into the arena.
+    fn expr_id(&mut self) -> Result<ExprId, Diag> {
+        let e = self.expr()?;
+        Ok(self.push_expr(e))
     }
 
     fn ternary(&mut self) -> Result<Expr, Diag> {
@@ -607,10 +732,11 @@ impl<'src> Parser<'src> {
             let a = self.expr()?;
             self.eat(Tok::Colon)?;
             let b = self.ternary()?;
-            Ok(Expr::new(
-                ExprKind::Ternary(Box::new(cond), Box::new(a), Box::new(b)),
-                pos,
-            ))
+            // The arms land next to each other.
+            let cond = self.push_expr(cond);
+            let a = self.push_expr(a);
+            self.push_expr(b);
+            Ok(self.node(ExprKind::Ternary(cond, a), pos))
         } else {
             Ok(cond)
         }
@@ -646,7 +772,8 @@ impl<'src> Parser<'src> {
             let pos = self.pos();
             self.advance();
             let rhs = self.binary(prec + 1)?;
-            lhs = Expr::new(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), pos);
+            let kind = ExprKind::Binary(op, self.push_expr(lhs), self.push_expr(rhs));
+            lhs = self.node(kind, pos);
         }
         Ok(lhs)
     }
@@ -664,37 +791,33 @@ impl<'src> Parser<'src> {
             return Err(self.err(format!("expression nests deeper than {MAX_NESTING} levels")));
         }
         let pos = self.pos();
+        let op = match self.peek() {
+            Tok::Minus => Some(UnOp::Neg),
+            Tok::Bang => Some(UnOp::Not),
+            Tok::Tilde => Some(UnOp::BitNot),
+            _ => None,
+        };
+        if let Some(op) = op {
+            self.advance();
+            let e = self.unary()?;
+            let kind = ExprKind::Unary(op, self.push_expr(e));
+            return Ok(self.node(kind, pos));
+        }
         match self.peek() {
-            Tok::Minus => {
-                self.advance();
-                let e = self.unary()?;
-                Ok(Expr::new(ExprKind::Unary(UnOp::Neg, Box::new(e)), pos))
-            }
-            Tok::Bang => {
-                self.advance();
-                let e = self.unary()?;
-                Ok(Expr::new(ExprKind::Unary(UnOp::Not, Box::new(e)), pos))
-            }
-            Tok::Tilde => {
-                self.advance();
-                let e = self.unary()?;
-                Ok(Expr::new(ExprKind::Unary(UnOp::BitNot, Box::new(e)), pos))
-            }
             Tok::Amp => {
                 self.advance();
-                let name = self.eat_ident()?;
+                let name = self.eat_name()?;
                 if *self.peek() == Tok::LBracket {
                     // `&arr[i]` is plain pointer arithmetic: `arr + i`
                     // (chained for `&t[i][j]` on shared arrays).
-                    let var = ExprKind::Var(name.to_string(), Binding::Slot(UNBOUND));
-                    let mut e = Expr::new(var, pos);
-                    e = self.postfix(e)?;
+                    let var = self.node(ExprKind::Var(name), pos);
+                    let e = self.postfix(var)?;
                     if let ExprKind::Index(base, idx) = e.kind {
-                        return Ok(Expr::new(ExprKind::Binary(BinOp::Add, base, idx), pos));
+                        return Ok(self.node(ExprKind::Binary(BinOp::Add, base, idx), pos));
                     }
                     unreachable!("postfix after `[` yields an index");
                 }
-                Ok(Expr::new(ExprKind::AddrOf(name.to_string(), UNBOUND), pos))
+                Ok(self.node(ExprKind::AddrOf(name, UNBOUND), pos))
             }
             Tok::LParen => {
                 // Cast or parenthesized expression.
@@ -705,7 +828,8 @@ impl<'src> Parser<'src> {
                     if *self.peek() == Tok::RParen {
                         self.advance();
                         let e = self.unary()?;
-                        return Ok(Expr::new(ExprKind::Cast(ty, Box::new(e)), pos));
+                        let kind = ExprKind::Cast(ty, self.push_expr(e));
+                        return Ok(self.node(kind, pos));
                     }
                 }
                 self.at = save;
@@ -727,7 +851,8 @@ impl<'src> Parser<'src> {
             self.advance();
             let idx = self.expr()?;
             self.eat(Tok::RBracket)?;
-            e = Expr::new(ExprKind::Index(Box::new(e), Box::new(idx)), pos);
+            let kind = ExprKind::Index(self.push_expr(e), self.push_expr(idx));
+            e = self.node(kind, pos);
         }
         Ok(e)
     }
@@ -735,18 +860,31 @@ impl<'src> Parser<'src> {
     fn primary(&mut self) -> Result<Expr, Diag> {
         let pos = self.pos();
         match self.advance() {
-            Tok::Int(v) => Ok(Expr::int(v, pos)),
-            Tok::Float(v) => Ok(Expr::new(ExprKind::FloatLit(v), pos)),
-            Tok::Str(raw) => Ok(Expr::new(ExprKind::StrLit(unescape(raw)), pos)),
+            Tok::Int(v) => Ok(self.int(v, pos)),
+            Tok::Float(v) => Ok(self.node(ExprKind::FloatLit(v), pos)),
+            Tok::Str(raw) => {
+                // Interned by its escaped spelling: an identifier has no
+                // escapes, so a name and a literal that share a key share
+                // their text too.
+                let text = match self.interned.get(raw) {
+                    Some(&sym) => sym,
+                    None => {
+                        let sym = self.names.push_with(|text| unescape(raw, text));
+                        self.interned.insert(raw, sym);
+                        sym
+                    }
+                };
+                Ok(self.node(ExprKind::StrLit(text), pos))
+            }
             Tok::Ident(name) => {
                 match name {
-                    "true" => return Ok(Expr::int(1, pos)),
-                    "false" => return Ok(Expr::int(0, pos)),
+                    "true" => return Ok(self.int(1, pos)),
+                    "false" => return Ok(self.int(0, pos)),
                     "sizeof" => {
                         self.eat(Tok::LParen)?;
                         let ty = self.typ()?;
                         self.eat(Tok::RParen)?;
-                        return Ok(Expr::new(ExprKind::SizeOf(ty), pos));
+                        return Ok(self.node(ExprKind::SizeOf(ty), pos));
                     }
                     _ => {}
                 }
@@ -765,7 +903,7 @@ impl<'src> Parser<'src> {
                             ))
                         }
                     };
-                    return Ok(Expr::new(ExprKind::Builtin(builtin, axis), pos));
+                    return Ok(self.node(ExprKind::Builtin(builtin, axis), pos));
                 }
                 if is_keyword(name) {
                     return Err(Diag::new(
@@ -774,12 +912,24 @@ impl<'src> Parser<'src> {
                         format!("unexpected keyword `{name}` in expression"),
                     ));
                 }
+                let sym = self.intern(name);
                 if *self.peek() == Tok::LParen {
                     let args = self.args()?;
-                    return Ok(Expr::new(ExprKind::Call(name.to_string(), args), pos));
+                    let len = u16::try_from(args.len).map_err(|_| {
+                        Diag::new(
+                            Phase::Parse,
+                            pos,
+                            format!("`{name}` is called with more than {} arguments", u16::MAX),
+                        )
+                    })?;
+                    let call = ExprKind::Call {
+                        callee: sym,
+                        first: args.first,
+                        len,
+                    };
+                    return Ok(self.node(call, pos));
                 }
-                let var = ExprKind::Var(name.to_string(), Binding::Slot(UNBOUND));
-                Ok(Expr::new(var, pos))
+                Ok(self.node(ExprKind::Var(sym), pos))
             }
             other => Err(Diag::new(
                 Phase::Parse,
@@ -846,13 +996,24 @@ mod tests {
         }
     }
 
+    /// The first function's top-level statements.
+    fn body(unit: &Unit) -> &[Stmt] {
+        let f = first_func(unit);
+        f.block(f.body)
+    }
+
+    /// The first function's expression `id`.
+    fn kind(unit: &Unit, id: ExprId) -> ExprKind {
+        first_func(unit).expr(id).kind
+    }
+
     #[test]
     fn parse_empty_main() {
         let u = parse_src("int main() { return 0; }").unwrap();
         let f = first_func(&u);
-        assert_eq!(f.name, "main");
+        assert_eq!(u.names.name(f.name), "main");
         assert_eq!(f.kind, FuncKind::Host);
-        assert_eq!(f.ret, Type::Int);
+        assert_eq!(f.ret, Type::INT);
     }
 
     #[test]
@@ -861,14 +1022,14 @@ mod tests {
         let f = first_func(&u);
         assert_eq!(f.kind, FuncKind::Kernel);
         assert_eq!(f.params.len(), 2);
-        assert_eq!(f.params[0].ty, Type::Float.ptr_to());
-        assert_eq!(f.params[1].ty, Type::Int);
+        assert_eq!(f.params[0].ty, Type::FLOAT.ptr_to());
+        assert_eq!(f.params[1].ty, Type::INT);
     }
 
     #[test]
     fn array_param_is_pointer() {
         let u = parse_src("__global__ void k(float a[]) {}").unwrap();
-        assert_eq!(first_func(&u).params[0].ty, Type::Float.ptr_to());
+        assert_eq!(first_func(&u).params[0].ty, Type::FLOAT.ptr_to());
     }
 
     #[test]
@@ -877,13 +1038,93 @@ mod tests {
         assert!(first_func(&u).params.is_empty());
     }
 
+    /// Each name is stored once, however often it is spelled.
+    #[test]
+    fn names_are_interned_once() {
+        let u = parse_src("int main() { int x = 1; x = x + x; return x; }").unwrap();
+        let x = u.names.find("x").expect("interned");
+        assert_eq!(u.names.len(), 2, "main and x");
+        let f = first_func(&u);
+        let uses = f
+            .exprs
+            .iter()
+            .filter(|e| matches!(e.kind, ExprKind::Var(s) if s == x))
+            .count();
+        assert_eq!(uses, 4);
+    }
+
+    /// Every node is stored once: each expression and statement but the
+    /// body's own is some other node's child, and no id dangles.
+    #[test]
+    fn every_node_is_one_nodes_child() {
+        let u = parse_src(
+            "int main() { int a = 1, b = 2; float* p = &q[a][b]; \
+             for (int i = 0; i < (a ? b : 3); i++) { f(i, -a, (float) b); } \
+             if (a) g(); else { k<<<dim3(1, 2), 3>>>(a); } return sizeof(int); }",
+        )
+        .unwrap();
+        let f = first_func(&u);
+        let mut exprs = vec![0; f.exprs.len()];
+        let mut stmts = vec![0; f.stmts.len()];
+        let seen = |ids: &mut Vec<u32>, i: usize| ids[i] += 1;
+        for e in &f.exprs {
+            match e.kind {
+                ExprKind::Unary(_, a) | ExprKind::Cast(_, a) => seen(&mut exprs, a.index()),
+                ExprKind::Binary(_, a, b) | ExprKind::Index(a, b) => {
+                    [a, b].iter().for_each(|x| seen(&mut exprs, x.index()))
+                }
+                ExprKind::Ternary(c, a) => [c, a, a.next()]
+                    .iter()
+                    .for_each(|x| seen(&mut exprs, x.index())),
+                ExprKind::Call { first, len, .. } => ExprKind::args(first, len)
+                    .ids()
+                    .for_each(|x| seen(&mut exprs, x.index())),
+                _ => {}
+            }
+        }
+        for s in &f.stmts {
+            let mut e = |x: Option<ExprId>| x.iter().for_each(|x| seen(&mut exprs, x.index()));
+            match *s {
+                Stmt::Decl { init, .. } => e(init),
+                Stmt::Assign { target, value, .. } => {
+                    [target, value].map(Some).into_iter().for_each(e)
+                }
+                Stmt::Expr(x) | Stmt::While { cond: x, .. } | Stmt::If { cond: x, .. } => {
+                    e(Some(x))
+                }
+                Stmt::Return { value, .. } => e(value),
+                Stmt::For { cond, .. } => e(cond),
+                Stmt::Launch { operands, .. } => operands.all.ids().for_each(|x| e(Some(x))),
+                _ => {}
+            }
+            let blocks = match *s {
+                Stmt::If {
+                    then_blk, else_blk, ..
+                } => vec![Some(then_blk), else_blk],
+                Stmt::While { body, .. } | Stmt::For { body, .. } => vec![Some(body)],
+                Stmt::Block(b) => vec![Some(b)],
+                _ => vec![],
+            };
+            for b in blocks.into_iter().flatten() {
+                b.ids().for_each(|x| seen(&mut stmts, x.index()));
+            }
+            if let Stmt::For { init, step, .. } = *s {
+                init.iter()
+                    .chain(&step)
+                    .for_each(|x| seen(&mut stmts, x.index()));
+            }
+        }
+        f.body.ids().for_each(|x| seen(&mut stmts, x.index()));
+        assert!(exprs.iter().all(|&n| n == 1), "{exprs:?}");
+        assert!(stmts.iter().all(|&n| n == 1), "{stmts:?}");
+    }
+
     #[test]
     fn builtin_member_parses() {
         let u = parse_src("__global__ void k() { int i = threadIdx.x; }").unwrap();
-        let f = first_func(&u);
-        match &f.body.stmts[0] {
+        match body(&u)[0] {
             Stmt::Decl { init: Some(e), .. } => {
-                assert_eq!(e.kind, ExprKind::Builtin(BuiltinVar::ThreadIdx, 0));
+                assert_eq!(kind(&u, e), ExprKind::Builtin(BuiltinVar::ThreadIdx, 0));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -897,10 +1138,12 @@ mod tests {
     #[test]
     fn launch_statement() {
         let u = parse_src("int main() { k<<<4, 256>>>(1, 2.0); return 0; }").unwrap();
-        match &first_func(&u).body.stmts[0] {
-            Stmt::Launch { kernel, args, .. } => {
-                assert_eq!(kernel, "k");
-                assert_eq!(args.len(), 2);
+        match body(&u)[0] {
+            Stmt::Launch {
+                kernel, operands, ..
+            } => {
+                assert_eq!(u.names.name(kernel), "k");
+                assert_eq!(operands.args().len, 2);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -909,11 +1152,11 @@ mod tests {
     #[test]
     fn launch_with_dim3() {
         let u = parse_src("int main() { k<<<dim3(2, 3), dim3(16, 16)>>>(); return 0; }").unwrap();
-        match &first_func(&u).body.stmts[0] {
-            Stmt::Launch { grid, block, .. } => {
-                assert!(grid.y.is_some());
-                assert!(block.y.is_some());
-                assert!(grid.z.is_none());
+        match body(&u)[0] {
+            Stmt::Launch { operands, .. } => {
+                assert_eq!(operands.grid().len, 2);
+                assert_eq!(operands.block().len, 2);
+                assert_eq!(operands.args().len, 0);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -921,17 +1164,32 @@ mod tests {
 
     #[test]
     fn launch_with_dynamic_shared_arg() {
-        // Third config arg accepted and ignored.
-        assert!(parse_src("int main() { k<<<1, 32, 1024>>>(); return 0; }").is_ok());
+        // Third config arg accepted and ignored, its nodes dropped.
+        let u = parse_src("int main() { k<<<1, 32, 4 * (8 + 2)>>>(); return 0; }").unwrap();
+        assert_eq!(first_func(&u).exprs.len(), 3, "1, 32 and the returned 0");
+    }
+
+    #[test]
+    fn pointer_depth_is_bounded() {
+        let src = |n: usize| format!("int main() {{ float{} p; return 0; }}", "*".repeat(n));
+        assert!(parse_src(&src(MAX_POINTER_DEPTH)).is_ok());
+        let err = parse_src(&src(MAX_POINTER_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nest deeper"), "{err}");
+        let dims = "[1]".repeat(MAX_POINTER_DEPTH + 1);
+        let err = parse_src(&format!(
+            "__global__ void k() {{ __shared__ float t{dims}; }}"
+        ))
+        .unwrap_err();
+        assert!(err.message.contains("at most"), "{err}");
     }
 
     #[test]
     fn shared_decl_2d() {
         let u = parse_src("__global__ void k() { __shared__ float t[16][17]; }").unwrap();
-        match &first_func(&u).body.stmts[0] {
+        match body(&u)[0] {
             Stmt::SharedDecl { dims, elem, .. } => {
-                assert_eq!(dims.len(), 2);
-                assert_eq!(*elem, Type::Float);
+                assert_eq!(dims.len, 2);
+                assert_eq!(elem, Type::FLOAT);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -945,10 +1203,10 @@ mod tests {
     #[test]
     fn precedence_mul_before_add() {
         let u = parse_src("int main() { int x = 1 + 2 * 3; return 0; }").unwrap();
-        match &first_func(&u).body.stmts[0] {
-            Stmt::Decl { init: Some(e), .. } => match &e.kind {
+        match body(&u)[0] {
+            Stmt::Decl { init: Some(e), .. } => match kind(&u, e) {
                 ExprKind::Binary(BinOp::Add, _, rhs) => {
-                    assert!(matches!(rhs.kind, ExprKind::Binary(BinOp::Mul, _, _)));
+                    assert!(matches!(kind(&u, rhs), ExprKind::Binary(BinOp::Mul, _, _)));
                 }
                 other => panic!("unexpected {other:?}"),
             },
@@ -965,9 +1223,9 @@ mod tests {
     #[test]
     fn cast_parses() {
         let u = parse_src("int main() { float* p = (float*) malloc(8); return 0; }").unwrap();
-        match &first_func(&u).body.stmts[0] {
+        match body(&u)[0] {
             Stmt::Decl { init: Some(e), .. } => {
-                assert!(matches!(e.kind, ExprKind::Cast(_, _)));
+                assert!(matches!(kind(&u, e), ExprKind::Cast(_, _)));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -982,7 +1240,7 @@ mod tests {
     #[test]
     fn compound_assignment() {
         let u = parse_src("int main() { int x = 0; x += 5; return 0; }").unwrap();
-        match &first_func(&u).body.stmts[1] {
+        match body(&u)[1] {
             Stmt::Assign {
                 op: Some(BinOp::Add),
                 ..
@@ -994,12 +1252,12 @@ mod tests {
     #[test]
     fn postfix_increment_desugars() {
         let u = parse_src("int main() { int i = 0; i++; return 0; }").unwrap();
-        match &first_func(&u).body.stmts[1] {
+        match body(&u)[1] {
             Stmt::Assign {
                 op: Some(BinOp::Add),
                 value,
                 ..
-            } => assert_eq!(value.kind, ExprKind::IntLit(1)),
+            } => assert_eq!(kind(&u, value), ExprKind::IntLit(Lit::new(1))),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -1007,7 +1265,7 @@ mod tests {
     #[test]
     fn for_loop_full_header() {
         let u = parse_src("int main() { for (int i = 0; i < 10; i++) { } return 0; }").unwrap();
-        match &first_func(&u).body.stmts[0] {
+        match body(&u)[0] {
             Stmt::For {
                 init: Some(_),
                 cond: Some(_),
@@ -1026,11 +1284,11 @@ mod tests {
     #[test]
     fn if_else_without_braces() {
         let u = parse_src("int main() { if (1) return 1; else return 0; }").unwrap();
-        match &first_func(&u).body.stmts[0] {
+        match body(&u)[0] {
             Stmt::If {
                 then_blk, else_blk, ..
             } => {
-                assert_eq!(then_blk.stmts.len(), 1);
+                assert_eq!(then_blk.len, 1);
                 assert!(else_blk.is_some());
             }
             other => panic!("unexpected {other:?}"),
@@ -1040,12 +1298,12 @@ mod tests {
     #[test]
     fn multi_declarator_splits() {
         let u = parse_src("int main() { float *a, *b; return 0; }").unwrap();
-        match &first_func(&u).body.stmts[0] {
+        match body(&u)[0] {
             Stmt::Block(b) => {
-                assert_eq!(b.stmts.len(), 2);
-                for s in &b.stmts {
+                assert_eq!(b.len, 2);
+                for s in first_func(&u).block(b) {
                     match s {
-                        Stmt::Decl { ty, .. } => assert_eq!(*ty, Type::Float.ptr_to()),
+                        Stmt::Decl { ty, .. } => assert_eq!(*ty, Type::FLOAT.ptr_to()),
                         other => panic!("unexpected {other:?}"),
                     }
                 }
@@ -1057,10 +1315,11 @@ mod tests {
     #[test]
     fn addr_of_parses() {
         let u = parse_src("int main() { int n; f(&n); return 0; }").unwrap();
-        match &first_func(&u).body.stmts[1] {
-            Stmt::Expr(e) => match &e.kind {
-                ExprKind::Call(_, args) => {
-                    assert!(matches!(args[0].kind, ExprKind::AddrOf(..)));
+        match body(&u)[1] {
+            Stmt::Expr(e) => match kind(&u, e) {
+                ExprKind::Call { first, .. } => {
+                    let arg = first_func(&u).expr(first);
+                    assert!(matches!(arg.kind, ExprKind::AddrOf(..)));
                 }
                 other => panic!("unexpected {other:?}"),
             },
@@ -1071,9 +1330,9 @@ mod tests {
     #[test]
     fn sizeof_parses() {
         let u = parse_src("int main() { int s = sizeof(float); return 0; }").unwrap();
-        match &first_func(&u).body.stmts[0] {
+        match body(&u)[0] {
             Stmt::Decl { init: Some(e), .. } => {
-                assert_eq!(e.kind, ExprKind::SizeOf(Type::Float));
+                assert_eq!(kind(&u, e), ExprKind::SizeOf(Type::FLOAT));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1084,8 +1343,8 @@ mod tests {
         let u = parse_src("__constant__ float mask[25];").unwrap();
         match &u.items[0] {
             Item::Constant(c) => {
-                assert_eq!(c.name, "mask");
-                assert_eq!(c.elem, Type::Float);
+                assert_eq!(u.names.name(c.name), "mask");
+                assert_eq!(c.elem, Type::FLOAT);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1109,10 +1368,7 @@ mod tests {
         let src =
             "int main() {\n#pragma acc parallel loop\nfor (int i = 0; i < 4; i++) {}\nreturn 0; }";
         let u = parse_src(src).unwrap();
-        assert!(matches!(
-            first_func(&u).body.stmts[0],
-            Stmt::AccParallelLoop { .. }
-        ));
+        assert!(matches!(body(&u)[0], Stmt::AccParallelLoop { .. }));
     }
 
     #[test]
@@ -1167,8 +1423,8 @@ mod tests {
     #[test]
     fn double_maps_to_float() {
         let u = parse_src("int main() { double x = 1.5; return 0; }").unwrap();
-        match &first_func(&u).body.stmts[0] {
-            Stmt::Decl { ty, .. } => assert_eq!(*ty, Type::Float),
+        match body(&u)[0] {
+            Stmt::Decl { ty, .. } => assert_eq!(ty, Type::FLOAT),
             other => panic!("unexpected {other:?}"),
         }
     }

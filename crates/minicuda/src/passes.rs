@@ -28,7 +28,7 @@
 //! keys to CSE, CSE and LICM strand dead single-use temporaries, and
 //! DCE sweeps them up.
 
-use crate::ast::{BinOp, Ty, Type, UnOp};
+use crate::ast::{BinOp, Type, UnOp};
 use crate::fx::FxHashMap;
 use crate::ir::{BlockId, Inst, IrFunc, IrProgram, Reg};
 use crate::value::{apply_binop, apply_math, apply_unop, Value};
@@ -144,12 +144,12 @@ impl Kind {
     }
 
     fn of_type(ty: &Type) -> Kind {
-        match ty {
-            Type::Int => Kind::Int,
-            Type::Float => Kind::Float,
-            Type::Bool => Kind::Bool,
-            Type::Ptr(_) => Kind::Ptr,
-            Type::Void => Kind::Unknown,
+        match *ty {
+            Type::INT => Kind::Int,
+            Type::FLOAT => Kind::Float,
+            Type::BOOL => Kind::Bool,
+            Type::VOID => Kind::Unknown,
+            _ => Kind::Ptr,
         }
     }
 
@@ -318,10 +318,10 @@ fn un_safe(op: UnOp, k: Kind) -> bool {
 }
 
 fn coerce_safe(ty: &Type, k: Kind) -> bool {
-    match ty {
-        Type::Int | Type::Float | Type::Bool => k.numeric(),
-        Type::Ptr(_) => k == Kind::Ptr,
-        Type::Void => false,
+    match *ty {
+        Type::INT | Type::FLOAT | Type::BOOL => k.numeric(),
+        Type::VOID => false,
+        _ => k == Kind::Ptr,
     }
 }
 
@@ -439,27 +439,27 @@ fn fold(f: &mut IrFunc, defs: &[u32]) {
 
 /// Hashable shape of a pure expression. Operator enums are fieldless,
 /// so their `u8` casts serve as hash keys; a coercion's target type is
-/// its flattened [`Ty`].
+/// the `Copy` [`Type`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Key {
     Un(u8, Reg),
     Bin(u8, Reg, Reg),
-    Coerce(Reg, Ty),
+    Coerce(Reg, Type),
     Builtin(u8, u8),
-    Math(String, Vec<Reg>),
+    Math(&'static str, Box<[Reg]>),
 }
 
 fn make_key(inst: &Inst) -> Option<(Key, Reg)> {
     match inst {
         Inst::Un { dst, op, a, .. } => Some((Key::Un(*op as u8, *a), *dst)),
         Inst::Bin { dst, op, a, b, .. } => Some((Key::Bin(*op as u8, *a, *b), *dst)),
-        Inst::Coerce { dst, a, ty, .. } => Some((Key::Coerce(*a, Ty::of(ty)), *dst)),
+        Inst::Coerce { dst, a, ty, .. } => Some((Key::Coerce(*a, *ty), *dst)),
         Inst::Builtin {
             dst, which, axis, ..
         } => Some((Key::Builtin(*which as u8, *axis), *dst)),
         Inst::Math {
             dst, name, args, ..
-        } => Some((Key::Math(name.clone(), args.clone()), *dst)),
+        } => Some((Key::Math(name, args.clone()), *dst)),
         _ => None,
     }
 }

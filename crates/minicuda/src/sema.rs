@@ -19,7 +19,6 @@
 use crate::ast::*;
 use crate::diag::{Diag, Phase, Pos};
 use crate::dialect::Dialect;
-use crate::fx::FxHashMap;
 use crate::value::{ElemType, Ptr, Space};
 
 /// A compiled, semantically valid program.
@@ -27,9 +26,10 @@ use crate::value::{ElemType, Ptr, Space};
 pub struct Program {
     /// Every function, in source order.
     funcs: Vec<FuncDef>,
-    /// Each function's index in `funcs`.
-    func_ids: FxHashMap<String, u32>,
-    kernel_names: Vec<String>,
+    /// Every name the program spells.
+    names: Names,
+    /// Each name's function index in `funcs`, or [`NO_FUNC`].
+    func_of: Vec<u32>,
     constants: Vec<ConstantSpec>,
     dialect: Dialect,
     /// Lowered device-code IR, attached by every `compile_with` (or by
@@ -38,11 +38,14 @@ pub struct Program {
     ir: Option<std::sync::Arc<crate::ir::IrProgram>>,
 }
 
+/// `func_of` for a name that is no function.
+const NO_FUNC: u32 = u32::MAX;
+
 /// A `__constant__` symbol after constant folding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConstantSpec {
     /// Symbol name.
-    pub name: String,
+    pub name: Sym,
     /// Element interpretation.
     pub elem: ElemType,
     /// Number of elements.
@@ -52,12 +55,24 @@ pub struct ConstantSpec {
 impl Program {
     /// Function definition by name.
     pub fn func(&self, name: &str) -> Option<&FuncDef> {
-        self.func_ids.get(name).map(|&i| &self.funcs[i as usize])
+        self.funcs.iter().find(|f| self.names.name(f.name) == name)
     }
 
-    /// Names of all `__global__` kernels.
-    pub fn kernels(&self) -> &[String] {
-        &self.kernel_names
+    /// Function definition by interned name.
+    pub fn func_named(&self, name: Sym) -> Option<&FuncDef> {
+        match self.func_of[name.index()] {
+            NO_FUNC => None,
+            i => Some(&self.funcs[i as usize]),
+        }
+    }
+
+    /// Names of all `__global__` kernels, in source order.
+    pub fn kernels(&self) -> Vec<&str> {
+        self.funcs
+            .iter()
+            .filter(|f| f.kind == FuncKind::Kernel)
+            .map(|f| self.names.name(f.name))
+            .collect()
     }
 
     /// Constant-memory symbols in declaration order (ids are indices).
@@ -65,8 +80,18 @@ impl Program {
         &self.constants
     }
 
+    /// The program's name table.
+    pub fn names(&self) -> &Names {
+        &self.names
+    }
+
+    /// The text of an interned name.
+    pub fn name(&self, sym: Sym) -> &str {
+        self.names.name(sym)
+    }
+
     /// Id of a constant symbol.
-    fn constant_id(&self, name: &str) -> Option<u32> {
+    fn constant_id(&self, name: Sym) -> Option<u32> {
         self.constants
             .iter()
             .position(|c| c.name == name)
@@ -103,15 +128,35 @@ impl Program {
     }
 
     /// Attach lowered IR (done by `compile_with`, after the passes at
-    /// `O2`).
-    pub fn attach_ir(&mut self, ir: crate::ir::IrProgram) {
+    /// `O2`). Its spare capacity is dropped first: the cache keeps
+    /// programs, and weighs them by [`Program::heap_bytes`].
+    pub fn attach_ir(&mut self, mut ir: crate::ir::IrProgram) {
+        ir.shrink_to_fit();
         self.ir = Some(std::sync::Arc::new(ir));
+    }
+
+    /// Heap bytes the program holds: its functions' arenas, its name,
+    /// function and constant tables, and its IR, counted from each
+    /// `Vec`'s capacity without walking a tree. A shared IR is counted
+    /// whole.
+    pub fn heap_bytes(&self) -> usize {
+        let funcs: usize = self.funcs.iter().map(FuncDef::heap_bytes).sum();
+        let ir = self.ir.as_ref().map_or(0, |ir| {
+            // The `Arc`'s two counters sit beside the value.
+            2 * std::mem::size_of::<usize>() + std::mem::size_of_val(&**ir) + ir.heap_bytes()
+        });
+        vec_bytes(&self.funcs)
+            + funcs
+            + self.names.heap_bytes()
+            + vec_bytes(&self.func_of)
+            + vec_bytes(&self.constants)
+            + ir
     }
 }
 
 /// Values predefined as integer constants in every scope: `cudaMemcpy*`
 /// direction flags, `wbLog` levels, and `wbTime` categories.
-fn predefined(name: &str) -> Option<i64> {
+fn predefined(name: &str) -> Option<i32> {
     Some(match name {
         "cudaMemcpyHostToDevice" => 0,
         "cudaMemcpyDeviceToHost" => 1,
@@ -143,57 +188,53 @@ enum Ctx {
 /// the only resolver: it binds every name in every body (see
 /// [`Binding`]) and lays out each function's frame.
 pub fn analyze(unit: Unit, dialect: Dialect) -> Result<Program, Diag> {
+    let Unit { items, names } = unit;
     let mut funcs: Vec<FuncDef> = Vec::new();
-    let mut func_ids: FxHashMap<String, u32> = FxHashMap::default();
-    let mut kernel_names = Vec::new();
+    let mut func_of = vec![NO_FUNC; names.len()];
     let mut constants = Vec::new();
 
-    for item in unit.items {
+    for item in items {
         match item {
             Item::Func(f) => {
-                if func_ids.contains_key(&f.name) {
+                let name = names.name(f.name);
+                if func_of[f.name.index()] != NO_FUNC {
                     return Err(Diag::new(
                         Phase::Sema,
                         f.pos,
-                        format!("function `{}` is defined twice", f.name),
+                        format!("function `{name}` is defined twice"),
                     ));
                 }
-                if intrinsic_arity(&f.name).is_some() || crate::value::is_math_intrinsic(&f.name) {
+                if intrinsic_arity(name).is_some() || crate::value::is_math_intrinsic(name) {
                     return Err(Diag::new(
                         Phase::Sema,
                         f.pos,
-                        format!(
-                            "`{}` is a built-in function and cannot be redefined",
-                            f.name
-                        ),
+                        format!("`{name}` is a built-in function and cannot be redefined"),
                     ));
                 }
-                if f.kind == FuncKind::Kernel {
-                    if f.ret != Type::Void {
-                        return Err(Diag::new(
-                            Phase::Sema,
-                            f.pos,
-                            format!("kernel `{}` must return void", f.name),
-                        ));
-                    }
-                    kernel_names.push(f.name.clone());
+                if f.kind == FuncKind::Kernel && f.ret != Type::VOID {
+                    return Err(Diag::new(
+                        Phase::Sema,
+                        f.pos,
+                        format!("kernel `{name}` must return void"),
+                    ));
                 }
-                func_ids.insert(f.name.clone(), funcs.len() as u32);
+                func_of[f.name.index()] = funcs.len() as u32;
                 funcs.push(f);
             }
             Item::Constant(c) => {
-                let len = const_eval(&c.size).ok_or_else(|| {
+                let name = names.name(c.name);
+                let len = const_eval(&c.exprs, c.size).ok_or_else(|| {
                     Diag::new(
                         Phase::Sema,
                         c.pos,
-                        format!("__constant__ array `{}` needs a constant size", c.name),
+                        format!("__constant__ array `{name}` needs a constant size"),
                     )
                 })?;
                 if len <= 0 {
                     return Err(Diag::new(
                         Phase::Sema,
                         c.pos,
-                        format!("__constant__ array `{}` must have positive size", c.name),
+                        format!("__constant__ array `{name}` must have positive size"),
                     ));
                 }
                 if !c.elem.is_numeric() {
@@ -211,8 +252,19 @@ pub fn analyze(unit: Unit, dialect: Dialect) -> Result<Program, Diag> {
             }
         }
     }
+    funcs.shrink_to_fit();
+    constants.shrink_to_fit();
 
-    if let Some(main) = func_ids.get("main").map(|&i| &funcs[i as usize]) {
+    let mut program = Program {
+        funcs,
+        names,
+        func_of,
+        constants,
+        dialect,
+        ir: None,
+    };
+
+    if let Some(main) = program.func("main") {
         if main.kind != FuncKind::Host {
             return Err(Diag::new(
                 Phase::Sema,
@@ -222,40 +274,40 @@ pub fn analyze(unit: Unit, dialect: Dialect) -> Result<Program, Diag> {
         }
     }
 
-    let mut program = Program {
-        funcs,
-        func_ids,
-        kernel_names,
-        constants,
-        dialect,
-        ir: None,
-    };
-
     // Second pass: bind and check every body, in source order. Each
-    // body is moved out while it is checked, so the checker binds it in
-    // place while it reads every signature, its own included.
-    let mut env = Env::with_capacity(64);
+    // body's arenas are moved out while it is checked, so the checker
+    // binds them in place while it reads every signature, its own
+    // included.
+    let mut env = Env::new(program.names.len());
     for i in 0..program.funcs.len() {
-        let mut body = std::mem::take(&mut program.funcs[i].body);
+        let f = &mut program.funcs[i];
+        let mut body = Body {
+            exprs: std::mem::take(&mut f.exprs),
+            stmts: std::mem::take(&mut f.stmts),
+            far: std::mem::take(&mut f.far),
+        };
         let checker = Checker { program: &program };
         let frame = checker.check_func(&program.funcs[i], &mut body, &mut env)?;
         let f = &mut program.funcs[i];
-        f.body = body;
+        f.exprs = body.exprs;
+        f.stmts = body.stmts;
+        f.far = body.far;
         f.frame = frame;
     }
 
     Ok(program)
 }
 
-/// Fold a constant integer expression (`16`, `2 * 8`, `sizeof(float)`).
-pub fn const_eval(e: &Expr) -> Option<i64> {
-    match &e.kind {
-        ExprKind::IntLit(v) => Some(*v),
+/// Fold a constant integer expression (`16`, `2 * 8`, `sizeof(float)`)
+/// whose nodes are in `exprs`.
+pub fn const_eval(exprs: &[Expr], e: ExprId) -> Option<i64> {
+    match exprs[e.index()].kind {
+        ExprKind::IntLit(v) => Some(v.get()),
         ExprKind::SizeOf(t) => Some(t.size_of()),
-        ExprKind::Unary(UnOp::Neg, inner) => const_eval(inner).map(|v| -v),
+        ExprKind::Unary(UnOp::Neg, inner) => const_eval(exprs, inner).map(|v| -v),
         ExprKind::Binary(op, a, b) => {
-            let a = const_eval(a)?;
-            let b = const_eval(b)?;
+            let a = const_eval(exprs, a)?;
+            let b = const_eval(exprs, b)?;
             Some(match op {
                 BinOp::Add => a + b,
                 BinOp::Sub => a - b,
@@ -275,38 +327,47 @@ struct Checker<'a> {
     program: &'a Program,
 }
 
+/// The arenas of the function being checked, moved out of it.
+struct Body {
+    exprs: Vec<Expr>,
+    stmts: Vec<Stmt>,
+    far: Vec<Pos>,
+}
+
+impl Body {
+    fn pos(&self, e: ExprId) -> Pos {
+        self.exprs[e.index()].at.unpack(&self.far)
+    }
+}
+
 /// No slot: the name is declared but out of scope.
 const HIDDEN: u32 = u32::MAX;
 
-/// The binding table: every name declared anywhere in the program has
-/// one entry, holding the slot it denotes where the check stands now.
-/// A scope is a mark in the undo log, which records each declaration's
-/// shadowed slot; leaving the scope restores them. Declaring a name
-/// allocates only the first time the program declares it.
+/// The binding table: one entry per interned name, holding the slot it
+/// denotes where the check stands now. A scope is a mark in the undo
+/// log, which records each declaration's shadowed slot; leaving the
+/// scope restores them. Nothing is hashed: a [`Sym`] is the index.
 struct Env {
-    /// Each declared name's index into `visible`.
-    ids: FxHashMap<String, u32>,
     /// The slot each name denotes now, or `HIDDEN`.
     visible: Vec<u32>,
-    /// `(name id, shadowed slot)` per declaration, innermost last.
-    undo: Vec<(u32, u32)>,
+    /// `(name, shadowed slot)` per declaration, innermost last.
+    undo: Vec<(Sym, u32)>,
     /// The frame being laid out: the declared type of every slot.
     frame: Vec<Type>,
     loop_depth: usize,
     /// The argument types of every call being checked, innermost last.
-    arg_tys: Vec<Ty>,
+    arg_tys: Vec<Type>,
 }
 
 impl Env {
-    /// Room for `names` declared names. The lab solutions declare at
-    /// most 32 distinct names (bfs) and lay out at most 21 slots in one
-    /// frame (sgemm), so 64 lays them out without growing the tables.
-    fn with_capacity(names: usize) -> Env {
+    /// A table for `names` interned names. The lab solutions lay out at
+    /// most 21 slots in one frame (sgemm), so 32 lays them out without
+    /// growing.
+    fn new(names: usize) -> Env {
         Env {
-            ids: FxHashMap::with_capacity_and_hasher(names, Default::default()),
-            visible: Vec::with_capacity(names),
-            undo: Vec::with_capacity(names),
-            frame: Vec::with_capacity(names),
+            visible: vec![HIDDEN; names],
+            undo: Vec::with_capacity(32),
+            frame: Vec::with_capacity(32),
             loop_depth: 0,
             arg_tys: Vec::new(),
         }
@@ -318,96 +379,95 @@ impl Env {
     }
 
     fn leave(&mut self, mark: usize) {
-        for (id, shadowed) in self.undo.drain(mark..).rev() {
-            self.visible[id as usize] = shadowed;
+        for (name, shadowed) in self.undo.drain(mark..).rev() {
+            self.visible[name.index()] = shadowed;
         }
     }
 
     /// Bind `name` to a fresh slot of type `ty` in the innermost scope.
-    fn declare(&mut self, name: &str, ty: Type) -> u32 {
+    fn declare(&mut self, name: Sym, ty: Type) -> u32 {
         let slot = self.frame.len() as u32;
         self.frame.push(ty);
-        let id = match self.ids.get(name) {
-            Some(&id) => id,
-            None => {
-                let id = self.visible.len() as u32;
-                self.ids.insert(name.to_string(), id);
-                self.visible.push(HIDDEN);
-                id
-            }
-        };
-        self.undo.push((id, self.visible[id as usize]));
-        self.visible[id as usize] = slot;
+        self.undo.push((name, self.visible[name.index()]));
+        self.visible[name.index()] = slot;
         slot
     }
 
-    fn lookup(&self, name: &str) -> Option<u32> {
-        let slot = self.visible[*self.ids.get(name)? as usize];
+    fn lookup(&self, name: Sym) -> Option<u32> {
+        let slot = self.visible[name.index()];
         (slot != HIDDEN).then_some(slot)
     }
 }
 
 impl<'a> Checker<'a> {
+    fn name(&self, sym: Sym) -> &'a str {
+        self.program.names.name(sym)
+    }
+
     /// Check `body` (moved out of `f`), binding its names in place, and
     /// return `f`'s frame layout. Parameters take the first slots.
-    fn check_func(&self, f: &FuncDef, body: &mut Block, env: &mut Env) -> Result<Vec<Type>, Diag> {
+    fn check_func(&self, f: &FuncDef, body: &mut Body, env: &mut Env) -> Result<Vec<Type>, Diag> {
         let ctx = match f.kind {
             FuncKind::Host => Ctx::Host,
             FuncKind::Kernel | FuncKind::Device => Ctx::Device,
         };
         let mark = env.enter();
         for p in &f.params {
-            if p.ty == Type::Void {
+            if p.ty == Type::VOID {
                 return Err(Diag::new(
                     Phase::Sema,
                     f.pos,
-                    format!("parameter `{}` cannot have type void", p.name),
+                    format!("parameter `{}` cannot have type void", self.name(p.name)),
                 ));
             }
-            env.declare(&p.name, p.ty.clone());
+            env.declare(p.name, p.ty);
         }
-        self.check_block(body, env, ctx)?;
+        self.check_block(f.body, body, env, ctx)?;
         env.leave(mark);
         // Programs keep their frames: allocate each at its exact size.
         Ok(env.frame.drain(..).collect())
     }
 
-    fn check_block(&self, b: &mut Block, env: &mut Env, ctx: Ctx) -> Result<(), Diag> {
+    fn check_block(&self, blk: Block, b: &mut Body, env: &mut Env, ctx: Ctx) -> Result<(), Diag> {
         let mark = env.enter();
-        for s in &mut b.stmts {
-            self.check_stmt(s, env, ctx)?;
+        for s in blk.ids() {
+            self.check_stmt(s, b, env, ctx)?;
         }
         env.leave(mark);
         Ok(())
     }
 
-    fn check_stmt(&self, s: &mut Stmt, env: &mut Env, ctx: Ctx) -> Result<(), Diag> {
-        match s {
+    fn check_stmt(&self, id: StmtId, b: &mut Body, env: &mut Env, ctx: Ctx) -> Result<(), Diag> {
+        match b.stmts[id.index()] {
             Stmt::Decl {
                 ty,
                 name,
                 init,
                 pos,
-                slot,
+                ..
             } => {
-                if *ty == Type::Void {
+                let name_text = self.name(name);
+                if ty == Type::VOID {
                     return Err(Diag::new(
                         Phase::Sema,
-                        *pos,
-                        format!("variable `{name}` cannot have type void"),
+                        pos,
+                        format!("variable `{name_text}` cannot have type void"),
                     ));
                 }
                 if let Some(e) = init {
-                    let et = self.typeof_expr(e, env, ctx)?;
-                    assignable(Ty::of(ty), et).map_err(|m| {
+                    let et = self.typeof_expr(e, b, env, ctx)?;
+                    assignable(ty, et).map_err(|m| {
                         Diag::new(
                             Phase::Sema,
-                            *pos,
-                            format!("cannot initialize `{name}`: {m}"),
+                            pos,
+                            format!("cannot initialize `{name_text}`: {m}"),
                         )
                     })?;
                 }
-                *slot = env.declare(name, ty.clone());
+                let bound = env.declare(name, ty);
+                if let Stmt::Decl { slot, .. } = &mut b.stmts[id.index()] {
+                    *slot = bound;
+                }
                 Ok(())
             }
             Stmt::SharedDecl {
@@ -415,36 +475,39 @@ impl<'a> Checker<'a> {
                 name,
                 dims,
                 pos,
-                slot,
+                ..
             } => {
+                let name_text = self.name(name);
                 if ctx != Ctx::Device {
                     return Err(Diag::new(
                         Phase::Sema,
-                        *pos,
+                        pos,
                         "__shared__ declarations are only allowed in device code",
                     ));
                 }
                 if !elem.is_numeric() {
                     return Err(Diag::new(
                         Phase::Sema,
-                        *pos,
+                        pos,
                         "__shared__ arrays must be int or float",
                     ));
                 }
                 let mut total: i64 = 1;
-                for d in dims.iter() {
-                    let v = const_eval(d).ok_or_else(|| {
+                for d in dims.ids() {
+                    let v = const_eval(&b.exprs, d).ok_or_else(|| {
                         Diag::new(
                             Phase::Sema,
-                            *pos,
-                            format!("__shared__ array `{name}` needs constant dimensions"),
+                            pos,
+                            format!("__shared__ array `{name_text}` needs constant dimensions"),
                         )
                     })?;
                     if v <= 0 {
                         return Err(Diag::new(
                             Phase::Sema,
-                            *pos,
-                            format!("__shared__ array `{name}` has non-positive dimension {v}"),
+                            pos,
+                            format!(
+                                "__shared__ array `{name_text}` has non-positive dimension {v}"
+                            ),
                         ));
                     }
                     total = total.saturating_mul(v);
@@ -452,16 +515,16 @@ impl<'a> Checker<'a> {
                 if total > 1 << 24 {
                     return Err(Diag::new(
                         Phase::Sema,
-                        *pos,
-                        format!("__shared__ array `{name}` is implausibly large"),
+                        pos,
+                        format!("__shared__ array `{name_text}` is implausibly large"),
                     ));
                 }
                 // Type: one pointer level per dimension.
-                let mut ty = elem.clone();
-                for _ in 0..dims.len() {
-                    ty = ty.ptr_to();
+                let ty = (0..dims.len).fold(elem, |t, _| t.ptr_to());
+                let bound = env.declare(name, ty);
+                if let Stmt::SharedDecl { slot, .. } = &mut b.stmts[id.index()] {
+                    *slot = bound;
                 }
-                *slot = env.declare(name, ty);
                 Ok(())
             }
             Stmt::Assign {
@@ -470,40 +533,50 @@ impl<'a> Checker<'a> {
                 pos,
                 op,
             } => {
-                if !target.is_lvalue() {
+                if !b.exprs[target.index()].is_lvalue() {
                     return Err(Diag::new(
                         Phase::Sema,
-                        *pos,
+                        pos,
                         "left side of assignment is not assignable",
                     ));
                 }
-                let tt = self.typeof_expr(target, env, ctx)?;
-                let vt = self.typeof_expr(value, env, ctx)?;
+                // Binding replaces the name; keep it for the diagnostic.
+                let target_name = match b.exprs[target.index()].kind {
+                    ExprKind::Var(name) => Some(name),
+                    _ => None,
+                };
+                let tt = self.typeof_expr(target, b, env, ctx)?;
+                let vt = self.typeof_expr(value, b, env, ctx)?;
                 if let Some(op) = op {
                     // Compound assignment needs the operator defined.
-                    if op.is_bitwise() && tt == Ty::FLOAT {
+                    if op.is_bitwise() && tt == Type::FLOAT {
                         return Err(Diag::new(
                             Phase::Sema,
-                            *pos,
+                            pos,
                             "bitwise compound assignment on a float",
                         ));
                     }
                 }
                 assignable(tt, vt)
-                    .map_err(|m| Diag::new(Phase::Sema, *pos, format!("cannot assign: {m}")))?;
-                if let ExprKind::Var(name, Binding::Constant(_) | Binding::Predefined(_)) =
-                    &target.kind
+                    .map_err(|m| Diag::new(Phase::Sema, pos, format!("cannot assign: {m}")))?;
+                if let (
+                    ExprKind::Bound(Binding::Constant(_) | Binding::Predefined(_)),
+                    Some(name),
+                ) = (b.exprs[target.index()].kind, target_name)
                 {
                     return Err(Diag::new(
                         Phase::Sema,
-                        *pos,
-                        format!("cannot assign to `{name}`, which is not a variable"),
+                        pos,
+                        format!(
+                            "cannot assign to `{}`, which is not a variable",
+                            self.name(name)
+                        ),
                     ));
                 }
                 Ok(())
             }
             Stmt::Expr(e) => {
-                self.typeof_expr(e, env, ctx)?;
+                self.typeof_expr(e, b, env, ctx)?;
                 Ok(())
             }
             Stmt::If {
@@ -512,19 +585,19 @@ impl<'a> Checker<'a> {
                 else_blk,
                 pos,
             } => {
-                let ct = self.typeof_expr(cond, env, ctx)?;
-                condition(ct).map_err(|m| Diag::new(Phase::Sema, *pos, m))?;
-                self.check_block(then_blk, env, ctx)?;
-                if let Some(b) = else_blk {
-                    self.check_block(b, env, ctx)?;
+                let ct = self.typeof_expr(cond, b, env, ctx)?;
+                condition(ct).map_err(|m| Diag::new(Phase::Sema, pos, m))?;
+                self.check_block(then_blk, b, env, ctx)?;
+                if let Some(blk) = else_blk {
+                    self.check_block(blk, b, env, ctx)?;
                 }
                 Ok(())
             }
             Stmt::While { cond, body, pos } => {
-                let ct = self.typeof_expr(cond, env, ctx)?;
-                condition(ct).map_err(|m| Diag::new(Phase::Sema, *pos, m))?;
+                let ct = self.typeof_expr(cond, b, env, ctx)?;
+                condition(ct).map_err(|m| Diag::new(Phase::Sema, pos, m))?;
                 env.loop_depth += 1;
-                let r = self.check_block(body, env, ctx);
+                let r = self.check_block(body, b, env, ctx);
                 env.loop_depth -= 1;
                 r
             }
@@ -537,33 +610,33 @@ impl<'a> Checker<'a> {
             } => {
                 let mark = env.enter();
                 if let Some(i) = init {
-                    self.check_stmt(i, env, ctx)?;
+                    self.check_stmt(i, b, env, ctx)?;
                 }
                 if let Some(c) = cond {
-                    let ct = self.typeof_expr(c, env, ctx)?;
-                    condition(ct).map_err(|m| Diag::new(Phase::Sema, *pos, m))?;
+                    let ct = self.typeof_expr(c, b, env, ctx)?;
+                    condition(ct).map_err(|m| Diag::new(Phase::Sema, pos, m))?;
                 }
                 if let Some(st) = step {
                     // C's step is an expression: a name declared there
                     // would bind before the body it runs after.
-                    if matches!(**st, Stmt::Decl { .. } | Stmt::Block(_)) {
+                    if let Some(at) = declaration_pos(&b.stmts, st) {
                         return Err(Diag::new(
                             Phase::Sema,
-                            st.pos(),
+                            at,
                             "a for-loop step cannot declare a variable",
                         ));
                     }
-                    self.check_stmt(st, env, ctx)?;
+                    self.check_stmt(st, b, env, ctx)?;
                 }
                 env.loop_depth += 1;
-                let r = self.check_block(body, env, ctx);
+                let r = self.check_block(body, b, env, ctx);
                 env.loop_depth -= 1;
                 env.leave(mark);
                 r
             }
             Stmt::Return { value, .. } => {
                 if let Some(e) = value {
-                    self.typeof_expr(e, env, ctx)?;
+                    self.typeof_expr(e, b, env, ctx)?;
                 }
                 Ok(())
             }
@@ -571,71 +644,72 @@ impl<'a> Checker<'a> {
                 if env.loop_depth == 0 {
                     return Err(Diag::new(
                         Phase::Sema,
-                        *pos,
+                        pos,
                         "break/continue outside of a loop",
                     ));
                 }
                 Ok(())
             }
-            Stmt::Block(b) => self.check_block(b, env, ctx),
+            Stmt::Block(blk) => self.check_block(blk, b, env, ctx),
             Stmt::Launch {
                 kernel,
-                grid,
-                block,
-                args,
+                operands,
                 pos,
             } => {
+                let args = operands.args();
+                let kernel_text = self.name(kernel);
                 if ctx != Ctx::Host {
                     return Err(Diag::new(
                         Phase::Sema,
-                        *pos,
+                        pos,
                         "kernels can only be launched from host code",
                     ));
                 }
-                let f = self.program.func(kernel).ok_or_else(|| {
-                    Diag::new(Phase::Sema, *pos, format!("unknown kernel `{kernel}`"))
+                let f = self.program.func_named(kernel).ok_or_else(|| {
+                    Diag::new(Phase::Sema, pos, format!("unknown kernel `{kernel_text}`"))
                 })?;
                 if f.kind != FuncKind::Kernel {
                     return Err(Diag::new(
                         Phase::Sema,
-                        *pos,
-                        format!("`{kernel}` is not a __global__ kernel"),
+                        pos,
+                        format!("`{kernel_text}` is not a __global__ kernel"),
                     ));
                 }
-                if f.params.len() != args.len() {
+                if f.params.len() != args.len as usize {
                     return Err(Diag::new(
                         Phase::Sema,
-                        *pos,
+                        pos,
                         format!(
-                            "kernel `{kernel}` expects {} arguments, {} given",
+                            "kernel `{kernel_text}` expects {} arguments, {} given",
                             f.params.len(),
-                            args.len()
+                            args.len
                         ),
                     ));
                 }
-                for d in [&mut grid.x, &mut block.x]
-                    .into_iter()
-                    .chain(grid.y.iter_mut())
-                    .chain(grid.z.iter_mut())
-                    .chain(block.y.iter_mut())
-                    .chain(block.z.iter_mut())
-                {
-                    let t = self.typeof_expr(d, env, ctx)?;
+                // Both x extents first, then the rest.
+                let (grid, block) = (operands.grid(), operands.block());
+                let firsts = grid.slice(0, 1).ids().chain(block.slice(0, 1).ids());
+                let rest = grid
+                    .slice(1, grid.len - 1)
+                    .ids()
+                    .chain(block.slice(1, block.len - 1).ids());
+                for d in firsts.chain(rest) {
+                    let t = self.typeof_expr(d, b, env, ctx)?;
                     if !t.is_numeric() {
                         return Err(Diag::new(
                             Phase::Sema,
-                            *pos,
+                            pos,
                             "launch dimensions must be numeric",
                         ));
                     }
                 }
-                for (a, p) in args.iter_mut().zip(&f.params) {
-                    let at = self.typeof_expr(a, env, ctx)?;
-                    assignable(Ty::of(&p.ty), at).map_err(|m| {
+                for (a, p) in args.ids().zip(&f.params) {
+                    let at = self.typeof_expr(a, b, env, ctx)?;
+                    assignable(p.ty, at).map_err(|m| {
                         Diag::new(
                             Phase::Sema,
-                            a.pos,
-                            format!("kernel argument `{}`: {m}", p.name),
+                            b.pos(a),
+                            format!("kernel argument `{}`: {m}", self.name(p.name)),
                         )
                     })?;
                 }
@@ -645,7 +719,7 @@ impl<'a> Checker<'a> {
                 if ctx != Ctx::Host {
                     return Err(Diag::new(
                         Phase::Sema,
-                        *pos,
+                        pos,
                         "#pragma acc parallel loop is host-only",
                     ));
                 }
@@ -653,96 +727,99 @@ impl<'a> Checker<'a> {
                 //   for (int i = <start>; i < <end>; i++)
                 if let Stmt::For {
                     init, cond, step, ..
-                } = body.as_ref()
+                } = b.stmts[body.index()]
                 {
-                    let ok = matches!(init.as_deref(), Some(Stmt::Decl { ty: Type::Int, .. }))
+                    let stmt = |s: Option<StmtId>| s.map(|s| b.stmts[s.index()]);
+                    let ok = matches!(stmt(init), Some(Stmt::Decl { ty: Type::INT, .. }))
                         && cond.is_some()
-                        && matches!(step.as_deref(), Some(Stmt::Assign { .. }));
+                        && matches!(stmt(step), Some(Stmt::Assign { .. }));
                     if !ok {
                         return Err(Diag::new(
                             Phase::Sema,
-                            *pos,
+                            pos,
                             "#pragma acc parallel loop needs a canonical counted loop: for (int i = start; i < end; i++)",
                         ));
                     }
                 }
-                self.check_stmt(body, env, ctx)
+                self.check_stmt(body, b, env, ctx)
             }
         }
     }
 
     /// The one lookup order: a local, then a `__constant__` symbol, then
     /// a predefined integer.
-    fn resolve(&self, name: &str, env: &Env) -> Option<(Binding, Ty)> {
+    fn resolve(&self, name: Sym, env: &Env) -> Option<(Binding, Type)> {
         if let Some(slot) = env.lookup(name) {
-            return Some((Binding::Slot(slot), Ty::of(&env.frame[slot as usize])));
+            return Some((Binding::Slot(slot), env.frame[slot as usize]));
         }
         if let Some(id) = self.program.constant_id(name) {
             let elem = match self.program.constants[id as usize].elem {
-                ElemType::I32 => Ty::INT,
-                _ => Ty::FLOAT,
+                ElemType::I32 => Type::INT,
+                _ => Type::FLOAT,
             };
             return Some((Binding::Constant(id), elem.ptr_to()));
         }
-        predefined(name).map(|v| (Binding::Predefined(v), Ty::INT))
+        predefined(self.name(name)).map(|v| (Binding::Predefined(v), Type::INT))
     }
 
-    fn typeof_expr(&self, e: &mut Expr, env: &mut Env, ctx: Ctx) -> Result<Ty, Diag> {
-        match &mut e.kind {
-            ExprKind::IntLit(_) => Ok(Ty::INT),
-            ExprKind::FloatLit(_) => Ok(Ty::FLOAT),
+    fn typeof_expr(&self, id: ExprId, b: &mut Body, env: &mut Env, ctx: Ctx) -> Result<Type, Diag> {
+        let kind = b.exprs[id.index()].kind;
+        let pos = b.pos(id);
+        match kind {
+            ExprKind::IntLit(_) => Ok(Type::INT),
+            ExprKind::FloatLit(_) => Ok(Type::FLOAT),
             // Strings type as char*-ish; only wb* intrinsics accept them.
-            ExprKind::StrLit(_) => Ok(Ty::VOID.ptr_to()),
-            ExprKind::SizeOf(_) => Ok(Ty::INT),
-            ExprKind::Var(name, binding) => {
-                let (b, t) = self.resolve(name, env).ok_or_else(|| {
+            ExprKind::StrLit(_) => Ok(Type::VOID.ptr_to()),
+            ExprKind::SizeOf(_) => Ok(Type::INT),
+            ExprKind::Var(name) => {
+                let (binding, t) = self.resolve(name, env).ok_or_else(|| {
                     Diag::new(
                         Phase::Sema,
-                        e.pos,
-                        format!("use of undeclared variable `{name}`"),
+                        pos,
+                        format!("use of undeclared variable `{}`", self.name(name)),
                     )
                 })?;
-                *binding = b;
+                b.exprs[id.index()].kind = ExprKind::Bound(binding);
                 Ok(t)
             }
             ExprKind::Builtin(_, _) => {
                 if ctx != Ctx::Device {
                     return Err(Diag::new(
                         Phase::Sema,
-                        e.pos,
+                        pos,
                         "threadIdx/blockIdx/blockDim/gridDim are only available in device code",
                     ));
                 }
-                Ok(Ty::INT)
+                Ok(Type::INT)
             }
             ExprKind::Unary(op, inner) => {
-                let t = self.typeof_expr(inner, env, ctx)?;
+                let t = self.typeof_expr(inner, b, env, ctx)?;
                 match op {
                     UnOp::Neg => {
                         if !t.is_numeric() {
-                            return Err(Diag::new(Phase::Sema, e.pos, "cannot negate this value"));
+                            return Err(Diag::new(Phase::Sema, pos, "cannot negate this value"));
                         }
                         Ok(t)
                     }
-                    UnOp::Not => Ok(Ty::BOOL),
-                    UnOp::BitNot => Ok(Ty::INT),
+                    UnOp::Not => Ok(Type::BOOL),
+                    UnOp::BitNot => Ok(Type::INT),
                 }
             }
-            ExprKind::Binary(op, a, b) => {
-                let ta = self.typeof_expr(a, env, ctx)?;
-                let tb = self.typeof_expr(b, env, ctx)?;
+            ExprKind::Binary(op, l, r) => {
+                let ta = self.typeof_expr(l, b, env, ctx)?;
+                let tb = self.typeof_expr(r, b, env, ctx)?;
                 if op.is_comparison() || op.is_logical() {
-                    return Ok(Ty::BOOL);
+                    return Ok(Type::BOOL);
                 }
                 if op.is_bitwise() {
-                    if ta == Ty::FLOAT || tb == Ty::FLOAT {
+                    if ta == Type::FLOAT || tb == Type::FLOAT {
                         return Err(Diag::new(
                             Phase::Sema,
-                            e.pos,
+                            pos,
                             "bitwise operators require integers",
                         ));
                     }
-                    return Ok(Ty::INT);
+                    return Ok(Type::INT);
                 }
                 // Pointer arithmetic.
                 if ta.is_ptr() {
@@ -751,76 +828,84 @@ impl<'a> Checker<'a> {
                 if tb.is_ptr() {
                     return Ok(tb);
                 }
-                if ta == Ty::FLOAT || tb == Ty::FLOAT {
-                    Ok(Ty::FLOAT)
+                if ta == Type::FLOAT || tb == Type::FLOAT {
+                    Ok(Type::FLOAT)
                 } else {
-                    Ok(Ty::INT)
+                    Ok(Type::INT)
                 }
             }
-            ExprKind::Ternary(c, a, b) => {
-                let ct = self.typeof_expr(c, env, ctx)?;
-                condition(ct).map_err(|m| Diag::new(Phase::Sema, e.pos, m))?;
-                let ta = self.typeof_expr(a, env, ctx)?;
-                let tb = self.typeof_expr(b, env, ctx)?;
-                if ta == Ty::FLOAT || tb == Ty::FLOAT {
-                    Ok(Ty::FLOAT)
+            ExprKind::Bound(_) => unreachable!("each name is bound once"),
+            ExprKind::Ternary(c, x) => {
+                let y = x.next();
+                let ct = self.typeof_expr(c, b, env, ctx)?;
+                condition(ct).map_err(|m| Diag::new(Phase::Sema, pos, m))?;
+                let ta = self.typeof_expr(x, b, env, ctx)?;
+                let tb = self.typeof_expr(y, b, env, ctx)?;
+                if ta == Type::FLOAT || tb == Type::FLOAT {
+                    Ok(Type::FLOAT)
                 } else {
                     Ok(ta)
                 }
             }
             ExprKind::Index(base, idx) => {
-                let bt = self.typeof_expr(base, env, ctx)?;
-                let it = self.typeof_expr(idx, env, ctx)?;
-                if !it.is_numeric() && it != Ty::BOOL {
-                    return Err(Diag::new(Phase::Sema, e.pos, "array index must be numeric"));
+                let bt = self.typeof_expr(base, b, env, ctx)?;
+                let it = self.typeof_expr(idx, b, env, ctx)?;
+                if !it.is_numeric() && it != Type::BOOL {
+                    return Err(Diag::new(Phase::Sema, pos, "array index must be numeric"));
                 }
                 bt.pointee().ok_or_else(|| {
                     Diag::new(
                         Phase::Sema,
-                        e.pos,
+                        pos,
                         format!("cannot index a value of type {bt}"),
                     )
                 })
             }
             ExprKind::Cast(ty, inner) => {
-                let it = self.typeof_expr(inner, env, ctx)?;
-                let ty = Ty::of(ty);
+                let it = self.typeof_expr(inner, b, env, ctx)?;
                 // Pointer↔number casts are rejected; pointer↔pointer and
                 // numeric↔numeric are fine.
                 if it.is_ptr() != ty.is_ptr() {
                     return Err(Diag::new(
                         Phase::Sema,
-                        e.pos,
+                        pos,
                         format!("cannot cast {it} to {ty}"),
                     ));
                 }
                 Ok(ty)
             }
-            ExprKind::AddrOf(name, slot) => {
-                *slot = env.lookup(name).ok_or_else(|| {
+            ExprKind::AddrOf(name, _) => {
+                let slot = env.lookup(name).ok_or_else(|| {
                     Diag::new(
                         Phase::Sema,
-                        e.pos,
-                        format!("cannot take the address of undeclared variable `{name}`"),
+                        pos,
+                        format!(
+                            "cannot take the address of undeclared variable `{}`",
+                            self.name(name)
+                        ),
                     )
                 })?;
-                Ok(Ty::of(&env.frame[*slot as usize]).ptr_to())
+                b.exprs[id.index()].kind = ExprKind::AddrOf(name, slot);
+                Ok(env.frame[slot as usize].ptr_to())
             }
-            ExprKind::Call(name, args) => self.check_call(name, args, e.pos, env, ctx),
+            ExprKind::Call { callee, first, len } => {
+                self.check_call(callee, ExprKind::args(first, len), pos, b, env, ctx)
+            }
         }
     }
 
     fn check_call(
         &self,
-        name: &str,
-        args: &mut [Expr],
+        name: Sym,
+        args: ExprList,
         pos: Pos,
+        b: &mut Body,
         env: &mut Env,
         ctx: Ctx,
-    ) -> Result<Ty, Diag> {
+    ) -> Result<Type, Diag> {
         let base = env.arg_tys.len();
-        for a in args.iter_mut() {
-            let t = self.typeof_expr(a, env, ctx)?;
+        for a in args.ids() {
+            let t = self.typeof_expr(a, b, env, ctx)?;
             env.arg_tys.push(t);
         }
         let result = self.check_call_typed(name, &env.arg_tys[base..], pos, ctx);
@@ -831,18 +916,21 @@ impl<'a> Checker<'a> {
     /// The checks of a call whose arguments typed as `arg_types`.
     fn check_call_typed(
         &self,
-        name: &str,
-        arg_types: &[Ty],
+        sym: Sym,
+        arg_types: &[Type],
         pos: Pos,
         ctx: Ctx,
-    ) -> Result<Ty, Diag> {
+    ) -> Result<Type, Diag> {
+        let name = self.name(sym);
         // Math intrinsics are available everywhere.
         if crate::value::is_math_intrinsic(name) {
-            let all_int = arg_types.iter().all(|t| *t == Ty::INT || *t == Ty::BOOL);
+            let all_int = arg_types
+                .iter()
+                .all(|t| *t == Type::INT || *t == Type::BOOL);
             return Ok(if all_int && matches!(name, "min" | "max" | "abs") {
-                Ty::INT
+                Type::INT
             } else {
-                Ty::FLOAT
+                Type::FLOAT
             });
         }
 
@@ -890,7 +978,7 @@ impl<'a> Checker<'a> {
         }
 
         // User-defined function.
-        let f = self.program.func(name).ok_or_else(|| {
+        let f = self.program.func_named(sym).ok_or_else(|| {
             Diag::new(
                 Phase::Sema,
                 pos,
@@ -933,19 +1021,34 @@ impl<'a> Checker<'a> {
             ));
         }
         for (p, at) in f.params.iter().zip(arg_types) {
-            assignable(Ty::of(&p.ty), *at).map_err(|m| {
+            assignable(p.ty, *at).map_err(|m| {
                 Diag::new(
                     Phase::Sema,
                     pos,
-                    format!("argument `{}` of `{name}`: {m}", p.name),
+                    format!("argument `{}` of `{name}`: {m}", self.name(p.name)),
                 )
             })?;
         }
-        Ok(Ty::of(&f.ret))
+        Ok(f.ret)
     }
 }
 
-fn condition(t: Ty) -> Result<(), String> {
+/// Where statement `s` declares a name: a declaration's position, or
+/// for a multi-declarator block its first declaration's.
+fn declaration_pos(stmts: &[Stmt], s: StmtId) -> Option<Pos> {
+    match stmts[s.index()] {
+        Stmt::Decl { pos, .. } => Some(pos),
+        Stmt::Block(b) => Some(
+            b.ids()
+                .next()
+                .and_then(|s| declaration_pos(stmts, s))
+                .unwrap_or_default(),
+        ),
+        _ => None,
+    }
+}
+
+fn condition(t: Type) -> Result<(), String> {
     if t.is_scalar() {
         Ok(())
     } else {
@@ -953,7 +1056,7 @@ fn condition(t: Ty) -> Result<(), String> {
     }
 }
 
-fn assignable(dst: Ty, src: Ty) -> Result<(), String> {
+fn assignable(dst: Type, src: Type) -> Result<(), String> {
     if dst == src || (dst.is_scalar() && src.is_scalar()) {
         return Ok(());
     }
@@ -966,49 +1069,49 @@ fn assignable(dst: Ty, src: Ty) -> Result<(), String> {
 }
 
 /// Intrinsic table: `(min_args, max_args, host_only, device_only, return type)`.
-fn intrinsic_arity(name: &str) -> Option<(usize, usize, bool, bool, Ty)> {
+fn intrinsic_arity(name: &str) -> Option<(usize, usize, bool, bool, Type)> {
     Some(match name {
         // Device synchronization / atomics / work-item queries.
-        "__syncthreads" => (0, 0, false, true, Ty::VOID),
-        "barrier" => (1, 1, false, true, Ty::VOID),
-        "atomicAdd" | "atomicMin" | "atomicMax" | "atomicExch" => (2, 2, false, true, Ty::FLOAT),
-        "atomicCAS" => (3, 3, false, true, Ty::INT),
+        "__syncthreads" => (0, 0, false, true, Type::VOID),
+        "barrier" => (1, 1, false, true, Type::VOID),
+        "atomicAdd" | "atomicMin" | "atomicMax" | "atomicExch" => (2, 2, false, true, Type::FLOAT),
+        "atomicCAS" => (3, 3, false, true, Type::INT),
         "get_global_id" | "get_local_id" | "get_group_id" | "get_local_size" | "get_num_groups"
-        | "get_global_size" => (1, 1, false, true, Ty::INT),
+        | "get_global_size" => (1, 1, false, true, Type::INT),
         // Host memory & CUDA API.
-        "malloc" => (1, 1, true, false, Ty::VOID.ptr_to()),
-        "free" => (1, 1, true, false, Ty::VOID),
-        "cudaMalloc" => (2, 2, true, false, Ty::INT),
-        "cudaFree" => (1, 1, true, false, Ty::INT),
-        "cudaMemcpy" => (4, 4, true, false, Ty::INT),
-        "cudaMemcpyToSymbol" => (3, 3, true, false, Ty::INT),
-        "cudaDeviceSynchronize" => (0, 0, true, false, Ty::INT),
-        "cudaGetLastError" => (0, 0, true, false, Ty::INT),
-        "cudaSetDevice" => (1, 1, true, false, Ty::INT),
-        "cudaGetDeviceCount" => (1, 1, true, false, Ty::INT),
+        "malloc" => (1, 1, true, false, Type::VOID.ptr_to()),
+        "free" => (1, 1, true, false, Type::VOID),
+        "cudaMalloc" => (2, 2, true, false, Type::INT),
+        "cudaFree" => (1, 1, true, false, Type::INT),
+        "cudaMemcpy" => (4, 4, true, false, Type::INT),
+        "cudaMemcpyToSymbol" => (3, 3, true, false, Type::INT),
+        "cudaDeviceSynchronize" => (0, 0, true, false, Type::INT),
+        "cudaGetLastError" => (0, 0, true, false, Type::INT),
+        "cudaSetDevice" => (1, 1, true, false, Type::INT),
+        "cudaGetDeviceCount" => (1, 1, true, false, Type::INT),
         // wb support library.
-        "wbImportVector" => (2, 2, true, false, Ty::FLOAT.ptr_to()),
-        "wbImportIntVector" => (2, 2, true, false, Ty::INT.ptr_to()),
-        "wbImportMatrix" => (3, 3, true, false, Ty::FLOAT.ptr_to()),
-        "wbImportImage" => (4, 4, true, false, Ty::FLOAT.ptr_to()),
-        "wbImportCsrRowPtr" => (2, 2, true, false, Ty::INT.ptr_to()),
-        "wbImportCsrColIdx" => (2, 2, true, false, Ty::INT.ptr_to()),
-        "wbImportCsrValues" => (2, 2, true, false, Ty::FLOAT.ptr_to()),
-        "wbImportGraphRowPtr" => (2, 2, true, false, Ty::INT.ptr_to()),
-        "wbImportGraphNeighbors" => (2, 2, true, false, Ty::INT.ptr_to()),
-        "wbImportScalar" => (1, 1, true, false, Ty::FLOAT),
-        "wbSolution" => (2, 2, true, false, Ty::VOID),
-        "wbSolutionInt" => (2, 2, true, false, Ty::VOID),
-        "wbSolutionMatrix" => (3, 3, true, false, Ty::VOID),
-        "wbSolutionImage" => (4, 4, true, false, Ty::VOID),
-        "wbSolutionScalar" => (1, 1, true, false, Ty::VOID),
-        "wbLog" => (1, 8, true, false, Ty::VOID),
-        "wbTime_start" | "wbTime_stop" => (2, 2, true, false, Ty::VOID),
+        "wbImportVector" => (2, 2, true, false, Type::FLOAT.ptr_to()),
+        "wbImportIntVector" => (2, 2, true, false, Type::INT.ptr_to()),
+        "wbImportMatrix" => (3, 3, true, false, Type::FLOAT.ptr_to()),
+        "wbImportImage" => (4, 4, true, false, Type::FLOAT.ptr_to()),
+        "wbImportCsrRowPtr" => (2, 2, true, false, Type::INT.ptr_to()),
+        "wbImportCsrColIdx" => (2, 2, true, false, Type::INT.ptr_to()),
+        "wbImportCsrValues" => (2, 2, true, false, Type::FLOAT.ptr_to()),
+        "wbImportGraphRowPtr" => (2, 2, true, false, Type::INT.ptr_to()),
+        "wbImportGraphNeighbors" => (2, 2, true, false, Type::INT.ptr_to()),
+        "wbImportScalar" => (1, 1, true, false, Type::FLOAT),
+        "wbSolution" => (2, 2, true, false, Type::VOID),
+        "wbSolutionInt" => (2, 2, true, false, Type::VOID),
+        "wbSolutionMatrix" => (3, 3, true, false, Type::VOID),
+        "wbSolutionImage" => (4, 4, true, false, Type::VOID),
+        "wbSolutionScalar" => (1, 1, true, false, Type::VOID),
+        "wbLog" => (1, 8, true, false, Type::VOID),
+        "wbTime_start" | "wbTime_stop" => (2, 2, true, false, Type::VOID),
         // MPI layer for the multi-GPU lab.
-        "wbMPI_rank" | "wbMPI_size" => (0, 0, true, false, Ty::INT),
-        "wbMPI_sendFloat" | "wbMPI_recvFloat" => (3, 3, true, false, Ty::VOID),
-        "wbMPI_barrier" => (0, 0, true, false, Ty::VOID),
-        "exit" => (1, 1, true, false, Ty::VOID),
+        "wbMPI_rank" | "wbMPI_size" => (0, 0, true, false, Type::INT),
+        "wbMPI_sendFloat" | "wbMPI_recvFloat" => (3, 3, true, false, Type::VOID),
+        "wbMPI_barrier" => (0, 0, true, false, Type::VOID),
+        "exit" => (1, 1, true, false, Type::VOID),
         _ => return None,
     })
 }
@@ -1047,25 +1150,26 @@ mod tests {
         )
         .unwrap();
         let f = p.func("f").unwrap();
-        assert_eq!(f.frame, [Type::Int, Type::Int]);
-        assert!(matches!(f.body.stmts[0], Stmt::Block(ref b)
-            if matches!(b.stmts[0], Stmt::Decl { slot: 1, .. })));
-        let Stmt::Return { value: Some(e), .. } = &f.body.stmts[1] else {
+        assert_eq!(f.frame, [Type::INT, Type::INT]);
+        let body = f.block(f.body);
+        assert!(matches!(body[0], Stmt::Block(b)
+            if matches!(f.block(b)[0], Stmt::Decl { slot: 1, .. })));
+        let Stmt::Return { value: Some(e), .. } = body[1] else {
             panic!("return");
         };
-        let ExprKind::Binary(_, sum, index) = &e.kind else {
+        let ExprKind::Binary(_, sum, index) = f.expr(e).kind else {
             panic!("sum");
         };
-        let ExprKind::Binary(_, x, success) = &sum.kind else {
+        let ExprKind::Binary(_, x, success) = f.expr(sum).kind else {
             panic!("x + cudaSuccess");
         };
-        assert_eq!(x.kind, ExprKind::Var("x".into(), Binding::Slot(0)));
+        assert_eq!(f.expr(x).kind, ExprKind::Bound(Binding::Slot(0)));
         assert_eq!(
-            success.kind,
-            ExprKind::Var("cudaSuccess".into(), Binding::Predefined(0))
+            f.expr(success).kind,
+            ExprKind::Bound(Binding::Predefined(0))
         );
-        assert!(matches!(&index.kind, ExprKind::Index(m, _)
-            if m.kind == ExprKind::Var("m".into(), Binding::Constant(0))));
+        assert!(matches!(f.expr(index).kind, ExprKind::Index(m, _)
+            if f.expr(m).kind == ExprKind::Bound(Binding::Constant(0))));
     }
 
     #[test]
@@ -1234,7 +1338,7 @@ mod tests {
         let p = check(src).unwrap();
         assert_eq!(p.constants().len(), 1);
         assert_eq!(p.constants()[0].len, 5);
-        assert_eq!(p.constant_id("mask"), Some(0));
+        assert_eq!(p.constant_id(p.names().find("mask").unwrap()), Some(0));
     }
 
     #[test]
@@ -1261,7 +1365,7 @@ mod tests {
     #[test]
     fn kernels_listed() {
         let p = check("__global__ void a() {}\n__global__ void b() {}\nvoid c() {}").unwrap();
-        assert_eq!(p.kernels(), &["a".to_string(), "b".to_string()]);
+        assert_eq!(p.kernels(), ["a", "b"]);
     }
 
     #[test]

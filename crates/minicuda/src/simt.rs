@@ -66,6 +66,7 @@ pub(crate) fn run_block(
         tid,
         shared: SharedMem::new(),
         shared_ids: HashMap::new(),
+        func: kernel,
         slots: vec![Vec::new(); kernel.frame.len()],
         active: vec![true; n],
         kernel_returned: vec![false; n],
@@ -86,7 +87,7 @@ pub(crate) fn run_block(
         loops: Vec::new(),
         kernel_level: true,
     };
-    exec.exec_block_stmts(&kernel.body, &mut fr)?;
+    exec.exec_block_stmts(kernel.body, &mut fr)?;
 
     exec.cycles += cost::BLOCK_OVERHEAD;
     exec.cost.device_cycles = exec.cycles;
@@ -115,7 +116,9 @@ struct BlockExec<'a> {
     block_idx: [i64; 3],
     tid: Vec<[i64; 3]>,
     shared: SharedMem,
-    shared_ids: HashMap<String, u32>,
+    shared_ids: HashMap<Sym, u32>,
+    /// The function running, whose arenas its statements index.
+    func: &'a FuncDef,
     /// The current call's frame: each slot's per-lane values.
     slots: Vec<Vec<Value>>,
     active: Vec<bool>,
@@ -172,8 +175,9 @@ impl<'a> BlockExec<'a> {
 
     // ---- statements ----------------------------------------------------
 
-    fn exec_block_stmts(&mut self, b: &Block, fr: &mut FnFrame) -> Result<(), Diag> {
-        for s in &b.stmts {
+    fn exec_block_stmts(&mut self, b: Block, fr: &mut FnFrame) -> Result<(), Diag> {
+        let f = self.func;
+        for s in f.block(b) {
             if !self.any_active() {
                 break;
             }
@@ -183,7 +187,8 @@ impl<'a> BlockExec<'a> {
     }
 
     fn exec_stmt(&mut self, s: &Stmt, fr: &mut FnFrame) -> Result<(), Diag> {
-        match s {
+        let f = self.func;
+        match *s {
             Stmt::Decl {
                 ty,
                 init,
@@ -191,15 +196,15 @@ impl<'a> BlockExec<'a> {
                 slot,
                 ..
             } => {
-                self.charge_op(*pos, cost::ISSUE)?;
+                self.charge_op(pos, cost::ISSUE)?;
                 let vals = match init {
                     Some(e) => {
-                        let raw = self.eval(e)?;
-                        self.coerce_lanes(raw, ty, *pos)?
+                        let raw = self.eval(f.expr(e))?;
+                        self.coerce_lanes(raw, &ty, pos)?
                     }
-                    None => vec![Value::zero_of(ty); self.n],
+                    None => vec![Value::zero_of(&ty); self.n],
                 };
-                self.slots[*slot as usize] = vals;
+                self.slots[slot as usize] = vals;
                 Ok(())
             }
             Stmt::SharedDecl {
@@ -209,15 +214,15 @@ impl<'a> BlockExec<'a> {
                 pos,
                 slot,
             } => {
-                if !self.shared_ids.contains_key(name) {
+                if !self.shared_ids.contains_key(&name) {
                     let dims: Vec<usize> = dims
-                        .iter()
-                        .map(|d| const_eval(d).expect("sema checked") as usize)
+                        .ids()
+                        .map(|d| const_eval(&f.exprs, d).expect("sema checked") as usize)
                         .collect();
-                    let id = self.shared.declare(dims, ElemType::of(elem));
+                    let id = self.shared.declare(dims, ElemType::of(&elem));
                     if self.shared.bytes() > self.env.max_shared_bytes {
                         return Err(self.rt_err(
-                            *pos,
+                            pos,
                             format!(
                                 "block uses {} bytes of shared memory (limit {})",
                                 self.shared.bytes(),
@@ -225,18 +230,18 @@ impl<'a> BlockExec<'a> {
                             ),
                         ));
                     }
-                    self.shared_ids.insert(name.clone(), id);
+                    self.shared_ids.insert(name, id);
                 }
                 // The array name becomes visible as a level-0 pointer.
-                let id = self.shared_ids[name];
+                let id = self.shared_ids[&name];
                 let p = Ptr {
                     space: Space::Shared,
                     alloc: id,
                     offset: 0,
-                    elem: ElemType::of(elem),
+                    elem: ElemType::of(&elem),
                     level: 0,
                 };
-                self.slots[*slot as usize] = vec![Value::P(p); self.n];
+                self.slots[slot as usize] = vec![Value::P(p); self.n];
                 Ok(())
             }
             Stmt::Assign {
@@ -245,26 +250,26 @@ impl<'a> BlockExec<'a> {
                 value,
                 pos,
             } => {
-                let mut rhs = self.eval(value)?;
-                if let (ExprKind::Index(base, idx), Some(op)) = (&target.kind, op) {
+                let target = f.expr(target);
+                let mut rhs = self.eval(f.expr(value))?;
+                if let (ExprKind::Index(base, idx), Some(op)) = (target.kind, op) {
                     // Compound index assignment: compute the element
                     // address once and route both the load and the
                     // store through it, so a side-effecting index
                     // (`out[atomicAdd(&c[0], 1)] += x`) is evaluated
                     // exactly once, as in C.
-                    let bvals = self.eval(base)?;
-                    let ivals = self.eval(idx)?;
+                    let bvals = self.eval(f.expr(base))?;
+                    let ivals = self.eval(f.expr(idx))?;
                     let mut ptrs = vec![None; self.n];
                     for i in 0..self.n {
                         if self.active[i] {
-                            let p = bvals[i].as_ptr().map_err(|m| self.lane_err(*pos, i, m))?;
-                            let k = ivals[i].as_int().map_err(|m| self.lane_err(*pos, i, m))?;
-                            let (q, terminal) = self
-                                .index_ptr(p, k)
-                                .map_err(|m| self.lane_err(*pos, i, m))?;
+                            let p = bvals[i].as_ptr().map_err(|m| self.lane_err(pos, i, m))?;
+                            let k = ivals[i].as_int().map_err(|m| self.lane_err(pos, i, m))?;
+                            let (q, terminal) =
+                                self.index_ptr(p, k).map_err(|m| self.lane_err(pos, i, m))?;
                             if !terminal {
                                 return Err(self.lane_err(
-                                    *pos,
+                                    pos,
                                     i,
                                     "assignment to a whole array row (missing an index?)",
                                 ));
@@ -272,29 +277,29 @@ impl<'a> BlockExec<'a> {
                             ptrs[i] = Some(q);
                         }
                     }
-                    let cur = self.load_lanes(&ptrs, *pos)?;
+                    let cur = self.load_lanes(&ptrs, pos)?;
                     for i in 0..self.n {
                         if self.active[i] {
-                            rhs[i] = apply_binop(*op, cur[i], rhs[i])
-                                .map_err(|m| self.lane_err(*pos, i, m))?;
+                            rhs[i] = apply_binop(op, cur[i], rhs[i])
+                                .map_err(|m| self.lane_err(pos, i, m))?;
                         }
                     }
-                    self.charge_op(*pos, cost::ISSUE)?;
-                    return self.store_lanes(&ptrs, &rhs, *pos);
+                    self.charge_op(pos, cost::ISSUE)?;
+                    return self.store_lanes(&ptrs, &rhs, pos);
                 }
                 if let Some(op) = op {
                     let cur = self.eval(target)?;
                     for i in 0..self.n {
                         if self.active[i] {
-                            rhs[i] = apply_binop(*op, cur[i], rhs[i])
-                                .map_err(|m| self.lane_err(*pos, i, m))?;
+                            rhs[i] = apply_binop(op, cur[i], rhs[i])
+                                .map_err(|m| self.lane_err(pos, i, m))?;
                         }
                     }
                 }
-                self.assign(target, rhs, *pos)
+                self.assign(target, rhs, pos)
             }
             Stmt::Expr(e) => {
-                self.eval(e)?;
+                self.eval(f.expr(e))?;
                 Ok(())
             }
             Stmt::If {
@@ -303,14 +308,14 @@ impl<'a> BlockExec<'a> {
                 else_blk,
                 pos,
             } => {
-                self.charge_op(*pos, cost::ISSUE)?;
-                let cvals = self.eval(cond)?;
+                self.charge_op(pos, cost::ISSUE)?;
+                let cvals = self.eval(f.expr(cond))?;
                 let entry = self.active.clone();
                 let mut then_mask = vec![false; self.n];
                 let mut else_mask = vec![false; self.n];
                 for i in 0..self.n {
                     if entry[i] {
-                        let t = cvals[i].truthy().map_err(|m| self.lane_err(*pos, i, m))?;
+                        let t = cvals[i].truthy().map_err(|m| self.lane_err(pos, i, m))?;
                         then_mask[i] = t;
                         else_mask[i] = !t;
                     }
@@ -342,7 +347,7 @@ impl<'a> BlockExec<'a> {
                 Ok(())
             }
             Stmt::While { cond, body, pos } => {
-                self.exec_loop(None, Some(cond), None, body, fr, *pos)
+                self.exec_loop(Some(f.expr(cond)), None, body, fr, pos)
             }
             Stmt::For {
                 init,
@@ -352,14 +357,15 @@ impl<'a> BlockExec<'a> {
                 pos,
             } => {
                 if let Some(i) = init {
-                    self.exec_stmt(i, fr)?;
+                    self.exec_stmt(f.stmt(i), fr)?;
                 }
-                self.exec_loop(None, cond.as_ref(), step.as_deref(), body, fr, *pos)
+                let (cond, step) = (cond.map(|c| f.expr(c)), step.map(|st| f.stmt(st)));
+                self.exec_loop(cond, step, body, fr, pos)
             }
             Stmt::Return { value, pos } => {
-                self.charge_op(*pos, cost::ISSUE)?;
+                self.charge_op(pos, cost::ISSUE)?;
                 let vals = match value {
-                    Some(e) => self.eval(e)?,
+                    Some(e) => self.eval(f.expr(e))?,
                     None => vec![Value::I(0); self.n],
                 };
                 for i in 0..self.n {
@@ -378,7 +384,7 @@ impl<'a> BlockExec<'a> {
                 let lp = fr
                     .loops
                     .last_mut()
-                    .ok_or_else(|| Diag::new(Phase::Runtime, *pos, "break outside of a loop"))?;
+                    .ok_or_else(|| Diag::new(Phase::Runtime, pos, "break outside of a loop"))?;
                 for i in 0..self.n {
                     if self.active[i] {
                         lp.broke[i] = true;
@@ -391,7 +397,7 @@ impl<'a> BlockExec<'a> {
                 let lp = fr
                     .loops
                     .last_mut()
-                    .ok_or_else(|| Diag::new(Phase::Runtime, *pos, "continue outside of a loop"))?;
+                    .ok_or_else(|| Diag::new(Phase::Runtime, pos, "continue outside of a loop"))?;
                 for i in 0..self.n {
                     if self.active[i] {
                         lp.continued[i] = true;
@@ -401,20 +407,18 @@ impl<'a> BlockExec<'a> {
                 Ok(())
             }
             Stmt::Block(b) => self.exec_block_stmts(b, fr),
-            Stmt::Launch { pos, .. } => Err(self.rt_err(*pos, "nested kernel launch")),
+            Stmt::Launch { pos, .. } => Err(self.rt_err(pos, "nested kernel launch")),
             Stmt::AccParallelLoop { pos, .. } => {
-                Err(self.rt_err(*pos, "OpenACC pragma inside device code"))
+                Err(self.rt_err(pos, "OpenACC pragma inside device code"))
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn exec_loop(
         &mut self,
-        _unused: Option<()>,
         cond: Option<&Expr>,
         step: Option<&Stmt>,
-        body: &Block,
+        body: Block,
         fr: &mut FnFrame,
         pos: Pos,
     ) -> Result<(), Diag> {
@@ -504,11 +508,12 @@ impl<'a> BlockExec<'a> {
 
     fn assign(&mut self, target: &Expr, vals: Vec<Value>, pos: Pos) -> Result<(), Diag> {
         self.charge_op(pos, cost::ISSUE)?;
-        match &target.kind {
-            ExprKind::Var(_, Binding::Slot(slot)) => {
+        let f = self.func;
+        match target.kind {
+            ExprKind::Bound(Binding::Slot(slot)) => {
                 // Determine per-lane representation from the existing
                 // value so `int i` stays int after `i = i / 2`.
-                let (active, slot) = (&self.active, &mut self.slots[*slot as usize]);
+                let (active, slot) = (&self.active, &mut self.slots[slot as usize]);
                 let mut coerced_err: Option<String> = None;
                 for i in 0..active.len() {
                     if active[i] {
@@ -533,8 +538,8 @@ impl<'a> BlockExec<'a> {
                 Ok(())
             }
             ExprKind::Index(base, idx) => {
-                let bvals = self.eval(base)?;
-                let ivals = self.eval(idx)?;
+                let bvals = self.eval(f.expr(base))?;
+                let ivals = self.eval(f.expr(idx))?;
                 let mut ptrs = vec![None; self.n];
                 for i in 0..self.n {
                     if self.active[i] {
@@ -708,19 +713,22 @@ impl<'a> BlockExec<'a> {
     // ---- expressions ---------------------------------------------------
 
     fn eval(&mut self, e: &Expr) -> Result<Vec<Value>, Diag> {
-        match &e.kind {
-            ExprKind::IntLit(v) => Ok(vec![Value::I(*v); self.n]),
-            ExprKind::FloatLit(v) => Ok(vec![Value::F(*v); self.n]),
-            ExprKind::StrLit(_) => Err(self.rt_err(e.pos, "strings are not device values")),
+        let f = self.func;
+        let pos = f.pos(e);
+        match e.kind {
+            ExprKind::IntLit(v) => Ok(vec![Value::I(v.get()); self.n]),
+            ExprKind::FloatLit(v) => Ok(vec![Value::F(v); self.n]),
+            ExprKind::StrLit(_) => Err(self.rt_err(pos, "strings are not device values")),
             ExprKind::SizeOf(t) => Ok(vec![Value::I(t.size_of()); self.n]),
-            ExprKind::Var(_, binding) => Ok(match *binding {
+            ExprKind::Var(_) => unreachable!("sema binds every name"),
+            ExprKind::Bound(binding) => Ok(match binding {
                 Binding::Slot(slot) => self.slots[slot as usize].clone(),
                 Binding::Constant(id) => vec![Value::P(self.program.constant_ptr(id)); self.n],
-                Binding::Predefined(v) => vec![Value::I(v); self.n],
+                Binding::Predefined(v) => vec![Value::I(v.into()); self.n],
             }),
             ExprKind::Builtin(which, axis) => {
-                self.charge_op(e.pos, cost::ISSUE)?;
-                let ax = *axis as usize;
+                self.charge_op(pos, cost::ISSUE)?;
+                let ax = axis as usize;
                 let out: Vec<Value> = match which {
                     BuiltinVar::ThreadIdx => self.tid.iter().map(|t| Value::I(t[ax])).collect(),
                     BuiltinVar::BlockIdx => vec![Value::I(self.block_idx[ax]); self.n],
@@ -730,18 +738,18 @@ impl<'a> BlockExec<'a> {
                 Ok(out)
             }
             ExprKind::Unary(op, inner) => {
-                self.charge_op(e.pos, cost::ISSUE)?;
-                let mut vals = self.eval(inner)?;
+                self.charge_op(pos, cost::ISSUE)?;
+                let mut vals = self.eval(f.expr(inner))?;
                 for i in 0..self.n {
                     if self.active[i] {
-                        vals[i] =
-                            apply_unop(*op, vals[i]).map_err(|m| self.lane_err(e.pos, i, m))?;
+                        vals[i] = apply_unop(op, vals[i]).map_err(|m| self.lane_err(pos, i, m))?;
                     }
                 }
                 Ok(vals)
             }
             ExprKind::Binary(op, a, b) => {
-                self.charge_op(e.pos, cost::ISSUE)?;
+                let (a, b) = (f.expr(a), f.expr(b));
+                self.charge_op(pos, cost::ISSUE)?;
                 // `&&`/`||` short-circuit per lane: evaluate the right
                 // side only for lanes that need it.
                 if op.is_logical() {
@@ -750,7 +758,7 @@ impl<'a> BlockExec<'a> {
                     let mut need_rhs = vec![false; self.n];
                     for i in 0..self.n {
                         if saved[i] {
-                            let at = avals[i].truthy().map_err(|m| self.lane_err(e.pos, i, m))?;
+                            let at = avals[i].truthy().map_err(|m| self.lane_err(pos, i, m))?;
                             need_rhs[i] = match op {
                                 BinOp::And => at,
                                 BinOp::Or => !at,
@@ -771,7 +779,7 @@ impl<'a> BlockExec<'a> {
                         if saved[i] {
                             let at = avals[i].truthy().unwrap_or(false);
                             let v = if need_rhs[i] {
-                                bvals[i].truthy().map_err(|m| self.lane_err(e.pos, i, m))?
+                                bvals[i].truthy().map_err(|m| self.lane_err(pos, i, m))?
                             } else {
                                 at // short-circuited: && false, || true
                             };
@@ -789,21 +797,22 @@ impl<'a> BlockExec<'a> {
                 let mut out = vec![Value::I(0); self.n];
                 for i in 0..self.n {
                     if self.active[i] {
-                        out[i] = apply_binop(*op, avals[i], bvals[i])
-                            .map_err(|m| self.lane_err(e.pos, i, m))?;
+                        out[i] = apply_binop(op, avals[i], bvals[i])
+                            .map_err(|m| self.lane_err(pos, i, m))?;
                     }
                 }
                 Ok(out)
             }
-            ExprKind::Ternary(c, a, b) => {
-                self.charge_op(e.pos, cost::ISSUE)?;
-                let cvals = self.eval(c)?;
+            ExprKind::Ternary(c, a) => {
+                let (a, b) = (f.expr(a), f.expr(a.next()));
+                self.charge_op(pos, cost::ISSUE)?;
+                let cvals = self.eval(f.expr(c))?;
                 let saved = self.active.clone();
                 let mut t_mask = vec![false; self.n];
                 let mut f_mask = vec![false; self.n];
                 for i in 0..self.n {
                     if saved[i] {
-                        let t = cvals[i].truthy().map_err(|m| self.lane_err(e.pos, i, m))?;
+                        let t = cvals[i].truthy().map_err(|m| self.lane_err(pos, i, m))?;
                         t_mask[i] = t;
                         f_mask[i] = !t;
                     }
@@ -836,17 +845,16 @@ impl<'a> BlockExec<'a> {
                 Ok(out)
             }
             ExprKind::Index(base, idx) => {
-                let bvals = self.eval(base)?;
-                let ivals = self.eval(idx)?;
+                let bvals = self.eval(f.expr(base))?;
+                let ivals = self.eval(f.expr(idx))?;
                 let mut ptrs = vec![None; self.n];
                 let mut all_terminal = true;
                 for i in 0..self.n {
                     if self.active[i] {
-                        let p = bvals[i].as_ptr().map_err(|m| self.lane_err(e.pos, i, m))?;
-                        let k = ivals[i].as_int().map_err(|m| self.lane_err(e.pos, i, m))?;
-                        let (q, terminal) = self
-                            .index_ptr(p, k)
-                            .map_err(|m| self.lane_err(e.pos, i, m))?;
+                        let p = bvals[i].as_ptr().map_err(|m| self.lane_err(pos, i, m))?;
+                        let k = ivals[i].as_int().map_err(|m| self.lane_err(pos, i, m))?;
+                        let (q, terminal) =
+                            self.index_ptr(p, k).map_err(|m| self.lane_err(pos, i, m))?;
                         if !terminal {
                             all_terminal = false;
                         }
@@ -863,20 +871,23 @@ impl<'a> BlockExec<'a> {
                     }
                     return Ok(out);
                 }
-                self.load_lanes(&ptrs, e.pos)
+                self.load_lanes(&ptrs, pos)
             }
             ExprKind::Cast(ty, inner) => {
-                let vals = self.eval(inner)?;
-                self.coerce_lanes(vals, ty, e.pos)
+                let vals = self.eval(f.expr(inner))?;
+                self.coerce_lanes(vals, &ty, pos)
             }
             ExprKind::AddrOf(..) => {
-                Err(self.rt_err(e.pos, "address-of is not supported in device code"))
+                Err(self.rt_err(pos, "address-of is not supported in device code"))
             }
-            ExprKind::Call(name, args) => self.eval_call(name, args, e.pos),
+            ExprKind::Call { callee, first, len } => {
+                self.eval_call(callee, f.list(ExprKind::args(first, len)), pos)
+            }
         }
     }
 
-    fn eval_call(&mut self, name: &str, args: &[Expr], pos: Pos) -> Result<Vec<Value>, Diag> {
+    fn eval_call(&mut self, sym: Sym, args: &[Expr], pos: Pos) -> Result<Vec<Value>, Diag> {
+        let name = self.program.name(sym);
         match name {
             "__syncthreads" | "barrier" => {
                 if !args.is_empty() {
@@ -1036,7 +1047,7 @@ impl<'a> BlockExec<'a> {
                 // User __device__ function.
                 let f = self
                     .program
-                    .func(name)
+                    .func_named(sym)
                     .ok_or_else(|| self.rt_err(pos, format!("unknown function `{name}`")))?;
                 if self.call_depth >= 32 {
                     return Err(
@@ -1055,6 +1066,7 @@ impl<'a> BlockExec<'a> {
                     frame[slot] = self.coerce_lanes(vals, &p.ty, pos)?;
                 }
                 let caller = std::mem::replace(&mut self.slots, frame);
+                let caller_func = std::mem::replace(&mut self.func, f);
                 self.call_depth += 1;
                 let mut fr = FnFrame {
                     returned: vec![false; self.n],
@@ -1062,9 +1074,10 @@ impl<'a> BlockExec<'a> {
                     loops: Vec::new(),
                     kernel_level: false,
                 };
-                let result = self.exec_block_stmts(&f.body, &mut fr);
+                let result = self.exec_block_stmts(f.body, &mut fr);
                 self.call_depth -= 1;
                 self.slots = caller;
+                self.func = caller_func;
                 self.active = saved_active;
                 result?;
                 Ok(fr.retvals)

@@ -129,9 +129,9 @@ pub enum Tok<'src> {
 }
 
 /// Resolve the escapes of a [`Tok::Str`] payload, which the lexer has
-/// already checked: every `\\` is followed by one of `n t \\ " 0`.
-pub(crate) fn unescape(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
+/// already checked: every `\\` is followed by one of `n t \\ " 0`,
+/// appending the text to `out`.
+pub(crate) fn unescape(raw: &str, out: &mut String) {
     let mut rest = raw;
     while let Some(k) = rest.find('\\') {
         out.push_str(&rest[..k]);
@@ -146,7 +146,6 @@ pub(crate) fn unescape(raw: &str) -> String {
         rest = rest.get(k + 2..).unwrap_or("");
     }
     out.push_str(rest);
-    out
 }
 
 impl Tok<'_> {

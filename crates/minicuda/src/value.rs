@@ -47,9 +47,9 @@ pub enum ElemType {
 impl ElemType {
     /// Element interpretation implied by a pointer's static type.
     pub fn of(ty: &Type) -> ElemType {
-        match ty {
-            Type::Float => ElemType::F32,
-            Type::Int | Type::Bool => ElemType::I32,
+        match *ty {
+            Type::FLOAT => ElemType::F32,
+            Type::INT | Type::BOOL => ElemType::I32,
             _ => ElemType::Unknown,
         }
     }
@@ -117,10 +117,10 @@ pub enum Value {
 impl Value {
     /// Zero value of a declared type (uninitialized variables).
     pub fn zero_of(ty: &Type) -> Value {
-        match ty {
-            Type::Float => Value::F(0.0),
-            Type::Bool => Value::B(false),
-            Type::Ptr(_) => Value::P(Ptr::null()),
+        match *ty {
+            Type::FLOAT => Value::F(0.0),
+            Type::BOOL => Value::B(false),
+            t if t.is_ptr() => Value::P(Ptr::null()),
             _ => Value::I(0),
         }
     }
@@ -166,15 +166,17 @@ impl Value {
     /// Convert to the representation implied by a declared type
     /// (assignment / argument / store coercion, C-style).
     pub fn coerce_to(&self, ty: &Type) -> Result<Value, String> {
-        match ty {
-            Type::Int => Ok(Value::I(self.as_int()?)),
-            Type::Float => Ok(Value::F(self.as_float()?)),
-            Type::Bool => Ok(Value::B(self.truthy()?)),
-            Type::Ptr(inner) => {
+        match *ty {
+            Type::INT => Ok(Value::I(self.as_int()?)),
+            Type::FLOAT => Ok(Value::F(self.as_float()?)),
+            Type::BOOL => Ok(Value::B(self.truthy()?)),
+            Type::VOID => Err("cannot produce a void value".to_string()),
+            t => {
                 let p = self.as_ptr()?;
-                Ok(Value::P(p.with_elem(ElemType::of(inner))))
+                Ok(Value::P(
+                    p.with_elem(ElemType::of(&t.pointee().expect("a pointer"))),
+                ))
             }
-            Type::Void => Err("cannot produce a void value".to_string()),
         }
     }
 
@@ -392,6 +394,20 @@ pub enum MathOp {
     Max,
 }
 
+/// Every math intrinsic spelling, each of which [`math_op`] resolves.
+/// This table decides what is an intrinsic ([`is_math_intrinsic`]).
+const MATH_NAMES: [&str; 28] = [
+    "sqrtf", "sqrt", "rsqrtf", "expf", "exp", "logf", "log", "log2f", "sinf", "sin", "cosf", "cos",
+    "fabsf", "fabs", "ceilf", "ceil", "floorf", "floor", "powf", "pow", "fmodf", "fminf", "fmin",
+    "fmaxf", "fmax", "abs", "min", "max",
+];
+
+/// A math intrinsic's name as a `'static` string, so an IR instruction
+/// names it without owning a copy.
+pub fn math_name(name: &str) -> Option<&'static str> {
+    MATH_NAMES.iter().find(|&&n| n == name).copied()
+}
+
 /// Resolve a math intrinsic name (CUDA and C spellings).
 pub fn math_op(name: &str) -> Option<MathOp> {
     Some(match name {
@@ -491,13 +507,21 @@ pub fn apply_math(name: &str, args: &[Value]) -> Option<Result<Value, String>> {
 
 /// True when `name` is a pure math intrinsic handled by [`apply_math`].
 pub fn is_math_intrinsic(name: &str) -> bool {
-    math_op(name).is_some()
+    math_name(name).is_some()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::BinOp::*;
+
+    #[test]
+    fn every_math_name_resolves_once() {
+        for (i, name) in MATH_NAMES.iter().enumerate() {
+            assert!(math_op(name).is_some(), "{name}");
+            assert!(!MATH_NAMES[..i].contains(name), "{name} twice");
+        }
+    }
 
     #[test]
     fn int_arithmetic() {
@@ -600,16 +624,16 @@ mod tests {
 
     #[test]
     fn coercions() {
-        assert_eq!(Value::F(2.9).coerce_to(&Type::Int), Ok(Value::I(2)));
-        assert_eq!(Value::I(1).coerce_to(&Type::Bool), Ok(Value::B(true)));
-        assert_eq!(Value::I(3).coerce_to(&Type::Float), Ok(Value::F(3.0)));
-        assert!(Value::I(3).coerce_to(&Type::Float.ptr_to()).is_err());
+        assert_eq!(Value::F(2.9).coerce_to(&Type::INT), Ok(Value::I(2)));
+        assert_eq!(Value::I(1).coerce_to(&Type::BOOL), Ok(Value::B(true)));
+        assert_eq!(Value::I(3).coerce_to(&Type::FLOAT), Ok(Value::F(3.0)));
+        assert!(Value::I(3).coerce_to(&Type::FLOAT.ptr_to()).is_err());
     }
 
     #[test]
     fn pointer_coercion_sets_elem() {
         let p = Ptr::null();
-        let v = Value::P(p).coerce_to(&Type::Float.ptr_to()).unwrap();
+        let v = Value::P(p).coerce_to(&Type::FLOAT.ptr_to()).unwrap();
         match v {
             Value::P(q) => assert_eq!(q.elem, ElemType::F32),
             other => panic!("unexpected {other:?}"),
@@ -618,10 +642,10 @@ mod tests {
 
     #[test]
     fn zero_values() {
-        assert_eq!(Value::zero_of(&Type::Float), Value::F(0.0));
-        assert_eq!(Value::zero_of(&Type::Int), Value::I(0));
+        assert_eq!(Value::zero_of(&Type::FLOAT), Value::F(0.0));
+        assert_eq!(Value::zero_of(&Type::INT), Value::I(0));
         assert!(matches!(
-            Value::zero_of(&Type::Int.ptr_to()),
+            Value::zero_of(&Type::INT.ptr_to()),
             Value::P(p) if p.is_null()
         ));
     }

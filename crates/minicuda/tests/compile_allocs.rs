@@ -1,47 +1,66 @@
-//! An allocation gate for the compile path that holds on any box: heap
-//! allocations are counted, not timed, so a one-core machine enforces
-//! it as well as a CI host. `compile_analyzed` of the 15 lab solutions
-//! must average at most [`MAX_ALLOCS_PER_SOURCE`] allocations per
-//! source. Run with `--nocapture` to see the count of each phase.
+//! Allocation and live-bytes gates for the compile path that hold on
+//! any box: heap allocations and bytes are counted, not timed, so a
+//! one-core machine enforces them as well as a CI host.
+//! `compile_analyzed` of the 15 lab solutions must average at most
+//! [`MAX_ALLOCS_PER_SOURCE`] allocations per source, and the programs it
+//! returns must together hold at most [`MAX_HELD_PER_SOURCE_BYTE`] heap
+//! bytes per source byte, as `Program::heap_bytes` reports within 10 %.
+//! Run with `--nocapture` to see the count of each phase and each lab's
+//! ratio.
 
-use minicuda::{compile_analyzed, Dialect, OptLevel};
+use minicuda::{compile_analyzed, Dialect, OptLevel, Program};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// The gate: the compile path made 887 per source before its tokens
-/// borrowed the source and its tables stopped hashing with SipHash.
-const MAX_ALLOCS_PER_SOURCE: u64 = 400;
+/// The allocation gate: the compile path made 887 per source before its
+/// tokens borrowed the source and its tables stopped hashing with
+/// SipHash, and 380 before the AST moved into per-function arenas with
+/// interned names (144 since).
+const MAX_ALLOCS_PER_SOURCE: u64 = 200;
+
+/// The live-bytes gate: the 15 programs held ×12.8 their source when
+/// every AST node was boxed and every name a `String` (×4.7 since).
+const MAX_HELD_PER_SOURCE_BYTE: i64 = 5;
 
 /// The system allocator, counting each thread's allocations (and
-/// reallocations, which may move) in a thread-local, so the test
-/// harness's other threads do not disturb the count.
+/// reallocations, which may move) and its live bytes in thread-locals,
+/// so the test harness's other threads do not disturb the counts.
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn bump() {
+/// Count one allocation that changes this thread's live bytes by
+/// `delta`.
+fn bump(delta: i64) {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    grow(delta);
+}
+
+fn grow(delta: i64) {
+    let _ = LIVE.try_with(|n| n.set(n.get() + delta));
 }
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -54,6 +73,14 @@ fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// The heap bytes `f`'s result holds on this thread once `f`'s own
+/// scratch is freed, and the result.
+fn live<T>(f: impl FnOnce() -> T) -> (i64, T) {
+    let before = LIVE.with(Cell::get);
+    let out = f();
+    (LIVE.with(Cell::get) - before, out)
 }
 
 /// Every lab's reference solution with its dialect.
@@ -120,4 +147,54 @@ fn compile_analyzed_stays_under_the_allocation_budget() {
         "compile_analyzed made {:.1} allocations per source (budget {MAX_ALLOCS_PER_SOURCE})",
         per(total)
     );
+}
+
+/// Every lab solution compiled (analyzed, at `O2`), with the heap
+/// bytes its program holds once the compile's own scratch is freed, and
+/// its source length.
+fn lab_programs() -> Vec<(&'static str, i64, usize, Program)> {
+    lab_sources()
+        .into_iter()
+        .map(|(id, src, dialect)| {
+            let (bytes, program) = live(|| {
+                let (program, _findings, _) = compile_analyzed(src, dialect, OptLevel::O2)
+                    .unwrap_or_else(|d| panic!("{id}: {d}"));
+                program
+            });
+            (id, bytes, src.len(), program)
+        })
+        .collect()
+}
+
+#[test]
+fn compiled_programs_hold_a_few_times_their_source() {
+    let labs = lab_programs();
+    let (mut held, mut source) = (0, 0);
+    for (id, bytes, len, _) in &labs {
+        println!(
+            "{id:>15}: {bytes:>6} bytes for {len:>5} source bytes, x{:.1}",
+            *bytes as f64 / *len as f64
+        );
+        held += bytes;
+        source += *len as i64;
+    }
+    let ratio = held as f64 / source as f64;
+    println!("all labs: {held} bytes for {source} source bytes, x{ratio:.2}");
+    assert!(
+        held <= MAX_HELD_PER_SOURCE_BYTE * source,
+        "compiled programs hold x{ratio:.2} their source (budget x{MAX_HELD_PER_SOURCE_BYTE})"
+    );
+}
+
+/// The cache weighs an entry by `Program::heap_bytes`, so it must match
+/// what the allocator says the program holds.
+#[test]
+fn heap_bytes_matches_the_counted_bytes() {
+    for (id, bytes, _, program) in lab_programs() {
+        let reported = program.heap_bytes() as i64;
+        assert!(
+            (reported - bytes).abs() * 10 <= bytes,
+            "{id}: heap_bytes says {reported}, the allocator counted {bytes}"
+        );
+    }
 }

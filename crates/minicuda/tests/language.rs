@@ -1121,90 +1121,36 @@ fn device_helper_locals_shadow_the_kernels() {
 /// shadowing corpus above.
 #[test]
 fn sema_binds_every_name_in_the_labs_and_the_shadowing_corpus() {
-    use minicuda::ast::{Binding, Expr, ExprKind, FuncDef, Stmt};
+    use minicuda::ast::{Binding, ExprKind, FuncDef, Stmt};
 
-    fn expr(e: &Expr, used: &mut Vec<u32>) {
-        match &e.kind {
-            ExprKind::Var(_, Binding::Slot(s)) | ExprKind::AddrOf(_, s) => used.push(*s),
-            ExprKind::Unary(_, a) | ExprKind::Cast(_, a) => expr(a, used),
-            ExprKind::Binary(_, a, b) | ExprKind::Index(a, b) => {
-                expr(a, used);
-                expr(b, used);
+    // Each node sits once in its function's arenas, so a flat scan
+    // visits every declaration and every reference.
+    fn declared_and_used(f: &FuncDef) -> (Vec<u32>, Vec<u32>) {
+        let mut declared: Vec<u32> = (0..f.params.len() as u32).collect();
+        for s in &f.stmts {
+            if let Stmt::Decl { slot, .. } | Stmt::SharedDecl { slot, .. } = *s {
+                declared.push(slot);
             }
-            ExprKind::Ternary(c, a, b) => [c, a, b].into_iter().for_each(|e| expr(e, used)),
-            ExprKind::Call(_, args) => args.iter().for_each(|a| expr(a, used)),
-            _ => {}
         }
-    }
-    fn stmt(s: &Stmt, declared: &mut Vec<u32>, used: &mut Vec<u32>) {
-        match s {
-            Stmt::Decl { init, slot, .. } => {
-                init.iter().for_each(|e| expr(e, used));
-                declared.push(*slot);
-            }
-            Stmt::SharedDecl { slot, .. } => declared.push(*slot),
-            Stmt::Assign { target, value, .. } => {
-                expr(target, used);
-                expr(value, used);
-            }
-            Stmt::Expr(e) => expr(e, used),
-            Stmt::Return { value, .. } => value.iter().for_each(|e| expr(e, used)),
-            Stmt::If {
-                cond,
-                then_blk,
-                else_blk,
-                ..
-            } => {
-                expr(cond, used);
-                for b in std::iter::once(then_blk).chain(else_blk) {
-                    b.stmts.iter().for_each(|s| stmt(s, declared, used));
-                }
-            }
-            Stmt::While { cond, body, .. } => {
-                expr(cond, used);
-                body.stmts.iter().for_each(|s| stmt(s, declared, used));
-            }
-            Stmt::For {
-                init,
-                cond,
-                step,
-                body,
-                ..
-            } => {
-                init.iter()
-                    .chain(step)
-                    .for_each(|s| stmt(s, declared, used));
-                cond.iter().for_each(|e| expr(e, used));
-                body.stmts.iter().for_each(|s| stmt(s, declared, used));
-            }
-            Stmt::Block(b) => b.stmts.iter().for_each(|s| stmt(s, declared, used)),
-            Stmt::Launch {
-                grid, block, args, ..
-            } => {
-                for d in [grid, block] {
-                    [Some(&d.x), d.y.as_ref(), d.z.as_ref()]
-                        .into_iter()
-                        .flatten()
-                        .for_each(|e| expr(e, used));
-                }
-                args.iter().for_each(|a| expr(a, used));
-            }
-            Stmt::AccParallelLoop { body, .. } => stmt(body, declared, used),
-            Stmt::Break(_) | Stmt::Continue(_) => {}
-        }
-    }
-    fn check(f: &FuncDef, what: &str) {
-        let (mut declared, mut used) = ((0..f.params.len() as u32).collect::<Vec<_>>(), vec![]);
-        f.body
-            .stmts
+        let used = f
+            .exprs
             .iter()
-            .for_each(|s| stmt(s, &mut declared, &mut used));
+            .filter_map(|e| match e.kind {
+                ExprKind::Bound(Binding::Slot(s)) | ExprKind::AddrOf(_, s) => Some(s),
+                _ => None,
+            })
+            .collect();
+        (declared, used)
+    }
+    fn check(program: &minicuda::Program, f: &FuncDef, what: &str) {
+        let (mut declared, used) = declared_and_used(f);
         declared.sort_unstable();
         let all: Vec<u32> = (0..f.frame.len() as u32).collect();
         assert_eq!(
-            declared, all,
+            declared,
+            all,
             "{what} `{}`: one slot per parameter and declaration",
-            f.name
+            program.name(f.name)
         );
         let unbound: Vec<_> = used
             .iter()
@@ -1213,7 +1159,7 @@ fn sema_binds_every_name_in_the_labs_and_the_shadowing_corpus() {
         assert!(
             unbound.is_empty(),
             "{what} `{}`: unbound references",
-            f.name
+            program.name(f.name)
         );
     }
 
@@ -1224,7 +1170,7 @@ fn sema_binds_every_name_in_the_labs_and_the_shadowing_corpus() {
             .spec;
         let src = wb_labs::solution(id).expect("solution");
         let program = compile(src, spec.dialect).unwrap_or_else(|d| panic!("{id}: {d}"));
-        program.funcs().for_each(|f| check(f, id));
+        program.funcs().for_each(|f| check(&program, f, id));
         checked += 1;
     }
     assert_eq!(checked, 15);
@@ -1241,7 +1187,7 @@ fn sema_binds_every_name_in_the_labs_and_the_shadowing_corpus() {
         KERNEL_DEVICE_HELPER.0,
     ] {
         let program = compile(src, Dialect::Cuda).unwrap_or_else(|d| panic!("{d}"));
-        program.funcs().for_each(|f| check(f, "corpus"));
+        program.funcs().for_each(|f| check(&program, f, "corpus"));
     }
 }
 
