@@ -137,8 +137,8 @@ pub(crate) fn analyze_lowered(p: &Program, ir: &IrProgram) -> Vec<Finding> {
 /// result is deterministic.
 fn analyze_ir_with_caps(ir: &IrProgram, caps: &FxHashMap<&str, [Option<i64>; 3]>) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for (name, f) in ir.funcs.iter().filter(|(_, f)| f.kernel) {
-        let cap = caps.get(name.as_str()).copied().unwrap_or([None; 3]);
+    for f in ir.funcs.values().filter(|f| f.kernel) {
+        let cap = caps.get(f.name.as_str()).copied().unwrap_or([None; 3]);
         FuncAnalysis::new(f, cap).run(&mut findings);
     }
     findings.sort_by(|a, b| {

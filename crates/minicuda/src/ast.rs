@@ -150,7 +150,8 @@ impl Names {
     }
 
     /// The symbol spelled `name`, if the program spells it.
-    pub fn find(&self, name: &str) -> Option<Sym> {
+    #[cfg(test)]
+    pub(crate) fn find(&self, name: &str) -> Option<Sym> {
         (0..self.ends.len() as u32)
             .map(Sym)
             .find(|&s| self.name(s) == name)

@@ -541,44 +541,44 @@ pub struct IrProgram {
     pub funcs: IrFuncs,
 }
 
-/// Lowered functions by name, kept sorted by name in one vector: a
-/// lookup is a binary search, and the table holds exactly its entries
-/// (a hash table's smallest holds four).
+/// Lowered functions kept sorted by name in one vector: a lookup is a
+/// binary search on [`IrFunc::name`], and the table holds exactly its
+/// entries (a hash table's smallest holds four).
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct IrFuncs(Vec<(String, IrFunc)>);
+pub struct IrFuncs(Vec<IrFunc>);
 
 impl IrFuncs {
     /// The function named `name`.
     pub fn get(&self, name: &str) -> Option<&IrFunc> {
         let i = self
             .0
-            .binary_search_by(|(n, _)| n.as_str().cmp(name))
+            .binary_search_by(|f| f.name.as_str().cmp(name))
             .ok()?;
-        Some(&self.0[i].1)
+        Some(&self.0[i])
     }
 
     /// Names in order.
     pub fn keys(&self) -> impl Iterator<Item = &String> {
-        self.0.iter().map(|(n, _)| n)
+        self.0.iter().map(|f| &f.name)
     }
 
     /// Functions in name order, mutably.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut IrFunc> {
-        self.0.iter_mut().map(|(_, f)| f)
+        self.0.iter_mut()
     }
 
-    /// `(name, function)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &IrFunc)> {
-        self.0.iter().map(|(n, f)| (n, f))
+    /// Functions in name order.
+    pub fn values(&self) -> impl Iterator<Item = &IrFunc> {
+        self.0.iter()
     }
 }
 
-impl FromIterator<(String, IrFunc)> for IrFuncs {
+impl FromIterator<IrFunc> for IrFuncs {
     /// Sorts once. Names are distinct: sema rejects a function defined
     /// twice.
-    fn from_iter<I: IntoIterator<Item = (String, IrFunc)>>(iter: I) -> Self {
-        let mut v: Vec<(String, IrFunc)> = iter.into_iter().collect();
-        v.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    fn from_iter<I: IntoIterator<Item = IrFunc>>(iter: I) -> Self {
+        let mut v: Vec<IrFunc> = iter.into_iter().collect();
+        v.sort_unstable_by(|a, b| a.name.cmp(&b.name));
         IrFuncs(v)
     }
 }
@@ -615,8 +615,8 @@ impl IrProgram {
         let table = vec_bytes(&self.funcs.0);
         let funcs: usize = self
             .funcs
-            .iter()
-            .map(|(name, f)| {
+            .values()
+            .map(|f| {
                 let insts: usize = f
                     .blocks
                     .iter()
@@ -629,8 +629,7 @@ impl IrProgram {
                     .iter()
                     .map(|s| s.name.capacity() + vec_bytes(&s.dims))
                     .sum();
-                name.capacity()
-                    + f.name.capacity()
+                f.name.capacity()
                     + vec_bytes(&f.params)
                     + vec_bytes(&f.blocks)
                     + insts

@@ -46,7 +46,7 @@ pub fn lower_program(p: &Program) -> IrProgram {
     let funcs = p
         .funcs()
         .filter(|f| f.kind != FuncKind::Host)
-        .map(|f| (p.name(f.name).to_string(), Lower::new(p, f).lower_func()))
+        .map(|f| Lower::new(p, f).lower_func())
         .collect();
     IrProgram { funcs }
 }

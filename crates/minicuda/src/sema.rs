@@ -81,7 +81,8 @@ impl Program {
     }
 
     /// The program's name table.
-    pub fn names(&self) -> &Names {
+    #[cfg(test)]
+    pub(crate) fn names(&self) -> &Names {
         &self.names
     }
 

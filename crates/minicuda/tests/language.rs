@@ -1137,6 +1137,8 @@ fn sema_binds_every_name_in_the_labs_and_the_shadowing_corpus() {
             .iter()
             .filter_map(|e| match e.kind {
                 ExprKind::Bound(Binding::Slot(s)) | ExprKind::AddrOf(_, s) => Some(s),
+                // A name sema never visited is still unbound.
+                ExprKind::Var(_) => Some(u32::MAX),
                 _ => None,
             })
             .collect();

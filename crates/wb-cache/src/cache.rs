@@ -385,12 +385,12 @@ impl CacheConfig {
 pub struct CompiledEntry {
     /// The compiled program, or the rendered compile error.
     pub result: Result<Arc<Program>, String>,
-    /// Length of the source that produced this entry. It is only a
-    /// floor under the weight: a compiled program holds several times
-    /// its source (×2.9 to ×7.0 over the lab solutions), so an entry
-    /// is charged what its program holds (see `weight`). The field
-    /// stays because the ledger's cache replay sets it; it goes when
-    /// the ledger joins the workspace (ROADMAP.md, item 1d).
+    /// Length of the source that produced this entry. Unused: a
+    /// compiled program holds several times its source (×2.9 to ×7.0
+    /// over the lab solutions), so an entry is charged what its
+    /// program holds (see `weight`). The field stays because the
+    /// ledger's cache replay sets it; it goes when the ledger joins
+    /// the workspace (ROADMAP.md, item 1d).
     pub source_bytes: usize,
     /// Static-verifier findings recorded alongside the compile. Empty
     /// when the program is clean *or* when analysis was off for this
@@ -403,16 +403,11 @@ impl CompiledEntry {
     /// The bytes the entry keeps alive: a program's inline size plus
     /// its heap footprint ([`Program::heap_bytes`], counted from its
     /// vectors' capacities), or an error's text; plus the findings.
-    /// `source_bytes` is a floor under a program's part, so an entry
-    /// that shares one small program (the ledger's cache replay) weighs
-    /// its stated source length. A shared program is charged in full
-    /// to every entry that holds it.
+    /// A shared program is charged in full to every entry that holds
+    /// it.
     fn weight(&self) -> usize {
         let payload = match &self.result {
-            Ok(program) => {
-                let held = std::mem::size_of::<Program>() + program.heap_bytes();
-                held.max(self.source_bytes)
-            }
+            Ok(program) => std::mem::size_of::<Program>() + program.heap_bytes(),
             Err(e) => e.len(),
         };
         let findings: usize = self

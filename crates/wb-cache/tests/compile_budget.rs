@@ -88,13 +88,12 @@ fn resident_programs_never_hold_more_than_the_budget() {
 }
 
 /// The ledger's cache replay builds 4 096 entries around one shared
-/// trivial program, each stating the workload's mean source length
-/// (at least 64 bytes), in a 4 MiB tier of eight shards, and expects
-/// the newest 256 to stay resident. The program's footprint is below
-/// that floor, so each entry weighs the stated length, as it did when
-/// the weight was the source length alone.
+/// trivial program, each stating the workload's mean source length, in
+/// a 4 MiB tier of eight shards, and expects the newest 256 to stay
+/// resident. Each entry weighs the shared program's footprint, under
+/// 1 KiB, whatever source length it states.
 #[test]
-fn a_shared_trivial_program_weighs_its_stated_source_length() {
+fn a_shared_trivial_program_keeps_the_ledger_replays_newest_entries() {
     let program = Arc::new(
         minicuda::compile("int main() { return 0; }", minicuda::Dialect::Cuda).expect("compiles"),
     );
@@ -104,8 +103,8 @@ fn a_shared_trivial_program_weighs_its_stated_source_length() {
         .map(|id| wb_labs::solution(id).expect("solution").len())
         .sum::<usize>()
         / wb_labs::lab_ids().len();
-    for source_bytes in [1024, mean, 4096] {
-        assert_eq!(weight(entry(&program, source_bytes)), source_bytes);
+    for source_bytes in [64, mean, 4096] {
+        assert_eq!(weight(entry(&program, source_bytes)), footprint(&program));
     }
 
     let tier = cache(CacheConfig {
