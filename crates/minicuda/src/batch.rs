@@ -99,13 +99,14 @@ use crate::ast::{BinOp, BuiltinVar, Type, UnOp};
 use crate::cost::{self, CostSummary};
 use crate::device::KernelEnv;
 use crate::diag::{Diag, Phase, Pos};
-use crate::ir::{AtomicKind, BlockId, Inst, IrFunc, IrProgram, OclFn, Reg};
-use crate::memory::{bounds, MemError, SharedMem};
+use crate::ir::{BlockId, Inst, IrFunc, IrProgram, OclFn, Reg};
+use crate::memory::{
+    self, atomic_words, bounds, kernel_words, kernel_words_mut, MemError, MemPool, SharedMem,
+};
 use crate::value::{
     apply_binop, apply_math_op, apply_unop, math_op, ElemType, MathOp, Ptr, Space, Value,
 };
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 const ROW_ASSIGN: &str = "assignment to a whole array row (missing an index?)";
 
@@ -614,6 +615,10 @@ macro_rules! mask {
 pub(crate) struct BatchExec<'a> {
     env: &'a KernelEnv<'a>,
     ir: &'a IrProgram,
+    /// Device global memory, lent by the launch.
+    global: &'a mut MemPool,
+    /// The rank's remaining warp-instruction budget.
+    budget: &'a mut i64,
     n: usize,
     block_idx: [i64; 3],
     /// `threadIdx` per axis, one entry per lane.
@@ -650,7 +655,12 @@ fn repr_coerce(old: Value, new: Value) -> Result<Value, String> {
 }
 
 impl<'a> BatchExec<'a> {
-    pub(crate) fn new(env: &'a KernelEnv<'a>, ir: &'a IrProgram) -> Self {
+    pub(crate) fn new(
+        env: &'a KernelEnv<'a>,
+        ir: &'a IrProgram,
+        global: &'a mut MemPool,
+        budget: &'a mut i64,
+    ) -> Self {
         let n = (env.block_dim[0] * env.block_dim[1] * env.block_dim[2]) as usize;
         let mut tid = [
             Vec::with_capacity(n),
@@ -670,6 +680,8 @@ impl<'a> BatchExec<'a> {
         BatchExec {
             env,
             ir,
+            global,
+            budget,
             n,
             block_idx: [0; 3],
             tid,
@@ -788,7 +800,9 @@ impl<'a> BatchExec<'a> {
         }
         self.cost.warp_instructions += warps;
         self.cycles += cycles_per_warp * warps;
-        if self.env.budget.fetch_sub(warps as i64, Ordering::Relaxed) <= 0 {
+        let left = *self.budget;
+        *self.budget -= warps as i64;
+        if left <= 0 {
             return Err(Diag::new(
                 Phase::Limit,
                 pos,
@@ -1059,24 +1073,9 @@ impl<'a> BatchExec<'a> {
                 let (ptrs, vals) = (&fr.regs[*ptr as usize], &fr.regs[*val as usize]);
                 let out = self.exec_atomic(*pos, |ex, i| {
                     let p = ptrs.at(i).as_ptr().map_err(|m| ex.lane_err(*pos, i, m))?;
-                    let v = vals.at(i);
-                    let old = match p.space {
-                        Space::Global => match kind {
-                            AtomicKind::Add => ex.env.global.atomic_add(p, v),
-                            AtomicKind::Min => ex.env.global.atomic_min(p, v),
-                            AtomicKind::Max => ex.env.global.atomic_max(p, v),
-                            AtomicKind::Exch => ex.env.global.atomic_exch(p, v),
-                        },
-                        Space::Shared => ex.shared_atomic(*kind, p, v),
-                        _ => {
-                            return Err(ex.lane_err(
-                                *pos,
-                                i,
-                                format!("{} requires a global or shared pointer", kind.name()),
-                            ))
-                        }
-                    };
-                    old.map_err(|e| ex.lane_err(*pos, i, e.0))
+                    atomic_words(ex.global, &mut ex.shared, p, kind.name())
+                        .and_then(|(words, elem)| memory::rmw(words, p, elem, *kind, vals.at(i)))
+                        .map_err(|e| ex.lane_err(*pos, i, e.0))
                 })?;
                 self.set(fr, *dst as usize, out);
             }
@@ -1096,24 +1095,9 @@ impl<'a> BatchExec<'a> {
                     let p = ptrs.at(i).as_ptr().map_err(|m| ex.lane_err(*pos, i, m))?;
                     let c = cmps.at(i).as_int().map_err(|m| ex.lane_err(*pos, i, m))?;
                     let v = vals.at(i).as_int().map_err(|m| ex.lane_err(*pos, i, m))?;
-                    let old = match p.space {
-                        Space::Global => ex.env.global.atomic_cas(p, c, v),
-                        Space::Shared => ex.shared.load(p).and_then(|cur| {
-                            let cur_i = cur.as_int().unwrap_or(0);
-                            if cur_i == c {
-                                ex.shared.store(p, Value::I(v))?;
-                            }
-                            Ok(Value::I(cur_i))
-                        }),
-                        _ => {
-                            return Err(ex.lane_err(
-                                *pos,
-                                i,
-                                "atomicCAS requires a global or shared pointer",
-                            ))
-                        }
-                    };
-                    old.map_err(|e| ex.lane_err(*pos, i, e.0))
+                    atomic_words(ex.global, &mut ex.shared, p, "atomicCAS")
+                        .and_then(|(words, elem)| memory::cas(words, p, elem, c, v))
+                        .map_err(|e| ex.lane_err(*pos, i, e.0))
                 })?;
                 self.set(fr, *dst as usize, out);
             }
@@ -2028,12 +2012,6 @@ enum Addr {
     Generic(Vec<Option<Ptr>>),
 }
 
-/// The words of an allocation resolved once per instruction.
-enum Words<'w> {
-    Atomic(&'w [AtomicU32]),
-    Plain(&'w [u32]),
-}
-
 /// Resolve each active lane's offset against an allocation of `len`
 /// elements, in lane order, handing `(lane, element index)` to `each`;
 /// the first out-of-range lane stops the walk.
@@ -2055,38 +2033,6 @@ fn for_each_element(
         }
     }
     Ok(())
-}
-
-/// The words behind `head`, with the element type loads decode by
-/// (the pointer's for pools, the declaration's for shared arrays and
-/// constant banks). Borrows the environment and the shared memory
-/// only, so the caller's arena stays usable.
-fn words_of<'s>(
-    env: &'s KernelEnv<'_>,
-    shared: &'s SharedMem,
-    head: Ptr,
-) -> Result<(Words<'s>, ElemType), String> {
-    let pool = match head.space {
-        Space::Global => env.global,
-        Space::Host => {
-            return Err(
-                "kernel dereferenced a host pointer (did you forget cudaMemcpy?)".to_string(),
-            )
-        }
-        Space::Shared => {
-            let arr = shared.array(head.alloc).ok_or("invalid shared array")?;
-            return Ok((Words::Plain(arr.words()), arr.elem));
-        }
-        Space::Constant => {
-            let (elem, words) = env
-                .consts
-                .bank(head.alloc)
-                .ok_or("invalid constant symbol")?;
-            return Ok((Words::Plain(words), elem));
-        }
-    };
-    let alloc = pool.view(head.alloc).map_err(|e| e.0)?;
-    Ok((Words::Atomic(alloc.words()), head.elem))
 }
 
 impl<'a> BatchExec<'a> {
@@ -2296,20 +2242,15 @@ impl<'a> BatchExec<'a> {
         fn gather<T: Lane>(
             arena: &mut Arena,
             mask: Option<&[bool]>,
-            words: Words<'_>,
+            words: &[u32],
             head: Ptr,
             offs: &[i64],
             decode: impl Fn(u32) -> T,
         ) -> Result<LaneVec, (usize, MemError)> {
             let mut out = T::pool(arena).take();
-            let r = match words {
-                Words::Atomic(w) => for_each_element(mask, head, offs, w.len(), |i, k| {
-                    out[i] = decode(w[k].load(Ordering::Relaxed))
-                }),
-                Words::Plain(w) => {
-                    for_each_element(mask, head, offs, w.len(), |i, k| out[i] = decode(w[k]))
-                }
-            };
+            let r = for_each_element(mask, head, offs, words.len(), |i, k| {
+                out[i] = decode(words[k])
+            });
             match r {
                 Ok(()) => Ok(T::wrap(out)),
                 Err(e) => {
@@ -2318,8 +2259,8 @@ impl<'a> BatchExec<'a> {
                 }
             }
         }
-        let (words, elem) =
-            words_of(self.env, &self.shared, head).map_err(|m| self.first_err(pos, m))?;
+        let (words, elem) = kernel_words(self.global, self.env.consts, &self.shared, head)
+            .map_err(|e| self.first_err(pos, e.0))?;
         let (arena, mask) = (&mut self.arena, mask!(self));
         let out = if elem == ElemType::I32 {
             gather(arena, mask, words, head, offs, |bits| bits as i32 as i64)
@@ -2367,72 +2308,26 @@ impl<'a> BatchExec<'a> {
         pos: Pos,
     ) -> Result<(), Diag> {
         let mask = mask!(self);
-        let stored = match head.space {
-            Space::Constant => return Err(self.first_err(pos, "constant memory is read-only")),
-            Space::Host => {
-                return Err(self.first_err(
-                    pos,
-                    "kernel wrote through a host pointer (did you forget cudaMemcpy?)",
-                ))
-            }
-            Space::Shared => {
-                let arr = match self.shared.array_mut(head.alloc) {
-                    Some(arr) => arr,
-                    None => return Err(self.first_err(pos, "invalid shared array")),
-                };
-                let elem = arr.elem;
-                let words = arr.words_mut();
-                for_each_element(mask, head, offs, words.len(), |i, k| {
-                    words[k] = store_bits(src.get(i), elem)
-                })
-            }
-            Space::Global => {
-                let words = self
-                    .env
-                    .global
-                    .view(head.alloc)
-                    .map_err(|e| self.first_err(pos, e.0))?
-                    .words();
-                for_each_element(mask, head, offs, words.len(), |i, k| {
-                    words[k].store(store_bits(src.get(i), head.elem), Ordering::Relaxed)
-                })
-            }
+        let (words, elem) = match kernel_words_mut(self.global, &mut self.shared, head) {
+            Ok(found) => found,
+            Err(e) => return Err(self.first_err(pos, e.0)),
         };
-        stored.map_err(|(i, e)| self.lane_err(pos, i, e.0))
+        for_each_element(mask, head, offs, words.len(), |i, k| {
+            words[k] = store_bits(src.get(i), elem)
+        })
+        .map_err(|(i, e)| self.lane_err(pos, i, e.0))
     }
 
     fn load_one(&mut self, p: Ptr, pos: Pos, lane: usize) -> Result<Value, Diag> {
-        let v = match p.space {
-            Space::Global => self.env.global.load(p),
-            Space::Shared => self.shared.load(p),
-            Space::Constant => self.env.consts.load(p),
-            Space::Host => {
-                return Err(self.lane_err(
-                    pos,
-                    lane,
-                    "kernel dereferenced a host pointer (did you forget cudaMemcpy?)",
-                ))
-            }
-        };
-        v.map_err(|e| self.lane_err(pos, lane, e.0))
+        kernel_words(self.global, self.env.consts, &self.shared, p)
+            .and_then(|(words, elem)| memory::load(words, p, elem))
+            .map_err(|e| self.lane_err(pos, lane, e.0))
     }
 
     fn store_one(&mut self, p: Ptr, v: Value, pos: Pos, lane: usize) -> Result<(), Diag> {
-        let r = match p.space {
-            Space::Global => self.env.global.store(p, v),
-            Space::Shared => self.shared.store(p, v),
-            Space::Constant => {
-                return Err(self.lane_err(pos, lane, "constant memory is read-only"))
-            }
-            Space::Host => {
-                return Err(self.lane_err(
-                    pos,
-                    lane,
-                    "kernel wrote through a host pointer (did you forget cudaMemcpy?)",
-                ))
-            }
-        };
-        r.map_err(|e| self.lane_err(pos, lane, e.0))
+        kernel_words_mut(self.global, &mut self.shared, p)
+            .and_then(|(words, elem)| memory::store(words, p, elem, v))
+            .map_err(|e| self.lane_err(pos, lane, e.0))
     }
 
     // ---- memory accounting -------------------------------------------------
@@ -2553,33 +2448,6 @@ impl<'a> BatchExec<'a> {
         }
         Ok(())
     }
-
-    fn shared_atomic(&mut self, kind: AtomicKind, p: Ptr, v: Value) -> Result<Value, MemError> {
-        match kind {
-            AtomicKind::Add => self.shared.atomic_add(p, v),
-            AtomicKind::Exch => {
-                let old = self.shared.load(p)?;
-                self.shared.store(p, v)?;
-                Ok(old)
-            }
-            AtomicKind::Min | AtomicKind::Max => {
-                let old = self.shared.load(p)?;
-                let new = match (old, kind) {
-                    (Value::F(a), AtomicKind::Min) => {
-                        Value::F(a.min(v.as_float().map_err(MemError)?))
-                    }
-                    (Value::F(a), _) => Value::F(a.max(v.as_float().map_err(MemError)?)),
-                    (Value::I(a), AtomicKind::Min) => {
-                        Value::I(a.min(v.as_int().map_err(MemError)?))
-                    }
-                    (Value::I(a), _) => Value::I(a.max(v.as_int().map_err(MemError)?)),
-                    _ => return Err(MemError("atomic on non-numeric element".to_string())),
-                };
-                self.shared.store(p, new)?;
-                Ok(old)
-            }
-        }
-    }
 }
 
 /// Per-warp scratch of the memory accounting, reused across
@@ -2688,8 +2556,7 @@ impl BankTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::{ConstMem, MemPool};
-    use std::sync::atomic::AtomicI64;
+    use crate::memory::ConstMem;
 
     impl BatchExec<'_> {
         /// The accounting this module shipped with before it went
@@ -2768,19 +2635,16 @@ mod tests {
 
     /// Run `f` on an executor for one block of `n` threads.
     fn with_exec(n: usize, f: impl FnOnce(&mut BatchExec<'_>)) {
-        let (global, consts) = (MemPool::new(), ConstMem::new());
-        let budget = AtomicI64::new(i64::MAX);
+        let (mut global, consts, mut budget) = (MemPool::new(), ConstMem::new(), i64::MAX);
         let env = KernelEnv {
-            global: &global,
             consts: &consts,
-            budget: &budget,
             grid: [1, 1, 1],
             block_dim: [n as i64, 1, 1],
             max_shared_bytes: 48 * 1024,
             warp_size: 32,
         };
         let ir = IrProgram::default();
-        let mut ex = BatchExec::new(&env, &ir);
+        let mut ex = BatchExec::new(&env, &ir, &mut global, &mut budget);
         ex.recount();
         f(&mut ex);
     }
@@ -2940,16 +2804,15 @@ mod tests {
             Value::B(true),
             Value::B(false),
         ];
-        let mut pool = MemPool::new();
-        let id = pool.alloc_elems(1);
+        let mut words = [0u32];
         for elem in [ElemType::F32, ElemType::I32, ElemType::Unknown] {
             let p = Ptr {
                 elem,
-                ..ptr(Space::Global, id, 0)
+                ..ptr(Space::Global, 0, 0)
             };
             for v in samples {
-                pool.store(p, v).unwrap();
-                let want = pool.view(id).unwrap().words()[0].load(Ordering::Relaxed);
+                memory::store(&mut words, p, elem, v).unwrap();
+                let want = words[0];
                 let got = match v {
                     Value::I(x) => store_bits(x, elem),
                     Value::F(x) => store_bits(x, elem),

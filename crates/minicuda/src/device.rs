@@ -17,7 +17,6 @@ use crate::diag::{Diag, Phase, Pos};
 use crate::memory::{ConstMem, MemPool};
 use crate::sema::Program;
 use crate::value::Value;
-use std::sync::atomic::{AtomicI64, Ordering};
 
 /// Static description of the simulated device.
 ///
@@ -76,16 +75,14 @@ impl DeviceConfig {
     }
 }
 
-/// Immutable context shared by all blocks of one launch.
+/// Immutable context shared by all blocks of one launch. The launch
+/// lends the executor the device pool and the warp budget mutably
+/// beside it. Kernels never see the host pool: dereferencing a host
+/// pointer is a classic student bug that the executors report instead
+/// of silently corrupting memory.
 pub(crate) struct KernelEnv<'a> {
-    /// Device global memory pool. Kernels never see the host pool:
-    /// dereferencing a host pointer is a classic student bug that the
-    /// executors report instead of silently corrupting memory.
-    pub global: &'a MemPool,
     /// Constant memory image.
     pub consts: &'a ConstMem,
-    /// Remaining warp-instruction budget, shared across blocks.
-    pub budget: &'a AtomicI64,
     /// Grid dimensions.
     pub grid: [i64; 3],
     /// Block dimensions.
@@ -151,6 +148,8 @@ fn validate_launch(
 /// `program` must carry lowered IR (every [`crate::compile_with`]
 /// attaches it); a program straight from [`crate::sema::analyze`] has
 /// none, and its launch fails with a [`Phase::Runtime`] diagnostic.
+/// `budget` is the rank's remaining warp-instruction budget, which
+/// every block of the launch draws down.
 #[allow(clippy::too_many_arguments)]
 pub fn launch(
     config: &DeviceConfig,
@@ -159,16 +158,16 @@ pub fn launch(
     grid: [i64; 3],
     block: [i64; 3],
     args: &[Value],
-    global: &MemPool,
+    global: &mut MemPool,
     consts: &ConstMem,
-    budget: &AtomicI64,
+    budget: &mut i64,
     pos: Pos,
 ) -> Result<LaunchResult, Diag> {
     validate_launch(config, grid, block, pos)?;
     // An empty block charges nothing, so without this check a grid
     // larger than the budget would run for as long as it has blocks.
     let blocks: i64 = grid.iter().product();
-    if blocks > budget.load(Ordering::Relaxed) {
+    if blocks > *budget {
         return Err(Diag::new(
             Phase::Limit,
             pos,
@@ -177,9 +176,7 @@ pub fn launch(
     }
 
     let env = KernelEnv {
-        global,
         consts,
-        budget,
         grid,
         block_dim: block,
         max_shared_bytes: config.max_shared_bytes,
@@ -191,7 +188,7 @@ pub fn launch(
     {
         Some((ir, f)) => {
             // One executor, whose arena and tables every block reuses.
-            let mut exec = BatchExec::new(&env, ir);
+            let mut exec = BatchExec::new(&env, ir, global, budget);
             run_grid(config, grid, |bi| exec.run_block(bi, f, args))
         }
         // The tree-walk oracle: tests build a program with the front end
@@ -202,7 +199,7 @@ pub fn launch(
                 Diag::new(Phase::Runtime, pos, format!("unknown kernel `{kernel}`"))
             })?;
             run_grid(config, grid, |bi| {
-                crate::simt::run_block(&env, program, bi, f, args)
+                crate::simt::run_block(&env, global, budget, program, bi, f, args)
             })
         }
         #[cfg(not(test))]

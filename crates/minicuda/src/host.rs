@@ -14,12 +14,11 @@ use crate::cost::{self, CostSummary};
 use crate::device::{self, DeviceConfig};
 use crate::diag::{Diag, Phase, Pos};
 use crate::hostcall::{AllowAll, HostcallPolicy};
-use crate::memory::{ConstMem, MemPool};
+use crate::memory::{self, ConstMem, MemPool};
 use crate::mpi::{CommWorld, RankComm};
 use crate::sema::Program;
 use crate::value::{apply_binop, apply_math, apply_unop, ElemType, Ptr, Space, Value};
 use libwb::{Dataset, Image, LogLevel, Logger, Timer, TimerKind};
-use std::sync::atomic::AtomicI64;
 
 /// Resource limits and device selection for one run.
 #[derive(Debug, Clone)]
@@ -82,6 +81,11 @@ impl RunOutcome {
 pub fn run(program: &Program, inputs: &[Dataset], opts: &RunOptions) -> RunOutcome {
     run_with_policy(program, inputs, opts, &AllowAll)
 }
+
+/// Host memory a rank may hold at once, in 32-bit words: 256 MiB, the
+/// size of the default device, so one `malloc` cannot take the
+/// worker's memory.
+const HOST_MEM_WORDS: usize = 64 << 20;
 
 /// Stack size for interpreter threads. Tree-walking recursion is
 /// stack-hungry in debug builds; interpreters always run on dedicated
@@ -174,7 +178,7 @@ fn run_rank(
         timer: Timer::new(),
         clock: 0,
         host_steps: 0,
-        budget: AtomicI64::new(opts.max_warp_instructions),
+        budget: opts.max_warp_instructions,
         cost: CostSummary::default(),
         solution: None,
         hostcalls: Vec::new(),
@@ -249,7 +253,8 @@ struct HostExec<'a> {
     timer: Timer,
     clock: u64,
     host_steps: u64,
-    budget: AtomicI64,
+    /// Remaining warp-instruction budget, lent to each launch.
+    budget: i64,
     cost: CostSummary,
     solution: Option<Dataset>,
     hostcalls: Vec<String>,
@@ -287,14 +292,6 @@ impl<'a> HostExec<'a> {
             ));
         }
         Ok(())
-    }
-
-    fn pool_of(&self, space: Space) -> &MemPool {
-        match space {
-            Space::Host => &self.host,
-            Space::Global => &self.dev,
-            _ => &self.host, // shared/constant never reach host deref paths
-        }
     }
 
     // ---- statements --------------------------------------------------------
@@ -514,9 +511,9 @@ impl<'a> HostExec<'a> {
             g,
             b,
             &argv,
-            &self.dev,
+            &mut self.dev,
             &self.consts,
-            &self.budget,
+            &mut self.budget,
             pos,
         )?;
         self.cost.merge(&result.cost);
@@ -530,7 +527,8 @@ impl<'a> HostExec<'a> {
         match p.space {
             Space::Host => self
                 .host
-                .load(p)
+                .words(p.alloc)
+                .and_then(|words| memory::load(words, p, p.elem))
                 .map_err(|e| Diag::new(Phase::Runtime, pos, e.0)),
             Space::Global => Err(Diag::new(
                 Phase::Runtime,
@@ -545,7 +543,8 @@ impl<'a> HostExec<'a> {
         match p.space {
             Space::Host => self
                 .host
-                .store(p, v)
+                .words_mut(p.alloc)
+                .and_then(|words| memory::store(words, p, p.elem, v))
                 .map_err(|e| Diag::new(Phase::Runtime, pos, e.0)),
             Space::Global => Err(Diag::new(
                 Phase::Runtime,
@@ -635,7 +634,8 @@ impl<'a> HostExec<'a> {
                 if p.space == Space::Constant {
                     return self
                         .consts
-                        .load(q)
+                        .bank(q.alloc)
+                        .and_then(|(words, elem)| memory::load(words, q, elem))
                         .map_err(|er| Diag::new(Phase::Runtime, pos, er.0));
                 }
                 self.host_load(q, pos)
@@ -713,29 +713,29 @@ impl<'a> HostExec<'a> {
     }
 
     fn alloc_host_f32(&mut self, data: &[f32]) -> Ptr {
-        let id = self.host.alloc_elems(data.len().max(1));
-        self.host.write_f32(id, data).expect("fresh allocation");
-        Ptr {
+        let p = Ptr {
             space: Space::Host,
-            alloc: id,
+            alloc: self.host.alloc_elems(data.len().max(1)),
             offset: 0,
             elem: ElemType::F32,
             level: 0,
-        }
+        };
+        self.host.write_f32(p, data).expect("fresh allocation");
+        p
     }
 
     /// Import integers (or a dataset's indices, narrowed) into a fresh
     /// host allocation, straight from the borrowed dataset.
     fn alloc_host_i32(&mut self, data: impl ExactSizeIterator<Item = i32>) -> Ptr {
-        let id = self.host.alloc_elems(data.len().max(1));
-        self.host.write_i32(id, data).expect("fresh allocation");
-        Ptr {
+        let p = Ptr {
             space: Space::Host,
-            alloc: id,
+            alloc: self.host.alloc_elems(data.len().max(1)),
             offset: 0,
             elem: ElemType::I32,
             level: 0,
-        }
+        };
+        self.host.write_i32(p, data).expect("fresh allocation");
+        p
     }
 
     fn write_out_int(&mut self, arg: &Expr, v: i64, pos: Pos) -> Result<(), Diag> {
@@ -766,6 +766,14 @@ impl<'a> HostExec<'a> {
                     .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
                 if bytes < 0 {
                     return Err(Diag::new(Phase::Runtime, pos, "malloc of negative size"));
+                }
+                let words = (bytes as usize).div_ceil(4);
+                if self.host.live_words() + words > HOST_MEM_WORDS {
+                    return Err(Diag::new(
+                        Phase::Runtime,
+                        pos,
+                        "malloc failed: out of host memory",
+                    ));
                 }
                 let id = self.host.alloc_bytes(bytes as usize);
                 Ok(Value::P(Ptr {
@@ -809,7 +817,7 @@ impl<'a> HostExec<'a> {
                     ));
                 }
                 let words = (bytes as usize).div_ceil(4);
-                if self.dev.total_words() + words > self.opts.device.global_mem_words {
+                if self.dev.live_words() + words > self.opts.device.global_mem_words {
                     return Err(Diag::new(
                         Phase::Runtime,
                         pos,
@@ -892,11 +900,13 @@ impl<'a> HostExec<'a> {
                     ));
                 }
                 let words = (bytes as usize).div_ceil(4);
-                let dst_pool = self.pool_of(dst.space);
-                let src_pool = self.pool_of(src.space);
-                dst_pool
-                    .copy(dst, src_pool, src, words)
-                    .map_err(|e| Diag::new(Phase::Runtime, pos, e.0))?;
+                match dir {
+                    0 => self.dev.copy_from(dst, &self.host, src, words),
+                    1 => self.host.copy_from(dst, &self.dev, src, words),
+                    2 => self.dev.copy_within(dst, src, words),
+                    _ => self.host.copy_within(dst, src, words),
+                }
+                .map_err(|e| Diag::new(Phase::Runtime, pos, e.0))?;
                 match dir {
                     0 => self.cost.words_h2d += words as u64,
                     1 => self.cost.words_d2h += words as u64,
@@ -1358,16 +1368,12 @@ impl<'a> HostExec<'a> {
                         ),
                     ));
                 }
-                let off = usize::try_from(p.offset)
-                    .map_err(|_| Diag::new(Phase::Runtime, pos, "negative pointer offset"))?;
-                for (k, x) in data.iter().enumerate() {
-                    let mut q = p;
-                    q.offset = (off + k) as i64;
-                    q.elem = ElemType::F32;
-                    self.host
-                        .store(q, Value::F(*x))
-                        .map_err(|e| Diag::new(Phase::Runtime, pos, e.0))?;
+                if p.offset < 0 {
+                    return Err(Diag::new(Phase::Runtime, pos, "negative pointer offset"));
                 }
+                self.host
+                    .write_f32(p, &data)
+                    .map_err(|e| Diag::new(Phase::Runtime, pos, e.0))?;
                 Ok(Value::I(0))
             }
 

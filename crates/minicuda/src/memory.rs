@@ -1,56 +1,31 @@
 //! Simulated memory: host and device allocations, shared arrays,
 //! constant memory.
 //!
-//! Host and device-global allocations store raw 32-bit words in
-//! `AtomicU32` cells. That single representation gives us:
+//! Every space is plain `u32` words that one thread owns. A rank's
+//! interpreter thread owns its host pool, device pool and constant
+//! memory; a kernel launch borrows the device pool mutably and runs its
+//! blocks one at a time on that same thread, each block with shared
+//! memory of its own. No word is ever reachable from two threads, so a
+//! load is a read, a store is a write, and `atomicAdd` and its siblings
+//! are plain read-modify-writes: nothing runs between their read and
+//! their write.
 //!
-//! * **stores through a shared reference** — every lane of every block
-//!   writes through the one `&MemPool` a launch borrows. Blocks run one
-//!   at a time in launch order, so no two threads touch a word; plain
-//!   loads/stores use `Relaxed` ordering, which costs what a plain move
-//!   does, and `atomicAdd` and friends are compare-and-swap loops;
-//! * **C-style type punning through pointers** — a word's meaning comes
-//!   from the pointer's element type, not from the allocation.
-//!
-//! Shared memory is per-block and accessed by a single interpreter
-//! thread, so it is a plain `Vec<u32>`.
+//! A word's meaning comes from the element type it is read by, not from
+//! its allocation (C-style type punning): the pointer's for host and
+//! device words, the declaration's for shared arrays and constant
+//! banks. One set of word functions (`load`, `store`, `rmw`, `cas`)
+//! serves every space over a word slice and that type; the per-space
+//! types only resolve an id to its words, with their null, invalid,
+//! freed, shared-array and constant-symbol checks.
 
-use crate::value::{ElemType, Ptr, Value};
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use crate::ir::AtomicKind;
+use crate::value::{ElemType, Ptr, Space, Value};
 
-/// One allocation: a boxed slice of raw words.
-#[derive(Debug, Clone)]
-pub struct Alloc {
-    words: Arc<[AtomicU32]>,
+/// One allocation: its words, released when it is freed.
+#[derive(Debug)]
+struct Alloc {
+    words: Box<[u32]>,
     freed: bool,
-}
-
-impl Alloc {
-    fn new(len_words: usize) -> Self {
-        let words: Arc<[AtomicU32]> = (0..len_words).map(|_| AtomicU32::new(0)).collect();
-        Alloc {
-            words,
-            freed: false,
-        }
-    }
-
-    /// Length in 32-bit words (= elements, since all element types are
-    /// 4 bytes).
-    pub fn len(&self) -> usize {
-        self.words.len()
-    }
-
-    /// True for zero-length allocations.
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
-    /// The raw words, for executors that resolve the allocation once
-    /// per instruction and bounds-check each lane with [`bounds`].
-    pub(crate) fn words(&self) -> &[AtomicU32] {
-        &self.words
-    }
 }
 
 fn decode(bits: u32, elem: ElemType) -> Value {
@@ -69,16 +44,137 @@ fn encode(v: Value) -> u32 {
     }
 }
 
-/// A pool of allocations for one address space family.
-///
-/// The pool is shared between the host interpreter and kernel
-/// executions via `Arc`, so it is append-only under a lock-free
-/// discipline: the host owns it mutably between launches, and launches
-/// receive a cloned snapshot (`Alloc` clones share the underlying
-/// words).
-#[derive(Debug, Default, Clone)]
+/// The value the word `p` addresses holds, read by `elem`.
+pub(crate) fn load(words: &[u32], p: Ptr, elem: ElemType) -> Result<Value, MemError> {
+    Ok(decode(words[bounds(p, words.len())?], elem))
+}
+
+/// Store `v`, coerced to `elem`, in the word `p` addresses.
+pub(crate) fn store(words: &mut [u32], p: Ptr, elem: ElemType, v: Value) -> Result<(), MemError> {
+    let k = bounds(p, words.len())?;
+    words[k] = encode(v.coerce_to_elem(elem).map_err(MemError)?);
+    Ok(())
+}
+
+/// `atomicAdd`, `atomicMin`, `atomicMax` or `atomicExch` on the word
+/// `p` addresses, read and written by `elem`: returns the old value.
+pub(crate) fn rmw(
+    words: &mut [u32],
+    p: Ptr,
+    elem: ElemType,
+    kind: AtomicKind,
+    v: Value,
+) -> Result<Value, MemError> {
+    let k = bounds(p, words.len())?;
+    let new = match kind {
+        AtomicKind::Exch => v,
+        _ if elem == ElemType::I32 => {
+            let (a, b) = (words[k] as i32 as i64, v.as_int().map_err(MemError)?);
+            Value::I(match kind {
+                AtomicKind::Add => a.wrapping_add(b),
+                AtomicKind::Min => a.min(b),
+                _ => a.max(b),
+            })
+        }
+        _ => {
+            let (a, b) = (f32::from_bits(words[k]), v.as_float().map_err(MemError)?);
+            Value::F(match kind {
+                AtomicKind::Add => a + b,
+                AtomicKind::Min => a.min(b),
+                _ => a.max(b),
+            })
+        }
+    };
+    let old = decode(words[k], elem);
+    words[k] = encode(new.coerce_to_elem(elem).map_err(MemError)?);
+    Ok(old)
+}
+
+/// `atomicCAS` on the word `p` addresses: when its value as an int
+/// equals `cmp`, store `val`; returns that int. Global words compare
+/// and store raw 32-bit ints whatever the pointer's type (`cmp`
+/// narrowed to 32 bits); other words are read and written by `elem`.
+pub(crate) fn cas(
+    words: &mut [u32],
+    p: Ptr,
+    elem: ElemType,
+    cmp: i64,
+    val: i64,
+) -> Result<Value, MemError> {
+    let (elem, cmp) = match p.space {
+        Space::Global => (ElemType::I32, cmp as i32 as i64),
+        _ => (elem, cmp),
+    };
+    let k = bounds(p, words.len())?;
+    let old = match elem {
+        ElemType::I32 => words[k] as i32 as i64,
+        _ => f32::from_bits(words[k]) as i64,
+    };
+    if old == cmp {
+        words[k] = encode(Value::I(val).coerce_to_elem(elem).map_err(MemError)?);
+    }
+    Ok(Value::I(old))
+}
+
+/// The words a kernel reads through `p`, with the element type it
+/// reads them by (the pointer's for global memory, the declaration's
+/// for shared arrays and constant banks).
+pub(crate) fn kernel_words<'m>(
+    global: &'m MemPool,
+    consts: &'m ConstMem,
+    shared: &'m SharedMem,
+    p: Ptr,
+) -> Result<(&'m [u32], ElemType), MemError> {
+    match p.space {
+        Space::Global => Ok((global.words(p.alloc)?, p.elem)),
+        Space::Shared => shared.words(p.alloc),
+        Space::Constant => consts.bank(p.alloc),
+        Space::Host => Err(MemError(
+            "kernel dereferenced a host pointer (did you forget cudaMemcpy?)".to_string(),
+        )),
+    }
+}
+
+/// The words a kernel writes through `p`: [`kernel_words`]' mutable
+/// counterpart, which refuses constant and host pointers.
+pub(crate) fn kernel_words_mut<'m>(
+    global: &'m mut MemPool,
+    shared: &'m mut SharedMem,
+    p: Ptr,
+) -> Result<(&'m mut [u32], ElemType), MemError> {
+    match p.space {
+        Space::Global => Ok((global.words_mut(p.alloc)?, p.elem)),
+        Space::Shared => shared.words_mut(p.alloc),
+        Space::Constant => Err(MemError("constant memory is read-only".to_string())),
+        Space::Host => Err(MemError(
+            "kernel wrote through a host pointer (did you forget cudaMemcpy?)".to_string(),
+        )),
+    }
+}
+
+/// The words the atomic `name` updates through `p`: global and shared
+/// memory only.
+pub(crate) fn atomic_words<'m>(
+    global: &'m mut MemPool,
+    shared: &'m mut SharedMem,
+    p: Ptr,
+    name: &str,
+) -> Result<(&'m mut [u32], ElemType), MemError> {
+    match p.space {
+        Space::Global | Space::Shared => kernel_words_mut(global, shared, p),
+        _ => Err(MemError(format!(
+            "{name} requires a global or shared pointer"
+        ))),
+    }
+}
+
+/// A pool of allocations for one address space: a rank's host memory
+/// or its device's global memory.
+#[derive(Debug, Default)]
 pub struct MemPool {
     allocs: Vec<Alloc>,
+    /// Words held by allocations not yet freed.
+    live_words: usize,
 }
 
 /// Error from a memory access: out-of-bounds, use-after-free, or a
@@ -94,27 +190,26 @@ impl MemPool {
 
     /// Allocate `bytes` rounded up to whole words; returns the alloc id.
     pub fn alloc_bytes(&mut self, bytes: usize) -> u32 {
-        let words = bytes.div_ceil(4);
-        self.allocs.push(Alloc::new(words));
-        (self.allocs.len() - 1) as u32
+        self.alloc_elems(bytes.div_ceil(4))
     }
 
-    /// Allocate room for `n` elements.
+    /// Allocate room for `n` elements, zeroed.
     pub fn alloc_elems(&mut self, n: usize) -> u32 {
-        self.allocs.push(Alloc::new(n));
+        self.allocs.push(Alloc {
+            words: vec![0; n].into_boxed_slice(),
+            freed: false,
+        });
+        self.live_words += n;
         (self.allocs.len() - 1) as u32
     }
 
-    /// Total words currently allocated (capacity accounting).
-    pub fn total_words(&self) -> usize {
-        self.allocs
-            .iter()
-            .filter(|a| !a.freed)
-            .map(|a| a.len())
-            .sum()
+    /// Words held by allocations not yet freed (capacity accounting).
+    pub fn live_words(&self) -> usize {
+        self.live_words
     }
 
-    /// Mark an allocation freed. Later accesses fail (use-after-free).
+    /// Free an allocation: its words are released, and later accesses
+    /// fail (use-after-free).
     pub fn free(&mut self, id: u32) -> Result<(), MemError> {
         let a = self
             .allocs
@@ -124,209 +219,177 @@ impl MemPool {
             return Err(MemError("double free".to_string()));
         }
         a.freed = true;
+        self.live_words -= a.words.len();
+        a.words = Box::default();
         Ok(())
     }
 
-    fn get(&self, id: u32) -> Result<&Alloc, MemError> {
+    /// Checked allocation lookup: null, invalid, freed.
+    fn index(&self, id: u32) -> Result<usize, MemError> {
         if id == u32::MAX {
             return Err(MemError("null pointer dereference".to_string()));
         }
-        let a = self
-            .allocs
-            .get(id as usize)
-            .ok_or_else(|| MemError("access through invalid pointer".to_string()))?;
-        if a.freed {
-            return Err(MemError("use after free".to_string()));
-        }
-        Ok(a)
-    }
-
-    /// Checked allocation lookup (null / invalid / freed), returning
-    /// the allocation for repeated per-lane access.
-    pub fn view(&self, id: u32) -> Result<&Alloc, MemError> {
-        self.get(id)
-    }
-
-    /// Load the element at `offset` through a pointer's element type.
-    pub fn load(&self, ptr: Ptr) -> Result<Value, MemError> {
-        let a = self.get(ptr.alloc)?;
-        let idx = bounds(ptr, a.len())?;
-        Ok(decode(a.words[idx].load(Ordering::Relaxed), ptr.elem))
-    }
-
-    /// Store a value (coerced to the pointer's element type).
-    pub fn store(&self, ptr: Ptr, v: Value) -> Result<(), MemError> {
-        let a = self.get(ptr.alloc)?;
-        let idx = bounds(ptr, a.len())?;
-        let v = v.coerce_to_elem(ptr.elem).map_err(MemError)?;
-        a.words[idx].store(encode(v), Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// `atomicAdd`: returns the old value.
-    pub fn atomic_add(&self, ptr: Ptr, v: Value) -> Result<Value, MemError> {
-        self.atomic_rmw(ptr, v, |old, add| match (old, add) {
-            (Value::F(a), b) => Ok(Value::F(a + b.as_float().map_err(MemError)?)),
-            (Value::I(a), b) => Ok(Value::I(a.wrapping_add(b.as_int().map_err(MemError)?))),
-            _ => Err(MemError("atomicAdd on non-numeric element".to_string())),
-        })
-    }
-
-    /// `atomicMin`: returns the old value.
-    pub fn atomic_min(&self, ptr: Ptr, v: Value) -> Result<Value, MemError> {
-        self.atomic_rmw(ptr, v, |old, rhs| match (old, rhs) {
-            (Value::F(a), b) => Ok(Value::F(a.min(b.as_float().map_err(MemError)?))),
-            (Value::I(a), b) => Ok(Value::I(a.min(b.as_int().map_err(MemError)?))),
-            _ => Err(MemError("atomicMin on non-numeric element".to_string())),
-        })
-    }
-
-    /// `atomicMax`: returns the old value.
-    pub fn atomic_max(&self, ptr: Ptr, v: Value) -> Result<Value, MemError> {
-        self.atomic_rmw(ptr, v, |old, rhs| match (old, rhs) {
-            (Value::F(a), b) => Ok(Value::F(a.max(b.as_float().map_err(MemError)?))),
-            (Value::I(a), b) => Ok(Value::I(a.max(b.as_int().map_err(MemError)?))),
-            _ => Err(MemError("atomicMax on non-numeric element".to_string())),
-        })
-    }
-
-    /// `atomicExch`: store `v`, return the old value.
-    pub fn atomic_exch(&self, ptr: Ptr, v: Value) -> Result<Value, MemError> {
-        let a = self.get(ptr.alloc)?;
-        let idx = bounds(ptr, a.len())?;
-        let v = v.coerce_to_elem(ptr.elem).map_err(MemError)?;
-        let old = a.words[idx].swap(encode(v), Ordering::Relaxed);
-        Ok(decode(old, ptr.elem))
-    }
-
-    /// `atomicCAS` (integer): if current == cmp, store val; returns old.
-    pub fn atomic_cas(&self, ptr: Ptr, cmp: i64, val: i64) -> Result<Value, MemError> {
-        let a = self.get(ptr.alloc)?;
-        let idx = bounds(ptr, a.len())?;
-        let cmp_bits = cmp as i32 as u32;
-        let val_bits = val as i32 as u32;
-        let old = match a.words[idx].compare_exchange(
-            cmp_bits,
-            val_bits,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(old) | Err(old) => old,
-        };
-        Ok(Value::I(old as i32 as i64))
-    }
-
-    fn atomic_rmw(
-        &self,
-        ptr: Ptr,
-        v: Value,
-        f: impl Fn(Value, Value) -> Result<Value, MemError>,
-    ) -> Result<Value, MemError> {
-        let a = self.get(ptr.alloc)?;
-        let idx = bounds(ptr, a.len())?;
-        let cell = &a.words[idx];
-        loop {
-            let old_bits = cell.load(Ordering::Relaxed);
-            let old = decode(old_bits, ptr.elem);
-            let new = f(old, v)?;
-            let new_bits = encode(new.coerce_to_elem(ptr.elem).map_err(MemError)?);
-            if cell
-                .compare_exchange_weak(old_bits, new_bits, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                return Ok(old);
-            }
+        match self.allocs.get(id as usize) {
+            None => Err(MemError("access through invalid pointer".to_string())),
+            Some(a) if a.freed => Err(MemError("use after free".to_string())),
+            Some(_) => Ok(id as usize),
         }
     }
 
-    /// Copy `n` elements between allocations (memcpy in words).
-    pub fn copy(
-        &self,
+    /// The words of allocation `id`.
+    pub(crate) fn words(&self, id: u32) -> Result<&[u32], MemError> {
+        let k = self.index(id)?;
+        Ok(&self.allocs[k].words)
+    }
+
+    /// Mutable counterpart of [`Self::words`].
+    pub(crate) fn words_mut(&mut self, id: u32) -> Result<&mut [u32], MemError> {
+        let k = self.index(id)?;
+        Ok(&mut self.allocs[k].words)
+    }
+
+    /// Copy `n_words` words from `src` in `src_pool` to `dst` in this
+    /// pool (`cudaMemcpy` between host and device).
+    pub fn copy_from(
+        &mut self,
         dst: Ptr,
         src_pool: &MemPool,
         src: Ptr,
         n_words: usize,
     ) -> Result<(), MemError> {
-        let d = self.get(dst.alloc)?;
-        let s = src_pool.get(src.alloc)?;
-        let doff = usize::try_from(dst.offset)
-            .map_err(|_| MemError("negative destination offset".to_string()))?;
-        let soff = usize::try_from(src.offset)
-            .map_err(|_| MemError("negative source offset".to_string()))?;
-        if doff + n_words > d.len() {
-            return Err(MemError(format!(
-                "copy overruns destination ({} words past end)",
-                doff + n_words - d.len()
-            )));
+        let (d, s) = (self.words_mut(dst.alloc)?, src_pool.words(src.alloc)?);
+        let (doff, soff) = copy_span(dst, d.len(), src, s.len(), n_words)?;
+        d[doff..doff + n_words].copy_from_slice(&s[soff..soff + n_words]);
+        Ok(())
+    }
+
+    /// Copy `n_words` words from `src` to `dst`, both in this pool
+    /// (`cudaMemcpy` host to host or device to device). Inside one
+    /// allocation the words move in forward order: a copy onto a later
+    /// part of its own source repeats its first `dst - src` words.
+    pub fn copy_within(&mut self, dst: Ptr, src: Ptr, n_words: usize) -> Result<(), MemError> {
+        let (d, s) = (self.index(dst.alloc)?, self.index(src.alloc)?);
+        let (dlen, slen) = (self.allocs[d].words.len(), self.allocs[s].words.len());
+        let (doff, soff) = copy_span(dst, dlen, src, slen, n_words)?;
+        if d != s {
+            let [a, b] = self.allocs.get_disjoint_mut([d, s]).expect("distinct ids");
+            a.words[doff..doff + n_words].copy_from_slice(&b.words[soff..soff + n_words]);
+            return Ok(());
         }
-        if soff + n_words > s.len() {
-            return Err(MemError(format!(
-                "copy overruns source ({} words past end)",
-                soff + n_words - s.len()
-            )));
-        }
-        for k in 0..n_words {
-            let bits = s.words[soff + k].load(Ordering::Relaxed);
-            d.words[doff + k].store(bits, Ordering::Relaxed);
+        // Each chunk reads only words that are the source's own or that
+        // the chunk before it wrote, as a word-by-word forward copy does.
+        let words = &mut self.allocs[d].words;
+        let chunk = if doff > soff {
+            doff - soff
+        } else {
+            n_words.max(1)
+        };
+        for k in (0..n_words).step_by(chunk) {
+            let len = chunk.min(n_words - k);
+            words.copy_within(soff + k..soff + k + len, doff + k);
         }
         Ok(())
     }
 
-    /// Bulk-write f32 data (dataset import).
-    pub fn write_f32(&self, id: u32, data: &[f32]) -> Result<(), MemError> {
-        let a = self.get(id)?;
-        if data.len() > a.len() {
-            return Err(MemError("write overruns allocation".to_string()));
+    /// The `n` words from `at` on, for a bulk write: the first word
+    /// outside the allocation fails as its store would. An empty span
+    /// checks nothing.
+    fn span_mut(&mut self, at: Ptr, n: usize) -> Result<&mut [u32], MemError> {
+        if n == 0 {
+            return Ok(&mut []);
         }
-        for (k, &x) in data.iter().enumerate() {
-            a.words[k].store(x.to_bits(), Ordering::Relaxed);
+        let words = self.words_mut(at.alloc)?;
+        let len = words.len();
+        let off = bounds(at, len)?;
+        if off + n > len {
+            let first_out = Ptr {
+                offset: len as i64,
+                ..at
+            };
+            return Err(bounds_error(first_out, len));
+        }
+        Ok(&mut words[off..off + n])
+    }
+
+    /// Bulk-write f32 data from `at` on (dataset import, MPI receive).
+    pub fn write_f32(&mut self, at: Ptr, data: &[f32]) -> Result<(), MemError> {
+        let words = self.span_mut(at, data.len())?;
+        for (w, x) in words.iter_mut().zip(data) {
+            *w = x.to_bits();
         }
         Ok(())
     }
 
-    /// Bulk-write i32 data.
+    /// Bulk-write i32 data from `at` on.
     pub fn write_i32(
-        &self,
-        id: u32,
+        &mut self,
+        at: Ptr,
         data: impl ExactSizeIterator<Item = i32>,
     ) -> Result<(), MemError> {
-        let a = self.get(id)?;
-        if data.len() > a.len() {
-            return Err(MemError("write overruns allocation".to_string()));
-        }
-        for (word, x) in a.words.iter().zip(data) {
-            word.store(x as u32, Ordering::Relaxed);
+        let words = self.span_mut(at, data.len())?;
+        for (w, x) in words.iter_mut().zip(data) {
+            *w = x as u32;
         }
         Ok(())
+    }
+
+    /// The `n` words at `offset` in allocation `id`, for a bulk read.
+    fn span(&self, id: u32, offset: usize, n: usize) -> Result<&[u32], MemError> {
+        let words = self.words(id)?;
+        match offset.checked_add(n) {
+            Some(end) if end <= words.len() => Ok(&words[offset..end]),
+            _ => Err(MemError(format!(
+                "read of {n} values at offset {offset} overruns allocation of {} values",
+                words.len()
+            ))),
+        }
     }
 
     /// Bulk-read f32 data (solution export).
     pub fn read_f32(&self, id: u32, offset: usize, n: usize) -> Result<Vec<f32>, MemError> {
-        let a = self.get(id)?;
-        if offset + n > a.len() {
-            return Err(MemError(format!(
-                "read of {n} values at offset {offset} overruns allocation of {} values",
-                a.len()
-            )));
-        }
-        Ok((0..n)
-            .map(|k| f32::from_bits(a.words[offset + k].load(Ordering::Relaxed)))
+        Ok(self
+            .span(id, offset, n)?
+            .iter()
+            .map(|&w| f32::from_bits(w))
             .collect())
     }
 
     /// Bulk-read i32 data.
     pub fn read_i32(&self, id: u32, offset: usize, n: usize) -> Result<Vec<i32>, MemError> {
-        let a = self.get(id)?;
-        if offset + n > a.len() {
-            return Err(MemError(format!(
-                "read of {n} values at offset {offset} overruns allocation of {} values",
-                a.len()
-            )));
-        }
-        Ok((0..n)
-            .map(|k| a.words[offset + k].load(Ordering::Relaxed) as i32)
+        Ok(self
+            .span(id, offset, n)?
+            .iter()
+            .map(|&w| w as i32)
             .collect())
     }
+}
+
+/// The destination and source word offsets of an `n`-word copy between
+/// allocations of `dst_len` and `src_len` words, or the copy's error.
+fn copy_span(
+    dst: Ptr,
+    dst_len: usize,
+    src: Ptr,
+    src_len: usize,
+    n: usize,
+) -> Result<(usize, usize), MemError> {
+    let doff = usize::try_from(dst.offset)
+        .map_err(|_| MemError("negative destination offset".to_string()))?;
+    let soff =
+        usize::try_from(src.offset).map_err(|_| MemError("negative source offset".to_string()))?;
+    if doff + n > dst_len {
+        return Err(MemError(format!(
+            "copy overruns destination ({} words past end)",
+            doff + n - dst_len
+        )));
+    }
+    if soff + n > src_len {
+        return Err(MemError(format!(
+            "copy overruns source ({} words past end)",
+            soff + n - src_len
+        )));
+    }
+    Ok((doff, soff))
 }
 
 /// The element index `ptr` addresses in an allocation of `len`
@@ -385,16 +448,6 @@ impl SharedArray {
     pub(crate) fn row_stride(&self, level: usize) -> Option<usize> {
         (level + 1 < self.dims.len()).then(|| self.strides[level])
     }
-
-    /// The raw words, for executors that bounds-check lanes themselves.
-    pub(crate) fn words(&self) -> &[u32] {
-        &self.data
-    }
-
-    /// Mutable counterpart of [`Self::words`].
-    pub(crate) fn words_mut(&mut self) -> &mut [u32] {
-        &mut self.data
-    }
 }
 
 impl SharedMem {
@@ -429,51 +482,29 @@ impl SharedMem {
         self.arrays.get(id as usize)
     }
 
-    /// Mutable counterpart of [`Self::array`].
-    pub(crate) fn array_mut(&mut self, id: u32) -> Option<&mut SharedArray> {
-        self.arrays.get_mut(id as usize)
+    /// The words of array `id` and their element type.
+    pub(crate) fn words(&self, id: u32) -> Result<(&[u32], ElemType), MemError> {
+        let a = self.array(id).ok_or_else(invalid_shared)?;
+        Ok((&a.data, a.elem))
     }
 
-    /// Load an element.
-    pub fn load(&self, ptr: Ptr) -> Result<Value, MemError> {
+    /// Mutable counterpart of [`Self::words`].
+    pub(crate) fn words_mut(&mut self, id: u32) -> Result<(&mut [u32], ElemType), MemError> {
         let a = self
             .arrays
-            .get(ptr.alloc as usize)
-            .ok_or_else(|| MemError("invalid shared array".to_string()))?;
-        let idx = bounds(ptr, a.data.len())?;
-        Ok(decode(a.data[idx], a.elem))
+            .get_mut(id as usize)
+            .ok_or_else(invalid_shared)?;
+        Ok((&mut a.data, a.elem))
     }
+}
 
-    /// Store an element.
-    pub fn store(&mut self, ptr: Ptr, v: Value) -> Result<(), MemError> {
-        let a = self
-            .arrays
-            .get_mut(ptr.alloc as usize)
-            .ok_or_else(|| MemError("invalid shared array".to_string()))?;
-        let idx = bounds(ptr, a.data.len())?;
-        let v = v.coerce_to_elem(a.elem).map_err(MemError)?;
-        a.data[idx] = encode(v);
-        Ok(())
-    }
-
-    /// Atomic read-modify-write (single interpreter thread per block,
-    /// so this is just a load + store; semantics match warp-serialized
-    /// shared atomics).
-    pub fn atomic_add(&mut self, ptr: Ptr, v: Value) -> Result<Value, MemError> {
-        let old = self.load(ptr)?;
-        let new = match old {
-            Value::F(a) => Value::F(a + v.as_float().map_err(MemError)?),
-            Value::I(a) => Value::I(a.wrapping_add(v.as_int().map_err(MemError)?)),
-            _ => return Err(MemError("atomicAdd on non-numeric element".to_string())),
-        };
-        self.store(ptr, new)?;
-        Ok(old)
-    }
+fn invalid_shared() -> MemError {
+    MemError("invalid shared array".to_string())
 }
 
 /// Device constant memory: frozen f32/i32 banks written by
 /// `cudaMemcpyToSymbol` before launch.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct ConstMem {
     banks: Vec<(ElemType, Vec<u32>)>,
 }
@@ -490,9 +521,10 @@ impl ConstMem {
         (self.banks.len() - 1) as u32
     }
 
-    /// A bank's element interpretation and raw words.
-    pub(crate) fn bank(&self, id: u32) -> Option<(ElemType, &[u32])> {
-        self.banks.get(id as usize).map(|(e, d)| (*e, d.as_slice()))
+    /// The words of bank `id` and their element type.
+    pub(crate) fn bank(&self, id: u32) -> Result<(&[u32], ElemType), MemError> {
+        let (elem, data) = self.banks.get(id as usize).ok_or_else(invalid_symbol)?;
+        Ok((data, *elem))
     }
 
     /// Fill a bank from a host allocation (cudaMemcpyToSymbol).
@@ -503,88 +535,69 @@ impl ConstMem {
         src: Ptr,
         n_words: usize,
     ) -> Result<(), MemError> {
-        let (_, data) = self
-            .banks
-            .get_mut(id as usize)
-            .ok_or_else(|| MemError("invalid constant symbol".to_string()))?;
+        let (_, data) = self.banks.get_mut(id as usize).ok_or_else(invalid_symbol)?;
         if n_words > data.len() {
             return Err(MemError("cudaMemcpyToSymbol overruns symbol".to_string()));
         }
-        let src_alloc = pool.get(src.alloc)?;
+        let words = pool.words(src.alloc)?;
         let soff = usize::try_from(src.offset)
             .map_err(|_| MemError("negative source offset".to_string()))?;
-        if soff + n_words > src_alloc.len() {
+        if soff + n_words > words.len() {
             return Err(MemError("cudaMemcpyToSymbol overruns source".to_string()));
         }
-        for (k, slot) in data.iter_mut().enumerate().take(n_words) {
-            *slot = src_alloc.words[soff + k].load(Ordering::Relaxed);
-        }
+        data[..n_words].copy_from_slice(&words[soff..soff + n_words]);
         Ok(())
     }
+}
 
-    /// Load an element of a bank.
-    pub fn load(&self, ptr: Ptr) -> Result<Value, MemError> {
-        let (elem, data) = self
-            .banks
-            .get(ptr.alloc as usize)
-            .ok_or_else(|| MemError("invalid constant symbol".to_string()))?;
-        let idx = bounds(ptr, data.len())?;
-        Ok(decode(data[idx], *elem))
-    }
+fn invalid_symbol() -> MemError {
+    MemError("invalid constant symbol".to_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Space;
 
-    impl MemPool {
-        /// Length in elements of an allocation.
-        fn len_of(&self, id: u32) -> Result<usize, MemError> {
-            Ok(self.get(id)?.len())
-        }
-    }
-
-    impl ConstMem {
-        /// Number of elements in a bank.
-        fn len_of(&self, id: u32) -> Option<usize> {
-            self.banks.get(id as usize).map(|(_, d)| d.len())
-        }
-    }
-
-    fn fptr(alloc: u32, offset: i64) -> Ptr {
+    fn ptr(space: Space, alloc: u32, offset: i64, elem: ElemType) -> Ptr {
         Ptr {
-            space: Space::Global,
+            space,
             alloc,
             offset,
-            elem: ElemType::F32,
+            elem,
             level: 0,
         }
     }
 
+    fn fptr(alloc: u32, offset: i64) -> Ptr {
+        ptr(Space::Global, alloc, offset, ElemType::F32)
+    }
+
     fn iptr(alloc: u32, offset: i64) -> Ptr {
-        Ptr {
-            elem: ElemType::I32,
-            ..fptr(alloc, offset)
-        }
+        ptr(Space::Global, alloc, offset, ElemType::I32)
+    }
+
+    /// `kind` applied to an int word holding `old` with operand `v`:
+    /// the returned old value and the word's new value.
+    fn rmw_int(old: i64, kind: AtomicKind, v: i64) -> (Value, Value) {
+        let (mut w, p) = ([old as u32], iptr(0, 0));
+        let ret = rmw(&mut w, p, ElemType::I32, kind, Value::I(v)).unwrap();
+        (ret, load(&w, p, ElemType::I32).unwrap())
     }
 
     #[test]
     fn store_load_roundtrip() {
-        let mut pool = MemPool::new();
-        let id = pool.alloc_elems(4);
-        pool.store(fptr(id, 2), Value::F(3.5)).unwrap();
-        assert_eq!(pool.load(fptr(id, 2)).unwrap(), Value::F(3.5));
+        let mut w = [0u32; 4];
+        store(&mut w, fptr(0, 2), ElemType::F32, Value::F(3.5)).unwrap();
+        assert_eq!(load(&w, fptr(0, 2), ElemType::F32).unwrap(), Value::F(3.5));
     }
 
     #[test]
     fn type_punning_via_pointer_elem() {
-        let mut pool = MemPool::new();
-        let id = pool.alloc_elems(1);
-        pool.store(iptr(id, 0), Value::I(-7)).unwrap();
-        assert_eq!(pool.load(iptr(id, 0)).unwrap(), Value::I(-7));
+        let mut w = [0u32];
+        store(&mut w, iptr(0, 0), ElemType::I32, Value::I(-7)).unwrap();
+        assert_eq!(load(&w, iptr(0, 0), ElemType::I32).unwrap(), Value::I(-7));
         // Reading the same bits as float yields the punned value.
-        match pool.load(fptr(id, 0)).unwrap() {
+        match load(&w, fptr(0, 0), ElemType::F32).unwrap() {
             Value::F(f) => assert_eq!(f.to_bits(), (-7i32) as u32),
             other => panic!("unexpected {other:?}"),
         }
@@ -592,98 +605,96 @@ mod tests {
 
     #[test]
     fn store_coerces_value_to_elem() {
-        let mut pool = MemPool::new();
-        let id = pool.alloc_elems(1);
         // `a[0] = 3;` with float* a stores 3.0f.
-        pool.store(fptr(id, 0), Value::I(3)).unwrap();
-        assert_eq!(pool.load(fptr(id, 0)).unwrap(), Value::F(3.0));
+        let mut w = [0u32];
+        store(&mut w, fptr(0, 0), ElemType::F32, Value::I(3)).unwrap();
+        assert_eq!(load(&w, fptr(0, 0), ElemType::F32).unwrap(), Value::F(3.0));
     }
 
     #[test]
     fn bounds_checked() {
-        let mut pool = MemPool::new();
-        let id = pool.alloc_elems(2);
-        assert!(pool.load(fptr(id, 2)).is_err());
-        assert!(pool.load(fptr(id, -1)).is_err());
-        assert!(pool.store(fptr(id, 5), Value::F(0.0)).is_err());
+        let mut w = [0u32; 2];
+        assert!(load(&w, fptr(0, 2), ElemType::F32).is_err());
+        assert!(load(&w, fptr(0, -1), ElemType::F32).is_err());
+        assert!(store(&mut w, fptr(0, 5), ElemType::F32, Value::F(0.0)).is_err());
     }
 
     #[test]
     fn null_deref_reported() {
         let pool = MemPool::new();
-        let err = pool.load(Ptr::null()).unwrap_err();
+        let err = pool.words(Ptr::null().alloc).unwrap_err();
         assert!(err.0.contains("null pointer"));
     }
 
     #[test]
     fn use_after_free_detected() {
         let mut pool = MemPool::new();
-        let id = pool.alloc_elems(1);
-        pool.free(id).unwrap();
-        assert!(pool.load(fptr(id, 0)).is_err());
-        assert!(pool.free(id).is_err(), "double free");
+        let a = pool.alloc_elems(2);
+        let b = pool.alloc_elems(3);
+        assert_eq!(pool.live_words(), 5);
+        pool.free(a).unwrap();
+        assert_eq!(pool.live_words(), 3, "freed words are released");
+        assert_eq!(pool.words(a).unwrap_err().0, "use after free");
+        assert_eq!(pool.free(a).unwrap_err().0, "double free");
+        assert_eq!(pool.free(9).unwrap_err().0, "free of invalid pointer");
+        assert_eq!(pool.words(b).unwrap().len(), 3);
     }
 
     #[test]
     fn alloc_bytes_rounds_up() {
         let mut pool = MemPool::new();
         let id = pool.alloc_bytes(5);
-        assert_eq!(pool.len_of(id).unwrap(), 2);
+        assert_eq!(pool.words(id).unwrap().len(), 2);
     }
 
     #[test]
     fn atomic_add_returns_old() {
-        let mut pool = MemPool::new();
-        let id = pool.alloc_elems(1);
-        pool.store(iptr(id, 0), Value::I(10)).unwrap();
-        let old = pool.atomic_add(iptr(id, 0), Value::I(5)).unwrap();
-        assert_eq!(old, Value::I(10));
-        assert_eq!(pool.load(iptr(id, 0)).unwrap(), Value::I(15));
+        assert_eq!(
+            rmw_int(10, AtomicKind::Add, 5),
+            (Value::I(10), Value::I(15))
+        );
     }
 
     #[test]
     fn atomic_add_float() {
-        let mut pool = MemPool::new();
-        let id = pool.alloc_elems(1);
-        pool.atomic_add(fptr(id, 0), Value::F(1.5)).unwrap();
-        pool.atomic_add(fptr(id, 0), Value::F(2.5)).unwrap();
-        assert_eq!(pool.load(fptr(id, 0)).unwrap(), Value::F(4.0));
+        let (mut w, p) = ([0u32], fptr(0, 0));
+        rmw(&mut w, p, ElemType::F32, AtomicKind::Add, Value::F(1.5)).unwrap();
+        rmw(&mut w, p, ElemType::F32, AtomicKind::Add, Value::F(2.5)).unwrap();
+        assert_eq!(load(&w, p, ElemType::F32).unwrap(), Value::F(4.0));
     }
 
     #[test]
     fn atomic_min_max() {
-        let mut pool = MemPool::new();
-        let id = pool.alloc_elems(1);
-        pool.store(iptr(id, 0), Value::I(10)).unwrap();
-        pool.atomic_min(iptr(id, 0), Value::I(3)).unwrap();
-        assert_eq!(pool.load(iptr(id, 0)).unwrap(), Value::I(3));
-        pool.atomic_max(iptr(id, 0), Value::I(8)).unwrap();
-        assert_eq!(pool.load(iptr(id, 0)).unwrap(), Value::I(8));
+        assert_eq!(rmw_int(10, AtomicKind::Min, 3), (Value::I(10), Value::I(3)));
+        assert_eq!(rmw_int(3, AtomicKind::Max, 8), (Value::I(3), Value::I(8)));
     }
 
     #[test]
     fn atomic_cas_semantics() {
-        let mut pool = MemPool::new();
-        let id = pool.alloc_elems(1);
-        pool.store(iptr(id, 0), Value::I(5)).unwrap();
+        let mut w = [5u32];
         // Mismatch: no store, returns current.
-        assert_eq!(pool.atomic_cas(iptr(id, 0), 4, 9).unwrap(), Value::I(5));
-        assert_eq!(pool.load(iptr(id, 0)).unwrap(), Value::I(5));
+        assert_eq!(
+            cas(&mut w, iptr(0, 0), ElemType::I32, 4, 9).unwrap(),
+            Value::I(5)
+        );
+        assert_eq!(w, [5]);
         // Match: stores.
-        assert_eq!(pool.atomic_cas(iptr(id, 0), 5, 9).unwrap(), Value::I(5));
-        assert_eq!(pool.load(iptr(id, 0)).unwrap(), Value::I(9));
+        assert_eq!(
+            cas(&mut w, iptr(0, 0), ElemType::I32, 5, 9).unwrap(),
+            Value::I(5)
+        );
+        assert_eq!(w, [9]);
+        // A shared float word compares its value as an int and stores
+        // the new value as a float.
+        let mut s = [2.5f32.to_bits()];
+        let sp = ptr(Space::Shared, 0, 0, ElemType::F32);
+        assert_eq!(cas(&mut s, sp, ElemType::F32, 2, 7).unwrap(), Value::I(2));
+        assert_eq!(s, [7.0f32.to_bits()]);
     }
 
     #[test]
     fn atomic_exch() {
-        let mut pool = MemPool::new();
-        let id = pool.alloc_elems(1);
-        pool.store(iptr(id, 0), Value::I(1)).unwrap();
-        assert_eq!(
-            pool.atomic_exch(iptr(id, 0), Value::I(2)).unwrap(),
-            Value::I(1)
-        );
-        assert_eq!(pool.load(iptr(id, 0)).unwrap(), Value::I(2));
+        assert_eq!(rmw_int(1, AtomicKind::Exch, 2), (Value::I(1), Value::I(2)));
     }
 
     #[test]
@@ -692,8 +703,8 @@ mod tests {
         let mut dev = MemPool::new();
         let h = host.alloc_elems(4);
         let d = dev.alloc_elems(4);
-        host.write_f32(h, &[1.0, 2.0, 3.0, 4.0]).unwrap();
-        dev.copy(fptr(d, 0), &host, fptr(h, 0), 4).unwrap();
+        host.write_f32(fptr(h, 0), &[1.0, 2.0, 3.0, 4.0]).unwrap();
+        dev.copy_from(fptr(d, 0), &host, fptr(h, 0), 4).unwrap();
         assert_eq!(dev.read_f32(d, 0, 4).unwrap(), vec![1.0, 2.0, 3.0, 4.0]);
     }
 
@@ -703,18 +714,40 @@ mod tests {
         let mut dev = MemPool::new();
         let h = host.alloc_elems(2);
         let d = dev.alloc_elems(4);
-        assert!(dev.copy(fptr(d, 0), &host, fptr(h, 0), 4).is_err());
-        assert!(dev.copy(fptr(d, 3), &host, fptr(h, 0), 2).is_err());
+        assert!(dev.copy_from(fptr(d, 0), &host, fptr(h, 0), 4).is_err());
+        assert!(dev.copy_from(fptr(d, 3), &host, fptr(h, 0), 2).is_err());
+        assert!(dev.copy_within(fptr(d, 3), fptr(d, 0), 2).is_err());
+    }
+
+    #[test]
+    fn copy_within_one_allocation_runs_forward() {
+        let mut pool = MemPool::new();
+        let a = pool.alloc_elems(8);
+        let b = pool.alloc_elems(8);
+        pool.write_i32(iptr(a, 0), 0..8).unwrap();
+        pool.copy_within(iptr(b, 1), iptr(a, 0), 7).unwrap();
+        assert_eq!(pool.read_i32(b, 0, 8).unwrap(), [0, 0, 1, 2, 3, 4, 5, 6]);
+        pool.copy_within(iptr(a, 3), iptr(a, 0), 5).unwrap();
+        assert_eq!(pool.read_i32(a, 0, 8).unwrap(), [0, 1, 2, 0, 1, 2, 0, 1]);
+        pool.copy_within(iptr(a, 0), iptr(a, 2), 6).unwrap();
+        assert_eq!(pool.read_i32(a, 0, 8).unwrap(), [2, 0, 1, 2, 0, 1, 0, 1]);
+        pool.copy_within(iptr(a, 0), iptr(a, 0), 0).unwrap();
     }
 
     #[test]
     fn bulk_io_roundtrip() {
         let mut pool = MemPool::new();
         let id = pool.alloc_elems(3);
-        pool.write_i32(id, [7, -8, 9].into_iter()).unwrap();
+        pool.write_i32(iptr(id, 0), [7, -8, 9].into_iter()).unwrap();
         assert_eq!(pool.read_i32(id, 0, 3).unwrap(), vec![7, -8, 9]);
         assert_eq!(pool.read_i32(id, 1, 2).unwrap(), vec![-8, 9]);
         assert!(pool.read_i32(id, 2, 2).is_err());
+        assert!(pool.read_i32(id, 2, usize::MAX).is_err());
+        let past = pool.write_f32(fptr(id, 2), &[1.0, 2.0]).unwrap_err();
+        assert_eq!(
+            past.0,
+            "index 3 out of bounds for device global allocation of 3 elements"
+        );
     }
 
     #[test]
@@ -723,14 +756,14 @@ mod tests {
         let id = sh.declare(vec![2, 3], ElemType::F32);
         assert_eq!(sh.bytes(), 24);
         let p = Ptr {
-            space: Space::Shared,
-            alloc: id,
             offset: 5, // [1][2]
-            elem: ElemType::F32,
             level: 1,
+            ..ptr(Space::Shared, id, 0, ElemType::F32)
         };
-        sh.store(p, Value::F(9.0)).unwrap();
-        assert_eq!(sh.load(p).unwrap(), Value::F(9.0));
+        let (w, elem) = sh.words_mut(id).unwrap();
+        store(w, p, elem, Value::F(9.0)).unwrap();
+        let (w, elem) = sh.words(id).unwrap();
+        assert_eq!(load(w, p, elem).unwrap(), Value::F(9.0));
         assert_eq!(sh.array(id).unwrap().dims, vec![2, 3]);
     }
 
@@ -738,45 +771,25 @@ mod tests {
     fn shared_bounds_checked() {
         let mut sh = SharedMem::new();
         let id = sh.declare(vec![4], ElemType::I32);
-        let p = Ptr {
-            space: Space::Shared,
-            alloc: id,
-            offset: 4,
-            elem: ElemType::I32,
-            level: 0,
-        };
-        assert!(sh.load(p).is_err());
+        let (w, elem) = sh.words(id).unwrap();
+        assert!(load(w, ptr(Space::Shared, id, 4, ElemType::I32), elem).is_err());
+        assert_eq!(sh.words(id + 1).unwrap_err().0, "invalid shared array");
     }
 
     #[test]
     fn constant_memory_fill_and_load() {
         let mut host = MemPool::new();
         let h = host.alloc_elems(3);
-        host.write_f32(h, &[0.5, 1.5, 2.5]).unwrap();
+        let hp = ptr(Space::Host, h, 0, ElemType::F32);
+        host.write_f32(hp, &[0.5, 1.5, 2.5]).unwrap();
         let mut cm = ConstMem::new();
         let c = cm.declare(3, ElemType::F32);
-        cm.fill_from(
-            c,
-            &host,
-            Ptr {
-                space: Space::Host,
-                alloc: h,
-                offset: 0,
-                elem: ElemType::F32,
-                level: 0,
-            },
-            3,
-        )
-        .unwrap();
-        let p = Ptr {
-            space: Space::Constant,
-            alloc: c,
-            offset: 1,
-            elem: ElemType::F32,
-            level: 0,
-        };
-        assert_eq!(cm.load(p).unwrap(), Value::F(1.5));
-        assert_eq!(cm.len_of(c), Some(3));
+        cm.fill_from(c, &host, hp, 3).unwrap();
+        let (w, elem) = cm.bank(c).unwrap();
+        assert_eq!(w.len(), 3);
+        let p = ptr(Space::Constant, c, 1, ElemType::F32);
+        assert_eq!(load(w, p, elem).unwrap(), Value::F(1.5));
+        assert_eq!(cm.bank(c + 1).unwrap_err().0, "invalid constant symbol");
     }
 
     #[test]
@@ -785,13 +798,7 @@ mod tests {
         let h = host.alloc_elems(2);
         let mut cm = ConstMem::new();
         let c = cm.declare(1, ElemType::F32);
-        let p = Ptr {
-            space: Space::Host,
-            alloc: h,
-            offset: 0,
-            elem: ElemType::F32,
-            level: 0,
-        };
+        let p = ptr(Space::Host, h, 0, ElemType::F32);
         assert!(cm.fill_from(c, &host, p, 2).is_err());
     }
 }

@@ -35,15 +35,17 @@ use crate::ast::*;
 use crate::cost::{self, CostSummary};
 use crate::device::KernelEnv;
 use crate::diag::{Diag, Phase, Pos};
-use crate::memory::SharedMem;
+use crate::ir::AtomicKind;
+use crate::memory::{self, atomic_words, kernel_words, kernel_words_mut, MemPool, SharedMem};
 use crate::sema::{const_eval, Program};
 use crate::value::{apply_binop, apply_math, apply_unop, ElemType, Ptr, Space, Value};
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 
 /// Execute one block of a kernel launch. Returns the block's cost.
 pub(crate) fn run_block(
     env: &KernelEnv<'_>,
+    global: &mut MemPool,
+    budget: &mut i64,
     program: &Program,
     block_idx: [i64; 3],
     kernel: &FuncDef,
@@ -60,6 +62,8 @@ pub(crate) fn run_block(
     }
     let mut exec = BlockExec {
         env,
+        global,
+        budget,
         program,
         n,
         block_idx,
@@ -109,6 +113,8 @@ struct LoopMasks {
 
 struct BlockExec<'a> {
     env: &'a KernelEnv<'a>,
+    global: &'a mut MemPool,
+    budget: &'a mut i64,
     /// The AST the tree-walk runs: kernels, `__device__` functions and
     /// `__constant__` symbols.
     program: &'a Program,
@@ -158,7 +164,9 @@ impl<'a> BlockExec<'a> {
         }
         self.cost.warp_instructions += warps;
         self.cycles += cycles_per_warp * warps;
-        if self.env.budget.fetch_sub(warps as i64, Ordering::Relaxed) <= 0 {
+        let left = *self.budget;
+        *self.budget -= warps as i64;
+        if left <= 0 {
             return Err(Diag::new(
                 Phase::Limit,
                 pos,
@@ -597,19 +605,9 @@ impl<'a> BlockExec<'a> {
         let mut out = vec![Value::I(0); self.n];
         for i in 0..self.n {
             if let Some(p) = ptrs[i] {
-                let v = match p.space {
-                    Space::Global => self.env.global.load(p),
-                    Space::Shared => self.shared.load(p),
-                    Space::Constant => self.env.consts.load(p),
-                    Space::Host => {
-                        return Err(self.lane_err(
-                            pos,
-                            i,
-                            "kernel dereferenced a host pointer (did you forget cudaMemcpy?)",
-                        ))
-                    }
-                };
-                out[i] = v.map_err(|e| self.lane_err(pos, i, e.0))?;
+                out[i] = kernel_words(self.global, self.env.consts, &self.shared, p)
+                    .and_then(|(words, elem)| memory::load(words, p, elem))
+                    .map_err(|e| self.lane_err(pos, i, e.0))?;
             }
         }
         Ok(out)
@@ -620,21 +618,9 @@ impl<'a> BlockExec<'a> {
         self.charge_memory(ptrs, pos)?;
         for i in 0..self.n {
             if let Some(p) = ptrs[i] {
-                let r = match p.space {
-                    Space::Global => self.env.global.store(p, vals[i]),
-                    Space::Shared => self.shared.store(p, vals[i]),
-                    Space::Constant => {
-                        return Err(self.lane_err(pos, i, "constant memory is read-only"))
-                    }
-                    Space::Host => {
-                        return Err(self.lane_err(
-                            pos,
-                            i,
-                            "kernel wrote through a host pointer (did you forget cudaMemcpy?)",
-                        ))
-                    }
-                };
-                r.map_err(|e| self.lane_err(pos, i, e.0))?;
+                kernel_words_mut(self.global, &mut self.shared, p)
+                    .and_then(|(words, elem)| memory::store(words, p, elem, vals[i]))
+                    .map_err(|e| self.lane_err(pos, i, e.0))?;
             }
         }
         Ok(())
@@ -923,6 +909,12 @@ impl<'a> BlockExec<'a> {
                 Ok(vec![Value::I(0); self.n])
             }
             "atomicAdd" | "atomicMin" | "atomicMax" | "atomicExch" => {
+                let kind = match name {
+                    "atomicAdd" => AtomicKind::Add,
+                    "atomicMin" => AtomicKind::Min,
+                    "atomicMax" => AtomicKind::Max,
+                    _ => AtomicKind::Exch,
+                };
                 let pvals = self.eval(&args[0])?;
                 let vvals = self.eval(&args[1])?;
                 let mut out = vec![Value::I(0); self.n];
@@ -931,23 +923,9 @@ impl<'a> BlockExec<'a> {
                     if self.active[i] {
                         lanes += 1;
                         let p = pvals[i].as_ptr().map_err(|m| self.lane_err(pos, i, m))?;
-                        let old = match p.space {
-                            Space::Global => match name {
-                                "atomicAdd" => self.env.global.atomic_add(p, vvals[i]),
-                                "atomicMin" => self.env.global.atomic_min(p, vvals[i]),
-                                "atomicMax" => self.env.global.atomic_max(p, vvals[i]),
-                                _ => self.env.global.atomic_exch(p, vvals[i]),
-                            },
-                            Space::Shared => self.shared_atomic(name, p, vvals[i]),
-                            _ => {
-                                return Err(self.lane_err(
-                                    pos,
-                                    i,
-                                    format!("{name} requires a global or shared pointer"),
-                                ))
-                            }
-                        };
-                        out[i] = old.map_err(|e| self.lane_err(pos, i, e.0))?;
+                        out[i] = atomic_words(self.global, &mut self.shared, p, name)
+                            .and_then(|(words, elem)| memory::rmw(words, p, elem, kind, vvals[i]))
+                            .map_err(|e| self.lane_err(pos, i, e.0))?;
                     }
                 }
                 self.cost.atomics += lanes;
@@ -967,33 +945,9 @@ impl<'a> BlockExec<'a> {
                         let p = pvals[i].as_ptr().map_err(|m| self.lane_err(pos, i, m))?;
                         let c = cvals[i].as_int().map_err(|m| self.lane_err(pos, i, m))?;
                         let v = vvals[i].as_int().map_err(|m| self.lane_err(pos, i, m))?;
-                        let old = match p.space {
-                            Space::Global => self.env.global.atomic_cas(p, c, v),
-                            Space::Shared => {
-                                let cur = self.shared.load(p);
-                                match cur {
-                                    Ok(cur) => {
-                                        let cur_i = cur.as_int().unwrap_or(0);
-                                        if cur_i == c {
-                                            self.shared
-                                                .store(p, Value::I(v))
-                                                .map(|_| Value::I(cur_i))
-                                        } else {
-                                            Ok(Value::I(cur_i))
-                                        }
-                                    }
-                                    Err(e) => Err(e),
-                                }
-                            }
-                            _ => {
-                                return Err(self.lane_err(
-                                    pos,
-                                    i,
-                                    "atomicCAS requires a global or shared pointer",
-                                ))
-                            }
-                        };
-                        out[i] = old.map_err(|e| self.lane_err(pos, i, e.0))?;
+                        out[i] = atomic_words(self.global, &mut self.shared, p, name)
+                            .and_then(|(words, elem)| memory::cas(words, p, elem, c, v))
+                            .map_err(|e| self.lane_err(pos, i, e.0))?;
                     }
                 }
                 self.cost.atomics += lanes;
@@ -1082,49 +1036,6 @@ impl<'a> BlockExec<'a> {
                 result?;
                 Ok(fr.retvals)
             }
-        }
-    }
-
-    fn shared_atomic(
-        &mut self,
-        name: &str,
-        p: Ptr,
-        v: Value,
-    ) -> Result<Value, crate::memory::MemError> {
-        match name {
-            "atomicAdd" => self.shared.atomic_add(p, v),
-            "atomicExch" => {
-                let old = self.shared.load(p)?;
-                self.shared.store(p, v)?;
-                Ok(old)
-            }
-            "atomicMin" | "atomicMax" => {
-                let old = self.shared.load(p)?;
-                let new = match (old, name) {
-                    (Value::F(a), "atomicMin") => {
-                        Value::F(a.min(v.as_float().map_err(crate::memory::MemError)?))
-                    }
-                    (Value::F(a), _) => {
-                        Value::F(a.max(v.as_float().map_err(crate::memory::MemError)?))
-                    }
-                    (Value::I(a), "atomicMin") => {
-                        Value::I(a.min(v.as_int().map_err(crate::memory::MemError)?))
-                    }
-                    (Value::I(a), _) => {
-                        Value::I(a.max(v.as_int().map_err(crate::memory::MemError)?))
-                    }
-                    _ => {
-                        return Err(crate::memory::MemError(
-                            "atomic on non-numeric element".to_string(),
-                        ))
-                    }
-                };
-                self.shared.store(p, new)?;
-                Ok(old)
-            }
-            _ => Err(crate::memory::MemError(format!(
-                "unsupported shared atomic {name}"
-            ))),
         }
     }
 }

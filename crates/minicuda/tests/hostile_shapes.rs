@@ -1,9 +1,9 @@
-//! Generated sources of hostile shape: each must end in `Ok` or a
-//! typed diagnostic well within a generous time bound, even in a debug
-//! build. A table lookup that degrades to a linear scan turns these
-//! sizes into minutes, so the bound catches it.
+//! Generated sources of hostile shape: each must compile, or compile
+//! and run, to `Ok` or a typed diagnostic well within a generous time
+//! bound, even in a debug build. A table lookup that degrades to a
+//! linear scan turns these sizes into minutes, so the bound catches it.
 
-use minicuda::{compile_analyzed, Dialect, OptLevel, Phase};
+use minicuda::{compile, compile_analyzed, Dialect, OptLevel, Phase};
 use std::fmt::Write;
 use std::time::{Duration, Instant};
 
@@ -71,4 +71,39 @@ fn a_doubling_macro_is_capped_instead_of_filling_memory() {
     let err = compile_within_bound("doubling macro", &src).unwrap_err();
     assert_eq!(err.phase, Phase::Preprocess);
     assert!(err.message.contains("more than 16 MiB"), "{err}");
+}
+
+/// Compile and run `src` on the default options, and check the time
+/// bound over both.
+fn run_within_bound(what: &str, src: &str) -> minicuda::RunOutcome {
+    let started = Instant::now();
+    let program = compile(src, Dialect::Cuda).unwrap_or_else(|d| panic!("{what}: {d}"));
+    let out = minicuda::run(&program, &[], &minicuda::RunOptions::default());
+    let took = started.elapsed();
+    assert!(took < BOUND, "{what}: took {took:?}");
+    out
+}
+
+#[test]
+fn a_hundred_and_fifty_thousand_cuda_mallocs_run() {
+    // Each `cudaMalloc` checks the device's capacity against the words
+    // live at that moment; summing every allocation made so far made
+    // this loop quadratic.
+    let src = "int main() {\n    float* d;\n    \
+               for (int i = 0; i < 150000; i++) { cudaMalloc(&d, 4); }\n    \
+               return 0;\n}\n";
+    let out = run_within_bound("150 000 cudaMallocs", src);
+    assert!(out.ok(), "{:?}", out.error);
+}
+
+#[test]
+fn host_malloc_past_256_mib_is_a_typed_diagnostic() {
+    let src = "int main() {\n    \
+               for (int i = 0; i < 5; i++) { float* p = (float*) malloc(64 << 20); }\n    \
+               return 0;\n}\n";
+    let out = run_within_bound("five 64 MiB mallocs", src);
+    let err = out.error.expect("the fifth malloc fails");
+    assert_eq!(err.phase, Phase::Runtime);
+    assert_eq!((err.pos.line, err.pos.col), (2, 55));
+    assert_eq!(err.message, "malloc failed: out of host memory");
 }
