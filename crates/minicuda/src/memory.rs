@@ -377,16 +377,17 @@ fn copy_span(
         .map_err(|_| MemError("negative destination offset".to_string()))?;
     let soff =
         usize::try_from(src.offset).map_err(|_| MemError("negative source offset".to_string()))?;
-    if doff + n > dst_len {
+    let (dend, send) = (doff.saturating_add(n), soff.saturating_add(n));
+    if dend > dst_len {
         return Err(MemError(format!(
             "copy overruns destination ({} words past end)",
-            doff + n - dst_len
+            dend - dst_len
         )));
     }
-    if soff + n > src_len {
+    if send > src_len {
         return Err(MemError(format!(
             "copy overruns source ({} words past end)",
-            soff + n - src_len
+            send - src_len
         )));
     }
     Ok((doff, soff))
