@@ -649,7 +649,7 @@ mod tests {
     }
 
     #[test]
-    fn atomic_add_returns_old() {
+    fn rmw_add_returns_old() {
         assert_eq!(
             rmw_int(10, AtomicKind::Add, 5),
             (Value::I(10), Value::I(15))
@@ -657,7 +657,7 @@ mod tests {
     }
 
     #[test]
-    fn atomic_add_float() {
+    fn rmw_add_float() {
         let (mut w, p) = ([0u32], fptr(0, 0));
         rmw(&mut w, p, ElemType::F32, AtomicKind::Add, Value::F(1.5)).unwrap();
         rmw(&mut w, p, ElemType::F32, AtomicKind::Add, Value::F(2.5)).unwrap();
@@ -665,13 +665,13 @@ mod tests {
     }
 
     #[test]
-    fn atomic_min_max() {
+    fn rmw_min_max() {
         assert_eq!(rmw_int(10, AtomicKind::Min, 3), (Value::I(10), Value::I(3)));
         assert_eq!(rmw_int(3, AtomicKind::Max, 8), (Value::I(3), Value::I(8)));
     }
 
     #[test]
-    fn atomic_cas_semantics() {
+    fn cas_semantics() {
         let mut w = [5u32];
         // Mismatch: no store, returns current.
         assert_eq!(
@@ -694,7 +694,7 @@ mod tests {
     }
 
     #[test]
-    fn atomic_exch() {
+    fn rmw_exch() {
         assert_eq!(rmw_int(1, AtomicKind::Exch, 2), (Value::I(1), Value::I(2)));
     }
 
