@@ -1163,11 +1163,14 @@ impl<'a> HostExec<'a> {
                 if rows < 0 || cols < 0 {
                     return Err(Diag::new(Phase::Runtime, pos, "negative matrix dimensions"));
                 }
+                let n = rows
+                    .checked_mul(cols)
+                    .ok_or_else(|| Diag::new(Phase::Runtime, pos, "matrix dimensions overflow"))?;
                 let off = usize::try_from(p.offset)
                     .map_err(|_| Diag::new(Phase::Runtime, pos, "negative pointer offset"))?;
                 let data = self
                     .host
-                    .read_f32(p.alloc, off, (rows * cols) as usize)
+                    .read_f32(p.alloc, off, n as usize)
                     .map_err(|e| Diag::new(Phase::Runtime, pos, e.0))?;
                 self.solution = Some(Dataset::Matrix {
                     rows: rows as usize,
@@ -1185,18 +1188,15 @@ impl<'a> HostExec<'a> {
                 let w = self
                     .eval(&args[1])?
                     .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?
-                    as usize;
+                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
                 let h = self
                     .eval(&args[2])?
                     .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?
-                    as usize;
+                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
                 let c = self
                     .eval(&args[3])?
                     .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?
-                    as usize;
+                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
                 if p.space != Space::Host {
                     return Err(Diag::new(
                         Phase::Runtime,
@@ -1204,13 +1204,20 @@ impl<'a> HostExec<'a> {
                         "wbSolutionImage needs a host pointer",
                     ));
                 }
+                if w < 0 || h < 0 || c < 0 {
+                    return Err(Diag::new(Phase::Runtime, pos, "negative image dimensions"));
+                }
+                let n = w
+                    .checked_mul(h)
+                    .and_then(|n| n.checked_mul(c))
+                    .ok_or_else(|| Diag::new(Phase::Runtime, pos, "image dimensions overflow"))?;
                 let off = usize::try_from(p.offset)
                     .map_err(|_| Diag::new(Phase::Runtime, pos, "negative pointer offset"))?;
                 let data = self
                     .host
-                    .read_f32(p.alloc, off, w * h * c)
+                    .read_f32(p.alloc, off, n as usize)
                     .map_err(|e| Diag::new(Phase::Runtime, pos, e.0))?;
-                let img = Image::from_data(w, h, c, data)
+                let img = Image::from_data(w as usize, h as usize, c as usize, data)
                     .map_err(|e| Diag::new(Phase::Runtime, pos, e.to_string()))?;
                 self.solution = Some(Dataset::Image(img));
                 Ok(Value::I(0))

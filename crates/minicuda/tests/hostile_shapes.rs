@@ -107,3 +107,28 @@ fn host_malloc_past_256_mib_is_a_typed_diagnostic() {
     assert_eq!((err.pos.line, err.pos.col), (2, 55));
     assert_eq!(err.message, "malloc failed: out of host memory");
 }
+
+#[test]
+fn a_solution_matrix_whose_size_overflows_is_a_typed_diagnostic() {
+    // 2^32 x 2^32 elements: the product overflowed (a panic in a debug
+    // build, a wrapped size of 0 in release).
+    let src = "int main() {\n    float* h = (float*) malloc(16);\n    \
+               wbSolutionMatrix(h, 4294967296, 4294967296);\n    return 0;\n}\n";
+    let out = run_within_bound("2^32 x 2^32 solution matrix", src);
+    let err = out.error.expect("the matrix is refused");
+    assert_eq!(err.phase, Phase::Runtime);
+    assert_eq!(err.message, "matrix dimensions overflow");
+    assert!(out.solution.is_none());
+}
+
+#[test]
+fn a_solution_image_with_a_negative_dimension_is_a_typed_diagnostic() {
+    // -1 was cast to `usize` before the size was multiplied out.
+    let src = "int main() {\n    float* h = (float*) malloc(16);\n    \
+               wbSolutionImage(h, -1, 2, 3);\n    return 0;\n}\n";
+    let out = run_within_bound("-1 x 2 x 3 solution image", src);
+    let err = out.error.expect("the image is refused");
+    assert_eq!(err.phase, Phase::Runtime);
+    assert_eq!(err.message, "negative image dimensions");
+    assert!(out.solution.is_none());
+}

@@ -5,7 +5,8 @@
 //! This crate rebuilds exactly the slice of database behaviour the
 //! platform depends on:
 //!
-//! * typed **tables** with u64 primary keys and **secondary indexes**
+//! * typed **tables** with u64 primary keys and **secondary indexes**,
+//!   keeping each distinct long text once where a table asks
 //!   ([`table`]);
 //! * a keyed **blob store** standing in for the S3 dataset bucket of
 //!   WebGPU 2.0 ([`blob`]).
@@ -14,4 +15,4 @@ pub mod blob;
 pub mod table;
 
 pub use blob::BlobStore;
-pub use table::{Table, TableError};
+pub use table::{Kept, Table, TableError, Texts};

@@ -1,7 +1,9 @@
 //! Property-based tests: model-checked tables.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use wb_db::Table;
+use std::sync::Arc;
+use wb_db::{Kept, Table, Texts};
 use wb_prop::Gen;
 
 /// Model-based test: the Table agrees with a HashMap across arbitrary
@@ -27,11 +29,39 @@ fn op(g: &mut Gen) -> Op {
     }
 }
 
+/// A row kept as the table's shared copy of its text.
+struct Shared(Arc<str>);
+
+impl Kept<String> for Shared {
+    fn keep(row: &String, texts: &mut Texts) -> Self {
+        Shared(texts.share(row))
+    }
+
+    fn row(&self) -> Cow<'_, String> {
+        Cow::Owned(self.0.to_string())
+    }
+
+    fn release_texts(self, texts: &mut Texts) {
+        texts.release(self.0);
+    }
+}
+
 #[test]
 fn table_matches_model() {
+    matches_model(Table::new);
+}
+
+/// Short texts repeat across rows, so updates and deletes release and
+/// re-take shared texts.
+#[test]
+fn kept_table_matches_model() {
+    matches_model(Table::<String, Shared>::default);
+}
+
+fn matches_model<K: Kept<String>>(new_table: fn() -> Table<String, K>) {
     wb_prop::check(256, |g| {
         let ops = g.vec(0..64, op);
-        let table: Table<String> = Table::new();
+        let table = new_table();
         table.create_index("by_value", |v: &String| v.clone());
         let mut model: BTreeMap<u64, String> = BTreeMap::new();
         let mut ids: Vec<u64> = Vec::new();

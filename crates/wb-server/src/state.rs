@@ -4,7 +4,9 @@
 //! their compilation and execution status, and previous attempts so
 //! that a user can backtrack to earlier versions of their code."*
 
-use wb_db::Table;
+use std::borrow::Cow;
+use std::sync::Arc;
+use wb_db::{Kept, Table, Texts};
 
 /// How a login reached the site (the paper reports ~2% of logins come
 /// from tablets and smartphones, §II-B).
@@ -107,6 +109,107 @@ impl SubmissionRec {
     }
 }
 
+/// How the attempts table keeps an [`AttemptRec`]: its source is the
+/// table's one copy of that text, shared by every attempt that ran it,
+/// and its other texts are private and exactly sized (`Box<str>` has no
+/// capacity word, which pays for the text set's entry when no source
+/// repeats).
+#[derive(Debug)]
+pub struct KeptAttempt {
+    user: Box<str>,
+    lab: Box<str>,
+    dataset: Option<usize>,
+    at_ms: u64,
+    compiled: bool,
+    passed: bool,
+    summary: Box<str>,
+    source: Arc<str>,
+    share_token: Option<u64>,
+}
+
+impl Kept<AttemptRec> for KeptAttempt {
+    fn keep(a: &AttemptRec, texts: &mut Texts) -> Self {
+        KeptAttempt {
+            user: a.user.as_str().into(),
+            lab: a.lab.as_str().into(),
+            dataset: a.dataset,
+            at_ms: a.at_ms,
+            compiled: a.compiled,
+            passed: a.passed,
+            summary: a.summary.as_str().into(),
+            source: texts.share(&a.source),
+            share_token: a.share_token,
+        }
+    }
+
+    fn row(&self) -> Cow<'_, AttemptRec> {
+        Cow::Owned(AttemptRec {
+            user: self.user.to_string(),
+            lab: self.lab.to_string(),
+            dataset: self.dataset,
+            at_ms: self.at_ms,
+            compiled: self.compiled,
+            passed: self.passed,
+            summary: self.summary.to_string(),
+            source: self.source.to_string(),
+            share_token: self.share_token,
+        })
+    }
+
+    fn release_texts(self, texts: &mut Texts) {
+        texts.release(self.source);
+    }
+}
+
+/// How the submissions table keeps a [`SubmissionRec`]: as
+/// [`KeptAttempt`] keeps an attempt.
+#[derive(Debug)]
+pub struct KeptSubmission {
+    user: Box<str>,
+    lab: Box<str>,
+    at_ms: u64,
+    passed: usize,
+    total: usize,
+    compiled: bool,
+    score: f64,
+    override_score: Option<f64>,
+    source: Arc<str>,
+}
+
+impl Kept<SubmissionRec> for KeptSubmission {
+    fn keep(s: &SubmissionRec, texts: &mut Texts) -> Self {
+        KeptSubmission {
+            user: s.user.as_str().into(),
+            lab: s.lab.as_str().into(),
+            at_ms: s.at_ms,
+            passed: s.passed,
+            total: s.total,
+            compiled: s.compiled,
+            score: s.score,
+            override_score: s.override_score,
+            source: texts.share(&s.source),
+        }
+    }
+
+    fn row(&self) -> Cow<'_, SubmissionRec> {
+        Cow::Owned(SubmissionRec {
+            user: self.user.to_string(),
+            lab: self.lab.to_string(),
+            at_ms: self.at_ms,
+            passed: self.passed,
+            total: self.total,
+            compiled: self.compiled,
+            score: self.score,
+            override_score: self.override_score,
+            source: self.source.to_string(),
+        })
+    }
+
+    fn release_texts(self, texts: &mut Texts) {
+        texts.release(self.source);
+    }
+}
+
 /// Short-answer responses (§IV-B component 3). Not auto-graded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnswerRec {
@@ -152,10 +255,10 @@ pub struct ServerState {
     pub users: Table<UserRec>,
     /// Code revisions.
     pub revisions: Table<RevisionRec>,
-    /// Attempts.
-    pub attempts: Table<AttemptRec>,
-    /// Graded submissions.
-    pub submissions: Table<SubmissionRec>,
+    /// Attempts, each source kept once per distinct text.
+    pub attempts: Table<AttemptRec, KeptAttempt>,
+    /// Graded submissions, each source kept once per distinct text.
+    pub submissions: Table<SubmissionRec, KeptSubmission>,
     /// Short answers.
     pub answers: Table<AnswerRec>,
     /// Peer reviews.
@@ -181,12 +284,12 @@ impl ServerState {
             format!("{}/{}", r.user, r.lab)
         });
 
-        let attempts: Table<AttemptRec> = Table::new();
+        let attempts: Table<AttemptRec, KeptAttempt> = Table::default();
         attempts.create_index("by_user_lab", |a: &AttemptRec| {
             format!("{}/{}", a.user, a.lab)
         });
 
-        let submissions: Table<SubmissionRec> = Table::new();
+        let submissions: Table<SubmissionRec, KeptSubmission> = Table::default();
         submissions.create_index("by_user_lab", |s: &SubmissionRec| {
             format!("{}/{}", s.user, s.lab)
         });
