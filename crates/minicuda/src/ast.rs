@@ -9,6 +9,7 @@
 //! [`Stmt`] 32.
 
 use crate::diag::Pos;
+use crate::intrinsic::Intrinsic;
 use std::fmt;
 use std::num::NonZeroU32;
 
@@ -485,10 +486,21 @@ pub enum ExprKind {
     /// `cond ? a : b`: the condition, then `a`, whose successor in the
     /// arena is `b`.
     Ternary(ExprId, ExprId),
-    /// Function or intrinsic call.
+    /// A call as parsed; sema binds each call of a built-in, so a
+    /// checked program holds [`ExprKind::Intrinsic`] for those, and
+    /// `Call` only for user functions.
     Call {
         /// The function called.
         callee: Sym,
+        /// The first argument; the arguments are consecutive.
+        first: ExprId,
+        /// The number of arguments.
+        len: u16,
+    },
+    /// A call of a built-in function, bound by sema to its row.
+    Intrinsic {
+        /// The built-in called.
+        which: Intrinsic,
         /// The first argument; the arguments are consecutive.
         first: ExprId,
         /// The number of arguments.
@@ -506,7 +518,7 @@ pub enum ExprKind {
 }
 
 impl ExprKind {
-    /// The arguments of a [`ExprKind::Call`].
+    /// The arguments of a [`ExprKind::Call`] or [`ExprKind::Intrinsic`].
     pub fn args(first: ExprId, len: u16) -> ExprList {
         ExprList {
             first,

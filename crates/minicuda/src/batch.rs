@@ -99,13 +99,12 @@ use crate::ast::{BinOp, BuiltinVar, Type, UnOp};
 use crate::cost::{self, CostSummary};
 use crate::device::KernelEnv;
 use crate::diag::{Diag, Phase, Pos};
+use crate::intrinsic::Intrinsic;
 use crate::ir::{BlockId, Inst, IrFunc, IrProgram, OclFn, Reg};
 use crate::memory::{
     self, atomic_words, bounds, kernel_words, kernel_words_mut, MemError, MemPool, SharedMem,
 };
-use crate::value::{
-    apply_binop, apply_math_op, apply_unop, math_op, ElemType, MathOp, Ptr, Space, Value,
-};
+use crate::value::{apply_binop, apply_unop, ElemType, MathOp, Ptr, Space, Value};
 use std::collections::HashMap;
 
 const ROW_ASSIGN: &str = "assignment to a whole array row (missing an index?)";
@@ -1060,7 +1059,7 @@ impl<'a> BatchExec<'a> {
                 pos,
             } => {
                 self.charge(*pos, cost::SFU)?;
-                let out = self.exec_math(fr, name, args, *pos)?;
+                let out = self.exec_math(fr, *name, args, *pos)?;
                 self.set(fr, *dst as usize, out);
             }
             Inst::Atomic {
@@ -1421,19 +1420,15 @@ impl<'a> BatchExec<'a> {
     fn exec_math(
         &mut self,
         fr: &Frame,
-        name: &str,
+        which: Intrinsic,
         args: &[Reg],
         pos: Pos,
     ) -> Result<LaneVec, Diag> {
-        // Lowering only emits intrinsics it validated; a name that got
-        // through anyway is the tree-walk's unknown-function error.
-        let Some(op) = math_op(name) else {
-            return Err(self.rt_err(pos, format!("unknown function `{name}`")));
-        };
+        let (op, name) = (which.as_math().expect("a math built-in"), which.name());
         let reg = |k: usize| &fr.regs[args[k] as usize];
         if args.iter().all(|&r| fr.regs[r as usize].is_uniform()) {
             let vals: Vec<Value> = (0..args.len()).map(|k| reg(k).at(0)).collect();
-            let v = apply_math_op(op, name, &vals).map_err(|m| self.first_err(pos, m))?;
+            let v = op.apply(name, &vals).map_err(|m| self.first_err(pos, m))?;
             return Ok(LaneVec::U(v));
         }
         let typed = match args.len() {
@@ -1449,7 +1444,7 @@ impl<'a> BatchExec<'a> {
             for (slot, &r) in lane_args.iter_mut().zip(args) {
                 *slot = fr.regs[r as usize].at(i);
             }
-            apply_math_op(op, name, &lane_args)
+            op.apply(name, &lane_args)
         })
     }
 

@@ -160,6 +160,11 @@ fn representation_edges_match_the_oracle() {
         ("KERNEL_SCOPES", KERNEL_SCOPES),
         ("KERNEL_CONSTANT_SHADOW", KERNEL_CONSTANT_SHADOW),
         ("KERNEL_DEVICE_HELPER", KERNEL_DEVICE_HELPER),
+        ("DEAD_FMIN_OF_INTS_TRAPS", DEAD_FMIN_OF_INTS_TRAPS),
+        (
+            "FMAX_TRAP_IN_A_ZERO_TRIP_LOOP",
+            FMAX_TRAP_IN_A_ZERO_TRIP_LOOP,
+        ),
     ] {
         let src = representation_edge_program(case);
         Executors::compile(&src, Dialect::Cuda).run(name, &[], &opts);

@@ -14,10 +14,11 @@ use crate::cost::{self, CostSummary};
 use crate::device::{self, DeviceConfig};
 use crate::diag::{Diag, Phase, Pos};
 use crate::hostcall::{AllowAll, HostcallPolicy};
-use crate::memory::{self, ConstMem, MemPool};
+use crate::intrinsic::{HostOp, Intrinsic, Op};
+use crate::memory::{self, ConstMem, MemError, MemPool};
 use crate::mpi::{CommWorld, RankComm};
 use crate::sema::Program;
-use crate::value::{apply_binop, apply_math, apply_unop, ElemType, Ptr, Space, Value};
+use crate::value::{apply_binop, apply_unop, ElemType, Ptr, Space, Value};
 use libwb::{Dataset, Image, LogLevel, Logger, Timer, TimerKind};
 
 /// Resource limits and device selection for one run.
@@ -653,6 +654,9 @@ impl<'a> HostExec<'a> {
             ExprKind::Call { callee, first, len } => {
                 self.eval_call(callee, f.list(ExprKind::args(first, len)), pos)
             }
+            ExprKind::Intrinsic { which, first, len } => {
+                self.eval_intrinsic(which, f.list(ExprKind::args(first, len)), pos)
+            }
         }
     }
 
@@ -673,12 +677,30 @@ impl<'a> HostExec<'a> {
         Ok(())
     }
 
+    /// Evaluate a host call's argument and decode it with `decode`
+    /// (`Value::as_int`, `as_ptr` or `as_float`); a value of the wrong
+    /// shape is a runtime diagnostic at the call.
+    fn arg<T>(
+        &mut self,
+        e: &Expr,
+        pos: Pos,
+        decode: fn(&Value) -> Result<T, String>,
+    ) -> Result<T, Diag> {
+        let v = self.eval(e)?;
+        decode(&v).map_err(|m| runtime(pos, m))
+    }
+
+    /// A size argument of host call `name`: an integer, not negative.
+    fn size_arg(&mut self, e: &Expr, name: &str, pos: Pos) -> Result<usize, Diag> {
+        let n = self.arg(e, pos, Value::as_int)?;
+        usize::try_from(n).map_err(|_| runtime(pos, format!("{name} of negative size")))
+    }
+
     /// Evaluate an out-parameter: returns the frame slot to write.
     fn ref_arg(&mut self, e: &Expr) -> Result<u32, Diag> {
         match e.kind {
             ExprKind::AddrOf(_, slot) => Ok(slot),
-            _ => Err(Diag::new(
-                Phase::Runtime,
+            _ => Err(runtime(
                 self.frame.func.pos(e),
                 "this argument must be &variable",
             )),
@@ -688,21 +710,21 @@ impl<'a> HostExec<'a> {
     fn str_arg(&self, e: &Expr) -> Result<String, Diag> {
         match e.kind {
             ExprKind::StrLit(s) => Ok(self.program.name(s).to_string()),
-            _ => Err(Diag::new(
-                Phase::Runtime,
+            _ => Err(runtime(
                 self.frame.func.pos(e),
                 "this argument must be a string literal",
             )),
         }
     }
 
-    fn input(&self, idx: i64, pos: Pos) -> Result<&'a Dataset, Diag> {
+    /// The input dataset a `wbImport*` index argument names.
+    fn input(&mut self, e: &Expr, pos: Pos) -> Result<&'a Dataset, Diag> {
+        let idx = self.arg(e, pos, Value::as_int)?;
         usize::try_from(idx)
             .ok()
             .and_then(|i| self.inputs.get(i))
             .ok_or_else(|| {
-                Diag::new(
-                    Phase::Runtime,
+                runtime(
                     pos,
                     format!(
                         "wbImport index {idx} out of range ({} input datasets)",
@@ -738,96 +760,84 @@ impl<'a> HostExec<'a> {
         p
     }
 
+    fn rank_comm(&self, pos: Pos) -> Result<&RankComm, Diag> {
+        self.comm
+            .as_ref()
+            .ok_or_else(|| runtime(pos, "MPI call outside an MPI run"))
+    }
+
     fn write_out_int(&mut self, arg: &Expr, v: i64, pos: Pos) -> Result<(), Diag> {
         let slot = self.ref_arg(arg)?;
         self.assign_var(slot, Value::I(v), pos)
     }
 
-    fn eval_call(&mut self, sym: Sym, args: &'a [Expr], pos: Pos) -> Result<Value, Diag> {
-        let name = self.program.name(sym);
-        // Pure math: no policy involvement.
-        if crate::value::is_math_intrinsic(name) {
-            let vals: Vec<Value> = args
-                .iter()
-                .map(|a| self.eval(a))
-                .collect::<Result<_, _>>()?;
-            return apply_math(name, &vals)
-                .expect("is_math_intrinsic")
-                .map_err(|m| Diag::new(Phase::Runtime, pos, m));
-        }
+    /// A call of the built-in `which`. A host call is checked against
+    /// the whitelist, and recorded, before it runs; math is pure and
+    /// neither.
+    fn eval_intrinsic(
+        &mut self,
+        which: Intrinsic,
+        args: &'a [Expr],
+        pos: Pos,
+    ) -> Result<Value, Diag> {
+        let name = which.name();
+        let call = match which.op() {
+            Op::Math(op) => {
+                let vals: Vec<Value> = args
+                    .iter()
+                    .map(|a| self.eval(a))
+                    .collect::<Result<_, _>>()?;
+                return op.apply(name, &vals).map_err(|m| runtime(pos, m));
+            }
+            Op::Host(call) => call,
+            Op::Device(_) => unreachable!("sema keeps device built-ins out of host code"),
+        };
+        self.check_policy(name, pos)?;
+        self.host_call(call, name, args, pos)
+    }
 
-        match name {
+    fn host_call(
+        &mut self,
+        call: HostOp,
+        name: &str,
+        args: &'a [Expr],
+        pos: Pos,
+    ) -> Result<Value, Diag> {
+        let mem = |e: MemError| runtime(pos, e.0);
+        let host_offset =
+            |p: Ptr| usize::try_from(p.offset).map_err(|_| runtime(pos, "negative pointer offset"));
+        Ok(match call {
             // ---- memory management ----
-            "malloc" => {
-                self.check_policy(name, pos)?;
-                let bytes = self
-                    .eval(&args[0])?
-                    .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                if bytes < 0 {
-                    return Err(Diag::new(Phase::Runtime, pos, "malloc of negative size"));
+            HostOp::Malloc => {
+                let bytes = self.size_arg(&args[0], name, pos)?;
+                if self.host.live_words() + bytes.div_ceil(4) > HOST_MEM_WORDS {
+                    return Err(runtime(pos, "malloc failed: out of host memory"));
                 }
-                let words = (bytes as usize).div_ceil(4);
-                if self.host.live_words() + words > HOST_MEM_WORDS {
-                    return Err(Diag::new(
-                        Phase::Runtime,
-                        pos,
-                        "malloc failed: out of host memory",
-                    ));
-                }
-                let id = self.host.alloc_bytes(bytes as usize);
-                Ok(Value::P(Ptr {
+                Value::P(Ptr {
                     space: Space::Host,
-                    alloc: id,
+                    alloc: self.host.alloc_bytes(bytes),
                     offset: 0,
                     elem: ElemType::Unknown,
                     level: 0,
-                }))
+                })
             }
-            "free" => {
-                self.check_policy(name, pos)?;
-                let p = self
-                    .eval(&args[0])?
-                    .as_ptr()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
+            HostOp::Free => {
+                let p = self.arg(&args[0], pos, Value::as_ptr)?;
                 if p.space != Space::Host {
-                    return Err(Diag::new(
-                        Phase::Runtime,
-                        pos,
-                        "free() of a non-host pointer (use cudaFree)",
-                    ));
+                    return Err(runtime(pos, "free() of a non-host pointer (use cudaFree)"));
                 }
-                self.host
-                    .free(p.alloc)
-                    .map_err(|e| Diag::new(Phase::Runtime, pos, e.0))?;
-                Ok(Value::I(0))
+                self.host.free(p.alloc).map_err(mem)?;
+                Value::I(0)
             }
-            "cudaMalloc" => {
-                self.check_policy(name, pos)?;
+            HostOp::CudaMalloc => {
                 let out = self.ref_arg(&args[0])?;
-                let bytes = self
-                    .eval(&args[1])?
-                    .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                if bytes < 0 {
-                    return Err(Diag::new(
-                        Phase::Runtime,
-                        pos,
-                        "cudaMalloc of negative size",
-                    ));
+                let bytes = self.size_arg(&args[1], name, pos)?;
+                if self.dev.live_words() + bytes.div_ceil(4) > self.opts.device.global_mem_words {
+                    return Err(runtime(pos, "cudaMalloc failed: out of device memory"));
                 }
-                let words = (bytes as usize).div_ceil(4);
-                if self.dev.live_words() + words > self.opts.device.global_mem_words {
-                    return Err(Diag::new(
-                        Phase::Runtime,
-                        pos,
-                        "cudaMalloc failed: out of device memory",
-                    ));
-                }
-                let id = self.dev.alloc_bytes(bytes as usize);
                 let p = Ptr {
                     space: Space::Global,
-                    alloc: id,
+                    alloc: self.dev.alloc_bytes(bytes),
                     offset: 0,
                     elem: ElemType::Unknown,
                     level: 0,
@@ -835,60 +845,35 @@ impl<'a> HostExec<'a> {
                 // assign_var coerces through the declared pointer type,
                 // which stamps the element interpretation.
                 self.assign_var(out, Value::P(p), pos)?;
-                Ok(Value::I(0))
+                Value::I(0)
             }
-            "cudaFree" => {
-                self.check_policy(name, pos)?;
-                let p = self
-                    .eval(&args[0])?
-                    .as_ptr()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
+            HostOp::CudaFree => {
+                let p = self.arg(&args[0], pos, Value::as_ptr)?;
                 if p.space != Space::Global {
-                    return Err(Diag::new(
-                        Phase::Runtime,
-                        pos,
-                        "cudaFree of a non-device pointer",
-                    ));
+                    return Err(runtime(pos, "cudaFree of a non-device pointer"));
                 }
-                self.dev
-                    .free(p.alloc)
-                    .map_err(|e| Diag::new(Phase::Runtime, pos, e.0))?;
-                Ok(Value::I(0))
+                self.dev.free(p.alloc).map_err(mem)?;
+                Value::I(0)
             }
-            "cudaMemcpy" => {
-                self.check_policy(name, pos)?;
-                let dst = self
-                    .eval(&args[0])?
-                    .as_ptr()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                let src = self
-                    .eval(&args[1])?
-                    .as_ptr()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                let bytes = self
-                    .eval(&args[2])?
-                    .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                let dir = self
-                    .eval(&args[3])?
-                    .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
+            HostOp::CudaMemcpy => {
+                let dst = self.arg(&args[0], pos, Value::as_ptr)?;
+                let src = self.arg(&args[1], pos, Value::as_ptr)?;
+                let words = self.size_arg(&args[2], name, pos)?.div_ceil(4);
+                let dir = self.arg(&args[3], pos, Value::as_int)?;
                 let (want_dst, want_src) = match dir {
                     0 => (Space::Global, Space::Host),
                     1 => (Space::Host, Space::Global),
                     2 => (Space::Global, Space::Global),
                     3 => (Space::Host, Space::Host),
                     other => {
-                        return Err(Diag::new(
-                            Phase::Runtime,
+                        return Err(runtime(
                             pos,
                             format!("invalid cudaMemcpy direction {other}"),
                         ))
                     }
                 };
                 if dst.space != want_dst || src.space != want_src {
-                    return Err(Diag::new(
-                        Phase::Runtime,
+                    return Err(runtime(
                         pos,
                         format!(
                             "cudaMemcpy direction says {}→{} but pointers are {}→{}",
@@ -899,347 +884,207 @@ impl<'a> HostExec<'a> {
                         ),
                     ));
                 }
-                let words = (bytes as usize).div_ceil(4);
                 match dir {
                     0 => self.dev.copy_from(dst, &self.host, src, words),
                     1 => self.host.copy_from(dst, &self.dev, src, words),
                     2 => self.dev.copy_within(dst, src, words),
                     _ => self.host.copy_within(dst, src, words),
                 }
-                .map_err(|e| Diag::new(Phase::Runtime, pos, e.0))?;
+                .map_err(mem)?;
                 match dir {
                     0 => self.cost.words_h2d += words as u64,
                     1 => self.cost.words_d2h += words as u64,
                     _ => {}
                 }
                 self.clock += cost::COPY_WORD * words as u64;
-                Ok(Value::I(0))
+                Value::I(0)
             }
-            "cudaMemcpyToSymbol" => {
-                self.check_policy(name, pos)?;
-                let sym = self
-                    .eval(&args[0])?
-                    .as_ptr()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
+            HostOp::CudaMemcpyToSymbol => {
+                let sym = self.arg(&args[0], pos, Value::as_ptr)?;
                 if sym.space != Space::Constant {
-                    return Err(Diag::new(
-                        Phase::Runtime,
+                    return Err(runtime(
                         pos,
                         "cudaMemcpyToSymbol needs a __constant__ symbol",
                     ));
                 }
-                let src = self
-                    .eval(&args[1])?
-                    .as_ptr()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
+                let src = self.arg(&args[1], pos, Value::as_ptr)?;
                 if src.space != Space::Host {
-                    return Err(Diag::new(
-                        Phase::Runtime,
+                    return Err(runtime(
                         pos,
                         "cudaMemcpyToSymbol source must be host memory",
                     ));
                 }
-                let bytes = self
-                    .eval(&args[2])?
-                    .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                let words = (bytes as usize).div_ceil(4);
+                let words = self.size_arg(&args[2], name, pos)?.div_ceil(4);
                 self.consts
                     .fill_from(sym.alloc, &self.host, src, words)
-                    .map_err(|e| Diag::new(Phase::Runtime, pos, e.0))?;
+                    .map_err(mem)?;
                 self.cost.words_h2d += words as u64;
                 self.clock += cost::COPY_WORD * words as u64;
-                Ok(Value::I(0))
+                Value::I(0)
             }
-            "cudaDeviceSynchronize" | "cudaGetLastError" => {
-                self.check_policy(name, pos)?;
-                Ok(Value::I(0))
+            HostOp::CudaDeviceSynchronize | HostOp::CudaGetLastError => Value::I(0),
+            HostOp::CudaSetDevice => {
+                self.eval(&args[0])?;
+                Value::I(0)
             }
-            "cudaSetDevice" => {
-                self.check_policy(name, pos)?;
-                let _ = self.eval(&args[0])?;
-                Ok(Value::I(0))
-            }
-            "cudaGetDeviceCount" => {
-                self.check_policy(name, pos)?;
+            HostOp::CudaGetDeviceCount => {
                 // One simulated device per rank.
                 self.write_out_int(&args[0], 1, pos)?;
-                Ok(Value::I(0))
+                Value::I(0)
             }
 
             // ---- dataset import ----
-            "wbImportVector" => {
-                self.check_policy(name, pos)?;
-                let idx = self
-                    .eval(&args[0])?
-                    .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
+            HostOp::WbImportVector => {
                 let data = self
-                    .input(idx, pos)?
+                    .input(&args[0], pos)?
                     .as_vector()
-                    .map_err(|e| Diag::new(Phase::Runtime, pos, e.to_string()))?;
+                    .map_err(|e| runtime(pos, e.to_string()))?;
                 self.write_out_int(&args[1], data.len() as i64, pos)?;
-                Ok(Value::P(self.alloc_host_f32(data)))
+                Value::P(self.alloc_host_f32(data))
             }
-            "wbImportIntVector" => {
-                self.check_policy(name, pos)?;
-                let idx = self
-                    .eval(&args[0])?
-                    .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
+            HostOp::WbImportIntVector => {
                 let data = self
-                    .input(idx, pos)?
+                    .input(&args[0], pos)?
                     .as_int_vector()
-                    .map_err(|e| Diag::new(Phase::Runtime, pos, e.to_string()))?;
+                    .map_err(|e| runtime(pos, e.to_string()))?;
                 self.write_out_int(&args[1], data.len() as i64, pos)?;
-                Ok(Value::P(self.alloc_host_i32(data.iter().copied())))
+                Value::P(self.alloc_host_i32(data.iter().copied()))
             }
-            "wbImportMatrix" => {
-                self.check_policy(name, pos)?;
-                let idx = self
-                    .eval(&args[0])?
-                    .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
+            HostOp::WbImportMatrix => {
                 let (rows, cols, data) = self
-                    .input(idx, pos)?
+                    .input(&args[0], pos)?
                     .as_matrix()
-                    .map_err(|e| Diag::new(Phase::Runtime, pos, e.to_string()))?;
+                    .map_err(|e| runtime(pos, e.to_string()))?;
                 self.write_out_int(&args[1], rows as i64, pos)?;
                 self.write_out_int(&args[2], cols as i64, pos)?;
-                Ok(Value::P(self.alloc_host_f32(data)))
+                Value::P(self.alloc_host_f32(data))
             }
-            "wbImportImage" => {
-                self.check_policy(name, pos)?;
-                let idx = self
-                    .eval(&args[0])?
-                    .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                let img = match self.input(idx, pos)? {
+            HostOp::WbImportImage => {
+                let img = match self.input(&args[0], pos)? {
                     Dataset::Image(img) => img,
-                    other => {
-                        return Err(Diag::new(
-                            Phase::Runtime,
-                            pos,
-                            format!("expected image dataset, found {}", other.kind()),
-                        ))
-                    }
+                    other => return Err(wrong_dataset(pos, "image", other)),
                 };
                 self.write_out_int(&args[1], img.width() as i64, pos)?;
                 self.write_out_int(&args[2], img.height() as i64, pos)?;
                 self.write_out_int(&args[3], img.channels() as i64, pos)?;
-                Ok(Value::P(self.alloc_host_f32(img.data())))
+                Value::P(self.alloc_host_f32(img.data()))
             }
-            "wbImportCsrRowPtr" | "wbImportCsrColIdx" | "wbImportCsrValues" => {
-                self.check_policy(name, pos)?;
-                let idx = self
-                    .eval(&args[0])?
-                    .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                let m = match self.input(idx, pos)? {
+            HostOp::WbImportCsrRowPtr | HostOp::WbImportCsrColIdx | HostOp::WbImportCsrValues => {
+                let m = match self.input(&args[0], pos)? {
                     Dataset::Sparse(m) => m,
-                    other => {
-                        return Err(Diag::new(
-                            Phase::Runtime,
-                            pos,
-                            format!("expected sparse dataset, found {}", other.kind()),
-                        ))
-                    }
+                    other => return Err(wrong_dataset(pos, "sparse", other)),
                 };
-                match name {
-                    "wbImportCsrRowPtr" => {
+                match call {
+                    HostOp::WbImportCsrRowPtr => {
                         self.write_out_int(&args[1], m.rows() as i64, pos)?;
-                        Ok(Value::P(self.alloc_host_i32(narrow(m.row_ptr()))))
+                        Value::P(self.alloc_host_i32(narrow(m.row_ptr())))
                     }
-                    "wbImportCsrColIdx" => {
+                    HostOp::WbImportCsrColIdx => {
                         self.write_out_int(&args[1], m.nnz() as i64, pos)?;
-                        Ok(Value::P(self.alloc_host_i32(narrow(m.col_idx()))))
+                        Value::P(self.alloc_host_i32(narrow(m.col_idx())))
                     }
                     _ => {
                         self.write_out_int(&args[1], m.nnz() as i64, pos)?;
-                        Ok(Value::P(self.alloc_host_f32(m.values())))
+                        Value::P(self.alloc_host_f32(m.values()))
                     }
                 }
             }
-            "wbImportGraphRowPtr" | "wbImportGraphNeighbors" => {
-                self.check_policy(name, pos)?;
-                let idx = self
-                    .eval(&args[0])?
-                    .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                let g = match self.input(idx, pos)? {
+            HostOp::WbImportGraphRowPtr | HostOp::WbImportGraphNeighbors => {
+                let g = match self.input(&args[0], pos)? {
                     Dataset::Graph(g) => g,
-                    other => {
-                        return Err(Diag::new(
-                            Phase::Runtime,
-                            pos,
-                            format!("expected graph dataset, found {}", other.kind()),
-                        ))
-                    }
+                    other => return Err(wrong_dataset(pos, "graph", other)),
                 };
-                if name == "wbImportGraphRowPtr" {
+                if call == HostOp::WbImportGraphRowPtr {
                     self.write_out_int(&args[1], g.num_nodes() as i64, pos)?;
-                    Ok(Value::P(self.alloc_host_i32(narrow(g.row_ptr()))))
+                    Value::P(self.alloc_host_i32(narrow(g.row_ptr())))
                 } else {
                     self.write_out_int(&args[1], g.num_edges() as i64, pos)?;
-                    Ok(Value::P(self.alloc_host_i32(narrow(g.neighbors()))))
+                    Value::P(self.alloc_host_i32(narrow(g.neighbors())))
                 }
             }
-            "wbImportScalar" => {
-                self.check_policy(name, pos)?;
-                let idx = self
-                    .eval(&args[0])?
-                    .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                match self.input(idx, pos)? {
-                    Dataset::Scalar(x) => Ok(Value::F(*x)),
-                    other => Err(Diag::new(
-                        Phase::Runtime,
-                        pos,
-                        format!("expected scalar dataset, found {}", other.kind()),
-                    )),
-                }
-            }
+            HostOp::WbImportScalar => match self.input(&args[0], pos)? {
+                Dataset::Scalar(x) => Value::F(*x),
+                other => return Err(wrong_dataset(pos, "scalar", other)),
+            },
 
             // ---- solution export ----
-            "wbSolution" | "wbSolutionInt" => {
-                self.check_policy(name, pos)?;
-                let p = self
-                    .eval(&args[0])?
-                    .as_ptr()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                let n = self
-                    .eval(&args[1])?
-                    .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
+            HostOp::WbSolution | HostOp::WbSolutionInt => {
+                let p = self.arg(&args[0], pos, Value::as_ptr)?;
+                let n = self.arg(&args[1], pos, Value::as_int)?;
                 if p.space != Space::Host {
-                    return Err(Diag::new(
-                        Phase::Runtime,
+                    return Err(runtime(
                         pos,
                         "wbSolution needs a host pointer (copy your result back first)",
                     ));
                 }
                 if n < 0 {
-                    return Err(Diag::new(Phase::Runtime, pos, "negative solution length"));
+                    return Err(runtime(pos, "negative solution length"));
                 }
-                let off = usize::try_from(p.offset)
-                    .map_err(|_| Diag::new(Phase::Runtime, pos, "negative pointer offset"))?;
-                let ds = if name == "wbSolution" {
-                    Dataset::Vector(
-                        self.host
-                            .read_f32(p.alloc, off, n as usize)
-                            .map_err(|e| Diag::new(Phase::Runtime, pos, e.0))?,
-                    )
+                let off = host_offset(p)?;
+                self.solution = Some(if call == HostOp::WbSolution {
+                    Dataset::Vector(self.host.read_f32(p.alloc, off, n as usize).map_err(mem)?)
                 } else {
-                    Dataset::IntVector(
-                        self.host
-                            .read_i32(p.alloc, off, n as usize)
-                            .map_err(|e| Diag::new(Phase::Runtime, pos, e.0))?,
-                    )
-                };
-                self.solution = Some(ds);
-                Ok(Value::I(0))
+                    Dataset::IntVector(self.host.read_i32(p.alloc, off, n as usize).map_err(mem)?)
+                });
+                Value::I(0)
             }
-            "wbSolutionMatrix" => {
-                self.check_policy(name, pos)?;
-                let p = self
-                    .eval(&args[0])?
-                    .as_ptr()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                let rows = self
-                    .eval(&args[1])?
-                    .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                let cols = self
-                    .eval(&args[2])?
-                    .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
+            HostOp::WbSolutionMatrix => {
+                let p = self.arg(&args[0], pos, Value::as_ptr)?;
+                let rows = self.arg(&args[1], pos, Value::as_int)?;
+                let cols = self.arg(&args[2], pos, Value::as_int)?;
                 if p.space != Space::Host {
-                    return Err(Diag::new(
-                        Phase::Runtime,
-                        pos,
-                        "wbSolutionMatrix needs a host pointer",
-                    ));
+                    return Err(runtime(pos, "wbSolutionMatrix needs a host pointer"));
                 }
                 if rows < 0 || cols < 0 {
-                    return Err(Diag::new(Phase::Runtime, pos, "negative matrix dimensions"));
+                    return Err(runtime(pos, "negative matrix dimensions"));
                 }
                 let n = rows
                     .checked_mul(cols)
-                    .ok_or_else(|| Diag::new(Phase::Runtime, pos, "matrix dimensions overflow"))?;
-                let off = usize::try_from(p.offset)
-                    .map_err(|_| Diag::new(Phase::Runtime, pos, "negative pointer offset"))?;
+                    .ok_or_else(|| runtime(pos, "matrix dimensions overflow"))?;
                 let data = self
                     .host
-                    .read_f32(p.alloc, off, n as usize)
-                    .map_err(|e| Diag::new(Phase::Runtime, pos, e.0))?;
+                    .read_f32(p.alloc, host_offset(p)?, n as usize)
+                    .map_err(mem)?;
                 self.solution = Some(Dataset::Matrix {
                     rows: rows as usize,
                     cols: cols as usize,
                     data,
                 });
-                Ok(Value::I(0))
+                Value::I(0)
             }
-            "wbSolutionImage" => {
-                self.check_policy(name, pos)?;
-                let p = self
-                    .eval(&args[0])?
-                    .as_ptr()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                let w = self
-                    .eval(&args[1])?
-                    .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                let h = self
-                    .eval(&args[2])?
-                    .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                let c = self
-                    .eval(&args[3])?
-                    .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
+            HostOp::WbSolutionImage => {
+                let p = self.arg(&args[0], pos, Value::as_ptr)?;
+                let w = self.arg(&args[1], pos, Value::as_int)?;
+                let h = self.arg(&args[2], pos, Value::as_int)?;
+                let c = self.arg(&args[3], pos, Value::as_int)?;
                 if p.space != Space::Host {
-                    return Err(Diag::new(
-                        Phase::Runtime,
-                        pos,
-                        "wbSolutionImage needs a host pointer",
-                    ));
+                    return Err(runtime(pos, "wbSolutionImage needs a host pointer"));
                 }
                 if w < 0 || h < 0 || c < 0 {
-                    return Err(Diag::new(Phase::Runtime, pos, "negative image dimensions"));
+                    return Err(runtime(pos, "negative image dimensions"));
                 }
                 let n = w
                     .checked_mul(h)
                     .and_then(|n| n.checked_mul(c))
-                    .ok_or_else(|| Diag::new(Phase::Runtime, pos, "image dimensions overflow"))?;
-                let off = usize::try_from(p.offset)
-                    .map_err(|_| Diag::new(Phase::Runtime, pos, "negative pointer offset"))?;
+                    .ok_or_else(|| runtime(pos, "image dimensions overflow"))?;
                 let data = self
                     .host
-                    .read_f32(p.alloc, off, n as usize)
-                    .map_err(|e| Diag::new(Phase::Runtime, pos, e.0))?;
+                    .read_f32(p.alloc, host_offset(p)?, n as usize)
+                    .map_err(mem)?;
                 let img = Image::from_data(w as usize, h as usize, c as usize, data)
-                    .map_err(|e| Diag::new(Phase::Runtime, pos, e.to_string()))?;
+                    .map_err(|e| runtime(pos, e.to_string()))?;
                 self.solution = Some(Dataset::Image(img));
-                Ok(Value::I(0))
+                Value::I(0)
             }
-            "wbSolutionScalar" => {
-                self.check_policy(name, pos)?;
-                let x = self
-                    .eval(&args[0])?
-                    .as_float()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
+            HostOp::WbSolutionScalar => {
+                let x = self.arg(&args[0], pos, Value::as_float)?;
                 self.solution = Some(Dataset::Scalar(x));
-                Ok(Value::I(0))
+                Value::I(0)
             }
 
             // ---- logging & timing ----
-            "wbLog" => {
-                self.check_policy(name, pos)?;
-                let level_code = self
-                    .eval(&args[0])?
-                    .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                let level = match level_code {
+            HostOp::WbLog => {
+                let level = match self.arg(&args[0], pos, Value::as_int)? {
                     10 => LogLevel::Trace,
                     11 => LogLevel::Debug,
                     12 => LogLevel::Info,
@@ -1260,22 +1105,17 @@ impl<'a> HostExec<'a> {
                     }
                 }
                 self.logger.log(level, msg);
-                Ok(Value::I(0))
+                Value::I(0)
             }
-            "wbTime_start" | "wbTime_stop" => {
-                self.check_policy(name, pos)?;
-                let kind_code = self
-                    .eval(&args[0])?
-                    .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                let kind = match kind_code {
+            HostOp::WbTimeStart | HostOp::WbTimeStop => {
+                let kind = match self.arg(&args[0], pos, Value::as_int)? {
                     101 => TimerKind::Gpu,
                     102 => TimerKind::Copy,
                     103 => TimerKind::Compute,
                     _ => TimerKind::Generic,
                 };
                 let msg = self.str_arg(&args[1])?;
-                if name == "wbTime_start" {
+                if call == HostOp::WbTimeStart {
                     self.timer.start(kind, msg, self.clock);
                 } else if self.timer.stop(kind, &msg, self.clock).is_none() {
                     self.logger.log(
@@ -1283,91 +1123,47 @@ impl<'a> HostExec<'a> {
                         format!("wbTime_stop({msg:?}) without matching wbTime_start"),
                     );
                 }
-                Ok(Value::I(0))
+                Value::I(0)
             }
 
             // ---- MPI ----
-            "wbMPI_rank" => {
-                self.check_policy(name, pos)?;
-                Ok(Value::I(self.comm.as_ref().map_or(0, |c| c.rank() as i64)))
-            }
-            "wbMPI_size" => {
-                self.check_policy(name, pos)?;
-                Ok(Value::I(self.comm.as_ref().map_or(1, |c| c.size() as i64)))
-            }
-            "wbMPI_barrier" => {
-                self.check_policy(name, pos)?;
+            HostOp::WbMpiRank => Value::I(self.comm.as_ref().map_or(0, |c| c.rank() as i64)),
+            HostOp::WbMpiSize => Value::I(self.comm.as_ref().map_or(1, |c| c.size() as i64)),
+            HostOp::WbMpiBarrier => {
                 if let Some(c) = &self.comm {
                     c.barrier();
                 }
-                Ok(Value::I(0))
+                Value::I(0)
             }
-            "wbMPI_sendFloat" => {
-                self.check_policy(name, pos)?;
-                let dst = self
-                    .eval(&args[0])?
-                    .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                let p = self
-                    .eval(&args[1])?
-                    .as_ptr()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                let n = self
-                    .eval(&args[2])?
-                    .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
+            HostOp::WbMpiSendFloat => {
+                let dst = self.arg(&args[0], pos, Value::as_int)?;
+                let p = self.arg(&args[1], pos, Value::as_ptr)?;
+                let n = self.size_arg(&args[2], name, pos)?;
                 if p.space != Space::Host {
-                    return Err(Diag::new(
-                        Phase::Runtime,
-                        pos,
-                        "wbMPI_sendFloat needs a host pointer",
-                    ));
+                    return Err(runtime(pos, "wbMPI_sendFloat needs a host pointer"));
                 }
-                let off = usize::try_from(p.offset)
-                    .map_err(|_| Diag::new(Phase::Runtime, pos, "negative pointer offset"))?;
                 let data = self
                     .host
-                    .read_f32(p.alloc, off, n as usize)
-                    .map_err(|e| Diag::new(Phase::Runtime, pos, e.0))?;
-                let c = self
-                    .comm
-                    .as_ref()
-                    .ok_or_else(|| Diag::new(Phase::Runtime, pos, "MPI call outside an MPI run"))?;
-                c.send(dst as usize, data)
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                Ok(Value::I(0))
+                    .read_f32(p.alloc, host_offset(p)?, n)
+                    .map_err(mem)?;
+                self.rank_comm(pos)?
+                    .send(dst as usize, data)
+                    .map_err(|m| runtime(pos, m))?;
+                Value::I(0)
             }
-            "wbMPI_recvFloat" => {
-                self.check_policy(name, pos)?;
-                let src = self
-                    .eval(&args[0])?
-                    .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                let p = self
-                    .eval(&args[1])?
-                    .as_ptr()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                let n = self
-                    .eval(&args[2])?
-                    .as_int()
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
+            HostOp::WbMpiRecvFloat => {
+                let src = self.arg(&args[0], pos, Value::as_int)?;
+                let p = self.arg(&args[1], pos, Value::as_ptr)?;
+                let n = self.arg(&args[2], pos, Value::as_int)?;
                 if p.space != Space::Host {
-                    return Err(Diag::new(
-                        Phase::Runtime,
-                        pos,
-                        "wbMPI_recvFloat needs a host pointer",
-                    ));
+                    return Err(runtime(pos, "wbMPI_recvFloat needs a host pointer"));
                 }
-                let c = self
-                    .comm
-                    .as_ref()
-                    .ok_or_else(|| Diag::new(Phase::Runtime, pos, "MPI call outside an MPI run"))?;
-                let data = c
+                let data = self
+                    .rank_comm(pos)?
                     .recv(src as usize)
-                    .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
+                    .map_err(|m| runtime(pos, m))?;
                 if data.len() != n as usize {
-                    return Err(Diag::new(
-                        Phase::Runtime,
+                    return Err(runtime(
                         pos,
                         format!(
                             "wbMPI_recvFloat expected {n} values but the message has {}",
@@ -1376,53 +1172,57 @@ impl<'a> HostExec<'a> {
                     ));
                 }
                 if p.offset < 0 {
-                    return Err(Diag::new(Phase::Runtime, pos, "negative pointer offset"));
+                    return Err(runtime(pos, "negative pointer offset"));
                 }
-                self.host
-                    .write_f32(p, &data)
-                    .map_err(|e| Diag::new(Phase::Runtime, pos, e.0))?;
-                Ok(Value::I(0))
+                self.host.write_f32(p, &data).map_err(mem)?;
+                Value::I(0)
             }
 
-            "exit" => {
-                self.check_policy(name, pos)?;
+            HostOp::Exit => {
                 let code = self.eval(&args[0])?.as_int().unwrap_or(1);
-                Err(Diag::new(Phase::Runtime, pos, format!("__exit__:{code}")))
+                return Err(runtime(pos, format!("__exit__:{code}")));
             }
+        })
+    }
 
-            // ---- user host function ----
-            _ => {
-                let program = self.program;
-                let f = program.func_named(sym).ok_or_else(|| {
-                    Diag::new(Phase::Runtime, pos, format!("unknown function `{name}`"))
-                })?;
-                if self.call_depth >= 48 {
-                    return Err(Diag::new(
-                        Phase::Runtime,
-                        pos,
-                        format!("recursion limit reached calling `{name}`"),
-                    ));
-                }
-                let mut argv = Vec::with_capacity(args.len());
-                for (a, p) in args.iter().zip(&f.params) {
-                    let v = self.eval(a)?;
-                    argv.push(
-                        v.coerce_to(&p.ty)
-                            .map_err(|m| Diag::new(Phase::Runtime, pos, m))?,
-                    );
-                }
-                let caller = std::mem::replace(&mut self.frame, Frame::enter(f, argv));
-                self.call_depth += 1;
-                let flow = self.exec_block(f.body);
-                self.call_depth -= 1;
-                self.frame = caller;
-                match flow? {
-                    Flow::Return(v) => Ok(v),
-                    _ => Ok(Value::I(0)),
-                }
-            }
+    /// A user host function call.
+    fn eval_call(&mut self, sym: Sym, args: &'a [Expr], pos: Pos) -> Result<Value, Diag> {
+        let program = self.program;
+        let f = program.func_named(sym).expect("sema binds every call");
+        if self.call_depth >= 48 {
+            return Err(runtime(
+                pos,
+                format!("recursion limit reached calling `{}`", program.name(sym)),
+            ));
+        }
+        let mut argv = Vec::with_capacity(args.len());
+        for (a, p) in args.iter().zip(&f.params) {
+            let v = self.eval(a)?;
+            argv.push(v.coerce_to(&p.ty).map_err(|m| runtime(pos, m))?);
+        }
+        let caller = std::mem::replace(&mut self.frame, Frame::enter(f, argv));
+        self.call_depth += 1;
+        let flow = self.exec_block(f.body);
+        self.call_depth -= 1;
+        self.frame = caller;
+        match flow? {
+            Flow::Return(v) => Ok(v),
+            _ => Ok(Value::I(0)),
         }
     }
+}
+
+/// A runtime diagnostic at `pos`.
+fn runtime(pos: Pos, message: impl Into<String>) -> Diag {
+    Diag::new(Phase::Runtime, pos, message)
+}
+
+/// A `wbImport*` of a dataset of the wrong kind.
+fn wrong_dataset(pos: Pos, want: &str, found: &Dataset) -> Diag {
+    runtime(
+        pos,
+        format!("expected {want} dataset, found {}", found.kind()),
+    )
 }
 
 #[cfg(test)]

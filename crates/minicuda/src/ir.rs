@@ -28,6 +28,7 @@
 
 use crate::ast::{vec_bytes, BinOp, BuiltinVar, Type, UnOp};
 use crate::diag::Pos;
+use crate::intrinsic::Intrinsic;
 use crate::value::{ElemType, Value};
 
 /// Version tag for the IR + lowering semantics. Absorbed into
@@ -93,21 +94,6 @@ pub enum OclFn {
     NumGroups,
     /// `get_global_size`
     GlobalSize,
-}
-
-impl OclFn {
-    /// Map a source name to the query kind.
-    pub fn from_name(name: &str) -> Option<OclFn> {
-        Some(match name {
-            "get_global_id" => OclFn::GlobalId,
-            "get_local_id" => OclFn::LocalId,
-            "get_group_id" => OclFn::GroupId,
-            "get_local_size" => OclFn::LocalSize,
-            "get_num_groups" => OclFn::NumGroups,
-            "get_global_size" => OclFn::GlobalSize,
-            _ => return None,
-        })
-    }
 }
 
 /// One IR instruction.
@@ -251,12 +237,13 @@ pub enum Inst {
         /// Source position.
         pos: Pos,
     },
-    /// Pure math intrinsic (`sqrtf`, `min`, …).
+    /// Pure math built-in (`sqrtf`, `min`, …).
     Math {
         /// Destination.
         dst: Reg,
-        /// Intrinsic name (one of `value::math_name`'s).
-        name: &'static str,
+        /// The built-in sema bound the call to; its `Debug` is its
+        /// spelling.
+        name: Intrinsic,
         /// Arguments.
         args: Box<[Reg]>,
         /// Source position.
@@ -679,8 +666,11 @@ mod tests {
 
     #[test]
     fn ocl_names_round_trip() {
-        assert_eq!(OclFn::from_name("get_global_id"), Some(OclFn::GlobalId));
-        assert_eq!(OclFn::from_name("get_global_size"), Some(OclFn::GlobalSize));
-        assert_eq!(OclFn::from_name("nope"), None);
+        use crate::intrinsic::{DeviceOp, Op};
+        let op = |name| Intrinsic::lookup(name).map(Intrinsic::op);
+        let query = |q| Some(Op::Device(DeviceOp::WorkItem(q)));
+        assert_eq!(op("get_global_id"), query(OclFn::GlobalId));
+        assert_eq!(op("get_global_size"), query(OclFn::GlobalSize));
+        assert_eq!(op("nope"), None);
     }
 }

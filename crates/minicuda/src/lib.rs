@@ -76,6 +76,7 @@ mod differential;
 mod fx;
 pub mod host;
 pub mod hostcall;
+pub mod intrinsic;
 pub mod ir;
 pub mod lexer;
 pub mod lower;

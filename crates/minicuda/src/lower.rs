@@ -34,6 +34,7 @@
 use crate::ast::*;
 use crate::diag::Pos;
 use crate::fx::FxHashMap;
+use crate::intrinsic::{DeviceOp, Intrinsic, Op};
 use crate::ir::*;
 use crate::sema::{const_eval, Program};
 use crate::value::{ElemType, Value};
@@ -464,6 +465,9 @@ impl<'a> Lower<'a> {
             ExprKind::Call { callee, first, len } => {
                 self.lower_call(callee, ExprKind::args(first, len), pos)
             }
+            ExprKind::Intrinsic { which, first, len } => {
+                self.lower_intrinsic(which, ExprKind::args(first, len), pos)
+            }
         }
     }
 
@@ -473,11 +477,10 @@ impl<'a> Lower<'a> {
         dst
     }
 
-    fn lower_call(&mut self, callee: Sym, args: ExprList, pos: Pos) -> Reg {
-        let name = self.prog.name(callee);
+    fn lower_intrinsic(&mut self, which: Intrinsic, args: ExprList, pos: Pos) -> Reg {
         let arg = |k: usize| args.ids().nth(k).expect("sema checked the arity");
-        match name {
-            "__syncthreads" | "barrier" => {
+        match which.op() {
+            Op::Device(DeviceOp::Barrier) => {
                 if let Some(flag) = args.ids().next() {
                     // barrier(fence_flag): evaluated, irrelevant.
                     self.lower_expr(flag);
@@ -485,41 +488,34 @@ impl<'a> Lower<'a> {
                 self.emit(Inst::Barrier { pos });
                 self.constant(Value::I(0))
             }
-            "atomicAdd" | "atomicMin" | "atomicMax" | "atomicExch" => {
-                let kind = match name {
-                    "atomicAdd" => AtomicKind::Add,
-                    "atomicMin" => AtomicKind::Min,
-                    "atomicMax" => AtomicKind::Max,
-                    _ => AtomicKind::Exch,
-                };
-                let p = self.lower_expr(arg(0));
-                let v = self.lower_expr(arg(1));
+            Op::Device(DeviceOp::Atomic(kind)) => {
+                let ptr = self.lower_expr(arg(0));
+                let val = self.lower_expr(arg(1));
                 let dst = self.fresh();
                 self.emit(Inst::Atomic {
                     dst,
                     kind,
-                    ptr: p,
-                    val: v,
+                    ptr,
+                    val,
                     pos,
                 });
                 dst
             }
-            "atomicCAS" => {
-                let p = self.lower_expr(arg(0));
-                let c = self.lower_expr(arg(1));
-                let v = self.lower_expr(arg(2));
+            Op::Device(DeviceOp::AtomicCas) => {
+                let ptr = self.lower_expr(arg(0));
+                let cmp = self.lower_expr(arg(1));
+                let val = self.lower_expr(arg(2));
                 let dst = self.fresh();
                 self.emit(Inst::AtomicCas {
                     dst,
-                    ptr: p,
-                    cmp: c,
-                    val: v,
+                    ptr,
+                    cmp,
+                    val,
                     pos,
                 });
                 dst
             }
-            _ if OclFn::from_name(name).is_some() => {
-                let which = OclFn::from_name(name).expect("checked");
+            Op::Device(DeviceOp::WorkItem(which)) => {
                 let dim = self.lower_expr(arg(0));
                 let dst = self.fresh();
                 self.emit(Inst::OclId {
@@ -530,31 +526,30 @@ impl<'a> Lower<'a> {
                 });
                 dst
             }
-            _ if crate::value::is_math_intrinsic(name) => {
-                let regs: Box<[Reg]> = args.ids().map(|a| self.lower_expr(a)).collect();
+            Op::Math(_) => {
+                let args: Box<[Reg]> = args.ids().map(|a| self.lower_expr(a)).collect();
                 let dst = self.fresh();
                 self.emit(Inst::Math {
                     dst,
-                    name: crate::value::math_name(name).expect("a math intrinsic"),
-                    args: regs,
+                    name: which,
+                    args,
                     pos,
                 });
                 dst
             }
-            _ => {
-                if self.prog.func_named(callee).is_none() {
-                    return self.trap(pos, format!("unknown function `{name}`"));
-                }
-                let regs: Box<[Reg]> = args.ids().map(|a| self.lower_expr(a)).collect();
-                let dst = self.fresh();
-                self.emit(Inst::Call {
-                    dst,
-                    callee: name.into(),
-                    args: regs,
-                    pos,
-                });
-                dst
-            }
+            Op::Host(_) => unreachable!("sema keeps host calls out of device code"),
         }
+    }
+
+    fn lower_call(&mut self, callee: Sym, args: ExprList, pos: Pos) -> Reg {
+        let args: Box<[Reg]> = args.ids().map(|a| self.lower_expr(a)).collect();
+        let dst = self.fresh();
+        self.emit(Inst::Call {
+            dst,
+            callee: self.prog.name(callee).into(),
+            args,
+            pos,
+        });
+        dst
     }
 }

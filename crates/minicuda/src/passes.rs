@@ -30,8 +30,9 @@
 
 use crate::ast::{BinOp, Type, UnOp};
 use crate::fx::FxHashMap;
+use crate::intrinsic::{Intrinsic, Ret};
 use crate::ir::{BlockId, Inst, IrFunc, IrProgram, Reg};
-use crate::value::{apply_binop, apply_math, apply_unop, Value};
+use crate::value::{apply_binop, apply_unop, Value};
 
 /// Optimize every function of a lowered program in place.
 pub fn optimize_program(p: &mut IrProgram) {
@@ -209,8 +210,8 @@ fn infer_kinds(f: &IrFunc) -> Vec<Kind> {
                     Inst::Math {
                         dst, name, args, ..
                     } => {
-                        let ks: Vec<Kind> = args.iter().map(|r| kinds[*r as usize]).collect();
-                        set(&mut kinds, *dst, math_kind(name, &ks))
+                        let k = math_kind(*name, args.iter().map(|r| kinds[*r as usize]));
+                        set(&mut kinds, *dst, k)
                     }
                     Inst::Logic { dst, .. } => set(&mut kinds, *dst, Kind::Bool),
                     Inst::Ternary {
@@ -262,20 +263,22 @@ fn bin_kind(op: BinOp, ka: Kind, kb: Kind) -> Kind {
     }
 }
 
-fn math_kind(name: &str, args: &[Kind]) -> Kind {
-    match name {
-        // Dual-typed intrinsics follow their promoted argument kind.
-        "abs" => args.first().copied().unwrap_or(Kind::Unknown),
-        "min" | "max" | "fmin" | "fmax" => {
-            if args.contains(&Kind::Unknown) {
-                Kind::Unknown
-            } else if args.contains(&Kind::Float) {
-                Kind::Float
-            } else {
-                Kind::Int
+/// The kind a math built-in yields, by the table's result rule.
+fn math_kind(name: Intrinsic, args: impl Iterator<Item = Kind>) -> Kind {
+    match name.ret() {
+        Ret::Is(ty) => Kind::of_type(&ty),
+        Ret::IntIfAllInt => {
+            let mut kind = Kind::Int;
+            for k in args {
+                match k {
+                    Kind::Unknown => return Kind::Unknown,
+                    Kind::Int | Kind::Bool => {}
+                    _ => kind = Kind::Float,
+                }
             }
+            kind
         }
-        _ => Kind::Float,
+        Ret::Pointee => Kind::Unknown,
     }
 }
 
@@ -325,15 +328,12 @@ fn coerce_safe(ty: &Type, k: Kind) -> bool {
     }
 }
 
-/// A math intrinsic with numeric operands of this arity is total: the
-/// implementations are closed over IEEE floats. Probing with zeros
-/// also validates the call's arity (sema does not).
-fn math_safe(name: &str, args: &[Kind]) -> bool {
-    if !args.iter().all(|k| k.numeric()) {
-        return false;
-    }
-    let zeros = vec![Value::F(0.0); args.len()];
-    matches!(apply_math(name, &zeros), Some(Ok(_)))
+/// A math built-in with numeric operands of its arity is total: the
+/// implementations are closed over IEEE floats. Sema leaves the arity
+/// to the run, so a call of the wrong arity traps.
+fn math_safe(name: Intrinsic, args: &[Reg], kinds: &[Kind]) -> bool {
+    let (min, max) = name.arity();
+    (min..=max).contains(&args.len()) && args.iter().all(|r| kinds[*r as usize].numeric())
 }
 
 /// An instruction safe to execute speculatively (hoist) or discard
@@ -347,10 +347,7 @@ fn pure_total(inst: &Inst, kinds: &[Kind], consts: &Consts) -> bool {
             bin_safe(*op, kinds[*a as usize], kinds[*b as usize], nonzero)
         }
         Inst::Coerce { a, ty, .. } => coerce_safe(ty, kinds[*a as usize]),
-        Inst::Math { name, args, .. } => {
-            let ks: Vec<Kind> = args.iter().map(|r| kinds[*r as usize]).collect();
-            math_safe(name, &ks)
-        }
+        Inst::Math { name, args, .. } => math_safe(*name, args, kinds),
         _ => false,
     }
 }
@@ -414,9 +411,8 @@ fn fold(f: &mut IrFunc, defs: &[u32]) {
                     {
                         let vals: Vec<Value> =
                             args.iter().filter_map(|r| consts[*r as usize]).collect();
-                        apply_math(name, &vals)
-                            .and_then(|r| r.ok())
-                            .map(|v| (*dst, v))
+                        let op = name.as_math().expect("a math built-in");
+                        op.apply(name.name(), &vals).ok().map(|v| (*dst, v))
                     }
                     _ => None,
                 };
@@ -446,7 +442,7 @@ enum Key {
     Bin(u8, Reg, Reg),
     Coerce(Reg, Type),
     Builtin(u8, u8),
-    Math(&'static str, Box<[Reg]>),
+    Math(Intrinsic, Box<[Reg]>),
 }
 
 fn make_key(inst: &Inst) -> Option<(Key, Reg)> {
@@ -459,7 +455,7 @@ fn make_key(inst: &Inst) -> Option<(Key, Reg)> {
         } => Some((Key::Builtin(*which as u8, *axis), *dst)),
         Inst::Math {
             dst, name, args, ..
-        } => Some((Key::Math(name, args.clone()), *dst)),
+        } => Some((Key::Math(*name, args.clone()), *dst)),
         _ => None,
     }
 }

@@ -1,11 +1,14 @@
 //! Semantic analysis: name binding, types, call resolution, kernel rules.
 //!
-//! Sema is the one place a variable name is resolved. It binds every
+//! Sema is the one place a name is resolved. It binds every variable
 //! reference, `&var` out-parameter, declaration and parameter to a
 //! frame slot, a `__constant__` id or a predefined integer, writing the
 //! [`Binding`] into the AST, and records each function's frame layout
-//! ([`FuncDef::frame`]). Lowering, the host interpreter and the
-//! tree-walk read those bindings; none of them keeps a scope chain.
+//! ([`FuncDef::frame`]). It binds every call of a built-in function to
+//! its row in the built-in table ([`crate::intrinsic`]), writing
+//! [`ExprKind::Intrinsic`]. Lowering, the host interpreter and the
+//! tree-walk read those bindings; none of them keeps a scope chain or
+//! looks a built-in up by name.
 //!
 //! The checker is deliberately lenient where C is lenient (numeric
 //! promotions, pointer retyping through assignments) and strict where
@@ -19,6 +22,7 @@
 use crate::ast::*;
 use crate::diag::{Diag, Phase, Pos};
 use crate::dialect::Dialect;
+use crate::intrinsic::{Intrinsic, Op, Ret};
 use crate::value::{ElemType, Ptr, Space};
 
 /// A compiled, semantically valid program.
@@ -205,7 +209,7 @@ pub fn analyze(unit: Unit, dialect: Dialect) -> Result<Program, Diag> {
                         format!("function `{name}` is defined twice"),
                     ));
                 }
-                if intrinsic_arity(name).is_some() || crate::value::is_math_intrinsic(name) {
+                if Intrinsic::lookup(name).is_some() {
                     return Err(Diag::new(
                         Phase::Sema,
                         f.pos,
@@ -889,33 +893,45 @@ impl<'a> Checker<'a> {
                 b.exprs[id.index()].kind = ExprKind::AddrOf(name, slot);
                 Ok(env.frame[slot as usize].ptr_to())
             }
-            ExprKind::Call { callee, first, len } => {
-                self.check_call(callee, ExprKind::args(first, len), pos, b, env, ctx)
-            }
+            ExprKind::Call { .. } => self.check_call(id, pos, b, env, ctx),
+            ExprKind::Intrinsic { .. } => unreachable!("each call is bound once"),
         }
     }
 
+    /// Type the arguments of call `id`, then check the call: of a
+    /// built-in, which binds it to its row, or of a user function.
     fn check_call(
         &self,
-        name: Sym,
-        args: ExprList,
+        id: ExprId,
         pos: Pos,
         b: &mut Body,
         env: &mut Env,
         ctx: Ctx,
     ) -> Result<Type, Diag> {
+        let ExprKind::Call { callee, first, len } = b.exprs[id.index()].kind else {
+            unreachable!("a call")
+        };
         let base = env.arg_tys.len();
-        for a in args.ids() {
+        for a in ExprKind::args(first, len).ids() {
             let t = self.typeof_expr(a, b, env, ctx)?;
             env.arg_tys.push(t);
         }
-        let result = self.check_call_typed(name, &env.arg_tys[base..], pos, ctx);
+        let arg_types = &env.arg_tys[base..];
+        let which = Intrinsic::lookup(self.name(callee));
+        let result = match which {
+            Some(which) => check_intrinsic(which, arg_types, pos, ctx),
+            None => self.check_user_call(callee, arg_types, pos, ctx),
+        };
         env.arg_tys.truncate(base);
+        if let Some(which) = which {
+            b.exprs[id.index()].kind = ExprKind::Intrinsic { which, first, len };
+        }
         result
     }
 
-    /// The checks of a call whose arguments typed as `arg_types`.
-    fn check_call_typed(
+    /// The checks of a user function call whose arguments typed as
+    /// `arg_types`.
+    fn check_user_call(
         &self,
         sym: Sym,
         arg_types: &[Type],
@@ -923,62 +939,6 @@ impl<'a> Checker<'a> {
         ctx: Ctx,
     ) -> Result<Type, Diag> {
         let name = self.name(sym);
-        // Math intrinsics are available everywhere.
-        if crate::value::is_math_intrinsic(name) {
-            let all_int = arg_types
-                .iter()
-                .all(|t| *t == Type::INT || *t == Type::BOOL);
-            return Ok(if all_int && matches!(name, "min" | "max" | "abs") {
-                Type::INT
-            } else {
-                Type::FLOAT
-            });
-        }
-
-        if let Some((min_args, max_args, host_only, device_only, ret)) = intrinsic_arity(name) {
-            if device_only && ctx != Ctx::Device {
-                return Err(Diag::new(
-                    Phase::Sema,
-                    pos,
-                    format!("`{name}` can only be called from device code"),
-                ));
-            }
-            if host_only && ctx != Ctx::Host {
-                return Err(Diag::new(
-                    Phase::Sema,
-                    pos,
-                    format!("`{name}` can only be called from host code"),
-                ));
-            }
-            if arg_types.len() < min_args || arg_types.len() > max_args {
-                return Err(Diag::new(
-                    Phase::Sema,
-                    pos,
-                    format!(
-                        "`{name}` expects {} argument(s), {} given",
-                        if min_args == max_args {
-                            min_args.to_string()
-                        } else {
-                            format!("{min_args}..{max_args}")
-                        },
-                        arg_types.len()
-                    ),
-                ));
-            }
-            // Atomics return the pointee of their first argument.
-            if name.starts_with("atomic") && name != "atomicCAS" {
-                return arg_types.first().and_then(|t| t.pointee()).ok_or_else(|| {
-                    Diag::new(
-                        Phase::Sema,
-                        pos,
-                        format!("first argument of `{name}` must be a pointer"),
-                    )
-                });
-            }
-            return Ok(ret);
-        }
-
-        // User-defined function.
         let f = self.program.func_named(sym).ok_or_else(|| {
             Diag::new(
                 Phase::Sema,
@@ -1069,52 +1029,50 @@ fn assignable(dst: Type, src: Type) -> Result<(), String> {
     Err(format!("expected {dst}, found {src}"))
 }
 
-/// Intrinsic table: `(min_args, max_args, host_only, device_only, return type)`.
-fn intrinsic_arity(name: &str) -> Option<(usize, usize, bool, bool, Type)> {
-    Some(match name {
-        // Device synchronization / atomics / work-item queries.
-        "__syncthreads" => (0, 0, false, true, Type::VOID),
-        "barrier" => (1, 1, false, true, Type::VOID),
-        "atomicAdd" | "atomicMin" | "atomicMax" | "atomicExch" => (2, 2, false, true, Type::FLOAT),
-        "atomicCAS" => (3, 3, false, true, Type::INT),
-        "get_global_id" | "get_local_id" | "get_group_id" | "get_local_size" | "get_num_groups"
-        | "get_global_size" => (1, 1, false, true, Type::INT),
-        // Host memory & CUDA API.
-        "malloc" => (1, 1, true, false, Type::VOID.ptr_to()),
-        "free" => (1, 1, true, false, Type::VOID),
-        "cudaMalloc" => (2, 2, true, false, Type::INT),
-        "cudaFree" => (1, 1, true, false, Type::INT),
-        "cudaMemcpy" => (4, 4, true, false, Type::INT),
-        "cudaMemcpyToSymbol" => (3, 3, true, false, Type::INT),
-        "cudaDeviceSynchronize" => (0, 0, true, false, Type::INT),
-        "cudaGetLastError" => (0, 0, true, false, Type::INT),
-        "cudaSetDevice" => (1, 1, true, false, Type::INT),
-        "cudaGetDeviceCount" => (1, 1, true, false, Type::INT),
-        // wb support library.
-        "wbImportVector" => (2, 2, true, false, Type::FLOAT.ptr_to()),
-        "wbImportIntVector" => (2, 2, true, false, Type::INT.ptr_to()),
-        "wbImportMatrix" => (3, 3, true, false, Type::FLOAT.ptr_to()),
-        "wbImportImage" => (4, 4, true, false, Type::FLOAT.ptr_to()),
-        "wbImportCsrRowPtr" => (2, 2, true, false, Type::INT.ptr_to()),
-        "wbImportCsrColIdx" => (2, 2, true, false, Type::INT.ptr_to()),
-        "wbImportCsrValues" => (2, 2, true, false, Type::FLOAT.ptr_to()),
-        "wbImportGraphRowPtr" => (2, 2, true, false, Type::INT.ptr_to()),
-        "wbImportGraphNeighbors" => (2, 2, true, false, Type::INT.ptr_to()),
-        "wbImportScalar" => (1, 1, true, false, Type::FLOAT),
-        "wbSolution" => (2, 2, true, false, Type::VOID),
-        "wbSolutionInt" => (2, 2, true, false, Type::VOID),
-        "wbSolutionMatrix" => (3, 3, true, false, Type::VOID),
-        "wbSolutionImage" => (4, 4, true, false, Type::VOID),
-        "wbSolutionScalar" => (1, 1, true, false, Type::VOID),
-        "wbLog" => (1, 8, true, false, Type::VOID),
-        "wbTime_start" | "wbTime_stop" => (2, 2, true, false, Type::VOID),
-        // MPI layer for the multi-GPU lab.
-        "wbMPI_rank" | "wbMPI_size" => (0, 0, true, false, Type::INT),
-        "wbMPI_sendFloat" | "wbMPI_recvFloat" => (3, 3, true, false, Type::VOID),
-        "wbMPI_barrier" => (0, 0, true, false, Type::VOID),
-        "exit" => (1, 1, true, false, Type::VOID),
-        _ => return None,
-    })
+/// The checks of a call of the built-in `which` whose arguments typed
+/// as `arg_types`: its context, its arity (but a math function's, which
+/// the run checks) and its result rule.
+fn check_intrinsic(which: Intrinsic, arg_types: &[Type], pos: Pos, ctx: Ctx) -> Result<Type, Diag> {
+    let name = which.name();
+    let err = |m: String| Err(Diag::new(Phase::Sema, pos, m));
+    match (which.op(), ctx) {
+        (Op::Math(_), _) => {}
+        (Op::Device(_), Ctx::Host) => {
+            return err(format!("`{name}` can only be called from device code"))
+        }
+        (Op::Host(_), Ctx::Device) => {
+            return err(format!("`{name}` can only be called from host code"))
+        }
+        _ => {
+            let (min, max) = which.arity();
+            if !(min..=max).contains(&arg_types.len()) {
+                let want = if min == max {
+                    min.to_string()
+                } else {
+                    format!("{min}..{max}")
+                };
+                return err(format!(
+                    "`{name}` expects {want} argument(s), {} given",
+                    arg_types.len()
+                ));
+            }
+        }
+    }
+    match which.ret() {
+        Ret::Is(t) => Ok(t),
+        Ret::IntIfAllInt => {
+            let int = |t: &Type| *t == Type::INT || *t == Type::BOOL;
+            Ok(if arg_types.iter().all(int) {
+                Type::INT
+            } else {
+                Type::FLOAT
+            })
+        }
+        Ret::Pointee => match arg_types.first().and_then(|t| t.pointee()) {
+            Some(t) => Ok(t),
+            None => err(format!("first argument of `{name}` must be a pointer")),
+        },
+    }
 }
 
 #[cfg(test)]
@@ -1321,7 +1279,7 @@ mod tests {
     }
 
     #[test]
-    fn wrong_intrinsic_arity_rejected() {
+    fn wrong_builtin_arity_rejected() {
         let err = check("int main() { float* p; cudaMalloc(&p); return 0; }").unwrap_err();
         assert!(err.message.contains("expects 2"));
     }

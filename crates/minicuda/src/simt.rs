@@ -35,10 +35,11 @@ use crate::ast::*;
 use crate::cost::{self, CostSummary};
 use crate::device::KernelEnv;
 use crate::diag::{Diag, Phase, Pos};
-use crate::ir::AtomicKind;
+use crate::intrinsic::{DeviceOp, Intrinsic, Op};
+use crate::ir::OclFn;
 use crate::memory::{self, atomic_words, kernel_words, kernel_words_mut, MemPool, SharedMem};
 use crate::sema::{const_eval, Program};
-use crate::value::{apply_binop, apply_math, apply_unop, ElemType, Ptr, Space, Value};
+use crate::value::{apply_binop, apply_unop, ElemType, Ptr, Space, Value};
 use std::collections::HashMap;
 
 /// Execute one block of a kernel launch. Returns the block's cost.
@@ -869,13 +870,21 @@ impl<'a> BlockExec<'a> {
             ExprKind::Call { callee, first, len } => {
                 self.eval_call(callee, f.list(ExprKind::args(first, len)), pos)
             }
+            ExprKind::Intrinsic { which, first, len } => {
+                self.eval_intrinsic(which, f.list(ExprKind::args(first, len)), pos)
+            }
         }
     }
 
-    fn eval_call(&mut self, sym: Sym, args: &[Expr], pos: Pos) -> Result<Vec<Value>, Diag> {
-        let name = self.program.name(sym);
-        match name {
-            "__syncthreads" | "barrier" => {
+    fn eval_intrinsic(
+        &mut self,
+        which: Intrinsic,
+        args: &[Expr],
+        pos: Pos,
+    ) -> Result<Vec<Value>, Diag> {
+        let name = which.name();
+        match which.op() {
+            Op::Device(DeviceOp::Barrier) => {
                 if !args.is_empty() {
                     // barrier(fence_flag): the flag is evaluated but
                     // irrelevant — all shared memory is coherent within
@@ -908,13 +917,7 @@ impl<'a> BlockExec<'a> {
                 self.charge_op(pos, cost::BARRIER)?;
                 Ok(vec![Value::I(0); self.n])
             }
-            "atomicAdd" | "atomicMin" | "atomicMax" | "atomicExch" => {
-                let kind = match name {
-                    "atomicAdd" => AtomicKind::Add,
-                    "atomicMin" => AtomicKind::Min,
-                    "atomicMax" => AtomicKind::Max,
-                    _ => AtomicKind::Exch,
-                };
+            Op::Device(DeviceOp::Atomic(kind)) => {
                 let pvals = self.eval(&args[0])?;
                 let vvals = self.eval(&args[1])?;
                 let mut out = vec![Value::I(0); self.n];
@@ -933,7 +936,7 @@ impl<'a> BlockExec<'a> {
                 self.charge_op(pos, 0)?;
                 Ok(out)
             }
-            "atomicCAS" => {
+            Op::Device(DeviceOp::AtomicCas) => {
                 let pvals = self.eval(&args[0])?;
                 let cvals = self.eval(&args[1])?;
                 let vvals = self.eval(&args[2])?;
@@ -955,8 +958,7 @@ impl<'a> BlockExec<'a> {
                 self.charge_op(pos, 0)?;
                 Ok(out)
             }
-            "get_global_id" | "get_local_id" | "get_group_id" | "get_local_size"
-            | "get_num_groups" | "get_global_size" => {
+            Op::Device(DeviceOp::WorkItem(query)) => {
                 self.charge_op(pos, cost::ISSUE)?;
                 let dvals = self.eval(&args[0])?;
                 let mut out = vec![Value::I(0); self.n];
@@ -967,20 +969,22 @@ impl<'a> BlockExec<'a> {
                             return Err(self.lane_err(pos, i, "work-item dimension must be 0..3"));
                         }
                         let d = d as usize;
-                        let v = match name {
-                            "get_local_id" => self.tid[i][d],
-                            "get_group_id" => self.block_idx[d],
-                            "get_local_size" => self.env.block_dim[d],
-                            "get_num_groups" => self.env.grid[d],
-                            "get_global_size" => self.env.grid[d] * self.env.block_dim[d],
-                            _ => self.block_idx[d] * self.env.block_dim[d] + self.tid[i][d],
+                        let v = match query {
+                            OclFn::LocalId => self.tid[i][d],
+                            OclFn::GroupId => self.block_idx[d],
+                            OclFn::LocalSize => self.env.block_dim[d],
+                            OclFn::NumGroups => self.env.grid[d],
+                            OclFn::GlobalSize => self.env.grid[d] * self.env.block_dim[d],
+                            OclFn::GlobalId => {
+                                self.block_idx[d] * self.env.block_dim[d] + self.tid[i][d]
+                            }
                         };
                         out[i] = Value::I(v);
                     }
                 }
                 Ok(out)
             }
-            _ if crate::value::is_math_intrinsic(name) => {
+            Op::Math(op) => {
                 self.charge_op(pos, cost::SFU)?;
                 let argvals: Vec<Vec<Value>> = args
                     .iter()
@@ -990,52 +994,50 @@ impl<'a> BlockExec<'a> {
                 for i in 0..self.n {
                     if self.active[i] {
                         let lane_args: Vec<Value> = argvals.iter().map(|v| v[i]).collect();
-                        out[i] = apply_math(name, &lane_args)
-                            .expect("is_math_intrinsic")
+                        out[i] = op
+                            .apply(name, &lane_args)
                             .map_err(|m| self.lane_err(pos, i, m))?;
                     }
                 }
                 Ok(out)
             }
-            _ => {
-                // User __device__ function.
-                let f = self
-                    .program
-                    .func_named(sym)
-                    .ok_or_else(|| self.rt_err(pos, format!("unknown function `{name}`")))?;
-                if self.call_depth >= 32 {
-                    return Err(
-                        self.rt_err(pos, format!("recursion limit reached calling `{name}`"))
-                    );
-                }
-                let argvals: Vec<Vec<Value>> = args
-                    .iter()
-                    .map(|a| self.eval(a))
-                    .collect::<Result<_, _>>()?;
-                self.charge_op(pos, cost::ISSUE)?;
-
-                let saved_active = self.active.clone();
-                let mut frame = vec![Vec::new(); f.frame.len()];
-                for (slot, (p, vals)) in f.params.iter().zip(argvals).enumerate() {
-                    frame[slot] = self.coerce_lanes(vals, &p.ty, pos)?;
-                }
-                let caller = std::mem::replace(&mut self.slots, frame);
-                let caller_func = std::mem::replace(&mut self.func, f);
-                self.call_depth += 1;
-                let mut fr = FnFrame {
-                    returned: vec![false; self.n],
-                    retvals: vec![Value::I(0); self.n],
-                    loops: Vec::new(),
-                    kernel_level: false,
-                };
-                let result = self.exec_block_stmts(f.body, &mut fr);
-                self.call_depth -= 1;
-                self.slots = caller;
-                self.func = caller_func;
-                self.active = saved_active;
-                result?;
-                Ok(fr.retvals)
-            }
+            Op::Host(_) => unreachable!("sema keeps host calls out of device code"),
         }
+    }
+
+    /// A user `__device__` function call.
+    fn eval_call(&mut self, sym: Sym, args: &[Expr], pos: Pos) -> Result<Vec<Value>, Diag> {
+        let name = self.program.name(sym);
+        let f = self.program.func_named(sym).expect("sema binds every call");
+        if self.call_depth >= 32 {
+            return Err(self.rt_err(pos, format!("recursion limit reached calling `{name}`")));
+        }
+        let argvals: Vec<Vec<Value>> = args
+            .iter()
+            .map(|a| self.eval(a))
+            .collect::<Result<_, _>>()?;
+        self.charge_op(pos, cost::ISSUE)?;
+
+        let saved_active = self.active.clone();
+        let mut frame = vec![Vec::new(); f.frame.len()];
+        for (slot, (p, vals)) in f.params.iter().zip(argvals).enumerate() {
+            frame[slot] = self.coerce_lanes(vals, &p.ty, pos)?;
+        }
+        let caller = std::mem::replace(&mut self.slots, frame);
+        let caller_func = std::mem::replace(&mut self.func, f);
+        self.call_depth += 1;
+        let mut fr = FnFrame {
+            returned: vec![false; self.n],
+            retvals: vec![Value::I(0); self.n],
+            loops: Vec::new(),
+            kernel_level: false,
+        };
+        let result = self.exec_block_stmts(f.body, &mut fr);
+        self.call_depth -= 1;
+        self.slots = caller;
+        self.func = caller_func;
+        self.active = saved_active;
+        result?;
+        Ok(fr.retvals)
     }
 }

@@ -369,10 +369,10 @@ pub fn apply_unop(op: UnOp, v: Value) -> Result<Value, String> {
     }
 }
 
-/// A resolved math intrinsic. Executors resolve the *name* once per
-/// instruction ([`math_op`]) and then apply the enum per lane
-/// ([`apply_math_op`]), so warp-batched dispatch never string-matches
-/// inside a lane loop.
+/// A math function. Sema binds each call to its spelling's row in the
+/// built-in table ([`crate::intrinsic`]); executors apply the op per
+/// lane ([`MathOp::apply`]), so warp-batched dispatch never
+/// string-matches inside a lane loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MathOp {
     Sqrt,
@@ -394,120 +394,75 @@ pub enum MathOp {
     Max,
 }
 
-/// Every math intrinsic spelling, each of which [`math_op`] resolves.
-/// This table decides what is an intrinsic ([`is_math_intrinsic`]).
-const MATH_NAMES: [&str; 28] = [
-    "sqrtf", "sqrt", "rsqrtf", "expf", "exp", "logf", "log", "log2f", "sinf", "sin", "cosf", "cos",
-    "fabsf", "fabs", "ceilf", "ceil", "floorf", "floor", "powf", "pow", "fmodf", "fminf", "fmin",
-    "fmaxf", "fmax", "abs", "min", "max",
-];
-
-/// A math intrinsic's name as a `'static` string, so an IR instruction
-/// names it without owning a copy.
-pub fn math_name(name: &str) -> Option<&'static str> {
-    MATH_NAMES.iter().find(|&&n| n == name).copied()
-}
-
-/// Resolve a math intrinsic name (CUDA and C spellings).
-pub fn math_op(name: &str) -> Option<MathOp> {
-    Some(match name {
-        "sqrtf" | "sqrt" => MathOp::Sqrt,
-        "rsqrtf" => MathOp::Rsqrt,
-        "expf" | "exp" => MathOp::Exp,
-        "logf" | "log" => MathOp::Log,
-        "log2f" => MathOp::Log2,
-        "sinf" | "sin" => MathOp::Sin,
-        "cosf" | "cos" => MathOp::Cos,
-        "fabsf" | "fabs" => MathOp::Fabs,
-        "ceilf" | "ceil" => MathOp::Ceil,
-        "floorf" | "floor" => MathOp::Floor,
-        "powf" | "pow" => MathOp::Pow,
-        "fmodf" => MathOp::Fmod,
-        "fminf" | "fmin" => MathOp::Fmin,
-        "fmaxf" | "fmax" => MathOp::Fmax,
-        "abs" => MathOp::Abs,
-        "min" => MathOp::Min,
-        "max" => MathOp::Max,
-        _ => return None,
-    })
-}
-
-/// Apply a resolved intrinsic. `name` is only for error messages, so
-/// diagnostics match the name the kernel actually called.
-pub fn apply_math_op(op: MathOp, name: &str, args: &[Value]) -> Result<Value, String> {
-    let unary = |f: fn(f32) -> f32| -> Result<Value, String> {
-        if args.len() != 1 {
-            return Err(format!("{name} expects 1 argument"));
+impl MathOp {
+    /// How many arguments the function takes.
+    pub const fn arity(self) -> u8 {
+        match self {
+            MathOp::Pow
+            | MathOp::Fmod
+            | MathOp::Fmin
+            | MathOp::Fmax
+            | MathOp::Min
+            | MathOp::Max => 2,
+            _ => 1,
         }
-        Ok(Value::F(f(args[0].as_float()?)))
-    };
-    let binary_f = |f: fn(f32, f32) -> f32| -> Result<Value, String> {
-        if args.len() != 2 {
-            return Err(format!("{name} expects 2 arguments"));
+    }
+
+    /// Apply the function, checking its arity (sema does not). `name`
+    /// is only for error messages, so diagnostics match the spelling
+    /// the program actually called.
+    pub fn apply(self, name: &str, args: &[Value]) -> Result<Value, String> {
+        let n = usize::from(self.arity());
+        if args.len() != n {
+            let s = if n == 1 { "" } else { "s" };
+            return Err(format!("{name} expects {n} argument{s}"));
         }
-        Ok(Value::F(f(args[0].as_float()?, args[1].as_float()?)))
-    };
-    match op {
-        MathOp::Sqrt => unary(f32::sqrt),
-        MathOp::Rsqrt => unary(|x| 1.0 / x.sqrt()),
-        MathOp::Exp => unary(f32::exp),
-        MathOp::Log => unary(f32::ln),
-        MathOp::Log2 => unary(f32::log2),
-        MathOp::Sin => unary(f32::sin),
-        MathOp::Cos => unary(f32::cos),
-        MathOp::Fabs => unary(f32::abs),
-        MathOp::Ceil => unary(f32::ceil),
-        MathOp::Floor => unary(f32::floor),
-        MathOp::Pow => binary_f(f32::powf),
-        MathOp::Fmod => binary_f(|a, b| a % b),
-        MathOp::Fmin => binary_f(f32::min),
-        MathOp::Fmax => binary_f(f32::max),
-        MathOp::Abs => {
-            if args.len() != 1 {
-                return Err("abs expects 1 argument".to_string());
-            }
-            match args[0] {
+        let unary =
+            |f: fn(f32) -> f32| -> Result<Value, String> { Ok(Value::F(f(args[0].as_float()?))) };
+        let binary_f = |f: fn(f32, f32) -> f32| -> Result<Value, String> {
+            Ok(Value::F(f(args[0].as_float()?, args[1].as_float()?)))
+        };
+        match self {
+            MathOp::Sqrt => unary(f32::sqrt),
+            MathOp::Rsqrt => unary(|x| 1.0 / x.sqrt()),
+            MathOp::Exp => unary(f32::exp),
+            MathOp::Log => unary(f32::ln),
+            MathOp::Log2 => unary(f32::log2),
+            MathOp::Sin => unary(f32::sin),
+            MathOp::Cos => unary(f32::cos),
+            MathOp::Fabs => unary(f32::abs),
+            MathOp::Ceil => unary(f32::ceil),
+            MathOp::Floor => unary(f32::floor),
+            MathOp::Pow => binary_f(f32::powf),
+            MathOp::Fmod => binary_f(|a, b| a % b),
+            MathOp::Fmin => binary_f(f32::min),
+            MathOp::Fmax => binary_f(f32::max),
+            MathOp::Abs => match args[0] {
                 Value::F(x) => Ok(Value::F(x.abs())),
                 other => other.as_int().map(|v| Value::I(v.abs())),
-            }
-        }
-        MathOp::Min | MathOp::Max => {
-            if args.len() != 2 {
-                return Err(format!("{name} expects 2 arguments"));
-            }
-            let float_mode = matches!(args[0], Value::F(_)) || matches!(args[1], Value::F(_));
-            if float_mode {
-                let a = args[0].as_float()?;
-                let b = args[1].as_float()?;
-                Ok(Value::F(if op == MathOp::Min {
-                    a.min(b)
+            },
+            MathOp::Min | MathOp::Max => {
+                let float_mode = matches!(args[0], Value::F(_)) || matches!(args[1], Value::F(_));
+                if float_mode {
+                    let a = args[0].as_float()?;
+                    let b = args[1].as_float()?;
+                    Ok(Value::F(if self == MathOp::Min {
+                        a.min(b)
+                    } else {
+                        a.max(b)
+                    }))
                 } else {
-                    a.max(b)
-                }))
-            } else {
-                let a = args[0].as_int()?;
-                let b = args[1].as_int()?;
-                Ok(Value::I(if op == MathOp::Min {
-                    a.min(b)
-                } else {
-                    a.max(b)
-                }))
+                    let a = args[0].as_int()?;
+                    let b = args[1].as_int()?;
+                    Ok(Value::I(if self == MathOp::Min {
+                        a.min(b)
+                    } else {
+                        a.max(b)
+                    }))
+                }
             }
         }
     }
-}
-
-/// Evaluate a pure math intrinsic on already-coerced arguments.
-///
-/// Returns `None` when `name` is not a math intrinsic. Shared by the
-/// host and device interpreters so `sqrtf` behaves identically in both.
-pub fn apply_math(name: &str, args: &[Value]) -> Option<Result<Value, String>> {
-    math_op(name).map(|op| apply_math_op(op, name, args))
-}
-
-/// True when `name` is a pure math intrinsic handled by [`apply_math`].
-pub fn is_math_intrinsic(name: &str) -> bool {
-    math_name(name).is_some()
 }
 
 #[cfg(test)]
@@ -515,11 +470,24 @@ mod tests {
     use super::*;
     use crate::ast::BinOp::*;
 
+    /// The math function the built-in table binds `name` to.
+    fn math(name: &str) -> MathOp {
+        crate::intrinsic::Intrinsic::lookup(name)
+            .and_then(|b| b.as_math())
+            .unwrap_or_else(|| panic!("{name} is a math built-in"))
+    }
+
     #[test]
-    fn every_math_name_resolves_once() {
-        for (i, name) in MATH_NAMES.iter().enumerate() {
-            assert!(math_op(name).is_some(), "{name}");
-            assert!(!MATH_NAMES[..i].contains(name), "{name} twice");
+    fn every_math_spelling_resolves_once() {
+        for (name, op) in [
+            ("sqrtf", MathOp::Sqrt),
+            ("sqrt", MathOp::Sqrt),
+            ("fmodf", MathOp::Fmod),
+            ("fminf", MathOp::Fmin),
+            ("fmax", MathOp::Fmax),
+            ("abs", MathOp::Abs),
+        ] {
+            assert_eq!(math(name), op, "{name}");
         }
     }
 
@@ -660,20 +628,17 @@ mod tests {
 
     #[test]
     fn math_intrinsics() {
+        let apply = |name, args: &[Value]| math(name).apply(name, args);
+        assert_eq!(apply("sqrtf", &[Value::F(4.0)]), Ok(Value::F(2.0)));
+        assert_eq!(apply("min", &[Value::I(3), Value::I(5)]), Ok(Value::I(3)));
         assert_eq!(
-            apply_math("sqrtf", &[Value::F(4.0)]),
-            Some(Ok(Value::F(2.0)))
+            apply("max", &[Value::F(1.5), Value::I(1)]),
+            Ok(Value::F(1.5))
         );
+        assert_eq!(apply("abs", &[Value::B(true)]), Ok(Value::I(1)));
         assert_eq!(
-            apply_math("min", &[Value::I(3), Value::I(5)]),
-            Some(Ok(Value::I(3)))
+            apply("fminf", &[Value::F(1.0)]),
+            Err("fminf expects 2 arguments".to_string())
         );
-        assert_eq!(
-            apply_math("max", &[Value::F(1.5), Value::I(1)]),
-            Some(Ok(Value::F(1.5)))
-        );
-        assert!(apply_math("notmath", &[]).is_none());
-        assert!(is_math_intrinsic("fminf"));
-        assert!(!is_math_intrinsic("cudaMalloc"));
     }
 }

@@ -160,6 +160,31 @@ const KERNEL_DEVICE_HELPER: (&str, usize) = (
     8,
 );
 
+// A dead `fmin` of two ints, taken modulo 2: `fmin` returns a float,
+// and `%` of a float traps, so the dead line still fails every lane.
+// `front_end.rs` does not fold these two into its digests.
+#[allow(dead_code)]
+const DEAD_FMIN_OF_INTS_TRAPS: (&str, usize) = (
+    r#"__global__ void k(float* out, float* a, float* b) {
+            int t = threadIdx.x;
+            float dead = fmin(t, 3) % 2;
+            out[t] = t;
+        }"#,
+    8,
+);
+
+// The same trap in a loop that runs zero times: it never executes, so
+// no lane fails.
+#[allow(dead_code)]
+const FMAX_TRAP_IN_A_ZERO_TRIP_LOOP: (&str, usize) = (
+    r#"__global__ void k(float* out, float* a, float* b) {
+            int t = threadIdx.x;
+            out[t] = t;
+            for (int i = 0; i < t - 100; i++) { out[t] = fmax(t, 3) % 2; }
+        }"#,
+    8,
+);
+
 /// The host program that runs `kernel` over one block of `n` threads:
 /// `a[i] = i + 100`, `b[i] = i + 200`, and `out` is the solution.
 fn representation_edge_program((kernel, n): (&str, usize)) -> String {

@@ -132,3 +132,44 @@ fn a_solution_image_with_a_negative_dimension_is_a_typed_diagnostic() {
     assert_eq!(err.message, "negative image dimensions");
     assert!(out.solution.is_none());
 }
+
+/// Run `src` and return its diagnostic, which must be a runtime one.
+fn runtime_error(what: &str, src: &str) -> minicuda::Diag {
+    let out = run_within_bound(what, src);
+    let err = out.error.unwrap_or_else(|| panic!("{what}: ran clean"));
+    assert_eq!(err.phase, Phase::Runtime, "{what}: {err}");
+    err
+}
+
+#[test]
+fn a_cuda_memcpy_of_negative_size_is_a_typed_diagnostic() {
+    // The count was cast to `usize`: "copy overruns destination
+    // (4611686018427387896 words past end)".
+    let src = "int main() {\n    float* h = (float*) malloc(16);\n    float* d;\n    \
+               cudaMalloc(&d, 16);\n    cudaMemcpy(d, h, -16, cudaMemcpyHostToDevice);\n    \
+               return 0;\n}\n";
+    let err = runtime_error("cudaMemcpy of -16 bytes", src);
+    assert_eq!((err.pos.line, err.pos.col), (5, 5));
+    assert_eq!(err.message, "cudaMemcpy of negative size");
+}
+
+#[test]
+fn a_cuda_memcpy_to_symbol_of_negative_size_is_a_typed_diagnostic() {
+    // It read "cudaMemcpyToSymbol overruns symbol".
+    let src = "__constant__ float m[4];\nint main() {\n    float* h = (float*) malloc(16);\n    \
+               cudaMemcpyToSymbol(m, h, -16);\n    return 0;\n}\n";
+    let err = runtime_error("cudaMemcpyToSymbol of -16 bytes", src);
+    assert_eq!((err.pos.line, err.pos.col), (4, 5));
+    assert_eq!(err.message, "cudaMemcpyToSymbol of negative size");
+}
+
+#[test]
+fn an_mpi_send_of_negative_size_is_a_typed_diagnostic() {
+    // It read "read of 18446744073709551615 values at offset 0 overruns
+    // allocation of 4 values".
+    let src = "int main() {\n    float* h = (float*) malloc(16);\n    \
+               wbMPI_sendFloat(0, h, -1);\n    return 0;\n}\n";
+    let err = runtime_error("wbMPI_sendFloat of -1 values", src);
+    assert_eq!((err.pos.line, err.pos.col), (3, 5));
+    assert_eq!(err.message, "wbMPI_sendFloat of negative size");
+}

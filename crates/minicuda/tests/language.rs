@@ -921,6 +921,26 @@ fn device_function_returns_per_lane_floats_from_divergent_returns() {
     }
 }
 
+#[test]
+fn a_dead_fmin_of_ints_still_traps_at_every_level() {
+    // `fmin` returns a float whatever its arguments, so `% 2` traps
+    // even though nothing reads the result.
+    let err = same_at_all_levels(DEAD_FMIN_OF_INTS_TRAPS)
+        .error
+        .expect("the dead line traps");
+    assert_eq!(err.message, "% is not defined on floats (use fmodf)");
+    assert_eq!((err.pos.line, err.thread), (3, Some((0, 0))));
+}
+
+#[test]
+fn an_fmax_trap_in_a_zero_trip_loop_never_fires() {
+    let out = same_at_all_levels(FMAX_TRAP_IN_A_ZERO_TRIP_LOOP);
+    let v = solution_vec(&out);
+    for (t, &x) in v.iter().enumerate() {
+        assert_eq!(x, t as f32, "lane {t}");
+    }
+}
+
 // ---- name binding: shadowing, pinned ------------------------------------
 //
 // Sema binds every name once and lowering, the host interpreter and the

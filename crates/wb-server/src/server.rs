@@ -733,7 +733,7 @@ fn attempt_failed(outcome: &JobOutcome) -> bool {
 /// Render a job outcome the way the attempt view shows it.
 fn render_outcome(outcome: &JobOutcome) -> (bool, String) {
     if let Some(err) = &outcome.compile_error {
-        return (false, format!("Compilation failed: {err}"));
+        return (false, format!("Compilation failed: {err}\n"));
     }
     if outcome.datasets.is_empty() {
         return (false, "Compilation successful.".to_string());

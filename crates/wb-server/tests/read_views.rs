@@ -108,13 +108,12 @@ fn submission(user: &str, at_ms: u64, score: f64, source: &str) -> SubmissionRec
 
 const COMPILED: (bool, bool, &str) = (true, false, "Compilation successful.");
 const RAN: (bool, bool, &str) = (true, true, "[d0] Solution is correct (3 values checked)");
-/// The report's first line runs into the hint appended after it.
+/// The report's first line is the compile error alone; the hints
+/// follow on lines of their own.
 const FAILED: (bool, bool, &str) = (
     false,
     false,
-    "Compilation failed: 1:11: syntax error: expected a type, found `{`Hint: Compilation failed: \
-     1:11: syntax error: expected a type, found `{`. Fix the first error the compiler reports; \
-     later ones are often cascades.",
+    "Compilation failed: 1:11: syntax error: expected a type, found `{`",
 );
 
 #[test]
