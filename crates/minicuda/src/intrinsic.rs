@@ -140,122 +140,122 @@ const fn host(name: &'static str, op: HostOp, args: (u8, u8), ret: Type) -> Row 
     }
 }
 
-const INT: Type = Type::INT;
-const FLOAT: Type = Type::FLOAT;
-const VOID: Type = Type::VOID;
-const INT_PTR: Type = Type::INT.ptr_to();
-const FLOAT_PTR: Type = Type::FLOAT.ptr_to();
-
-/// Every built-in, sorted by spelling so that a lookup is a binary
-/// search.
+/// Every built-in.
+#[rustfmt::skip]
 static ROWS: [Row; 75] = {
     use DeviceOp::*;
     use HostOp::*;
     use MathOp::*;
+    use OclFn::*;
+    const INT_PTR: Type = Type::INT.ptr_to();
+    const FLOAT_PTR: Type = Type::FLOAT.ptr_to();
     [
-        device("__syncthreads", Barrier, 0, Ret::Is(VOID)),
-        math("abs", Abs),
-        device("atomicAdd", Atomic(AtomicKind::Add), 2, Ret::Pointee),
-        device("atomicCAS", AtomicCas, 3, Ret::Is(INT)),
-        device("atomicExch", Atomic(AtomicKind::Exch), 2, Ret::Pointee),
-        device("atomicMax", Atomic(AtomicKind::Max), 2, Ret::Pointee),
-        device("atomicMin", Atomic(AtomicKind::Min), 2, Ret::Pointee),
-        device("barrier", Barrier, 1, Ret::Is(VOID)),
-        math("ceil", Ceil),
-        math("ceilf", Ceil),
-        math("cos", Cos),
-        math("cosf", Cos),
-        host("cudaDeviceSynchronize", CudaDeviceSynchronize, (0, 0), INT),
-        host("cudaFree", CudaFree, (1, 1), INT),
-        host("cudaGetDeviceCount", CudaGetDeviceCount, (1, 1), INT),
-        host("cudaGetLastError", CudaGetLastError, (0, 0), INT),
-        host("cudaMalloc", CudaMalloc, (2, 2), INT),
-        host("cudaMemcpy", CudaMemcpy, (4, 4), INT),
-        host("cudaMemcpyToSymbol", CudaMemcpyToSymbol, (3, 3), INT),
-        host("cudaSetDevice", CudaSetDevice, (1, 1), INT),
-        host("exit", Exit, (1, 1), VOID),
-        math("exp", Exp),
-        math("expf", Exp),
-        math("fabs", Fabs),
-        math("fabsf", Fabs),
-        math("floor", Floor),
-        math("floorf", Floor),
-        math("fmax", Fmax),
-        math("fmaxf", Fmax),
-        math("fmin", Fmin),
-        math("fminf", Fmin),
-        math("fmodf", Fmod),
-        host("free", Free, (1, 1), VOID),
-        device("get_global_id", WorkItem(OclFn::GlobalId), 1, Ret::Is(INT)),
-        device(
-            "get_global_size",
-            WorkItem(OclFn::GlobalSize),
-            1,
-            Ret::Is(INT),
-        ),
-        device("get_group_id", WorkItem(OclFn::GroupId), 1, Ret::Is(INT)),
-        device("get_local_id", WorkItem(OclFn::LocalId), 1, Ret::Is(INT)),
-        device(
-            "get_local_size",
-            WorkItem(OclFn::LocalSize),
-            1,
-            Ret::Is(INT),
-        ),
-        device(
-            "get_num_groups",
-            WorkItem(OclFn::NumGroups),
-            1,
-            Ret::Is(INT),
-        ),
-        math("log", Log),
-        math("log2f", Log2),
-        math("logf", Log),
-        host("malloc", Malloc, (1, 1), VOID.ptr_to()),
-        math("max", Max),
-        math("min", Min),
-        math("pow", Pow),
-        math("powf", Pow),
-        math("rsqrtf", Rsqrt),
-        math("sin", Sin),
-        math("sinf", Sin),
-        math("sqrt", Sqrt),
-        math("sqrtf", Sqrt),
-        host("wbImportCsrColIdx", WbImportCsrColIdx, (2, 2), INT_PTR),
-        host("wbImportCsrRowPtr", WbImportCsrRowPtr, (2, 2), INT_PTR),
-        host("wbImportCsrValues", WbImportCsrValues, (2, 2), FLOAT_PTR),
-        host(
-            "wbImportGraphNeighbors",
-            WbImportGraphNeighbors,
-            (2, 2),
-            INT_PTR,
-        ),
-        host("wbImportGraphRowPtr", WbImportGraphRowPtr, (2, 2), INT_PTR),
-        host("wbImportImage", WbImportImage, (4, 4), FLOAT_PTR),
-        host("wbImportIntVector", WbImportIntVector, (2, 2), INT_PTR),
-        host("wbImportMatrix", WbImportMatrix, (3, 3), FLOAT_PTR),
-        host("wbImportScalar", WbImportScalar, (1, 1), FLOAT),
-        host("wbImportVector", WbImportVector, (2, 2), FLOAT_PTR),
-        host("wbLog", WbLog, (1, 8), VOID),
-        host("wbMPI_barrier", WbMpiBarrier, (0, 0), VOID),
-        host("wbMPI_rank", WbMpiRank, (0, 0), INT),
-        host("wbMPI_recvFloat", WbMpiRecvFloat, (3, 3), VOID),
-        host("wbMPI_sendFloat", WbMpiSendFloat, (3, 3), VOID),
-        host("wbMPI_size", WbMpiSize, (0, 0), INT),
-        host("wbSolution", WbSolution, (2, 2), VOID),
-        host("wbSolutionImage", WbSolutionImage, (4, 4), VOID),
-        host("wbSolutionInt", WbSolutionInt, (2, 2), VOID),
-        host("wbSolutionMatrix", WbSolutionMatrix, (3, 3), VOID),
-        host("wbSolutionScalar", WbSolutionScalar, (1, 1), VOID),
-        host("wbTime_start", WbTimeStart, (2, 2), VOID),
-        host("wbTime_stop", WbTimeStop, (2, 2), VOID),
+        // Math: the CUDA `f` spellings and the C spellings.
+        math("sqrtf", Sqrt), math("sqrt", Sqrt), math("rsqrtf", Rsqrt),
+        math("expf", Exp), math("exp", Exp),
+        math("logf", Log), math("log", Log), math("log2f", Log2),
+        math("sinf", Sin), math("sin", Sin), math("cosf", Cos), math("cos", Cos),
+        math("fabsf", Fabs), math("fabs", Fabs),
+        math("ceilf", Ceil), math("ceil", Ceil), math("floorf", Floor), math("floor", Floor),
+        math("powf", Pow), math("pow", Pow), math("fmodf", Fmod),
+        math("fminf", Fmin), math("fmin", Fmin), math("fmaxf", Fmax), math("fmax", Fmax),
+        math("abs", Abs), math("min", Min), math("max", Max),
+        // Device: synchronization, atomics, OpenCL work-item queries.
+        device("__syncthreads",   Barrier,                   0, Ret::Is(Type::VOID)),
+        device("barrier",         Barrier,                   1, Ret::Is(Type::VOID)),
+        device("atomicAdd",       Atomic(AtomicKind::Add),   2, Ret::Pointee),
+        device("atomicMin",       Atomic(AtomicKind::Min),   2, Ret::Pointee),
+        device("atomicMax",       Atomic(AtomicKind::Max),   2, Ret::Pointee),
+        device("atomicExch",      Atomic(AtomicKind::Exch),  2, Ret::Pointee),
+        device("atomicCAS",       AtomicCas,                 3, Ret::Is(Type::INT)),
+        device("get_global_id",   WorkItem(GlobalId),        1, Ret::Is(Type::INT)),
+        device("get_local_id",    WorkItem(LocalId),         1, Ret::Is(Type::INT)),
+        device("get_group_id",    WorkItem(GroupId),         1, Ret::Is(Type::INT)),
+        device("get_local_size",  WorkItem(LocalSize),       1, Ret::Is(Type::INT)),
+        device("get_num_groups",  WorkItem(NumGroups),       1, Ret::Is(Type::INT)),
+        device("get_global_size", WorkItem(GlobalSize),      1, Ret::Is(Type::INT)),
+        // Host: memory, the CUDA runtime, libwb, MPI.
+        host("malloc",                 Malloc,                (1, 1), Type::VOID.ptr_to()),
+        host("free",                   Free,                  (1, 1), Type::VOID),
+        host("cudaMalloc",             CudaMalloc,            (2, 2), Type::INT),
+        host("cudaFree",               CudaFree,              (1, 1), Type::INT),
+        host("cudaMemcpy",             CudaMemcpy,            (4, 4), Type::INT),
+        host("cudaMemcpyToSymbol",     CudaMemcpyToSymbol,    (3, 3), Type::INT),
+        host("cudaDeviceSynchronize",  CudaDeviceSynchronize, (0, 0), Type::INT),
+        host("cudaGetLastError",       CudaGetLastError,      (0, 0), Type::INT),
+        host("cudaSetDevice",          CudaSetDevice,         (1, 1), Type::INT),
+        host("cudaGetDeviceCount",     CudaGetDeviceCount,    (1, 1), Type::INT),
+        host("wbImportVector",         WbImportVector,        (2, 2), FLOAT_PTR),
+        host("wbImportIntVector",      WbImportIntVector,     (2, 2), INT_PTR),
+        host("wbImportMatrix",         WbImportMatrix,        (3, 3), FLOAT_PTR),
+        host("wbImportImage",          WbImportImage,         (4, 4), FLOAT_PTR),
+        host("wbImportCsrRowPtr",      WbImportCsrRowPtr,     (2, 2), INT_PTR),
+        host("wbImportCsrColIdx",      WbImportCsrColIdx,     (2, 2), INT_PTR),
+        host("wbImportCsrValues",      WbImportCsrValues,     (2, 2), FLOAT_PTR),
+        host("wbImportGraphRowPtr",    WbImportGraphRowPtr,   (2, 2), INT_PTR),
+        host("wbImportGraphNeighbors", WbImportGraphNeighbors, (2, 2), INT_PTR),
+        host("wbImportScalar",         WbImportScalar,        (1, 1), Type::FLOAT),
+        host("wbSolution",             WbSolution,            (2, 2), Type::VOID),
+        host("wbSolutionInt",          WbSolutionInt,         (2, 2), Type::VOID),
+        host("wbSolutionMatrix",       WbSolutionMatrix,      (3, 3), Type::VOID),
+        host("wbSolutionImage",        WbSolutionImage,       (4, 4), Type::VOID),
+        host("wbSolutionScalar",       WbSolutionScalar,      (1, 1), Type::VOID),
+        host("wbLog",                  WbLog,                 (1, 8), Type::VOID),
+        host("wbTime_start",           WbTimeStart,           (2, 2), Type::VOID),
+        host("wbTime_stop",            WbTimeStop,            (2, 2), Type::VOID),
+        host("wbMPI_rank",             WbMpiRank,             (0, 0), Type::INT),
+        host("wbMPI_size",             WbMpiSize,             (0, 0), Type::INT),
+        host("wbMPI_sendFloat",        WbMpiSendFloat,        (3, 3), Type::VOID),
+        host("wbMPI_recvFloat",        WbMpiRecvFloat,        (3, 3), Type::VOID),
+        host("wbMPI_barrier",          WbMpiBarrier,          (0, 0), Type::VOID),
+        host("exit",                   Exit,                  (1, 1), Type::VOID),
     ]
+};
+
+/// Slots in [`INDEX`]: a power of two over three times the rows, so
+/// probe runs stay short.
+const SLOTS: usize = 256;
+const EMPTY: u8 = u8::MAX;
+
+/// A spelling's home slot in [`INDEX`]: the top byte of its 32-bit
+/// FNV-1a hash.
+const fn slot(name: &[u8]) -> usize {
+    let mut h: u32 = 0x811c_9dc5;
+    let mut i = 0;
+    while i < name.len() {
+        h = (h ^ name[i] as u32).wrapping_mul(0x0100_0193);
+        i += 1;
+    }
+    (h >> 24) as usize
+}
+
+/// Each row's index, at its spelling's home slot or the next free one
+/// after it; built when the crate compiles.
+static INDEX: [u8; SLOTS] = {
+    let mut index = [EMPTY; SLOTS];
+    let mut row = 0;
+    while row < ROWS.len() {
+        let mut s = slot(ROWS[row].name.as_bytes());
+        while index[s] != EMPTY {
+            s = (s + 1) % SLOTS;
+        }
+        index[s] = row as u8;
+        row += 1;
+    }
+    index
 };
 
 impl Intrinsic {
     /// The built-in spelled `name`, if any. Sema alone calls this.
     pub(crate) fn lookup(name: &str) -> Option<Intrinsic> {
-        let i = ROWS.binary_search_by(|r| r.name.cmp(name)).ok()?;
-        Some(Intrinsic(i as u8))
+        let mut s = slot(name.as_bytes());
+        loop {
+            match INDEX[s] {
+                EMPTY => return None,
+                row if ROWS[usize::from(row)].name == name => return Some(Intrinsic(row)),
+                _ => s = (s + 1) % SLOTS,
+            }
+        }
     }
 
     fn row(self) -> &'static Row {
@@ -304,8 +304,7 @@ mod tests {
     use crate::value::Value;
 
     #[test]
-    fn rows_are_sorted_and_each_spelling_resolves_to_its_own_row() {
-        assert!(ROWS.windows(2).all(|w| w[0].name < w[1].name));
+    fn each_spelling_resolves_to_its_own_row() {
         for (i, row) in ROWS.iter().enumerate() {
             let b = Intrinsic::lookup(row.name).expect("in the table");
             assert_eq!((b.0 as usize, b.name()), (i, row.name));

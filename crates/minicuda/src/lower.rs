@@ -515,12 +515,12 @@ impl<'a> Lower<'a> {
                 });
                 dst
             }
-            Op::Device(DeviceOp::WorkItem(which)) => {
+            Op::Device(DeviceOp::WorkItem(query)) => {
                 let dim = self.lower_expr(arg(0));
                 let dst = self.fresh();
                 self.emit(Inst::OclId {
                     dst,
-                    which,
+                    which: query,
                     dim,
                     pos,
                 });
