@@ -92,8 +92,7 @@ pub enum Ret {
     /// Always this type.
     Is(Type),
     /// `int` when every argument is an `int` or a `bool`, else `float`:
-    /// `abs`, `min` and `max`, as [`MathOp::apply`]
-    /// computes them.
+    /// `abs`, `min` and `max`, as [`MathOp::apply`] computes them.
     IntIfAllInt,
     /// The pointee of the first argument, which must be a pointer: the
     /// atomics but `atomicCAS`.
