@@ -165,6 +165,7 @@ fn representation_edges_match_the_oracle() {
             "FMAX_TRAP_IN_A_ZERO_TRIP_LOOP",
             FMAX_TRAP_IN_A_ZERO_TRIP_LOOP,
         ),
+        ("ABS_OF_THE_MOST_NEGATIVE_INT", ABS_OF_THE_MOST_NEGATIVE_INT),
     ] {
         let src = representation_edge_program(case);
         Executors::compile(&src, Dialect::Cuda).run(name, &[], &opts);

@@ -439,7 +439,7 @@ impl MathOp {
             MathOp::Fmax => binary_f(f32::max),
             MathOp::Abs => match args[0] {
                 Value::F(x) => Ok(Value::F(x.abs())),
-                other => other.as_int().map(|v| Value::I(v.abs())),
+                other => other.as_int().map(|v| Value::I(v.wrapping_abs())),
             },
             MathOp::Min | MathOp::Max => {
                 let float_mode = matches!(args[0], Value::F(_)) || matches!(args[1], Value::F(_));
@@ -636,6 +636,8 @@ mod tests {
             Ok(Value::F(1.5))
         );
         assert_eq!(apply("abs", &[Value::B(true)]), Ok(Value::I(1)));
+        // C leaves it undefined; every executor wraps, as the lanes do.
+        assert_eq!(apply("abs", &[Value::I(i64::MIN)]), Ok(Value::I(i64::MIN)));
         assert_eq!(
             apply("fminf", &[Value::F(1.0)]),
             Err("fminf expects 2 arguments".to_string())

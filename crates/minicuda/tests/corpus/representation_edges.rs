@@ -185,6 +185,24 @@ const FMAX_TRAP_IN_A_ZERO_TRIP_LOOP: (&str, usize) = (
     8,
 );
 
+// `abs` of the most negative int wraps to itself: folded from a
+// constant, on uniform lanes loaded from memory, and on typed lanes
+// mixed with small values. Even lanes write 7, odd lanes 11.
+#[allow(dead_code)]
+const ABS_OF_THE_MOST_NEGATIVE_INT: (&str, usize) = (
+    r#"__global__ void k(float* out, float* a, float* b) {
+            int t = threadIdx.x;
+            int m = -9223372036854775807 - 1;
+            int h = a[0] - 100;
+            int loaded = h - 9223372036854775807 - 1;
+            int u = abs(m);
+            int v = abs(loaded);
+            int w = abs(t % 2 == 0 ? loaded : -t);
+            out[t] = (u == m) + 2 * (v == m) + 4 * (w == m) + 8 * (w == t);
+        }"#,
+    8,
+);
+
 /// The host program that runs `kernel` over one block of `n` threads:
 /// `a[i] = i + 100`, `b[i] = i + 200`, and `out` is the solution.
 fn representation_edge_program((kernel, n): (&str, usize)) -> String {

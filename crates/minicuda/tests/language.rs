@@ -941,6 +941,33 @@ fn an_fmax_trap_in_a_zero_trip_loop_never_fires() {
     }
 }
 
+#[test]
+fn abs_of_the_most_negative_int_wraps_on_every_lane_form() {
+    let out = same_at_all_levels(ABS_OF_THE_MOST_NEGATIVE_INT);
+    let v = solution_vec(&out);
+    for (t, &x) in v.iter().enumerate() {
+        assert_eq!(x, if t % 2 == 0 { 7.0 } else { 11.0 }, "lane {t}");
+    }
+}
+
+#[test]
+fn abs_of_the_most_negative_int_wraps_on_the_host_at_every_level() {
+    let src = "int main() { int m = -9223372036854775807 - 1; int h = 0; \
+               int loaded = h - 9223372036854775807 - 1; \
+               wbSolutionScalar((abs(m) == m) + 2 * (abs(loaded) == m) + 4 * (abs(-5) == 5)); \
+               return 0; }";
+    for opt in [OptLevel::O0, OptLevel::O2] {
+        let program = compile_with(src, Dialect::Cuda, opt).unwrap_or_else(|d| panic!("{d}"));
+        let opts = RunOptions {
+            device: DeviceConfig::test_small(),
+            ..Default::default()
+        };
+        let out = minicuda::run(&program, &[] as &[Dataset], &opts);
+        assert!(out.ok(), "{opt}: {:?}", out.error);
+        assert_eq!(scalar(&out), 7.0, "{opt}");
+    }
+}
+
 // ---- name binding: shadowing, pinned ------------------------------------
 //
 // Sema binds every name once and lowering, the host interpreter and the
