@@ -72,8 +72,9 @@ fn request(job_id: u64, source: String, inputs: Vec<f32>, expected: Dataset) -> 
         inputs: vec![
             Dataset::Vector(inputs.clone()),
             Dataset::Vector(inputs.iter().map(|v| v + 1.0).collect()),
-        ],
-        expected,
+        ]
+        .into(),
+        expected: expected.into(),
     }];
     JobRequest {
         job_id,

@@ -45,8 +45,8 @@ fn request(job_id: u64) -> JobRequest {
         spec: LabSpec::cuda_test("scale"),
         datasets: vec![DatasetCase {
             name: "d0".into(),
-            inputs: vec![Dataset::Vector(inputs)],
-            expected: Dataset::Vector(expected),
+            inputs: vec![Dataset::Vector(inputs)].into(),
+            expected: Dataset::Vector(expected).into(),
         }],
         action: JobAction::FullGrade,
     }

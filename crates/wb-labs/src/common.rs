@@ -2,6 +2,7 @@
 //! reference solutions.
 
 use libwb::{CheckPolicy, Dataset};
+use std::sync::Arc;
 use wb_server::{LabDefinition, Rubric};
 use wb_worker::{DatasetCase, LabSpec};
 
@@ -52,12 +53,13 @@ pub fn make_lab(
     }
 }
 
-/// Build one dataset case.
+/// Build one dataset case: its inputs and expected output are
+/// allocated here, once, and shared by every job that runs it.
 pub fn case(name: &str, inputs: Vec<Dataset>, expected: Dataset) -> DatasetCase {
     DatasetCase {
         name: name.to_string(),
-        inputs,
-        expected,
+        inputs: Arc::from(inputs),
+        expected: Arc::new(expected),
     }
 }
 

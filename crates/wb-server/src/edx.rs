@@ -95,8 +95,8 @@ impl EdxFrontend {
             }
             cases.push(wb_worker::DatasetCase {
                 name: format!("case{i}"),
-                inputs,
-                expected,
+                inputs: inputs.into(),
+                expected: expected.into(),
             });
         }
         if cases.is_empty() {
@@ -165,8 +165,8 @@ mod tests {
             spec: LabSpec::cuda_test("echo"),
             datasets: vec![DatasetCase {
                 name: "d0".into(),
-                inputs: vec![Dataset::Vector(vec![1.0])],
-                expected: Dataset::Vector(vec![1.0]),
+                inputs: vec![Dataset::Vector(vec![1.0])].into(),
+                expected: Dataset::Vector(vec![1.0]).into(),
             }],
             action: JobAction::FullGrade,
         }
@@ -198,13 +198,13 @@ mod tests {
         let cases = vec![
             DatasetCase {
                 name: "case0".into(),
-                inputs: vec![Dataset::Vector(vec![1.0, 2.0]), Dataset::Scalar(3.0)],
-                expected: Dataset::Vector(vec![4.0]),
+                inputs: vec![Dataset::Vector(vec![1.0, 2.0]), Dataset::Scalar(3.0)].into(),
+                expected: Dataset::Vector(vec![4.0]).into(),
             },
             DatasetCase {
                 name: "case1".into(),
-                inputs: vec![Dataset::IntVector(vec![1, 2, 3])],
-                expected: Dataset::Scalar(6.0),
+                inputs: vec![Dataset::IntVector(vec![1, 2, 3])].into(),
+                expected: Dataset::Scalar(6.0).into(),
             },
         ];
         let n = EdxFrontend::upload_datasets(&store, "sum", &cases);

@@ -91,8 +91,8 @@ impl LabDefinition {
             skeleton: "int main() {\n    // your code here\n    return 0;\n}\n".to_string(),
             datasets: vec![DatasetCase {
                 name: "d0".into(),
-                inputs: vec![Dataset::Vector(vec![1.0, 2.0, 3.0])],
-                expected: Dataset::Vector(vec![1.0, 2.0, 3.0]),
+                inputs: vec![Dataset::Vector(vec![1.0, 2.0, 3.0])].into(),
+                expected: Dataset::Vector(vec![1.0, 2.0, 3.0]).into(),
             }],
             questions: vec!["Why is the sky blue?".to_string()],
             spec: LabSpec::cuda_test(id),

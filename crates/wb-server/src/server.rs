@@ -376,6 +376,7 @@ impl WebGpuServer {
             user: s.user.clone(),
             source: source.clone(),
             spec: lab.spec.clone(),
+            // Shares each case's payload with the deployed lab.
             datasets: lab.datasets.clone(),
             action,
         };

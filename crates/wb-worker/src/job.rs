@@ -3,19 +3,25 @@
 
 use libwb::{CheckPolicy, CheckReport, Dataset};
 use minicuda::{AnalysisPolicy, CostSummary, Diag, Dialect, Finding};
+use std::sync::Arc;
 use wb_queue::CapabilitySet;
 use wb_sandbox::{Blacklist, ResourceLimits, SyscallWhitelist};
 
 /// One test dataset: the inputs handed to the program and the expected
 /// output the worker evaluates against.
+///
+/// The payload is built once, where the lab is defined, and is
+/// immutable from then on: a clone (the deployed lab's copy into each
+/// [`JobRequest`], and every scheduler, broker or retry copy of that
+/// job) shares it and bumps two reference counts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DatasetCase {
     /// Human-visible name ("dataset 3").
     pub name: String,
     /// Program inputs, in `wbImport` index order.
-    pub inputs: Vec<Dataset>,
+    pub inputs: Arc<[Dataset]>,
     /// Expected solution.
-    pub expected: Dataset,
+    pub expected: Arc<Dataset>,
 }
 
 /// Everything the instructor configured that the worker needs: the

@@ -325,8 +325,8 @@ mod tests {
             spec: LabSpec::cuda_test("identity"),
             datasets: vec![DatasetCase {
                 name: "d0".into(),
-                inputs: vec![Dataset::Vector(vec![1.0, 2.0])],
-                expected: Dataset::Vector(vec![1.0, 2.0]),
+                inputs: vec![Dataset::Vector(vec![1.0, 2.0])].into(),
+                expected: Dataset::Vector(vec![1.0, 2.0]).into(),
             }],
             action: JobAction::FullGrade,
         }

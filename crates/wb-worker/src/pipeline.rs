@@ -379,13 +379,14 @@ mod tests {
                     inputs: vec![
                         Dataset::Vector(vec![1.0, 2.0]),
                         Dataset::Vector(vec![3.0, 4.0]),
-                    ],
-                    expected: Dataset::Vector(vec![4.0, 6.0]),
+                    ]
+                    .into(),
+                    expected: Dataset::Vector(vec![4.0, 6.0]).into(),
                 },
                 DatasetCase {
                     name: "d1".into(),
-                    inputs: vec![Dataset::Vector(vec![0.0]), Dataset::Vector(vec![5.0])],
-                    expected: Dataset::Vector(vec![5.0]),
+                    inputs: vec![Dataset::Vector(vec![0.0]), Dataset::Vector(vec![5.0])].into(),
+                    expected: Dataset::Vector(vec![5.0]).into(),
                 },
             ],
             action,

@@ -26,8 +26,8 @@ fn request(job_id: u64, source: &str, action: JobAction) -> JobRequest {
         spec: LabSpec::cuda_test("identity"),
         datasets: vec![DatasetCase {
             name: "d0".into(),
-            inputs: vec![Dataset::Vector(vec![1.0, 2.0])],
-            expected: Dataset::Vector(vec![1.0, 2.0]),
+            inputs: vec![Dataset::Vector(vec![1.0, 2.0])].into(),
+            expected: Dataset::Vector(vec![1.0, 2.0]).into(),
         }],
         action,
     }

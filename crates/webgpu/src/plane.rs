@@ -475,8 +475,8 @@ mod tests {
             spec,
             datasets: vec![DatasetCase {
                 name: "d0".into(),
-                inputs: vec![Dataset::Vector(vec![1.0])],
-                expected: Dataset::Vector(vec![1.0]),
+                inputs: vec![Dataset::Vector(vec![1.0])].into(),
+                expected: Dataset::Vector(vec![1.0]).into(),
             }],
             action: JobAction::FullGrade,
         }

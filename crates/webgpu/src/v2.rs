@@ -264,8 +264,8 @@ mod tests {
             spec: LabSpec::cuda_test("echo"),
             datasets: vec![DatasetCase {
                 name: "d0".into(),
-                inputs: vec![Dataset::Vector(vec![2.0])],
-                expected: Dataset::Vector(vec![2.0]),
+                inputs: vec![Dataset::Vector(vec![2.0])].into(),
+                expected: Dataset::Vector(vec![2.0]).into(),
             }],
             action: JobAction::FullGrade,
         }
@@ -520,8 +520,8 @@ mod health_tests {
                 spec: LabSpec::cuda_test("noop"),
                 datasets: vec![DatasetCase {
                     name: "d0".into(),
-                    inputs: vec![],
-                    expected: Dataset::Scalar(0.0),
+                    inputs: vec![].into(),
+                    expected: Dataset::Scalar(0.0).into(),
                 }],
                 action: JobAction::CompileOnly,
             },

@@ -24,8 +24,8 @@ fn author_saxpy() -> LabDefinition {
         let expected: Vec<f32> = x.iter().zip(&y).map(|(xi, yi)| a * xi + yi).collect();
         datasets.push(DatasetCase {
             name: format!("d{k}"),
-            inputs: vec![Dataset::Scalar(a), Dataset::Vector(x), Dataset::Vector(y)],
-            expected: Dataset::Vector(expected),
+            inputs: vec![Dataset::Scalar(a), Dataset::Vector(x), Dataset::Vector(y)].into(),
+            expected: Dataset::Vector(expected).into(),
         });
     }
 

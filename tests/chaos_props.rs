@@ -37,8 +37,8 @@ fn echo_job(job_id: u64, tagged: bool) -> JobRequest {
         spec,
         datasets: vec![DatasetCase {
             name: "d0".into(),
-            inputs: vec![Dataset::Vector(vec![1.0, 2.0])],
-            expected: Dataset::Vector(vec![1.0, 2.0]),
+            inputs: vec![Dataset::Vector(vec![1.0, 2.0])].into(),
+            expected: Dataset::Vector(vec![1.0, 2.0]).into(),
         }],
         action: JobAction::FullGrade,
     }
