@@ -7,9 +7,10 @@
 //! fewer bytes than one copy of that lab's datasets. Run with
 //! `--nocapture` to see both figures.
 
+mod live_bytes;
+
 use libwb::Dataset;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use live_bytes::live;
 use std::sync::{Arc, Mutex};
 use wb_labs::LabScale;
 use wb_server::{DeviceKind, JobDispatcher, SubmitRequest, WbError, WebGpuServer};
@@ -27,52 +28,6 @@ const MAX_BYTES_PER_REQUEST: i64 = 8 * 1024;
 /// How many times fewer bytes a queued submission must retain than a
 /// copy of the lab's datasets (×444 when measured).
 const MIN_SAVING: i64 = 100;
-
-/// The system allocator, counting this thread's live bytes in a
-/// thread-local, so the test harness's other threads do not disturb
-/// the count.
-struct Counting;
-
-thread_local! {
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-}
-
-fn grow(delta: i64) {
-    let _ = LIVE.try_with(|n| n.set(n.get() + delta));
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size() as i64);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size() as i64);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        grow(new_size as i64 - layout.size() as i64);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        grow(-(layout.size() as i64));
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// The heap bytes `f`'s result holds on this thread once `f`'s own
-/// scratch is freed, and the result.
-fn live<T>(f: impl FnOnce() -> T) -> (i64, T) {
-    let before = LIVE.with(Cell::get);
-    let out = f();
-    (LIVE.with(Cell::get) - before, out)
-}
 
 /// Keeps every job it is offered and runs none: a backlog.
 #[derive(Default)]

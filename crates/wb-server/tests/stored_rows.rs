@@ -7,8 +7,9 @@
 //! at most [`MAX_SET_BYTES_PER_TEXT`] per row beyond one copy each. Run
 //! with `--nocapture` to see the bytes per row of both forms.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod live_bytes;
+
+use live_bytes::live;
 use wb_db::Table;
 use wb_server::state::{AttemptRec, ServerState};
 
@@ -21,52 +22,6 @@ const MIN_SAVING: i64 = 4;
 /// entry and `Arc` header, less what the kept form's exactly sized
 /// strings save (7 bytes when measured).
 const MAX_SET_BYTES_PER_TEXT: i64 = 128;
-
-/// The system allocator, counting this thread's live bytes in a
-/// thread-local, so the test harness's other threads do not disturb
-/// the count.
-struct Counting;
-
-thread_local! {
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-}
-
-fn grow(delta: i64) {
-    let _ = LIVE.try_with(|n| n.set(n.get() + delta));
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size() as i64);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size() as i64);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        grow(new_size as i64 - layout.size() as i64);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        grow(-(layout.size() as i64));
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// The heap bytes `f`'s result holds on this thread once `f`'s own
-/// scratch is freed, and the result.
-fn live<T>(f: impl FnOnce() -> T) -> (i64, T) {
-    let before = LIVE.with(Cell::get);
-    let out = f();
-    (LIVE.with(Cell::get) - before, out)
-}
 
 /// An attempt row as the server writes one after a compile.
 fn attempt(i: usize, source: &str) -> AttemptRec {
