@@ -187,6 +187,35 @@ mod tests {
     }
 
     #[test]
+    fn the_built_in_profiles_hold_exactly_these_calls() {
+        let cuda = SyscallWhitelist::cuda_default();
+        assert_eq!(
+            cuda.calls().collect::<Vec<_>>().join(" "),
+            "cudaDeviceSynchronize cudaFree cudaGetDeviceCount cudaGetLastError cudaMalloc \
+             cudaMemcpy cudaMemcpyToSymbol cudaSetDevice exit free kernelLaunch malloc \
+             wbImportCsrColIdx wbImportCsrRowPtr wbImportCsrValues wbImportGraphNeighbors \
+             wbImportGraphRowPtr wbImportImage wbImportIntVector wbImportMatrix wbImportScalar \
+             wbImportVector wbLog wbSolution wbSolutionImage wbSolutionInt wbSolutionMatrix \
+             wbSolutionScalar wbTime_start wbTime_stop"
+        );
+        assert_eq!(
+            cuda.digest().to_string(),
+            "91ed99ad9d988cb47b9d530f629e035d"
+        );
+        let mpi = SyscallWhitelist::mpi_profile();
+        let extra: Vec<_> = mpi
+            .calls()
+            .filter(|c| !HostcallPolicy::allow(&cuda, c))
+            .collect();
+        assert_eq!(
+            extra.join(" "),
+            "wbMPI_barrier wbMPI_rank wbMPI_recvFloat wbMPI_sendFloat wbMPI_size"
+        );
+        assert_eq!(mpi.len(), cuda.len() + extra.len());
+        assert_eq!(mpi.digest().to_string(), "e7530d8b4656c00ab92eee0f6714f869");
+    }
+
+    #[test]
     fn mpi_profile_extends_cuda() {
         let w = SyscallWhitelist::mpi_profile();
         assert!(HostcallPolicy::allow(&w, "wbMPI_barrier"));
