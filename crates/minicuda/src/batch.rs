@@ -101,9 +101,7 @@ use crate::device::KernelEnv;
 use crate::diag::{Diag, Phase, Pos};
 use crate::intrinsic::Intrinsic;
 use crate::ir::{BlockId, Inst, IrFunc, IrProgram, OclFn, Reg};
-use crate::memory::{
-    self, atomic_words, bounds, kernel_words, kernel_words_mut, MemError, MemPool, SharedMem,
-};
+use crate::memory::{self, atomic_words, bounds, kernel_words, MemError, MemPool, SharedMem};
 use crate::value::{apply_binop, apply_unop, ElemType, MathOp, Ptr, Space, Value};
 use std::collections::HashMap;
 
@@ -615,7 +613,9 @@ pub(crate) struct BatchExec<'a> {
     env: &'a KernelEnv<'a>,
     ir: &'a IrProgram,
     /// Device global memory, lent by the launch.
-    global: &'a mut MemPool,
+    global: Global<'a>,
+    /// The global allocations this executor's blocks loaded and stored.
+    pub(crate) footprint: Footprint,
     /// The rank's remaining warp-instruction budget.
     budget: &'a mut i64,
     n: usize,
@@ -657,7 +657,7 @@ impl<'a> BatchExec<'a> {
     pub(crate) fn new(
         env: &'a KernelEnv<'a>,
         ir: &'a IrProgram,
-        global: &'a mut MemPool,
+        global: Global<'a>,
         budget: &'a mut i64,
     ) -> Self {
         let n = (env.block_dim[0] * env.block_dim[1] * env.block_dim[2]) as usize;
@@ -680,6 +680,7 @@ impl<'a> BatchExec<'a> {
             env,
             ir,
             global,
+            footprint: Footprint::default(),
             budget,
             n,
             block_idx: [0; 3],
@@ -729,6 +730,16 @@ impl<'a> BatchExec<'a> {
         self.cycles += cost::BLOCK_OVERHEAD;
         self.cost.device_cycles = self.cycles;
         Ok(self.cost)
+    }
+
+    /// The log of a participant's global stores (empty on the rank
+    /// thread, which wrote them in place) and its footprint.
+    pub(crate) fn finish(self) -> (StoreLog, Footprint) {
+        let log = match self.global {
+            Global::Owned(_) => StoreLog::default(),
+            Global::Logged(_, log) => log,
+        };
+        (log, self.footprint)
     }
 
     // ---- bookkeeping ---------------------------------------------------
@@ -1072,7 +1083,8 @@ impl<'a> BatchExec<'a> {
                 let (ptrs, vals) = (&fr.regs[*ptr as usize], &fr.regs[*val as usize]);
                 let out = self.exec_atomic(*pos, |ex, i| {
                     let p = ptrs.at(i).as_ptr().map_err(|m| ex.lane_err(*pos, i, m))?;
-                    atomic_words(ex.global, &mut ex.shared, p, kind.name())
+                    (ex.global.owned())
+                        .and_then(|global| atomic_words(global, &mut ex.shared, p, kind.name()))
                         .and_then(|(words, elem)| memory::rmw(words, p, elem, *kind, vals.at(i)))
                         .map_err(|e| ex.lane_err(*pos, i, e.0))
                 })?;
@@ -1094,7 +1106,8 @@ impl<'a> BatchExec<'a> {
                     let p = ptrs.at(i).as_ptr().map_err(|m| ex.lane_err(*pos, i, m))?;
                     let c = cmps.at(i).as_int().map_err(|m| ex.lane_err(*pos, i, m))?;
                     let v = vals.at(i).as_int().map_err(|m| ex.lane_err(*pos, i, m))?;
-                    atomic_words(ex.global, &mut ex.shared, p, "atomicCAS")
+                    (ex.global.owned())
+                        .and_then(|global| atomic_words(global, &mut ex.shared, p, "atomicCAS"))
                         .and_then(|(words, elem)| memory::cas(words, p, elem, c, v))
                         .map_err(|e| ex.lane_err(*pos, i, e.0))
                 })?;
@@ -2007,6 +2020,170 @@ enum Addr {
     Generic(Vec<Option<Ptr>>),
 }
 
+/// Device global memory as the blocks of one executor see it.
+///
+/// The rank thread's executor owns the pool and writes it in place. A
+/// participant of a fanned-out launch (see `device`) only reads it: its
+/// global stores append to a [`StoreLog`], which the rank thread applies
+/// if the launch commits. Atomics need the owned pool, so a participant
+/// stops at its first one.
+pub(crate) enum Global<'a> {
+    /// The rank thread's pool, written in place.
+    Owned(&'a mut MemPool),
+    /// A participant's read-only view, and the log of its stores.
+    Logged(&'a MemPool, StoreLog),
+}
+
+impl Global<'_> {
+    fn pool(&self) -> &MemPool {
+        match self {
+            Global::Owned(pool) => pool,
+            Global::Logged(pool, _) => pool,
+        }
+    }
+
+    fn owned(&mut self) -> Result<&mut MemPool, MemError> {
+        match self {
+            Global::Owned(pool) => Ok(pool),
+            Global::Logged(..) => Err(MemError(
+                "a fanned-out block cannot run an atomic".to_string(),
+            )),
+        }
+    }
+}
+
+/// The global allocations a run of blocks loaded from and stored to.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Footprint {
+    loaded: Vec<u32>,
+    stored: Vec<u32>,
+}
+
+impl Footprint {
+    /// Record a load or store of `alloc`: true when that is its first
+    /// access of the kind and it already had the other.
+    fn note(&mut self, alloc: u32, store: bool) -> bool {
+        let (mine, other) = if store {
+            (&mut self.stored, &self.loaded)
+        } else {
+            (&mut self.loaded, &self.stored)
+        };
+        if mine.contains(&alloc) {
+            return false;
+        }
+        mine.push(alloc);
+        other.contains(&alloc)
+    }
+
+    /// Whether some allocation was both loaded and stored.
+    pub(crate) fn conflicts(&self) -> bool {
+        self.loaded.iter().any(|a| self.stored.contains(a))
+    }
+
+    /// Add another run's accesses.
+    pub(crate) fn merge(&mut self, other: &Footprint) {
+        for &a in &other.loaded {
+            self.note(a, false);
+        }
+        for &a in &other.stored {
+            self.note(a, true);
+        }
+    }
+}
+
+/// A participant's global stores in the order its blocks made them, as
+/// runs of consecutive words of one allocation: a contiguous warp store
+/// costs 4 bytes a word.
+#[derive(Debug, Default)]
+pub(crate) struct StoreLog {
+    /// `(alloc, first word, words)` of each run.
+    runs: Vec<(u32, u32, u32)>,
+    words: Vec<u32>,
+    /// Words the log may hold: a store instruction that finds it full
+    /// stops the participant.
+    cap: usize,
+}
+
+impl StoreLog {
+    /// An empty log that takes at most about `cap` words.
+    pub(crate) fn new(cap: usize) -> Self {
+        StoreLog {
+            cap,
+            ..StoreLog::default()
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, alloc: u32, k: usize, bits: u32) {
+        match self.runs.last_mut() {
+            Some((a, first, n)) if *a == alloc && (*first + *n) as usize == k => *n += 1,
+            _ => self.runs.push((alloc, k as u32, 1)),
+        }
+        self.words.push(bits);
+    }
+
+    /// Make the logged stores, in order. Each was bounds-checked
+    /// against this pool, which no store log or free has changed
+    /// since.
+    pub(crate) fn apply(&self, pool: &mut MemPool) {
+        let mut at = 0;
+        for &(alloc, first, n) in &self.runs {
+            let (first, n) = (first as usize, n as usize);
+            let words = pool.words_mut(alloc).expect("logged allocation is live");
+            words[first..first + n].copy_from_slice(&self.words[at..at + n]);
+            at += n;
+        }
+    }
+}
+
+/// Where one store instruction's words land.
+enum Dest<'m> {
+    /// Written in place.
+    Words(&'m mut [u32]),
+    /// Appended to a participant's log: the allocation and its length.
+    Log(&'m mut StoreLog, u32, usize),
+}
+
+impl Dest<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Dest::Words(words) => words.len(),
+            Dest::Log(_, _, len) => *len,
+        }
+    }
+
+    #[inline]
+    fn put(&mut self, k: usize, bits: u32) {
+        match self {
+            Dest::Words(words) => words[k] = bits,
+            Dest::Log(log, alloc, _) => log.push(*alloc, k, bits),
+        }
+    }
+}
+
+/// The words a kernel writes through `p`, with the element type it
+/// writes them by: [`memory::kernel_words_mut`], with a participant's
+/// global stores going to its log.
+fn store_dest<'m>(
+    global: &'m mut Global<'_>,
+    shared: &'m mut SharedMem,
+    p: Ptr,
+) -> Result<(Dest<'m>, ElemType), MemError> {
+    match (p.space, global) {
+        (Space::Global, Global::Owned(pool)) => Ok((Dest::Words(pool.words_mut(p.alloc)?), p.elem)),
+        (Space::Global, Global::Logged(pool, log)) => {
+            let len = pool.words(p.alloc)?.len();
+            if log.words.len() >= log.cap {
+                return Err(MemError(
+                    "a fanned-out block's store log is full".to_string(),
+                ));
+            }
+            Ok((Dest::Log(log, p.alloc, len), p.elem))
+        }
+        _ => memory::block_words_mut(shared, p).map(|(words, elem)| (Dest::Words(words), elem)),
+    }
+}
+
 /// Resolve each active lane's offset against an allocation of `len`
 /// elements, in lane order, handing `(lane, element index)` to `each`;
 /// the first out-of-range lane stops the walk.
@@ -2234,6 +2411,8 @@ impl<'a> BatchExec<'a> {
     /// bounds check per active lane, typed result.
     fn load_lanes(&mut self, head: Ptr, offs: &[i64], pos: Pos) -> Result<LaneVec, Diag> {
         self.charge_lanes(head, offs, pos)?;
+        self.note(head, false)
+            .map_err(|e| self.first_err(pos, e.0))?;
         fn gather<T: Lane>(
             arena: &mut Arena,
             mask: Option<&[bool]>,
@@ -2254,7 +2433,7 @@ impl<'a> BatchExec<'a> {
                 }
             }
         }
-        let (words, elem) = kernel_words(self.global, self.env.consts, &self.shared, head)
+        let (words, elem) = kernel_words(self.global.pool(), self.env.consts, &self.shared, head)
             .map_err(|e| self.first_err(pos, e.0))?;
         let (arena, mask) = (&mut self.arena, mask!(self));
         let out = if elem == ElemType::I32 {
@@ -2302,27 +2481,48 @@ impl<'a> BatchExec<'a> {
         src: Src<'_, T>,
         pos: Pos,
     ) -> Result<(), Diag> {
+        self.note(head, true)
+            .map_err(|e| self.first_err(pos, e.0))?;
         let mask = mask!(self);
-        let (words, elem) = match kernel_words_mut(self.global, &mut self.shared, head) {
+        let (mut dest, elem) = match store_dest(&mut self.global, &mut self.shared, head) {
             Ok(found) => found,
             Err(e) => return Err(self.first_err(pos, e.0)),
         };
-        for_each_element(mask, head, offs, words.len(), |i, k| {
-            words[k] = store_bits(src.get(i), elem)
+        for_each_element(mask, head, offs, dest.len(), |i, k| {
+            dest.put(k, store_bits(src.get(i), elem))
         })
         .map_err(|(i, e)| self.lane_err(pos, i, e.0))
     }
 
     fn load_one(&mut self, p: Ptr, pos: Pos, lane: usize) -> Result<Value, Diag> {
-        kernel_words(self.global, self.env.consts, &self.shared, p)
+        self.note(p, false)
+            .and_then(|()| kernel_words(self.global.pool(), self.env.consts, &self.shared, p))
             .and_then(|(words, elem)| memory::load(words, p, elem))
             .map_err(|e| self.lane_err(pos, lane, e.0))
     }
 
     fn store_one(&mut self, p: Ptr, v: Value, pos: Pos, lane: usize) -> Result<(), Diag> {
-        kernel_words_mut(self.global, &mut self.shared, p)
-            .and_then(|(words, elem)| memory::store(words, p, elem, v))
+        self.note(p, true)
+            .and_then(|()| store_dest(&mut self.global, &mut self.shared, p))
+            .and_then(|(mut dest, elem)| {
+                let k = bounds(p, dest.len())?;
+                dest.put(k, memory::store_word(v, elem)?);
+                Ok(())
+            })
             .map_err(|e| self.lane_err(pos, lane, e.0))
+    }
+
+    /// Record a global access through `p` in the footprint. A
+    /// participant stops at an allocation both loaded and stored: its
+    /// loads would not see its own stores.
+    fn note(&mut self, p: Ptr, store: bool) -> Result<(), MemError> {
+        let both = p.space == Space::Global && self.footprint.note(p.alloc, store);
+        if both && matches!(self.global, Global::Logged(..)) {
+            return Err(MemError(
+                "a fanned-out block both loaded and stored one allocation".to_string(),
+            ));
+        }
+        Ok(())
     }
 
     // ---- memory accounting -------------------------------------------------
@@ -2639,7 +2839,7 @@ mod tests {
             warp_size: 32,
         };
         let ir = IrProgram::default();
-        let mut ex = BatchExec::new(&env, &ir, &mut global, &mut budget);
+        let mut ex = BatchExec::new(&env, &ir, Global::Owned(&mut global), &mut budget);
         ex.recount();
         f(&mut ex);
     }

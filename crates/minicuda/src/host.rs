@@ -13,7 +13,7 @@ use crate::ast::*;
 use crate::cost::{self, CostSummary};
 use crate::device::{self, DeviceConfig};
 use crate::diag::{Diag, Phase, Pos};
-use crate::hostcall::{AllowAll, HostcallPolicy};
+use crate::hostcall::{AllowAll, HostcallPolicy, KERNEL_LAUNCH};
 use crate::intrinsic::{HostOp, Intrinsic, Op};
 use crate::memory::{self, ConstMem, MemError, MemPool};
 use crate::mpi::{CommWorld, RankComm};
@@ -92,7 +92,7 @@ const HOST_MEM_WORDS: usize = 64 << 20;
 /// stack-hungry in debug builds; interpreters always run on dedicated
 /// threads with room to spare so a deeply recursive (but in-budget)
 /// student program cannot overflow a small caller stack.
-const INTERP_STACK: usize = 32 * 1024 * 1024;
+pub(crate) const INTERP_STACK: usize = 32 * 1024 * 1024;
 
 /// Run with an explicit hostcall policy (the sandbox entry point).
 pub fn run_with_policy(
@@ -496,7 +496,7 @@ impl<'a> HostExec<'a> {
     }
 
     fn launch(&mut self, kernel: &str, operands: LaunchOperands, pos: Pos) -> Result<(), Diag> {
-        self.check_policy("kernelLaunch", pos)?;
+        self.check_policy(KERNEL_LAUNCH, pos)?;
         let f = self.frame.func;
         let g = self.eval_dim(f.list(operands.grid()), pos)?;
         let b = self.eval_dim(f.list(operands.block()), pos)?;
@@ -1131,7 +1131,7 @@ impl<'a> HostExec<'a> {
             HostOp::WbMpiSize => Value::I(self.comm.as_ref().map_or(1, |c| c.size() as i64)),
             HostOp::WbMpiBarrier => {
                 if let Some(c) = &self.comm {
-                    c.barrier();
+                    c.barrier().map_err(|m| runtime(pos, m))?;
                 }
                 Value::I(0)
             }

@@ -10,6 +10,10 @@
 //! over syscall numbers. `wb-sandbox` implements [`HostcallPolicy`] from
 //! instructor lab configuration.
 
+/// The hostcall every kernel launch makes: the one a policy sees that
+/// is not a built-in host call of [`crate::intrinsic`].
+pub const KERNEL_LAUNCH: &str = "kernelLaunch";
+
 /// Decides whether a host program may perform a named hostcall.
 pub trait HostcallPolicy: Sync {
     /// Return `true` to allow the call. A `false` aborts the run with a

@@ -86,6 +86,18 @@ pub enum HostOp {
     Exit,
 }
 
+impl HostOp {
+    /// Whether this is one of the `wbMPI_*` calls, which only labs that
+    /// use MPI allow.
+    pub fn is_mpi(self) -> bool {
+        use HostOp::*;
+        matches!(
+            self,
+            WbMpiRank | WbMpiSize | WbMpiSendFloat | WbMpiRecvFloat | WbMpiBarrier
+        )
+    }
+}
+
 /// How a call's result type follows from its argument types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ret {
@@ -255,6 +267,11 @@ impl Intrinsic {
                 _ => s = (s + 1) % SLOTS,
             }
         }
+    }
+
+    /// Every built-in, in table order.
+    pub fn all() -> impl Iterator<Item = Intrinsic> {
+        (0..ROWS.len() as u8).map(Intrinsic)
     }
 
     fn row(self) -> &'static Row {

@@ -97,7 +97,7 @@ pub use device::DeviceConfig;
 pub use diag::{Diag, Phase};
 pub use dialect::Dialect;
 pub use host::{run, run_with_policy, RunOptions, RunOutcome};
-pub use hostcall::{AllowAll, HostcallPolicy};
+pub use hostcall::{AllowAll, HostcallPolicy, KERNEL_LAUNCH};
 pub use sema::Program;
 use std::time::{Duration, Instant};
 

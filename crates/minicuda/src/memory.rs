@@ -52,8 +52,13 @@ pub(crate) fn load(words: &[u32], p: Ptr, elem: ElemType) -> Result<Value, MemEr
 /// Store `v`, coerced to `elem`, in the word `p` addresses.
 pub(crate) fn store(words: &mut [u32], p: Ptr, elem: ElemType, v: Value) -> Result<(), MemError> {
     let k = bounds(p, words.len())?;
-    words[k] = encode(v.coerce_to_elem(elem).map_err(MemError)?);
+    words[k] = store_word(v, elem)?;
     Ok(())
+}
+
+/// The word a store of `v` through an `elem` pointer writes.
+pub(crate) fn store_word(v: Value, elem: ElemType) -> Result<u32, MemError> {
+    Ok(encode(v.coerce_to_elem(elem).map_err(MemError)?))
 }
 
 /// `atomicAdd`, `atomicMin`, `atomicMax` or `atomicExch` on the word
@@ -144,11 +149,24 @@ pub(crate) fn kernel_words_mut<'m>(
 ) -> Result<(&'m mut [u32], ElemType), MemError> {
     match p.space {
         Space::Global => Ok((global.words_mut(p.alloc)?, p.elem)),
+        _ => block_words_mut(shared, p),
+    }
+}
+
+/// [`kernel_words_mut`] for every pointer but a global one: the
+/// block's own shared words, or the refusal of a constant or host
+/// pointer.
+pub(crate) fn block_words_mut(
+    shared: &mut SharedMem,
+    p: Ptr,
+) -> Result<(&mut [u32], ElemType), MemError> {
+    match p.space {
         Space::Shared => shared.words_mut(p.alloc),
         Space::Constant => Err(MemError("constant memory is read-only".to_string())),
         Space::Host => Err(MemError(
             "kernel wrote through a host pointer (did you forget cudaMemcpy?)".to_string(),
         )),
+        Space::Global => unreachable!("global words are the pool's"),
     }
 }
 

@@ -2,48 +2,120 @@
 //!
 //! The paper's final lab ("Multi-GPU Stencil with MPI") runs one host
 //! process per GPU and exchanges halos over MPI. Here each rank is a
-//! host-interpreter thread with its own simulated device; ranks
-//! exchange `f32` messages over `std::sync::mpsc` channels and synchronize on a
-//! barrier.
+//! host-interpreter thread with its own simulated device. The world
+//! keeps its state under one lock: the `f32` messages in flight between
+//! each ordered pair of ranks, the barrier, and what each rank is doing.
+//!
+//! A rank that would wait first checks whether any rank can still move.
+//! When none can, no wait can ever end: the world records a deadlock,
+//! and every waiting call fails with one diagnostic that names each rank
+//! and its call. This is the wait-for check of MUST (Hilbrich et al.,
+//! "MPI Runtime Error Detection with MUST: Advances in Deadlock
+//! Detection", SC 2012), exact here because the whole world is in one
+//! process. It covers receives that wait on each other and a barrier
+//! that a finished rank can never reach.
 
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Barrier};
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// A communicator for a fixed-size world. Clone one handle per rank
 /// with [`CommWorld::into_rank_comms`].
 pub struct CommWorld {
     size: usize,
-    // senders[src][dst], receivers[dst][src]
-    senders: Vec<Vec<Sender<Vec<f32>>>>,
-    receivers: Vec<Vec<Receiver<Vec<f32>>>>,
-    barrier: Arc<Barrier>,
+    world: Arc<World>,
+}
+
+/// The state every rank shares, and the signal that it changed.
+struct World {
+    state: Mutex<State>,
+    changed: Condvar,
+}
+
+struct State {
+    size: usize,
+    /// `queues[src * size + dst]`: messages sent and not yet received.
+    queues: Vec<VecDeque<Vec<f32>>>,
+    ranks: Vec<Activity>,
+    /// Ranks waiting in the current barrier round.
+    arrived: usize,
+    /// Barrier rounds completed.
+    rounds: u64,
+    /// Set once no rank can move; every wait then fails with it.
+    deadlock: Option<String>,
+}
+
+/// What a rank is doing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Activity {
+    Running,
+    /// Waiting in `wbMPI_recvFloat` for a message from this rank.
+    Recv(usize),
+    /// Waiting in `wbMPI_barrier` for this round to complete.
+    Barrier(u64),
+    Finished,
+}
+
+impl State {
+    /// Whether rank `r` runs or has what its wait waits for.
+    fn can_move(&self, r: usize) -> bool {
+        match self.ranks[r] {
+            Activity::Running => true,
+            Activity::Recv(src) => {
+                !self.queues[src * self.size + r].is_empty()
+                    || self.ranks[src] == Activity::Finished
+            }
+            Activity::Barrier(round) => self.rounds != round,
+            Activity::Finished => false,
+        }
+    }
+
+    /// Record a deadlock when some rank waits and no rank can move.
+    fn check_deadlock(&mut self) {
+        let waiting = self
+            .ranks
+            .iter()
+            .any(|a| matches!(a, Activity::Recv(_) | Activity::Barrier(_)));
+        if self.deadlock.is_some() || !waiting || (0..self.size).any(|r| self.can_move(r)) {
+            return;
+        }
+        let calls: Vec<String> = (0..self.size)
+            .map(|r| match self.ranks[r] {
+                Activity::Recv(src) => format!("rank {r} waits in wbMPI_recvFloat for rank {src}"),
+                Activity::Barrier(_) => format!("rank {r} waits in wbMPI_barrier"),
+                _ => format!("rank {r} has finished"),
+            })
+            .collect();
+        self.deadlock = Some(format!(
+            "MPI deadlock: no rank can continue ({})",
+            calls.join("; ")
+        ));
+    }
+}
+
+impl World {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 impl CommWorld {
     /// Build a world of `size` ranks.
     pub fn new(size: usize) -> Self {
         assert!(size >= 1, "world needs at least one rank");
-        let mut senders: Vec<Vec<Sender<Vec<f32>>>> = (0..size).map(|_| Vec::new()).collect();
-        let mut receivers: Vec<Vec<Receiver<Vec<f32>>>> = (0..size).map(|_| Vec::new()).collect();
-        // Channel for every ordered (src, dst) pair.
-        let mut rx_grid: Vec<Vec<Option<Receiver<Vec<f32>>>>> = (0..size)
-            .map(|_| (0..size).map(|_| None).collect())
-            .collect();
-        for (src, sender_row) in senders.iter_mut().enumerate() {
-            for rx_row in rx_grid.iter_mut() {
-                let (tx, rx) = channel();
-                sender_row.push(tx);
-                rx_row[src] = Some(rx);
-            }
-        }
-        for (dst, row) in rx_grid.into_iter().enumerate() {
-            receivers[dst] = row.into_iter().map(|r| r.expect("filled")).collect();
-        }
+        let state = State {
+            size,
+            queues: (0..size * size).map(|_| VecDeque::new()).collect(),
+            ranks: vec![Activity::Running; size],
+            arrived: 0,
+            rounds: 0,
+            deadlock: None,
+        };
         CommWorld {
             size,
-            senders,
-            receivers,
-            barrier: Arc::new(Barrier::new(size)),
+            world: Arc::new(World {
+                state: Mutex::new(state),
+                changed: Condvar::new(),
+            }),
         }
     }
 
@@ -54,30 +126,21 @@ impl CommWorld {
 
     /// Extract the per-rank communicator handles (consumes the world).
     pub fn into_rank_comms(self) -> Vec<RankComm> {
-        let barrier = self.barrier;
-        let size = self.size;
-        self.senders
-            .into_iter()
-            .zip(self.receivers)
-            .enumerate()
-            .map(|(rank, (senders, receivers))| RankComm {
+        (0..self.size)
+            .map(|rank| RankComm {
                 rank,
-                size,
-                senders,
-                receivers,
-                barrier: Arc::clone(&barrier),
+                size: self.size,
+                world: Arc::clone(&self.world),
             })
             .collect()
     }
 }
 
-/// One rank's communicator.
+/// One rank's communicator. Dropping it finishes the rank.
 pub struct RankComm {
     rank: usize,
     size: usize,
-    senders: Vec<Sender<Vec<f32>>>,
-    receivers: Vec<Receiver<Vec<f32>>>,
-    barrier: Arc<Barrier>,
+    world: Arc<World>,
 }
 
 impl RankComm {
@@ -92,7 +155,7 @@ impl RankComm {
     }
 
     /// Send a float buffer to `dst`. Errors on an invalid destination
-    /// or a hung-up peer.
+    /// or a finished peer.
     pub fn send(&self, dst: usize, data: Vec<f32>) -> Result<(), String> {
         if dst >= self.size {
             return Err(format!(
@@ -103,12 +166,18 @@ impl RankComm {
         if dst == self.rank {
             return Err("send to self would deadlock".to_string());
         }
-        self.senders[dst]
-            .send(data)
-            .map_err(|_| format!("rank {dst} is gone"))
+        let mut st = self.world.lock();
+        if st.ranks[dst] == Activity::Finished {
+            return Err(format!("rank {dst} is gone"));
+        }
+        st.queues[self.rank * self.size + dst].push_back(data);
+        self.world.changed.notify_all();
+        Ok(())
     }
 
-    /// Receive the next float buffer from `src` (blocking).
+    /// Receive the next float buffer from `src`, waiting for it. Fails
+    /// when `src` finished without sending it, or when no rank can
+    /// move.
     pub fn recv(&self, src: usize) -> Result<Vec<f32>, String> {
         if src >= self.size {
             return Err(format!(
@@ -119,37 +188,92 @@ impl RankComm {
         if src == self.rank {
             return Err("receive from self would deadlock".to_string());
         }
-        self.receivers[src]
-            .recv()
-            .map_err(|_| format!("rank {src} exited without sending"))
+        let queue = src * self.size + self.rank;
+        let st = self.world.lock();
+        self.wait(st, Activity::Recv(src), |st| {
+            if let Some(data) = st.queues[queue].pop_front() {
+                Some(Ok(data))
+            } else if st.ranks[src] == Activity::Finished {
+                Some(Err(format!("rank {src} exited without sending")))
+            } else {
+                None
+            }
+        })
     }
 
-    /// Block until every rank reaches the barrier.
-    pub fn barrier(&self) {
-        self.barrier.wait();
+    /// Wait until every rank reaches the barrier. Fails when no rank
+    /// can move, which includes a rank that finished without reaching
+    /// it.
+    pub fn barrier(&self) -> Result<(), String> {
+        let mut st = self.world.lock();
+        let round = st.rounds;
+        st.arrived += 1;
+        if st.arrived == self.size {
+            st.arrived = 0;
+            st.rounds += 1;
+            self.world.changed.notify_all();
+            return Ok(());
+        }
+        self.wait(st, Activity::Barrier(round), |st| {
+            (st.rounds != round).then_some(Ok(()))
+        })
+    }
+
+    /// Wait, marked as `doing`, until `ready` yields this call's result
+    /// or the world deadlocks.
+    fn wait<T>(
+        &self,
+        mut st: MutexGuard<'_, State>,
+        doing: Activity,
+        mut ready: impl FnMut(&mut State) -> Option<Result<T, String>>,
+    ) -> Result<T, String> {
+        loop {
+            // A deadlock is recorded only when no rank could move, so it
+            // is the answer to every wait, whatever has happened since.
+            if let Some(message) = &st.deadlock {
+                return Err(message.clone());
+            }
+            if let Some(result) = ready(&mut st) {
+                st.ranks[self.rank] = Activity::Running;
+                return result;
+            }
+            st.ranks[self.rank] = doing;
+            st.check_deadlock();
+            if st.deadlock.is_some() {
+                self.world.changed.notify_all();
+                continue;
+            }
+            st = self
+                .world
+                .changed
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+impl Drop for RankComm {
+    fn drop(&mut self) {
+        let mut st = self.world.lock();
+        st.ranks[self.rank] = Activity::Finished;
+        st.check_deadlock();
+        self.world.changed.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{compile, Dialect, RunOptions};
 
     #[test]
     fn two_ranks_exchange() {
+        // Sends never wait, so one thread can play both ranks.
         let comms = CommWorld::new(2).into_rank_comms();
-        let mut it = comms.into_iter();
-        let c0 = it.next().unwrap();
-        let c1 = it.next().unwrap();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                c0.send(1, vec![1.0, 2.0]).unwrap();
-                assert_eq!(c0.recv(1).unwrap(), vec![3.0]);
-            });
-            s.spawn(move || {
-                assert_eq!(c1.recv(0).unwrap(), vec![1.0, 2.0]);
-                c1.send(0, vec![3.0]).unwrap();
-            });
-        });
+        comms[0].send(1, vec![1.0, 2.0]).unwrap();
+        assert_eq!(comms[1].recv(0).unwrap(), vec![1.0, 2.0]);
+        comms[1].send(0, vec![3.0]).unwrap();
+        assert_eq!(comms[0].recv(1).unwrap(), vec![3.0]);
     }
 
     #[test]
@@ -163,22 +287,59 @@ mod tests {
     }
 
     #[test]
+    fn a_finished_ranks_messages_arrive_and_then_its_absence_is_reported() {
+        let mut comms = CommWorld::new(2).into_rank_comms();
+        let c1 = comms.pop().unwrap();
+        c1.send(0, vec![4.0]).unwrap();
+        drop(c1);
+        assert_eq!(comms[0].send(1, vec![]).unwrap_err(), "rank 1 is gone");
+        assert_eq!(comms[0].recv(1).unwrap(), vec![4.0]);
+        assert_eq!(
+            comms[0].recv(1).unwrap_err(),
+            "rank 1 exited without sending"
+        );
+        assert_eq!(
+            comms[0].barrier().unwrap_err(),
+            "MPI deadlock: no rank can continue (rank 0 waits in wbMPI_barrier; rank 1 has finished)"
+        );
+    }
+
+    #[test]
     fn barrier_synchronizes() {
-        let comms = CommWorld::new(3).into_rank_comms();
-        let counter = std::sync::atomic::AtomicUsize::new(0);
-        let counter = &counter;
-        std::thread::scope(|s| {
-            // Each rank owns its communicator (an mpsc receiver is not
-            // `Sync`), as each interpreter thread does.
-            for c in comms {
-                s.spawn(move || {
-                    counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                    c.barrier();
-                    // After the barrier everyone must have incremented.
-                    assert_eq!(counter.load(std::sync::atomic::Ordering::SeqCst), 3);
-                });
-            }
-        });
+        // Each rank sends to the next only after the first barrier and
+        // receives from the previous only after the second, so every
+        // receive finds its message; a rank that skips the second
+        // barrier leaves the others waiting in it for good.
+        let run = |skip: &str| {
+            let src = format!(
+                "int main() {{
+                    float* h = (float*) malloc(4);
+                    int r = wbMPI_rank();
+                    h[0] = r;
+                    wbMPI_barrier();
+                    wbMPI_sendFloat((r + 1) % 3, h, 1);
+                    if ({skip}) {{ return 0; }}
+                    wbMPI_barrier();
+                    wbMPI_recvFloat((r + 2) % 3, h, 1);
+                    if (h[0] != (r + 2) % 3) {{ return 1 / 0; }}
+                    return 0;
+                }}"
+            );
+            let program = compile(&src, Dialect::Cuda).unwrap_or_else(|d| panic!("{d}"));
+            let opts = RunOptions {
+                world_size: 3,
+                ..Default::default()
+            };
+            crate::run(&program, &[], &opts)
+        };
+        let out = run("0");
+        assert!(out.ok(), "{:?}", out.error);
+        let err = run("r == 2").error.expect("deadlock");
+        assert_eq!(
+            err.message,
+            "MPI deadlock: no rank can continue (rank 0 waits in wbMPI_barrier; \
+             rank 1 waits in wbMPI_barrier; rank 2 has finished)"
+        );
     }
 
     #[test]

@@ -173,3 +173,83 @@ fn an_mpi_send_of_negative_size_is_a_typed_diagnostic() {
     assert_eq!((err.pos.line, err.pos.col), (3, 5));
     assert_eq!(err.message, "wbMPI_sendFloat of negative size");
 }
+
+/// Run `src` on `ranks` MPI ranks of the small test device, on a thread
+/// of its own so that a run that hangs fails the test instead of
+/// hanging it, and return its diagnostic, which must be a runtime one
+/// reached in under a second.
+fn mpi_runtime_error(what: &str, src: &'static str, ranks: usize) -> minicuda::Diag {
+    let started = Instant::now();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let program = compile(src, Dialect::Cuda).unwrap_or_else(|d| panic!("{d}"));
+        let opts = minicuda::RunOptions {
+            device: minicuda::DeviceConfig::test_small(),
+            world_size: ranks,
+            ..Default::default()
+        };
+        let _ = tx.send(minicuda::run(&program, &[], &opts));
+    });
+    let out = rx
+        .recv_timeout(Duration::from_secs(20))
+        .unwrap_or_else(|_| panic!("{what}: no result after 20 s"));
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "{what}: took {took:?}");
+    let err = out.error.unwrap_or_else(|| panic!("{what}: ran clean"));
+    assert_eq!(err.phase, Phase::Runtime, "{what}: {err}");
+    err
+}
+
+#[test]
+fn two_ranks_that_each_receive_before_sending_end_in_a_deadlock_diagnostic() {
+    let src = "int main() {\n    float* h = (float*) malloc(16);\n    \
+               int other = 1 - wbMPI_rank();\n    \
+               wbMPI_recvFloat(other, h, 4);\n    wbMPI_sendFloat(other, h, 4);\n    \
+               return 0;\n}\n";
+    let err = mpi_runtime_error("receive-receive", src, 2);
+    assert_eq!((err.pos.line, err.pos.col), (4, 5));
+    assert_eq!(
+        err.message,
+        "MPI deadlock: no rank can continue (rank 0 waits in wbMPI_recvFloat for rank 1; \
+         rank 1 waits in wbMPI_recvFloat for rank 0)"
+    );
+}
+
+#[test]
+fn a_barrier_that_a_failed_rank_never_reaches_ends_in_a_diagnostic() {
+    // Rank 0 fails before the barrier; its diagnostic is the run's, and
+    // rank 1's barrier ends instead of waiting for it.
+    let src = "int main() {\n    int zero = wbMPI_rank();\n    \
+               if (wbMPI_rank() == 0) { zero = 1 / zero; }\n    \
+               wbMPI_barrier();\n    return 0;\n}\n";
+    let err = mpi_runtime_error("barrier after a failed rank", src, 2);
+    assert_eq!(err.pos.line, 3);
+    assert!(err.message.contains("division by zero"), "{err}");
+}
+
+#[test]
+fn a_barrier_that_a_finished_rank_never_reaches_names_both_ranks() {
+    let src = "int main() {\n    if (wbMPI_rank() == 0) { return 0; }\n    \
+               wbMPI_barrier();\n    return 0;\n}\n";
+    let err = mpi_runtime_error("barrier after a finished rank", src, 2);
+    assert_eq!((err.pos.line, err.pos.col), (3, 5));
+    assert_eq!(
+        err.message,
+        "MPI deadlock: no rank can continue (rank 0 has finished; rank 1 waits in wbMPI_barrier)"
+    );
+}
+
+#[test]
+fn a_three_rank_receive_ring_ends_in_a_deadlock_diagnostic() {
+    let src = "int main() {\n    float* h = (float*) malloc(16);\n    \
+               int r = wbMPI_rank();\n    \
+               wbMPI_recvFloat((r + 1) % 3, h, 4);\n    wbMPI_sendFloat((r + 2) % 3, h, 4);\n    \
+               return 0;\n}\n";
+    let err = mpi_runtime_error("three-rank ring", src, 3);
+    assert_eq!((err.pos.line, err.pos.col), (4, 5));
+    assert_eq!(
+        err.message,
+        "MPI deadlock: no rank can continue (rank 0 waits in wbMPI_recvFloat for rank 1; \
+         rank 1 waits in wbMPI_recvFloat for rank 2; rank 2 waits in wbMPI_recvFloat for rank 0)"
+    );
+}

@@ -7,7 +7,8 @@
 //! `SECCOMP_RET_KILL`.
 
 use libwb::hash::{ContentHash, ContentHasher};
-use minicuda::HostcallPolicy;
+use minicuda::intrinsic::{Intrinsic, Op};
+use minicuda::{HostcallPolicy, KERNEL_LAUNCH};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -40,6 +41,15 @@ fn digest(name: &str, allowed: &BTreeSet<String>) -> ContentHash {
     h.finish()
 }
 
+/// The spellings of the built-in table's host calls: the MPI ones, or
+/// all the others.
+fn host_calls(mpi: bool) -> impl Iterator<Item = String> {
+    Intrinsic::all().filter_map(move |b| match b.op() {
+        Op::Host(op) if op.is_mpi() == mpi => Some(b.name().to_string()),
+        _ => None,
+    })
+}
+
 impl SyscallWhitelist {
     /// Build from an explicit list.
     pub fn new(name: impl Into<String>, calls: impl IntoIterator<Item = String>) -> Self {
@@ -61,63 +71,21 @@ impl SyscallWhitelist {
         table.digest = digest(&table.name, &table.allowed);
     }
 
-    /// The default profile for single-GPU CUDA labs: memory, CUDA API,
-    /// dataset import/export, logging, timing — no MPI.
+    /// The default profile for single-GPU CUDA labs: every host call of
+    /// the built-in table but the MPI ones (memory, the CUDA API,
+    /// dataset import/export, logging, timing), and kernel launches.
     pub fn cuda_default() -> Self {
-        SyscallWhitelist::new(
-            "cuda-default",
-            [
-                "malloc",
-                "free",
-                "cudaMalloc",
-                "cudaFree",
-                "cudaMemcpy",
-                "cudaMemcpyToSymbol",
-                "cudaDeviceSynchronize",
-                "cudaGetLastError",
-                "cudaSetDevice",
-                "cudaGetDeviceCount",
-                "kernelLaunch",
-                "wbImportVector",
-                "wbImportIntVector",
-                "wbImportMatrix",
-                "wbImportImage",
-                "wbImportCsrRowPtr",
-                "wbImportCsrColIdx",
-                "wbImportCsrValues",
-                "wbImportGraphRowPtr",
-                "wbImportGraphNeighbors",
-                "wbImportScalar",
-                "wbSolution",
-                "wbSolutionInt",
-                "wbSolutionMatrix",
-                "wbSolutionImage",
-                "wbSolutionScalar",
-                "wbLog",
-                "wbTime_start",
-                "wbTime_stop",
-                "exit",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        )
+        let calls = host_calls(false).chain([KERNEL_LAUNCH.to_string()]);
+        SyscallWhitelist::new("cuda-default", calls)
     }
 
-    /// The MPI profile: the CUDA profile plus the `wbMPI_*` calls, used
+    /// The MPI profile: the CUDA profile plus the table's MPI calls, used
     /// only by labs tagged as requiring MPI.
     pub fn mpi_profile() -> Self {
         let mut w = Self::cuda_default();
         w.edit(|t| {
             t.name = "mpi-profile".to_string();
-            for c in [
-                "wbMPI_rank",
-                "wbMPI_size",
-                "wbMPI_sendFloat",
-                "wbMPI_recvFloat",
-                "wbMPI_barrier",
-            ] {
-                t.allowed.insert(c.to_string());
-            }
+            t.allowed.extend(host_calls(true));
         });
         w
     }
