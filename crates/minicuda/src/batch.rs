@@ -75,9 +75,19 @@
 //! comes from [`Arena`] free lists and returns there when the register
 //! is overwritten or the construct exits, so steady-state execution
 //! allocates nothing. A [`BatchExec`] (arena, `tid` tables, frame
-//! shells) lives for one launch and is reused by every block of it,
-//! which run one at a time in launch order; it is dropped with the
-//! launch.
+//! shells) lives for one launch and is reused by every block it runs,
+//! in launch order; it is dropped with the launch.
+//!
+//! # Where a global store lands
+//!
+//! On the rank thread the executor owns the device pool and a store
+//! writes it in place. In a participant of a fanned-out launch (see
+//! `device`) it only reads the pool: a global store appends to the
+//! participant's [`StoreLog`], which the rank thread applies if the
+//! launch commits. Either way the executor records which global
+//! allocations its blocks loaded and stored ([`Footprint`]); a
+//! participant stops at the first allocation in both, where its loads
+//! would miss its own stores.
 //!
 //! Semantics are bit-identical to the `simt.rs` oracle (checked by the
 //! unit tests in `differential.rs`) for everything a grader can
@@ -616,7 +626,8 @@ pub(crate) struct BatchExec<'a> {
     global: Global<'a>,
     /// The global allocations this executor's blocks loaded and stored.
     pub(crate) footprint: Footprint,
-    /// The rank's remaining warp-instruction budget.
+    /// The warp-instruction budget its blocks draw down: the rank's,
+    /// or a fan-out participant's copy of what was left.
     budget: &'a mut i64,
     n: usize,
     block_idx: [i64; 3],

@@ -3,11 +3,35 @@
 //!
 //! Every block runs on the warp-batched IR executor (`batch`), over the
 //! IR that `compile_with` lowers and attaches at every [`OptLevel`].
-//! Blocks run one after another in launch order on the calling thread,
-//! so every launch is deterministic — float atomics across blocks
-//! included — and a cached grade always equals a fresh one. The SMs
-//! exist only in the makespan model: `num_sms` sizes it, it runs
-//! nothing.
+//! Every observable of a launch — memory, counters, makespan, the first
+//! diagnostic — is the one running its blocks one after another in
+//! launch order gives, so every launch is deterministic (float atomics
+//! across blocks included) and a cached grade always equals a fresh one.
+//!
+//! # Fan-out
+//!
+//! Block 0 runs on the calling (rank) thread, which is the only writer
+//! of simulated words. The other blocks fan out to helper threads when
+//! the kernel and its callees have no atomic, block 0 loaded no global
+//! allocation it also stored, and the work block 0 predicts for the
+//! rest fits the budget and gives every participant `FAN_OUT_WORK`
+//! (on a 1-core host nothing is spawned). Blocks `1..B` then split into
+//! contiguous ranges: the rank thread runs the first, scoped helpers the
+//! others. Each participant reads `&MemPool`, logs its global stores
+//! (`batch::StoreLog`), records the allocations it loaded and stored,
+//! and stops at its first failure.
+//!
+//! The launch **commits** when every range finished, the total
+//! warp-instructions fit the budget and no allocation was both loaded
+//! and stored anywhere in the launch: the rank thread applies the logs
+//! and merges the per-block counters, both in block order. No block
+//! read what any block wrote, so that is launch order's result.
+//! **Otherwise** everything is discarded and blocks `1..B` run on the
+//! rank thread in launch order, which reproduces the first diagnostic
+//! exactly, since simulated memory was never touched.
+//!
+//! The SMs exist only in the makespan model: `num_sms` sizes it, it
+//! runs nothing.
 //!
 //! [`OptLevel`]: crate::OptLevel
 
@@ -30,7 +54,8 @@ pub struct DeviceConfig {
     /// Marketing name reported by the Device Query lab.
     pub name: String,
     /// Streaming multiprocessors the makespan model spreads blocks
-    /// over. Blocks still run one at a time, in launch order.
+    /// over. How many blocks run at once depends on the host's cores,
+    /// not on this.
     pub num_sms: usize,
     /// Warp width.
     pub warp_size: usize,
@@ -145,8 +170,9 @@ fn validate_launch(
     Ok(())
 }
 
-/// Execute a full kernel launch: every block of the grid, one after
-/// another in launch order, stopping at the first failure.
+/// Execute a full kernel launch: every block of the grid, with the
+/// result of running them in launch order and stopping at the first
+/// failure.
 ///
 /// `program` must carry lowered IR (every [`crate::compile_with`]
 /// attaches it); a program straight from [`crate::sema::analyze`] has
@@ -306,10 +332,12 @@ impl GridCost {
 // ---- fan-out -------------------------------------------------------------
 
 /// The warp-instructions each participant of a fanned-out launch must
-/// be expected to run. Spawning and joining a helper thread costs about
-/// 20 µs, which is a few thousand warp-instructions of a lab kernel; at
-/// this size the spawn is a few percent of the helper's work.
-pub(crate) const FAN_OUT_WORK: u64 = 1 << 14;
+/// be expected to run, so a launch fans out from 2¹⁵. Spawning and
+/// joining a helper thread costs about 20 µs, under a thousand
+/// warp-instructions of the lab kernels (`minicuda.warp_instr_per_us`
+/// reads about 38 on a 2-core x86 box); at this size the spawn is under
+/// 5 % of a helper's work.
+const FAN_OUT_WORK: u64 = 1 << 14;
 
 /// Cores this process may use, read once.
 fn cores() -> usize {

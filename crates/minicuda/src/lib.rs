@@ -11,8 +11,9 @@
 //! * a **simulated bulk-synchronous device**: grids, blocks, threads,
 //!   warps, shared/global/constant address spaces, `__syncthreads`,
 //!   atomics, and SIMT divergence executed in lockstep with an active
-//!   mask — blocks run one at a time in launch order on the calling
-//!   thread, and the SM count only sizes the makespan model;
+//!   mask — a large launch fans its blocks out to helper threads that
+//!   only read device memory, with the result of launch order, and the
+//!   SM count only sizes the makespan model;
 //! * a **cost model** that charges cycles for warp instructions, global
 //!   memory transactions (coalescing-aware), shared-memory bank
 //!   conflicts, and atomics, so optimization labs (tiling, coarsening)

@@ -1,14 +1,15 @@
 //! Simulated memory: host and device allocations, shared arrays,
 //! constant memory.
 //!
-//! Every space is plain `u32` words that one thread owns. A rank's
+//! Every space is plain `u32` words that one thread writes. A rank's
 //! interpreter thread owns its host pool, device pool and constant
-//! memory; a kernel launch borrows the device pool mutably and runs its
-//! blocks one at a time on that same thread, each block with shared
-//! memory of its own. No word is ever reachable from two threads, so a
-//! load is a read, a store is a write, and `atomicAdd` and its siblings
-//! are plain read-modify-writes: nothing runs between their read and
-//! their write.
+//! memory, and each block has shared memory of its own. A kernel launch
+//! borrows the device pool mutably; when it fans its blocks out, the
+//! helpers only read the pool and log their stores, which the rank
+//! thread applies (see `device`). No word is ever written by two
+//! threads, so a load is a read, a store is a write, and `atomicAdd`
+//! and its siblings are plain read-modify-writes on the rank thread
+//! (a launch with an atomic never fans out).
 //!
 //! A word's meaning comes from the element type it is read by, not from
 //! its allocation (C-style type punning): the pointer's for host and
