@@ -2760,6 +2760,9 @@ impl BankTable {
 }
 
 #[cfg(test)]
+mod lattice;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::memory::ConstMem;

@@ -466,9 +466,43 @@ impl MathOp {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ast::BinOp::*;
+
+    /// The edge-value lattice: for each operand kind, the values at its
+    /// edges. Ints: 0, ±1, the `i32` and `i64` extremes and 2²⁴+1 (the
+    /// first int a float rounds); floats: ±0, ±1, ±∞, NaN, the smallest
+    /// subnormal and each int edge as a float; both bools.
+    pub(crate) fn edge_values() -> Vec<Value> {
+        let ints = [
+            0,
+            1,
+            -1,
+            i64::from(i32::MIN),
+            i64::from(i32::MAX),
+            i64::MIN,
+            i64::MAX,
+            (1 << 24) + 1,
+        ];
+        let mut floats = vec![
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(1),
+        ];
+        for x in ints {
+            let f = x as f32;
+            if !floats.iter().any(|g| g.to_bits() == f.to_bits()) {
+                floats.push(f);
+            }
+        }
+        let mut out: Vec<Value> = ints.into_iter().map(Value::I).collect();
+        out.extend(floats.into_iter().map(Value::F));
+        out.extend([Value::B(false), Value::B(true)]);
+        out
+    }
 
     /// The math function the built-in table binds `name` to.
     fn math(name: &str) -> MathOp {

@@ -1279,3 +1279,121 @@ fn a_stray_non_ascii_character_is_named_at_its_byte_column() {
     let err = compile("#define T 1\nint main() { int é = T; }\n", Dialect::Cuda).unwrap_err();
     assert_eq!(err.to_string(), "2:18: lex error: unexpected character 'é'");
 }
+
+// ---- edge values at every level ----------------------------------------
+//
+// Each case is computed three ways in one program: on the host, in a
+// kernel with both operands constant (a uniform register at `O0`, a
+// constant `fold` computes at compile time at `O2`) and in a kernel
+// with the left operand in per-lane storage (typed lanes at both
+// levels). All must give the same float bits, NaN as one class, and
+// both levels the same solution.
+
+/// `(left, rest)`: the case is `left rest`, with `left` a full operand.
+const EDGE_CASES: &[(&str, &str)] = &[
+    ("9223372036854775807", "+ 1"),
+    ("-9223372036854775807 - 1", "/ -1"),
+    ("-9223372036854775807 - 1", "% -1"),
+    ("-9223372036854775807 - 1", "* -1"),
+    ("2147483647", "* 2147483647"),
+    ("1", "<< 64"),
+    ("-1", ">> -3"),
+    ("-7", "/ 2"),
+    ("7", "% -3"),
+    ("16777217", "+ 0.0"),
+    ("1.0", "/ 0.0"),
+    ("-1.0", "/ 0.0"),
+    ("0.0", "/ 0.0"),
+    ("-0.0", "* 1.0"),
+    ("0.0 / 0.0", "!= 0.0 / 0.0"),
+    ("0.0 / 0.0", "< 1.0"),
+    ("1 < 2", "+ 1"),
+    ("-0.0", "== 0.0"),
+    ("3.9", "&& 0.5"),
+];
+
+/// `(function, left, rest)`: the case is `function(left rest)`.
+const EDGE_CALLS: &[(&str, &str, &str)] = &[
+    ("(int)", "1.0 / 0.0", ""),
+    ("(int)", "0.0 / 0.0", ""),
+    ("(int)", "-2.9", ""),
+    ("(float)", "16777217", ""),
+    ("(bool)", "0.0 / 0.0", ""),
+    ("-", "-9223372036854775807 - 1", ""),
+    ("~", "0.5", ""),
+    ("!", "0.0 / 0.0", ""),
+    ("abs", "-9223372036854775807 - 1", ""),
+    ("abs", "-0.0", ""),
+    ("fminf", "0.0 / 0.0", ", 1.0"),
+    ("fmaxf", "-0.0", ", 0.0"),
+    ("min", "-1", ", 2"),
+    ("max", "1 < 2", ", 0"),
+    ("max", "1", ", 2.5"),
+    ("sqrtf", "-1.0", ""),
+    ("powf", "0.0", ", -1.0"),
+    ("fmodf", "1.0", ", 0.0"),
+    ("floorf", "-0.5", ""),
+    ("rsqrtf", "-0.0", ""),
+];
+
+#[test]
+fn edge_values_agree_on_host_lanes_and_folded_constants() {
+    let lane = |l: &str| format!("((threadIdx.x < 1024) ? ({l}) : ({l}))");
+    let cases: Vec<(String, String)> = EDGE_CASES
+        .iter()
+        .map(|(l, r)| (format!("({l}) {r}"), format!("{} {r}", lane(l))))
+        .chain(
+            EDGE_CALLS
+                .iter()
+                .map(|(f, l, r)| (format!("{f}(({l}){r})"), format!("{f}({}{r})", lane(l)))),
+        )
+        .collect();
+    let n = cases.len();
+    let (mut kernel, mut host) = (String::new(), String::new());
+    for (i, (constant, lanes)) in cases.iter().enumerate() {
+        kernel.push_str(&format!(
+            "    out[{}] = {constant};\n    out[{}] = {lanes};\n",
+            3 * i,
+            3 * i + 1
+        ));
+        host.push_str(&format!("    h[{}] = {constant};\n", 3 * i + 2));
+    }
+    let src = format!(
+        "__global__ void edges(float* out) {{\n{kernel}}}\n\
+         int main() {{\n    float* d;\n    cudaMalloc(&d, {w} * sizeof(float));\n    \
+         edges<<<1, 8>>>(d);\n    float* h = (float*) malloc({w} * sizeof(float));\n    \
+         cudaMemcpy(h, d, {w} * sizeof(float), cudaMemcpyDeviceToHost);\n{host}    \
+         wbSolution(h, {w});\n    return 0;\n}}\n",
+        w = 3 * n
+    );
+    let run = |opt: OptLevel| {
+        let program = compile_with(&src, Dialect::Cuda, opt).unwrap_or_else(|d| panic!("{d}"));
+        let opts = RunOptions {
+            device: DeviceConfig::test_small(),
+            ..Default::default()
+        };
+        let out = minicuda::run(&program, &[] as &[Dataset], &opts);
+        assert!(out.ok(), "{opt}: {:?}", out.error);
+        match out.solution {
+            Some(Dataset::Vector(v)) => v,
+            other => panic!("{opt}: {other:?}"),
+        }
+    };
+    let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+    let o0 = run(OptLevel::O0);
+    let o2 = run(OptLevel::O2);
+    // `i64::MAX + 1` wraps; `(int)` of +inf saturates.
+    assert_eq!(o0[2], i64::MIN as f32);
+    assert_eq!(o0[3 * EDGE_CASES.len() + 2], i64::MAX as f32);
+    for (i, (constant, lanes)) in cases.iter().enumerate() {
+        let at = |v: &[f32]| [v[3 * i], v[3 * i + 1], v[3 * i + 2]];
+        let (a, b) = (at(&o0), at(&o2));
+        for (k, x) in a.iter().chain(&b).enumerate() {
+            assert!(
+                same(*x, a[2]),
+                "{constant} / {lanes}: host {}, O0 {a:?}, O2 {b:?} (value {k})",
+                a[2]
+            );
+        }
+    }
+}
