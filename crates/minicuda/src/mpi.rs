@@ -309,7 +309,9 @@ mod tests {
         // Each rank sends to the next only after the first barrier and
         // receives from the previous only after the second, so every
         // receive finds its message; a rank that skips the second
-        // barrier leaves the others waiting in it for good.
+        // barrier leaves the others waiting in it for good. The
+        // skipping rank takes its message first: had it finished
+        // before its sender sent, that send would fail instead.
         let run = |skip: &str| {
             let src = format!(
                 "int main() {{
@@ -318,7 +320,7 @@ mod tests {
                     h[0] = r;
                     wbMPI_barrier();
                     wbMPI_sendFloat((r + 1) % 3, h, 1);
-                    if ({skip}) {{ return 0; }}
+                    if ({skip}) {{ wbMPI_recvFloat((r + 2) % 3, h, 1); return 0; }}
                     wbMPI_barrier();
                     wbMPI_recvFloat((r + 2) % 3, h, 1);
                     if (h[0] != (r + 2) % 3) {{ return 1 / 0; }}
