@@ -34,16 +34,15 @@
 //!
 //! # The generic fallback
 //!
-//! Whenever the typed arm does not apply — a kind mix such as
-//! `bool + int`, pointer comparison, pointers into different
-//! allocations, a zero divisor in an active lane, a coercion that can
-//! fail — the instruction drops to [`BatchExec::per_lane`]: the
-//! tree-walk's `apply_binop`/`apply_unop`/`coerce_to` per active lane
-//! in lane order over `LaneVec::at`, so results and diagnostics
-//! (message, position, first-failing-lane attribution) are exactly
-//! the scalar semantics. Its result is re-packed into typed lanes when
-//! every active lane agrees, so one odd instruction does not push the
-//! rest of the kernel off the fast path.
+//! A typed arm maps an operator's one definition in `value` over the
+//! lanes. Where none applies — a kind mix such as `bool + int`, pointer
+//! comparison, pointers into different allocations, an active lane
+//! that fails (a zero divisor) — the instruction drops to
+//! [`BatchExec::per_lane`]: `apply_binop`/`apply_unop`/`coerce_to` per
+//! active lane in lane order over `LaneVec::at`, with the scalar
+//! diagnostics (message, position, first-failing lane). Its result is
+//! re-packed into typed lanes when every active lane agrees, so one odd
+//! instruction does not push the rest of the kernel off the fast path.
 //!
 //! # Memory accounting without sorting
 //!
@@ -112,7 +111,10 @@ use crate::diag::{Diag, Phase, Pos};
 use crate::intrinsic::Intrinsic;
 use crate::ir::{BlockId, Inst, IrFunc, IrProgram, OclFn, Reg};
 use crate::memory::{self, atomic_words, bounds, kernel_words, MemError, MemPool, SharedMem};
-use crate::value::{apply_binop, apply_unop, ElemType, MathOp, Ptr, Space, Value};
+use crate::value::{
+    apply_binop, apply_unop, convert, offset_step, store_bits, unary, Binary, ElemType, MathOp,
+    Num, Prim, Ptr, Space, Unary, Value,
+};
 use std::collections::HashMap;
 
 const ROW_ASSIGN: &str = "assignment to a whole array row (missing an index?)";
@@ -185,125 +187,86 @@ impl<T: Copy> Src<'_, T> {
     }
 }
 
-/// A lane element kind with untagged storage. The conversions are the
-/// scalar ones of [`Value`] (`as_int`, `as_float`, `truthy`,
-/// `coerce_to_elem`) specialised per kind.
-trait Lane: Copy + 'static {
-    fn to_i(self) -> i64;
-    fn to_f(self) -> f32;
-    fn truthy(self) -> bool;
-    /// The word stored through a pointer of unknown element type: the
-    /// value keeps its own representation.
-    fn own_bits(self) -> u32;
-    /// Representation-preserving assignment conversion into this kind.
-    fn from_lane<S: Lane>(s: S) -> Self;
+/// A lane element kind: untagged storage of a [`Prim`], whose
+/// conversions and operators the lane loops call.
+trait Lane: Prim + 'static {
     /// `lv` as lanes of exactly this kind (uniform or per-lane).
     fn src(lv: &LaneVec) -> Option<Src<'_, Self>>;
     fn wrap(v: Vec<Self>) -> LaneVec;
     fn pool(a: &mut Arena) -> &mut Pool<Self>;
 }
 
-impl Lane for i64 {
-    fn to_i(self) -> i64 {
-        self
-    }
-    fn to_f(self) -> f32 {
-        self as f32
-    }
-    fn truthy(self) -> bool {
-        self != 0
-    }
-    fn own_bits(self) -> u32 {
-        self as i32 as u32
-    }
-    fn from_lane<S: Lane>(s: S) -> i64 {
-        s.to_i()
-    }
-    fn src(lv: &LaneVec) -> Option<Src<'_, i64>> {
-        match lv {
-            LaneVec::U(Value::I(x)) => Some(Src::Splat(*x)),
-            LaneVec::I(v) => Some(Src::Lanes(v)),
-            _ => None,
+/// A [`Lane`] impl: the kind's [`LaneVec`] variant and [`Arena`] pool.
+macro_rules! lane {
+    ($t:ty, $variant:ident, $pool:ident) => {
+        impl Lane for $t {
+            fn src(lv: &LaneVec) -> Option<Src<'_, $t>> {
+                match lv {
+                    LaneVec::U(Value::$variant(x)) => Some(Src::Splat(*x)),
+                    LaneVec::$variant(v) => Some(Src::Lanes(v)),
+                    _ => None,
+                }
+            }
+            fn wrap(v: Vec<$t>) -> LaneVec {
+                LaneVec::$variant(v)
+            }
+            fn pool(a: &mut Arena) -> &mut Pool<$t> {
+                &mut a.$pool
+            }
         }
+    };
+}
+lane!(i64, I, i);
+lane!(f32, F, f);
+lane!(bool, B, b);
+
+/// One operand's lanes: [`Unary`]'s consumer that maps an operator's
+/// function over them.
+struct Map1<'r, T> {
+    ar: &'r mut Arena,
+    v: &'r [T],
+}
+
+impl<T: Copy> Unary<T> for Map1<'_, T> {
+    type Out = LaneVec;
+    fn to_int(self, f: impl Fn(T) -> i64 + Copy) -> LaneVec {
+        self.ar.map(self.v, f)
     }
-    fn wrap(v: Vec<i64>) -> LaneVec {
-        LaneVec::I(v)
+    fn to_float(self, f: impl Fn(T) -> f32 + Copy) -> LaneVec {
+        self.ar.map(self.v, f)
     }
-    fn pool(a: &mut Arena) -> &mut Pool<i64> {
-        &mut a.i
+    fn to_bool(self, f: impl Fn(T) -> bool + Copy) -> LaneVec {
+        self.ar.map(self.v, f)
     }
 }
 
-impl Lane for f32 {
-    fn to_i(self) -> i64 {
-        self as i64
-    }
-    fn to_f(self) -> f32 {
-        self
-    }
-    fn truthy(self) -> bool {
-        self != 0.0
-    }
-    fn own_bits(self) -> u32 {
-        self.to_bits()
-    }
-    fn from_lane<S: Lane>(s: S) -> f32 {
-        s.to_f()
-    }
-    fn src(lv: &LaneVec) -> Option<Src<'_, f32>> {
-        match lv {
-            LaneVec::U(Value::F(x)) => Some(Src::Splat(*x)),
-            LaneVec::F(v) => Some(Src::Lanes(v)),
-            _ => None,
-        }
-    }
-    fn wrap(v: Vec<f32>) -> LaneVec {
-        LaneVec::F(v)
-    }
-    fn pool(a: &mut Arena) -> &mut Pool<f32> {
-        &mut a.f
-    }
+/// Two operands' lanes under a mask (`None` = all lanes): [`Binary`]'s
+/// consumer. `None` sends the instruction to the per-lane fallback,
+/// which reports the failing lane.
+struct Map2<'r, T> {
+    ar: &'r mut Arena,
+    x: Src<'r, T>,
+    y: Src<'r, T>,
+    mask: Option<&'r [bool]>,
 }
 
-impl Lane for bool {
-    fn to_i(self) -> i64 {
-        self as i64
+impl<T: Lane> Binary<T> for Map2<'_, T> {
+    type Out = Option<LaneVec>;
+    fn same(self, f: impl Fn(T, T) -> T + Copy) -> Option<LaneVec> {
+        Some(self.ar.zip(self.x, self.y, f))
     }
-    fn to_f(self) -> f32 {
-        self as i64 as f32
+    fn test(self, f: impl Fn(T, T) -> bool + Copy) -> Option<LaneVec> {
+        Some(self.ar.zip(self.x, self.y, f))
     }
-    fn truthy(self) -> bool {
-        self
-    }
-    fn own_bits(self) -> u32 {
-        self as u32
-    }
-    fn from_lane<S: Lane>(s: S) -> bool {
-        s.truthy()
-    }
-    fn src(lv: &LaneVec) -> Option<Src<'_, bool>> {
-        match lv {
-            LaneVec::U(Value::B(x)) => Some(Src::Splat(*x)),
-            LaneVec::B(v) => Some(Src::Lanes(v)),
-            _ => None,
+    fn partial(self, f: impl Fn(T, T) -> Result<T, &'static str> + Copy) -> Option<LaneVec> {
+        let mut out = T::pool(self.ar).take();
+        for i in (0..out.len()).filter(|&i| self.mask.is_none_or(|m| m[i])) {
+            // An active lane that fails leaves the typed arm (inactive
+            // ones may: a zero divisor). Its buffer is dropped: the
+            // fallback reports the failure, which ends the launch.
+            out[i] = f(self.x.get(i), self.y.get(i)).ok()?;
         }
-    }
-    fn wrap(v: Vec<bool>) -> LaneVec {
-        LaneVec::B(v)
-    }
-    fn pool(a: &mut Arena) -> &mut Pool<bool> {
-        &mut a.b
-    }
-}
-
-/// The word `x` becomes when stored through a pointer to `elem`
-/// (`Value::coerce_to_elem` followed by the memory encoding).
-#[inline]
-fn store_bits<T: Lane>(x: T, elem: ElemType) -> u32 {
-    match elem {
-        ElemType::F32 => x.to_f().to_bits(),
-        ElemType::I32 => x.to_i() as i32 as u32,
-        ElemType::Unknown => x.own_bits(),
+        Some(T::wrap(out))
     }
 }
 
@@ -336,12 +299,12 @@ fn map2<A: Copy, B: Copy, R>(a: Src<'_, A>, b: Src<'_, B>, out: &mut [R], f: imp
 /// kind; `mask` is `None` under a full mask.
 fn blend<T: Lane, S: Lane>(dst: &mut [T], src: Src<'_, S>, mask: Option<&[bool]>) {
     match (mask, src) {
-        (None, Src::Lanes(s)) => map1(s, dst, T::from_lane),
-        (None, Src::Splat(x)) => dst.fill(T::from_lane(x)),
+        (None, Src::Lanes(s)) => map1(s, dst, T::cast),
+        (None, Src::Splat(x)) => dst.fill(T::cast(x)),
         (Some(m), _) => {
             for i in 0..dst.len() {
                 if m[i] {
-                    dst[i] = T::from_lane(src.get(i));
+                    dst[i] = T::cast(src.get(i));
                 }
             }
         }
@@ -881,8 +844,8 @@ impl<'a> BatchExec<'a> {
         let mut t = self.arena.b.take();
         match cond {
             LaneVec::B(v) => t.copy_from_slice(v),
-            LaneVec::I(v) => map1(v, &mut t, |x| x != 0),
-            LaneVec::F(v) => map1(v, &mut t, |x| x != 0.0),
+            LaneVec::I(v) => map1(v, &mut t, Prim::truthy),
+            LaneVec::F(v) => map1(v, &mut t, Prim::truthy),
             _ => {
                 for i in 0..self.n {
                     if self.active[i] {
@@ -1314,19 +1277,11 @@ impl<'a> BatchExec<'a> {
 
     fn un(&mut self, op: UnOp, a: &LaneVec, pos: Pos) -> Result<LaneVec, Diag> {
         let ar = &mut self.arena;
-        Ok(match (op, a) {
-            (_, LaneVec::U(x)) => {
-                LaneVec::U(apply_unop(op, *x).map_err(|m| self.first_err(pos, m))?)
-            }
-            (UnOp::Neg, LaneVec::I(v)) => ar.map(v, |x: i64| x.wrapping_neg()),
-            (UnOp::Neg, LaneVec::F(v)) => ar.map(v, |x: f32| -x),
-            (UnOp::Neg, LaneVec::B(v)) => ar.map(v, |x: bool| -(x as i64)),
-            (UnOp::Not, LaneVec::I(v)) => ar.map(v, |x: i64| !x.truthy()),
-            (UnOp::Not, LaneVec::F(v)) => ar.map(v, |x: f32| !x.truthy()),
-            (UnOp::Not, LaneVec::B(v)) => ar.map(v, |x: bool| !x),
-            (UnOp::BitNot, LaneVec::I(v)) => ar.map(v, |x: i64| !x),
-            (UnOp::BitNot, LaneVec::F(v)) => ar.map(v, |x: f32| !x.to_i()),
-            (UnOp::BitNot, LaneVec::B(v)) => ar.map(v, |x: bool| !x.to_i()),
+        Ok(match a {
+            LaneVec::U(x) => LaneVec::U(apply_unop(op, *x).map_err(|m| self.first_err(pos, m))?),
+            LaneVec::I(v) => unary(op, Map1 { ar, v }),
+            LaneVec::F(v) => unary(op, Map1 { ar, v }),
+            LaneVec::B(v) => unary(op, Map1 { ar, v }),
             _ => return self.per_lane(pos, |i| apply_unop(op, a.at(i))),
         })
     }
@@ -1340,8 +1295,8 @@ impl<'a> BatchExec<'a> {
         match self.arena.bin(op, a, b, mask) {
             Some(out) => Ok(out),
             // Arithmetic on booleans, pointer comparison, pointers
-            // into different allocations, an active zero divisor, an
-            // operator the kinds do not admit: the scalar semantics.
+            // into different allocations, an active lane that fails,
+            // an operator the kinds do not admit: the scalar semantics.
             None => self.per_lane(pos, |i| apply_binop(op, a.at(i), b.at(i))),
         }
     }
@@ -1349,27 +1304,18 @@ impl<'a> BatchExec<'a> {
     /// C-style conversion of every lane to `ty` (casts, declaration
     /// initialisers, call arguments).
     fn coerce(&mut self, a: &LaneVec, ty: &Type, pos: Pos) -> Result<LaneVec, Diag> {
-        fn numeric<T: Lane>(ar: &mut Arena, v: &[T], ty: &Type) -> Option<LaneVec> {
-            Some(match *ty {
-                Type::INT => ar.map(v, T::to_i),
-                Type::FLOAT => ar.map(v, T::to_f),
-                Type::BOOL => ar.map(v, T::truthy),
-                _ => return None,
-            })
-        }
         let ar = &mut self.arena;
-        let typed = match (a, ty) {
-            (LaneVec::U(x), _) => {
+        let typed = match a {
+            LaneVec::U(x) => {
                 let v = x.coerce_to(ty).map_err(|m| self.first_err(pos, m))?;
                 Some(LaneVec::U(v))
             }
-            (LaneVec::I(v), _) => numeric(ar, v, ty),
-            (LaneVec::F(v), _) => numeric(ar, v, ty),
-            (LaneVec::B(v), _) => numeric(ar, v, ty),
-            (LaneVec::Ptr(h, offs), ty) if ty.is_ptr() => Some(LaneVec::Ptr(
-                h.with_elem(ElemType::of(&ty.pointee().expect("a pointer"))),
-                ar.i.copy_of(offs),
-            )),
+            LaneVec::I(v) => convert(ty, Map1 { ar, v }),
+            LaneVec::F(v) => convert(ty, Map1 { ar, v }),
+            LaneVec::B(v) => convert(ty, Map1 { ar, v }),
+            LaneVec::Ptr(h, offs) if ty.is_ptr() => {
+                Some(LaneVec::Ptr(h.cast(ty), ar.i.copy_of(offs)))
+            }
             _ => None,
         };
         match typed {
@@ -1843,7 +1789,7 @@ impl Arena {
                 LaneVec::U(v) => Src::Splat(v.as_float().ok()?),
                 LaneVec::F(v) => Src::Lanes(v),
                 LaneVec::I(v) => {
-                    map1(v, tmp, |x| x as f32);
+                    map1(v, tmp, Prim::to_f);
                     Src::Lanes(tmp)
                 }
                 _ => return None,
@@ -1869,150 +1815,61 @@ impl Arena {
         mask: Option<&[bool]>,
     ) -> Option<LaneVec> {
         if let (Some(x), Some(y)) = (i64::src(a), i64::src(b)) {
-            return self.bin_int(op, x, y, mask);
+            return i64::binary(
+                op,
+                Map2 {
+                    ar: self,
+                    x,
+                    y,
+                    mask,
+                },
+            );
         }
         if a.is_float() || b.is_float() {
-            return self.with_floats(a, b, |ar, x, y| ar.bin_float(op, x, y))?;
+            return self.with_floats(a, b, |ar, x, y| f32::binary(op, Map2 { ar, x, y, mask }))?;
         }
-        // Pointer arithmetic keeps the header and moves the offsets.
-        let mut moved = |h: Ptr, p, k, f: fn(i64, i64) -> i64| {
+        // Pointer arithmetic keeps the header and steps the offsets.
+        let mut moved = |h: Ptr, p, k, stride: i64| {
             let mut out = self.i.take();
-            map2(p, k, &mut out, f);
+            map2(p, k, &mut out, |o, k| offset_step(o, k, stride));
             LaneVec::Ptr(h, out)
         };
         Some(match (op, a.ptrs(), b.ptrs()) {
-            (BinOp::Add, Some((h, p)), None) => moved(h, p, i64::src(b)?, i64::wrapping_add),
-            (BinOp::Add, None, Some((h, p))) => moved(h, p, i64::src(a)?, i64::wrapping_add),
-            (BinOp::Sub, Some((h, p)), None) => moved(h, p, i64::src(b)?, i64::wrapping_sub),
-            (BinOp::Sub, Some((_, p)), Some((_, q))) => self.zip(p, q, i64::wrapping_sub),
-            _ => return None,
-        })
-    }
-
-    fn bin_int(
-        &mut self,
-        op: BinOp,
-        x: Src<'_, i64>,
-        y: Src<'_, i64>,
-        mask: Option<&[bool]>,
-    ) -> Option<LaneVec> {
-        let shift = |r: i64| r.clamp(0, 63) as u32;
-        Some(match op {
-            BinOp::Add => self.zip(x, y, i64::wrapping_add),
-            BinOp::Sub => self.zip(x, y, i64::wrapping_sub),
-            BinOp::Mul => self.zip(x, y, i64::wrapping_mul),
-            BinOp::Div | BinOp::Rem => {
-                // The one fallible pair: a zero divisor in an active
-                // lane goes to the per-lane path, which reports it.
-                let live = |i: usize| mask.is_none_or(|m| m[i]);
-                let zero = match y {
-                    Src::Splat(r) => r == 0,
-                    Src::Lanes(r) => (0..r.len()).any(|i| live(i) && r[i] == 0),
-                };
-                if zero {
-                    return None;
-                }
-                let f = if op == BinOp::Div {
-                    i64::wrapping_div
-                } else {
-                    i64::wrapping_rem
-                };
-                match (y, mask) {
-                    (Src::Lanes(r), Some(m)) => {
-                        // Inactive lanes may hold zero divisors.
-                        let mut out = self.i.take();
-                        for i in 0..r.len() {
-                            if m[i] {
-                                out[i] = f(x.get(i), r[i]);
-                            }
-                        }
-                        LaneVec::I(out)
-                    }
-                    _ => self.zip(x, y, f),
-                }
+            (BinOp::Add, Some((h, p)), None) => moved(h, p, i64::src(b)?, 1),
+            (BinOp::Add, None, Some((h, p))) => moved(h, p, i64::src(a)?, 1),
+            (BinOp::Sub, Some((h, p)), None) => moved(h, p, i64::src(b)?, -1),
+            (BinOp::Sub, Some((_, p)), Some((_, q))) => {
+                self.zip(p, q, |o: i64, k| offset_step(o, k, -1))
             }
-            BinOp::Shl => self.zip(x, y, |l: i64, r| l.wrapping_shl(shift(r))),
-            BinOp::Shr => self.zip(x, y, |l: i64, r| l.wrapping_shr(shift(r))),
-            BinOp::BitAnd => self.zip(x, y, |l: i64, r: i64| l & r),
-            BinOp::BitOr => self.zip(x, y, |l: i64, r: i64| l | r),
-            BinOp::BitXor => self.zip(x, y, |l: i64, r: i64| l ^ r),
-            BinOp::Eq => self.zip(x, y, |l: i64, r: i64| l == r),
-            BinOp::Ne => self.zip(x, y, |l: i64, r: i64| l != r),
-            BinOp::Lt => self.zip(x, y, |l: i64, r: i64| l < r),
-            BinOp::Le => self.zip(x, y, |l: i64, r: i64| l <= r),
-            BinOp::Gt => self.zip(x, y, |l: i64, r: i64| l > r),
-            BinOp::Ge => self.zip(x, y, |l: i64, r: i64| l >= r),
-            BinOp::And | BinOp::Or => return None,
-        })
-    }
-
-    fn bin_float(&mut self, op: BinOp, x: Src<'_, f32>, y: Src<'_, f32>) -> Option<LaneVec> {
-        Some(match op {
-            BinOp::Add => self.zip(x, y, |l: f32, r: f32| l + r),
-            BinOp::Sub => self.zip(x, y, |l: f32, r: f32| l - r),
-            BinOp::Mul => self.zip(x, y, |l: f32, r: f32| l * r),
-            // IEEE semantics: /0 gives inf/nan, as on GPUs.
-            BinOp::Div => self.zip(x, y, |l: f32, r: f32| l / r),
-            BinOp::Eq => self.zip(x, y, |l: f32, r: f32| l == r),
-            BinOp::Ne => self.zip(x, y, |l: f32, r: f32| l != r),
-            BinOp::Lt => self.zip(x, y, |l: f32, r: f32| l < r),
-            BinOp::Le => self.zip(x, y, |l: f32, r: f32| l <= r),
-            BinOp::Gt => self.zip(x, y, |l: f32, r: f32| l > r),
-            BinOp::Ge => self.zip(x, y, |l: f32, r: f32| l >= r),
-            // `%`, shifts and bitwise operators reject floats.
             _ => return None,
         })
     }
 
-    /// One-argument intrinsics over numeric lanes.
+    /// One-argument built-ins over numeric lanes.
     fn math1(&mut self, op: MathOp, a: &LaneVec) -> Option<LaneVec> {
-        let f: fn(f32) -> f32 = match op {
-            MathOp::Sqrt => f32::sqrt,
-            MathOp::Rsqrt => |x| 1.0 / x.sqrt(),
-            MathOp::Exp => f32::exp,
-            MathOp::Log => f32::ln,
-            MathOp::Log2 => f32::log2,
-            MathOp::Sin => f32::sin,
-            MathOp::Cos => f32::cos,
-            MathOp::Fabs => f32::abs,
-            MathOp::Ceil => f32::ceil,
-            MathOp::Floor => f32::floor,
-            MathOp::Abs => {
-                return match a {
-                    LaneVec::F(v) => Some(self.map(v, f32::abs)),
-                    LaneVec::I(v) => Some(self.map(v, i64::wrapping_abs)),
-                    _ => None,
-                }
-            }
-            _ => return None,
-        };
         match a {
-            LaneVec::F(v) => Some(self.map(v, f)),
-            LaneVec::I(v) => Some(self.map(v, |x: i64| f(x as f32))),
+            LaneVec::I(v) if op.keeps_ints() => op.int1(Map1 { ar: self, v }),
+            LaneVec::I(v) => {
+                let f = op.float1()?;
+                Some(self.map(v, move |x: i64| f(x.to_f())))
+            }
+            LaneVec::F(v) => Some(self.map(v, op.float1()?)),
             _ => None,
         }
     }
 
-    /// Two-argument intrinsics over numeric lanes.
+    /// Two-argument built-ins over numeric lanes.
     fn math2(&mut self, op: MathOp, a: &LaneVec, b: &LaneVec) -> Option<LaneVec> {
-        let f: fn(f32, f32) -> f32 = match op {
-            MathOp::Pow => f32::powf,
-            MathOp::Fmod => |x, y| x % y,
-            MathOp::Fmin => f32::min,
-            MathOp::Fmax => f32::max,
-            // `min`/`max` compute in ints unless either side is a float.
-            MathOp::Min | MathOp::Max if !(a.is_float() || b.is_float()) => {
-                let (x, y) = (i64::src(a)?, i64::src(b)?);
-                return Some(if op == MathOp::Min {
-                    self.zip(x, y, Ord::min)
-                } else {
-                    self.zip(x, y, Ord::max)
-                });
-            }
-            MathOp::Min => f32::min,
-            MathOp::Max => f32::max,
-            _ => return None,
-        };
+        if op.keeps_ints() && !(a.is_float() || b.is_float()) {
+            let (x, y) = (i64::src(a)?, i64::src(b)?);
+            return op.int2(Map2 {
+                ar: self,
+                x,
+                y,
+                mask: None,
+            })?;
+        }
+        let f = op.float2()?;
         self.with_floats(a, b, |ar, x, y| ar.zip(x, y, f))
     }
 }
@@ -2223,21 +2080,17 @@ impl<'a> BatchExec<'a> {
     /// the new pointer and whether it addresses an element rather
     /// than a row of a multi-dimensional shared array.
     fn index_ptr(&self, p: Ptr, i: i64) -> Result<(Ptr, bool), String> {
-        let mut q = p;
         if p.space == Space::Shared {
             let arr = self
                 .shared
                 .array(p.alloc)
                 .ok_or_else(|| "invalid shared array".to_string())?;
             let stride = arr.row_stride(p.level as usize);
-            q.offset = q
-                .offset
-                .wrapping_add(i.wrapping_mul(stride.unwrap_or(1) as i64));
+            let mut q = p.step(i, stride.unwrap_or(1) as i64);
             q.level += 1;
             return Ok((q, stride.is_none()));
         }
-        q.offset = q.offset.wrapping_add(i);
-        Ok((q, true))
+        Ok((p.step(i, 1), true))
     }
 
     /// `base[idx]` for every active lane. `rows` says whether a row of
@@ -2279,9 +2132,7 @@ impl<'a> BatchExec<'a> {
             }
             let step = row.unwrap_or(1) as i64;
             let mut out = self.arena.i.take();
-            map2(offs, k, &mut out, |o, k| {
-                o.wrapping_add(k.wrapping_mul(step))
-            });
+            map2(offs, k, &mut out, |o, k| offset_step(o, k, step));
             return Ok((Addr::Lanes(head, out), row.is_none()));
         }
         let full = self.active_count == self.n;

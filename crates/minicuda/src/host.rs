@@ -358,9 +358,7 @@ impl<'a> HostExec<'a> {
                             .eval(f.expr(idx))?
                             .as_int()
                             .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                        let mut q = p;
-                        q.offset += k;
-                        self.host_store(q, rhs, pos)?;
+                        self.host_store(p.step(k, 1), rhs, pos)?;
                     }
                     _ => {
                         return Err(Diag::new(
@@ -630,8 +628,7 @@ impl<'a> HostExec<'a> {
                     .eval(f.expr(idx))?
                     .as_int()
                     .map_err(|m| Diag::new(Phase::Runtime, pos, m))?;
-                let mut q = p;
-                q.offset += k;
+                let q = p.step(k, 1);
                 if p.space == Space::Constant {
                     return self
                         .consts

@@ -20,7 +20,7 @@
 //! freed, shared-array and constant-symbol checks.
 
 use crate::ir::AtomicKind;
-use crate::value::{ElemType, Ptr, Space, Value};
+use crate::value::{store_bits, ElemType, Ptr, Space, Value};
 
 /// One allocation: its words, released when it is freed.
 #[derive(Debug)]
@@ -36,15 +36,6 @@ fn decode(bits: u32, elem: ElemType) -> Value {
     }
 }
 
-fn encode(v: Value) -> u32 {
-    match v {
-        Value::F(f) => f.to_bits(),
-        Value::I(i) => i as i32 as u32,
-        Value::B(b) => b as u32,
-        Value::P(_) => 0,
-    }
-}
-
 /// The value the word `p` addresses holds, read by `elem`.
 pub(crate) fn load(words: &[u32], p: Ptr, elem: ElemType) -> Result<Value, MemError> {
     Ok(decode(words[bounds(p, words.len())?], elem))
@@ -57,9 +48,17 @@ pub(crate) fn store(words: &mut [u32], p: Ptr, elem: ElemType, v: Value) -> Resu
     Ok(())
 }
 
-/// The word a store of `v` through an `elem` pointer writes.
+/// The word a store of `v` through an `elem` pointer writes
+/// ([`store_bits`]). A pointer keeps no word of its own: it stores as 0
+/// through an untyped pointer and fails as a number through a typed one.
 pub(crate) fn store_word(v: Value, elem: ElemType) -> Result<u32, MemError> {
-    Ok(encode(v.coerce_to_elem(elem).map_err(MemError)?))
+    match v {
+        Value::I(x) => Ok(store_bits(x, elem)),
+        Value::F(x) => Ok(store_bits(x, elem)),
+        Value::B(x) => Ok(store_bits(x, elem)),
+        Value::P(_) if elem == ElemType::Unknown => Ok(0),
+        Value::P(_) => v.as_int().map(|_| 0).map_err(MemError),
+    }
 }
 
 /// `atomicAdd`, `atomicMin`, `atomicMax` or `atomicExch` on the word
@@ -92,7 +91,7 @@ pub(crate) fn rmw(
         }
     };
     let old = decode(words[k], elem);
-    words[k] = encode(new.coerce_to_elem(elem).map_err(MemError)?);
+    words[k] = store_word(new, elem)?;
     Ok(old)
 }
 
@@ -117,7 +116,7 @@ pub(crate) fn cas(
         _ => f32::from_bits(words[k]) as i64,
     };
     if old == cmp {
-        words[k] = encode(Value::I(val).coerce_to_elem(elem).map_err(MemError)?);
+        words[k] = store_bits(val, elem);
     }
     Ok(Value::I(old))
 }

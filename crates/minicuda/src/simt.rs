@@ -583,21 +583,15 @@ impl<'a> BlockExec<'a> {
                 .array(p.alloc)
                 .ok_or_else(|| "invalid shared array".to_string())?;
             let level = p.level as usize;
-            if level + 1 < arr.dims.len() {
-                let stride: usize = arr.dims[level + 1..].iter().product();
-                let mut q = p;
-                q.offset += i * stride as i64;
-                q.level += 1;
-                return Ok((q, false));
-            }
-            let mut q = p;
-            q.offset += i;
+            let (stride, terminal) = match arr.dims.get(level + 1..) {
+                Some(rest) if !rest.is_empty() => (rest.iter().product::<usize>() as i64, false),
+                _ => (1, true),
+            };
+            let mut q = p.step(i, stride);
             q.level += 1;
-            return Ok((q, true));
+            return Ok((q, terminal));
         }
-        let mut q = p;
-        q.offset += i;
-        Ok((q, true))
+        Ok((p.step(i, 1), true))
     }
 
     /// Load through per-lane pointers, charging coalescing-aware cost.

@@ -1,7 +1,20 @@
-//! Runtime values shared by the host and SIMT interpreters.
+//! Runtime values, and what every operator means on them.
+//!
+//! Each operator has one definition here per operand kind ([`Prim`],
+//! [`Num`], [`unary`], [`convert`], [`MathOp`], [`Ptr::step`]), handed as
+//! a plain function to a consumer ([`Unary`], [`Binary`]). The scalar
+//! one ([`apply_unop`], [`apply_binop`], [`Value::coerce_to`],
+//! [`MathOp::apply`]) serves the host, constant folding, uniform
+//! registers and per-lane fallbacks; the batched executor's typed lanes
+//! map it over a slice, one monomorphic loop per operator and kind.
 
 use crate::ast::{BinOp, Type, UnOp};
 use std::fmt;
+
+const NOT_A_NUMBER: &str = "expected a number, found a pointer";
+const NOT_A_CONDITION: &str = "a pointer is not a condition";
+const NOT_ON_POINTERS: &str = "operator not defined on pointers";
+const VOID_VALUE: &str = "cannot produce a void value";
 
 /// Address spaces a pointer can refer to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,6 +112,240 @@ impl Ptr {
         }
         self
     }
+
+    /// The pointer a cast to the pointer type `ty` yields.
+    pub(crate) fn cast(self, ty: &Type) -> Ptr {
+        self.with_elem(ElemType::of(&ty.pointee().expect("a pointer type")))
+    }
+
+    /// The pointer `k` strides of `stride` elements on: see
+    /// [`offset_step`].
+    pub(crate) fn step(self, k: i64, stride: i64) -> Ptr {
+        Ptr {
+            offset: offset_step(self.offset, k, stride),
+            ..self
+        }
+    }
+}
+
+/// The element offset `k` strides of `stride` elements past `offset`:
+/// the one pointer step of every executor — `p + k` and `p[k]` (stride
+/// 1, or a row's length in a 2-D shared array), `p - k` and the
+/// distance `p - q` (stride -1). Offsets wrap like the integers they
+/// are; a wrapped offset fails the bounds check of its access.
+pub(crate) fn offset_step(offset: i64, k: i64, stride: i64) -> i64 {
+    offset.wrapping_add(k.wrapping_mul(stride))
+}
+
+/// A kind a value holds untagged, as the batched executor's typed
+/// lanes store it. C's conversions between the kinds are defined here
+/// once: [`Value`]'s conversions and the typed lanes both call them.
+pub(crate) trait Prim: Copy {
+    /// `(int) x`: floats truncate toward zero, saturating, NaN to 0.
+    fn to_i(self) -> i64;
+    /// `(float) x`.
+    fn to_f(self) -> f32;
+    /// The truth of `x` as a condition: `x != 0`.
+    fn truthy(self) -> bool;
+    /// `s` converted to this kind, as assigning it to a variable of
+    /// this kind converts it.
+    fn cast<S: Prim>(s: S) -> Self;
+    /// What `-x` means on this kind: bools negate as ints.
+    fn neg<K: Unary<Self>>(k: K) -> K::Out;
+    /// The value holding `self`.
+    fn value(self) -> Value;
+}
+
+/// A [`Prim`] impl from its kind's conversions, each written on `x`;
+/// `cast` names the conversion into the kind, `neg` the result kind and
+/// function of `-x`.
+macro_rules! prim {
+    ($t:ty, $variant:ident, |$x:ident| to_i: $i:expr, to_f: $f:expr, truthy: $b:expr,
+     cast: $cast:ident, neg: $kind:ident($neg:expr)) => {
+        impl Prim for $t {
+            fn to_i(self) -> i64 {
+                let $x = self;
+                $i
+            }
+            fn to_f(self) -> f32 {
+                let $x = self;
+                $f
+            }
+            fn truthy(self) -> bool {
+                let $x = self;
+                $b
+            }
+            fn cast<S: Prim>(s: S) -> $t {
+                s.$cast()
+            }
+            fn neg<K: Unary<$t>>(k: K) -> K::Out {
+                k.$kind($neg)
+            }
+            fn value(self) -> Value {
+                Value::$variant(self)
+            }
+        }
+    };
+}
+prim!(i64, I, |x| to_i: x, to_f: x as f32, truthy: x != 0,
+      cast: to_i, neg: to_int(i64::wrapping_neg));
+prim!(f32, F, |x| to_i: x as i64, to_f: x, truthy: x != 0.0,
+      cast: to_f, neg: to_float(|x: f32| -x));
+prim!(bool, B, |x| to_i: x as i64, to_f: x as i64 as f32, truthy: x,
+      cast: truthy, neg: to_int(|x: bool| -x.to_i()));
+
+/// A number kind operators compute in: `i64`, or `f32` once either
+/// operand is a float (C's usual arithmetic conversions; bools compute
+/// as ints).
+pub(crate) trait Num: Prim + PartialOrd {
+    /// What the binary operator `op` means on two numbers of this kind.
+    fn binary<K: Binary<Self>>(op: BinOp, k: K) -> K::Out;
+}
+
+impl Num for i64 {
+    fn binary<K: Binary<i64>>(op: BinOp, k: K) -> K::Out {
+        use BinOp::*;
+        // Arithmetic wraps, as the hardware's does; shift counts clamp
+        // to the word.
+        let count = |r: i64| r.clamp(0, 63) as u32;
+        match op {
+            Add => k.same(i64::wrapping_add),
+            Sub => k.same(i64::wrapping_sub),
+            Mul => k.same(i64::wrapping_mul),
+            Div => k.partial(|l, r| match r {
+                0 => Err("integer division by zero"),
+                _ => Ok(l.wrapping_div(r)),
+            }),
+            Rem => k.partial(|l, r| match r {
+                0 => Err("integer modulo by zero"),
+                _ => Ok(l.wrapping_rem(r)),
+            }),
+            Shl => k.same(move |l: i64, r| l.wrapping_shl(count(r))),
+            Shr => k.same(move |l: i64, r| l.wrapping_shr(count(r))),
+            BitAnd => k.same(|l, r| l & r),
+            BitOr => k.same(|l, r| l | r),
+            BitXor => k.same(|l, r| l ^ r),
+            _ => predicate(op, k),
+        }
+    }
+}
+
+impl Num for f32 {
+    fn binary<K: Binary<f32>>(op: BinOp, k: K) -> K::Out {
+        use BinOp::*;
+        match op {
+            Add => k.same(|l, r| l + r),
+            Sub => k.same(|l, r| l - r),
+            Mul => k.same(|l, r| l * r),
+            // IEEE semantics: /0 gives inf/nan, as on GPUs.
+            Div => k.same(|l, r| l / r),
+            Rem => k.partial(|_, _| Err("% is not defined on floats (use fmodf)")),
+            Shl | Shr | BitAnd | BitOr | BitXor => {
+                k.partial(|_, _| Err("bitwise operators require integers"))
+            }
+            _ => predicate(op, k),
+        }
+    }
+}
+
+/// The comparisons and logical operators, alike on both number kinds.
+fn predicate<T: Num, K: Binary<T>>(op: BinOp, k: K) -> K::Out {
+    use BinOp::*;
+    match op {
+        Eq => k.test(|l: T, r: T| l == r),
+        Ne => k.test(|l: T, r: T| l != r),
+        Lt => k.test(|l: T, r: T| l < r),
+        Le => k.test(|l: T, r: T| l <= r),
+        Gt => k.test(|l: T, r: T| l > r),
+        Ge => k.test(|l: T, r: T| l >= r),
+        And => k.test(|l: T, r: T| l.truthy() && r.truthy()),
+        Or => k.test(|l: T, r: T| l.truthy() || r.truthy()),
+        _ => unreachable!("{op:?} is arithmetic"),
+    }
+}
+
+/// What the unary operator `op` means on an operand of kind `T`.
+pub(crate) fn unary<T: Prim, K: Unary<T>>(op: UnOp, k: K) -> K::Out {
+    match op {
+        UnOp::Neg => T::neg(k),
+        UnOp::Not => k.to_bool(|x: T| !x.truthy()),
+        UnOp::BitNot => k.to_int(|x: T| !x.to_i()),
+    }
+}
+
+/// What converting an operand of kind `T` to the scalar type `ty`
+/// means (a cast, an initialiser, an argument); `None` when `ty` is
+/// not a scalar type.
+pub(crate) fn convert<T: Prim, K: Unary<T>>(ty: &Type, k: K) -> Option<K::Out> {
+    Some(match *ty {
+        Type::INT => k.to_int(T::to_i),
+        Type::FLOAT => k.to_float(T::to_f),
+        Type::BOOL => k.to_bool(T::truthy),
+        _ => return None,
+    })
+}
+
+/// The word `x` becomes when stored through a pointer to `elem`: C's
+/// conversion to the element type; while the type is unknown, a float
+/// keeps its bits and the rest store as ints.
+pub(crate) fn store_bits<T: Prim>(x: T, elem: ElemType) -> u32 {
+    match (elem, x.value()) {
+        (ElemType::F32, _) | (ElemType::Unknown, Value::F(_)) => x.to_f().to_bits(),
+        _ => x.to_i() as i32 as u32,
+    }
+}
+
+/// The consumer of a one-operand function on kind `T`, by the kind the
+/// function yields. The scalar one applies it to its value; the
+/// batched executor's maps it over a slice of lanes.
+pub(crate) trait Unary<T> {
+    type Out;
+    fn to_int(self, f: impl Fn(T) -> i64 + Copy) -> Self::Out;
+    fn to_float(self, f: impl Fn(T) -> f32 + Copy) -> Self::Out;
+    fn to_bool(self, f: impl Fn(T) -> bool + Copy) -> Self::Out;
+}
+
+/// The consumer of a two-operand function on kind `T`, by its shape.
+pub(crate) trait Binary<T> {
+    type Out;
+    /// A function that keeps the operands' kind and cannot fail.
+    fn same(self, f: impl Fn(T, T) -> T + Copy) -> Self::Out;
+    /// A comparison or logical operator.
+    fn test(self, f: impl Fn(T, T) -> bool + Copy) -> Self::Out;
+    /// A function that can fail: `Err` is its diagnostic.
+    fn partial(self, f: impl Fn(T, T) -> Result<T, &'static str> + Copy) -> Self::Out;
+}
+
+/// One scalar operand.
+struct One<T>(T);
+
+impl<T> Unary<T> for One<T> {
+    type Out = Value;
+    fn to_int(self, f: impl Fn(T) -> i64 + Copy) -> Value {
+        Value::I(f(self.0))
+    }
+    fn to_float(self, f: impl Fn(T) -> f32 + Copy) -> Value {
+        Value::F(f(self.0))
+    }
+    fn to_bool(self, f: impl Fn(T) -> bool + Copy) -> Value {
+        Value::B(f(self.0))
+    }
+}
+
+/// Two scalar operands of one kind.
+struct Two<T>(T, T);
+
+impl<T: Num> Binary<T> for Two<T> {
+    type Out = Result<Value, String>;
+    fn same(self, f: impl Fn(T, T) -> T + Copy) -> Self::Out {
+        Ok(f(self.0, self.1).value())
+    }
+    fn test(self, f: impl Fn(T, T) -> bool + Copy) -> Self::Out {
+        Ok(Value::B(f(self.0, self.1)))
+    }
+    fn partial(self, f: impl Fn(T, T) -> Result<T, &'static str> + Copy) -> Self::Out {
+        f(self.0, self.1).map(Prim::value).map_err(String::from)
+    }
 }
 
 /// A runtime value.
@@ -127,31 +374,31 @@ impl Value {
 
     /// Truthiness for conditions (`if (n)` with an int works, as in C).
     pub fn truthy(&self) -> Result<bool, String> {
-        match self {
-            Value::B(b) => Ok(*b),
-            Value::I(v) => Ok(*v != 0),
-            Value::F(v) => Ok(*v != 0.0),
-            Value::P(_) => Err("a pointer is not a condition".to_string()),
+        match *self {
+            Value::B(b) => Ok(b),
+            Value::I(v) => Ok(v.truthy()),
+            Value::F(v) => Ok(v.truthy()),
+            Value::P(_) => Err(NOT_A_CONDITION.to_string()),
         }
     }
 
     /// Numeric conversion to `i64`, truncating floats like a C cast.
     pub fn as_int(&self) -> Result<i64, String> {
-        match self {
-            Value::I(v) => Ok(*v),
-            Value::F(v) => Ok(*v as i64),
-            Value::B(b) => Ok(*b as i64),
-            Value::P(_) => Err("expected a number, found a pointer".to_string()),
+        match *self {
+            Value::I(v) => Ok(v),
+            Value::F(v) => Ok(v.to_i()),
+            Value::B(b) => Ok(b.to_i()),
+            Value::P(_) => Err(NOT_A_NUMBER.to_string()),
         }
     }
 
     /// Numeric conversion to `f32`.
     pub fn as_float(&self) -> Result<f32, String> {
-        match self {
-            Value::I(v) => Ok(*v as f32),
-            Value::F(v) => Ok(*v),
-            Value::B(b) => Ok(*b as i64 as f32),
-            Value::P(_) => Err("expected a number, found a pointer".to_string()),
+        match *self {
+            Value::I(v) => Ok(v.to_f()),
+            Value::F(v) => Ok(v),
+            Value::B(b) => Ok(b.to_f()),
+            Value::P(_) => Err(NOT_A_NUMBER.to_string()),
         }
     }
 
@@ -166,30 +413,23 @@ impl Value {
     /// Convert to the representation implied by a declared type
     /// (assignment / argument / store coercion, C-style).
     pub fn coerce_to(&self, ty: &Type) -> Result<Value, String> {
-        match *ty {
-            Type::INT => Ok(Value::I(self.as_int()?)),
-            Type::FLOAT => Ok(Value::F(self.as_float()?)),
-            Type::BOOL => Ok(Value::B(self.truthy()?)),
-            Type::VOID => Err("cannot produce a void value".to_string()),
-            t => {
-                let p = self.as_ptr()?;
-                Ok(Value::P(
-                    p.with_elem(ElemType::of(&t.pointee().expect("a pointer"))),
-                ))
+        let scalar = match *self {
+            Value::I(x) => convert(ty, One(x)),
+            Value::F(x) => convert(ty, One(x)),
+            Value::B(x) => convert(ty, One(x)),
+            Value::P(p) => {
+                return match *ty {
+                    Type::VOID => Err(VOID_VALUE.to_string()),
+                    Type::BOOL => Err(NOT_A_CONDITION.to_string()),
+                    t if t.is_ptr() => Ok(Value::P(p.cast(&t))),
+                    _ => Err(NOT_A_NUMBER.to_string()),
+                }
             }
-        }
-    }
-
-    /// Convert to a memory element representation for a store.
-    pub fn coerce_to_elem(&self, elem: ElemType) -> Result<Value, String> {
-        match elem {
-            ElemType::F32 => Ok(Value::F(self.as_float()?)),
-            ElemType::I32 => Ok(Value::I(self.as_int()?)),
-            // Unknown element type: adopt the value's own representation.
-            ElemType::Unknown => match self {
-                Value::B(b) => Ok(Value::I(*b as i64)),
-                v => Ok(*v),
-            },
+        };
+        match scalar {
+            Some(v) => Ok(v),
+            None if *ty == Type::VOID => Err(VOID_VALUE.to_string()),
+            None => Err(format!("expected a pointer, found {self}")),
         }
     }
 }
@@ -213,159 +453,46 @@ impl fmt::Display for Value {
 pub fn apply_binop(op: BinOp, a: Value, b: Value) -> Result<Value, String> {
     use BinOp::*;
     // Pointer arithmetic and comparison.
+    let same_ptr = |p: Ptr, other: Value| {
+        matches!(other, Value::P(q) if p == q)
+            || (p.is_null() && other.as_int().is_ok_and(|v| v == 0))
+    };
     if let Value::P(p) = a {
-        match op {
-            Add => {
-                let d = b.as_int()?;
-                let mut q = p;
-                q.offset += d;
-                return Ok(Value::P(q));
-            }
-            Sub => {
-                if let Value::P(p2) = b {
-                    return Ok(Value::I(p.offset - p2.offset));
-                }
-                let d = b.as_int()?;
-                let mut q = p;
-                q.offset -= d;
-                return Ok(Value::P(q));
-            }
-            Eq => {
-                return Ok(Value::B(
-                    matches!(b, Value::P(p2) if p == p2)
-                        || (p.is_null() && b.as_int().map(|v| v == 0).unwrap_or(false)),
-                ))
-            }
-            Ne => {
-                let eq = apply_binop(Eq, a, b)?;
-                return Ok(Value::B(!eq.truthy()?));
-            }
-            _ => return Err("operator not defined on pointers".to_string()),
-        }
+        return match (op, b) {
+            (Add, _) => Ok(Value::P(p.step(b.as_int()?, 1))),
+            (Sub, Value::P(q)) => Ok(Value::I(offset_step(p.offset, q.offset, -1))),
+            (Sub, _) => Ok(Value::P(p.step(b.as_int()?, -1))),
+            (Eq, _) => Ok(Value::B(same_ptr(p, b))),
+            (Ne, _) => Ok(Value::B(!same_ptr(p, b))),
+            _ => Err(NOT_ON_POINTERS.to_string()),
+        };
     }
     if let Value::P(p) = b {
-        // int + ptr
-        if op == Add {
-            let d = a.as_int()?;
-            let mut q = p;
-            q.offset += d;
-            return Ok(Value::P(q));
-        }
-        if op == Eq || op == Ne {
-            return apply_binop(op, b, a);
-        }
-        return Err("operator not defined on pointers".to_string());
-    }
-
-    if op.is_logical() {
-        let l = a.truthy()?;
-        let r = b.truthy()?;
-        return Ok(Value::B(match op {
-            And => l && r,
-            Or => l || r,
-            _ => unreachable!(),
-        }));
-    }
-    if op.is_bitwise() {
-        if matches!(a, Value::F(_)) || matches!(b, Value::F(_)) {
-            return Err("bitwise operators require integers".to_string());
-        }
-        let l = a.as_int()?;
-        let r = b.as_int()?;
-        return Ok(Value::I(match op {
-            Shl => {
-                let sh = r.clamp(0, 63) as u32;
-                l.wrapping_shl(sh)
-            }
-            Shr => {
-                let sh = r.clamp(0, 63) as u32;
-                l.wrapping_shr(sh)
-            }
-            BitAnd => l & r,
-            BitOr => l | r,
-            BitXor => l ^ r,
-            _ => unreachable!(),
-        }));
-    }
-
-    let float_mode = matches!(a, Value::F(_)) || matches!(b, Value::F(_));
-    if op.is_comparison() {
-        let res = if float_mode {
-            let l = a.as_float()?;
-            let r = b.as_float()?;
-            match op {
-                Eq => l == r,
-                Ne => l != r,
-                Lt => l < r,
-                Le => l <= r,
-                Gt => l > r,
-                Ge => l >= r,
-                _ => unreachable!(),
-            }
-        } else {
-            let l = a.as_int()?;
-            let r = b.as_int()?;
-            match op {
-                Eq => l == r,
-                Ne => l != r,
-                Lt => l < r,
-                Le => l <= r,
-                Gt => l > r,
-                Ge => l >= r,
-                _ => unreachable!(),
-            }
+        return match op {
+            Add => Ok(Value::P(p.step(a.as_int()?, 1))),
+            Eq | Ne => apply_binop(op, b, a),
+            _ => Err(NOT_ON_POINTERS.to_string()),
         };
-        return Ok(Value::B(res));
     }
-
-    if float_mode {
-        let l = a.as_float()?;
-        let r = b.as_float()?;
-        Ok(Value::F(match op {
-            Add => l + r,
-            Sub => l - r,
-            Mul => l * r,
-            Div => l / r, // IEEE semantics: /0 gives inf/nan, as on GPUs
-            Rem => {
-                return Err("% is not defined on floats (use fmodf)".to_string());
-            }
-            _ => unreachable!(),
-        }))
+    if matches!(a, Value::F(_)) || matches!(b, Value::F(_)) {
+        f32::binary(op, Two(a.as_float()?, b.as_float()?))
     } else {
-        let l = a.as_int()?;
-        let r = b.as_int()?;
-        Ok(Value::I(match op {
-            Add => l.wrapping_add(r),
-            Sub => l.wrapping_sub(r),
-            Mul => l.wrapping_mul(r),
-            Div => {
-                if r == 0 {
-                    return Err("integer division by zero".to_string());
-                }
-                l.wrapping_div(r)
-            }
-            Rem => {
-                if r == 0 {
-                    return Err("integer modulo by zero".to_string());
-                }
-                l.wrapping_rem(r)
-            }
-            _ => unreachable!(),
-        }))
+        i64::binary(op, Two(a.as_int()?, b.as_int()?))
     }
 }
 
 /// Apply a unary operator.
 pub fn apply_unop(op: UnOp, v: Value) -> Result<Value, String> {
-    match op {
-        UnOp::Neg => match v {
-            Value::I(x) => Ok(Value::I(x.wrapping_neg())),
-            Value::F(x) => Ok(Value::F(-x)),
-            Value::B(b) => Ok(Value::I(-(b as i64))),
-            Value::P(_) => Err("cannot negate a pointer".to_string()),
-        },
-        UnOp::Not => Ok(Value::B(!v.truthy()?)),
-        UnOp::BitNot => Ok(Value::I(!v.as_int()?)),
+    match v {
+        Value::I(x) => Ok(unary(op, One(x))),
+        Value::F(x) => Ok(unary(op, One(x))),
+        Value::B(x) => Ok(unary(op, One(x))),
+        Value::P(_) => Err(match op {
+            UnOp::Neg => "cannot negate a pointer",
+            UnOp::Not => NOT_A_CONDITION,
+            UnOp::BitNot => NOT_A_NUMBER,
+        }
+        .to_string()),
     }
 }
 
@@ -408,6 +535,56 @@ impl MathOp {
         }
     }
 
+    /// `abs`, `min` and `max` compute in ints when no argument is a
+    /// float (C's `abs`, CUDA's integer `min`/`max`); the rest always
+    /// compute in floats.
+    pub(crate) fn keeps_ints(self) -> bool {
+        matches!(self, MathOp::Abs | MathOp::Min | MathOp::Max)
+    }
+
+    /// The float function of a one-argument built-in.
+    pub(crate) fn float1(self) -> Option<fn(f32) -> f32> {
+        Some(match self {
+            MathOp::Sqrt => f32::sqrt,
+            MathOp::Rsqrt => |x| 1.0 / x.sqrt(),
+            MathOp::Exp => f32::exp,
+            MathOp::Log => f32::ln,
+            MathOp::Log2 => f32::log2,
+            MathOp::Sin => f32::sin,
+            MathOp::Cos => f32::cos,
+            MathOp::Fabs | MathOp::Abs => f32::abs,
+            MathOp::Ceil => f32::ceil,
+            MathOp::Floor => f32::floor,
+            _ => return None,
+        })
+    }
+
+    /// The float function of a two-argument built-in.
+    pub(crate) fn float2(self) -> Option<fn(f32, f32) -> f32> {
+        Some(match self {
+            MathOp::Pow => f32::powf,
+            MathOp::Fmod => |x, y| x % y,
+            MathOp::Fmin | MathOp::Min => f32::min,
+            MathOp::Fmax | MathOp::Max => f32::max,
+            _ => return None,
+        })
+    }
+
+    /// `abs` on an int (it wraps at `i64::MIN`, as every executor does;
+    /// C leaves it undefined); `None` for the other functions.
+    pub(crate) fn int1<K: Unary<i64>>(self, k: K) -> Option<K::Out> {
+        (self == MathOp::Abs).then(|| k.to_int(i64::wrapping_abs))
+    }
+
+    /// `min` or `max` on ints; `None` for the other functions.
+    pub(crate) fn int2<K: Binary<i64>>(self, k: K) -> Option<K::Out> {
+        match self {
+            MathOp::Min => Some(k.same(Ord::min)),
+            MathOp::Max => Some(k.same(Ord::max)),
+            _ => None,
+        }
+    }
+
     /// Apply the function, checking its arity (sema does not). `name`
     /// is only for error messages, so diagnostics match the spelling
     /// the program actually called.
@@ -417,50 +594,20 @@ impl MathOp {
             let s = if n == 1 { "" } else { "s" };
             return Err(format!("{name} expects {n} argument{s}"));
         }
-        let unary =
-            |f: fn(f32) -> f32| -> Result<Value, String> { Ok(Value::F(f(args[0].as_float()?))) };
-        let binary_f = |f: fn(f32, f32) -> f32| -> Result<Value, String> {
-            Ok(Value::F(f(args[0].as_float()?, args[1].as_float()?)))
-        };
-        match self {
-            MathOp::Sqrt => unary(f32::sqrt),
-            MathOp::Rsqrt => unary(|x| 1.0 / x.sqrt()),
-            MathOp::Exp => unary(f32::exp),
-            MathOp::Log => unary(f32::ln),
-            MathOp::Log2 => unary(f32::log2),
-            MathOp::Sin => unary(f32::sin),
-            MathOp::Cos => unary(f32::cos),
-            MathOp::Fabs => unary(f32::abs),
-            MathOp::Ceil => unary(f32::ceil),
-            MathOp::Floor => unary(f32::floor),
-            MathOp::Pow => binary_f(f32::powf),
-            MathOp::Fmod => binary_f(|a, b| a % b),
-            MathOp::Fmin => binary_f(f32::min),
-            MathOp::Fmax => binary_f(f32::max),
-            MathOp::Abs => match args[0] {
-                Value::F(x) => Ok(Value::F(x.abs())),
-                other => other.as_int().map(|v| Value::I(v.wrapping_abs())),
-            },
-            MathOp::Min | MathOp::Max => {
-                let float_mode = matches!(args[0], Value::F(_)) || matches!(args[1], Value::F(_));
-                if float_mode {
-                    let a = args[0].as_float()?;
-                    let b = args[1].as_float()?;
-                    Ok(Value::F(if self == MathOp::Min {
-                        a.min(b)
-                    } else {
-                        a.max(b)
-                    }))
-                } else {
-                    let a = args[0].as_int()?;
-                    let b = args[1].as_int()?;
-                    Ok(Value::I(if self == MathOp::Min {
-                        a.min(b)
-                    } else {
-                        a.max(b)
-                    }))
-                }
+        let ints = self.keeps_ints() && !args.iter().any(|a| matches!(a, Value::F(_)));
+        match *args {
+            [a] if ints => Ok(self.int1(One(a.as_int()?)).expect("abs")),
+            [a, b] if ints => self
+                .int2(Two(a.as_int()?, b.as_int()?))
+                .expect("min or max"),
+            [a] => Ok(Value::F(self.float1().expect("one argument")(
+                a.as_float()?,
+            ))),
+            [a, b] => {
+                let f = self.float2().expect("two arguments");
+                Ok(Value::F(f(a.as_float()?, b.as_float()?)))
             }
+            _ => unreachable!("the arity is checked"),
         }
     }
 }
@@ -473,7 +620,9 @@ pub(crate) mod tests {
     /// The edge-value lattice: for each operand kind, the values at its
     /// edges. Ints: 0, ±1, the `i32` and `i64` extremes and 2²⁴+1 (the
     /// first int a float rounds); floats: ±0, ±1, ±∞, NaN, the smallest
-    /// subnormal and each int edge as a float; both bools.
+    /// subnormal and each int edge as a float; both bools; pointers
+    /// into one allocation at the offsets 0, ±1 and the `i64`
+    /// extremes, and the null pointer.
     pub(crate) fn edge_values() -> Vec<Value> {
         let ints = [
             0,
@@ -501,6 +650,17 @@ pub(crate) mod tests {
         let mut out: Vec<Value> = ints.into_iter().map(Value::I).collect();
         out.extend(floats.into_iter().map(Value::F));
         out.extend([Value::B(false), Value::B(true)]);
+        let p = Ptr {
+            space: Space::Global,
+            alloc: 0,
+            offset: 0,
+            elem: ElemType::F32,
+            level: 0,
+        };
+        for offset in [0, 1, -1, i64::MIN, i64::MAX] {
+            out.push(Value::P(Ptr { offset, ..p }));
+        }
+        out.push(Value::P(Ptr::null()));
         out
     }
 

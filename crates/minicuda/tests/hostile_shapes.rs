@@ -253,3 +253,105 @@ fn a_three_rank_receive_ring_ends_in_a_deadlock_diagnostic() {
          rank 1 waits in wbMPI_recvFloat for rank 2; rank 2 waits in wbMPI_recvFloat for rank 0)"
     );
 }
+
+/// The diagnostic of a host program that steps `q`, one element into a
+/// 4-element allocation `p`, by `line` (line 4 of the program).
+fn host_pointer_error(what: &str, line: &str) -> minicuda::Diag {
+    let src = format!(
+        "int main() {{\n    float* p = (float*) malloc(16);\n    float* q = p + 1;\n{line}\n    \
+         return 0;\n}}\n"
+    );
+    runtime_error(what, &src)
+}
+
+// Pointer offsets wrap in every executor, as integer arithmetic does;
+// each of these overflowed an `i64` (a panic in a debug build, while
+// per-lane pointers already wrapped). A wrapped offset fails the
+// bounds check of its access.
+
+#[test]
+fn a_pointer_plus_an_overflowing_offset_wraps() {
+    let err = host_pointer_error(
+        "q + i64::MAX",
+        "    float* r = q + 9223372036854775807;\n    r[0] = 1.0;",
+    );
+    assert_eq!(err.pos.line, 5);
+    assert_eq!(
+        err.message,
+        "negative index -9223372036854775808 on host pointer"
+    );
+}
+
+#[test]
+fn an_overflowing_offset_plus_a_pointer_wraps() {
+    let err = host_pointer_error(
+        "i64::MAX + q",
+        "    float* r = 9223372036854775807 + q;\n    r[0] = 1.0;",
+    );
+    assert_eq!(err.pos.line, 5);
+    assert_eq!(
+        err.message,
+        "negative index -9223372036854775808 on host pointer"
+    );
+}
+
+#[test]
+fn a_pointer_minus_an_overflowing_offset_wraps() {
+    let err = host_pointer_error(
+        "p - i64::MIN",
+        "    float* r = p - (-9223372036854775807 - 1);\n    r[0] = 1.0;",
+    );
+    assert_eq!(err.pos.line, 5);
+    assert_eq!(
+        err.message,
+        "negative index -9223372036854775808 on host pointer"
+    );
+}
+
+#[test]
+fn an_overflowing_pointer_difference_wraps() {
+    // `q - r` is 1 - i64::MIN: it wraps to a negative distance.
+    let err = host_pointer_error(
+        "q - (p + i64::MIN)",
+        "    float* r = p + (-9223372036854775807 - 1);\n    if ((q - r) < 0) { r[0] = 1.0; }",
+    );
+    assert_eq!(err.pos.line, 5);
+    assert_eq!(
+        err.message,
+        "negative index -9223372036854775808 on host pointer"
+    );
+}
+
+#[test]
+fn a_host_load_at_an_overflowing_index_wraps() {
+    let err = host_pointer_error("q[i64::MAX]", "    float x = q[9223372036854775807];");
+    assert_eq!(err.pos.line, 4);
+    assert_eq!(
+        err.message,
+        "negative index -9223372036854775808 on host pointer"
+    );
+}
+
+#[test]
+fn a_host_store_at_an_overflowing_index_wraps() {
+    let err = host_pointer_error("q[i64::MAX] = ...", "    q[9223372036854775807] = 1.0;");
+    assert_eq!(err.pos.line, 4);
+    assert_eq!(
+        err.message,
+        "negative index -9223372036854775808 on host pointer"
+    );
+}
+
+#[test]
+fn a_kernel_pointer_plus_an_overflowing_uniform_offset_wraps() {
+    let src = "__global__ void k(float* d) {\n    float* q = d + 1;\n    \
+               float* r = q + 9223372036854775807;\n    r[0] = 1.0;\n}\n\
+               int main() {\n    float* d;\n    cudaMalloc(&d, 16);\n    k<<<1, 4>>>(d);\n    \
+               return 0;\n}\n";
+    let err = runtime_error("uniform d + 1 + i64::MAX in a kernel", src);
+    assert_eq!(err.pos.line, 4);
+    assert_eq!(
+        err.message,
+        "negative index -9223372036854775808 on device global pointer"
+    );
+}
