@@ -191,16 +191,7 @@ fn infer_kinds(f: &IrFunc) -> Vec<Kind> {
                         set(&mut kinds, *dst, Kind::Ptr)
                     }
                     Inst::Un { dst, op, a, .. } => {
-                        let ka = kinds[*a as usize];
-                        let k = match op {
-                            UnOp::Not => Kind::Bool,
-                            UnOp::BitNot => Kind::Int,
-                            UnOp::Neg => match ka {
-                                Kind::Int | Kind::Bool => Kind::Int,
-                                Kind::Float => Kind::Float,
-                                _ => Kind::Unknown,
-                            },
-                        };
+                        let k = un_kind(*op, kinds[*a as usize]);
                         set(&mut kinds, *dst, k)
                     }
                     Inst::Bin { dst, op, a, b, .. } => {
@@ -234,6 +225,18 @@ fn infer_kinds(f: &IrFunc) -> Vec<Kind> {
         if !changed {
             return kinds;
         }
+    }
+}
+
+fn un_kind(op: UnOp, k: Kind) -> Kind {
+    match op {
+        UnOp::Not => Kind::Bool,
+        UnOp::BitNot => Kind::Int,
+        UnOp::Neg => match k {
+            Kind::Int | Kind::Bool => Kind::Int,
+            Kind::Float => Kind::Float,
+            _ => Kind::Unknown,
+        },
     }
 }
 
@@ -295,7 +298,10 @@ fn bin_safe(op: BinOp, ka: Kind, kb: Kind, divisor_nonzero: bool) -> bool {
     match op {
         Eq | Ne => true,
         Lt | Le | Gt | Ge | And | Or | Mul => ka.numeric() && kb.numeric(),
-        Add => (ka.numeric() && kb.numeric()) || (ka == Kind::Ptr) != (kb == Kind::Ptr),
+        Add => match (ka, kb) {
+            (Kind::Ptr, k) | (k, Kind::Ptr) => k.numeric(),
+            _ => ka.numeric() && kb.numeric(),
+        },
         Sub => (ka.numeric() && kb.numeric()) || ka == Kind::Ptr,
         Div => {
             (ka.numeric() && kb.numeric())
@@ -853,6 +859,90 @@ mod tests {
     use super::*;
     use crate::diag::Pos;
     use crate::ir::IrBlock;
+    use crate::value::tests::edge_values;
+
+    /// The kinds a rule is asked about; `Unknown` stands for any value.
+    const KINDS: [Kind; 5] = [Kind::Int, Kind::Float, Kind::Bool, Kind::Ptr, Kind::Unknown];
+
+    /// The lattice values a register of kind `k` may hold.
+    fn of_kind(values: &[Value], k: Kind) -> impl Iterator<Item = Value> + '_ {
+        values
+            .iter()
+            .copied()
+            .filter(move |v| k == Kind::Unknown || Kind::of_value(v) == k)
+    }
+
+    /// A rule's claims about one evaluation: a total instruction never
+    /// fails, and a known result kind is the kind it yields.
+    fn holds(what: &str, total: bool, kind: Kind, got: &Result<Value, String>) {
+        match got {
+            Err(m) => assert!(!total, "{what}: called total, but fails with {m:?}"),
+            Ok(v) => assert!(
+                kind == Kind::Unknown || Kind::of_value(v) == kind,
+                "{what}: {v:?} is not of the rule's kind {kind:?}"
+            ),
+        }
+    }
+
+    #[test]
+    fn the_kind_and_totality_rules_hold_on_the_edge_value_lattice() {
+        use BinOp::*;
+        let values = edge_values();
+        for ka in KINDS {
+            for op in [UnOp::Neg, UnOp::Not, UnOp::BitNot] {
+                for a in of_kind(&values, ka) {
+                    let what = format!("{op:?} {a:?} as {ka:?}");
+                    holds(&what, un_safe(op, ka), un_kind(op, ka), &apply_unop(op, a));
+                }
+            }
+            for ty in [
+                Type::INT,
+                Type::FLOAT,
+                Type::BOOL,
+                Type::VOID,
+                Type::INT.ptr_to(),
+            ] {
+                for a in of_kind(&values, ka) {
+                    let what = format!("({ty}) {a:?} as {ka:?}");
+                    holds(
+                        &what,
+                        coerce_safe(&ty, ka),
+                        Kind::of_type(&ty),
+                        &a.coerce_to(&ty),
+                    );
+                }
+            }
+            for kb in KINDS {
+                let ops = [
+                    Add, Sub, Mul, Div, Rem, Shl, Shr, BitAnd, BitOr, BitXor, Eq, Ne, Lt, Le, Gt,
+                    Ge, And, Or,
+                ];
+                for op in ops {
+                    for (a, b) in
+                        of_kind(&values, ka).flat_map(|a| of_kind(&values, kb).map(move |b| (a, b)))
+                    {
+                        let nonzero = matches!(b, Value::I(v) if v != 0);
+                        let what = format!("{a:?} {op:?} {b:?} as {ka:?}, {kb:?}");
+                        let total = bin_safe(op, ka, kb, nonzero);
+                        holds(&what, total, bin_kind(op, ka, kb), &apply_binop(op, a, b));
+                    }
+                }
+                let math = Intrinsic::all().filter_map(|w| w.as_math().map(|op| (w, op)));
+                for (which, op) in math {
+                    for (a, b) in
+                        of_kind(&values, ka).flat_map(|a| of_kind(&values, kb).map(move |b| (a, b)))
+                    {
+                        for (args, regs) in [(&[a][..], &[0][..]), (&[a, b][..], &[0, 1][..])] {
+                            let what = format!("{}{args:?} as {ka:?}, {kb:?}", which.name());
+                            let total = math_safe(which, regs, &[ka, kb]);
+                            let kind = math_kind(which, [ka, kb].into_iter().take(args.len()));
+                            holds(&what, total, kind, &op.apply(which.name(), args));
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn func_of(insts: Vec<Inst>, num_regs: u32) -> IrFunc {
         IrFunc {
