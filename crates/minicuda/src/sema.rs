@@ -816,22 +816,30 @@ impl<'a> Checker<'a> {
                 if op.is_comparison() || op.is_logical() {
                     return Ok(Type::BOOL);
                 }
-                if op.is_bitwise() {
-                    if ta == Type::FLOAT || tb == Type::FLOAT {
+                if op.is_bitwise() && (ta == Type::FLOAT || tb == Type::FLOAT) {
+                    return Err(Diag::new(
+                        Phase::Sema,
+                        pos,
+                        "bitwise operators require integers",
+                    ));
+                }
+                // Pointer arithmetic, as the run evaluates it: `p ± n`
+                // and `n + p` step the pointer, `p - q` is the distance.
+                match (op, ta.is_ptr(), tb.is_ptr()) {
+                    (_, false, false) => {}
+                    (BinOp::Add | BinOp::Sub, true, false) => return Ok(ta),
+                    (BinOp::Add, false, true) => return Ok(tb),
+                    (BinOp::Sub, true, true) => return Ok(Type::INT),
+                    _ => {
                         return Err(Diag::new(
                             Phase::Sema,
                             pos,
-                            "bitwise operators require integers",
-                        ));
+                            "operator not defined on pointers",
+                        ))
                     }
+                }
+                if op.is_bitwise() {
                     return Ok(Type::INT);
-                }
-                // Pointer arithmetic.
-                if ta.is_ptr() {
-                    return Ok(ta);
-                }
-                if tb.is_ptr() {
-                    return Ok(tb);
                 }
                 if ta == Type::FLOAT || tb == Type::FLOAT {
                     Ok(Type::FLOAT)

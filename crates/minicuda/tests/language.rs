@@ -193,6 +193,34 @@ fn integer_division_by_zero_is_reported_with_position() {
 }
 
 #[test]
+fn pointer_difference_is_an_int() {
+    let out = run_ok(
+        "int main() { float* p = (float*) malloc(64); float* q = p + 7; float* r = q - 2;\n\
+         int d = q - p; int e = r - q; wbSolutionScalar(d * 10 + e); return 0; }",
+    );
+    assert_eq!(scalar(&out), 68.0); // 7*10 + (-2)
+}
+
+#[test]
+fn operators_the_run_does_not_define_on_pointers_are_sema_errors() {
+    for expr in [
+        "p + q", "p * 2", "2 * p", "p / 2", "p % 2", "p << 1", "p >> 1", "p & 1", "1 | p", "p ^ q",
+        "1 - p",
+    ] {
+        let src = format!(
+            "int main() {{\n    float* p = (float*) malloc(16);\n    float* q = p;\n    \
+             float* r = {expr};\n    return 0;\n}}\n"
+        );
+        let err = compile(&src, Dialect::Cuda)
+            .err()
+            .unwrap_or_else(|| panic!("{expr} compiles"));
+        assert_eq!(err.phase, Phase::Sema, "{expr}: {err}");
+        assert_eq!((err.pos.line, err.pos.col), (4, 18), "{expr}: {err}");
+        assert_eq!(err.message, "operator not defined on pointers", "{expr}");
+    }
+}
+
+#[test]
 fn float_division_by_zero_is_ieee() {
     let out =
         run_ok("int main() { float x = 1.0 / 0.0; wbSolutionScalar(x > 1000000.0); return 0; }");
