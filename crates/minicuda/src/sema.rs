@@ -23,7 +23,7 @@ use crate::ast::*;
 use crate::diag::{Diag, Phase, Pos};
 use crate::dialect::Dialect;
 use crate::intrinsic::{Intrinsic, Op, Ret};
-use crate::value::{ElemType, Ptr, Space};
+use crate::value::{apply_binop, apply_unop, ElemType, Ptr, Space, Value};
 
 /// A compiled, semantically valid program.
 #[derive(Debug, Clone)]
@@ -304,28 +304,20 @@ pub fn analyze(unit: Unit, dialect: Dialect) -> Result<Program, Diag> {
 }
 
 /// Fold a constant integer expression (`16`, `2 * 8`, `sizeof(float)`)
-/// whose nodes are in `exprs`.
+/// whose nodes are in `exprs`, by the run's own operator semantics.
 pub fn const_eval(exprs: &[Expr], e: ExprId) -> Option<i64> {
-    match exprs[e.index()].kind {
-        ExprKind::IntLit(v) => Some(v.get()),
-        ExprKind::SizeOf(t) => Some(t.size_of()),
-        ExprKind::Unary(UnOp::Neg, inner) => const_eval(exprs, inner).map(|v| -v),
-        ExprKind::Binary(op, a, b) => {
-            let a = const_eval(exprs, a)?;
-            let b = const_eval(exprs, b)?;
-            Some(match op {
-                BinOp::Add => a + b,
-                BinOp::Sub => a - b,
-                BinOp::Mul => a * b,
-                BinOp::Div if b != 0 => a / b,
-                BinOp::Rem if b != 0 => a % b,
-                BinOp::Shl => a << (b & 63),
-                BinOp::Shr => a >> (b & 63),
-                _ => return None,
-            })
+    use BinOp::*;
+    let int = |e| const_eval(exprs, e).map(Value::I);
+    let v = match exprs[e.index()].kind {
+        ExprKind::IntLit(v) => return Some(v.get()),
+        ExprKind::SizeOf(t) => return Some(t.size_of()),
+        ExprKind::Unary(UnOp::Neg, a) => apply_unop(UnOp::Neg, int(a)?),
+        ExprKind::Binary(op, a, b) if matches!(op, Add | Sub | Mul | Div | Rem | Shl | Shr) => {
+            apply_binop(op, int(a)?, int(b)?)
         }
-        _ => None,
-    }
+        _ => return None,
+    };
+    v.ok()?.as_int().ok()
 }
 
 struct Checker<'a> {

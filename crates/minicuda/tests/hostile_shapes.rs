@@ -355,3 +355,25 @@ fn a_kernel_pointer_plus_an_overflowing_uniform_offset_wraps() {
         "negative index -9223372036854775808 on device global pointer"
     );
 }
+
+#[test]
+fn array_sizes_that_overflow_fold_like_the_run_and_are_refused() {
+    // Sema folds a size with the run's operators: these wrap (they
+    // overflowed an `i64` in a debug build) to a non-positive size.
+    for (size, dim) in [
+        ("9223372036854775807 + 1", "-9223372036854775808"),
+        ("-(-9223372036854775807 - 1)", "-9223372036854775808"),
+        ("(-9223372036854775807 - 1) / -1", "-9223372036854775808"),
+        ("4611686018427387904 * 2", "-9223372036854775808"),
+        ("1 << 64", "-9223372036854775808"),
+    ] {
+        let src = format!("__global__ void k() {{ __shared__ float t[{size}]; }}\n");
+        let err = compile_within_bound(size, &src).expect_err(size);
+        assert_eq!(err.phase, Phase::Sema, "{size}: {err}");
+        assert_eq!(
+            err.message,
+            format!("__shared__ array `t` has non-positive dimension {dim}"),
+            "{size}"
+        );
+    }
+}
