@@ -543,9 +543,10 @@ impl<'a> Checker<'a> {
                     _ => None,
                 };
                 let tt = self.typeof_expr(target, b, env, ctx)?;
-                let vt = self.typeof_expr(value, b, env, ctx)?;
+                let mut vt = self.typeof_expr(value, b, env, ctx)?;
                 if let Some(op) = op {
-                    // Compound assignment needs the operator defined.
+                    // Compound assignment needs the operator defined,
+                    // and assigns its result.
                     if op.is_bitwise() && tt == Type::FLOAT {
                         return Err(Diag::new(
                             Phase::Sema,
@@ -553,6 +554,7 @@ impl<'a> Checker<'a> {
                             "bitwise compound assignment on a float",
                         ));
                     }
+                    vt = binary_type(op, tt, vt).map_err(|m| Diag::new(Phase::Sema, pos, m))?;
                 }
                 assignable(tt, vt)
                     .map_err(|m| Diag::new(Phase::Sema, pos, format!("cannot assign: {m}")))?;
@@ -805,39 +807,7 @@ impl<'a> Checker<'a> {
             ExprKind::Binary(op, l, r) => {
                 let ta = self.typeof_expr(l, b, env, ctx)?;
                 let tb = self.typeof_expr(r, b, env, ctx)?;
-                if op.is_comparison() || op.is_logical() {
-                    return Ok(Type::BOOL);
-                }
-                if op.is_bitwise() && (ta == Type::FLOAT || tb == Type::FLOAT) {
-                    return Err(Diag::new(
-                        Phase::Sema,
-                        pos,
-                        "bitwise operators require integers",
-                    ));
-                }
-                // Pointer arithmetic, as the run evaluates it: `p ± n`
-                // and `n + p` step the pointer, `p - q` is the distance.
-                match (op, ta.is_ptr(), tb.is_ptr()) {
-                    (_, false, false) => {}
-                    (BinOp::Add | BinOp::Sub, true, false) => return Ok(ta),
-                    (BinOp::Add, false, true) => return Ok(tb),
-                    (BinOp::Sub, true, true) => return Ok(Type::INT),
-                    _ => {
-                        return Err(Diag::new(
-                            Phase::Sema,
-                            pos,
-                            "operator not defined on pointers",
-                        ))
-                    }
-                }
-                if op.is_bitwise() {
-                    return Ok(Type::INT);
-                }
-                if ta == Type::FLOAT || tb == Type::FLOAT {
-                    Ok(Type::FLOAT)
-                } else {
-                    Ok(Type::INT)
-                }
+                binary_type(op, ta, tb).map_err(|m| Diag::new(Phase::Sema, pos, m))
             }
             ExprKind::Bound(_) => unreachable!("each name is bound once"),
             ExprKind::Ternary(c, x) => {
@@ -1007,6 +977,32 @@ fn declaration_pos(stmts: &[Stmt], s: StmtId) -> Option<Pos> {
         ),
         _ => None,
     }
+}
+
+/// The type of `a op b`, as the run evaluates it.
+fn binary_type(op: BinOp, ta: Type, tb: Type) -> Result<Type, &'static str> {
+    if op.is_comparison() || op.is_logical() {
+        return Ok(Type::BOOL);
+    }
+    if op.is_bitwise() && (ta == Type::FLOAT || tb == Type::FLOAT) {
+        return Err("bitwise operators require integers");
+    }
+    // Pointer arithmetic: `p ± n` and `n + p` step the pointer, `p - q`
+    // is the distance.
+    match (op, ta.is_ptr(), tb.is_ptr()) {
+        (_, false, false) => {}
+        (BinOp::Add | BinOp::Sub, true, false) => return Ok(ta),
+        (BinOp::Add, false, true) => return Ok(tb),
+        (BinOp::Sub, true, true) => return Ok(Type::INT),
+        _ => return Err("operator not defined on pointers"),
+    }
+    Ok(if op.is_bitwise() {
+        Type::INT
+    } else if ta == Type::FLOAT || tb == Type::FLOAT {
+        Type::FLOAT
+    } else {
+        Type::INT
+    })
 }
 
 fn condition(t: Type) -> Result<(), String> {

@@ -202,6 +202,20 @@ fn pointer_difference_is_an_int() {
 }
 
 #[test]
+fn compound_assignment_steps_a_pointer() {
+    let out = run_ok(
+        "int main() { float* p = (float*) malloc(64); p[3] = 5.0; float* q = p;\n\
+         q += 4; q -= 1; int d = 0; d += q - p; wbSolutionScalar(q[0] * 10 + d); return 0; }",
+    );
+    assert_eq!(scalar(&out), 53.0);
+    let src = "int main() {\n    float* p = (float*) malloc(16);\n    p *= 2;\n    return 0;\n}\n";
+    let err = compile(src, Dialect::Cuda).expect_err("p *= 2");
+    assert_eq!(err.phase, Phase::Sema);
+    assert_eq!(err.pos.line, 3);
+    assert_eq!(err.message, "operator not defined on pointers");
+}
+
+#[test]
 fn operators_the_run_does_not_define_on_pointers_are_sema_errors() {
     for expr in [
         "p + q", "p * 2", "2 * p", "p / 2", "p % 2", "p << 1", "p >> 1", "p & 1", "1 | p", "p ^ q",
