@@ -1,8 +1,8 @@
 //! Runtime values, and what every operator means on them.
 //!
-//! Each operator has one definition here per operand kind ([`Prim`],
-//! [`Num`], [`unary`], [`convert`], [`MathOp`], [`Ptr::step`]), handed as
-//! a plain function to a consumer ([`Unary`], [`Binary`]). The scalar
+//! Each operator has one definition here per operand kind (`Prim`,
+//! `Num`, `unary`, `convert`, [`MathOp`], `offset_step`), handed as a
+//! plain function to a consumer (`Unary`, `Binary`). The scalar
 //! one ([`apply_unop`], [`apply_binop`], [`Value::coerce_to`],
 //! [`MathOp::apply`]) serves the host, constant folding, uniform
 //! registers and per-lane fallbacks; the batched executor's typed lanes
