@@ -105,17 +105,15 @@ impl Ptr {
         self.alloc == u32::MAX
     }
 
-    /// Retype the pointer's element interpretation (cast / typed decl).
-    pub fn with_elem(mut self, elem: ElemType) -> Ptr {
+    /// The pointer a cast (or typed declaration) to the pointer type
+    /// `ty` yields: it takes the pointee's element interpretation, when
+    /// that is known.
+    pub(crate) fn cast(mut self, ty: &Type) -> Ptr {
+        let elem = ElemType::of(&ty.pointee().expect("a pointer type"));
         if elem != ElemType::Unknown {
             self.elem = elem;
         }
         self
-    }
-
-    /// The pointer a cast to the pointer type `ty` yields.
-    pub(crate) fn cast(self, ty: &Type) -> Ptr {
-        self.with_elem(ElemType::of(&ty.pointee().expect("a pointer type")))
     }
 
     /// The pointer `k` strides of `stride` elements on: see
