@@ -205,7 +205,7 @@ fn pointer_difference_is_an_int() {
 fn compound_assignment_steps_a_pointer() {
     let out = run_ok(
         "int main() { float* p = (float*) malloc(64); p[3] = 5.0; float* q = p;\n\
-         q += 4; q -= 1; int d = 0; d += q - p; wbSolutionScalar(q[0] * 10 + d); return 0; }",
+         q += 4; q -= 1; q++; q--; int d = 0; d += q - p; wbSolutionScalar(q[0] * 10 + d); return 0; }",
     );
     assert_eq!(scalar(&out), 53.0);
     let src = "int main() {\n    float* p = (float*) malloc(16);\n    p *= 2;\n    return 0;\n}\n";
